@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 regression
 baseline mismatch (--baseline).  Sweep subcommands accept --config FILE with
 a JSON object {"kind", "parameters", "seed"} (or a previously emitted JSON
-result, whose embedded config block is reused); explicit flags override file
-values.  CSV schemas per subcommand are listed in --help epilogs.
+result, whose embedded config block is reused); a file of another kind is a
+usage error, and explicit flags override file values.  CSV schemas per
+subcommand are listed in --help epilogs.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .arith import EPS_SLACK, hgcd, weil_height
+from .arith import EPS_SLACK, PrimeSet, hgcd, prime_to_S_part, weil_height
 from .elliptic import Curve, Point, canonical_height, naive_height, on_curve
 from .elliptic import eds as _eds_op
 from .experiments import (
-    KIND_COLUMNS,
+    SPECS,
     SweepConfig,
     SweepKind,
     format_real,
@@ -82,7 +83,7 @@ def _point_arg(text: str) -> list[str]:
 
 
 def _columns_epilog(kind: SweepKind) -> str:
-    return "CSV columns: " + ",".join(KIND_COLUMNS[kind])
+    return "CSV columns: " + ",".join(SPECS[kind].columns)
 
 
 # ----------------------------------------------------------------------------
@@ -221,22 +222,36 @@ def _build_parser() -> _Parser:
 # config-file merging
 # ----------------------------------------------------------------------------
 
-def _load_config_file(path: str) -> tuple[dict, int]:
+def _load_config_file(path: str, kind: str | None = None) -> tuple[str, dict, int]:
+    """Read a config object (or an emitted result) as (kind, parameters, seed).
+
+    ``kind`` is the kind of the subcommand reading the file: a file naming
+    another kind is rejected, one naming none is taken as that kind.  With
+    ``kind`` None (the sweep subcommand) the file must name its kind.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if "config" in doc and isinstance(doc["config"], dict):
+    if isinstance(doc, dict) and isinstance(doc.get("config"), dict):
         doc = doc["config"]  # re-ingest an emitted result
+    if not isinstance(doc, dict):
+        raise _Usage(f"config file {path} is not a JSON object")
+    if "kind" not in doc:
+        if kind is None:
+            raise _Usage(f"config file {path} has no 'kind'")
+    elif kind is not None and doc["kind"] != kind:
+        raise _Usage(f"config file {path} is a {doc['kind']} config, not {kind}")
     params = dict(doc.get("parameters", {}))
-    seed = int(doc.get("seed", 0))
-    return params, seed
+    return doc.get("kind", kind), params, int(doc.get("seed", 0))
 
 
-def _effective(args, mapping: list[tuple[str, str, object]]) -> tuple[dict, int]:
+def _effective(
+    args, kind: str, mapping: list[tuple[str, str, object]]
+) -> tuple[dict, int]:
     """Merge config-file parameters with explicit flags (flags win)."""
     params: dict = {}
     seed = 0
     if getattr(args, "config", None):
-        params, seed = _load_config_file(args.config)
+        _, params, seed = _load_config_file(args.config, kind)
     for attr, key, default in mapping:
         v = getattr(args, attr, None)
         if v is not None:
@@ -264,7 +279,7 @@ def _run_sweep(kind: SweepKind, params: dict, seed: int, args) -> str:
 
 
 def _cmd_gcdpow(args) -> str:
-    params, seed = _effective(args, [
+    params, seed = _effective(args, SweepKind.BCZ.value, [
         ("a", "a", None), ("b", "b", None), ("nmax", "n_max", None),
         ("eps", "eps", 0.5), ("C", "C", 0.0),
     ])
@@ -274,7 +289,7 @@ def _cmd_gcdpow(args) -> str:
 
 
 def _cmd_trichotomy(args) -> str:
-    params, seed = _effective(args, [
+    params, seed = _effective(args, SweepKind.CZ_TRICHOTOMY.value, [
         ("primes", "primes", None), ("nmax", "bound", None), ("eps", "eps", None),
     ])
     bad = _missing(params, "primes", "bound", "eps")
@@ -284,7 +299,7 @@ def _cmd_trichotomy(args) -> str:
 
 
 def _cmd_returns(args) -> str:
-    params, seed = _effective(args, [
+    params, seed = _effective(args, SweepKind.AR_RETURNS.value, [
         ("a", "a", None), ("b", "b", None), ("nmax", "n_max", None),
     ])
     if _missing(params, "a", "b", "n_max"):
@@ -293,7 +308,7 @@ def _cmd_returns(args) -> str:
 
 
 def _cmd_eds(args) -> str:
-    params, _ = _effective(args, [
+    params, _ = _effective(args, "EDS", [
         ("curve", "curve", None), ("point", "point", None), ("nmax", "n_max", None),
         ("ignore_primes", "ignore_primes", []),
     ])
@@ -304,12 +319,10 @@ def _cmd_eds(args) -> str:
     p = Point(x, y)
     if not on_curve(c, p):
         raise ValueError("point is not on the curve")
-    seq = _eds_op(c, p, int(params["n_max"]))
     ignore = [int(t) for t in params.get("ignore_primes", [])]
-    masked = list(seq.terms)
-    for prime in ignore:
-        masked = [_strip(t, prime) for t in masked]
-    report = divisibility_check(masked)
+    S = PrimeSet(tuple(ignore))
+    seq = _eds_op(c, p, int(params["n_max"]))
+    report = divisibility_check([prime_to_S_part(t, S) for t in seq.terms])
     fmt = args.format or "csv"
     if fmt == "csv":
         lines = ["n,d"] + [f"{i+1},{d}" for i, d in enumerate(seq.terms)]
@@ -325,14 +338,8 @@ def _cmd_eds(args) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _strip(n: int, p: int) -> int:
-    while n % p == 0 and n > 1:
-        n //= p
-    return n
-
-
 def _cmd_edsgcd(args) -> str:
-    params, seed = _effective(args, [
+    params, seed = _effective(args, SweepKind.EDS_GCD.value, [
         ("curve", "curve", None), ("point", "p", None), ("point2", "q", None),
         ("nmax", "nmax", None), ("eps", "eps", None), ("C", "C", 0.0),
     ])
@@ -349,7 +356,7 @@ def _cmd_edsgcd(args) -> str:
 
 
 def _cmd_mixed(args) -> str:
-    params, seed = _effective(args, [
+    params, seed = _effective(args, SweepKind.MIXED_CHECK.value, [
         ("curve", "curve", None), ("point", "point", None),
         ("primes", "primes", None), ("nmax", "n_max", None),
         ("bbound", "b_bound", 100), ("eps", "eps", None), ("C", "C", 1.0),
@@ -360,7 +367,7 @@ def _cmd_mixed(args) -> str:
 
 
 def _cmd_pncheck(args) -> str:
-    params, seed = _effective(args, [
+    params, seed = _effective(args, SweepKind.PN_CHECK.value, [
         ("poly", "polys", ["X1-X0", "X2-X0"]), ("codim", "codim_r", 2),
         ("primes", "primes", None), ("nmax", "bound", None),
         ("eps", "eps", None), ("delta", "delta", 1.0), ("C", "C", 0.0),
@@ -372,16 +379,10 @@ def _cmd_pncheck(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "config" in doc and isinstance(doc["config"], dict):
-        doc = doc["config"]
-    if "kind" not in doc:
-        raise _Usage(f"config file {args.config} has no 'kind'")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    return _run_sweep(
-        SweepKind(doc["kind"]), dict(doc.get("parameters", {})), seed, args
-    )
+    kind, params, seed = _load_config_file(args.config)
+    if args.seed is not None:
+        seed = args.seed
+    return _run_sweep(SweepKind(kind), params, seed, args)
 
 
 def _cmd_heights(args) -> str:

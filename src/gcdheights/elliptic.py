@@ -31,6 +31,7 @@ __all__ = [
     "add",
     "scalar_mul",
     "denominator_D",
+    "multiples",
     "eds",
     "naive_height",
     "canonical_height",
@@ -189,24 +190,31 @@ class EDS:
     terms: tuple[int, ...]
 
 
-def eds(c: Curve, p: Point, n_max: int) -> EDS:
-    """Denominator sequence D_P, D_2P, ..., D_NP by incremental addition.
+def multiples(c: Curve, p: Point, n_max: int) -> list[Point]:
+    """[P, 2P, ..., n_max P] by repeated chord-tangent addition of P.
 
-    Hitting the identity means the base point has finite order, which the
-    sequence cannot absorb; it is reported rather than skipped.
+    Hitting the identity means the base point has finite order, which no
+    caller can absorb; it is reported rather than skipped.
     """
-    if p.is_identity:
-        raise ValueError("base point is the identity")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    terms = []
+    out = []
     q = p
     for n in range(1, n_max + 1):
         if q.is_identity:
             raise ValueError(f"point has finite order {n}")
-        terms.append(denominator_D(q))
-        q = add(c, q, p)
-    return EDS(curve=c, point=p, terms=tuple(terms))
+        out.append(q)
+        if n < n_max:
+            q = add(c, q, p)
+    return out
+
+
+def eds(c: Curve, p: Point, n_max: int) -> EDS:
+    """Denominator sequence D_P, D_2P, ..., D_NP of the multiples of P."""
+    if p.is_identity:
+        raise ValueError("base point is the identity")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    terms = tuple(denominator_D(q) for q in multiples(c, p, n_max))
+    return EDS(curve=c, point=p, terms=terms)
 
 
 # ----------------------------------------------------------------------------

@@ -7,9 +7,10 @@ byte-identical CSV no matter the job count.  Per-cell failures become tagged
 error rows instead of aborting the run; a configurable error budget (default
 0) turns unexpected ones into a failure at the end.
 
-Row schemas are fixed per kind (see KIND_COLUMNS): index columns first, then
-exact integer witnesses as decimal strings, then the log-space lhs/rhs pair
-and the holds flag.  Reals are rendered with 12 significant digits.
+Each kind is one ``KindSpec`` record in ``SPECS``.  Row schemas are fixed per
+kind: index columns first, then exact integer witnesses as decimal strings,
+then the log-space lhs/rhs pair and the holds flag.  Reals are rendered with
+12 significant digits.
 """
 
 from __future__ import annotations
@@ -18,25 +19,26 @@ import csv
 import io
 import json
 import random
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, log
 from statistics import median
 
-from .arith import EPS_SLACK, PrimeSet
+from .arith import EPS_SLACK, PrimeSet, mult_independent
 from .elliptic import (
     Curve,
     Point,
     denominator_D,
-    add,
-    eds,
     exceptional_subgroups,
+    multiples,
     naive_height,
     on_curve,
 )
-from .gcd_height import PnPoint, PolySystem, VojtaParams, check_mixed, check_pn
+from .gcd_height import PnPoint, PolySystem, VojtaParams
+from .gcd_height import check_e2, check_mixed, check_pn
 from .mulgrp import (
     EXCEPTIONAL,
     INEQUALITY_HOLDS,
@@ -44,7 +46,6 @@ from .mulgrp import (
     POWER_RELATION,
     cz_classify,
     gcd_pair,
-    mult_independent,
     s_unit_enumerate,
 )
 
@@ -52,7 +53,8 @@ __all__ = [
     "SweepKind",
     "SweepConfig",
     "SweepResult",
-    "KIND_COLUMNS",
+    "KindSpec",
+    "SPECS",
     "run",
     "fit_constant",
     "detect_exceptional",
@@ -90,47 +92,23 @@ class SweepResult:
     summary: dict
 
 
-KIND_COLUMNS: dict[SweepKind, list[str]] = {
-    SweepKind.BCZ: ["n", "gcd", "lhs", "hA", "rhs", "holds", "error"],
-    SweepKind.CZ_TRICHOTOMY: [
-        "alpha", "beta", "verdict", "m", "n", "gcd", "lhs", "rhs", "holds", "error",
-    ],
-    SweepKind.AR_RETURNS: ["n", "gcd", "base_gcd", "is_return", "error"],
-    SweepKind.EDS_GCD: [
-        "m", "n", "d_m", "d_n", "gcd", "lhs", "hA", "rhs", "holds",
-        "exceptional", "error",
-    ],
-    SweepKind.PN_CHECK: [
-        "point", "gcd", "lhs", "hA", "hcount", "rhs", "holds", "error",
-    ],
-    SweepKind.MIXED_CHECK: [
-        "n", "b", "d_q", "gcd", "lhs", "hA", "rhs", "holds", "error",
-    ],
-    SweepKind.SIEGEL: ["n", "d", "naive", "ratio", "error"],
-    SweepKind.ABELIAN_GROWTH: [
-        "n", "d_p", "d_q", "gcd", "lhs", "hA", "rhs", "holds", "error",
-    ],
-}
+@dataclass(frozen=True)
+class KindSpec:
+    """Everything the runner knows about one sweep kind.
 
-#: Kinds whose records carry (lhs, hA[, hcount]) and admit constant fitting.
-FITTABLE = (
-    SweepKind.BCZ,
-    SweepKind.EDS_GCD,
-    SweepKind.PN_CHECK,
-    SweepKind.MIXED_CHECK,
-    SweepKind.ABELIAN_GROWTH,
-)
+    ``prepare(params, seed)`` validates the parameters and expands them into
+    cells (serially, and it may do real work); ``row(cell)`` evaluates one
+    cell, possibly in a pool worker.  ``index`` names the cell keys that
+    locate a row: error rows and ``max_violating_index`` carry exactly those.
+    ``fittable`` kinds have lhs/hA[/hcount] records that admit constant
+    fitting.
+    """
 
-_INDEX_KEYS: dict[SweepKind, tuple[str, ...]] = {
-    SweepKind.BCZ: ("n",),
-    SweepKind.CZ_TRICHOTOMY: ("alpha", "beta"),
-    SweepKind.AR_RETURNS: ("n",),
-    SweepKind.EDS_GCD: ("m", "n"),
-    SweepKind.PN_CHECK: ("point",),
-    SweepKind.MIXED_CHECK: ("n", "b"),
-    SweepKind.SIEGEL: ("n",),
-    SweepKind.ABELIAN_GROWTH: ("n",),
-}
+    columns: tuple[str, ...]
+    index: tuple[str, ...]
+    prepare: Callable[[dict, int], list[dict]]
+    row: Callable[[dict], dict]
+    fittable: bool = False
 
 
 # ----------------------------------------------------------------------------
@@ -166,19 +144,7 @@ def _point_of(c: Curve, raw, what: str = "point") -> Point:
     return p
 
 
-def _multiples(c: Curve, p: Point, n_max: int) -> list[Point]:
-    """[P, 2P, ..., n_max P], erroring out on finite order."""
-    out = []
-    q = p
-    for n in range(1, n_max + 1):
-        if q.is_identity:
-            raise ValueError(f"point has finite order {n}")
-        out.append(q)
-        q = add(c, q, p)
-    return out
-
-
-def _prepare_bcz(params: dict) -> list[dict]:
+def _prepare_bcz(params: dict, seed: int) -> list[dict]:
     a = int(_need(params, "a", SweepKind.BCZ))
     b = int(_need(params, "b", SweepKind.BCZ))
     eps = float(_need(params, "eps", SweepKind.BCZ))
@@ -191,7 +157,7 @@ def _prepare_bcz(params: dict) -> list[dict]:
     if not mult_independent(a, b):
         raise ValueError("multiplicatively dependent inputs: hypothesis violated")
     return [
-        {"index": {"n": n}, "a": a, "b": b, "n": n, "eps": eps, "C": C}
+        {"a": a, "b": b, "n": n, "eps": eps, "C": C}
         for n in range(1, n_max + 1)
     ]
 
@@ -207,27 +173,24 @@ def _row_bcz(cell: dict) -> dict:
     }
 
 
-def _prepare_cz(params: dict) -> list[dict]:
+def _prepare_cz(params: dict, seed: int) -> list[dict]:
     primes = _as_int_list(_need(params, "primes", SweepKind.CZ_TRICHOTOMY), "primes")
     bound = int(_need(params, "bound", SweepKind.CZ_TRICHOTOMY))
     eps = float(_need(params, "eps", SweepKind.CZ_TRICHOTOMY))
     if eps <= 0:
         raise ValueError("eps must be positive")
-    units = s_unit_enumerate(PrimeSet(tuple(primes)), bound)
+    S = PrimeSet(tuple(primes))
+    units = s_unit_enumerate(S, bound)
     return [
-        {
-            "index": {"alpha": a, "beta": b},
-            "alpha": a, "beta": b, "primes": tuple(primes), "eps": eps,
-        }
+        {"alpha": a, "beta": b, "S": S, "eps": eps}
         for a in units
         for b in units
     ]
 
 
 def _row_cz(cell: dict) -> dict:
-    S = PrimeSet(cell["primes"])
     a, b, eps = cell["alpha"], cell["beta"], cell["eps"]
-    v = cz_classify(a, b, S, eps)
+    v = cz_classify(a, b, cell["S"], eps)
     g = gcd(abs(a - 1), abs(b - 1))
     lhs = log(g)
     rhs = eps * log(max(abs(a), abs(b)))
@@ -237,7 +200,7 @@ def _row_cz(cell: dict) -> dict:
     }
 
 
-def _prepare_ar(params: dict) -> list[dict]:
+def _prepare_ar(params: dict, seed: int) -> list[dict]:
     a = int(_need(params, "a", SweepKind.AR_RETURNS))
     b = int(_need(params, "b", SweepKind.AR_RETURNS))
     n_max = int(_need(params, "n_max", SweepKind.AR_RETURNS))
@@ -247,7 +210,7 @@ def _prepare_ar(params: dict) -> list[dict]:
         raise ValueError("multiplicatively dependent inputs: hypothesis violated")
     base = gcd_pair(a, b, 1)
     return [
-        {"index": {"n": n}, "a": a, "b": b, "n": n, "base": base}
+        {"a": a, "b": b, "n": n, "base": base}
         for n in range(1, n_max + 1)
     ]
 
@@ -260,7 +223,7 @@ def _row_ar(cell: dict) -> dict:
     }
 
 
-def _prepare_eds_gcd(params: dict) -> list[dict]:
+def _prepare_eds_gcd(params: dict, seed: int) -> list[dict]:
     c = _curve_of(params)
     p = _point_of(c, _need(params, "p", SweepKind.EDS_GCD), "p")
     q = _point_of(c, params["q"], "q") if params.get("q") is not None else p
@@ -270,22 +233,15 @@ def _prepare_eds_gcd(params: dict) -> list[dict]:
     C = float(params.get("C", 0.0))
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mp = _multiples(c, p, m_max)
-    nq = _multiples(c, q, n_max)
-    dm = [denominator_D(t) for t in mp]
-    dn = [denominator_D(t) for t in nq]
-    hm = [naive_height(t).value for t in mp]
-    hn = [naive_height(t).value for t in nq]
+    mp = multiples(c, p, m_max)
+    nq = multiples(c, q, n_max)
     predicted = set(exceptional_subgroups(eps))
     cells = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             g = gcd(m, n)
             cells.append({
-                "index": {"m": m, "n": n},
-                "m": m, "n": n,
-                "d_m": dm[m - 1], "d_n": dn[n - 1],
-                "h_m": hm[m - 1], "h_n": hn[n - 1],
+                "m": m, "n": n, "curve": c, "p": mp[m - 1], "q": nq[n - 1],
                 "eps": eps, "C": C,
                 "exceptional": (m // g, n // g) in predicted,
             })
@@ -293,18 +249,16 @@ def _prepare_eds_gcd(params: dict) -> list[dict]:
 
 
 def _row_eds_gcd(cell: dict) -> dict:
-    g = gcd(cell["d_m"], cell["d_n"])
-    lhs = log(g)
-    hA = cell["h_m"] + cell["h_n"]
-    rhs = cell["eps"] * hA + cell["C"]
+    rec = check_e2(cell["curve"], cell["p"], cell["q"], cell["eps"], cell["C"])
+    d = rec.descriptor
     return {
-        "m": cell["m"], "n": cell["n"], "d_m": cell["d_m"], "d_n": cell["d_n"],
-        "gcd": g, "lhs": lhs, "hA": hA, "rhs": rhs,
-        "holds": lhs <= rhs + EPS_SLACK, "exceptional": cell["exceptional"],
+        "m": cell["m"], "n": cell["n"], "d_m": d["d_p"], "d_n": d["d_q"],
+        "gcd": d["gcd_witness"], "lhs": rec.lhs, "hA": d["hA"], "rhs": rec.rhs,
+        "holds": rec.holds, "exceptional": cell["exceptional"],
     }
 
 
-def _prepare_pn(params: dict) -> list[dict]:
+def _prepare_pn(params: dict, seed: int) -> list[dict]:
     texts = _need(params, "polys", SweepKind.PN_CHECK)
     if not isinstance(texts, (list, tuple)) or not texts:
         raise ValueError("polys must be a nonempty list of polynomial strings")
@@ -320,8 +274,8 @@ def _prepare_pn(params: dict) -> list[dict]:
     C = float(params.get("C", 0.0))
     r = int(params.get("r", codim))
     vp = VojtaParams(epsilon=eps, delta=delta, C=C, r=r)
+    S = PrimeSet(tuple(primes))
     sample = params.get("sample")
-    seed = int(params.get("_seed", 0))
 
     nonzero = [v for v in range(-bound, bound + 1) if v != 0]
     pts = []
@@ -345,30 +299,28 @@ def _prepare_pn(params: dict) -> list[dict]:
                 stack.append(tup + (v,))
     pts.sort()
     if sample is not None and len(pts) > int(sample):
-        rng = random.Random(seed)
+        rng = random.Random(int(seed))
         pts = sorted(rng.sample(pts, int(sample)))
     return [
         {
-            "index": {"point": ":".join(str(t) for t in tup)},
-            "coords": tup, "system": system, "primes": tuple(primes), "vp": vp,
+            "point": ":".join(str(t) for t in tup),
+            "coords": tup, "system": system, "S": S, "vp": vp,
         }
         for tup in pts
     ]
 
 
 def _row_pn(cell: dict) -> dict:
-    rec = check_pn(
-        PnPoint(cell["coords"]), cell["system"], PrimeSet(cell["primes"]), cell["vp"]
-    )
+    rec = check_pn(PnPoint(cell["coords"]), cell["system"], cell["S"], cell["vp"])
     d = rec.descriptor
     return {
-        "point": ":".join(str(t) for t in cell["coords"]),
+        "point": cell["point"],
         "gcd": d["gcd_witness"], "lhs": rec.lhs, "hA": d["hA"],
         "hcount": d["hcount"], "rhs": rec.rhs, "holds": rec.holds,
     }
 
 
-def _prepare_mixed(params: dict) -> list[dict]:
+def _prepare_mixed(params: dict, seed: int) -> list[dict]:
     c = _curve_of(params)
     p = _point_of(c, _need(params, "point", SweepKind.MIXED_CHECK))
     primes = _as_int_list(_need(params, "primes", SweepKind.MIXED_CHECK), "primes")
@@ -378,22 +330,20 @@ def _prepare_mixed(params: dict) -> list[dict]:
     b_bound = int(params.get("b_bound", 100))
     S = PrimeSet(tuple(primes))
     units = s_unit_enumerate(S, b_bound)
-    mults = _multiples(c, p, n_max)
+    mults = multiples(c, p, n_max)
     cells = []
     for n in range(1, n_max + 1):
         for b in units:
             cells.append({
-                "index": {"n": n, "b": b},
                 "curve": c, "q": mults[n - 1], "n": n, "b": b,
-                "primes": tuple(primes), "eps": eps, "C": C,
+                "S": S, "eps": eps, "C": C,
             })
     return cells
 
 
 def _row_mixed(cell: dict) -> dict:
     rec = check_mixed(
-        cell["curve"], cell["q"], cell["b"], PrimeSet(cell["primes"]),
-        cell["eps"], cell["C"],
+        cell["curve"], cell["q"], cell["b"], cell["S"], cell["eps"], cell["C"]
     )
     d = rec.descriptor
     return {
@@ -402,21 +352,18 @@ def _row_mixed(cell: dict) -> dict:
     }
 
 
-def _prepare_siegel(params: dict) -> list[dict]:
+def _prepare_siegel(params: dict, seed: int) -> list[dict]:
     c = _curve_of(params)
     p = _point_of(c, _need(params, "point", SweepKind.SIEGEL))
     n_min = int(params.get("n_min", 1))
     n_max = int(_need(params, "n_max", SweepKind.SIEGEL))
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
-    mults = _multiples(c, p, n_max)
+    mults = multiples(c, p, n_max)
     cells = []
     for n in range(n_min, n_max + 1):
         q = mults[n - 1]
-        cells.append({
-            "index": {"n": n},
-            "n": n, "d": denominator_D(q), "naive": naive_height(q).value,
-        })
+        cells.append({"n": n, "d": denominator_D(q), "naive": naive_height(q).value})
     return cells
 
 
@@ -426,7 +373,7 @@ def _row_siegel(cell: dict) -> dict:
     return {"n": cell["n"], "d": d, "naive": cell["naive"], "ratio": ratio}
 
 
-def _prepare_abelian(params: dict) -> list[dict]:
+def _prepare_abelian(params: dict, seed: int) -> list[dict]:
     if params.get("independence_asserted") is not True:
         raise ValueError(
             "ABELIAN_GROWTH requires independence_asserted: true "
@@ -440,13 +387,10 @@ def _prepare_abelian(params: dict) -> list[dict]:
     C = float(params.get("C", 0.0))
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dp = [denominator_D(t) for t in _multiples(c, p, n_max)]
-    dq = [denominator_D(t) for t in _multiples(c, q, n_max)]
+    dp = [denominator_D(t) for t in multiples(c, p, n_max)]
+    dq = [denominator_D(t) for t in multiples(c, q, n_max)]
     return [
-        {
-            "index": {"n": n},
-            "n": n, "d_p": dp[n - 1], "d_q": dq[n - 1], "eps": eps, "C": C,
-        }
+        {"n": n, "d_p": dp[n - 1], "d_q": dq[n - 1], "eps": eps, "C": C}
         for n in range(1, n_max + 1)
     ]
 
@@ -462,36 +406,53 @@ def _row_abelian(cell: dict) -> dict:
     }
 
 
-_PREPARE = {
-    SweepKind.BCZ: _prepare_bcz,
-    SweepKind.CZ_TRICHOTOMY: _prepare_cz,
-    SweepKind.AR_RETURNS: _prepare_ar,
-    SweepKind.EDS_GCD: _prepare_eds_gcd,
-    SweepKind.PN_CHECK: _prepare_pn,
-    SweepKind.MIXED_CHECK: _prepare_mixed,
-    SweepKind.SIEGEL: _prepare_siegel,
-    SweepKind.ABELIAN_GROWTH: _prepare_abelian,
+SPECS: dict[SweepKind, KindSpec] = {
+    SweepKind.BCZ: KindSpec(
+        columns=("n", "gcd", "lhs", "hA", "rhs", "holds", "error"),
+        index=("n",), prepare=_prepare_bcz, row=_row_bcz, fittable=True,
+    ),
+    SweepKind.CZ_TRICHOTOMY: KindSpec(
+        columns=("alpha", "beta", "verdict", "m", "n", "gcd", "lhs", "rhs",
+                 "holds", "error"),
+        index=("alpha", "beta"), prepare=_prepare_cz, row=_row_cz,
+    ),
+    SweepKind.AR_RETURNS: KindSpec(
+        columns=("n", "gcd", "base_gcd", "is_return", "error"),
+        index=("n",), prepare=_prepare_ar, row=_row_ar,
+    ),
+    SweepKind.EDS_GCD: KindSpec(
+        columns=("m", "n", "d_m", "d_n", "gcd", "lhs", "hA", "rhs", "holds",
+                 "exceptional", "error"),
+        index=("m", "n"), prepare=_prepare_eds_gcd, row=_row_eds_gcd,
+        fittable=True,
+    ),
+    SweepKind.PN_CHECK: KindSpec(
+        columns=("point", "gcd", "lhs", "hA", "hcount", "rhs", "holds", "error"),
+        index=("point",), prepare=_prepare_pn, row=_row_pn, fittable=True,
+    ),
+    SweepKind.MIXED_CHECK: KindSpec(
+        columns=("n", "b", "d_q", "gcd", "lhs", "hA", "rhs", "holds", "error"),
+        index=("n", "b"), prepare=_prepare_mixed, row=_row_mixed, fittable=True,
+    ),
+    SweepKind.SIEGEL: KindSpec(
+        columns=("n", "d", "naive", "ratio", "error"),
+        index=("n",), prepare=_prepare_siegel, row=_row_siegel,
+    ),
+    SweepKind.ABELIAN_GROWTH: KindSpec(
+        columns=("n", "d_p", "d_q", "gcd", "lhs", "hA", "rhs", "holds", "error"),
+        index=("n",), prepare=_prepare_abelian, row=_row_abelian, fittable=True,
+    ),
 }
 
-_ROW = {
-    SweepKind.BCZ.value: _row_bcz,
-    SweepKind.CZ_TRICHOTOMY.value: _row_cz,
-    SweepKind.AR_RETURNS.value: _row_ar,
-    SweepKind.EDS_GCD.value: _row_eds_gcd,
-    SweepKind.PN_CHECK.value: _row_pn,
-    SweepKind.MIXED_CHECK.value: _row_mixed,
-    SweepKind.SIEGEL.value: _row_siegel,
-    SweepKind.ABELIAN_GROWTH.value: _row_abelian,
-}
 
-
-def _eval_cell(task: tuple[str, dict]) -> dict:
+def _eval_cell(task: tuple[SweepKind, dict]) -> dict:
     """Evaluate one cell; failures become tagged rows, never exceptions."""
-    kind_value, cell = task
+    kind, cell = task
+    spec = SPECS[kind]
     try:
-        return _ROW[kind_value](cell)
+        return spec.row(cell)
     except Exception as exc:  # per-record capture is the contract here
-        row = dict(cell.get("index", {}))
+        row = {k: cell[k] for k in spec.index}
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
@@ -505,10 +466,8 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     kind = config.kind
-    params = dict(config.parameters)
-    params["_seed"] = config.seed
-    cells = _PREPARE[kind](params)
-    tasks = [(kind.value, cell) for cell in cells]
+    cells = SPECS[kind].prepare(config.parameters, config.seed)
+    tasks = [(kind, cell) for cell in cells]
     if jobs == 1 or len(tasks) < 2:
         records = [_eval_cell(t) for t in tasks]
     else:
@@ -535,7 +494,8 @@ def summarize(kind: SweepKind, records: list[dict], config: SweepConfig) -> dict
         "error_rows": sum(1 for r in records if r.get("error")),
     }
     good = [r for r in records if not r.get("error")]
-    if kind in FITTABLE or kind == SweepKind.CZ_TRICHOTOMY:
+    spec = SPECS[kind]
+    if spec.fittable or kind == SweepKind.CZ_TRICHOTOMY:
         if kind == SweepKind.CZ_TRICHOTOMY:
             # power-relation pairs may fail the raw inequality legitimately;
             # the trichotomy's genuine violations are the EXCEPTIONAL rows
@@ -543,11 +503,10 @@ def summarize(kind: SweepKind, records: list[dict], config: SweepConfig) -> dict
         else:
             viol = [r for r in good if r.get("holds") is False]
         s["violations"] = len(viol)
-        idx_keys = _INDEX_KEYS[kind]
         s["max_violating_index"] = (
-            [viol[-1][k] for k in idx_keys] if viol else None
+            [viol[-1][k] for k in spec.index] if viol else None
         )
-    if kind in FITTABLE:
+    if spec.fittable:
         try:
             eps = float(config.parameters["eps"])
             s["fitted_constant"] = fit_constant_records(good, eps, config.parameters)
@@ -606,7 +565,7 @@ def fit_constant_records(
 
 def fit_constant(result: SweepResult, eps: float) -> float:
     """Fit the empirical constant for a finished sweep at tolerance eps."""
-    if result.config.kind not in FITTABLE:
+    if not SPECS[result.config.kind].fittable:
         raise ValueError(f"cannot fit a constant for {result.config.kind.value}")
     if not result.records:
         raise ValueError("no records to fit")
@@ -673,7 +632,7 @@ def _format_value(v) -> str:
 
 def render_csv(result: SweepResult) -> str:
     """One row per record in index order, fixed header per kind."""
-    cols = KIND_COLUMNS[result.config.kind]
+    cols = SPECS[result.config.kind].columns
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(cols)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from math import gcd, log
 
 from .arith import EPS_SLACK, LogReal, PrimeSet, prime_to_S_part
-from .elliptic import Curve, Point, denominator_D, gcd_D, naive_height
+from .elliptic import Curve, Point, denominator_D, naive_height
 
 __all__ = [
     "PnPoint",
@@ -322,7 +322,8 @@ def check_e2(c: Curve, P: Point, Q: Point, eps: float, C: float = 0.0) -> BoundR
     """ln gcd(D_P, D_Q) versus eps*(naive(P) + naive(Q)) + C."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    g = gcd_D(P, Q)
+    d_p, d_q = denominator_D(P), denominator_D(Q)
+    g = gcd(d_p, d_q)
     hP = naive_height(P).value
     hQ = naive_height(Q).value
     comps = {
@@ -331,8 +332,8 @@ def check_e2(c: Curve, P: Point, Q: Point, eps: float, C: float = 0.0) -> BoundR
         "constant": C,
     }
     desc = {
-        "d_p": denominator_D(P),
-        "d_q": denominator_D(Q),
+        "d_p": d_p,
+        "d_q": d_q,
         "gcd_witness": g,
         "hA": hP + hQ,
         "hcount": 0.0,

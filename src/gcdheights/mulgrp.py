@@ -1,8 +1,9 @@
-"""Divisibility sequences from the multiplicative group, and gcd scans on them.
+"""Divisibility sequences from the multiplicative group, and gcds on them.
 
 The objects here live on G_m x G_m: points are rational numbers a/b in lowest
-terms (neither 0 nor a unit), the n-th division value is |a^n - b^n|, and the
-scans probe how large gcd(a^n - 1, b^n - 1) gets against exponential bounds.
+terms (neither 0 nor a unit), the n-th division value is |a^n - b^n|, and
+gcd(a^n - 1, b^n - 1) is the quantity the BCZ and AR_RETURNS sweeps of
+``experiments`` scan against exponential bounds.
 """
 
 from __future__ import annotations
@@ -11,14 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, log
 
-from .arith import EPS_SLACK, PrimeSet, mult_independent, prime_to_S_part
+from .arith import EPS_SLACK, PrimeSet, prime_to_S_part
 
 __all__ = [
     "MulPoint",
     "MulDivSeq",
-    "BczScan",
     "CzVerdict",
-    "ArReturns",
     "DivisibilityReport",
     "POWER_RELATION",
     "INEQUALITY_HOLDS",
@@ -27,10 +26,8 @@ __all__ = [
     "mul_D",
     "mul_seq",
     "gcd_pair",
-    "bcz_scan",
     "s_unit_enumerate",
     "cz_classify",
-    "ar_returns",
     "divisibility_check",
 ]
 
@@ -84,28 +81,12 @@ class MulDivSeq:
 
 
 @dataclass(frozen=True)
-class BczScan:
-    """Indices n <= n_max where ln gcd(a^n-1, b^n-1) > eps*n*ln2 + slack."""
-
-    violations: tuple[int, ...]
-    max_violator: int | None
-
-
-@dataclass(frozen=True)
 class CzVerdict:
     """One of POWER_RELATION (with exponents), INEQUALITY_HOLDS, EXCEPTIONAL."""
 
     kind: str
     m: int | None = None
     n: int | None = None
-
-
-@dataclass(frozen=True)
-class ArReturns:
-    """Indices n where gcd(a^n-1, b^n-1) returns to its n=1 value."""
-
-    indices: tuple[int, ...]
-    density: float
 
 
 @dataclass(frozen=True)
@@ -156,29 +137,6 @@ def gcd_pair(a: int, b: int, n: int) -> int:
     if n < 1:
         raise ValueError("gcd_pair requires n >= 1")
     return gcd(a**n - 1, b**n - 1)
-
-
-def _require_independent(a: int, b: int) -> None:
-    if not mult_independent(a, b):
-        raise ValueError("multiplicatively dependent inputs: hypothesis violated")
-
-
-def bcz_scan(a: int, b: int, eps: float, n_max: int) -> BczScan:
-    """All n <= n_max violating gcd(a^n-1, b^n-1) <= 2^(eps*n).
-
-    The comparison runs in log space with the standard 1e-9 slack.  The
-    inputs must be multiplicatively independent; the largest violator is the
-    empirical threshold beyond which the bound held on this range.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    _require_independent(a, b)
-    bad = []
-    for n in range(1, n_max + 1):
-        g = gcd_pair(a, b, n)
-        if log(g) > eps * n * LN2 + EPS_SLACK:
-            bad.append(n)
-    return BczScan(violations=tuple(bad), max_violator=bad[-1] if bad else None)
 
 
 def s_unit_enumerate(S: PrimeSet, bound: int) -> list[int]:
@@ -234,17 +192,6 @@ def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
     if log(g) <= eps * max(la, lb) + EPS_SLACK:
         return CzVerdict(INEQUALITY_HOLDS)
     return CzVerdict(EXCEPTIONAL)
-
-
-def ar_returns(a: int, b: int, n_max: int) -> ArReturns:
-    """Indices n <= n_max with gcd(a^n-1, b^n-1) == gcd(a-1, b-1), and their density.
-
-    Requires multiplicatively independent a, b >= 2.  n = 1 always returns.
-    """
-    _require_independent(a, b)
-    base = gcd_pair(a, b, 1)
-    idx = [n for n in range(1, n_max + 1) if gcd_pair(a, b, n) == base]
-    return ArReturns(indices=tuple(idx), density=len(idx) / n_max)
 
 
 def divisibility_check(terms: list[int] | tuple[int, ...]) -> DivisibilityReport:

@@ -23,7 +23,6 @@ from gcdheights import (
     PrimeSet,
     SweepConfig,
     SweepKind,
-    bcz_scan,
     canonical_height,
     cz_classify,
     denominator_D,
@@ -95,19 +94,21 @@ def test_04_gcd_of_coprime_multiples_divides_base(c37, p37):
 
 def test_05_power_gcd_scan_golden(data_dir):
     t0 = perf_counter()
-    scan = bcz_scan(2, 3, 0.5, 300)
     cfg = SweepConfig(
         kind=SweepKind.BCZ,
         parameters={"a": 2, "b": 3, "n_max": 300, "eps": 0.5, "C": 0.0},
     )
-    got = render_csv(run(cfg))
+    res = run(cfg)
+    got = render_csv(res)
     dt = perf_counter() - t0
-    assert scan.violations == BCZ_VIOLATIONS
-    assert max(scan.violations) < 300          # all below a finite index
+    violations = tuple(r["n"] for r in res.records if r["holds"] is False)
+    assert violations == BCZ_VIOLATIONS
+    assert res.summary["max_violating_index"] == [max(violations)]
+    assert max(violations) < 300          # all below a finite index
     expected = (data_dir / "bcz_a2_b3_eps05_n300.csv").read_text()
     assert got == expected, "scan CSV deviates from frozen golden file"
     assert dt < 20.0, f"scan took {dt:.3f}s (budget 20s)"
-    print(f"criterion 5 PASS: violations {scan.violations}, "
+    print(f"criterion 5 PASS: violations {violations}, "
           f"golden byte-identical, {dt:.3f}s")
 
 
@@ -194,6 +195,22 @@ def test_10_sweeps_are_deterministic_and_parallel_safe():
             kind=SweepKind.EDS_GCD,
             parameters={"curve": [0, 0, 1, -1, 0], "p": [0, 0],
                         "m_max": 8, "n_max": 8, "eps": 0.2, "C": 0.0},
+        ),
+        # the kinds whose cells carry a PrimeSet into the pool
+        SweepConfig(
+            kind=SweepKind.CZ_TRICHOTOMY,
+            parameters={"primes": [2, 3], "bound": 100, "eps": 0.25},
+        ),
+        SweepConfig(
+            kind=SweepKind.PN_CHECK,
+            parameters={"polys": ["X1-X0", "X2-X0"], "primes": [2, 3],
+                        "bound": 6, "eps": 0.4, "sample": 40},
+            seed=5,
+        ),
+        SweepConfig(
+            kind=SweepKind.MIXED_CHECK,
+            parameters={"curve": [0, 0, 1, -1, 0], "point": [0, 0],
+                        "primes": [2, 3], "eps": 0.4, "n_max": 6, "b_bound": 30},
         ),
     ]
     for cfg in configs:

@@ -140,6 +140,14 @@ def test_eds_json_reports_divisibility(capsys):
     assert doc["ignored_primes"] == [2]
 
 
+@pytest.mark.parametrize("bad", ["1", "0", "-1"])
+def test_eds_ignore_primes_must_be_primes(bad, capsys):
+    rc = main(["eds", "--curve", C37, "--point", "0,0", "--nmax", "10",
+               "--format", "json", "--ignore-primes", bad])
+    assert rc == 2
+    assert f"not a prime: {bad}" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------------
 # edsgcd / mixed / pncheck ... smoke with exact row counts
 # ----------------------------------------------------------------------------
@@ -267,6 +275,32 @@ def test_sweep_config_without_kind_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps({"parameters": {"a": 2}}))
     assert main(["sweep", "--config", str(path)]) == 1
     assert "no 'kind'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["gcdpow", "sweep"])
+def test_config_that_is_not_an_object_is_usage_error(cmd, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"kind": "BCZ"}]))
+    assert main([cmd, "--config", str(path)]) == 1
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_config_of_another_kind_is_usage_error(tmp_path, capsys):
+    cfg = {"kind": "BCZ",
+           "parameters": {"a": 2, "b": 3, "n_max": 10, "eps": 0.5, "C": 0.0}}
+    path = tmp_path / "bcz.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["returns", "--config", str(path)]) == 1
+    assert "is a BCZ config, not AR_RETURNS" in capsys.readouterr().err
+
+
+def test_subcommand_config_may_omit_kind(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"parameters": {"a": 2, "b": 3, "n_max": 10}}))
+    assert main(["returns", "--config", str(path)]) == 0
+    got = capsys.readouterr().out
+    assert main(["returns", "--a", "2", "--b", "3", "--nmax", "10"]) == 0
+    assert got == capsys.readouterr().out
 
 
 def test_explicit_flags_override_config_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from gcdheights import (
     gcd_D,
     hgcd_e2,
     hgcd_e2_local_sum,
+    multiples,
     naive_height,
     neg,
     on_curve,
@@ -139,6 +140,13 @@ def test_associativity_spot_checks(c389, p389, q389):
 # ----------------------------------------------------------------------------
 # denominator sequences
 # ----------------------------------------------------------------------------
+
+def test_multiples_match_scalar_mul(c37, p37, c389, p389, q389):
+    for c, p in ((c37, p37), (c389, p389), (c389, q389)):
+        assert multiples(c, p, 12) == [scalar_mul(c, n, p) for n in range(1, 13)]
+    with pytest.raises(ValueError, match="finite order 6"):
+        multiples(TORSION_CURVE, TORSION_P6, 10)
+
 
 def test_eds_37a1_frozen(c37, p37):
     assert eds(c37, p37, 20).terms == EDS_37A1_20

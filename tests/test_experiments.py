@@ -1,6 +1,7 @@
 """The sweep runner: determinism, summaries, fitting, goldens, error budget."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -11,11 +12,11 @@ from gcdheights import (
     SweepConfig,
     SweepKind,
     SweepResult,
-    ar_returns,
     cz_classify,
     detect_exceptional,
     fit_constant,
     format_real,
+    gcd_pair,
     render_csv,
     render_json,
     run,
@@ -162,9 +163,9 @@ def test_ar_summary_matches_direct_scan():
     cfg = SweepConfig(kind=SweepKind.AR_RETURNS,
                       parameters={"a": 2, "b": 3, "n_max": 60})
     res = run(cfg)
-    direct = ar_returns(2, 3, 60)
-    assert tuple(res.summary["return_indices"]) == direct.indices
-    assert res.summary["density"] == direct.density
+    direct = [n for n in range(1, 61) if gcd_pair(2, 3, n) == gcd_pair(2, 3, 1)]
+    assert res.summary["return_indices"] == direct
+    assert res.summary["density"] == len(direct) / 60
 
 
 # ----------------------------------------------------------------------------
@@ -279,21 +280,50 @@ def test_abelian_sweep_frozen():
 # ----------------------------------------------------------------------------
 
 def test_eval_cell_tags_failures_with_index():
-    row = experiments._eval_cell(("BCZ", {"index": {"n": 3}, "a": 2, "b": 3,
-                                          "n": 3, "eps": "bad", "C": 0.0}))
+    row = experiments._eval_cell((SweepKind.BCZ, {"a": 2, "b": 3, "n": 3,
+                                                  "eps": "bad", "C": 0.0}))
     assert row["n"] == 3
     assert row["error"].startswith("TypeError")
 
 
+TINY = {
+    SweepKind.BCZ: {"a": 2, "b": 3, "eps": 0.5, "n_max": 2},
+    SweepKind.CZ_TRICHOTOMY: {"primes": [2], "bound": 4, "eps": 0.5},
+    SweepKind.AR_RETURNS: {"a": 2, "b": 3, "n_max": 2},
+    SweepKind.EDS_GCD: {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": 2,
+                        "n_max": 2, "eps": 0.2},
+    SweepKind.PN_CHECK: {"polys": ["X1-X0", "X2-X0"], "primes": [2], "bound": 2,
+                         "eps": 0.5},
+    SweepKind.MIXED_CHECK: {"curve": [0, 0, 1, -1, 0], "point": [0, 0],
+                            "primes": [3], "eps": 0.5, "n_max": 2, "b_bound": 10},
+    SweepKind.SIEGEL: {"curve": [0, 0, 1, -1, 0], "point": [0, 0], "n_max": 2},
+    SweepKind.ABELIAN_GROWTH: {"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0],
+                               "n_max": 2, "eps": 0.3,
+                               "independence_asserted": True},
+}
+
+
+@pytest.mark.parametrize("kind", list(SweepKind))
+def test_cells_carry_their_row_index(kind):
+    # error rows are tagged from the cell, so it must hold the row's index
+    spec = experiments.SPECS[kind]
+    cells = spec.prepare(TINY[kind], 0)
+    assert cells
+    for cell in cells:
+        row = spec.row(cell)
+        assert {k: cell[k] for k in spec.index} == {k: row[k] for k in spec.index}
+
+
 def test_error_budget_zero_raises(monkeypatch):
-    real = experiments._ROW["BCZ"]
+    spec = experiments.SPECS[SweepKind.BCZ]
 
     def flaky(cell):
         if cell["n"] == 3:
             raise RuntimeError("injected")
-        return real(cell)
+        return spec.row(cell)
 
-    monkeypatch.setitem(experiments._ROW, "BCZ", flaky)
+    monkeypatch.setitem(experiments.SPECS, SweepKind.BCZ,
+                        dataclasses.replace(spec, row=flaky))
     cfg = SweepConfig(kind=SweepKind.BCZ,
                       parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 5})
     with pytest.raises(ValueError, match="error budget exceeded"):

@@ -1,4 +1,7 @@
-"""Multiplicative-group division sequences and the gcd scans over them."""
+"""Multiplicative-group division sequences and the gcd scans over them.
+
+The BCZ and AR_RETURNS scans run as sweeps, so their tests go through run().
+"""
 from __future__ import annotations
 
 import json
@@ -14,13 +17,14 @@ from gcdheights import (
     POWER_RELATION,
     MulPoint,
     PrimeSet,
-    ar_returns,
-    bcz_scan,
+    SweepConfig,
+    SweepKind,
     cz_classify,
     divisibility_check,
     gcd_pair,
     mul_seq,
     power,
+    run,
     s_unit_enumerate,
 )
 from gcdheights.mulgrp import mul_D
@@ -97,23 +101,37 @@ def test_gcd_pair_oracles():
         gcd_pair(2, 3, 0)
 
 
+def _bcz(a: int, b: int, eps: float, n_max: int):
+    return run(SweepConfig(kind=SweepKind.BCZ,
+                           parameters={"a": a, "b": b, "eps": eps, "n_max": n_max}))
+
+
+def _ar(a: int, b: int, n_max: int):
+    return run(SweepConfig(kind=SweepKind.AR_RETURNS,
+                           parameters={"a": a, "b": b, "n_max": n_max}))
+
+
+def _violations(res) -> tuple[int, ...]:
+    return tuple(r["n"] for r in res.records if r["holds"] is False)
+
+
 def test_bcz_scan_frozen_violations():
-    scan = bcz_scan(2, 3, 0.5, 300)
-    assert scan.violations == BCZ_VIOLATIONS_EPS05_N300
-    assert scan.max_violator == 36
+    res = _bcz(2, 3, 0.5, 300)
+    assert _violations(res) == BCZ_VIOLATIONS_EPS05_N300
+    assert res.summary["max_violating_index"] == [36]
 
 
 def test_bcz_scan_generous_eps_has_no_violations():
-    scan = bcz_scan(2, 3, 0.9, 50)
-    assert scan.violations == ()
-    assert scan.max_violator is None
+    res = _bcz(2, 3, 0.9, 50)
+    assert _violations(res) == ()
+    assert res.summary["max_violating_index"] is None
 
 
 def test_bcz_scan_rejects_dependent_pair():
     with pytest.raises(ValueError, match="dependent"):
-        bcz_scan(4, 8, 0.5, 10)
+        _bcz(4, 8, 0.5, 10)
     with pytest.raises(ValueError, match="eps"):
-        bcz_scan(2, 3, 0.0, 10)
+        _bcz(2, 3, 0.0, 10)
 
 
 def test_s_unit_enumerate_small_oracle():
@@ -176,21 +194,21 @@ def test_cz_classify_matches_frozen_census(data_dir):
 
 
 def test_ar_returns_small_oracle():
-    r = ar_returns(2, 3, 10)
-    assert r.indices == (1, 2, 3, 5, 7, 9)
-    assert r.density == 0.6
+    s = _ar(2, 3, 10).summary
+    assert s["return_indices"] == [1, 2, 3, 5, 7, 9]
+    assert s["density"] == 0.6
 
 
 def test_ar_returns_frozen_census():
-    r = ar_returns(2, 3, 200)
-    assert len(r.indices) == AR_RETURNS_200_COUNT
-    assert r.density == AR_RETURNS_200_DENSITY
-    assert r.indices[:12] == AR_RETURNS_200_HEAD
+    s = _ar(2, 3, 200).summary
+    assert s["returns"] == len(s["return_indices"]) == AR_RETURNS_200_COUNT
+    assert s["density"] == AR_RETURNS_200_DENSITY
+    assert tuple(s["return_indices"][:12]) == AR_RETURNS_200_HEAD
 
 
 def test_ar_returns_rejects_dependent_pair():
     with pytest.raises(ValueError, match="dependent"):
-        ar_returns(2, 4, 10)
+        _ar(2, 4, 10)
 
 
 def test_scan_results_consistent_with_each_other():
@@ -200,11 +218,11 @@ def test_scan_results_consistent_with_each_other():
         a = rng.randint(2, 40)
         b = rng.randint(2, 40)
         try:
-            scan = bcz_scan(a, b, 0.5, 60)
-            rets = ar_returns(a, b, 60)
+            scan = _bcz(a, b, 0.5, 60)
+            rets = _ar(a, b, 60)
         except ValueError:
             continue            # dependent pair drawn
         base = gcd_pair(a, b, 1)
-        for n in scan.violations:
-            if n in rets.indices:
+        for n in _violations(scan):
+            if n in rets.summary["return_indices"]:
                 assert gcd_pair(a, b, n) == base
