@@ -380,9 +380,13 @@ def _cmd_pncheck(args) -> str:
 
 def _cmd_sweep(args) -> str:
     kind, params, seed = _load_config_file(args.config)
+    try:
+        sweep_kind = SweepKind(kind)
+    except ValueError:
+        raise _Usage(f"config file {args.config} has unknown kind {kind!r}") from None
     if args.seed is not None:
         seed = args.seed
-    return _run_sweep(SweepKind(kind), params, seed, args)
+    return _run_sweep(sweep_kind, params, seed, args)
 
 
 def _cmd_heights(args) -> str:

@@ -9,6 +9,12 @@ the x-coordinate in lowest terms is A/D^2 with D > 0 (and the y-denominator
 is D^3); D is the quantity the gcd experiments are built on.  Heights follow
 the bookkeeping naive = ln max(|A|, D^2), half of which is the normalized
 Weil height the canonical height refines.
+
+The two hot paths use integers only.  ``multiples`` gets x(nP) from the
+scaled division values W_n = d^(n^2-1) psi_n(P) of Ward's recurrence, and
+``canonical_height`` doubles x = A/Z as an integer pair whose common factor
+divides the discriminant squared.  Chord-tangent ``add`` and ``scalar_mul``
+on Fractions stay as the independent route the tests check both against.
 """
 
 from __future__ import annotations
@@ -190,20 +196,72 @@ class EDS:
     terms: tuple[int, ...]
 
 
-def multiples(c: Curve, p: Point, n_max: int) -> list[Point]:
-    """[P, 2P, ..., n_max P] by repeated chord-tangent addition of P.
+def _division_values(c: Curve, p: Point, n_max: int) -> list[int]:
+    """[W_0, ..., W_N], N = max(n_max, 4), W_n = d^(n^2-1) psi_n(P), x_P = a/d^2.
 
+    W_1..W_4 come from the b-invariants; the rest from Ward's recurrence
+
+        W_{2m+1} = W_{m+2} W_m^3 - W_{m-1} W_{m+1}^3
+        W_{2m}   = (W_{m+2} W_{m-1}^2 - W_{m-2} W_{m+1}^2) W_m / W_2,
+
+    whose division is exact.  W_n = 0 exactly when nP is the identity; the
+    even step divides by W_2, so W_2 = 0 is reported before it is needed.
+    """
+    b2, b4, b6, b8 = c.b_invariants()
+    a, d = p.x.numerator, isqrt(p.x.denominator)
+    d2 = d * d
+    d4 = d2 * d2
+    d6 = d4 * d2
+    d8 = d4 * d4
+    w2 = 2 * p.y.numerator + c.a1 * a * d + c.a3 * d2 * d
+    if w2 == 0 and n_max > 2:
+        raise ValueError("point has finite order 2")
+    w3 = 3 * a**4 + b2 * a**3 * d2 + 3 * b4 * a * a * d4 + 3 * b6 * a * d6 + b8 * d8
+    w4 = w2 * (
+        2 * a**6 + b2 * a**5 * d2 + 5 * b4 * a**4 * d4 + 10 * b6 * a**3 * d6
+        + 10 * b8 * a * a * d8 + (b2 * b8 - b4 * b6) * a * d8 * d2
+        + (b4 * b8 - b6 * b6) * d8 * d4
+    )
+    w = [0, 1, w2, w3, w4]
+    for k in range(5, n_max + 1):
+        m = k >> 1
+        if k & 1:
+            w.append(w[m + 2] * w[m] ** 3 - w[m - 1] * w[m + 1] ** 3)
+        else:
+            w.append(
+                (w[m + 2] * w[m - 1] ** 2 - w[m - 2] * w[m + 1] ** 2) * w[m] // w2
+            )
+    return w
+
+
+def multiples(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
+    """[(A_n, D_n) for n = 1..n_max] with x(nP) = A_n / D_n^2 in lowest terms.
+
+    x(nP) = (a W_n^2 - W_{n-1} W_{n+1}) / (d^2 W_n^2) from the division values
+    of _division_values, reduced by one gcd per term.  The gcd is skipped
+    when P is integral with gcd(W_2, W_3) = 1: then P reduces to a
+    nonsingular point at every prime, the fraction is already in lowest
+    terms and D_n = |W_n| (Ayad 1992).
     Hitting the identity means the base point has finite order, which no
     caller can absorb; it is reported rather than skipped.
     """
+    if p.is_identity:
+        raise ValueError("point has finite order 1")
+    w = _division_values(c, p, n_max + 1)
+    a, dd = p.x.numerator, p.x.denominator
+    d = isqrt(dd)
+    lowest = d == 1 and gcd(w[2], w[3]) == 1
     out = []
-    q = p
     for n in range(1, n_max + 1):
-        if q.is_identity:
+        wn = w[n]
+        if wn == 0:
             raise ValueError(f"point has finite order {n}")
-        out.append(q)
-        if n < n_max:
-            q = add(c, q, p)
+        num = a * wn * wn - w[n - 1] * w[n + 1]
+        if lowest:
+            out.append((num, abs(wn)))
+        else:
+            g = gcd(num, dd * wn * wn)
+            out.append((num // g, d * abs(wn) // isqrt(g)))
     return out
 
 
@@ -213,7 +271,7 @@ def eds(c: Curve, p: Point, n_max: int) -> EDS:
         raise ValueError("base point is the identity")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    terms = tuple(denominator_D(q) for q in multiples(c, p, n_max))
+    terms = tuple(d for _, d in multiples(c, p, n_max))
     return EDS(curve=c, point=p, terms=terms)
 
 
@@ -221,11 +279,22 @@ def eds(c: Curve, p: Point, n_max: int) -> EDS:
 # heights
 # ----------------------------------------------------------------------------
 
-def naive_height(p: Point) -> LogReal:
-    """ln max(|A_P|, D_P^2) where x_P = A_P / D_P^2; identity has height 0."""
-    if p.is_identity:
-        return LogReal(0.0, 1)
-    return LogReal.of_integer(max(abs(p.x.numerator), p.x.denominator))
+def naive_height(p: Point | tuple[int, int]) -> LogReal:
+    """ln max(|A_P|, D_P^2) where x_P = A_P / D_P^2; identity has height 0.
+
+    Takes a Point or an (A, D) pair as returned by ``multiples``.
+    """
+    if isinstance(p, Point):
+        if p.is_identity:
+            return LogReal(0.0, 1)
+        return _naive(p.x.numerator, p.x.denominator)
+    a, d = p
+    return _naive(a, d * d)
+
+
+def _naive(a: int, z: int) -> LogReal:
+    """ln max(|a|, z) for x = a/z in lowest terms."""
+    return LogReal.of_integer(max(abs(a), z))
 
 
 def _naive_vs_limit_bound(c: Curve) -> float:
@@ -257,6 +326,8 @@ def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
     tol would need more than DOUBLING_CAP doublings the iteration stops at
     the cap and warns.  Points of finite order surface either as an exact
     identity hit or as an estimate below tol; both warn "possibly torsion".
+    The doublings act on x alone, as a coprime integer pair; the result is
+    bit-identical to doubling the point by chord-tangent ``add``.
     """
     if p.is_identity:
         raise ValueError("height of the identity")
@@ -270,13 +341,22 @@ def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
         warnings.warn(
             f"tolerance {tol} not certified within {DOUBLING_CAP} doublings"
         )
-    q = p
+    b2, b4, b6, b8 = c.b_invariants()
+    disc2 = c.discriminant() ** 2
+    a, z = p.x.numerator, p.x.denominator
     for _ in range(depth):
-        q = add(c, q, q)
-        if q.is_identity:
+        # x(2Q) = (x^4 - b4 x^2 - 2 b6 x - b8) / (4 x^3 + b2 x^2 + 2 b4 x + b6);
+        # for coprime (a, z) the common factor of the new pair divides the
+        # resultant of the two forms, which is disc^2
+        a2, z2 = a * a, z * z
+        na = a2 * a2 - b4 * a2 * z2 - 2 * b6 * a * z2 * z - b8 * z2 * z2
+        nz = z * (4 * a2 * a + b2 * a2 * z + 2 * b4 * a * z2 + b6 * z2 * z)
+        if nz == 0:
             warnings.warn("possibly torsion: doubling reached the identity")
             return 0.0
-    est = naive_height(q).value / (2.0 * 4.0**depth)
+        g = gcd(gcd(na, disc2), nz)
+        a, z = na // g, nz // g
+    est = _naive(a, z).value / (2.0 * 4.0**depth)
     if est < tol:
         warnings.warn("possibly torsion: height estimate below tolerance")
     return est

@@ -31,7 +31,6 @@ from .arith import EPS_SLACK, PrimeSet, mult_independent
 from .elliptic import (
     Curve,
     Point,
-    denominator_D,
     exceptional_subgroups,
     multiples,
     naive_height,
@@ -233,15 +232,16 @@ def _prepare_eds_gcd(params: dict, seed: int) -> list[dict]:
     C = float(params.get("C", 0.0))
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mp = multiples(c, p, m_max)
-    nq = multiples(c, q, n_max)
+    # denominator and naive height once per multiple, not once per cell
+    mp = [(x[1], naive_height(x).value) for x in multiples(c, p, m_max)]
+    nq = [(x[1], naive_height(x).value) for x in multiples(c, q, n_max)]
     predicted = set(exceptional_subgroups(eps))
     cells = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
             g = gcd(m, n)
             cells.append({
-                "m": m, "n": n, "curve": c, "p": mp[m - 1], "q": nq[n - 1],
+                "m": m, "n": n, "p": mp[m - 1], "q": nq[n - 1],
                 "eps": eps, "C": C,
                 "exceptional": (m // g, n // g) in predicted,
             })
@@ -249,7 +249,7 @@ def _prepare_eds_gcd(params: dict, seed: int) -> list[dict]:
 
 
 def _row_eds_gcd(cell: dict) -> dict:
-    rec = check_e2(cell["curve"], cell["p"], cell["q"], cell["eps"], cell["C"])
+    rec = check_e2(*cell["p"], *cell["q"], cell["eps"], cell["C"])
     d = rec.descriptor
     return {
         "m": cell["m"], "n": cell["n"], "d_m": d["d_p"], "d_n": d["d_q"],
@@ -330,21 +330,18 @@ def _prepare_mixed(params: dict, seed: int) -> list[dict]:
     b_bound = int(params.get("b_bound", 100))
     S = PrimeSet(tuple(primes))
     units = s_unit_enumerate(S, b_bound)
-    mults = multiples(c, p, n_max)
+    dq = [d for _, d in multiples(c, p, n_max)]
     cells = []
     for n in range(1, n_max + 1):
         for b in units:
             cells.append({
-                "curve": c, "q": mults[n - 1], "n": n, "b": b,
-                "S": S, "eps": eps, "C": C,
+                "d_q": dq[n - 1], "n": n, "b": b, "S": S, "eps": eps, "C": C,
             })
     return cells
 
 
 def _row_mixed(cell: dict) -> dict:
-    rec = check_mixed(
-        cell["curve"], cell["q"], cell["b"], cell["S"], cell["eps"], cell["C"]
-    )
+    rec = check_mixed(cell["d_q"], cell["b"], cell["S"], cell["eps"], cell["C"])
     d = rec.descriptor
     return {
         "n": cell["n"], "b": cell["b"], "d_q": d["d_q"], "gcd": d["gcd_witness"],
@@ -360,11 +357,10 @@ def _prepare_siegel(params: dict, seed: int) -> list[dict]:
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
     mults = multiples(c, p, n_max)
-    cells = []
-    for n in range(n_min, n_max + 1):
-        q = mults[n - 1]
-        cells.append({"n": n, "d": denominator_D(q), "naive": naive_height(q).value})
-    return cells
+    return [
+        {"n": n, "d": mults[n - 1][1], "naive": naive_height(mults[n - 1]).value}
+        for n in range(n_min, n_max + 1)
+    ]
 
 
 def _row_siegel(cell: dict) -> dict:
@@ -387,8 +383,8 @@ def _prepare_abelian(params: dict, seed: int) -> list[dict]:
     C = float(params.get("C", 0.0))
     if eps <= 0:
         raise ValueError("eps must be positive")
-    dp = [denominator_D(t) for t in multiples(c, p, n_max)]
-    dq = [denominator_D(t) for t in multiples(c, q, n_max)]
+    dp = [d for _, d in multiples(c, p, n_max)]
+    dq = [d for _, d in multiples(c, q, n_max)]
     return [
         {"n": n, "d_p": dp[n - 1], "d_q": dq[n - 1], "eps": eps, "C": C}
         for n in range(1, n_max + 1)

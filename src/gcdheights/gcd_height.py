@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from math import gcd, log
 
 from .arith import EPS_SLACK, LogReal, PrimeSet, prime_to_S_part
-from .elliptic import Curve, Point, denominator_D, naive_height
 
 __all__ = [
     "PnPoint",
@@ -318,16 +317,19 @@ def check_pn(x: PnPoint, sys: PolySystem, S: PrimeSet, p: VojtaParams) -> BoundR
     return _record(lhs.value, comps, desc)
 
 
-def check_e2(c: Curve, P: Point, Q: Point, eps: float, C: float = 0.0) -> BoundRecord:
-    """ln gcd(D_P, D_Q) versus eps*(naive(P) + naive(Q)) + C."""
+def check_e2(
+    d_p: int, h_p: float, d_q: int, h_q: float, eps: float, C: float = 0.0
+) -> BoundRecord:
+    """ln gcd(D_P, D_Q) versus eps*(naive(P) + naive(Q)) + C.
+
+    Takes the denominators D and the naive heights (``elliptic.naive_height``
+    values) of the two points, so a sweep computes them once per point.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    d_p, d_q = denominator_D(P), denominator_D(Q)
     g = gcd(d_p, d_q)
-    hP = naive_height(P).value
-    hQ = naive_height(Q).value
     comps = {
-        "height_term": eps * (hP + hQ),
+        "height_term": eps * (h_p + h_q),
         "counting_term": 0.0,
         "constant": C,
     }
@@ -335,7 +337,7 @@ def check_e2(c: Curve, P: Point, Q: Point, eps: float, C: float = 0.0) -> BoundR
         "d_p": d_p,
         "d_q": d_q,
         "gcd_witness": g,
-        "hA": hP + hQ,
+        "hA": h_p + h_q,
         "hcount": 0.0,
         "params": {"epsilon": eps, "C": C},
     }
@@ -343,9 +345,9 @@ def check_e2(c: Curve, P: Point, Q: Point, eps: float, C: float = 0.0) -> BoundR
 
 
 def check_mixed(
-    c: Curve, Q: Point, b: int, S: PrimeSet, eps: float, C: float = 1.0
+    d_q: int, b: int, S: PrimeSet, eps: float, C: float = 1.0
 ) -> BoundRecord:
-    """ln gcd(D_Q, |b - 1|) versus ln C + eps*ln max(D_Q, |b|).
+    """ln gcd(D_Q, |b - 1|) versus ln C + eps*ln max(D_Q, |b|), given D_Q.
 
     Here C sits on the multiplicative side of the inequality
     gcd <= C * max^eps, so it enters the log-space rhs as ln C (unlike
@@ -360,7 +362,6 @@ def check_mixed(
         raise ValueError("b must satisfy |b| >= 2")
     if prime_to_S_part(b, S) != 1:
         raise ValueError("b is not an S-unit")
-    d_q = denominator_D(Q)
     g = gcd(d_q, abs(b - 1))
     hA = log(max(d_q, abs(b)))
     comps = {

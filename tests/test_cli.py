@@ -294,6 +294,23 @@ def test_config_of_another_kind_is_usage_error(tmp_path, capsys):
     assert "is a BCZ config, not AR_RETURNS" in capsys.readouterr().err
 
 
+def test_sweep_config_of_unknown_kind_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    path.write_text(json.dumps({"kind": "NOPE"}))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert "unknown kind 'NOPE'" in capsys.readouterr().err
+
+
+def test_sweep_config_of_an_eds_result_is_usage_error(tmp_path, capsys):
+    # eds is not a sweep kind: its emitted JSON names kind "EDS"
+    assert main(["eds", "--curve", C37, "--point", "0,0", "--nmax", "5",
+                 "--format", "json"]) == 0
+    path = tmp_path / "eds.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert "unknown kind 'EDS'" in capsys.readouterr().err
+
+
 def test_subcommand_config_may_omit_kind(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"parameters": {"a": 2, "b": 3, "n_max": 10}}))

@@ -26,6 +26,7 @@ from gcdheights import (
     scalar_mul,
     siegel_ratio,
 )
+from gcdheights.elliptic import DOUBLING_CAP, _division_values, _naive_vs_limit_bound
 
 # Frozen from the first verified run of this suite (tol = 1e-4).
 HHAT_37A1_GEN = 0.025555324645323545
@@ -141,11 +142,62 @@ def test_associativity_spot_checks(c389, p389, q389):
 # denominator sequences
 # ----------------------------------------------------------------------------
 
+def _x_pairs(points: list[Point]) -> list[tuple[int, int]]:
+    return [(q.x.numerator, denominator_D(q)) for q in points]
+
+
 def test_multiples_match_scalar_mul(c37, p37, c389, p389, q389):
     for c, p in ((c37, p37), (c389, p389), (c389, q389)):
-        assert multiples(c, p, 12) == [scalar_mul(c, n, p) for n in range(1, 13)]
+        want = _x_pairs([scalar_mul(c, n, p) for n in range(1, 13)])
+        assert multiples(c, p, 12) == want
     with pytest.raises(ValueError, match="finite order 6"):
         multiples(TORSION_CURVE, TORSION_P6, 10)
+
+
+CM2 = Curve(0, 0, 0, 0, -2)
+C17 = Curve(0, 0, 0, 0, 17)
+
+# (curve, base point, gcd(W_2, W_3)) for the integer multiples route; a
+# common factor of W_2 and W_3 (or a non-integral base point) takes the
+# branch that reduces each term by a gcd.
+MULTIPLES_CASES = {
+    "37a1 (0,0)": (Curve(0, 0, 1, -1, 0), Point(F(0), F(0)), 1),
+    "389a1 (0,0)": (Curve(0, 1, 1, -2, 0), Point(F(0), F(0)), 1),
+    "389a1 (1,0)": (Curve(0, 1, 1, -2, 0), Point(F(1), F(0)), 1),
+    "x3-2 (3,5)": (CM2, Point(F(3), F(5)), 1),
+    "x3+17 (-2,3) singular mod 2, 3": (C17, Point(F(-2), F(3)), 6),
+    "x3-2 2(3,5) non-integral": (CM2, Point(F(129, 100), F(-383, 1000)), None),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTIPLES_CASES))
+def test_multiples_match_chord_tangent_to_60(name):
+    c, p, w_gcd = MULTIPLES_CASES[name]
+    if w_gcd is not None:
+        w = _division_values(c, p, 3)
+        assert gcd(w[2], w[3]) == w_gcd
+    got = multiples(c, p, 60)
+    for n in (1, 2, 7, 32, 60):
+        assert got[n - 1] == _x_pairs([scalar_mul(c, n, p)])[0]
+    acc, want = IDENTITY, []
+    for _ in range(60):
+        acc = add(c, acc, p)
+        want.append(acc)
+    assert got == _x_pairs(want)
+
+
+def test_multiples_of_torsion_points():
+    assert multiples(TORSION_CURVE, TORSION_P2, 1) == [(-1, 1)]
+    with pytest.raises(ValueError, match="finite order 2"):
+        multiples(TORSION_CURVE, TORSION_P2, 2)
+    with pytest.raises(ValueError, match="finite order 2"):
+        multiples(TORSION_CURVE, TORSION_P2, 60)
+    want = _x_pairs([scalar_mul(TORSION_CURVE, n, TORSION_P6) for n in range(1, 6)])
+    assert multiples(TORSION_CURVE, TORSION_P6, 5) == want
+    with pytest.raises(ValueError, match="finite order 6"):
+        multiples(TORSION_CURVE, TORSION_P6, 6)
+    with pytest.raises(ValueError, match="finite order 6"):
+        multiples(TORSION_CURVE, TORSION_P6, 60)
 
 
 def test_eds_37a1_frozen(c37, p37):
@@ -190,6 +242,38 @@ def test_canonical_height_frozen_values(c37, p37, c389, p389, cm2, pm2):
     assert abs(canonical_height(c37, p37) - HHAT_37A1_GEN) < 1e-12
     assert abs(canonical_height(cm2, pm2) - HHAT_M2_35) < 1e-12
     assert abs(canonical_height(c389, p389) - HHAT_389A1_GEN) < 1e-12
+
+
+def _chord_tangent_height(c: Curve, p: Point, tol: float) -> float:
+    """canonical_height's estimate, doubling P by chord-tangent add."""
+    bound = _naive_vs_limit_bound(c)
+    depth = 1
+    while bound / 4.0**depth > tol and depth < DOUBLING_CAP:
+        depth += 1
+    q = p
+    for _ in range(depth):
+        q = add(c, q, q)
+    return naive_height(q).value / (2.0 * 4.0**depth)
+
+
+@pytest.mark.parametrize("coeffs, xy", [
+    ((0, 0, 1, -1, 0), (0, 0)),
+    ((0, 1, 1, -2, 0), (0, 0)),
+    ((0, 1, 1, -2, 0), (1, 0)),
+    ((0, 0, 0, 0, 17), (-2, 3)),
+    ((0, 0, 0, 0, 17), (4, 9)),
+])
+def test_canonical_height_matches_chord_tangent_doubling(coeffs, xy):
+    c, p = Curve(*coeffs), Point(F(xy[0]), F(xy[1]))
+    for tol in (1e-2, 1e-4):
+        assert canonical_height(c, p, tol) == _chord_tangent_height(c, p, tol)
+
+
+def test_canonical_height_uncertified_matches_chord_tangent_doubling():
+    c, p = Curve(0, 0, 0, 1000, 1), Point(F(0), F(1))
+    with pytest.warns(UserWarning, match="not certified"):
+        h = canonical_height(c, p, 1e-4)
+    assert h == _chord_tangent_height(c, p, 1e-4)
 
 
 def test_canonical_height_quadraticity(c37, p37):

@@ -18,9 +18,11 @@ from gcdheights import (
     check_mixed,
     check_pn,
     counting_function_pn,
+    denominator_D,
     hgcd,
     hgcd_pn_coordpoint,
     hgcd_pn_subvariety,
+    naive_height,
     normalize_pn,
     parse_poly,
     scalar_mul,
@@ -178,18 +180,21 @@ def test_check_pn_oracle():
 def test_check_e2_oracle(c37, p37):
     p8 = scalar_mul(c37, 8, p37)       # D = 5
     p16 = scalar_mul(c37, 16, p37)     # D = 65
-    rec = check_e2(c37, p8, p16, eps=0.3, C=0.0)
+    args = (denominator_D(p8), naive_height(p8).value,
+            denominator_D(p16), naive_height(p16).value)
+    rec = check_e2(*args, eps=0.3, C=0.0)
     assert isclose(rec.lhs, log(5), rel_tol=1e-12)
     assert rec.descriptor["gcd_witness"] == 5
     assert rec.descriptor["d_p"] == 5 and rec.descriptor["d_q"] == 65
+    assert rec.descriptor["hA"] == args[1] + args[3]
     assert isclose(rec.rhs, 0.3 * rec.descriptor["hA"], rel_tol=1e-12)
     with pytest.raises(ValueError, match="eps"):
-        check_e2(c37, p8, p16, eps=0.0)
+        check_e2(*args, eps=0.0)
 
 
 def test_check_mixed_oracle(cm2, pm2):
-    q = scalar_mul(cm2, 2, pm2)        # D_Q = 10
-    rec = check_mixed(cm2, q, b=9, S=PrimeSet((3,)), eps=0.5, C=1.0)
+    d_q = denominator_D(scalar_mul(cm2, 2, pm2))    # D_Q = 10
+    rec = check_mixed(d_q, b=9, S=PrimeSet((3,)), eps=0.5, C=1.0)
     assert isclose(rec.lhs, log(2), rel_tol=1e-12)   # gcd(10, 8)
     assert rec.descriptor["gcd_witness"] == 2
     assert isclose(rec.rhs, 0.5 * log(10), rel_tol=1e-12)
@@ -197,16 +202,16 @@ def test_check_mixed_oracle(cm2, pm2):
 
 
 def test_check_mixed_domain(cm2, pm2):
-    q = scalar_mul(cm2, 2, pm2)
+    d_q = denominator_D(scalar_mul(cm2, 2, pm2))
     S = PrimeSet((3,))
     with pytest.raises(ValueError, match="S-unit"):
-        check_mixed(cm2, q, b=10, S=S, eps=0.5)
+        check_mixed(d_q, b=10, S=S, eps=0.5)
     with pytest.raises(ValueError, match=r"\|b\| >= 2"):
-        check_mixed(cm2, q, b=1, S=S, eps=0.5)
+        check_mixed(d_q, b=1, S=S, eps=0.5)
     with pytest.raises(ValueError, match="C must be positive"):
-        check_mixed(cm2, q, b=9, S=S, eps=0.5, C=0.0)
+        check_mixed(d_q, b=9, S=S, eps=0.5, C=0.0)
     with pytest.raises(ValueError, match="eps"):
-        check_mixed(cm2, q, b=9, S=S, eps=-1.0)
+        check_mixed(d_q, b=9, S=S, eps=-1.0)
 
 
 def test_bound_record_slack_is_tight():
