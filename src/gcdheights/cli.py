@@ -17,12 +17,15 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import EPS_SLACK, PrimeSet, hgcd, prime_to_S_part, weil_height
-from .elliptic import Curve, Point, canonical_height, naive_height, on_curve
+from .elliptic import canonical_height, naive_height
 from .elliptic import eds as _eds_op
 from .experiments import (
     SPECS,
     SweepConfig,
     SweepKind,
+    _as_int_list,
+    _curve_of,
+    _point_of,
     format_real,
     render_csv,
     render_json,
@@ -82,8 +85,86 @@ def _point_arg(text: str) -> list[str]:
     return [_rational(p) for p in parts]
 
 
-def _columns_epilog(kind: SweepKind) -> str:
-    return "CSV columns: " + ",".join(SPECS[kind].columns)
+def _jobs(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:  # the wording argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {n}")
+    return n
+
+
+# ----------------------------------------------------------------------------
+# per-kind subcommands: one table builds the parser, the merge and the check
+# ----------------------------------------------------------------------------
+
+# cmd -> (sweep kind, help, flags, flags it cannot run without).  A flag is
+# (flag, parameter key, type, default, help): a tuple key sets each parameter
+# it names, type ``list`` makes a repeatable string flag, and the default
+# fills a parameter that neither the flag nor the config file sets.
+_CURVE = ("--curve", "curve", _curve_arg, None, None)
+_PRIMES = ("--primes", "primes", _int_csv, None, None)
+_EPS = ("--eps", "eps", float, None, None)
+_SUBCOMMANDS = {
+    "gcdpow": (SweepKind.BCZ, "gcd(a^n-1, b^n-1) against 2^(eps*n)", [
+        ("--a", "a", int, None, None),
+        ("--b", "b", int, None, None),
+        ("--nmax", "n_max", int, None, None),
+        ("--eps", "eps", float, 0.5, None),
+        ("--C", "C", float, 0.0, None),
+    ], ["--a", "--b", "--nmax"]),
+    "trichotomy": (SweepKind.CZ_TRICHOTOMY,
+                   "classify S-unit pairs up to --nmax in magnitude", [
+        _PRIMES,
+        ("--nmax", "bound", int, None, "bound on |alpha|, |beta|"),
+        _EPS,
+    ], ["--primes", "--nmax", "--eps"]),
+    "returns": (SweepKind.AR_RETURNS,
+                "indices where gcd(a^n-1,b^n-1) returns to its n=1 value", [
+        ("--a", "a", int, None, None),
+        ("--b", "b", int, None, None),
+        ("--nmax", "n_max", int, None, None),
+    ], ["--a", "--b", "--nmax"]),
+    "eds": (None, "denominator sequence D_nP for n = 1..nmax", [
+        _CURVE,
+        ("--point", "point", _point_arg, None, None),
+        ("--nmax", "n_max", int, None, None),
+        ("--ignore-primes", "ignore_primes", _int_csv, [],
+         "strip these primes before the divisibility report"),
+    ], ["--curve", "--point", "--nmax"]),
+    "edsgcd": (SweepKind.EDS_GCD, "gcd(D_mP, D_nQ) grid with bound verdicts", [
+        _CURVE,
+        ("--point", "p", _point_arg, None, "base point P"),
+        ("--point2", "q", _point_arg, None, "base point Q (default: P)"),
+        ("--nmax", ("m_max", "n_max"), int, None, "grid bound for both m and n"),
+        _EPS,
+        ("--C", "C", float, 0.0, None),
+    ], ["--curve", "--point", "--nmax", "--eps"]),
+    "mixed": (SweepKind.MIXED_CHECK,
+              "gcd(D_nP, b-1) against C*max(D,b)^eps over S-units b", [
+        _CURVE,
+        ("--point", "point", _point_arg, None, None),
+        _PRIMES,
+        ("--nmax", "n_max", int, None, "largest multiple of the point"),
+        ("--bbound", "b_bound", int, 100, "S-unit magnitude bound (default 100)"),
+        _EPS,
+        ("--C", "C", float, 1.0, None),
+    ], ["--curve", "--point", "--primes", "--nmax", "--eps"]),
+    "pncheck": (SweepKind.PN_CHECK, "projective blowup bound over primitive points", [
+        ("--poly", "polys", list, ["X1-X0", "X2-X0"],
+         "homogeneous form like 'X1-X0' (repeatable; default: X1-X0 and X2-X0)"),
+        ("--codim", "codim_r", int, 2, "asserted codimension r (default 2)"),
+        _PRIMES,
+        ("--nmax", "bound", int, None, "coordinate magnitude bound"),
+        _EPS,
+        ("--delta", "delta", float, 1.0, None),
+        ("--C", "C", float, 0.0, None),
+        ("--sample", "sample", int, None,
+         "randomly subsample to this many points (uses --seed)"),
+    ], ["--primes", "--nmax", "--eps"]),
+}
+_EDS_COLUMNS = ("n", "d")
 
 
 # ----------------------------------------------------------------------------
@@ -100,7 +181,7 @@ def _add_common(sp: argparse.ArgumentParser, jobs: bool = True) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help="seed for any randomized sampling")
     if jobs:
-        sp.add_argument("--jobs", type=int, default=1,
+        sp.add_argument("--jobs", type=_jobs, default=1,
                         help="parallel worker count (output is identical)")
 
 
@@ -111,77 +192,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("gcdpow", help="gcd(a^n-1, b^n-1) against 2^(eps*n)",
-                        epilog=_columns_epilog(SweepKind.BCZ))
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--b", type=int)
-    sp.add_argument("--nmax", type=int)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--C", type=float)
-    _add_common(sp)
-
-    sp = sub.add_parser("trichotomy",
-                        help="classify S-unit pairs up to --nmax in magnitude",
-                        epilog=_columns_epilog(SweepKind.CZ_TRICHOTOMY))
-    sp.add_argument("--primes", type=_int_csv)
-    sp.add_argument("--nmax", type=int, help="bound on |alpha|, |beta|")
-    sp.add_argument("--eps", type=float)
-    _add_common(sp)
-
-    sp = sub.add_parser("returns",
-                        help="indices where gcd(a^n-1,b^n-1) returns to its n=1 value",
-                        epilog=_columns_epilog(SweepKind.AR_RETURNS))
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--b", type=int)
-    sp.add_argument("--nmax", type=int)
-    _add_common(sp)
-
-    sp = sub.add_parser("eds", help="denominator sequence D_nP for n = 1..nmax",
-                        epilog="CSV columns: n,d")
-    sp.add_argument("--curve", type=_curve_arg)
-    sp.add_argument("--point", type=_point_arg)
-    sp.add_argument("--nmax", type=int)
-    sp.add_argument("--ignore-primes", type=_int_csv, default=[],
-                    help="strip these primes before the divisibility report")
-    _add_common(sp, jobs=False)
-
-    sp = sub.add_parser("edsgcd", help="gcd(D_mP, D_nQ) grid with bound verdicts",
-                        epilog=_columns_epilog(SweepKind.EDS_GCD))
-    sp.add_argument("--curve", type=_curve_arg)
-    sp.add_argument("--point", type=_point_arg, help="base point P")
-    sp.add_argument("--point2", type=_point_arg, help="base point Q (default: P)")
-    sp.add_argument("--nmax", type=int, help="grid bound for both m and n")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--C", type=float)
-    _add_common(sp)
-
-    sp = sub.add_parser("mixed",
-                        help="gcd(D_nP, b-1) against C*max(D,b)^eps over S-units b",
-                        epilog=_columns_epilog(SweepKind.MIXED_CHECK))
-    sp.add_argument("--curve", type=_curve_arg)
-    sp.add_argument("--point", type=_point_arg)
-    sp.add_argument("--primes", type=_int_csv)
-    sp.add_argument("--nmax", type=int, help="largest multiple of the point")
-    sp.add_argument("--bbound", type=int, help="S-unit magnitude bound (default 100)")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--C", type=float)
-    _add_common(sp)
-
-    sp = sub.add_parser("pncheck",
-                        help="projective blowup bound over primitive points",
-                        epilog=_columns_epilog(SweepKind.PN_CHECK))
-    sp.add_argument("--poly", action="append",
-                    help="homogeneous form like 'X1-X0' (repeatable; "
-                         "default: X1-X0 and X2-X0)")
-    sp.add_argument("--codim", type=int, help="asserted codimension r (default 2)")
-    sp.add_argument("--primes", type=_int_csv)
-    sp.add_argument("--nmax", type=int, help="coordinate magnitude bound")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--delta", type=float)
-    sp.add_argument("--C", type=float)
-    sp.add_argument("--sample", type=int,
-                    help="randomly subsample to this many points (uses --seed)")
-    _add_common(sp)
+    for cmd, (kind, help_, flags, _) in _SUBCOMMANDS.items():
+        columns = SPECS[kind].columns if kind else _EDS_COLUMNS
+        sp = sub.add_parser(cmd, help=help_,
+                            epilog="CSV columns: " + ",".join(columns))
+        for flag, _, typ, _, flag_help in flags:
+            if typ is list:
+                sp.add_argument(flag, action="append", help=flag_help)
+            else:
+                sp.add_argument(flag, type=typ, help=flag_help)
+        _add_common(sp, jobs=kind is not None)
 
     sp = sub.add_parser("sweep", help="run any sweep kind from a config file")
     sp.add_argument("--config", required=True)
@@ -189,7 +209,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--format", choices=("csv", "json"), default=None)
     sp.add_argument("--baseline")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_jobs, default=1)
 
     sp = sub.add_parser("heights",
                         help="weil/hgcd heights of rationals, point heights on a curve")
@@ -244,27 +264,28 @@ def _load_config_file(path: str, kind: str | None = None) -> tuple[str, dict, in
     return doc.get("kind", kind), params, int(doc.get("seed", 0))
 
 
-def _effective(
-    args, kind: str, mapping: list[tuple[str, str, object]]
-) -> tuple[dict, int]:
-    """Merge config-file parameters with explicit flags (flags win)."""
+def _effective(args) -> tuple[dict, int]:
+    """Merge config-file parameters with explicit flags (flags win), fill the
+    table defaults, and reject a run that lacks a required parameter."""
+    kind, _, flags, needs = _SUBCOMMANDS[args.cmd]
     params: dict = {}
     seed = 0
-    if getattr(args, "config", None):
-        _, params, seed = _load_config_file(args.config, kind)
-    for attr, key, default in mapping:
-        v = getattr(args, attr, None)
-        if v is not None:
-            params[key] = v
-        elif key not in params and default is not None:
-            params[key] = default
-    if getattr(args, "seed", None) is not None:
+    if args.config:
+        _, params, seed = _load_config_file(args.config, kind.value if kind else "EDS")
+    keys = {}
+    for flag, key, _, default, _ in flags:
+        keys[flag] = key if isinstance(key, tuple) else (key,)
+        v = getattr(args, flag.lstrip("-").replace("-", "_"))
+        for k in keys[flag]:
+            if v is not None:
+                params[k] = v
+            elif k not in params and default is not None:
+                params[k] = default
+    if any(params.get(k) is None for flag in needs for k in keys[flag]):
+        raise _Usage(f"{args.cmd} needs {', '.join(needs[:-1])} and {needs[-1]}")
+    if args.seed is not None:
         seed = args.seed
     return params, seed
-
-
-def _missing(params: dict, *keys: str) -> list[str]:
-    return [k for k in keys if params.get(k) is None]
 
 
 # ----------------------------------------------------------------------------
@@ -273,59 +294,27 @@ def _missing(params: dict, *keys: str) -> list[str]:
 
 def _run_sweep(kind: SweepKind, params: dict, seed: int, args) -> str:
     cfg = SweepConfig(kind=kind, parameters=params, seed=seed)
-    result = run(cfg, jobs=getattr(args, "jobs", 1) or 1)
+    result = run(cfg, jobs=args.jobs)
     fmt = args.format or "csv"
     return render_csv(result) if fmt == "csv" else render_json(result)
 
 
-def _cmd_gcdpow(args) -> str:
-    params, seed = _effective(args, SweepKind.BCZ.value, [
-        ("a", "a", None), ("b", "b", None), ("nmax", "n_max", None),
-        ("eps", "eps", 0.5), ("C", "C", 0.0),
-    ])
-    if _missing(params, "a", "b", "n_max"):
-        raise _Usage("gcdpow needs --a, --b and --nmax")
-    return _run_sweep(SweepKind.BCZ, params, seed, args)
-
-
-def _cmd_trichotomy(args) -> str:
-    params, seed = _effective(args, SweepKind.CZ_TRICHOTOMY.value, [
-        ("primes", "primes", None), ("nmax", "bound", None), ("eps", "eps", None),
-    ])
-    bad = _missing(params, "primes", "bound", "eps")
-    if bad:
-        raise _Usage("trichotomy needs --primes, --nmax and --eps")
-    return _run_sweep(SweepKind.CZ_TRICHOTOMY, params, seed, args)
-
-
-def _cmd_returns(args) -> str:
-    params, seed = _effective(args, SweepKind.AR_RETURNS.value, [
-        ("a", "a", None), ("b", "b", None), ("nmax", "n_max", None),
-    ])
-    if _missing(params, "a", "b", "n_max"):
-        raise _Usage("returns needs --a, --b and --nmax")
-    return _run_sweep(SweepKind.AR_RETURNS, params, seed, args)
+def _cmd_kind(args) -> str:
+    params, seed = _effective(args)
+    return _run_sweep(_SUBCOMMANDS[args.cmd][0], params, seed, args)
 
 
 def _cmd_eds(args) -> str:
-    params, _ = _effective(args, "EDS", [
-        ("curve", "curve", None), ("point", "point", None), ("nmax", "n_max", None),
-        ("ignore_primes", "ignore_primes", []),
-    ])
-    if _missing(params, "curve", "point", "n_max"):
-        raise _Usage("eds needs --curve, --point and --nmax")
-    c = Curve(*[int(t) for t in params["curve"]])
-    x, y = (Fraction(str(t)) for t in params["point"])
-    p = Point(x, y)
-    if not on_curve(c, p):
-        raise ValueError("point is not on the curve")
-    ignore = [int(t) for t in params.get("ignore_primes", [])]
+    params, _ = _effective(args)
+    c = _curve_of(params)
+    p = _point_of(c, params["point"])
+    ignore = _as_int_list(params["ignore_primes"], "ignore_primes")
     S = PrimeSet(tuple(ignore))
     seq = _eds_op(c, p, int(params["n_max"]))
     report = divisibility_check([prime_to_S_part(t, S) for t in seq.terms])
     fmt = args.format or "csv"
     if fmt == "csv":
-        lines = ["n,d"] + [f"{i+1},{d}" for i, d in enumerate(seq.terms)]
+        lines = [",".join(_EDS_COLUMNS)] + [f"{i+1},{d}" for i, d in enumerate(seq.terms)]
         return "\n".join(lines) + "\n"
     doc = {
         "version": __version__,
@@ -336,46 +325,6 @@ def _cmd_eds(args) -> str:
         "ignored_primes": ignore,
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _cmd_edsgcd(args) -> str:
-    params, seed = _effective(args, SweepKind.EDS_GCD.value, [
-        ("curve", "curve", None), ("point", "p", None), ("point2", "q", None),
-        ("nmax", "nmax", None), ("eps", "eps", None), ("C", "C", 0.0),
-    ])
-    if _missing(params, "curve", "p", "eps") or (
-        params.get("nmax") is None
-        and _missing(params, "m_max", "n_max")
-    ):
-        raise _Usage("edsgcd needs --curve, --point, --nmax and --eps")
-    if params.get("nmax") is not None:
-        params.setdefault("m_max", params["nmax"])
-        params.setdefault("n_max", params["nmax"])
-        del params["nmax"]
-    return _run_sweep(SweepKind.EDS_GCD, params, seed, args)
-
-
-def _cmd_mixed(args) -> str:
-    params, seed = _effective(args, SweepKind.MIXED_CHECK.value, [
-        ("curve", "curve", None), ("point", "point", None),
-        ("primes", "primes", None), ("nmax", "n_max", None),
-        ("bbound", "b_bound", 100), ("eps", "eps", None), ("C", "C", 1.0),
-    ])
-    if _missing(params, "curve", "point", "primes", "n_max", "eps"):
-        raise _Usage("mixed needs --curve, --point, --primes, --nmax and --eps")
-    return _run_sweep(SweepKind.MIXED_CHECK, params, seed, args)
-
-
-def _cmd_pncheck(args) -> str:
-    params, seed = _effective(args, SweepKind.PN_CHECK.value, [
-        ("poly", "polys", ["X1-X0", "X2-X0"]), ("codim", "codim_r", 2),
-        ("primes", "primes", None), ("nmax", "bound", None),
-        ("eps", "eps", None), ("delta", "delta", 1.0), ("C", "C", 0.0),
-        ("sample", "sample", None),
-    ])
-    if _missing(params, "primes", "bound", "eps"):
-        raise _Usage("pncheck needs --primes, --nmax and --eps")
-    return _run_sweep(SweepKind.PN_CHECK, params, seed, args)
 
 
 def _cmd_sweep(args) -> str:
@@ -408,10 +357,8 @@ def _cmd_heights(args) -> str:
     if args.point is not None:
         if args.curve is None:
             raise _Usage("--point needs --curve")
-        c = Curve(*args.curve)
-        p = Point(*(Fraction(t) for t in args.point))
-        if not on_curve(c, p):
-            raise ValueError("point is not on the curve")
+        c = _curve_of({"curve": args.curve})
+        p = _point_of(c, args.point)
         nh = naive_height(p)
         doc["naive_height"] = {
             "value": float(format_real(nh.value)),
@@ -448,13 +395,7 @@ class _Usage(Exception):
 
 
 _HANDLERS = {
-    "gcdpow": _cmd_gcdpow,
-    "trichotomy": _cmd_trichotomy,
-    "returns": _cmd_returns,
     "eds": _cmd_eds,
-    "edsgcd": _cmd_edsgcd,
-    "mixed": _cmd_mixed,
-    "pncheck": _cmd_pncheck,
     "sweep": _cmd_sweep,
     "heights": _cmd_heights,
     "vojta-check": _cmd_vojta_check,
@@ -468,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        output = _HANDLERS[args.cmd](args)
+        output = _HANDLERS.get(args.cmd, _cmd_kind)(args)
     except _Usage as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

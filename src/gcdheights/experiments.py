@@ -578,21 +578,22 @@ def detect_exceptional(result: SweepResult, kind: SweepKind | None = None) -> li
     """
     kind = SweepKind(kind) if kind is not None else result.config.kind
     if kind == SweepKind.EDS_GCD:
-        eps = float(result.config.parameters["eps"])
-        predicted = set(exceptional_subgroups(eps))
         groups: dict[tuple[int, int], list[list[int]]] = {}
+        predicted: dict[tuple[int, int], bool] = {}  # from the rows' prepare-time flag
         for r in result.records:
             if r.get("error") or r.get("holds") is not False:
                 continue
             m, n = r["m"], r["n"]
             g = gcd(m, n)
-            groups.setdefault((m // g, n // g), []).append([m, n])
+            d = (m // g, n // g)
+            groups.setdefault(d, []).append([m, n])
+            predicted[d] = r["exceptional"]
         return [
             {
                 "subgroup": list(d),
                 "count": len(members),
                 "indices": members,
-                "predicted": d in predicted,
+                "predicted": predicted[d],
             }
             for d, members in sorted(groups.items())
         ]

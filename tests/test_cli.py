@@ -17,6 +17,7 @@ import pytest
 
 from gcdheights import SweepConfig, SweepKind, render_csv, render_json, run
 from gcdheights.cli import main
+from gcdheights.experiments import SPECS
 
 C37 = "0,0,1,-1,0"
 
@@ -328,3 +329,79 @@ def test_explicit_flags_override_config_file(tmp_path, capsys):
     rc = main(["gcdpow", "--config", str(path), "--nmax", "5"])
     assert rc == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 5
+
+
+def test_edsgcd_nmax_overrides_config_grid_bounds(tmp_path, capsys):
+    cfg = {"kind": "EDS_GCD",
+           "parameters": {"curve": [0, 0, 1, -1, 0], "p": [0, 0],
+                          "m_max": 2, "n_max": 2, "eps": 0.25}}
+    path = tmp_path / "eg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["edsgcd", "--config", str(path), "--nmax", "4"]) == 0
+    assert len(_rows(capsys.readouterr().out)) == 16
+
+
+def test_eds_config_keeps_file_ignore_primes(tmp_path, capsys):
+    cfg = {"parameters": {"curve": [0, 0, 1, -1, 0], "point": [0, 0],
+                          "n_max": 10, "ignore_primes": [2]}}
+    path = tmp_path / "eds.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["eds", "--config", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ignored_primes"] == [2]
+    assert main(["eds", "--config", str(path), "--format", "json",
+                 "--ignore-primes", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["ignored_primes"] == [3]
+
+
+@pytest.mark.parametrize("curve", [[0, 0, 1, -1], [0, 0, 1, -1, 0, 0]])
+def test_eds_config_curve_needs_five_coefficients(curve, tmp_path, capsys):
+    path = tmp_path / "eds.json"
+    path.write_text(json.dumps({"parameters": {"curve": curve, "point": [0, 0],
+                                               "n_max": 5}}))
+    assert main(["eds", "--config", str(path)]) == 2
+    assert "curve needs exactly 5 coefficients" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("cmd", ["sweep", "gcdpow", "trichotomy", "returns",
+                                 "edsgcd", "mixed", "pncheck"])
+def test_jobs_below_one_is_usage_error(cmd, jobs, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "BCZ", "parameters": {
+        "a": 2, "b": 3, "n_max": 4, "eps": 0.5}}))
+    assert main([cmd, "--config", str(path), "--jobs", jobs]) == 1
+    assert "argument --jobs: jobs must be >= 1" in capsys.readouterr().err
+
+
+C37_LIST = [0, 0, 1, -1, 0]
+
+
+@pytest.mark.parametrize("argv, kind, parameters", [
+    (["gcdpow", "--a", "2", "--b", "3", "--nmax", "6"], SweepKind.BCZ,
+     {"a": 2, "b": 3, "n_max": 6, "eps": 0.5, "C": 0.0}),
+    (["trichotomy", "--primes", "2,3", "--nmax", "10", "--eps", "0.25"],
+     SweepKind.CZ_TRICHOTOMY, {"primes": [2, 3], "bound": 10, "eps": 0.25}),
+    (["returns", "--a", "2", "--b", "3", "--nmax", "6"], SweepKind.AR_RETURNS,
+     {"a": 2, "b": 3, "n_max": 6}),
+    (["eds", "--curve", C37, "--point", "0,0", "--nmax", "5"], None,
+     {"curve": C37_LIST, "point": ["0", "0"], "n_max": 5, "ignore_primes": []}),
+    (["edsgcd", "--curve", C37, "--point", "0,0", "--nmax", "2", "--eps", "0.25"],
+     SweepKind.EDS_GCD,
+     {"curve": C37_LIST, "p": ["0", "0"], "m_max": 2, "n_max": 2, "eps": 0.25,
+      "C": 0.0}),
+    (["mixed", "--curve", C37, "--point", "0,0", "--primes", "3", "--nmax", "2",
+      "--eps", "0.5"], SweepKind.MIXED_CHECK,
+     {"curve": C37_LIST, "point": ["0", "0"], "primes": [3], "n_max": 2,
+      "b_bound": 100, "eps": 0.5, "C": 1.0}),
+    (["pncheck", "--primes", "2", "--nmax", "2", "--eps", "0.5"], SweepKind.PN_CHECK,
+     {"polys": ["X1-X0", "X2-X0"], "codim_r": 2, "primes": [2], "bound": 2,
+      "eps": 0.5, "delta": 1.0, "C": 0.0}),
+])
+def test_flags_map_to_parameters(argv, kind, parameters, monkeypatch, capsys):
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["parameters"] == parameters
+    monkeypatch.setenv("COLUMNS", "200")
+    assert main([argv[0], "--help"]) == 0
+    columns = SPECS[kind].columns if kind else ("n", "d")
+    epilog = capsys.readouterr().out.rstrip("\n").splitlines()[-1]
+    assert epilog == "CSV columns: " + ",".join(columns)
