@@ -373,13 +373,23 @@ def mult_independent(a: int, b: int, budget: FactorBudget = FactorBudget()) -> b
     fb = factor(b, budget)
     if not (fa.complete and fb.complete):
         raise ValueError("independence undecidable at budget")
-    da, db = fa.as_dict(), fb.as_dict()
-    if set(da) != set(db):
-        return True
-    items = sorted(da)
-    p0 = items[0]
+    return _least_power_relation(fa.as_dict(), fb.as_dict()) is None
+
+
+def _least_power_relation(
+    da: dict[int, int], db: dict[int, int]
+) -> tuple[int, int] | None:
+    """Least (m, n) with m*da = n*db, or None when the vectors are not proportional.
+
+    da and db are nonempty exponent vectors {prime: exponent > 0}; for the
+    positive integers they describe this decides |a|^m = |b|^n.  Every
+    solution is a multiple of the least one, which the first prime fixes.
+    """
+    if da.keys() != db.keys():
+        return None
+    p0 = min(da)
     e0, f0 = da[p0], db[p0]
-    for p in items[1:]:
-        if da[p] * f0 != db[p] * e0:
-            return True
-    return False
+    if any(da[p] * f0 != db[p] * e0 for p in da):
+        return None
+    g = gcd(e0, f0)
+    return f0 // g, e0 // g

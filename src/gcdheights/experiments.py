@@ -149,7 +149,7 @@ def _prepare_bcz(params: dict, seed: int) -> list[dict]:
     eps = float(_need(params, "eps", SweepKind.BCZ))
     n_max = int(_need(params, "n_max", SweepKind.BCZ))
     C = float(params.get("C", 0.0))
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if a < 2 or b < 2:
         raise ValueError("a and b must be >= 2")
@@ -176,7 +176,7 @@ def _prepare_cz(params: dict, seed: int) -> list[dict]:
     primes = _as_int_list(_need(params, "primes", SweepKind.CZ_TRICHOTOMY), "primes")
     bound = int(_need(params, "bound", SweepKind.CZ_TRICHOTOMY))
     eps = float(_need(params, "eps", SweepKind.CZ_TRICHOTOMY))
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     S = PrimeSet(tuple(primes))
     units = s_unit_enumerate(S, bound)
@@ -190,7 +190,7 @@ def _prepare_cz(params: dict, seed: int) -> list[dict]:
 def _row_cz(cell: dict) -> dict:
     a, b, eps = cell["alpha"], cell["beta"], cell["eps"]
     v = cz_classify(a, b, cell["S"], eps)
-    g = gcd(abs(a - 1), abs(b - 1))
+    g = v.gcd
     lhs = log(g)
     rhs = eps * log(max(abs(a), abs(b)))
     return {
@@ -230,7 +230,7 @@ def _prepare_eds_gcd(params: dict, seed: int) -> list[dict]:
     n_max = int(_need(params, "n_max", SweepKind.EDS_GCD))
     eps = float(_need(params, "eps", SweepKind.EDS_GCD))
     C = float(params.get("C", 0.0))
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     # denominator and naive height once per multiple, not once per cell
     mp = [(x[1], naive_height(x).value) for x in multiples(c, p, m_max)]
@@ -381,7 +381,7 @@ def _prepare_abelian(params: dict, seed: int) -> list[dict]:
     n_max = int(_need(params, "n_max", SweepKind.ABELIAN_GROWTH))
     eps = float(_need(params, "eps", SweepKind.ABELIAN_GROWTH))
     C = float(params.get("C", 0.0))
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     dp = [d for _, d in multiples(c, p, n_max)]
     dq = [d for _, d in multiples(c, q, n_max)]
@@ -664,6 +664,11 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
             "seed": result.config.seed,
         },
         "summary": _round_floats(result.summary),
-        "records": _round_floats(result.records),
+        # records are flat rows of scalars: one pass over their values
+        "records": [
+            {k: float(format_real(v)) if isinstance(v, float) else v
+             for k, v in rec.items()}
+            for rec in result.records
+        ],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

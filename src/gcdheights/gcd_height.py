@@ -250,7 +250,7 @@ class VojtaParams:
     r: int = 2
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
@@ -325,7 +325,7 @@ def check_e2(
     Takes the denominators D and the naive heights (``elliptic.naive_height``
     values) of the two points, so a sweep computes them once per point.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     g = gcd(d_p, d_q)
     comps = {
@@ -354,7 +354,7 @@ def check_mixed(
     check_e2, whose C is already additive in logs).  b must be an S-unit
     with |b| >= 2; otherwise the counting term would not vanish.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if C <= 0:
         raise ValueError("C must be positive (it multiplies the bound)")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, log
+from math import gcd, log
 
-from .arith import EPS_SLACK, PrimeSet, prime_to_S_part
+from .arith import EPS_SLACK, PrimeSet, _least_power_relation
 
 __all__ = [
     "MulPoint",
@@ -82,11 +82,15 @@ class MulDivSeq:
 
 @dataclass(frozen=True)
 class CzVerdict:
-    """One of POWER_RELATION (with exponents), INEQUALITY_HOLDS, EXCEPTIONAL."""
+    """One of POWER_RELATION (with exponents), INEQUALITY_HOLDS, EXCEPTIONAL.
+
+    ``gcd`` is the witness gcd(alpha - 1, beta - 1) of the classified pair.
+    """
 
     kind: str
     m: int | None = None
     n: int | None = None
+    gcd: int | None = None
 
 
 @dataclass(frozen=True)
@@ -163,35 +167,50 @@ def s_unit_enumerate(S: PrimeSet, bound: int) -> list[int]:
     return vals
 
 
+def _s_exponents(x: int, S: PrimeSet) -> dict[int, int]:
+    """Exponent vector {p: ord_p(x) > 0} of an S-unit x over S.primes."""
+    n = abs(x)
+    vec = {}
+    for p in S.primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            vec[p] = e
+    if n != 1:
+        raise ValueError("inputs must be S-units")
+    return vec
+
+
 def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
     """Trichotomy for a pair of S-units with |alpha|, |beta| >= 2.
 
-    Scans alpha^m = beta^n over 1 <= max(m, n) <= ceil(1/eps) first; failing
-    that, checks gcd(alpha - 1, beta - 1) <= max(|alpha|, |beta|)^eps with
-    1e-9 log slack; what survives both is EXCEPTIONAL.
+    POWER_RELATION(m, n) when alpha^m = beta^n for the least such (m, n) and
+    max(m, n) <= ceil(1/eps); decided exactly from the exponent vectors over
+    S and the signs, in O(|S|).  Otherwise INEQUALITY_HOLDS when
+    gcd(alpha - 1, beta - 1) <= max(|alpha|, |beta|)^eps with 1e-9 log
+    slack, else EXCEPTIONAL.  The verdict carries that gcd in every case.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if abs(alpha) < 2 or abs(beta) < 2:
         raise ValueError("inputs must have absolute value >= 2")
-    if prime_to_S_part(alpha, S) != 1 or prime_to_S_part(beta, S) != 1:
-        raise ValueError("inputs must be S-units")
-    k_max = ceil(1 / eps)
-    la, lb = log(abs(alpha)), log(abs(beta))
-    for k in range(1, k_max + 1):
-        for m in range(1, k + 1):
-            for n in range(1, k + 1):
-                if max(m, n) != k:
-                    continue
-                # float prefilter keeps the exact pow off absurd exponents
-                if abs(m * la - n * lb) > 1e-6:
-                    continue
-                if alpha**m == beta**n:
-                    return CzVerdict(POWER_RELATION, m=m, n=n)
+    rel = _least_power_relation(_s_exponents(alpha, S), _s_exponents(beta, S))
     g = gcd(abs(alpha - 1), abs(beta - 1))
-    if log(g) <= eps * max(la, lb) + EPS_SLACK:
-        return CzVerdict(INEQUALITY_HOLDS)
-    return CzVerdict(EXCEPTIONAL)
+    if rel is not None:
+        m, n = rel
+        # every |alpha|^m = |beta|^n is a multiple of (m, n); the signs agree
+        # on all multiples or, when (alpha<0 and m odd) != (beta<0 and n odd),
+        # on the even ones only
+        if (alpha < 0 and m % 2 == 1) != (beta < 0 and n % 2 == 1):
+            m, n = 2 * m, 2 * n
+        # max(m, n) <= ceil(1/eps), and no OverflowError when 1/eps is inf
+        if max(m, n) - 1 < 1 / eps:
+            return CzVerdict(POWER_RELATION, m=m, n=n, gcd=g)
+    if log(g) <= eps * max(log(abs(alpha)), log(abs(beta))) + EPS_SLACK:
+        return CzVerdict(INEQUALITY_HOLDS, gcd=g)
+    return CzVerdict(EXCEPTIONAL, gcd=g)
 
 
 def divisibility_check(terms: list[int] | tuple[int, ...]) -> DivisibilityReport:

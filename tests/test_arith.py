@@ -23,6 +23,7 @@ from gcdheights import (
     v_plus,
     weil_height,
 )
+from gcdheights.arith import _least_power_relation
 
 # Two Mersenne primes whose product no tiny budget can split.
 M61 = 2**61 - 1
@@ -246,6 +247,15 @@ def test_mult_independent_basic():
     assert not mult_independent(4, 8)         # 4^3 = 8^2
     assert not mult_independent(2, 2)
     assert not mult_independent(27, 9)
+    assert not mult_independent(8, 32)        # 8^5 = 32^3
+
+
+def test_least_power_relation():
+    assert _least_power_relation({2: 3}, {2: 5}) == (5, 3)
+    assert _least_power_relation({2: 2, 3: 4}, {2: 1, 3: 2}) == (1, 2)
+    assert _least_power_relation({2: 2, 3: 1}, {2: 1, 3: 2}) is None
+    assert _least_power_relation({2: 1}, {2: 1, 3: 1}) is None
+    assert _least_power_relation({2: 1, 5: 1}, {3: 1, 5: 1}) is None
 
 
 def test_mult_independent_domain_and_budget():

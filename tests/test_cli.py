@@ -58,6 +58,16 @@ def test_dependent_pair_is_computation_error(capsys):
     assert "multiplicatively dependent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gcdpow", "--a", "2", "--b", "3", "--nmax", "5"],
+    ["trichotomy", "--primes", "2,3", "--nmax", "20"],
+    ["edsgcd", "--curve", C37, "--point", "0,0", "--nmax", "3"],
+], ids=lambda argv: argv[0])
+def test_nan_eps_is_computation_error(argv, capsys):
+    assert main(argv + ["--eps", "nan"]) == 2
+    assert "eps must be positive" in capsys.readouterr().err
+
+
 def test_point_off_curve_is_computation_error(capsys):
     rc = main(["eds", "--curve", C37, "--point", "1,1", "--nmax", "5"])
     assert rc == 2

@@ -1,7 +1,9 @@
 """The sweep runner: determinism, summaries, fitting, goldens, error budget."""
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -360,6 +362,20 @@ def test_render_json_round_trips_through_config():
                       seed=doc["config"]["seed"])
     again = run(cfg)
     assert render_json(again) == render_json(first)
+
+
+def test_render_json_records_match_csv_reals():
+    # the CSV route renders each real with format_real on its own
+    res = run(SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
+                          parameters={"primes": [2, 3], "bound": 50, "eps": 0.3}))
+    recs = json.loads(render_json(res))["records"]
+    rows = list(csv.DictReader(io.StringIO(render_csv(res))))
+    assert len(recs) == len(rows) == len(res.records)
+    for rec, row in zip(recs, rows):
+        for col in ("lhs", "rhs"):
+            assert rec[col] == float(row[col])
+    # some raw reals carry more than 12 digits, so the rounding is exercised
+    assert any(raw["lhs"] != rec["lhs"] for raw, rec in zip(res.records, recs))
 
 
 def test_render_csv_header_matches_kind():

@@ -148,6 +148,8 @@ def test_vojta_params_validation():
     VojtaParams(epsilon=0.5)
     with pytest.raises(ValueError, match="epsilon"):
         VojtaParams(epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        VojtaParams(epsilon=float("nan"))
     with pytest.raises(ValueError, match="delta"):
         VojtaParams(epsilon=0.5, delta=0.0)
     with pytest.raises(ValueError, match="r must"):
@@ -190,6 +192,8 @@ def test_check_e2_oracle(c37, p37):
     assert isclose(rec.rhs, 0.3 * rec.descriptor["hA"], rel_tol=1e-12)
     with pytest.raises(ValueError, match="eps"):
         check_e2(*args, eps=0.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        check_e2(*args, eps=float("nan"))
 
 
 def test_check_mixed_oracle(cm2, pm2):
@@ -212,6 +216,8 @@ def test_check_mixed_domain(cm2, pm2):
         check_mixed(d_q, b=9, S=S, eps=0.5, C=0.0)
     with pytest.raises(ValueError, match="eps"):
         check_mixed(d_q, b=9, S=S, eps=-1.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        check_mixed(d_q, b=9, S=S, eps=float("nan"))
 
 
 def test_bound_record_slack_is_tight():

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from fractions import Fraction as F
-from math import gcd
+from math import ceil, gcd, log
 
 import pytest
 
@@ -27,6 +28,7 @@ from gcdheights import (
     run,
     s_unit_enumerate,
 )
+from gcdheights.arith import EPS_SLACK
 from gcdheights.mulgrp import mul_D
 
 # Frozen from the first verified run of this suite.
@@ -172,6 +174,77 @@ def test_cz_classify_domain_errors():
         cz_classify(5, 8, S, 0.5)
     with pytest.raises(ValueError, match="eps"):
         cz_classify(2, 3, S, 0.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        cz_classify(2, 3, S, float("nan"))
+
+
+def _cz_scan(alpha: int, beta: int, eps: float) -> tuple:
+    """The O(ceil(1/eps)^3) scan cz_classify replaced: the slow oracle."""
+    k_max = ceil(1 / eps)
+    la, lb = log(abs(alpha)), log(abs(beta))
+    for k in range(1, k_max + 1):
+        for m in range(1, k + 1):
+            for n in range(1, k + 1):
+                if max(m, n) != k:
+                    continue
+                if abs(m * la - n * lb) > 1e-6:
+                    continue
+                if alpha**m == beta**n:
+                    return (POWER_RELATION, m, n)
+    g = gcd(abs(alpha - 1), abs(beta - 1))
+    if log(g) <= eps * max(la, lb) + EPS_SLACK:
+        return (INEQUALITY_HOLDS, None, None)
+    return (EXCEPTIONAL, None, None)
+
+
+@pytest.mark.parametrize("primes, bound, eps", [
+    ((2,), 2**10, 0.05),
+    ((3,), 3**6, 0.05),
+    ((2, 3), 50, 0.05),
+    ((2, 5), 64, 0.04),
+    ((2, 3, 5), 20, 0.05),
+])
+def test_cz_classify_matches_scan_oracle(primes, bound, eps):
+    S = PrimeSet(primes)
+    units = s_unit_enumerate(S, bound)
+    assert min(units) < 0
+    for a in units:
+        for b in units:
+            v = cz_classify(a, b, S, eps)
+            assert (v.kind, v.m, v.n) == _cz_scan(a, b, eps), (a, b)
+            assert v.gcd == gcd(abs(a - 1), abs(b - 1))
+
+
+def test_cz_classify_signs_force_even_exponents():
+    S = PrimeSet((2, 3))
+    v = cz_classify(-6, 6, S, 0.25)            # alpha = -beta
+    assert (v.kind, v.m, v.n) == (POWER_RELATION, 2, 2)
+    v = cz_classify(-2, 8, S, 0.1)             # |.|: (3, 1); sign: (-2)^3 < 0
+    assert (v.kind, v.m, v.n) == (POWER_RELATION, 6, 2)
+    v = cz_classify(-8, -2, S, 1 / 3)          # (-8)^1 == (-2)^3
+    assert (v.kind, v.m, v.n) == (POWER_RELATION, 1, 3)
+
+
+def test_cz_classify_relation_beyond_bound_falls_through():
+    S = PrimeSet((2,))
+    # 4^3 == 8^2, but max(3, 2) > ceil(1/0.5); gcd(3, 7) = 1
+    v = cz_classify(4, 8, S, 0.5)
+    assert (v.kind, v.m, v.n, v.gcd) == (INEQUALITY_HOLDS, None, None, 1)
+    # (-2)^6 == 64 past ceil(1/0.25) = 4; gcd(3, 63) = 3 > 64^0.25
+    v = cz_classify(-2, 64, S, 0.25)
+    assert (v.kind, v.gcd) == (EXCEPTIONAL, 3)
+    assert cz_classify(-2, 64, S, 1 / 6).m == 6
+
+
+def test_cz_classify_small_eps_is_fast():
+    t0 = time.perf_counter()
+    v = cz_classify(6, 12, PrimeSet((2, 3)), 0.001)
+    assert v.kind == INEQUALITY_HOLDS
+    v = cz_classify(2**999, 2**1000, PrimeSet((2,)), 0.001)
+    assert (v.kind, v.m, v.n) == (POWER_RELATION, 1000, 999)
+    v = cz_classify(2**1000, 2**1001, PrimeSet((2,)), 0.001)
+    assert v.kind != POWER_RELATION
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_cz_classify_matches_frozen_census(data_dir):
