@@ -331,7 +331,7 @@ def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
     """
     if p.is_identity:
         raise ValueError("height of the identity")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     bound = _naive_vs_limit_bound(c)
     depth = 1
@@ -428,7 +428,7 @@ def exceptional_subgroups(eps: float) -> list[tuple[int, int]]:
     eps > 1/2; the axes (0,1) and (1,0) survive up to eps = 1/2; the
     diagonal (1,1) first appears at eps <= 1/4.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     bound = 1.0 / (2.0 * eps)
     out = []

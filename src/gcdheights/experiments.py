@@ -1,11 +1,12 @@
 """Declarative sweep runner: grids over the library operations, tables out.
 
 A sweep is described by a ``SweepConfig`` (kind + parameter map + seed),
-validated up front, expanded into independent cells, evaluated serially or on
-a process pool, and merged in index order — so a given config produces
-byte-identical CSV no matter the job count.  Per-cell failures become tagged
-error rows instead of aborting the run; a configurable error budget (default
-0) turns unexpected ones into a failure at the end.
+validated and prepared once into shared inputs and index axes, evaluated
+over the grid of those axes serially or on a process pool (each worker gets
+the shared inputs once), and merged in index order — so a given config
+produces byte-identical CSV no matter the job count.  Per-cell failures
+become tagged error rows instead of aborting the run; a configurable error
+budget (default 0) turns unexpected ones into a failure at the end.
 
 Each kind is one ``KindSpec`` record in ``SPECS``.  Row schemas are fixed per
 kind: index columns first, then exact integer witnesses as decimal strings,
@@ -19,12 +20,13 @@ import csv
 import io
 import json
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, log
+from itertools import islice, product
+from math import gcd, log, prod
 from statistics import median
 
 from .arith import EPS_SLACK, PrimeSet, mult_independent
@@ -95,23 +97,24 @@ class SweepResult:
 class KindSpec:
     """Everything the runner knows about one sweep kind.
 
-    ``prepare(params, seed)`` validates the parameters and expands them into
-    cells (serially, and it may do real work); ``row(cell)`` evaluates one
-    cell, possibly in a pool worker.  ``index`` names the cell keys that
-    locate a row: error rows and ``max_violating_index`` carry exactly those.
-    ``fittable`` kinds have lhs/hA[/hcount] records that admit constant
-    fitting.
+    ``prepare(params, seed)`` validates the parameters and returns
+    ``(ctx, axes)`` (serially; it may do real work): the inputs all cells
+    share, and one or two sequences of ``index`` values whose row-major grid
+    is the cells.  ``row(ctx, *key)`` evaluates one cell, possibly in a pool
+    worker; its row, like an error row, carries ``key`` as its ``index``
+    columns.  ``fittable`` kinds have lhs/hA[/hcount] records that admit
+    constant fitting.
     """
 
     columns: tuple[str, ...]
     index: tuple[str, ...]
-    prepare: Callable[[dict, int], list[dict]]
-    row: Callable[[dict], dict]
+    prepare: Callable[[dict, int], tuple[tuple, tuple[Sequence, ...]]]
+    row: Callable[..., dict]
     fittable: bool = False
 
 
 # ----------------------------------------------------------------------------
-# config validation and cell preparation (runs serially, may do real work)
+# config validation and preparation (runs serially, may do real work)
 # ----------------------------------------------------------------------------
 
 def _need(params: dict, key: str, kind: SweepKind):
@@ -143,7 +146,7 @@ def _point_of(c: Curve, raw, what: str = "point") -> Point:
     return p
 
 
-def _prepare_bcz(params: dict, seed: int) -> list[dict]:
+def _prepare_bcz(params: dict, seed: int) -> tuple[tuple, tuple]:
     a = int(_need(params, "a", SweepKind.BCZ))
     b = int(_need(params, "b", SweepKind.BCZ))
     eps = float(_need(params, "eps", SweepKind.BCZ))
@@ -155,24 +158,22 @@ def _prepare_bcz(params: dict, seed: int) -> list[dict]:
         raise ValueError("a and b must be >= 2")
     if not mult_independent(a, b):
         raise ValueError("multiplicatively dependent inputs: hypothesis violated")
-    return [
-        {"a": a, "b": b, "n": n, "eps": eps, "C": C}
-        for n in range(1, n_max + 1)
-    ]
+    return (a, b, eps, C), (range(1, n_max + 1),)
 
 
-def _row_bcz(cell: dict) -> dict:
-    g = gcd_pair(cell["a"], cell["b"], cell["n"])
+def _row_bcz(ctx: tuple, n: int) -> dict:
+    a, b, eps, C = ctx
+    g = gcd_pair(a, b, n)
     lhs = log(g)
-    hA = cell["n"] * LN2
-    rhs = cell["eps"] * hA + cell["C"]
+    hA = n * LN2
+    rhs = eps * hA + C
     return {
-        "n": cell["n"], "gcd": g, "lhs": lhs, "hA": hA, "rhs": rhs,
+        "n": n, "gcd": g, "lhs": lhs, "hA": hA, "rhs": rhs,
         "holds": lhs <= rhs + EPS_SLACK,
     }
 
 
-def _prepare_cz(params: dict, seed: int) -> list[dict]:
+def _prepare_cz(params: dict, seed: int) -> tuple[tuple, tuple]:
     primes = _as_int_list(_need(params, "primes", SweepKind.CZ_TRICHOTOMY), "primes")
     bound = int(_need(params, "bound", SweepKind.CZ_TRICHOTOMY))
     eps = float(_need(params, "eps", SweepKind.CZ_TRICHOTOMY))
@@ -180,16 +181,12 @@ def _prepare_cz(params: dict, seed: int) -> list[dict]:
         raise ValueError("eps must be positive")
     S = PrimeSet(tuple(primes))
     units = s_unit_enumerate(S, bound)
-    return [
-        {"alpha": a, "beta": b, "S": S, "eps": eps}
-        for a in units
-        for b in units
-    ]
+    return (S, eps), (units, units)
 
 
-def _row_cz(cell: dict) -> dict:
-    a, b, eps = cell["alpha"], cell["beta"], cell["eps"]
-    v = cz_classify(a, b, cell["S"], eps)
+def _row_cz(ctx: tuple, a: int, b: int) -> dict:
+    S, eps = ctx
+    v = cz_classify(a, b, S, eps)
     g = v.gcd
     lhs = log(g)
     rhs = eps * log(max(abs(a), abs(b)))
@@ -199,7 +196,7 @@ def _row_cz(cell: dict) -> dict:
     }
 
 
-def _prepare_ar(params: dict, seed: int) -> list[dict]:
+def _prepare_ar(params: dict, seed: int) -> tuple[tuple, tuple]:
     a = int(_need(params, "a", SweepKind.AR_RETURNS))
     b = int(_need(params, "b", SweepKind.AR_RETURNS))
     n_max = int(_need(params, "n_max", SweepKind.AR_RETURNS))
@@ -207,22 +204,16 @@ def _prepare_ar(params: dict, seed: int) -> list[dict]:
         raise ValueError("a and b must be >= 2")
     if not mult_independent(a, b):
         raise ValueError("multiplicatively dependent inputs: hypothesis violated")
-    base = gcd_pair(a, b, 1)
-    return [
-        {"a": a, "b": b, "n": n, "base": base}
-        for n in range(1, n_max + 1)
-    ]
+    return (a, b, gcd_pair(a, b, 1)), (range(1, n_max + 1),)
 
 
-def _row_ar(cell: dict) -> dict:
-    g = gcd_pair(cell["a"], cell["b"], cell["n"])
-    return {
-        "n": cell["n"], "gcd": g, "base_gcd": cell["base"],
-        "is_return": g == cell["base"],
-    }
+def _row_ar(ctx: tuple, n: int) -> dict:
+    a, b, base = ctx
+    g = gcd_pair(a, b, n)
+    return {"n": n, "gcd": g, "base_gcd": base, "is_return": g == base}
 
 
-def _prepare_eds_gcd(params: dict, seed: int) -> list[dict]:
+def _prepare_eds_gcd(params: dict, seed: int) -> tuple[tuple, tuple]:
     c = _curve_of(params)
     p = _point_of(c, _need(params, "p", SweepKind.EDS_GCD), "p")
     q = _point_of(c, params["q"], "q") if params.get("q") is not None else p
@@ -236,29 +227,23 @@ def _prepare_eds_gcd(params: dict, seed: int) -> list[dict]:
     mp = [(x[1], naive_height(x).value) for x in multiples(c, p, m_max)]
     nq = [(x[1], naive_height(x).value) for x in multiples(c, q, n_max)]
     predicted = set(exceptional_subgroups(eps))
-    cells = []
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            g = gcd(m, n)
-            cells.append({
-                "m": m, "n": n, "p": mp[m - 1], "q": nq[n - 1],
-                "eps": eps, "C": C,
-                "exceptional": (m // g, n // g) in predicted,
-            })
-    return cells
+    return ((mp, nq, predicted, eps, C),
+            (range(1, m_max + 1), range(1, n_max + 1)))
 
 
-def _row_eds_gcd(cell: dict) -> dict:
-    rec = check_e2(*cell["p"], *cell["q"], cell["eps"], cell["C"])
+def _row_eds_gcd(ctx: tuple, m: int, n: int) -> dict:
+    mp, nq, predicted, eps, C = ctx
+    rec = check_e2(*mp[m - 1], *nq[n - 1], eps, C)
     d = rec.descriptor
+    g = gcd(m, n)
     return {
-        "m": cell["m"], "n": cell["n"], "d_m": d["d_p"], "d_n": d["d_q"],
+        "m": m, "n": n, "d_m": d["d_p"], "d_n": d["d_q"],
         "gcd": d["gcd_witness"], "lhs": rec.lhs, "hA": d["hA"], "rhs": rec.rhs,
-        "holds": rec.holds, "exceptional": cell["exceptional"],
+        "holds": rec.holds, "exceptional": (m // g, n // g) in predicted,
     }
 
 
-def _prepare_pn(params: dict, seed: int) -> list[dict]:
+def _prepare_pn(params: dict, seed: int) -> tuple[tuple, tuple]:
     texts = _need(params, "polys", SweepKind.PN_CHECK)
     if not isinstance(texts, (list, tuple)) or not texts:
         raise ValueError("polys must be a nonempty list of polynomial strings")
@@ -301,26 +286,22 @@ def _prepare_pn(params: dict, seed: int) -> list[dict]:
     if sample is not None and len(pts) > int(sample):
         rng = random.Random(int(seed))
         pts = sorted(rng.sample(pts, int(sample)))
-    return [
-        {
-            "point": ":".join(str(t) for t in tup),
-            "coords": tup, "system": system, "S": S, "vp": vp,
-        }
-        for tup in pts
-    ]
+    return (system, S, vp), ([":".join(str(t) for t in tup) for tup in pts],)
 
 
-def _row_pn(cell: dict) -> dict:
-    rec = check_pn(PnPoint(cell["coords"]), cell["system"], cell["S"], cell["vp"])
+def _row_pn(ctx: tuple, point: str) -> dict:
+    system, S, vp = ctx
+    coords = tuple(int(t) for t in point.split(":"))
+    rec = check_pn(PnPoint(coords), system, S, vp)
     d = rec.descriptor
     return {
-        "point": cell["point"],
+        "point": point,
         "gcd": d["gcd_witness"], "lhs": rec.lhs, "hA": d["hA"],
         "hcount": d["hcount"], "rhs": rec.rhs, "holds": rec.holds,
     }
 
 
-def _prepare_mixed(params: dict, seed: int) -> list[dict]:
+def _prepare_mixed(params: dict, seed: int) -> tuple[tuple, tuple]:
     c = _curve_of(params)
     p = _point_of(c, _need(params, "point", SweepKind.MIXED_CHECK))
     primes = _as_int_list(_need(params, "primes", SweepKind.MIXED_CHECK), "primes")
@@ -328,48 +309,46 @@ def _prepare_mixed(params: dict, seed: int) -> list[dict]:
     C = float(params.get("C", 1.0))
     n_max = int(_need(params, "n_max", SweepKind.MIXED_CHECK))
     b_bound = int(params.get("b_bound", 100))
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if not C > 0:
+        raise ValueError("C must be positive (it multiplies the bound)")
     S = PrimeSet(tuple(primes))
     units = s_unit_enumerate(S, b_bound)
     dq = [d for _, d in multiples(c, p, n_max)]
-    cells = []
-    for n in range(1, n_max + 1):
-        for b in units:
-            cells.append({
-                "d_q": dq[n - 1], "n": n, "b": b, "S": S, "eps": eps, "C": C,
-            })
-    return cells
+    return (dq, S, eps, C), (range(1, n_max + 1), units)
 
 
-def _row_mixed(cell: dict) -> dict:
-    rec = check_mixed(cell["d_q"], cell["b"], cell["S"], cell["eps"], cell["C"])
+def _row_mixed(ctx: tuple, n: int, b: int) -> dict:
+    dq, S, eps, C = ctx
+    rec = check_mixed(dq[n - 1], b, S, eps, C)
     d = rec.descriptor
     return {
-        "n": cell["n"], "b": cell["b"], "d_q": d["d_q"], "gcd": d["gcd_witness"],
+        "n": n, "b": b, "d_q": d["d_q"], "gcd": d["gcd_witness"],
         "lhs": rec.lhs, "hA": d["hA"], "rhs": rec.rhs, "holds": rec.holds,
     }
 
 
-def _prepare_siegel(params: dict, seed: int) -> list[dict]:
+def _prepare_siegel(params: dict, seed: int) -> tuple[tuple, tuple]:
     c = _curve_of(params)
     p = _point_of(c, _need(params, "point", SweepKind.SIEGEL))
     n_min = int(params.get("n_min", 1))
     n_max = int(_need(params, "n_max", SweepKind.SIEGEL))
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
-    mults = multiples(c, p, n_max)
-    return [
-        {"n": n, "d": mults[n - 1][1], "naive": naive_height(mults[n - 1]).value}
-        for n in range(n_min, n_max + 1)
-    ]
+    # (D, naive height) of n*P for n_min <= n <= n_max
+    dn = [(x[1], naive_height(x).value) for x in multiples(c, p, n_max)[n_min - 1:]]
+    return (n_min, dn), (range(n_min, n_max + 1),)
 
 
-def _row_siegel(cell: dict) -> dict:
-    d = cell["d"]
-    ratio = 0.0 if d == 1 else 2.0 * log(d) / cell["naive"]
-    return {"n": cell["n"], "d": d, "naive": cell["naive"], "ratio": ratio}
+def _row_siegel(ctx: tuple, n: int) -> dict:
+    n_min, dn = ctx
+    d, naive = dn[n - n_min]
+    ratio = 0.0 if d == 1 else 2.0 * log(d) / naive
+    return {"n": n, "d": d, "naive": naive, "ratio": ratio}
 
 
-def _prepare_abelian(params: dict, seed: int) -> list[dict]:
+def _prepare_abelian(params: dict, seed: int) -> tuple[tuple, tuple]:
     if params.get("independence_asserted") is not True:
         raise ValueError(
             "ABELIAN_GROWTH requires independence_asserted: true "
@@ -385,19 +364,18 @@ def _prepare_abelian(params: dict, seed: int) -> list[dict]:
         raise ValueError("eps must be positive")
     dp = [d for _, d in multiples(c, p, n_max)]
     dq = [d for _, d in multiples(c, q, n_max)]
-    return [
-        {"n": n, "d_p": dp[n - 1], "d_q": dq[n - 1], "eps": eps, "C": C}
-        for n in range(1, n_max + 1)
-    ]
+    return (dp, dq, eps, C), (range(1, n_max + 1),)
 
 
-def _row_abelian(cell: dict) -> dict:
-    g = gcd(cell["d_p"], cell["d_q"])
+def _row_abelian(ctx: tuple, n: int) -> dict:
+    dp, dq, eps, C = ctx
+    d_p, d_q = dp[n - 1], dq[n - 1]
+    g = gcd(d_p, d_q)
     lhs = log(g)
-    hA = float(cell["n"] ** 2)
-    rhs = cell["eps"] * hA + cell["C"]
+    hA = float(n ** 2)
+    rhs = eps * hA + C
     return {
-        "n": cell["n"], "d_p": cell["d_p"], "d_q": cell["d_q"], "gcd": g,
+        "n": n, "d_p": d_p, "d_q": d_q, "gcd": g,
         "lhs": lhs, "hA": hA, "rhs": rhs, "holds": lhs <= rhs + EPS_SLACK,
     }
 
@@ -441,16 +419,34 @@ SPECS: dict[SweepKind, KindSpec] = {
 }
 
 
-def _eval_cell(task: tuple[SweepKind, dict]) -> dict:
-    """Evaluate one cell; failures become tagged rows, never exceptions."""
-    kind, cell = task
+def _eval_range(kind: SweepKind, ctx: tuple, axes: tuple, idx: range) -> list[dict]:
+    """Rows of the cells ``idx`` of the row-major grid over ``axes``.
+
+    Failures become tagged rows of the cell's index, never exceptions.
+    """
     spec = SPECS[kind]
-    try:
-        return spec.row(cell)
-    except Exception as exc:  # per-record capture is the contract here
-        row = {k: cell[k] for k in spec.index}
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
+    rows = []
+    for key in islice(product(*axes), idx.start, idx.stop):
+        try:
+            rows.append(spec.row(ctx, *key))
+        except Exception as exc:  # per-record capture is the contract here
+            rows.append(dict(zip(spec.index, key),
+                             error=f"{type(exc).__name__}: {exc}"))
+    return rows
+
+
+# (kind, ctx, axes) of the sweep a pool worker serves; set once per worker by
+# the pool's initializer, so the shared inputs are pickled once, not per chunk
+_WORKER: tuple = ()
+
+
+def _init_worker(kind: SweepKind, ctx: tuple, axes: tuple) -> None:
+    global _WORKER
+    _WORKER = (kind, ctx, axes)
+
+
+def _eval_chunk(idx: range) -> list[dict]:
+    return _eval_range(*_WORKER, idx)
 
 
 # ----------------------------------------------------------------------------
@@ -462,14 +458,16 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     kind = config.kind
-    cells = SPECS[kind].prepare(config.parameters, config.seed)
-    tasks = [(kind, cell) for cell in cells]
-    if jobs == 1 or len(tasks) < 2:
-        records = [_eval_cell(t) for t in tasks]
+    ctx, axes = SPECS[kind].prepare(config.parameters, config.seed)
+    cells = range(prod(len(axis) for axis in axes))
+    if jobs == 1 or len(cells) < 2:
+        records = _eval_range(kind, ctx, axes, cells)
     else:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_eval_cell, tasks, chunksize=chunk))
+        chunk = max(1, len(cells) // (4 * jobs))
+        chunks = [cells[lo:lo + chunk] for lo in cells[::chunk]]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(kind, ctx, axes)) as pool:
+            records = [r for rows in pool.map(_eval_chunk, chunks) for r in rows]
     budget = int(config.parameters.get("error_budget", 0))
     errors = [r for r in records if r.get("error")]
     if len(errors) > budget:

@@ -356,7 +356,7 @@ def check_mixed(
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if C <= 0:
+    if not C > 0:
         raise ValueError("C must be positive (it multiplies the bound)")
     if abs(b) < 2:
         raise ValueError("b must satisfy |b| >= 2")

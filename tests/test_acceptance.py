@@ -196,7 +196,6 @@ def test_10_sweeps_are_deterministic_and_parallel_safe():
             parameters={"curve": [0, 0, 1, -1, 0], "p": [0, 0],
                         "m_max": 8, "n_max": 8, "eps": 0.2, "C": 0.0},
         ),
-        # the kinds whose cells carry a PrimeSet into the pool
         SweepConfig(
             kind=SweepKind.CZ_TRICHOTOMY,
             parameters={"primes": [2, 3], "bound": 100, "eps": 0.25},
@@ -211,6 +210,20 @@ def test_10_sweeps_are_deterministic_and_parallel_safe():
             kind=SweepKind.MIXED_CHECK,
             parameters={"curve": [0, 0, 1, -1, 0], "point": [0, 0],
                         "primes": [2, 3], "eps": 0.4, "n_max": 6, "b_bound": 30},
+        ),
+        SweepConfig(
+            kind=SweepKind.AR_RETURNS,
+            parameters={"a": 2, "b": 3, "n_max": 120},
+        ),
+        SweepConfig(
+            kind=SweepKind.SIEGEL,
+            parameters={"curve": [0, 0, 1, -1, 0], "point": [0, 0],
+                        "n_min": 5, "n_max": 40},
+        ),
+        SweepConfig(
+            kind=SweepKind.ABELIAN_GROWTH,
+            parameters={"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0],
+                        "n_max": 12, "eps": 0.3, "independence_asserted": True},
         ),
     ]
     for cfg in configs:

@@ -62,10 +62,21 @@ def test_dependent_pair_is_computation_error(capsys):
     ["gcdpow", "--a", "2", "--b", "3", "--nmax", "5"],
     ["trichotomy", "--primes", "2,3", "--nmax", "20"],
     ["edsgcd", "--curve", C37, "--point", "0,0", "--nmax", "3"],
+    ["mixed", "--curve", C37, "--point", "0,0", "--primes", "2,3", "--nmax", "3"],
 ], ids=lambda argv: argv[0])
 def test_nan_eps_is_computation_error(argv, capsys):
+    # rejected up front, not once per cell through the error budget
     assert main(argv + ["--eps", "nan"]) == 2
-    assert "eps must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "eps must be positive" in err and "error budget" not in err
+
+
+@pytest.mark.parametrize("C", ["0", "nan"])
+def test_mixed_nonpositive_C_is_one_computation_error(C, capsys):
+    assert main(["mixed", "--curve", C37, "--point", "0,0", "--primes", "2,3",
+                 "--nmax", "3", "--eps", "0.3", "--C", C]) == 2
+    err = capsys.readouterr().err
+    assert "C must be positive" in err and "error budget" not in err
 
 
 def test_point_off_curve_is_computation_error(capsys):

@@ -304,6 +304,8 @@ def test_canonical_height_domain(c37, p37):
         canonical_height(c37, IDENTITY)
     with pytest.raises(ValueError, match="tol"):
         canonical_height(c37, p37, 0.0)
+    with pytest.raises(ValueError, match="tol"):
+        canonical_height(c37, p37, float("nan"))
 
 
 # ----------------------------------------------------------------------------
@@ -362,6 +364,8 @@ def test_exceptional_subgroups_thresholds():
     assert exceptional_subgroups(0.1) == [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]
     with pytest.raises(ValueError):
         exceptional_subgroups(0.0)
+    with pytest.raises(ValueError):
+        exceptional_subgroups(float("nan"))
 
 
 def test_exceptional_subgroups_entries_are_primitive():

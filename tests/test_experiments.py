@@ -4,8 +4,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -282,10 +284,18 @@ def test_abelian_sweep_frozen():
 # ----------------------------------------------------------------------------
 
 def test_eval_cell_tags_failures_with_index():
-    row = experiments._eval_cell((SweepKind.BCZ, {"a": 2, "b": 3, "n": 3,
-                                                  "eps": "bad", "C": 0.0}))
-    assert row["n"] == 3
-    assert row["error"].startswith("TypeError")
+    # a context whose eps breaks every row: cell 2 of the grid is n = 3
+    rows = experiments._eval_range(SweepKind.BCZ, (2, 3, "bad", 0.0),
+                                   (range(1, 5),), range(2, 3))
+    assert len(rows) == 1
+    assert rows[0]["n"] == 3
+    assert rows[0]["error"].startswith("TypeError")
+    # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20)
+    ctx = ([1, 1, 1], None, 0.5, 1.0)  # S = None fails every row
+    rows = experiments._eval_range(SweepKind.MIXED_CHECK, ctx,
+                                   (range(1, 4), [10, 20, 30, 40]), range(5, 6))
+    assert list(rows[0]) == ["n", "b", "error"]
+    assert (rows[0]["n"], rows[0]["b"]) == (2, 20)
 
 
 TINY = {
@@ -307,22 +317,23 @@ TINY = {
 
 @pytest.mark.parametrize("kind", list(SweepKind))
 def test_cells_carry_their_row_index(kind):
-    # error rows are tagged from the cell, so it must hold the row's index
+    # error rows are tagged from the grid key, so each row's index must be it
     spec = experiments.SPECS[kind]
-    cells = spec.prepare(TINY[kind], 0)
-    assert cells
-    for cell in cells:
-        row = spec.row(cell)
-        assert {k: cell[k] for k in spec.index} == {k: row[k] for k in spec.index}
+    ctx, axes = spec.prepare(TINY[kind], 0)
+    keys = list(itertools.product(*axes))
+    assert keys and len(axes) == len(spec.index)
+    for key in keys:
+        row = spec.row(ctx, *key)
+        assert dict(zip(spec.index, key)) == {k: row[k] for k in spec.index}
 
 
 def test_error_budget_zero_raises(monkeypatch):
     spec = experiments.SPECS[SweepKind.BCZ]
 
-    def flaky(cell):
-        if cell["n"] == 3:
+    def flaky(ctx, n):
+        if n == 3:
             raise RuntimeError("injected")
-        return spec.row(cell)
+        return spec.row(ctx, n)
 
     monkeypatch.setitem(experiments.SPECS, SweepKind.BCZ,
                         dataclasses.replace(spec, row=flaky))
@@ -340,6 +351,28 @@ def test_error_budget_zero_raises(monkeypatch):
     # the error column renders, the missing columns render empty
     line = render_csv(res).splitlines()[3]
     assert line == "3,,,,,,RuntimeError: injected"
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers must inherit the patched row")
+def test_pool_error_rows_match_serial(monkeypatch):
+    spec = experiments.SPECS[SweepKind.CZ_TRICHOTOMY]
+
+    def flaky(ctx, a, b):
+        if (a, b) == (6, -4):
+            raise RuntimeError("injected")
+        return spec.row(ctx, a, b)
+
+    monkeypatch.setitem(experiments.SPECS, SweepKind.CZ_TRICHOTOMY,
+                        dataclasses.replace(spec, row=flaky))
+    cfg = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
+                      parameters={"primes": [2, 3], "bound": 30, "eps": 0.25,
+                                  "error_budget": 1})
+    serial, pooled = run(cfg), run(cfg, jobs=2)
+    bad = [r for r in pooled.records if r.get("error")]
+    assert bad == [{"alpha": 6, "beta": -4, "error": "RuntimeError: injected"}]
+    assert pooled.records == serial.records
+    assert render_json(pooled) == render_json(serial)
 
 
 # ----------------------------------------------------------------------------

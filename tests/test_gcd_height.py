@@ -214,6 +214,8 @@ def test_check_mixed_domain(cm2, pm2):
         check_mixed(d_q, b=1, S=S, eps=0.5)
     with pytest.raises(ValueError, match="C must be positive"):
         check_mixed(d_q, b=9, S=S, eps=0.5, C=0.0)
+    with pytest.raises(ValueError, match="C must be positive"):
+        check_mixed(d_q, b=9, S=S, eps=0.5, C=float("nan"))
     with pytest.raises(ValueError, match="eps"):
         check_mixed(d_q, b=9, S=S, eps=-1.0)
     with pytest.raises(ValueError, match="eps must be positive"):
