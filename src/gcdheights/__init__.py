@@ -1,84 +1,22 @@
-"""Exact gcd heights on Q, divisibility sequences, and inequality experiments."""
+"""Exact gcd heights on Q, divisibility sequences, and inequality experiments.
+
+The public names are declared once, in each module's ``__all__``; the
+package re-exports them, and its ``__all__`` is their concatenation.
+"""
 
 __version__ = "0.1.0"
 
-from .arith import (
-    ARCH,
-    EPS_SLACK,
-    FactorBudget,
-    Factorization,
-    LogReal,
-    PrimeSet,
-    factor,
-    hgcd,
-    is_prime,
-    mult_independent,
-    ord_p,
-    prime_to_S_part,
-    v_plus,
-    weil_height,
-)
-from .elliptic import (
-    EDS,
-    IDENTITY,
-    Curve,
-    Point,
-    add,
-    canonical_height,
-    denominator_D,
-    eds,
-    exceptional_subgroups,
-    gcd_D,
-    hgcd_e2,
-    hgcd_e2_local_sum,
-    multiples,
-    naive_height,
-    neg,
-    on_curve,
-    scalar_mul,
-    siegel_ratio,
-)
-from .gcd_height import (
-    BoundRecord,
-    HomPoly,
-    PnPoint,
-    PolySystem,
-    VojtaParams,
-    check_e2,
-    check_mixed,
-    check_pn,
-    counting_function_pn,
-    hgcd_pn_coordpoint,
-    hgcd_pn_subvariety,
-    normalize_pn,
-    parse_poly,
-    vojta_rhs,
-)
-from .mulgrp import (
-    EXCEPTIONAL,
-    INEQUALITY_HOLDS,
-    POWER_RELATION,
-    CzVerdict,
-    DivisibilityReport,
-    MulDivSeq,
-    MulPoint,
-    cz_classify,
-    divisibility_check,
-    gcd_pair,
-    mul_D,
-    mul_seq,
-    power,
-    s_unit_enumerate,
-)
-from .experiments import (
-    SweepConfig,
-    SweepKind,
-    SweepResult,
-    detect_exceptional,
-    fit_constant,
-    format_real,
-    render_csv,
-    render_json,
-    run,
-    summarize,
-)
+from .arith import *
+from .elliptic import *
+from .gcd_height import *
+from .mulgrp import *
+from .experiments import *
+from . import arith, elliptic, experiments, gcd_height, mulgrp
+
+__all__ = [
+    *arith.__all__,
+    *elliptic.__all__,
+    *gcd_height.__all__,
+    *mulgrp.__all__,
+    *experiments.__all__,
+]

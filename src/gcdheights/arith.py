@@ -19,12 +19,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log
 
 __all__ = [
     "ARCH",
+    "EPS_SLACK",
     "LogReal",
     "PrimeSet",
     "FactorBudget",
@@ -79,14 +80,13 @@ class LogReal:
 
 @dataclass(frozen=True)
 class PrimeSet:
-    """A finite set of rational primes, optionally including the archimedean place.
+    """A finite set S of rational primes, the finite places of an S-unit group.
 
-    Primes are stored sorted ascending and are checked for primality on
-    construction.  The empty set is allowed.
+    Primes are stored sorted ascending in ``primes`` and are checked for
+    primality on construction.  The empty set is allowed.
     """
 
     primes: tuple[int, ...] = ()
-    includes_archimedean: bool = True
 
     def __post_init__(self) -> None:
         ps = tuple(sorted(set(self.primes)))
@@ -94,11 +94,6 @@ class PrimeSet:
             if not is_prime(p):
                 raise ValueError(f"not a prime: {p}")
         object.__setattr__(self, "primes", ps)
-
-    def __contains__(self, place: object) -> bool:
-        if place == ARCH:
-            return self.includes_archimedean
-        return place in self.primes
 
 
 @dataclass(frozen=True)

@@ -324,7 +324,7 @@ def _cmd_eds(args) -> str:
         "counterexample": list(report.counterexample) if report.counterexample else None,
         "ignored_primes": ignore,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_sweep(args) -> str:
@@ -366,7 +366,7 @@ def _cmd_heights(args) -> str:
         }
         doc["canonical_height"] = float(format_real(canonical_height(c, p, args.tol)))
         doc["tol"] = args.tol
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_vojta_check(args) -> str:
@@ -387,7 +387,7 @@ def _cmd_vojta_check(args) -> str:
         },
         "params": {"epsilon": p.epsilon, "delta": p.delta, "C": p.C, "r": p.r},
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 class _Usage(Exception):

@@ -19,7 +19,6 @@ on Fractions stay as the independent route the tests check both against.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,14 +40,8 @@ __all__ = [
     "eds",
     "naive_height",
     "canonical_height",
-    "gcd_D",
-    "hgcd_e2",
-    "hgcd_e2_local_sum",
-    "siegel_ratio",
     "exceptional_subgroups",
 ]
-
-log_ = logging.getLogger(__name__)
 
 #: Doubling cap for the canonical height iteration; 2^8 P already has
 #: coordinates in the thousands of digits on desk-scale inputs.
@@ -363,62 +356,8 @@ def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
 
 
 # ----------------------------------------------------------------------------
-# gcds of denominators
+# predicted index directions
 # ----------------------------------------------------------------------------
-
-def gcd_D(p: Point, q: Point) -> int:
-    """gcd(D_P, D_Q) as an exact integer."""
-    return gcd(denominator_D(p), denominator_D(q))
-
-
-def hgcd_e2(p: Point, q: Point) -> LogReal:
-    """ln gcd(D_P, D_Q) with the gcd carried as witness."""
-    return LogReal.of_integer(gcd_D(p, q))
-
-
-def hgcd_e2_local_sum(p: Point, q: Point) -> tuple[LogReal, float]:
-    """Independent route to hgcd_e2 through valuations of 1/x.
-
-    Returns (finite-place sum, archimedean term).  The finite sum is
-    (1/2) * sum over finite v of min(v+(1/x_P), v+(1/x_Q)), computed from the
-    numerators of the inverted x-coordinates; it equals ln gcd(D_P, D_Q)
-    exactly because gcd(D_P^2, D_Q^2) = gcd(D_P, D_Q)^2.  The archimedean
-    min is returned separately (and logged), not folded into the equality.
-    """
-    nums = []
-    arch = []
-    for pt in (p, q):
-        if pt.is_identity:
-            raise ValueError("denominator of the identity")
-        x = pt.x
-        if x == 0:
-            # 1/x degenerates; D = 1 so the finite contribution is trivial
-            nums.append(1)
-            arch.append(0.0)
-        else:
-            inv = Fraction(x.denominator, x.numerator)
-            nums.append(abs(inv.numerator))
-            arch.append(max(log(abs(x.numerator)) - log(x.denominator), 0.0))
-    g2 = gcd(nums[0], nums[1])
-    w = isqrt(g2)
-    if w * w != g2:
-        raise ValueError("non-integral model pathology")
-    arch_term = 0.5 * min(arch)
-    if arch_term:
-        log_.debug("archimedean term %.6g dropped from E^2 gcd height", arch_term)
-    return LogReal.of_integer(w), arch_term
-
-
-def siegel_ratio(c: Curve, p: Point, n: int) -> float:
-    """2 ln D_{nP} / naive_height(nP); tends to 1 for infinite-order P ratios."""
-    q = scalar_mul(c, n, p)
-    if q.is_identity:
-        raise ValueError(f"point has finite order {n}")
-    d = denominator_D(q)
-    if d == 1:
-        return 0.0
-    return 2.0 * log(d) / naive_height(q).value
-
 
 def exceptional_subgroups(eps: float) -> list[tuple[int, int]]:
     """Index pairs (m, n) of the subgroups that may carry gcd violations.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, product
-from math import gcd, log, prod
+from math import gcd, isnan, log, prod
 from statistics import median
 
 from .arith import EPS_SLACK, PrimeSet, mult_independent
@@ -57,6 +57,7 @@ __all__ = [
     "KindSpec",
     "SPECS",
     "run",
+    "summarize",
     "fit_constant",
     "detect_exceptional",
     "render_csv",
@@ -136,6 +137,17 @@ def _as_int_list(v, what: str) -> list[int]:
     return [int(x) for x in v]
 
 
+def _eps_C(params: dict, kind: SweepKind) -> tuple[float, float]:
+    """The bound's required ``eps`` and optional constant ``C`` (default 0)."""
+    eps = float(_need(params, "eps", kind))
+    C = float(params.get("C", 0.0))
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if isnan(C):
+        raise ValueError("C must not be NaN")
+    return eps, C
+
+
 def _point_of(c: Curve, raw, what: str = "point") -> Point:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ValueError(f"{what} must be a pair [x, y] of rationals")
@@ -149,11 +161,8 @@ def _point_of(c: Curve, raw, what: str = "point") -> Point:
 def _prepare_bcz(params: dict, seed: int) -> tuple[tuple, tuple]:
     a = int(_need(params, "a", SweepKind.BCZ))
     b = int(_need(params, "b", SweepKind.BCZ))
-    eps = float(_need(params, "eps", SweepKind.BCZ))
+    eps, C = _eps_C(params, SweepKind.BCZ)
     n_max = int(_need(params, "n_max", SweepKind.BCZ))
-    C = float(params.get("C", 0.0))
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     if a < 2 or b < 2:
         raise ValueError("a and b must be >= 2")
     if not mult_independent(a, b):
@@ -219,10 +228,7 @@ def _prepare_eds_gcd(params: dict, seed: int) -> tuple[tuple, tuple]:
     q = _point_of(c, params["q"], "q") if params.get("q") is not None else p
     m_max = int(_need(params, "m_max", SweepKind.EDS_GCD))
     n_max = int(_need(params, "n_max", SweepKind.EDS_GCD))
-    eps = float(_need(params, "eps", SweepKind.EDS_GCD))
-    C = float(params.get("C", 0.0))
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    eps, C = _eps_C(params, SweepKind.EDS_GCD)
     # denominator and naive height once per multiple, not once per cell
     mp = [(x[1], naive_height(x).value) for x in multiples(c, p, m_max)]
     nq = [(x[1], naive_height(x).value) for x in multiples(c, q, n_max)]
@@ -254,9 +260,8 @@ def _prepare_pn(params: dict, seed: int) -> tuple[tuple, tuple]:
         raise ValueError("system must involve at least X0 and X1")
     primes = _as_int_list(_need(params, "primes", SweepKind.PN_CHECK), "primes")
     bound = int(_need(params, "bound", SweepKind.PN_CHECK))
-    eps = float(_need(params, "eps", SweepKind.PN_CHECK))
+    eps, C = _eps_C(params, SweepKind.PN_CHECK)
     delta = float(params.get("delta", 1.0))
-    C = float(params.get("C", 0.0))
     r = int(params.get("r", codim))
     vp = VojtaParams(epsilon=eps, delta=delta, C=C, r=r)
     S = PrimeSet(tuple(primes))
@@ -358,10 +363,7 @@ def _prepare_abelian(params: dict, seed: int) -> tuple[tuple, tuple]:
     p = _point_of(c, _need(params, "p", SweepKind.ABELIAN_GROWTH), "p")
     q = _point_of(c, _need(params, "q", SweepKind.ABELIAN_GROWTH), "q")
     n_max = int(_need(params, "n_max", SweepKind.ABELIAN_GROWTH))
-    eps = float(_need(params, "eps", SweepKind.ABELIAN_GROWTH))
-    C = float(params.get("C", 0.0))
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    eps, C = _eps_C(params, SweepKind.ABELIAN_GROWTH)
     dp = [d for _, d in multiples(c, p, n_max)]
     dq = [d for _, d in multiples(c, q, n_max)]
     return (dp, dq, eps, C), (range(1, n_max + 1),)
@@ -650,7 +652,8 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
     """Full result: effective config, summary, records; reals at 12 digits.
 
     The embedded config block re-ingests as a SweepConfig that reproduces
-    this output exactly.
+    this output exactly.  A NaN or infinite real raises ValueError, since
+    strict JSON has no token for it.
     """
     if version is None:
         from . import __version__ as version
@@ -669,4 +672,4 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
             for rec in result.records
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

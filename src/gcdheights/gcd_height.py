@@ -15,8 +15,8 @@ is ever hidden (they are all fixed to 0 unless the caller passes C).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from math import gcd, log
+from dataclasses import dataclass
+from math import gcd, isnan, log
 
 from .arith import EPS_SLACK, LogReal, PrimeSet, prime_to_S_part
 
@@ -252,8 +252,10 @@ class VojtaParams:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
+        if isnan(self.C):
+            raise ValueError("C must not be NaN")
         if self.r < 2:
             raise ValueError("r must be an integer >= 2")
         if not self.epsilon < self.r - 1:

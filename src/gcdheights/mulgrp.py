@@ -1,30 +1,25 @@
-"""Divisibility sequences from the multiplicative group, and gcds on them.
+"""Gcds on the multiplicative group and the S-unit trichotomy.
 
-The objects here live on G_m x G_m: points are rational numbers a/b in lowest
-terms (neither 0 nor a unit), the n-th division value is |a^n - b^n|, and
-gcd(a^n - 1, b^n - 1) is the quantity the BCZ and AR_RETURNS sweeps of
-``experiments`` scan against exponential bounds.
+The objects here live on G_m x G_m: gcd(a^n - 1, b^n - 1) is the quantity
+the BCZ and AR_RETURNS sweeps of ``experiments`` scan against exponential
+bounds, ``cz_classify`` sorts pairs of S-units into the three cases of the
+trichotomy, and ``divisibility_check`` tests m | n => t_m | t_n on any
+integer sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, log
 
 from .arith import EPS_SLACK, PrimeSet, _least_power_relation
 
 __all__ = [
-    "MulPoint",
-    "MulDivSeq",
     "CzVerdict",
     "DivisibilityReport",
     "POWER_RELATION",
     "INEQUALITY_HOLDS",
     "EXCEPTIONAL",
-    "power",
-    "mul_D",
-    "mul_seq",
     "gcd_pair",
     "s_unit_enumerate",
     "cz_classify",
@@ -41,44 +36,6 @@ EXCEPTIONAL = "EXCEPTIONAL"
 # ----------------------------------------------------------------------------
 # types
 # ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MulPoint:
-    """A rational point a/b on the multiplicative group, |a/b| not 0 or 1.
-
-    Normalized on construction: gcd(a, b) = 1, b >= 1.
-    """
-
-    a: int
-    b: int = 1
-
-    def __post_init__(self) -> None:
-        if self.b == 0:
-            raise ValueError("zero denominator")
-        g = gcd(self.a, self.b)
-        a, b = self.a // g, self.b // g
-        if b < 0:
-            a, b = -a, -b
-        if a == 0 or abs(a) == b:
-            raise ValueError("point must differ from 0 and the units")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @classmethod
-    def of_ratio(cls, x: Fraction) -> "MulPoint":
-        return cls(x.numerator, x.denominator)
-
-    def ratio(self) -> Fraction:
-        return Fraction(self.a, self.b)
-
-
-@dataclass(frozen=True)
-class MulDivSeq:
-    """Terms |a^n - b^n| for n = 1..N; a strong divisibility sequence."""
-
-    point: MulPoint
-    terms: tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class CzVerdict:
@@ -102,37 +59,6 @@ class DivisibilityReport:
 # ----------------------------------------------------------------------------
 # operations
 # ----------------------------------------------------------------------------
-
-def power(p: MulPoint, n: int) -> MulPoint:
-    """n-th power point (a^n : b^n).  n >= 1."""
-    if n < 1:
-        raise ValueError("power exponent must be >= 1")
-    return MulPoint(p.a**n, p.b**n)
-
-
-def mul_D(p: MulPoint) -> int:
-    """Division value |a - b|; zero would mean the identity, which is excluded."""
-    if p.a == p.b:
-        raise ValueError("point equals identity")
-    return abs(p.a - p.b)
-
-
-def mul_seq(p: MulPoint, n_max: int) -> MulDivSeq:
-    """First n_max division values, computed directly as |a^n - b^n|.
-
-    The identity mul_D(power(p, n)) == terms[n-1] is exercised by tests
-    through the independent power/mul_D route.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    terms = []
-    pa, pb = 1, 1
-    for _ in range(n_max):
-        pa *= p.a
-        pb *= p.b
-        terms.append(abs(pa - pb))
-    return MulDivSeq(point=p, terms=tuple(terms))
-
 
 def gcd_pair(a: int, b: int, n: int) -> int:
     """gcd(a^n - 1, b^n - 1) for integers a, b >= 2 and n >= 1."""

@@ -112,10 +112,10 @@ def test_05_power_gcd_scan_golden(data_dir):
           f"golden byte-identical, {dt:.3f}s")
 
 
-def test_06_denominator_growth_tracks_height(c37, p37):
-    from gcdheights import siegel_ratio
-
-    ratios = {n: siegel_ratio(c37, p37, n) for n in range(5, 41)}
+def test_06_denominator_growth_tracks_height():
+    res = run(SweepConfig(kind=SweepKind.SIEGEL, parameters={
+        "curve": [0, 0, 1, -1, 0], "point": [0, 0], "n_min": 5, "n_max": 40}))
+    ratios = {r["n"]: r["ratio"] for r in res.records}
     assert all(r <= 1 + 1e-9 for r in ratios.values())
     tail = max(abs(ratios[n] - 1.0) for n in range(20, 41))
     assert tail <= 0.25

@@ -59,13 +59,6 @@ def test_logreal_zero_is_log_of_one():
 def test_primeset_sorts_and_dedups():
     s = PrimeSet((5, 2, 2, 3))
     assert s.primes == (2, 3, 5)
-    assert 3 in s and 7 not in s
-    assert ARCH in s  # archimedean included by default
-
-
-def test_primeset_can_exclude_archimedean():
-    s = PrimeSet((2,), includes_archimedean=False)
-    assert ARCH not in s
 
 
 def test_primeset_rejects_composites():

@@ -79,6 +79,43 @@ def test_mixed_nonpositive_C_is_one_computation_error(C, capsys):
     assert "C must be positive" in err and "error budget" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gcdpow", "--a", "2", "--b", "3", "--nmax", "3", "--C", "nan"],
+     "C must not be NaN"),
+    (["edsgcd", "--curve", C37, "--point", "0,0", "--nmax", "3", "--eps", "0.5",
+      "--C", "nan"], "C must not be NaN"),
+    (["pncheck", "--primes", "2", "--nmax", "2", "--eps", "0.5", "--C", "nan"],
+     "C must not be NaN"),
+    (["pncheck", "--primes", "2", "--nmax", "2", "--eps", "0.5", "--delta", "nan"],
+     "delta must be positive"),
+    (["vojta-check", "--lhs", "1", "--ha", "1", "--eps", "0.5", "--C", "nan"],
+     "C must not be NaN"),
+    (["vojta-check", "--lhs", "1", "--ha", "1", "--eps", "0.5", "--delta", "nan"],
+     "delta must be positive"),
+], ids=["gcdpow-C", "edsgcd-C", "pncheck-C", "pncheck-delta", "vojta-check-C",
+        "vojta-check-delta"])
+def test_nan_C_or_delta_is_computation_error(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("ignore:possibly torsion")
+@pytest.mark.parametrize("argv", [
+    ["gcdpow", "--a", "2", "--b", "3", "--nmax", "2", "--eps", "inf",
+     "--format", "json"],
+    ["vojta-check", "--lhs", "nan", "--ha", "1", "--eps", "0.5"],
+    ["heights", "--curve", C37, "--point", "0,0", "--tol", "inf"],
+], ids=lambda argv: argv[0])
+def test_non_finite_json_is_computation_error(argv, capsys):
+    # strict JSON has no NaN or Infinity: nothing is printed
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not JSON compliant" in err
+
+
 def test_point_off_curve_is_computation_error(capsys):
     rc = main(["eds", "--curve", C37, "--point", "1,1", "--nmax", "5"])
     assert rc == 2

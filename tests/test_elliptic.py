@@ -3,28 +3,28 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction as F
-from math import gcd, isclose, log
+from math import gcd, isclose, isqrt, log
 
 import pytest
 
 from gcdheights import (
     IDENTITY,
+    SPECS,
     Curve,
     Point,
+    SweepConfig,
+    SweepKind,
     add,
     canonical_height,
     denominator_D,
     eds,
     exceptional_subgroups,
-    gcd_D,
-    hgcd_e2,
-    hgcd_e2_local_sum,
     multiples,
     naive_height,
     neg,
     on_curve,
+    run,
     scalar_mul,
-    siegel_ratio,
 )
 from gcdheights.elliptic import DOUBLING_CAP, _division_values, _naive_vs_limit_bound
 
@@ -46,6 +46,17 @@ EDS_389A1_Q = (1, 1, 5, 31, 94, 4335, 18041, 3085709, 124991065,
 TORSION_CURVE = Curve(0, 0, 0, 0, 1)      # y^2 = x^3 + 1
 TORSION_P6 = Point(F(2), F(3))            # order 6
 TORSION_P2 = Point(F(-1), F(0))           # order 2
+
+# 37a1 and y^2 = x^3 - 2 with their base points, as sweep parameters.
+CURVE_37A1, POINT_37A1 = [0, 0, 1, -1, 0], [0, 0]
+CURVE_M2, POINT_M2 = [0, 0, 0, 0, -2], [3, 5]
+
+
+def _rows(kind: SweepKind, **params) -> dict:
+    """Records of a sweep, keyed by their index columns."""
+    index = SPECS[kind].index
+    res = run(SweepConfig(kind=kind, parameters=params))
+    return {tuple(r[k] for k in index): r for r in res.records}
 
 
 # ----------------------------------------------------------------------------
@@ -312,49 +323,55 @@ def test_canonical_height_domain(c37, p37):
 # gcds of denominators
 # ----------------------------------------------------------------------------
 
-def test_gcd_D_and_hgcd_e2(c37, p37):
-    p8 = scalar_mul(c37, 8, p37)     # D = 5
-    p10 = scalar_mul(c37, 10, p37)   # D = 4
-    p16 = scalar_mul(c37, 16, p37)   # D = 65
-    assert gcd_D(p8, p16) == 5
-    assert gcd_D(p8, p10) == 1
-    assert hgcd_e2(p8, p16).exact_arg == 5
+def test_gcd_D_and_hgcd_e2():
+    # D_8 = 5, D_10 = 4, D_16 = 65 on 37a1
+    rows = _rows(SweepKind.EDS_GCD, curve=CURVE_37A1, p=POINT_37A1,
+                 m_max=8, n_max=16, eps=0.5)
+    r = rows[8, 16]
+    assert (r["d_m"], r["d_n"], r["gcd"], r["lhs"]) == (5, 65, 5, log(5))
+    r = rows[8, 10]
+    assert (r["d_m"], r["d_n"], r["gcd"], r["lhs"]) == (5, 4, 1, 0.0)
+
+
+def _local_sum_gcd(p: Point, q: Point) -> int:
+    """gcd(D_P, D_Q) through the finite valuations of 1/x.
+
+    (1/2) * sum over finite v of min(v+(1/x_P), v+(1/x_Q)) is half the log
+    of the gcd of the numerators of 1/x_P and 1/x_Q, and that gcd is
+    gcd(D_P^2, D_Q^2) = gcd(D_P, D_Q)^2.  x = 0 contributes nothing.
+    """
+    nums = [1 if pt.x == 0 else abs(F(pt.x.denominator, pt.x.numerator).numerator)
+            for pt in (p, q)]
+    g2 = gcd(*nums)
+    w = isqrt(g2)
+    assert w * w == g2
+    return w
 
 
 def test_local_sum_route_agrees_with_direct_gcd(c37, p37, cm2, pm2):
-    pts = [scalar_mul(c37, n, p37) for n in range(1, 13)]
-    for a in pts:
-        for b in pts:
-            fin, _arch = hgcd_e2_local_sum(a, b)
-            assert fin.exact_arg == gcd_D(a, b)
-
-
-def test_local_sum_archimedean_term(cm2, pm2):
-    p2 = scalar_mul(cm2, 2, pm2)     # x = 129/100 > 1
-    fin, arch = hgcd_e2_local_sum(p2, p2)
-    assert fin.exact_arg == 10
-    assert isclose(arch, 0.5 * log(F(129, 100)), rel_tol=1e-12)
-    # |x| = 3 for the base point, so the min picks the smaller term
-    _, arch2 = hgcd_e2_local_sum(pm2, p2)
-    assert isclose(arch2, 0.5 * log(F(129, 100)), rel_tol=1e-12)
-
-
-def test_local_sum_zero_x_is_trivial(c37, p37):
-    fin, arch = hgcd_e2_local_sum(p37, p37)
-    assert fin.exact_arg == 1 and arch == 0.0
+    for c, p, curve, point in ((c37, p37, CURVE_37A1, POINT_37A1),
+                               (cm2, pm2, CURVE_M2, POINT_M2)):
+        rows = _rows(SweepKind.EDS_GCD, curve=curve, p=point,
+                     m_max=12, n_max=12, eps=0.5)
+        assert len(rows) == 144
+        pts = [scalar_mul(c, n, p) for n in range(1, 13)]
+        for (m, n), r in rows.items():
+            assert r["gcd"] == _local_sum_gcd(pts[m - 1], pts[n - 1])
 
 
 # ----------------------------------------------------------------------------
 # ratio trend and predicted index directions
 # ----------------------------------------------------------------------------
 
-def test_siegel_ratio_values(c37, p37):
-    assert siegel_ratio(c37, p37, 6) == 0.0          # D_6 = 1
-    r10 = siegel_ratio(c37, p37, 10)                 # x(10P) = A/16, |A| > 16
+def test_siegel_ratio_values():
+    rows = _rows(SweepKind.SIEGEL, curve=CURVE_37A1, point=POINT_37A1,
+                 n_min=6, n_max=11)
+    assert rows[6,]["ratio"] == 0.0                  # D_6 = 1
+    r10 = rows[10,]["ratio"]                         # x(10P) = A/16, |A| > 16
     assert isclose(r10, 0.545634341039, rel_tol=1e-9)
-    assert siegel_ratio(c37, p37, 11) == 1.0         # |A| <= D^2 exactly
+    assert rows[11,]["ratio"] == 1.0                 # |A| <= D^2 exactly
     with pytest.raises(ValueError, match="finite order"):
-        siegel_ratio(TORSION_CURVE, TORSION_P6, 6)
+        _rows(SweepKind.SIEGEL, curve=[0, 0, 0, 0, 1], point=[2, 3], n_max=6)
 
 
 def test_exceptional_subgroups_thresholds():

@@ -152,6 +152,10 @@ def test_vojta_params_validation():
         VojtaParams(epsilon=float("nan"))
     with pytest.raises(ValueError, match="delta"):
         VojtaParams(epsilon=0.5, delta=0.0)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        VojtaParams(epsilon=0.5, delta=float("nan"))
+    with pytest.raises(ValueError, match="C must not be NaN"):
+        VojtaParams(epsilon=0.5, C=float("nan"))
     with pytest.raises(ValueError, match="r must"):
         VojtaParams(epsilon=0.5, r=1)
     with pytest.raises(ValueError, match="< r - 1"):

@@ -1,4 +1,4 @@
-"""Multiplicative-group division sequences and the gcd scans over them.
+"""Gcds on the multiplicative group, the S-unit trichotomy, and their scans.
 
 The BCZ and AR_RETURNS scans run as sweeps, so their tests go through run().
 """
@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from fractions import Fraction as F
 from math import ceil, gcd, log
 
 import pytest
@@ -16,20 +15,16 @@ from gcdheights import (
     EXCEPTIONAL,
     INEQUALITY_HOLDS,
     POWER_RELATION,
-    MulPoint,
     PrimeSet,
     SweepConfig,
     SweepKind,
     cz_classify,
     divisibility_check,
     gcd_pair,
-    mul_seq,
-    power,
     run,
     s_unit_enumerate,
 )
 from gcdheights.arith import EPS_SLACK
-from gcdheights.mulgrp import mul_D
 
 # Frozen from the first verified run of this suite.
 BCZ_VIOLATIONS_EPS05_N300 = (4, 12, 36)
@@ -40,45 +35,18 @@ CZ_S23_B1E4_COUNTS = {POWER_RELATION: 536, INEQUALITY_HOLDS: 15922, EXCEPTIONAL:
 
 
 # ----------------------------------------------------------------------------
-# points and division values
+# divisibility sequences
 # ----------------------------------------------------------------------------
 
-def test_mulpoint_normalizes():
-    p = MulPoint(4, -2)
-    assert (p.a, p.b) == (-2, 1)
-    assert MulPoint(6, 4).ratio() == F(3, 2)
-
-
-def test_mulpoint_rejects_degenerate():
-    with pytest.raises(ValueError):
-        MulPoint(0, 5)
-    with pytest.raises(ValueError):
-        MulPoint(3, 3)          # +1 is a unit
-    with pytest.raises(ValueError):
-        MulPoint(-3, 3)         # -1 is a unit
-    with pytest.raises(ValueError):
-        MulPoint(1, 0)
-
-
-def test_mul_seq_oracle():
-    # |3^n - 2^n| for n = 1..3: 1, 5, 19
-    assert mul_seq(MulPoint(3, 2), 3).terms == (1, 5, 19)
-
-
-def test_mul_seq_agrees_with_power_route():
-    p = MulPoint(5, 3)
-    seq = mul_seq(p, 8)
-    for n in range(1, 9):
-        assert mul_D(power(p, n)) == seq.terms[n - 1]
-
-
 def test_mul_seq_is_strong_divisibility_sequence():
-    # gcd(t_m, t_n) == t_gcd(m,n), the defining identity of these sequences
+    # gcd(t_m, t_n) == t_gcd(m,n) for t_n = gcd(a^n - 1, b^n - 1), the
+    # defining identity of strong divisibility sequences
     for a, b in ((3, 2), (5, 2), (7, 4), (10, 3)):
-        t = mul_seq(MulPoint(a, b), 12).terms
+        t = [gcd_pair(a, b, n) for n in range(1, 13)]
         for m in range(1, 13):
             for n in range(1, 13):
                 assert gcd(t[m - 1], t[n - 1]) == t[gcd(m, n) - 1]
+        assert divisibility_check(t).ok
 
 
 def test_divisibility_check_reports_earliest_failure():
