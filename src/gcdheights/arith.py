@@ -230,12 +230,66 @@ def prime_to_S_part(x: int, S: PrimeSet) -> int:
 # ----------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Deterministic for n < 3.3e24 (Sorenson-Webster); for larger n the same
-# bases give a strong probable-prime test, ample at desk scale.
+# The bases alone decide primality below psi_12 = 318665857834031151167461,
+# the least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+_MR_PROOF_BOUND = 318665857834031151167461
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    j = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                j = -j
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            j = -j
+        a %= n
+    return j if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test, Selfridge's parameters, odd n > 2."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # |D| shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4  # and P = 1
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:  # x / 2 mod n, for 0 <= x < n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k, Q^k mod n by the binary ladder over the bits of d
+    U, V, Qk = 1, 1, Q
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half((U + V) % n), half((D * U + V) % n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin over the fixed base set above."""
+    """Baillie-PSW: Miller-Rabin over the fixed bases, then a strong Lucas test.
+
+    Exact below ``_MR_PROOF_BOUND``; above it no BPSW pseudoprime is known.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -258,7 +312,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PROOF_BOUND or _strong_lucas(n)
 
 
 def _brent_rho(n: int, budget: list[int], c: int) -> int | None:

@@ -20,13 +20,13 @@ import csv
 import io
 import json
 import random
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, product
-from math import gcd, isnan, log, prod
+from math import gcd, inf, isinf, isnan, log, prod
 from statistics import median
 
 from .arith import EPS_SLACK, PrimeSet, mult_independent
@@ -137,14 +137,22 @@ def _as_int_list(v, what: str) -> list[int]:
     return [int(x) for x in v]
 
 
-def _eps_C(params: dict, kind: SweepKind) -> tuple[float, float]:
-    """The bound's required ``eps`` and optional constant ``C`` (default 0)."""
+def _eps_of(params: dict, kind: SweepKind) -> float:
+    """The required ``eps``: positive and finite (NaN fails the comparison)."""
     eps = float(_need(params, "eps", kind))
+    if not 0 < eps < inf:
+        raise ValueError("eps must be positive and finite")
+    return eps
+
+
+def _eps_C(params: dict, kind: SweepKind) -> tuple[float, float]:
+    """The bound's required ``eps`` and optional finite constant ``C`` (default 0)."""
+    eps = _eps_of(params, kind)
     C = float(params.get("C", 0.0))
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     if isnan(C):
         raise ValueError("C must not be NaN")
+    if isinf(C):
+        raise ValueError("C must be finite")
     return eps, C
 
 
@@ -185,9 +193,7 @@ def _row_bcz(ctx: tuple, n: int) -> dict:
 def _prepare_cz(params: dict, seed: int) -> tuple[tuple, tuple]:
     primes = _as_int_list(_need(params, "primes", SweepKind.CZ_TRICHOTOMY), "primes")
     bound = int(_need(params, "bound", SweepKind.CZ_TRICHOTOMY))
-    eps = float(_need(params, "eps", SweepKind.CZ_TRICHOTOMY))
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    eps = _eps_of(params, SweepKind.CZ_TRICHOTOMY)
     S = PrimeSet(tuple(primes))
     units = s_unit_enumerate(S, bound)
     return (S, eps), (units, units)
@@ -249,6 +255,37 @@ def _row_eds_gcd(ctx: tuple, m: int, n: int) -> dict:
     }
 
 
+# A sampled box larger than this many times the sample is drawn from, not
+# enumerated: below it a full pass is cheap and distinct draws would start to
+# repeat.
+_PN_ENUMERATE_RATIO = 4
+
+
+def _box_point(bound: int, nvars: int, i: int) -> tuple[int, ...]:
+    """Point ``i`` of the PN box in lexicographic order.
+
+    The box is ``[1, bound] x (nonzero in [-bound, bound])^(nvars-1)``: a
+    positive first coordinate fixes the projective sign, and zero coordinates
+    are outside the counting function's domain.  Mixed radix, first
+    coordinate most significant.
+    """
+    tail = []
+    for _ in range(nvars - 1):
+        i, d = divmod(i, 2 * bound)
+        tail.append(d - bound + (d >= bound))
+    return (i + 1, *reversed(tail))
+
+
+def _distinct_draws(rng: random.Random, size: int) -> Iterator[int]:
+    """Distinct indices in ``range(size)`` in random order, until none are left."""
+    seen: set[int] = set()
+    while len(seen) < size:
+        i = rng.randrange(size)
+        if i not in seen:
+            seen.add(i)
+            yield i
+
+
 def _prepare_pn(params: dict, seed: int) -> tuple[tuple, tuple]:
     texts = _need(params, "polys", SweepKind.PN_CHECK)
     if not isinstance(texts, (list, tuple)) or not texts:
@@ -266,32 +303,24 @@ def _prepare_pn(params: dict, seed: int) -> tuple[tuple, tuple]:
     vp = VojtaParams(epsilon=eps, delta=delta, C=C, r=r)
     S = PrimeSet(tuple(primes))
     sample = params.get("sample")
+    if sample is not None and (type(sample) is not int or sample < 1):
+        raise ValueError("sample must be a positive integer")
 
-    nonzero = [v for v in range(-bound, bound + 1) if v != 0]
-    pts = []
-    # first coordinate positive fixes the projective sign; zero coordinates
-    # are outside the counting function's domain, so the grid omits them
-    for first in range(1, bound + 1):
-        stack = [(first,)]
-        while stack:
-            tup = stack.pop()
-            if len(tup) == nvars:
-                g = 0
-                for t in tup:
-                    g = gcd(g, t)
-                if g != 1:
-                    continue
-                if all(f(tup) == 0 for f in system.polys):
-                    continue  # on V: outside the checker's domain
-                pts.append(tup)
-                continue
-            for v in reversed(nonzero):
-                stack.append(tup + (v,))
-    pts.sort()
-    if sample is not None and len(pts) > int(sample):
-        rng = random.Random(int(seed))
-        pts = sorted(rng.sample(pts, int(sample)))
-    return (system, S, vp), ([":".join(str(t) for t in tup) for tup in pts],)
+    # Points of the box (see _box_point) with gcd 1 and off V.  A box much
+    # larger than the sample is visited at distinct random indices until the
+    # sample is full, so the cost follows the sample, not the box; otherwise
+    # the whole box is filtered and the seed picks the sample from it.
+    size = max(bound, 0) * (2 * bound) ** (nvars - 1)  # empty below bound 1
+    rng = random.Random(int(seed))
+    drawn = sample is not None and size > _PN_ENUMERATE_RATIO * sample
+    box = (_box_point(bound, nvars, i)
+           for i in (_distinct_draws(rng, size) if drawn else range(size)))
+    ok = (t for t in box
+          if gcd(*t) == 1 and not all(f(t) == 0 for f in system.polys))
+    pts = list(islice(ok, sample if drawn else None))
+    if sample is not None and len(pts) > sample:
+        pts = rng.sample(pts, sample)
+    return (system, S, vp), ([":".join(map(str, t)) for t in sorted(pts)],)
 
 
 def _row_pn(ctx: tuple, point: str) -> dict:
@@ -310,14 +339,12 @@ def _prepare_mixed(params: dict, seed: int) -> tuple[tuple, tuple]:
     c = _curve_of(params)
     p = _point_of(c, _need(params, "point", SweepKind.MIXED_CHECK))
     primes = _as_int_list(_need(params, "primes", SweepKind.MIXED_CHECK), "primes")
-    eps = float(_need(params, "eps", SweepKind.MIXED_CHECK))
+    eps = _eps_of(params, SweepKind.MIXED_CHECK)
     C = float(params.get("C", 1.0))
     n_max = int(_need(params, "n_max", SweepKind.MIXED_CHECK))
     b_bound = int(params.get("b_bound", 100))
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not C > 0:
-        raise ValueError("C must be positive (it multiplies the bound)")
+    if not 0 < C < inf:
+        raise ValueError("C must be positive and finite (it multiplies the bound)")
     S = PrimeSet(tuple(primes))
     units = s_unit_enumerate(S, b_bound)
     dq = [d for _, d in multiples(c, p, n_max)]

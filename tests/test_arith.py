@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import gcd, isclose, log
+from math import gcd, isclose, isqrt, log
 
 import pytest
 
@@ -23,11 +23,14 @@ from gcdheights import (
     v_plus,
     weil_height,
 )
-from gcdheights.arith import _least_power_relation
+from gcdheights.arith import _least_power_relation, _strong_lucas
 
 # Two Mersenne primes whose product no tiny budget can split.
 M61 = 2**61 - 1
 M89 = 2**89 - 1
+# The least strong pseudoprimes to the first 12 and 13 prime bases.
+PSI12 = 318665857834031151167461                # 399165290221 * 798330580441
+PSI13 = 3317044064679887385961981               # 1287836182261 * 2575672364521
 
 
 # ----------------------------------------------------------------------------
@@ -198,10 +201,35 @@ def test_prime_to_S_part():
 @pytest.mark.parametrize("n,expect", [
     (0, False), (1, False), (2, True), (3, True), (4, False),
     (37, True), (389, True), (561, False),      # 561: Carmichael number
-    (M61, True), (M61 + 2, False),
+    (M61, True), (M61 + 2, False), (M89, True),
+    (PSI12, False), (PSI13, False),             # strong pseudoprimes to all 12 bases
 ])
 def test_is_prime_table(n, expect):
     assert is_prime(n) is expect
+
+
+def test_is_prime_agrees_with_trial_division():
+    sieve = [True] * 10**5
+    sieve[0] = sieve[1] = False
+    for p in range(2, 317):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, 10**5, p))
+    assert [n for n in range(10**5) if is_prime(n) != sieve[n]] == []
+
+
+def test_strong_lucas_pseudoprimes_are_the_known_ones():
+    # below 20000 the strong Lucas test (Selfridge parameters) is fooled by
+    # exactly these composites (OEIS A217255); it passes every odd prime
+    def trial(n):
+        return all(n % d for d in range(3, isqrt(n) + 1, 2))
+    wrong = [n for n in range(3, 20000, 2) if _strong_lucas(n) != trial(n)]
+    assert wrong == [5459, 5777, 10877, 16109, 18971]
+
+
+def test_factor_splits_a_strong_pseudoprime():
+    f = factor(PSI13)
+    assert f.complete and f.cofactor == 1
+    assert f.as_dict() == {1287836182261: 1, 2575672364521: 1}
 
 
 def test_factor_smooth_number():

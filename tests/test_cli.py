@@ -101,9 +101,36 @@ def test_nan_C_or_delta_is_computation_error(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["edsgcd", "--curve", C37, "--point", "0,0", "--nmax", "3", "--eps", "inf"],
+     "eps must be positive and finite"),
+    (["gcdpow", "--a", "2", "--b", "3", "--nmax", "3", "--eps", "inf"],
+     "eps must be positive and finite"),
+    (["gcdpow", "--a", "2", "--b", "3", "--nmax", "3", "--C", "inf"],
+     "C must be finite"),
+    (["trichotomy", "--primes", "2,3", "--nmax", "20", "--eps", "inf"],
+     "eps must be positive and finite"),
+    (["mixed", "--curve", C37, "--point", "0,0", "--primes", "2,3", "--nmax", "3",
+      "--eps", "0.3", "--C", "inf"],
+     "C must be positive and finite (it multiplies the bound)"),
+    (["pncheck", "--primes", "2", "--nmax", "4", "--eps", "0.5", "--sample", "-1"],
+     "sample must be a positive integer"),
+    (["pncheck", "--primes", "2", "--nmax", "4", "--eps", "0.5", "--sample", "0"],
+     "sample must be a positive integer"),
+], ids=["edsgcd-eps", "gcdpow-eps", "gcdpow-C", "trichotomy-eps", "mixed-C",
+        "pncheck-sample-neg", "pncheck-sample-0"])
+def test_infinite_bound_or_bad_sample_is_one_computation_error(argv, message, capsys):
+    # rejected up front, before any cell: CSV would otherwise print inf/nan rows
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.filterwarnings("ignore:possibly torsion")
 @pytest.mark.parametrize("argv", [
-    ["gcdpow", "--a", "2", "--b", "3", "--nmax", "2", "--eps", "inf",
+    # a finite eps whose bound overflows to inf at n = 2
+    ["gcdpow", "--a", "2", "--b", "3", "--nmax", "2", "--eps", "1.7e308",
      "--format", "json"],
     ["vojta-check", "--lhs", "nan", "--ha", "1", "--eps", "0.5"],
     ["heights", "--curve", C37, "--point", "0,0", "--tol", "inf"],

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from gcdheights import (
     summarize,
 )
 from gcdheights.arith import PrimeSet
+from gcdheights.gcd_height import PolySystem
 from gcdheights import experiments
 
 # Frozen from the first verified run of this suite.
@@ -110,6 +112,90 @@ def test_pn_sampling_is_seed_deterministic():
     r2 = run(SweepConfig(kind=SweepKind.PN_CHECK, parameters=base, seed=5))
     assert [r["point"] for r in r1.records] == [r["point"] for r in r2.records]
     assert len(r1.records) == 40
+
+
+# ----------------------------------------------------------------------------
+# PN box sampling, against the depth-first enumeration it replaced
+# ----------------------------------------------------------------------------
+
+def _pn_grid_oracle(texts: list[str], bound: int) -> list[str]:
+    """Every box point with gcd 1 off V, built depth first and then sorted."""
+    system = PolySystem.of(*texts)
+    nvars = max(f.max_var() for f in system.polys) + 1
+    nonzero = [v for v in range(-bound, bound + 1) if v != 0]
+    pts = []
+    for first in range(1, bound + 1):
+        stack = [(first,)]
+        while stack:
+            tup = stack.pop()
+            if len(tup) < nvars:
+                stack.extend(tup + (v,) for v in reversed(nonzero))
+            elif math.gcd(*tup) == 1 and not all(f(tup) == 0 for f in system.polys):
+                pts.append(tup)
+    return [":".join(map(str, t)) for t in sorted(pts)]
+
+
+def _pn_points(texts, bound, sample=None, seed=0) -> list[str]:
+    params = {"polys": texts, "primes": [2, 3], "bound": bound, "eps": 0.4,
+              "codim_r": max(2, len(texts)), "sample": sample}
+    return [r["point"] for r in run(SweepConfig(kind=SweepKind.PN_CHECK,
+                                                parameters=params, seed=seed)).records]
+
+
+PN_SYSTEMS = [
+    (["X1-X0", "X1+X0"], 9),
+    (["X1-X0", "X2-X0"], 6),
+    (["X1-X0", "X2-X0", "X3-X0"], 3),
+    (["X1^2-X0^2", "X2-X0"], 5),
+]
+
+
+@pytest.mark.parametrize("texts, bound", PN_SYSTEMS)
+def test_pn_unsampled_rows_are_the_oracle_grid(texts, bound):
+    assert _pn_points(texts, bound) == _pn_grid_oracle(texts, bound)
+
+
+@pytest.mark.parametrize("ratio", [0, 10**9], ids=["drawn", "enumerated"])
+@pytest.mark.parametrize("texts, bound", PN_SYSTEMS)
+def test_pn_sampled_points_are_valid_distinct_and_sorted(texts, bound, ratio,
+                                                         monkeypatch):
+    monkeypatch.setattr(experiments, "_PN_ENUMERATE_RATIO", ratio)
+    system = PolySystem.of(*texts)
+    got = _pn_points(texts, bound, sample=12, seed=3)
+    pts = [tuple(int(t) for t in p.split(":")) for p in got]
+    assert len(pts) == 12
+    assert pts == sorted(set(pts))
+    for x in pts:
+        assert x[0] > 0 and all(0 < abs(t) <= bound for t in x)
+        assert math.gcd(*x) == 1
+        assert not all(f(x) == 0 for f in system.polys)
+    # a sample covering every valid point returns the unsampled rows
+    everything = _pn_grid_oracle(texts, bound)
+    for sample in (len(everything), len(everything) + 5):
+        assert _pn_points(texts, bound, sample=sample, seed=3) == everything
+
+
+def test_pn_seeds_pick_different_points():
+    one, two = (_pn_points(["X1-X0", "X2-X0"], 28, sample=50, seed=s) for s in (1, 2))
+    assert len(one) == len(two) == 50 and set(one) != set(two)
+
+
+def test_pn_sample_cost_follows_the_sample_not_the_box():
+    # 30 * 60^3 = 6.48M box points, of which 50 are kept
+    params = {"polys": ["X1-X0", "X2-X0", "X3-X0"], "primes": [2, 3],
+              "bound": 30, "eps": 0.4, "codim_r": 3, "sample": 50}
+    t0 = time.perf_counter()
+    _, (points,) = experiments.SPECS[SweepKind.PN_CHECK].prepare(params, 7)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(points) == 50
+
+
+@pytest.mark.parametrize("sample", [0, -1, 2.5, "10", True])
+def test_pn_sample_must_be_a_positive_integer(sample):
+    params = {"polys": ["X1-X0", "X2-X0"], "primes": [2], "bound": 3,
+              "eps": 0.4, "sample": sample}
+    with pytest.raises(ValueError, match="sample must be a positive integer"):
+        experiments.SPECS[SweepKind.PN_CHECK].prepare(params, 0)
 
 
 # ----------------------------------------------------------------------------
