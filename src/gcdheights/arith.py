@@ -230,10 +230,6 @@ def prime_to_S_part(x: int, S: PrimeSet) -> int:
 # ----------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# The bases alone decide primality below psi_12 = 318665857834031151167461,
-# the least strong pseudoprime to all of them (Sorenson and Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
-_MR_PROOF_BOUND = 318665857834031151167461
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -288,7 +284,7 @@ def _strong_lucas(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Baillie-PSW: Miller-Rabin over the fixed bases, then a strong Lucas test.
 
-    Exact below ``_MR_PROOF_BOUND``; above it no BPSW pseudoprime is known.
+    No composite is known to pass both.
     """
     if n < 2:
         return False
@@ -312,7 +308,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_PROOF_BOUND or _strong_lucas(n)
+    return _strong_lucas(n)
 
 
 def _brent_rho(n: int, budget: list[int], c: int) -> int | None:

@@ -255,12 +255,6 @@ def _row_eds_gcd(ctx: tuple, m: int, n: int) -> dict:
     }
 
 
-# A sampled box larger than this many times the sample is drawn from, not
-# enumerated: below it a full pass is cheap and distinct draws would start to
-# repeat.
-_PN_ENUMERATE_RATIO = 4
-
-
 def _box_point(bound: int, nvars: int, i: int) -> tuple[int, ...]:
     """Point ``i`` of the PN box in lexicographic order.
 
@@ -277,13 +271,16 @@ def _box_point(bound: int, nvars: int, i: int) -> tuple[int, ...]:
 
 
 def _distinct_draws(rng: random.Random, size: int) -> Iterator[int]:
-    """Distinct indices in ``range(size)`` in random order, until none are left."""
-    seen: set[int] = set()
-    while len(seen) < size:
-        i = rng.randrange(size)
-        if i not in seen:
-            seen.add(i)
-            yield i
+    """Indices of ``range(size)`` in random order, each once.
+
+    A lazy Fisher-Yates shuffle: ``swaps`` holds only the entries moved so
+    far, so each draw is O(1) and no index is drawn twice.
+    """
+    swaps: dict[int, int] = {}
+    for k in range(size):
+        j = rng.randrange(k, size)
+        yield swaps.get(j, j)
+        swaps[j] = swaps.get(k, k)
 
 
 def _prepare_pn(params: dict, seed: int) -> tuple[tuple, tuple]:
@@ -306,20 +303,17 @@ def _prepare_pn(params: dict, seed: int) -> tuple[tuple, tuple]:
     if sample is not None and (type(sample) is not int or sample < 1):
         raise ValueError("sample must be a positive integer")
 
-    # Points of the box (see _box_point) with gcd 1 and off V.  A box much
-    # larger than the sample is visited at distinct random indices until the
-    # sample is full, so the cost follows the sample, not the box; otherwise
-    # the whole box is filtered and the seed picks the sample from it.
+    # Points of the box (see _box_point) with gcd 1 and off V.  A sampled run
+    # visits the box in the seed's shuffled order until the sample is full,
+    # so its cost follows the sample, not the box; otherwise every point in
+    # index order.
     size = max(bound, 0) * (2 * bound) ** (nvars - 1)  # empty below bound 1
-    rng = random.Random(int(seed))
-    drawn = sample is not None and size > _PN_ENUMERATE_RATIO * sample
-    box = (_box_point(bound, nvars, i)
-           for i in (_distinct_draws(rng, size) if drawn else range(size)))
+    order = (range(size) if sample is None
+             else _distinct_draws(random.Random(int(seed)), size))
+    box = (_box_point(bound, nvars, i) for i in order)
     ok = (t for t in box
           if gcd(*t) == 1 and not all(f(t) == 0 for f in system.polys))
-    pts = list(islice(ok, sample if drawn else None))
-    if sample is not None and len(pts) > sample:
-        pts = rng.sample(pts, sample)
+    pts = list(islice(ok, sample))
     return (system, S, vp), ([":".join(map(str, t)) for t in sorted(pts)],)
 
 

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import random
 import time
 
 import pytest
@@ -155,11 +156,8 @@ def test_pn_unsampled_rows_are_the_oracle_grid(texts, bound):
     assert _pn_points(texts, bound) == _pn_grid_oracle(texts, bound)
 
 
-@pytest.mark.parametrize("ratio", [0, 10**9], ids=["drawn", "enumerated"])
 @pytest.mark.parametrize("texts, bound", PN_SYSTEMS)
-def test_pn_sampled_points_are_valid_distinct_and_sorted(texts, bound, ratio,
-                                                         monkeypatch):
-    monkeypatch.setattr(experiments, "_PN_ENUMERATE_RATIO", ratio)
+def test_pn_sampled_points_are_valid_distinct_and_sorted(texts, bound):
     system = PolySystem.of(*texts)
     got = _pn_points(texts, bound, sample=12, seed=3)
     pts = [tuple(int(t) for t in p.split(":")) for p in got]
@@ -173,6 +171,12 @@ def test_pn_sampled_points_are_valid_distinct_and_sorted(texts, bound, ratio,
     everything = _pn_grid_oracle(texts, bound)
     for sample in (len(everything), len(everything) + 5):
         assert _pn_points(texts, bound, sample=sample, seed=3) == everything
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 500])
+def test_distinct_draws_is_a_permutation(size):
+    got = list(experiments._distinct_draws(random.Random(4), size))
+    assert sorted(got) == list(range(size))
 
 
 def test_pn_seeds_pick_different_points():
