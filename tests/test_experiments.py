@@ -220,6 +220,28 @@ def test_bcz_summary_frozen():
     assert math.isclose(s["fitted_constant"], BCZ300_FITTED, rel_tol=1e-12)
 
 
+BOUND_GOLDENS = [
+    ("edsgcd_37a1_eps02_n12.csv", SweepKind.EDS_GCD,
+     {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": 12, "n_max": 12, "eps": 0.2}),
+    ("mixed_m2_p35_eps04_n6.csv", SweepKind.MIXED_CHECK,
+     {"curve": [0, 0, 0, 0, -2], "point": [3, 5], "primes": [2, 3], "eps": 0.4,
+      "n_max": 6, "b_bound": 50}),
+    ("pn_diag_s23_b6_eps05.csv", SweepKind.PN_CHECK,
+     {"polys": ["X1-X0", "X2-X0"], "primes": [2, 3], "bound": 6, "eps": 0.5}),
+    # JSON prints every key of a row, so it also pins the row schema
+    ("cz_s23_b12_eps025.json", SweepKind.CZ_TRICHOTOMY,
+     {"primes": [2, 3], "bound": 12, "eps": 0.25}),
+]
+
+
+@pytest.mark.parametrize("name, kind, params", BOUND_GOLDENS,
+                         ids=[g[0] for g in BOUND_GOLDENS])
+def test_bound_kind_goldens(data_dir, name, kind, params):
+    res = run(SweepConfig(kind=kind, parameters=params))
+    got = render_json(res, version="0.0.0") if name.endswith(".json") else render_csv(res)
+    assert got == (data_dir / name).read_text()
+
+
 def test_siegel_golden_csv(data_dir):
     cfg = SweepConfig(kind=SweepKind.SIEGEL,
                       parameters={"curve": [0, 0, 1, -1, 0], "point": [0, 0],
