@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .arith import EPS_SLACK, PrimeSet, hgcd, prime_to_S_part, weil_height
+from .arith import PrimeSet, hgcd, prime_to_S_part, weil_height
 from .elliptic import canonical_height, naive_height
 from .elliptic import eds as _eds_op
 from .experiments import (
@@ -31,7 +31,7 @@ from .experiments import (
     render_json,
     run,
 )
-from .gcd_height import VojtaParams, vojta_rhs
+from .gcd_height import VojtaParams, vojta_bound
 from .mulgrp import divisibility_check
 
 __all__ = ["main"]
@@ -260,8 +260,12 @@ def _load_config_file(path: str, kind: str | None = None) -> tuple[str, dict, in
             raise _Usage(f"config file {path} has no 'kind'")
     elif kind is not None and doc["kind"] != kind:
         raise _Usage(f"config file {path} is a {doc['kind']} config, not {kind}")
-    params = dict(doc.get("parameters", {}))
-    return doc.get("kind", kind), params, int(doc.get("seed", 0))
+    params, seed = doc.get("parameters", {}), doc.get("seed", 0)
+    if not isinstance(params, dict):
+        raise _Usage(f"config file {path} has 'parameters' that are not a JSON object")
+    if type(seed) is not int:
+        raise _Usage(f"config file {path} has a 'seed' that is not an integer")
+    return doc.get("kind", kind), dict(params), seed
 
 
 def _effective(args) -> tuple[dict, int]:
@@ -371,18 +375,15 @@ def _cmd_heights(args) -> str:
 
 def _cmd_vojta_check(args) -> str:
     p = VojtaParams(epsilon=args.eps, delta=args.delta, C=args.C, r=args.r)
-    rhs = vojta_rhs(args.ha, args.hcount, p)
-    holds = args.lhs <= rhs + EPS_SLACK
+    bound = vojta_bound(args.lhs, args.ha, p.epsilon, p.C, args.hcount, p.weight)
     doc = {
         "version": __version__,
         "lhs": float(format_real(args.lhs)),
-        "rhs": float(format_real(rhs)),
-        "holds": holds,
+        "rhs": float(format_real(bound["rhs"])),
+        "holds": bound["holds"],
         "components": {
             "height_term": float(format_real(p.epsilon * args.ha)),
-            "counting_term": float(
-                format_real(args.hcount / (p.r - 1 + p.delta * p.epsilon))
-            ),
+            "counting_term": float(format_real(args.hcount / p.weight)),
             "constant": float(format_real(p.C)),
         },
         "params": {"epsilon": p.epsilon, "delta": p.delta, "C": p.C, "r": p.r},

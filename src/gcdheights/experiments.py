@@ -29,7 +29,7 @@ from itertools import islice, product
 from math import gcd, inf, isinf, isnan, log, prod
 from statistics import median
 
-from .arith import EPS_SLACK, PrimeSet, mult_independent
+from .arith import PrimeSet, mult_independent
 from .elliptic import (
     Curve,
     Point,
@@ -39,7 +39,7 @@ from .elliptic import (
     on_curve,
 )
 from .gcd_height import PnPoint, PolySystem, VojtaParams
-from .gcd_height import check_e2, check_mixed, check_pn
+from .gcd_height import check_e2, check_mixed, check_pn, vojta_bound
 from .mulgrp import (
     EXCEPTIONAL,
     INEQUALITY_HOLDS,
@@ -181,13 +181,7 @@ def _prepare_bcz(params: dict, seed: int) -> tuple[tuple, tuple]:
 def _row_bcz(ctx: tuple, n: int) -> dict:
     a, b, eps, C = ctx
     g = gcd_pair(a, b, n)
-    lhs = log(g)
-    hA = n * LN2
-    rhs = eps * hA + C
-    return {
-        "n": n, "gcd": g, "lhs": lhs, "hA": hA, "rhs": rhs,
-        "holds": lhs <= rhs + EPS_SLACK,
-    }
+    return {"n": n, "gcd": g, **vojta_bound(log(g), n * LN2, eps, C)}
 
 
 def _prepare_cz(params: dict, seed: int) -> tuple[tuple, tuple]:
@@ -202,12 +196,9 @@ def _prepare_cz(params: dict, seed: int) -> tuple[tuple, tuple]:
 def _row_cz(ctx: tuple, a: int, b: int) -> dict:
     S, eps = ctx
     v = cz_classify(a, b, S, eps)
-    g = v.gcd
-    lhs = log(g)
-    rhs = eps * log(max(abs(a), abs(b)))
     return {
         "alpha": a, "beta": b, "verdict": v.kind, "m": v.m, "n": v.n,
-        "gcd": g, "lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + EPS_SLACK,
+        "gcd": v.gcd, "lhs": v.lhs, "rhs": v.rhs, "holds": v.holds,
     }
 
 
@@ -245,13 +236,12 @@ def _prepare_eds_gcd(params: dict, seed: int) -> tuple[tuple, tuple]:
 
 def _row_eds_gcd(ctx: tuple, m: int, n: int) -> dict:
     mp, nq, predicted, eps, C = ctx
-    rec = check_e2(*mp[m - 1], *nq[n - 1], eps, C)
-    d = rec.descriptor
+    (d_m, h_m), (d_n, h_n) = mp[m - 1], nq[n - 1]
     g = gcd(m, n)
     return {
-        "m": m, "n": n, "d_m": d["d_p"], "d_n": d["d_q"],
-        "gcd": d["gcd_witness"], "lhs": rec.lhs, "hA": d["hA"], "rhs": rec.rhs,
-        "holds": rec.holds, "exceptional": (m // g, n // g) in predicted,
+        "m": m, "n": n, "d_m": d_m, "d_n": d_n,
+        **check_e2(d_m, d_n, h_m + h_n, eps, C),
+        "exceptional": (m // g, n // g) in predicted,
     }
 
 
@@ -320,13 +310,7 @@ def _prepare_pn(params: dict, seed: int) -> tuple[tuple, tuple]:
 def _row_pn(ctx: tuple, point: str) -> dict:
     system, S, vp = ctx
     coords = tuple(int(t) for t in point.split(":"))
-    rec = check_pn(PnPoint(coords), system, S, vp)
-    d = rec.descriptor
-    return {
-        "point": point,
-        "gcd": d["gcd_witness"], "lhs": rec.lhs, "hA": d["hA"],
-        "hcount": d["hcount"], "rhs": rec.rhs, "holds": rec.holds,
-    }
+    return {"point": point, **check_pn(PnPoint(coords), system, S, vp)}
 
 
 def _prepare_mixed(params: dict, seed: int) -> tuple[tuple, tuple]:
@@ -347,12 +331,7 @@ def _prepare_mixed(params: dict, seed: int) -> tuple[tuple, tuple]:
 
 def _row_mixed(ctx: tuple, n: int, b: int) -> dict:
     dq, S, eps, C = ctx
-    rec = check_mixed(dq[n - 1], b, S, eps, C)
-    d = rec.descriptor
-    return {
-        "n": n, "b": b, "d_q": d["d_q"], "gcd": d["gcd_witness"],
-        "lhs": rec.lhs, "hA": d["hA"], "rhs": rec.rhs, "holds": rec.holds,
-    }
+    return {"n": n, "b": b, "d_q": dq[n - 1], **check_mixed(dq[n - 1], b, S, eps, C)}
 
 
 def _prepare_siegel(params: dict, seed: int) -> tuple[tuple, tuple]:
@@ -392,14 +371,9 @@ def _prepare_abelian(params: dict, seed: int) -> tuple[tuple, tuple]:
 
 def _row_abelian(ctx: tuple, n: int) -> dict:
     dp, dq, eps, C = ctx
-    d_p, d_q = dp[n - 1], dq[n - 1]
-    g = gcd(d_p, d_q)
-    lhs = log(g)
-    hA = float(n ** 2)
-    rhs = eps * hA + C
     return {
-        "n": n, "d_p": d_p, "d_q": d_q, "gcd": g,
-        "lhs": lhs, "hA": hA, "rhs": rhs, "holds": lhs <= rhs + EPS_SLACK,
+        "n": n, "d_p": dp[n - 1], "d_q": dq[n - 1],
+        **check_e2(dp[n - 1], dq[n - 1], float(n ** 2), eps, C),
     }
 
 
@@ -481,7 +455,12 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     kind = config.kind
-    ctx, axes = SPECS[kind].prepare(config.parameters, config.seed)
+    try:
+        budget = int(config.parameters.get("error_budget", 0))
+        ctx, axes = SPECS[kind].prepare(config.parameters, config.seed)
+    except TypeError as exc:  # e.g. a null or a list where a number belongs
+        raise ValueError(f"{kind.value} config has a parameter of the wrong type: "
+                         f"{exc}") from None
     cells = range(prod(len(axis) for axis in axes))
     if jobs == 1 or len(cells) < 2:
         records = _eval_range(kind, ctx, axes, cells)
@@ -491,7 +470,6 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(kind, ctx, axes)) as pool:
             records = [r for rows in pool.map(_eval_chunk, chunks) for r in rows]
-    budget = int(config.parameters.get("error_budget", 0))
     errors = [r for r in records if r.get("error")]
     if len(errors) > budget:
         first = errors[0].get("error", "")

@@ -8,15 +8,16 @@ share one shape,
 
     eps * (ample height)  +  (counting term) / (r - 1 + delta*eps)  +  C,
 
-evaluated by ``vojta_rhs`` with every constant explicit: no asymptotic O(1)
-is ever hidden (they are all fixed to 0 unless the caller passes C).
+and ``vojta_bound`` is the one place that sums it and decides whether a gcd
+height stays under it.  Every constant is explicit: no asymptotic O(1) is
+ever hidden (they are all fixed to 0 unless the caller passes C).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, isnan, log
+from math import gcd, inf, isinf, isnan, log
 
 from .arith import EPS_SLACK, LogReal, PrimeSet, prime_to_S_part
 
@@ -25,13 +26,12 @@ __all__ = [
     "HomPoly",
     "PolySystem",
     "VojtaParams",
-    "BoundRecord",
     "parse_poly",
     "normalize_pn",
     "hgcd_pn_coordpoint",
     "hgcd_pn_subvariety",
     "counting_function_pn",
-    "vojta_rhs",
+    "vojta_bound",
     "check_pn",
     "check_e2",
     "check_mixed",
@@ -252,109 +252,74 @@ class VojtaParams:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < inf:
+            raise ValueError("delta must be positive and finite")
         if isnan(self.C):
             raise ValueError("C must not be NaN")
+        if isinf(self.C):
+            raise ValueError("C must be finite")
         if self.r < 2:
             raise ValueError("r must be an integer >= 2")
         if not self.epsilon < self.r - 1:
             raise ValueError("epsilon must be < r - 1")
 
-
-@dataclass
-class BoundRecord:
-    """One evaluated inequality instance with its exact ingredients."""
-
-    lhs: float
-    rhs: float
-    holds: bool
-    components: dict[str, float]
-    descriptor: dict
+    @property
+    def weight(self) -> float:
+        """The counting term's divisor r - 1 + delta*eps."""
+        return self.r - 1 + self.delta * self.epsilon
 
 
-def _record(lhs: float, components: dict[str, float], descriptor: dict) -> BoundRecord:
-    rhs = sum(components.values())
-    return BoundRecord(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs + EPS_SLACK,
-        components=components,
-        descriptor=descriptor,
-    )
+def vojta_bound(
+    lhs: float, hA: float, eps: float, C: float,
+    hcount: float = 0.0, weight: float = 1.0,
+) -> dict:
+    """The row fields lhs, hA, rhs, holds of lhs <= eps*hA + hcount/weight + C.
+
+    Every gcd inequality here is this one bound: the counting term is absent
+    (0) off P^n, and ``holds`` allows ``EPS_SLACK`` of log rounding.
+    """
+    rhs = eps * hA + hcount / weight + C
+    return {"lhs": lhs, "hA": hA, "rhs": rhs, "holds": lhs <= rhs + EPS_SLACK}
 
 
-def vojta_rhs(hA: float, hCount: float, p: VojtaParams) -> float:
-    """eps*hA + hCount/(r - 1 + delta*eps) + C."""
-    return p.epsilon * hA + hCount / (p.r - 1 + p.delta * p.epsilon) + p.C
-
-
-def check_pn(x: PnPoint, sys: PolySystem, S: PrimeSet, p: VojtaParams) -> BoundRecord:
+def check_pn(x: PnPoint, sys: PolySystem, S: PrimeSet, p: VojtaParams) -> dict:
     """Blowup gcd height of x against V versus the conjectural bound.
 
-    lhs is the exact subvariety gcd height; the ample height is
-    ln max|x_i| and the counting term is the prime-to-S coordinate product.
-    Smoothness and the stated codimension of V are assumptions recorded in
-    the descriptor, never verified here.
+    Returns the gcd witness, ``hcount`` and the ``vojta_bound`` fields: lhs
+    is the exact subvariety gcd height, the ample height is ln max|x_i| and
+    the counting term is the prime-to-S coordinate product.  Smoothness and
+    the stated codimension of V are assumptions, never verified here.
     """
     lhs = hgcd_pn_subvariety(x, sys)
     hA = log(max(abs(c) for c in x.coords))
-    hcount = counting_function_pn(x, S)
-    comps = {
-        "height_term": p.epsilon * hA,
-        "counting_term": hcount.value / (p.r - 1 + p.delta * p.epsilon),
-        "constant": p.C,
+    hcount = counting_function_pn(x, S).value
+    return {
+        "gcd": lhs.exact_arg, "hcount": hcount,
+        **vojta_bound(lhs.value, hA, p.epsilon, p.C, hcount, p.weight),
     }
-    desc = {
-        "point": list(x.coords),
-        "system": [str(f) for f in sys.polys],
-        "hA": hA,
-        "hcount": hcount.value,
-        "hcount_witness": hcount.exact_arg,
-        "gcd_witness": lhs.exact_arg,
-        "assumed_smooth": True,
-        "asserted_codim_r": sys.codim_r,
-        "params": {"epsilon": p.epsilon, "delta": p.delta, "C": p.C, "r": p.r},
-    }
-    return _record(lhs.value, comps, desc)
 
 
-def check_e2(
-    d_p: int, h_p: float, d_q: int, h_q: float, eps: float, C: float = 0.0
-) -> BoundRecord:
-    """ln gcd(D_P, D_Q) versus eps*(naive(P) + naive(Q)) + C.
+def check_e2(d_p: int, d_q: int, hA: float, eps: float, C: float = 0.0) -> dict:
+    """ln gcd(D_P, D_Q) versus eps*hA + C, as the gcd and ``vojta_bound`` fields.
 
-    Takes the denominators D and the naive heights (``elliptic.naive_height``
-    values) of the two points, so a sweep computes them once per point.
+    Takes the denominators D of the two points and the ample height hA of
+    the pair (the sum of their naive heights, say), so a sweep computes
+    them once per point.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     g = gcd(d_p, d_q)
-    comps = {
-        "height_term": eps * (h_p + h_q),
-        "counting_term": 0.0,
-        "constant": C,
-    }
-    desc = {
-        "d_p": d_p,
-        "d_q": d_q,
-        "gcd_witness": g,
-        "hA": h_p + h_q,
-        "hcount": 0.0,
-        "params": {"epsilon": eps, "C": C},
-    }
-    return _record(log(g), comps, desc)
+    return {"gcd": g, **vojta_bound(log(g), hA, eps, C)}
 
 
-def check_mixed(
-    d_q: int, b: int, S: PrimeSet, eps: float, C: float = 1.0
-) -> BoundRecord:
+def check_mixed(d_q: int, b: int, S: PrimeSet, eps: float, C: float = 1.0) -> dict:
     """ln gcd(D_Q, |b - 1|) versus ln C + eps*ln max(D_Q, |b|), given D_Q.
 
-    Here C sits on the multiplicative side of the inequality
-    gcd <= C * max^eps, so it enters the log-space rhs as ln C (unlike
-    check_e2, whose C is already additive in logs).  b must be an S-unit
-    with |b| >= 2; otherwise the counting term would not vanish.
+    Returns the gcd and the ``vojta_bound`` fields.  Here C sits on the
+    multiplicative side of the inequality gcd <= C * max^eps, so it enters
+    the log-space rhs as ln C (unlike check_e2, whose C is already additive
+    in logs).  b must be an S-unit with |b| >= 2; otherwise the counting
+    term would not vanish.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -365,18 +330,4 @@ def check_mixed(
     if prime_to_S_part(b, S) != 1:
         raise ValueError("b is not an S-unit")
     g = gcd(d_q, abs(b - 1))
-    hA = log(max(d_q, abs(b)))
-    comps = {
-        "height_term": eps * hA,
-        "counting_term": 0.0,
-        "constant": log(C),
-    }
-    desc = {
-        "d_q": d_q,
-        "b": b,
-        "gcd_witness": g,
-        "hA": hA,
-        "hcount": 0.0,
-        "params": {"epsilon": eps, "C": C},
-    }
-    return _record(log(g), comps, desc)
+    return {"gcd": g, **vojta_bound(log(g), log(max(d_q, abs(b))), eps, log(C))}

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, log
 
-from .arith import EPS_SLACK, PrimeSet, _least_power_relation
+from .arith import PrimeSet, _least_power_relation
+from .gcd_height import vojta_bound
 
 __all__ = [
     "CzVerdict",
@@ -41,13 +42,17 @@ EXCEPTIONAL = "EXCEPTIONAL"
 class CzVerdict:
     """One of POWER_RELATION (with exponents), INEQUALITY_HOLDS, EXCEPTIONAL.
 
-    ``gcd`` is the witness gcd(alpha - 1, beta - 1) of the classified pair.
+    ``gcd`` is the witness gcd(alpha - 1, beta - 1) of the classified pair,
+    and ``lhs``, ``rhs``, ``holds`` its ``vojta_bound`` fields.
     """
 
     kind: str
-    m: int | None = None
-    n: int | None = None
-    gcd: int | None = None
+    m: int | None
+    n: int | None
+    gcd: int
+    lhs: float
+    rhs: float
+    holds: bool
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,8 @@ def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
     max(m, n) <= ceil(1/eps); decided exactly from the exponent vectors over
     S and the signs, in O(|S|).  Otherwise INEQUALITY_HOLDS when
     gcd(alpha - 1, beta - 1) <= max(|alpha|, |beta|)^eps with 1e-9 log
-    slack, else EXCEPTIONAL.  The verdict carries that gcd in every case.
+    slack, else EXCEPTIONAL.  The verdict carries that gcd and bound in
+    every case.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -124,6 +130,8 @@ def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
         raise ValueError("inputs must have absolute value >= 2")
     rel = _least_power_relation(_s_exponents(alpha, S), _s_exponents(beta, S))
     g = gcd(abs(alpha - 1), abs(beta - 1))
+    b = vojta_bound(log(g), log(max(abs(alpha), abs(beta))), eps, 0.0)
+    witness = (g, b["lhs"], b["rhs"], b["holds"])
     if rel is not None:
         m, n = rel
         # every |alpha|^m = |beta|^n is a multiple of (m, n); the signs agree
@@ -133,10 +141,9 @@ def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
             m, n = 2 * m, 2 * n
         # max(m, n) <= ceil(1/eps), and no OverflowError when 1/eps is inf
         if max(m, n) - 1 < 1 / eps:
-            return CzVerdict(POWER_RELATION, m=m, n=n, gcd=g)
-    if log(g) <= eps * max(log(abs(alpha)), log(abs(beta))) + EPS_SLACK:
-        return CzVerdict(INEQUALITY_HOLDS, gcd=g)
-    return CzVerdict(EXCEPTIONAL, gcd=g)
+            return CzVerdict(POWER_RELATION, m, n, *witness)
+    kind = INEQUALITY_HOLDS if b["holds"] else EXCEPTIONAL
+    return CzVerdict(kind, None, None, *witness)
 
 
 def divisibility_check(terms: list[int] | tuple[int, ...]) -> DivisibilityReport:

@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import importlib.util
+import pathlib
 
 import gcdheights
 from gcdheights import PrimeSet
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 MODULES = ("arith", "elliptic", "gcd_height", "mulgrp", "experiments")
 
@@ -13,6 +17,7 @@ MODULES = ("arith", "elliptic", "gcd_height", "mulgrp", "experiments")
 DELETED = {
     "mulgrp": ("MulPoint", "MulDivSeq", "power", "mul_D", "mul_seq"),
     "elliptic": ("gcd_D", "hgcd_e2", "hgcd_e2_local_sum", "siegel_ratio"),
+    "gcd_height": ("BoundRecord", "vojta_rhs"),
 }
 
 
@@ -32,3 +37,14 @@ def test_public_names_are_declared_once():
             assert not hasattr(gcdheights, name)
             assert not hasattr(importlib.import_module(f"gcdheights.{mod}"), name)
     assert [f.name for f in dataclasses.fields(PrimeSet)] == ["primes"]
+
+
+def test_names_the_benchmark_traces_exist():
+    # the benchmark's tracer wraps these by name and fails on a missing one
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = tracer.SPANNED + tracer.COUNTED + tracer.CONSTRUCTED
+    assert wrapped
+    for module, name in wrapped:
+        assert callable(getattr(importlib.import_module(f"gcdheights.{module}"), name))

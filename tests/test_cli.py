@@ -87,11 +87,11 @@ def test_mixed_nonpositive_C_is_one_computation_error(C, capsys):
     (["pncheck", "--primes", "2", "--nmax", "2", "--eps", "0.5", "--C", "nan"],
      "C must not be NaN"),
     (["pncheck", "--primes", "2", "--nmax", "2", "--eps", "0.5", "--delta", "nan"],
-     "delta must be positive"),
+     "delta must be positive and finite"),
     (["vojta-check", "--lhs", "1", "--ha", "1", "--eps", "0.5", "--C", "nan"],
      "C must not be NaN"),
     (["vojta-check", "--lhs", "1", "--ha", "1", "--eps", "0.5", "--delta", "nan"],
-     "delta must be positive"),
+     "delta must be positive and finite"),
 ], ids=["gcdpow-C", "edsgcd-C", "pncheck-C", "pncheck-delta", "vojta-check-C",
         "vojta-check-delta"])
 def test_nan_C_or_delta_is_computation_error(argv, message, capsys):
@@ -117,8 +117,16 @@ def test_nan_C_or_delta_is_computation_error(argv, message, capsys):
      "sample must be a positive integer"),
     (["pncheck", "--primes", "2", "--nmax", "4", "--eps", "0.5", "--sample", "0"],
      "sample must be a positive integer"),
+    # an infinite delta would zero the counting term's weight
+    (["pncheck", "--primes", "2", "--nmax", "2", "--eps", "0.5", "--delta", "inf"],
+     "delta must be positive and finite"),
+    (["vojta-check", "--lhs", "1", "--ha", "1", "--eps", "0.5", "--delta", "inf"],
+     "delta must be positive and finite"),
+    (["vojta-check", "--lhs", "1", "--ha", "1", "--eps", "0.5", "--C", "inf"],
+     "C must be finite"),
 ], ids=["edsgcd-eps", "gcdpow-eps", "gcdpow-C", "trichotomy-eps", "mixed-C",
-        "pncheck-sample-neg", "pncheck-sample-0"])
+        "pncheck-sample-neg", "pncheck-sample-0", "pncheck-delta",
+        "vojta-check-delta", "vojta-check-C"])
 def test_infinite_bound_or_bad_sample_is_one_computation_error(argv, message, capsys):
     # rejected up front, before any cell: CSV would otherwise print inf/nan rows
     assert main(argv) == 2
@@ -369,6 +377,33 @@ def test_config_that_is_not_an_object_is_usage_error(cmd, tmp_path, capsys):
     path.write_text(json.dumps([{"kind": "BCZ"}]))
     assert main([cmd, "--config", str(path)]) == 1
     assert "not a JSON object" in capsys.readouterr().err
+
+
+BCZ5 = {"a": 2, "b": 3, "n_max": 5, "eps": 0.5}
+
+
+@pytest.mark.parametrize("doc, code, message", [
+    ({"kind": "BCZ", "parameters": 5}, 1, "'parameters' that are not a JSON object"),
+    ({"kind": "BCZ", "parameters": BCZ5, "seed": None}, 1,
+     "'seed' that is not an integer"),
+    ({"kind": "BCZ", "parameters": {**BCZ5, "n_max": [3]}}, 2,
+     "BCZ config has a parameter of the wrong type"),
+    ({"kind": "CZ_TRICHOTOMY", "parameters": {"primes": [2, 3], "bound": None,
+                                              "eps": 0.5}}, 2,
+     "CZ_TRICHOTOMY config has a parameter of the wrong type"),
+    ({"kind": "BCZ", "parameters": {**BCZ5, "error_budget": None}}, 2,
+     "BCZ config has a parameter of the wrong type"),
+], ids=["parameters", "seed", "n_max", "cz-bound", "error_budget"])
+def test_config_value_of_the_wrong_json_type_is_one_error(doc, code, message,
+                                                          tmp_path, capsys):
+    # each of these used to end in an uncaught TypeError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_config_of_another_kind_is_usage_error(tmp_path, capsys):

@@ -28,7 +28,7 @@ from gcdheights import (
     run,
     summarize,
 )
-from gcdheights.arith import PrimeSet
+from gcdheights.arith import EPS_SLACK, PrimeSet
 from gcdheights.gcd_height import PolySystem
 from gcdheights import experiments
 
@@ -282,6 +282,49 @@ def test_ar_summary_matches_direct_scan():
     direct = [n for n in range(1, 61) if gcd_pair(2, 3, n) == gcd_pair(2, 3, 1)]
     assert res.summary["return_indices"] == direct
     assert res.summary["density"] == len(direct) / 60
+
+
+BOUNDED = {
+    SweepKind.BCZ: {"a": 2, "b": 3, "eps": 0.3, "n_max": 80, "C": 0.75},
+    SweepKind.CZ_TRICHOTOMY: {"primes": [2, 3], "bound": 60, "eps": 0.25},
+    SweepKind.EDS_GCD: {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": 10,
+                        "n_max": 10, "eps": 0.2, "C": -0.1},
+    SweepKind.PN_CHECK: {"polys": ["X1-X0", "X2-X0"], "primes": [2, 3], "bound": 5,
+                         "eps": 0.4, "delta": 2.5, "C": 0.3, "r": 3},
+    SweepKind.MIXED_CHECK: {"curve": [0, 0, 0, 0, -2], "point": [3, 5],
+                            "primes": [2, 3], "eps": 0.4, "n_max": 5, "b_bound": 30,
+                            "C": 2.5},
+    SweepKind.ABELIAN_GROWTH: {"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0],
+                               "n_max": 12, "eps": 0.03, "C": -0.5,
+                               "independence_asserted": True},
+}
+
+
+def _bound_of(kind: SweepKind, row: dict, params: dict) -> float:
+    """The row's rhs, recomputed from its own columns and the config."""
+    eps = params["eps"]
+    if kind == SweepKind.CZ_TRICHOTOMY:
+        return eps * math.log(max(abs(row["alpha"]), abs(row["beta"])))
+    if kind == SweepKind.MIXED_CHECK:
+        return eps * row["hA"] + math.log(params["C"])
+    rhs = eps * row["hA"]
+    if kind == SweepKind.PN_CHECK:
+        rhs += row["hcount"] / (params["r"] - 1 + params["delta"] * eps)
+    return rhs + params["C"]
+
+
+@pytest.mark.parametrize("kind", list(BOUNDED))
+def test_bounded_rows_agree_with_their_columns(kind):
+    params = BOUNDED[kind]
+    rows = run(SweepConfig(kind=kind, parameters=params)).records
+    for row in rows:
+        assert row["lhs"] == math.log(row["gcd"])
+        assert row["rhs"] == _bound_of(kind, row, params)
+        assert row["holds"] == (row["lhs"] <= row["rhs"] + EPS_SLACK)
+        if kind == SweepKind.CZ_TRICHOTOMY:
+            exceptional = not row["holds"] and row["m"] is None
+            assert (row["verdict"] == EXCEPTIONAL) == exceptional
+    assert {row["holds"] for row in rows} == {True, False}
 
 
 # ----------------------------------------------------------------------------

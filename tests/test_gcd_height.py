@@ -26,8 +26,9 @@ from gcdheights import (
     normalize_pn,
     parse_poly,
     scalar_mul,
-    vojta_rhs,
+    vojta_bound,
 )
+from gcdheights.arith import EPS_SLACK
 
 DIAG = PolySystem.of("X1-X0", "X2-X0")
 
@@ -141,7 +142,7 @@ def test_counting_function():
 
 
 # ----------------------------------------------------------------------------
-# bound records
+# the bound evaluator
 # ----------------------------------------------------------------------------
 
 def test_vojta_params_validation():
@@ -154,8 +155,14 @@ def test_vojta_params_validation():
         VojtaParams(epsilon=0.5, delta=0.0)
     with pytest.raises(ValueError, match="delta must be positive"):
         VojtaParams(epsilon=0.5, delta=float("nan"))
+    for delta in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            VojtaParams(epsilon=0.5, delta=delta)
     with pytest.raises(ValueError, match="C must not be NaN"):
         VojtaParams(epsilon=0.5, C=float("nan"))
+    for C in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="C must be finite"):
+            VojtaParams(epsilon=0.5, C=C)
     with pytest.raises(ValueError, match="r must"):
         VojtaParams(epsilon=0.5, r=1)
     with pytest.raises(ValueError, match="< r - 1"):
@@ -164,36 +171,42 @@ def test_vojta_params_validation():
 
 def test_vojta_rhs_oracle():
     p = VojtaParams(epsilon=0.1, delta=1.0, C=0.0, r=2)
-    assert isclose(vojta_rhs(10.0, 0.0, p), 1.0, rel_tol=1e-12)
+    got = vojta_bound(0.5, 10.0, p.epsilon, p.C, 0.0, p.weight)
+    assert isclose(got["rhs"], 1.0, rel_tol=1e-12)
+    assert got == {"lhs": 0.5, "hA": 10.0, "rhs": got["rhs"], "holds": True}
     p2 = VojtaParams(epsilon=0.5, delta=2.0, C=3.0, r=3)
-    assert isclose(vojta_rhs(2.0, 6.0, p2), 0.5 * 2 + 6 / 3.0 + 3.0, rel_tol=1e-12)
+    assert p2.weight == 3.0
+    got = vojta_bound(7.0, 2.0, p2.epsilon, p2.C, 6.0, p2.weight)
+    assert isclose(got["rhs"], 0.5 * 2 + 6 / 3.0 + 3.0, rel_tol=1e-12)
+    assert not got["holds"]
+    # no counting term by default: eps*hA + C, and + 0.0/1.0 is exact
+    assert vojta_bound(0.0, 3.7, 0.3, -1.2)["rhs"] == 0.3 * 3.7 + -1.2
 
 
 def test_check_pn_oracle():
     rec = check_pn(PnPoint((1, 5, 9)), DIAG, PrimeSet((2, 3)), VojtaParams(epsilon=0.5))
-    assert isclose(rec.lhs, log(4), rel_tol=1e-12)
-    assert rec.descriptor["gcd_witness"] == 4
-    assert rec.descriptor["hcount_witness"] == 5
-    assert isclose(rec.descriptor["hA"], log(9), rel_tol=1e-12)
+    assert set(rec) == {"gcd", "lhs", "hA", "hcount", "rhs", "holds"}
+    assert isclose(rec["lhs"], log(4), rel_tol=1e-12)
+    assert rec["gcd"] == 4
+    assert isclose(rec["hcount"], log(5), rel_tol=1e-12)   # 1*5*9 without 3s
+    assert isclose(rec["hA"], log(9), rel_tol=1e-12)
     want_rhs = 0.5 * log(9) + log(5) / 1.5
-    assert isclose(rec.rhs, want_rhs, rel_tol=1e-12)
-    assert rec.holds
-    assert isclose(sum(rec.components.values()), rec.rhs, rel_tol=1e-12)
-    assert rec.descriptor["assumed_smooth"] is True
-    assert rec.descriptor["asserted_codim_r"] == 2
+    assert isclose(rec["rhs"], want_rhs, rel_tol=1e-12)
+    assert rec["holds"]
 
 
 def test_check_e2_oracle(c37, p37):
     p8 = scalar_mul(c37, 8, p37)       # D = 5
     p16 = scalar_mul(c37, 16, p37)     # D = 65
-    args = (denominator_D(p8), naive_height(p8).value,
-            denominator_D(p16), naive_height(p16).value)
+    hA = naive_height(p8).value + naive_height(p16).value
+    args = (denominator_D(p8), denominator_D(p16), hA)
+    assert args[:2] == (5, 65)
     rec = check_e2(*args, eps=0.3, C=0.0)
-    assert isclose(rec.lhs, log(5), rel_tol=1e-12)
-    assert rec.descriptor["gcd_witness"] == 5
-    assert rec.descriptor["d_p"] == 5 and rec.descriptor["d_q"] == 65
-    assert rec.descriptor["hA"] == args[1] + args[3]
-    assert isclose(rec.rhs, 0.3 * rec.descriptor["hA"], rel_tol=1e-12)
+    assert set(rec) == {"gcd", "lhs", "hA", "rhs", "holds"}
+    assert isclose(rec["lhs"], log(5), rel_tol=1e-12)
+    assert rec["gcd"] == 5
+    assert rec["hA"] == hA
+    assert isclose(rec["rhs"], 0.3 * hA, rel_tol=1e-12)
     with pytest.raises(ValueError, match="eps"):
         check_e2(*args, eps=0.0)
     with pytest.raises(ValueError, match="eps must be positive"):
@@ -203,10 +216,12 @@ def test_check_e2_oracle(c37, p37):
 def test_check_mixed_oracle(cm2, pm2):
     d_q = denominator_D(scalar_mul(cm2, 2, pm2))    # D_Q = 10
     rec = check_mixed(d_q, b=9, S=PrimeSet((3,)), eps=0.5, C=1.0)
-    assert isclose(rec.lhs, log(2), rel_tol=1e-12)   # gcd(10, 8)
-    assert rec.descriptor["gcd_witness"] == 2
-    assert isclose(rec.rhs, 0.5 * log(10), rel_tol=1e-12)
-    assert rec.holds
+    assert set(rec) == {"gcd", "lhs", "hA", "rhs", "holds"}
+    assert isclose(rec["lhs"], log(2), rel_tol=1e-12)   # gcd(10, 8)
+    assert rec["gcd"] == 2
+    assert rec["hA"] == log(10)
+    assert isclose(rec["rhs"], 0.5 * log(10), rel_tol=1e-12)
+    assert rec["holds"]
 
 
 def test_check_mixed_domain(cm2, pm2):
@@ -230,4 +245,7 @@ def test_bound_record_slack_is_tight():
     # a record that misses by more than the slack must report a violation
     rec = check_pn(PnPoint((1, 5, 9)), DIAG, PrimeSet((2, 3)),
                    VojtaParams(epsilon=0.5, C=-(0.5 * log(9) + log(5) / 1.5) + log(4) - 1e-6))
-    assert not rec.holds
+    assert not rec["holds"]
+    # and one that misses by less than the slack holds
+    assert vojta_bound(1.0 + EPS_SLACK / 2, 2.0, 0.5, 0.0)["holds"]
+    assert not vojta_bound(1.0 + 2 * EPS_SLACK, 2.0, 0.5, 0.0)["holds"]
