@@ -17,15 +17,17 @@ from fractions import Fraction
 
 from . import __version__
 from .arith import PrimeSet, hgcd, prime_to_S_part, weil_height
-from .elliptic import canonical_height, naive_height
+from .elliptic import Curve, canonical_height, naive_height
 from .elliptic import eds as _eds_op
 from .experiments import (
     SPECS,
     SweepConfig,
     SweepKind,
-    _as_int_list,
-    _curve_of,
-    _point_of,
+    _curve,
+    _int,
+    _ints,
+    _on_curve,
+    _point,
     format_real,
     render_csv,
     render_json,
@@ -310,20 +312,20 @@ def _cmd_kind(args) -> str:
 
 def _cmd_eds(args) -> str:
     params, _ = _effective(args)
-    c = _curve_of(params)
-    p = _point_of(c, params["point"])
-    ignore = _as_int_list(params["ignore_primes"], "ignore_primes")
-    S = PrimeSet(tuple(ignore))
-    seq = _eds_op(c, p, int(params["n_max"]))
-    report = divisibility_check([prime_to_S_part(t, S) for t in seq.terms])
+    c = _curve("curve", params["curve"])
+    p = _on_curve(c, _point("point", params["point"]), "point")
+    ignore = _ints("ignore_primes", params["ignore_primes"])
+    S = PrimeSet(ignore)
+    terms = _eds_op(c, p, _int("n_max", params["n_max"]))
+    report = divisibility_check([prime_to_S_part(t, S) for t in terms])
     fmt = args.format or "csv"
     if fmt == "csv":
-        lines = [",".join(_EDS_COLUMNS)] + [f"{i+1},{d}" for i, d in enumerate(seq.terms)]
+        lines = [",".join(_EDS_COLUMNS)] + [f"{i+1},{d}" for i, d in enumerate(terms)]
         return "\n".join(lines) + "\n"
     doc = {
         "version": __version__,
         "config": {"kind": "EDS", "parameters": params, "seed": 0},
-        "terms": list(seq.terms),
+        "terms": list(terms),
         "divisibility_ok": report.ok,
         "counterexample": list(report.counterexample) if report.counterexample else None,
         "ignored_primes": ignore,
@@ -361,8 +363,8 @@ def _cmd_heights(args) -> str:
     if args.point is not None:
         if args.curve is None:
             raise _Usage("--point needs --curve")
-        c = _curve_of({"curve": args.curve})
-        p = _point_of(c, args.point)
+        c = Curve(*args.curve)
+        p = _on_curve(c, _point("point", args.point), "point")
         nh = naive_height(p)
         doc["naive_height"] = {
             "value": float(format_real(nh.value)),

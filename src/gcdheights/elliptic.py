@@ -30,7 +30,6 @@ __all__ = [
     "Curve",
     "Point",
     "IDENTITY",
-    "EDS",
     "on_curve",
     "neg",
     "add",
@@ -180,15 +179,6 @@ def denominator_D(p: Point) -> int:
     return d
 
 
-@dataclass(frozen=True)
-class EDS:
-    """terms[n-1] = D_{nP} for n = 1..N."""
-
-    curve: Curve
-    point: Point
-    terms: tuple[int, ...]
-
-
 def _division_values(c: Curve, p: Point, n_max: int) -> list[int]:
     """[W_0, ..., W_N], N = max(n_max, 4), W_n = d^(n^2-1) psi_n(P), x_P = a/d^2.
 
@@ -258,14 +248,13 @@ def multiples(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
     return out
 
 
-def eds(c: Curve, p: Point, n_max: int) -> EDS:
-    """Denominator sequence D_P, D_2P, ..., D_NP of the multiples of P."""
+def eds(c: Curve, p: Point, n_max: int) -> tuple[int, ...]:
+    """Denominator sequence (D_P, D_2P, ..., D_NP) of the multiples of P."""
     if p.is_identity:
         raise ValueError("base point is the identity")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    terms = tuple(d for _, d in multiples(c, p, n_max))
-    return EDS(curve=c, point=p, terms=terms)
+    return tuple(d for _, d in multiples(c, p, n_max))
 
 
 # ----------------------------------------------------------------------------

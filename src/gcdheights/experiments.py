@@ -28,6 +28,7 @@ from fractions import Fraction
 from itertools import islice, product
 from math import gcd, inf, isinf, isnan, log, prod
 from statistics import median
+from sys import float_info
 
 from .arith import PrimeSet, mult_independent
 from .elliptic import (
@@ -98,84 +99,150 @@ class SweepResult:
 class KindSpec:
     """Everything the runner knows about one sweep kind.
 
-    ``prepare(params, seed)`` validates the parameters and returns
-    ``(ctx, axes)`` (serially; it may do real work): the inputs all cells
-    share, and one or two sequences of ``index`` values whose row-major grid
-    is the cells.  ``row(ctx, *key)`` evaluates one cell, possibly in a pool
-    worker; its row, like an error row, carries ``key`` as its ``index``
-    columns.  ``fittable`` kinds have lhs/hA[/hcount] records that admit
-    constant fitting.
+    ``params`` has one entry per config key, ``(key, check)`` if required and
+    ``(key, check, default)`` if not; ``check(key, value)`` returns the plain
+    value or raises ValueError naming the key.  ``prepare(p, seed)`` takes
+    those values (see ``_checked``) and returns ``(ctx, axes)``: the inputs
+    all cells share, and one or two sequences of ``index`` values whose
+    row-major grid is the cells.  ``row(ctx, *key)`` evaluates one cell,
+    possibly in a pool worker; its row, like an error row, carries ``key`` as
+    its ``index`` columns.  ``fittable`` kinds have lhs/hA[/hcount]/holds
+    records that admit constant fitting.  ``summary(good, p)`` gives the
+    kind's own summary keys from its error-free rows.
     """
 
     columns: tuple[str, ...]
     index: tuple[str, ...]
+    params: tuple[tuple, ...]
     prepare: Callable[[dict, int], tuple[tuple, tuple[Sequence, ...]]]
     row: Callable[..., dict]
     fittable: bool = False
+    summary: Callable[[list[dict], dict], dict] = lambda good, p: {}
 
 
 # ----------------------------------------------------------------------------
-# config validation and preparation (runs serially, may do real work)
+# config checks (each takes the key and its value), and preparation, which
+# runs serially and may do real work
 # ----------------------------------------------------------------------------
 
-def _need(params: dict, key: str, kind: SweepKind):
-    if key not in params:
-        raise ValueError(f"{kind.value} config missing required key {key!r}")
-    return params[key]
+def _is_int(v) -> bool:
+    """An int, or a float with an integral value; a bool or a string is neither."""
+    return type(v) is int or type(v) is float and v.is_integer()
 
 
-def _curve_of(params: dict) -> Curve:
-    coeffs = _as_int_list(params["curve"], "curve")
+def _int(key: str, v) -> int:
+    if not _is_int(v):
+        raise ValueError(f"{key} must be an integer")
+    return int(v)
+
+
+def _at_least(low: int, what: str) -> Callable[[str, object], int]:
+    def check(key: str, v) -> int:
+        if not _is_int(v) or v < low:
+            raise ValueError(f"{key} must be a {what} integer")
+        return int(v)
+    return check
+
+
+def _ints(key: str, v) -> tuple[int, ...]:
+    if not isinstance(v, (list, tuple)) or not all(map(_is_int, v)):
+        raise ValueError(f"{key} must be a list of integers")
+    return tuple(map(int, v))
+
+
+def _real(key: str, v) -> float:
+    """An int or a float (never a bool) as a float; NaN and inf pass through."""
+    if type(v) is float or type(v) is int and abs(v) <= float_info.max:
+        return float(v)
+    raise ValueError(f"{key} must be a finite number")
+
+
+def _positive(why: str = "") -> Callable[[str, object], float]:
+    def check(key: str, v) -> float:
+        x = _real(key, v)
+        if not 0 < x < inf:  # NaN fails the comparison
+            raise ValueError(f"{key} must be positive and finite{why}")
+        return x
+    return check
+
+
+def _finite(key: str, v) -> float:
+    x = _real(key, v)
+    if isnan(x):
+        raise ValueError(f"{key} must not be NaN")
+    if isinf(x):
+        raise ValueError(f"{key} must be finite")
+    return x
+
+
+def _curve(key: str, v) -> Curve:
+    coeffs = _ints(key, v)
     if len(coeffs) != 5:
-        raise ValueError("curve needs exactly 5 coefficients a1,a2,a3,a4,a6")
+        raise ValueError(f"{key} needs exactly 5 coefficients a1,a2,a3,a4,a6")
     return Curve(*coeffs)
 
 
-def _as_int_list(v, what: str) -> list[int]:
-    if not isinstance(v, (list, tuple)):
-        raise ValueError(f"{what} must be a list of integers")
-    return [int(x) for x in v]
+def _point(key: str, v) -> Point:
+    """A pair [x, y] of rationals, each a number or a string like "3/4"."""
+    try:
+        x, y = (Fraction(str(t)) for t in (v if isinstance(v, (list, tuple)) else ()))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key} must be a pair [x, y] of rationals") from None
+    return Point(x, y)
 
 
-def _eps_of(params: dict, kind: SweepKind) -> float:
-    """The required ``eps``: positive and finite (NaN fails the comparison)."""
-    eps = float(_need(params, "eps", kind))
-    if not 0 < eps < inf:
-        raise ValueError("eps must be positive and finite")
-    return eps
-
-
-def _eps_C(params: dict, kind: SweepKind) -> tuple[float, float]:
-    """The bound's required ``eps`` and optional finite constant ``C`` (default 0)."""
-    eps = _eps_of(params, kind)
-    C = float(params.get("C", 0.0))
-    if isnan(C):
-        raise ValueError("C must not be NaN")
-    if isinf(C):
-        raise ValueError("C must be finite")
-    return eps, C
-
-
-def _point_of(c: Curve, raw, what: str = "point") -> Point:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ValueError(f"{what} must be a pair [x, y] of rationals")
-    x, y = (Fraction(str(t)) for t in raw)
-    p = Point(x, y)
+def _on_curve(c: Curve, p: Point, what: str) -> Point:
     if not on_curve(c, p):
         raise ValueError(f"{what} is not on the curve")
     return p
 
 
-def _prepare_bcz(params: dict, seed: int) -> tuple[tuple, tuple]:
-    a = int(_need(params, "a", SweepKind.BCZ))
-    b = int(_need(params, "b", SweepKind.BCZ))
-    eps, C = _eps_C(params, SweepKind.BCZ)
-    n_max = int(_need(params, "n_max", SweepKind.BCZ))
+def _polys(key: str, v) -> PolySystem:
+    if not (isinstance(v, (list, tuple)) and v and all(isinstance(t, str) for t in v)):
+        raise ValueError(f"{key} must be a nonempty list of polynomial strings")
+    return PolySystem.of(*v)
+
+
+def _vouched(key: str, v) -> bool:
+    if v is not True:
+        raise ValueError(f"ABELIAN_GROWTH requires {key}: true "
+                         "(caller must vouch for independent points)")
+    return v
+
+
+_EPS = ("eps", _positive())
+_BUDGET = ("error_budget", _at_least(0, "non-negative"), 0)
+
+
+def _checked(kind: SweepKind, params: dict) -> dict:
+    """Each key of ``kind``'s table and ``error_budget``, checked, defaults filled.
+
+    A null counts as absent only where the default is None, and stays None."""
+    table = (*SPECS[kind].params, _BUDGET)
+    known = {entry[0] for entry in table}
+    for key in params:
+        if key not in known:
+            raise ValueError(f"{kind.value} config has unknown key {key!r}")
+    p = {}
+    for key, check, *default in table:
+        if key not in params and not default:
+            raise ValueError(f"{kind.value} config missing required key {key!r}")
+        v = params.get(key, *default)
+        p[key] = None if v is None and default == [None] else check(key, v)
+    return p
+
+
+def _independent(a: int, b: int) -> None:
+    """The BCZ and AR hypothesis: a, b >= 2 and no power of one is one of the other."""
     if a < 2 or b < 2:
         raise ValueError("a and b must be >= 2")
     if not mult_independent(a, b):
         raise ValueError("multiplicatively dependent inputs: hypothesis violated")
-    return (a, b, eps, C), (range(1, n_max + 1),)
+
+
+def _prepare_bcz(p: dict, seed: int) -> tuple[tuple, tuple]:
+    _independent(p["a"], p["b"])
+    return (p["a"], p["b"], p["eps"], p["C"]), (range(1, p["n_max"] + 1),)
 
 
 def _row_bcz(ctx: tuple, n: int) -> dict:
@@ -184,13 +251,10 @@ def _row_bcz(ctx: tuple, n: int) -> dict:
     return {"n": n, "gcd": g, **vojta_bound(log(g), n * LN2, eps, C)}
 
 
-def _prepare_cz(params: dict, seed: int) -> tuple[tuple, tuple]:
-    primes = _as_int_list(_need(params, "primes", SweepKind.CZ_TRICHOTOMY), "primes")
-    bound = int(_need(params, "bound", SweepKind.CZ_TRICHOTOMY))
-    eps = _eps_of(params, SweepKind.CZ_TRICHOTOMY)
-    S = PrimeSet(tuple(primes))
-    units = s_unit_enumerate(S, bound)
-    return (S, eps), (units, units)
+def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
+    S = PrimeSet(p["primes"])
+    units = s_unit_enumerate(S, p["bound"])
+    return (S, p["eps"]), (units, units)
 
 
 def _row_cz(ctx: tuple, a: int, b: int) -> dict:
@@ -202,15 +266,22 @@ def _row_cz(ctx: tuple, a: int, b: int) -> dict:
     }
 
 
-def _prepare_ar(params: dict, seed: int) -> tuple[tuple, tuple]:
-    a = int(_need(params, "a", SweepKind.AR_RETURNS))
-    b = int(_need(params, "b", SweepKind.AR_RETURNS))
-    n_max = int(_need(params, "n_max", SweepKind.AR_RETURNS))
-    if a < 2 or b < 2:
-        raise ValueError("a and b must be >= 2")
-    if not mult_independent(a, b):
-        raise ValueError("multiplicatively dependent inputs: hypothesis violated")
-    return (a, b, gcd_pair(a, b, 1)), (range(1, n_max + 1),)
+def _summary_cz(good: list[dict], p: dict) -> dict:
+    counts = {POWER_RELATION: 0, INEQUALITY_HOLDS: 0, EXCEPTIONAL: 0}
+    for r in good:
+        counts[r["verdict"]] += 1
+    # power-relation pairs may fail the raw inequality legitimately; the
+    # trichotomy's genuine violations are the EXCEPTIONAL rows
+    pairs = [[r["alpha"], r["beta"]] for r in good if r["verdict"] == EXCEPTIONAL]
+    return {"violations": len(pairs),
+            "max_violating_index": pairs[-1] if pairs else None,
+            "verdicts": counts, "exceptional_pairs": pairs}
+
+
+def _prepare_ar(p: dict, seed: int) -> tuple[tuple, tuple]:
+    a, b = p["a"], p["b"]
+    _independent(a, b)
+    return (a, b, gcd_pair(a, b, 1)), (range(1, p["n_max"] + 1),)
 
 
 def _row_ar(ctx: tuple, n: int) -> dict:
@@ -219,18 +290,21 @@ def _row_ar(ctx: tuple, n: int) -> dict:
     return {"n": n, "gcd": g, "base_gcd": base, "is_return": g == base}
 
 
-def _prepare_eds_gcd(params: dict, seed: int) -> tuple[tuple, tuple]:
-    c = _curve_of(params)
-    p = _point_of(c, _need(params, "p", SweepKind.EDS_GCD), "p")
-    q = _point_of(c, params["q"], "q") if params.get("q") is not None else p
-    m_max = int(_need(params, "m_max", SweepKind.EDS_GCD))
-    n_max = int(_need(params, "n_max", SweepKind.EDS_GCD))
-    eps, C = _eps_C(params, SweepKind.EDS_GCD)
+def _summary_ar(good: list[dict], p: dict) -> dict:
+    idx = [r["n"] for r in good if r.get("is_return")]
+    return {"returns": len(idx), "density": len(idx) / len(good) if good else 0.0,
+            "return_indices": idx}
+
+
+def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
+    c, m_max, n_max = p["curve"], p["m_max"], p["n_max"]
+    P = _on_curve(c, p["p"], "p")
+    Q = P if p["q"] is None else _on_curve(c, p["q"], "q")
     # denominator and naive height once per multiple, not once per cell
-    mp = [(x[1], naive_height(x).value) for x in multiples(c, p, m_max)]
-    nq = [(x[1], naive_height(x).value) for x in multiples(c, q, n_max)]
-    predicted = set(exceptional_subgroups(eps))
-    return ((mp, nq, predicted, eps, C),
+    mp = [(x[1], naive_height(x).value) for x in multiples(c, P, m_max)]
+    nq = [(x[1], naive_height(x).value) for x in multiples(c, Q, n_max)]
+    predicted = set(exceptional_subgroups(p["eps"]))
+    return ((mp, nq, predicted, p["eps"], p["C"]),
             (range(1, m_max + 1), range(1, n_max + 1)))
 
 
@@ -273,25 +347,13 @@ def _distinct_draws(rng: random.Random, size: int) -> Iterator[int]:
         swaps[j] = swaps.get(k, k)
 
 
-def _prepare_pn(params: dict, seed: int) -> tuple[tuple, tuple]:
-    texts = _need(params, "polys", SweepKind.PN_CHECK)
-    if not isinstance(texts, (list, tuple)) or not texts:
-        raise ValueError("polys must be a nonempty list of polynomial strings")
-    codim = int(params.get("codim_r", 2))
-    system = PolySystem.of(*[str(t) for t in texts], codim_r=codim)
+def _prepare_pn(p: dict, seed: int) -> tuple[tuple, tuple]:
+    system, bound, sample = p["polys"], p["bound"], p["sample"]
     nvars = max(f.max_var() for f in system.polys) + 1
     if nvars < 2:
         raise ValueError("system must involve at least X0 and X1")
-    primes = _as_int_list(_need(params, "primes", SweepKind.PN_CHECK), "primes")
-    bound = int(_need(params, "bound", SweepKind.PN_CHECK))
-    eps, C = _eps_C(params, SweepKind.PN_CHECK)
-    delta = float(params.get("delta", 1.0))
-    r = int(params.get("r", codim))
-    vp = VojtaParams(epsilon=eps, delta=delta, C=C, r=r)
-    S = PrimeSet(tuple(primes))
-    sample = params.get("sample")
-    if sample is not None and (type(sample) is not int or sample < 1):
-        raise ValueError("sample must be a positive integer")
+    vp = VojtaParams(epsilon=p["eps"], delta=p["delta"], C=p["C"], r=p["codim_r"])
+    S = PrimeSet(p["primes"])
 
     # Points of the box (see _box_point) with gcd 1 and off V.  A sampled run
     # visits the box in the seed's shuffled order until the sample is full,
@@ -299,7 +361,7 @@ def _prepare_pn(params: dict, seed: int) -> tuple[tuple, tuple]:
     # index order.
     size = max(bound, 0) * (2 * bound) ** (nvars - 1)  # empty below bound 1
     order = (range(size) if sample is None
-             else _distinct_draws(random.Random(int(seed)), size))
+             else _distinct_draws(random.Random(seed), size))
     box = (_box_point(bound, nvars, i) for i in order)
     ok = (t for t in box
           if gcd(*t) == 1 and not all(f(t) == 0 for f in system.polys))
@@ -313,20 +375,13 @@ def _row_pn(ctx: tuple, point: str) -> dict:
     return {"point": point, **check_pn(PnPoint(coords), system, S, vp)}
 
 
-def _prepare_mixed(params: dict, seed: int) -> tuple[tuple, tuple]:
-    c = _curve_of(params)
-    p = _point_of(c, _need(params, "point", SweepKind.MIXED_CHECK))
-    primes = _as_int_list(_need(params, "primes", SweepKind.MIXED_CHECK), "primes")
-    eps = _eps_of(params, SweepKind.MIXED_CHECK)
-    C = float(params.get("C", 1.0))
-    n_max = int(_need(params, "n_max", SweepKind.MIXED_CHECK))
-    b_bound = int(params.get("b_bound", 100))
-    if not 0 < C < inf:
-        raise ValueError("C must be positive and finite (it multiplies the bound)")
-    S = PrimeSet(tuple(primes))
-    units = s_unit_enumerate(S, b_bound)
-    dq = [d for _, d in multiples(c, p, n_max)]
-    return (dq, S, eps, C), (range(1, n_max + 1), units)
+def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
+    c, n_max = p["curve"], p["n_max"]
+    P = _on_curve(c, p["point"], "point")
+    S = PrimeSet(p["primes"])
+    units = s_unit_enumerate(S, p["b_bound"])
+    dq = [d for _, d in multiples(c, P, n_max)]
+    return (dq, S, p["eps"], p["C"]), (range(1, n_max + 1), units)
 
 
 def _row_mixed(ctx: tuple, n: int, b: int) -> dict:
@@ -334,15 +389,13 @@ def _row_mixed(ctx: tuple, n: int, b: int) -> dict:
     return {"n": n, "b": b, "d_q": dq[n - 1], **check_mixed(dq[n - 1], b, S, eps, C)}
 
 
-def _prepare_siegel(params: dict, seed: int) -> tuple[tuple, tuple]:
-    c = _curve_of(params)
-    p = _point_of(c, _need(params, "point", SweepKind.SIEGEL))
-    n_min = int(params.get("n_min", 1))
-    n_max = int(_need(params, "n_max", SweepKind.SIEGEL))
+def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
+    c, n_min, n_max = p["curve"], p["n_min"], p["n_max"]
+    P = _on_curve(c, p["point"], "point")
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
     # (D, naive height) of n*P for n_min <= n <= n_max
-    dn = [(x[1], naive_height(x).value) for x in multiples(c, p, n_max)[n_min - 1:]]
+    dn = [(x[1], naive_height(x).value) for x in multiples(c, P, n_max)[n_min - 1:]]
     return (n_min, dn), (range(n_min, n_max + 1),)
 
 
@@ -353,20 +406,19 @@ def _row_siegel(ctx: tuple, n: int) -> dict:
     return {"n": n, "d": d, "naive": naive, "ratio": ratio}
 
 
-def _prepare_abelian(params: dict, seed: int) -> tuple[tuple, tuple]:
-    if params.get("independence_asserted") is not True:
-        raise ValueError(
-            "ABELIAN_GROWTH requires independence_asserted: true "
-            "(caller must vouch for independent points)"
-        )
-    c = _curve_of(params)
-    p = _point_of(c, _need(params, "p", SweepKind.ABELIAN_GROWTH), "p")
-    q = _point_of(c, _need(params, "q", SweepKind.ABELIAN_GROWTH), "q")
-    n_max = int(_need(params, "n_max", SweepKind.ABELIAN_GROWTH))
-    eps, C = _eps_C(params, SweepKind.ABELIAN_GROWTH)
-    dp = [d for _, d in multiples(c, p, n_max)]
-    dq = [d for _, d in multiples(c, q, n_max)]
-    return (dp, dq, eps, C), (range(1, n_max + 1),)
+def _summary_siegel(good: list[dict], p: dict) -> dict:
+    ratios = [r["ratio"] for r in good]
+    return {"median_abs_dev": median(abs(x - 1.0) for x in ratios) if ratios else None,
+            "max_ratio": max(ratios) if ratios else None}
+
+
+def _prepare_abelian(p: dict, seed: int) -> tuple[tuple, tuple]:
+    c, n_max = p["curve"], p["n_max"]
+    P = _on_curve(c, p["p"], "p")
+    Q = _on_curve(c, p["q"], "q")
+    dp = [d for _, d in multiples(c, P, n_max)]
+    dq = [d for _, d in multiples(c, Q, n_max)]
+    return (dp, dq, p["eps"], p["C"]), (range(1, n_max + 1),)
 
 
 def _row_abelian(ctx: tuple, n: int) -> dict:
@@ -377,41 +429,62 @@ def _row_abelian(ctx: tuple, n: int) -> dict:
     }
 
 
+_A_B_N = (("a", _int), ("b", _int), ("n_max", _int))
+_EPS_C = (_EPS, ("C", _finite, 0.0))
+
 SPECS: dict[SweepKind, KindSpec] = {
     SweepKind.BCZ: KindSpec(
         columns=("n", "gcd", "lhs", "hA", "rhs", "holds", "error"),
-        index=("n",), prepare=_prepare_bcz, row=_row_bcz, fittable=True,
+        index=("n",), params=(*_A_B_N, *_EPS_C),
+        prepare=_prepare_bcz, row=_row_bcz, fittable=True,
     ),
     SweepKind.CZ_TRICHOTOMY: KindSpec(
         columns=("alpha", "beta", "verdict", "m", "n", "gcd", "lhs", "rhs",
                  "holds", "error"),
-        index=("alpha", "beta"), prepare=_prepare_cz, row=_row_cz,
+        index=("alpha", "beta"), params=(("primes", _ints), ("bound", _int), _EPS),
+        prepare=_prepare_cz, row=_row_cz, summary=_summary_cz,
     ),
     SweepKind.AR_RETURNS: KindSpec(
         columns=("n", "gcd", "base_gcd", "is_return", "error"),
-        index=("n",), prepare=_prepare_ar, row=_row_ar,
+        index=("n",), params=_A_B_N,
+        prepare=_prepare_ar, row=_row_ar, summary=_summary_ar,
     ),
     SweepKind.EDS_GCD: KindSpec(
         columns=("m", "n", "d_m", "d_n", "gcd", "lhs", "hA", "rhs", "holds",
                  "exceptional", "error"),
-        index=("m", "n"), prepare=_prepare_eds_gcd, row=_row_eds_gcd,
-        fittable=True,
+        index=("m", "n"), params=(("curve", _curve), ("p", _point), ("q", _point, None),
+                                  ("m_max", _int), ("n_max", _int), *_EPS_C),
+        prepare=_prepare_eds_gcd, row=_row_eds_gcd, fittable=True,
     ),
     SweepKind.PN_CHECK: KindSpec(
         columns=("point", "gcd", "lhs", "hA", "hcount", "rhs", "holds", "error"),
-        index=("point",), prepare=_prepare_pn, row=_row_pn, fittable=True,
+        index=("point",), params=(("polys", _polys), ("codim_r", _int, 2),
+                                  ("primes", _ints), ("bound", _int), *_EPS_C,
+                                  ("delta", _real, 1.0),
+                                  ("sample", _at_least(1, "positive"), None)),
+        prepare=_prepare_pn, row=_row_pn, fittable=True,
+        summary=lambda good, p: {"points": len(good)},
     ),
     SweepKind.MIXED_CHECK: KindSpec(
         columns=("n", "b", "d_q", "gcd", "lhs", "hA", "rhs", "holds", "error"),
-        index=("n", "b"), prepare=_prepare_mixed, row=_row_mixed, fittable=True,
+        index=("n", "b"), params=(("curve", _curve), ("point", _point),
+                                  ("primes", _ints), _EPS, ("n_max", _int),
+                                  ("C", _positive(" (it multiplies the bound)"), 1.0),
+                                  ("b_bound", _int, 100)),
+        prepare=_prepare_mixed, row=_row_mixed, fittable=True,
     ),
     SweepKind.SIEGEL: KindSpec(
         columns=("n", "d", "naive", "ratio", "error"),
-        index=("n",), prepare=_prepare_siegel, row=_row_siegel,
+        index=("n",), params=(("curve", _curve), ("point", _point),
+                              ("n_min", _int, 1), ("n_max", _int)),
+        prepare=_prepare_siegel, row=_row_siegel, summary=_summary_siegel,
     ),
     SweepKind.ABELIAN_GROWTH: KindSpec(
         columns=("n", "d_p", "d_q", "gcd", "lhs", "hA", "rhs", "holds", "error"),
-        index=("n",), prepare=_prepare_abelian, row=_row_abelian, fittable=True,
+        index=("n",), params=(("independence_asserted", _vouched, False),
+                              ("curve", _curve), ("p", _point), ("q", _point),
+                              ("n_max", _int), *_EPS_C),
+        prepare=_prepare_abelian, row=_row_abelian, fittable=True,
     ),
 }
 
@@ -455,12 +528,8 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     kind = config.kind
-    try:
-        budget = int(config.parameters.get("error_budget", 0))
-        ctx, axes = SPECS[kind].prepare(config.parameters, config.seed)
-    except TypeError as exc:  # e.g. a null or a list where a number belongs
-        raise ValueError(f"{kind.value} config has a parameter of the wrong type: "
-                         f"{exc}") from None
+    p = _checked(kind, config.parameters)
+    ctx, axes = SPECS[kind].prepare(p, config.seed)
     cells = range(prod(len(axis) for axis in axes))
     if jobs == 1 or len(cells) < 2:
         records = _eval_range(kind, ctx, axes, cells)
@@ -471,64 +540,32 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
                                  initargs=(kind, ctx, axes)) as pool:
             records = [r for rows in pool.map(_eval_chunk, chunks) for r in rows]
     errors = [r for r in records if r.get("error")]
-    if len(errors) > budget:
-        first = errors[0].get("error", "")
+    if len(errors) > p["error_budget"]:
         raise ValueError(
             f"error budget exceeded: {len(errors)} error rows "
-            f"(budget {budget}); first: {first}"
+            f"(budget {p['error_budget']}); first: {errors[0]['error']}"
         )
     summary = summarize(kind, records, config)
     return SweepResult(config=config, records=records, summary=summary)
 
 
 def summarize(kind: SweepKind, records: list[dict], config: SweepConfig) -> dict:
-    """Recompute the summary block from the records alone."""
-    s: dict = {
-        "kind": kind.value,
-        "cells": len(records),
-        "error_rows": sum(1 for r in records if r.get("error")),
-    }
-    good = [r for r in records if not r.get("error")]
+    """Recompute the summary block from the records and the checked parameters."""
     spec = SPECS[kind]
-    if spec.fittable or kind == SweepKind.CZ_TRICHOTOMY:
-        if kind == SweepKind.CZ_TRICHOTOMY:
-            # power-relation pairs may fail the raw inequality legitimately;
-            # the trichotomy's genuine violations are the EXCEPTIONAL rows
-            viol = [r for r in good if r.get("verdict") == EXCEPTIONAL]
-        else:
-            viol = [r for r in good if r.get("holds") is False]
-        s["violations"] = len(viol)
-        s["max_violating_index"] = (
-            [viol[-1][k] for k in spec.index] if viol else None
-        )
+    p = _checked(kind, config.parameters)
+    good = [r for r in records if not r.get("error")]
+    s: dict = {"kind": kind.value, "cells": len(records),
+               "error_rows": len(records) - len(good)}
     if spec.fittable:
+        viol = [r for r in good if r.get("holds") is False]
+        s["violations"] = len(viol)
+        s["max_violating_index"] = [viol[-1][k] for k in spec.index] if viol else None
         try:
-            eps = float(config.parameters["eps"])
-            s["fitted_constant"] = fit_constant_records(good, eps, config.parameters)
-        except (KeyError, ValueError):
+            s["fitted_constant"] = fit_constant_records(
+                good, p["eps"], p.get("codim_r", 2), p.get("delta", 1.0))
+        except ValueError:  # every row exceptional or errored
             s["fitted_constant"] = None
-    if kind == SweepKind.CZ_TRICHOTOMY:
-        counts = {POWER_RELATION: 0, INEQUALITY_HOLDS: 0, EXCEPTIONAL: 0}
-        for r in good:
-            counts[r["verdict"]] += 1
-        s["verdicts"] = counts
-        s["exceptional_pairs"] = [
-            [r["alpha"], r["beta"]] for r in good if r["verdict"] == EXCEPTIONAL
-        ]
-    if kind == SweepKind.AR_RETURNS:
-        idx = [r["n"] for r in good if r.get("is_return")]
-        s["returns"] = len(idx)
-        s["density"] = len(idx) / len(good) if good else 0.0
-        s["return_indices"] = idx
-    if kind == SweepKind.SIEGEL:
-        ratios = [r["ratio"] for r in good]
-        s["median_abs_dev"] = (
-            median(abs(x - 1.0) for x in ratios) if ratios else None
-        )
-        s["max_ratio"] = max(ratios) if ratios else None
-    if kind == SweepKind.PN_CHECK:
-        s["points"] = len(good)
-    return s
+    return {**s, **spec.summary(good, p)}
 
 
 # ----------------------------------------------------------------------------
@@ -536,16 +573,13 @@ def summarize(kind: SweepKind, records: list[dict], config: SweepConfig) -> dict
 # ----------------------------------------------------------------------------
 
 def fit_constant_records(
-    records: list[dict], eps: float, params: dict | None = None
+    records: list[dict], eps: float, r: int = 2, delta: float = 1.0
 ) -> float:
     """Exact infimum C with lhs <= eps*hA [+ hcount/(r-1+delta*eps)] + C.
 
     Records flagged exceptional are excluded (they are the asserted
     exceptional set); an all-exceptional or empty input is an error.
     """
-    params = params or {}
-    r = int(params.get("r", params.get("codim_r", 2)))
-    delta = float(params.get("delta", 1.0))
     denom = r - 1 + delta * eps
     best = None
     for rec in records:
@@ -560,14 +594,17 @@ def fit_constant_records(
 
 def fit_constant(result: SweepResult, eps: float) -> float:
     """Fit the empirical constant for a finished sweep at tolerance eps."""
-    if not SPECS[result.config.kind].fittable:
-        raise ValueError(f"cannot fit a constant for {result.config.kind.value}")
+    kind = result.config.kind
+    if not SPECS[kind].fittable:
+        raise ValueError(f"cannot fit a constant for {kind.value}")
     if not result.records:
         raise ValueError("no records to fit")
-    return fit_constant_records(result.records, eps, dict(result.config.parameters))
+    p = _checked(kind, result.config.parameters)
+    return fit_constant_records(result.records, eps, p.get("codim_r", 2),
+                                p.get("delta", 1.0))
 
 
-def detect_exceptional(result: SweepResult, kind: SweepKind | None = None) -> list[dict]:
+def detect_exceptional(result: SweepResult) -> list[dict]:
     """Group violating inputs and propose structure (never assert it).
 
     EDS_GCD: violating (m, n) pairs grouped by their reduced direction
@@ -575,7 +612,7 @@ def detect_exceptional(result: SweepResult, kind: SweepKind | None = None) -> li
     direction was on the predicted list for the sweep's eps.
     PN_CHECK: violating points listed raw for external analysis.
     """
-    kind = SweepKind(kind) if kind is not None else result.config.kind
+    kind = result.config.kind
     if kind == SweepKind.EDS_GCD:
         groups: dict[tuple[int, int], list[list[int]]] = {}
         predicted: dict[tuple[int, int], bool] = {}  # from the rows' prepare-time flag

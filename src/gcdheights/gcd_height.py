@@ -174,10 +174,9 @@ def parse_poly(text: str) -> HomPoly:
 
 @dataclass(frozen=True)
 class PolySystem:
-    """Homogeneous forms f_1..f_t plus the caller-asserted codimension of V."""
+    """Homogeneous forms f_1..f_t, the equations of V."""
 
     polys: tuple[HomPoly, ...]
-    codim_r: int = 2
 
     def __post_init__(self) -> None:
         if not self.polys:
@@ -187,12 +186,10 @@ class PolySystem:
                 raise ValueError("zero polynomial in system")
             if not f.is_homogeneous():
                 raise ValueError(f"not homogeneous: {f}")
-        if self.codim_r < 2:
-            raise ValueError("codimension must be >= 2")
 
     @classmethod
-    def of(cls, *texts: str, codim_r: int = 2) -> "PolySystem":
-        return cls(polys=tuple(parse_poly(t) for t in texts), codim_r=codim_r)
+    def of(cls, *texts: str) -> "PolySystem":
+        return cls(polys=tuple(parse_poly(t) for t in texts))
 
 
 # ----------------------------------------------------------------------------
@@ -287,8 +284,8 @@ def check_pn(x: PnPoint, sys: PolySystem, S: PrimeSet, p: VojtaParams) -> dict:
 
     Returns the gcd witness, ``hcount`` and the ``vojta_bound`` fields: lhs
     is the exact subvariety gcd height, the ample height is ln max|x_i| and
-    the counting term is the prime-to-S coordinate product.  Smoothness and
-    the stated codimension of V are assumptions, never verified here.
+    the counting term is the prime-to-S coordinate product.  Smoothness of V
+    and its codimension ``p.r`` are assumptions, never verified here.
     """
     lhs = hgcd_pn_subvariety(x, sys)
     hA = log(max(abs(c) for c in x.coords))

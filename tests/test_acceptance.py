@@ -71,7 +71,7 @@ def test_02_point_doubling_oracle(cm2, pm2):
 
 def test_03_eds_divisibility_to_40(c37, p37):
     t0 = perf_counter()
-    terms = eds(c37, p37, 40).terms
+    terms = eds(c37, p37, 40)
     for n in range(1, 41):
         for m in range(1, n + 1):
             if n % m == 0:
@@ -82,7 +82,7 @@ def test_03_eds_divisibility_to_40(c37, p37):
 
 
 def test_04_gcd_of_coprime_multiples_divides_base(c37, p37):
-    terms = eds(c37, p37, 50).terms
+    terms = eds(c37, p37, 50)
     checked = 0
     for n1, n2 in ((1, 2), (2, 3), (3, 5)):
         for k in range(1, 11):

@@ -16,7 +16,7 @@ MODULES = ("arith", "elliptic", "gcd_height", "mulgrp", "experiments")
 # Second routes to quantities the sweeps compute; removed from the library.
 DELETED = {
     "mulgrp": ("MulPoint", "MulDivSeq", "power", "mul_D", "mul_seq"),
-    "elliptic": ("gcd_D", "hgcd_e2", "hgcd_e2_local_sum", "siegel_ratio"),
+    "elliptic": ("EDS", "gcd_D", "hgcd_e2", "hgcd_e2_local_sum", "siegel_ratio"),
     "gcd_height": ("BoundRecord", "vojta_rhs"),
 }
 

@@ -12,11 +12,12 @@ import csv
 import io
 import json
 import math
+import random
 
 import pytest
 
 from gcdheights import SweepConfig, SweepKind, render_csv, render_json, run
-from gcdheights.cli import main
+from gcdheights.cli import _SUBCOMMANDS, main
 from gcdheights.experiments import SPECS
 
 C37 = "0,0,1,-1,0"
@@ -387,16 +388,20 @@ BCZ5 = {"a": 2, "b": 3, "n_max": 5, "eps": 0.5}
     ({"kind": "BCZ", "parameters": BCZ5, "seed": None}, 1,
      "'seed' that is not an integer"),
     ({"kind": "BCZ", "parameters": {**BCZ5, "n_max": [3]}}, 2,
-     "BCZ config has a parameter of the wrong type"),
+     "n_max must be an integer"),
     ({"kind": "CZ_TRICHOTOMY", "parameters": {"primes": [2, 3], "bound": None,
                                               "eps": 0.5}}, 2,
-     "CZ_TRICHOTOMY config has a parameter of the wrong type"),
+     "bound must be an integer"),
     ({"kind": "BCZ", "parameters": {**BCZ5, "error_budget": None}}, 2,
-     "BCZ config has a parameter of the wrong type"),
-], ids=["parameters", "seed", "n_max", "cz-bound", "error_budget"])
+     "error_budget must be a non-negative integer"),
+    ({"kind": "BCZ", "parameters": {**BCZ5, "error_budget": -1}}, 2,
+     "error_budget must be a non-negative integer"),
+], ids=["parameters", "seed", "n_max", "cz-bound", "error_budget",
+        "negative-error_budget"])
 def test_config_value_of_the_wrong_json_type_is_one_error(doc, code, message,
                                                           tmp_path, capsys):
-    # each of these used to end in an uncaught TypeError traceback
+    # each of these used to end in an uncaught traceback: a TypeError, or
+    # for the negative budget an IndexError
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(path)]) == code
@@ -525,3 +530,106 @@ def test_flags_map_to_parameters(argv, kind, parameters, monkeypatch, capsys):
     columns = SPECS[kind].columns if kind else ("n", "d")
     epilog = capsys.readouterr().out.rstrip("\n").splitlines()[-1]
     assert epilog == "CSV columns: " + ",".join(columns)
+
+
+# ----------------------------------------------------------------------------
+# the parameter tables, through sweep --config
+# ----------------------------------------------------------------------------
+
+# One small valid config per kind; the tests below change one key at a time.
+VALID = {
+    "BCZ": {"a": 2, "b": 3, "n_max": 2, "eps": 0.5},
+    "CZ_TRICHOTOMY": {"primes": [2], "bound": 4, "eps": 0.5},
+    "AR_RETURNS": {"a": 2, "b": 3, "n_max": 2},
+    "EDS_GCD": {"curve": C37_LIST, "p": [0, 0], "m_max": 2, "n_max": 2, "eps": 0.2},
+    "PN_CHECK": {"polys": ["X1-X0", "X2-X0"], "primes": [2], "bound": 2, "eps": 0.5},
+    "MIXED_CHECK": {"curve": C37_LIST, "point": [0, 0], "primes": [3], "eps": 0.5,
+                    "n_max": 2, "b_bound": 10},
+    "SIEGEL": {"curve": C37_LIST, "point": [0, 0], "n_max": 2},
+    "ABELIAN_GROWTH": {"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0],
+                       "n_max": 2, "eps": 0.3, "independence_asserted": True},
+}
+# Keys where the fuzz skips its 400-digit int, because that is a legal
+# request which runs for a long time rather than fails: on the keys that size
+# the grid it asks for about 10^400 cells, and a 400-digit a or b spends
+# about 20 s in factor's rho budget before BCZ and AR_RETURNS report
+# "independence undecidable at budget" (exit 2).
+BIG_IS_SLOW = {"n_max", "m_max", "n_min", "bound", "b_bound", "sample", "a", "b"}
+
+
+def _sweep_json(tmp_path, kind: str, params: dict) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": kind, "parameters": params}))
+    return main(["sweep", "--config", str(path), "--format", "json"])
+
+
+@pytest.mark.parametrize("kind", [k.value for k in SweepKind])
+def test_fuzzed_parameters_end_in_an_exit_code(kind, tmp_path, capsys):
+    assert _sweep_json(tmp_path, kind, VALID[kind]) == 0
+    assert json.loads(capsys.readouterr().out)["records"]
+    rng = random.Random(kind)
+    big = rng.randrange(10**399, 10**400)
+    values = [None, rng.random() < 0.5, 2.5, math.nan, math.inf, -math.inf,
+              rng.choice(["0.5", "2", "x", ""]), [rng.randint(-3, 3) for _ in range(2)],
+              {"x": rng.randint(-3, 3)}, -1, 0, big]
+    keys = [entry[0] for entry in SPECS[SweepKind(kind)].params] + ["error_budget"]
+    for key in keys:
+        for value in values:
+            if key in BIG_IS_SLOW and value is big:
+                continue
+            code = _sweep_json(tmp_path, kind, {**VALID[kind], key: value})
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (key, value)
+            if code:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                continue
+            # an accepted config re-runs from its own output, byte for byte
+            again = tmp_path / "again.json"
+            again.write_text(out)
+            assert main(["sweep", "--config", str(again), "--format", "json"]) == 0
+            assert capsys.readouterr().out == out, (key, value)
+
+
+@pytest.mark.parametrize("kind, change, message", [
+    ("BCZ", {"a": 2.9}, "a must be an integer"),
+    ("BCZ", {"n_max": 3.7}, "n_max must be an integer"),
+    ("BCZ", {"n_max": True}, "n_max must be an integer"),
+    ("BCZ", {"eps": "0.5"}, "eps must be a finite number"),
+    ("EDS_GCD", {"curve": [0, 0, 1, -1.5, 0]}, "curve must be a list of integers"),
+    ("PN_CHECK", {"r": 5}, "PN_CHECK config has unknown key 'r'"),
+    # codim_r is the r of VojtaParams, which checks it
+    ("PN_CHECK", {"codim_r": 1}, "r must be an integer >= 2"),
+    ("BCZ", {"C": 10**400}, "C must be a finite number"),
+], ids=["a", "n_max-float", "n_max-bool", "eps-string", "curve", "r-alias",
+        "codim_r", "C-huge"])
+def test_bad_parameter_is_one_error_naming_the_key(kind, change, message,
+                                                   tmp_path, capsys):
+    assert _sweep_json(tmp_path, kind, {**VALID[kind], **change}) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_integral_float_runs_as_its_integer(tmp_path, capsys):
+    assert _sweep_json(tmp_path, "BCZ", {**VALID["BCZ"], "n_max": 4}) == 0
+    as_int = json.loads(capsys.readouterr().out)
+    assert _sweep_json(tmp_path, "BCZ", {**VALID["BCZ"], "n_max": 4.0}) == 0
+    as_float = json.loads(capsys.readouterr().out)
+    assert as_float["records"] == as_int["records"] and len(as_int["records"]) == 4
+
+
+def test_cli_defaults_are_the_table_defaults():
+    checked, cli_only = set(), set()
+    for cmd, (kind, _, flags, _) in _SUBCOMMANDS.items():
+        table = {} if kind is None else {
+            entry[0]: entry[2] for entry in SPECS[kind].params if len(entry) == 3}
+        for flag, key, _, default, _ in flags:
+            for k in key if isinstance(key, tuple) else (key,):
+                if k in table:
+                    assert default == table[k], (cmd, flag)
+                    checked.add(k)
+                elif default is not None:
+                    cli_only.add((cmd, flag))
+    assert {"C", "b_bound", "codim_r", "delta"} <= checked
+    # eps and polys are required in the table; eds is not a sweep kind
+    assert cli_only == {("gcdpow", "--eps"), ("pncheck", "--poly"),
+                        ("eds", "--ignore-primes")}

@@ -212,12 +212,12 @@ def test_multiples_of_torsion_points():
 
 
 def test_eds_37a1_frozen(c37, p37):
-    assert eds(c37, p37, 20).terms == EDS_37A1_20
+    assert eds(c37, p37, 20) == EDS_37A1_20
 
 
 def test_eds_389a1_both_generators(c389, p389, q389):
-    assert eds(c389, p389, 12).terms == EDS_389A1_P
-    assert eds(c389, q389, 12).terms == EDS_389A1_Q
+    assert eds(c389, p389, 12) == EDS_389A1_P
+    assert eds(c389, q389, 12) == EDS_389A1_Q
 
 
 def test_eds_reports_finite_order():

@@ -189,7 +189,8 @@ def test_pn_sample_cost_follows_the_sample_not_the_box():
     params = {"polys": ["X1-X0", "X2-X0", "X3-X0"], "primes": [2, 3],
               "bound": 30, "eps": 0.4, "codim_r": 3, "sample": 50}
     t0 = time.perf_counter()
-    _, (points,) = experiments.SPECS[SweepKind.PN_CHECK].prepare(params, 7)
+    checked = experiments._checked(SweepKind.PN_CHECK, params)
+    _, (points,) = experiments.SPECS[SweepKind.PN_CHECK].prepare(checked, 7)
     assert time.perf_counter() - t0 < 1.0
     assert len(points) == 50
 
@@ -199,7 +200,8 @@ def test_pn_sample_must_be_a_positive_integer(sample):
     params = {"polys": ["X1-X0", "X2-X0"], "primes": [2], "bound": 3,
               "eps": 0.4, "sample": sample}
     with pytest.raises(ValueError, match="sample must be a positive integer"):
-        experiments.SPECS[SweepKind.PN_CHECK].prepare(params, 0)
+        experiments.SPECS[SweepKind.PN_CHECK].prepare(
+            experiments._checked(SweepKind.PN_CHECK, params), 0)
 
 
 # ----------------------------------------------------------------------------
@@ -289,8 +291,11 @@ BOUNDED = {
     SweepKind.CZ_TRICHOTOMY: {"primes": [2, 3], "bound": 60, "eps": 0.25},
     SweepKind.EDS_GCD: {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": 10,
                         "n_max": 10, "eps": 0.2, "C": -0.1},
-    SweepKind.PN_CHECK: {"polys": ["X1-X0", "X2-X0"], "primes": [2, 3], "bound": 5,
-                         "eps": 0.4, "delta": 2.5, "C": 0.3, "r": 3},
+    # V = {X1 = X2 = X3 = X0} has codimension 3 in P^3; with S = {2} a 3 in
+    # the coordinates makes hcount nonzero, so the weight is exercised
+    SweepKind.PN_CHECK: {"polys": ["X1-X0", "X2-X0", "X3-X0"], "primes": [2],
+                         "bound": 3, "eps": 0.4, "delta": 2.5, "C": 0.3,
+                         "codim_r": 3},
     SweepKind.MIXED_CHECK: {"curve": [0, 0, 0, 0, -2], "point": [3, 5],
                             "primes": [2, 3], "eps": 0.4, "n_max": 5, "b_bound": 30,
                             "C": 2.5},
@@ -309,7 +314,7 @@ def _bound_of(kind: SweepKind, row: dict, params: dict) -> float:
         return eps * row["hA"] + math.log(params["C"])
     rhs = eps * row["hA"]
     if kind == SweepKind.PN_CHECK:
-        rhs += row["hcount"] / (params["r"] - 1 + params["delta"] * eps)
+        rhs += row["hcount"] / (params["codim_r"] - 1 + params["delta"] * eps)
     return rhs + params["C"]
 
 
@@ -348,6 +353,24 @@ def test_fit_constant_is_the_infimum():
     below = run(SweepConfig(kind=SweepKind.BCZ,
                             parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 60,
                                         "C": fit - 1e-6}))
+    assert below.summary["violations"] >= 1
+
+
+def test_pn_fit_weights_the_counting_term():
+    # at this delta the least C comes from a row with a nonzero hcount, so it
+    # depends on the weight codim_r - 1 + delta*eps
+    params = {"polys": ["X1-X0", "X2-X0", "X3-X0"], "primes": [2], "bound": 3,
+              "eps": 0.4, "delta": 20.0, "codim_r": 3}
+    res = run(SweepConfig(kind=SweepKind.PN_CHECK, parameters=params))
+    fit = fit_constant(res, 0.4)
+    assert fit == res.summary["fitted_constant"]
+    weight = 3 - 1 + 20.0 * 0.4
+    assert fit == max(r["lhs"] - 0.4 * r["hA"] - r["hcount"] / weight
+                      for r in res.records)
+    at_fit = run(SweepConfig(kind=SweepKind.PN_CHECK, parameters={**params, "C": fit}))
+    assert at_fit.summary["violations"] == 0
+    below = run(SweepConfig(kind=SweepKind.PN_CHECK,
+                            parameters={**params, "C": fit - 1e-6}))
     assert below.summary["violations"] >= 1
 
 
@@ -474,7 +497,7 @@ TINY = {
 def test_cells_carry_their_row_index(kind):
     # error rows are tagged from the grid key, so each row's index must be it
     spec = experiments.SPECS[kind]
-    ctx, axes = spec.prepare(TINY[kind], 0)
+    ctx, axes = spec.prepare(experiments._checked(kind, TINY[kind]), 0)
     keys = list(itertools.product(*axes))
     assert keys and len(axes) == len(spec.index)
     for key in keys:
