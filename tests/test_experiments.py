@@ -233,6 +233,13 @@ BOUND_GOLDENS = [
     # JSON prints every key of a row, so it also pins the row schema
     ("cz_s23_b12_eps025.json", SweepKind.CZ_TRICHOTOMY,
      {"primes": [2, 3], "bound": 12, "eps": 0.25}),
+    # the fit keys are in the JSON summary only: this fit leaves out the
+    # diagonal, which has violations, and the PN one depends on the weight
+    ("edsgcd_37a1_eps02_n12.json", SweepKind.EDS_GCD,
+     {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": 12, "n_max": 12, "eps": 0.2}),
+    ("pn_x123_s2_b3_eps04_d20_r3.json", SweepKind.PN_CHECK,
+     {"polys": ["X1-X0", "X2-X0", "X3-X0"], "codim_r": 3, "primes": [2],
+      "bound": 3, "eps": 0.4, "delta": 20.0}),
 ]
 
 
