@@ -405,20 +405,23 @@ def factor(n: int, budget: FactorBudget = FactorBudget()) -> Factorization:
     )
 
 
-def mult_independent(a: int, b: int, budget: FactorBudget = FactorBudget()) -> bool:
+def mult_independent(a: int, b: int) -> bool:
     """True iff a^m = b^n has no solution in positive integers m, n.
 
-    Decided through exponent vectors: dependence means equal prime support
-    and proportional exponents.  Requires a, b >= 2; raises when either
-    factorization is incomplete at the given budget.
+    Decided by exact division, without factoring: a solution exists exactly
+    when a and b are powers of one integer, so dividing the larger by the
+    smaller ends in equality, and a nonzero remainder proves independence.
+    Requires a, b >= 2.
     """
     if a < 2 or b < 2:
         raise ValueError("mult_independent requires integers >= 2")
-    fa = factor(a, budget)
-    fb = factor(b, budget)
-    if not (fa.complete and fb.complete):
-        raise ValueError("independence undecidable at budget")
-    return _least_power_relation(fa.as_dict(), fb.as_dict()) is None
+    while a != b:
+        if a < b:
+            a, b = b, a
+        a, r = divmod(a, b)
+        if r:
+            return True
+    return False
 
 
 def _least_power_relation(

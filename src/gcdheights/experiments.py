@@ -59,8 +59,6 @@ __all__ = [
     "SPECS",
     "run",
     "summarize",
-    "fit_constant",
-    "detect_exceptional",
     "render_csv",
     "render_json",
     "format_real",
@@ -106,9 +104,9 @@ class KindSpec:
     all cells share, and one or two sequences of ``index`` values whose
     row-major grid is the cells.  ``row(ctx, *key)`` evaluates one cell,
     possibly in a pool worker; its row, like an error row, carries ``key`` as
-    its ``index`` columns.  ``fittable`` kinds have lhs/hA[/hcount]/holds
-    records that admit constant fitting.  ``summary(good, p)`` gives the
-    kind's own summary keys from its error-free rows.
+    its ``index`` columns.  ``summary(good, p)`` gives the kind's own summary
+    keys from its error-free rows; ``summarize`` adds the fit keys to every
+    kind whose ``columns`` include ``hA``.
     """
 
     columns: tuple[str, ...]
@@ -116,7 +114,6 @@ class KindSpec:
     params: tuple[tuple, ...]
     prepare: Callable[[dict, int], tuple[tuple, tuple[Sequence, ...]]]
     row: Callable[..., dict]
-    fittable: bool = False
     summary: Callable[[list[dict], dict], dict] = lambda good, p: {}
 
 
@@ -358,14 +355,15 @@ def _prepare_pn(p: dict, seed: int) -> tuple[tuple, tuple]:
     # Points of the box (see _box_point) with gcd 1 and off V.  A sampled run
     # visits the box in the seed's shuffled order until the sample is full,
     # so its cost follows the sample, not the box; otherwise every point in
-    # index order.
+    # index order.  A sample above the box size (even above islice's
+    # sys.maxsize limit) keeps every point.
     size = max(bound, 0) * (2 * bound) ** (nvars - 1)  # empty below bound 1
     order = (range(size) if sample is None
              else _distinct_draws(random.Random(seed), size))
     box = (_box_point(bound, nvars, i) for i in order)
     ok = (t for t in box
           if gcd(*t) == 1 and not all(f(t) == 0 for f in system.polys))
-    pts = list(islice(ok, sample))
+    pts = list(islice(ok, None if sample is None else min(sample, size)))
     return (system, S, vp), ([":".join(map(str, t)) for t in sorted(pts)],)
 
 
@@ -436,7 +434,7 @@ SPECS: dict[SweepKind, KindSpec] = {
     SweepKind.BCZ: KindSpec(
         columns=("n", "gcd", "lhs", "hA", "rhs", "holds", "error"),
         index=("n",), params=(*_A_B_N, *_EPS_C),
-        prepare=_prepare_bcz, row=_row_bcz, fittable=True,
+        prepare=_prepare_bcz, row=_row_bcz,
     ),
     SweepKind.CZ_TRICHOTOMY: KindSpec(
         columns=("alpha", "beta", "verdict", "m", "n", "gcd", "lhs", "rhs",
@@ -454,7 +452,7 @@ SPECS: dict[SweepKind, KindSpec] = {
                  "exceptional", "error"),
         index=("m", "n"), params=(("curve", _curve), ("p", _point), ("q", _point, None),
                                   ("m_max", _int), ("n_max", _int), *_EPS_C),
-        prepare=_prepare_eds_gcd, row=_row_eds_gcd, fittable=True,
+        prepare=_prepare_eds_gcd, row=_row_eds_gcd,
     ),
     SweepKind.PN_CHECK: KindSpec(
         columns=("point", "gcd", "lhs", "hA", "hcount", "rhs", "holds", "error"),
@@ -462,7 +460,7 @@ SPECS: dict[SweepKind, KindSpec] = {
                                   ("primes", _ints), ("bound", _int), *_EPS_C,
                                   ("delta", _real, 1.0),
                                   ("sample", _at_least(1, "positive"), None)),
-        prepare=_prepare_pn, row=_row_pn, fittable=True,
+        prepare=_prepare_pn, row=_row_pn,
         summary=lambda good, p: {"points": len(good)},
     ),
     SweepKind.MIXED_CHECK: KindSpec(
@@ -471,7 +469,7 @@ SPECS: dict[SweepKind, KindSpec] = {
                                   ("primes", _ints), _EPS, ("n_max", _int),
                                   ("C", _positive(" (it multiplies the bound)"), 1.0),
                                   ("b_bound", _int, 100)),
-        prepare=_prepare_mixed, row=_row_mixed, fittable=True,
+        prepare=_prepare_mixed, row=_row_mixed,
     ),
     SweepKind.SIEGEL: KindSpec(
         columns=("n", "d", "naive", "ratio", "error"),
@@ -484,7 +482,7 @@ SPECS: dict[SweepKind, KindSpec] = {
         index=("n",), params=(("independence_asserted", _vouched, False),
                               ("curve", _curve), ("p", _point), ("q", _point),
                               ("n_max", _int), *_EPS_C),
-        prepare=_prepare_abelian, row=_row_abelian, fittable=True,
+        prepare=_prepare_abelian, row=_row_abelian,
     ),
 }
 
@@ -550,96 +548,29 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
 
 
 def summarize(kind: SweepKind, records: list[dict], config: SweepConfig) -> dict:
-    """Recompute the summary block from the records and the checked parameters."""
+    """Recompute the summary block from the records and the checked parameters.
+
+    A kind with an ``hA`` column also gets ``violations`` (its rows that fail
+    the bound), the index of the last of them, and ``fitted_constant``: the
+    least C with lhs <= eps*hA [+ hcount/(codim_r - 1 + delta*eps)] + C on
+    every error-free row not flagged ``exceptional`` (the asserted
+    exceptional set), or None when no such row is left.
+    """
     spec = SPECS[kind]
     p = _checked(kind, config.parameters)
     good = [r for r in records if not r.get("error")]
     s: dict = {"kind": kind.value, "cells": len(records),
                "error_rows": len(records) - len(good)}
-    if spec.fittable:
-        viol = [r for r in good if r.get("holds") is False]
+    if "hA" in spec.columns:
+        viol = [r for r in good if r["holds"] is False]
         s["violations"] = len(viol)
         s["max_violating_index"] = [viol[-1][k] for k in spec.index] if viol else None
-        try:
-            s["fitted_constant"] = fit_constant_records(
-                good, p["eps"], p.get("codim_r", 2), p.get("delta", 1.0))
-        except ValueError:  # every row exceptional or errored
-            s["fitted_constant"] = None
+        eps = p["eps"]
+        weight = p.get("codim_r", 2) - 1 + p.get("delta", 1.0) * eps
+        s["fitted_constant"] = max(
+            (r["lhs"] - eps * r["hA"] - r.get("hcount", 0.0) / weight
+             for r in good if not r.get("exceptional")), default=None)
     return {**s, **spec.summary(good, p)}
-
-
-# ----------------------------------------------------------------------------
-# fitting and exceptional-set probing
-# ----------------------------------------------------------------------------
-
-def fit_constant_records(
-    records: list[dict], eps: float, r: int = 2, delta: float = 1.0
-) -> float:
-    """Exact infimum C with lhs <= eps*hA [+ hcount/(r-1+delta*eps)] + C.
-
-    Records flagged exceptional are excluded (they are the asserted
-    exceptional set); an all-exceptional or empty input is an error.
-    """
-    denom = r - 1 + delta * eps
-    best = None
-    for rec in records:
-        if rec.get("error") or rec.get("exceptional"):
-            continue
-        need = rec["lhs"] - eps * rec["hA"] - rec.get("hcount", 0.0) / denom
-        best = need if best is None else max(best, need)
-    if best is None:
-        raise ValueError("all records exceptional or errored; nothing to fit")
-    return best
-
-
-def fit_constant(result: SweepResult, eps: float) -> float:
-    """Fit the empirical constant for a finished sweep at tolerance eps."""
-    kind = result.config.kind
-    if not SPECS[kind].fittable:
-        raise ValueError(f"cannot fit a constant for {kind.value}")
-    if not result.records:
-        raise ValueError("no records to fit")
-    p = _checked(kind, result.config.parameters)
-    return fit_constant_records(result.records, eps, p.get("codim_r", 2),
-                                p.get("delta", 1.0))
-
-
-def detect_exceptional(result: SweepResult) -> list[dict]:
-    """Group violating inputs and propose structure (never assert it).
-
-    EDS_GCD: violating (m, n) pairs grouped by their reduced direction
-    (m/g, n/g) — the proportional-index probe; each group reports whether the
-    direction was on the predicted list for the sweep's eps.
-    PN_CHECK: violating points listed raw for external analysis.
-    """
-    kind = result.config.kind
-    if kind == SweepKind.EDS_GCD:
-        groups: dict[tuple[int, int], list[list[int]]] = {}
-        predicted: dict[tuple[int, int], bool] = {}  # from the rows' prepare-time flag
-        for r in result.records:
-            if r.get("error") or r.get("holds") is not False:
-                continue
-            m, n = r["m"], r["n"]
-            g = gcd(m, n)
-            d = (m // g, n // g)
-            groups.setdefault(d, []).append([m, n])
-            predicted[d] = r["exceptional"]
-        return [
-            {
-                "subgroup": list(d),
-                "count": len(members),
-                "indices": members,
-                "predicted": predicted[d],
-            }
-            for d, members in sorted(groups.items())
-        ]
-    if kind == SweepKind.PN_CHECK:
-        return [
-            {"point": r["point"], "lhs": r["lhs"], "rhs": r["rhs"]}
-            for r in result.records
-            if not r.get("error") and r.get("holds") is False
-        ]
-    raise ValueError("detect_exceptional expects EDS_GCD or PN_CHECK records")
 
 
 # ----------------------------------------------------------------------------

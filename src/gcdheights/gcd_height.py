@@ -259,6 +259,11 @@ class VojtaParams:
             raise ValueError("r must be an integer >= 2")
         if not self.epsilon < self.r - 1:
             raise ValueError("epsilon must be < r - 1")
+        try:
+            self.weight
+        except OverflowError:
+            raise ValueError(
+                "r is too large: r - 1 + delta*eps overflows a float") from None
 
     @property
     def weight(self) -> float:

@@ -18,6 +18,7 @@ DELETED = {
     "mulgrp": ("MulPoint", "MulDivSeq", "power", "mul_D", "mul_seq"),
     "elliptic": ("EDS", "gcd_D", "hgcd_e2", "hgcd_e2_local_sum", "siegel_ratio"),
     "gcd_height": ("BoundRecord", "vojta_rhs"),
+    "experiments": ("fit_constant", "fit_constant_records", "detect_exceptional"),
 }
 
 
@@ -37,6 +38,7 @@ def test_public_names_are_declared_once():
             assert not hasattr(gcdheights, name)
             assert not hasattr(importlib.import_module(f"gcdheights.{mod}"), name)
     assert [f.name for f in dataclasses.fields(PrimeSet)] == ["primes"]
+    assert "fittable" not in {f.name for f in dataclasses.fields(gcdheights.KindSpec)}
 
 
 def test_names_the_benchmark_traces_exist():

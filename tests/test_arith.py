@@ -282,5 +282,20 @@ def test_least_power_relation():
 def test_mult_independent_domain_and_budget():
     with pytest.raises(ValueError, match=">= 2"):
         mult_independent(1, 5)
-    with pytest.raises(ValueError, match="undecidable"):
-        mult_independent(M61 * M89, 2, FactorBudget(trial_bound=100, rho_iterations=50))
+    # decided without factoring, so hard-to-factor and 400-digit inputs are quick
+    assert mult_independent(M61 * M89, 2)
+    assert mult_independent(10**399 + 7, 3)
+    assert not mult_independent(M61 ** 6, M61 ** 4)
+
+
+def test_mult_independent_agrees_with_factoring():
+    rng = random.Random(11)
+    for _ in range(2000):
+        if rng.random() < 0.5:  # powers of one base, sometimes spoiled
+            c = rng.randint(2, 40)
+            a = c ** rng.randint(1, 9)
+            b = c ** rng.randint(1, 9) * rng.choice([1, 1, 2, 3])
+        else:
+            a, b = rng.randint(2, 10**5), rng.randint(2, 10**5)
+        want = _least_power_relation(factor(a).as_dict(), factor(b).as_dict()) is None
+        assert mult_independent(a, b) == want, (a, b)

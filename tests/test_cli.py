@@ -550,11 +550,9 @@ VALID = {
                        "n_max": 2, "eps": 0.3, "independence_asserted": True},
 }
 # Keys where the fuzz skips its 400-digit int, because that is a legal
-# request which runs for a long time rather than fails: on the keys that size
-# the grid it asks for about 10^400 cells, and a 400-digit a or b spends
-# about 20 s in factor's rho budget before BCZ and AR_RETURNS report
-# "independence undecidable at budget" (exit 2).
-BIG_IS_SLOW = {"n_max", "m_max", "n_min", "bound", "b_bound", "sample", "a", "b"}
+# request which runs for a long time rather than fails: on these keys it asks
+# for a grid of about 10^400 cells.
+BIG_IS_SLOW = {"n_max", "m_max", "n_min", "bound", "b_bound"}
 
 
 def _sweep_json(tmp_path, kind: str, params: dict) -> int:
@@ -599,9 +597,11 @@ def test_fuzzed_parameters_end_in_an_exit_code(kind, tmp_path, capsys):
     ("PN_CHECK", {"r": 5}, "PN_CHECK config has unknown key 'r'"),
     # codim_r is the r of VojtaParams, which checks it
     ("PN_CHECK", {"codim_r": 1}, "r must be an integer >= 2"),
+    ("PN_CHECK", {"codim_r": 10**400},
+     "r is too large: r - 1 + delta*eps overflows a float"),
     ("BCZ", {"C": 10**400}, "C must be a finite number"),
 ], ids=["a", "n_max-float", "n_max-bool", "eps-string", "curve", "r-alias",
-        "codim_r", "C-huge"])
+        "codim_r", "codim_r-huge", "C-huge"])
 def test_bad_parameter_is_one_error_naming_the_key(kind, change, message,
                                                    tmp_path, capsys):
     assert _sweep_json(tmp_path, kind, {**VALID[kind], **change}) == 2

@@ -1,4 +1,4 @@
-"""The sweep runner: determinism, summaries, fitting, goldens, error budget."""
+"""The sweep runner: determinism, summaries and fits, goldens, error budget."""
 from __future__ import annotations
 
 import csv
@@ -19,8 +19,6 @@ from gcdheights import (
     SweepKind,
     SweepResult,
     cz_classify,
-    detect_exceptional,
-    fit_constant,
     format_real,
     gcd_pair,
     render_csv,
@@ -169,7 +167,7 @@ def test_pn_sampled_points_are_valid_distinct_and_sorted(texts, bound):
         assert not all(f(x) == 0 for f in system.polys)
     # a sample covering every valid point returns the unsampled rows
     everything = _pn_grid_oracle(texts, bound)
-    for sample in (len(everything), len(everything) + 5):
+    for sample in (len(everything), len(everything) + 5, 2**63):
         assert _pn_points(texts, bound, sample=sample, seed=3) == everything
 
 
@@ -340,19 +338,20 @@ def test_bounded_rows_agree_with_their_columns(kind):
 
 
 # ----------------------------------------------------------------------------
-# fitting and the exceptional-set probe
+# the fitted constant and the violating cells
 # ----------------------------------------------------------------------------
 
 def test_fit_constant_frozen_value():
     cfg = SweepConfig(kind=SweepKind.BCZ,
                       parameters={"a": 2, "b": 3, "eps": 0.2, "n_max": 100})
-    assert math.isclose(fit_constant(run(cfg), 0.2), BCZ_FIT_EPS02_N100, rel_tol=1e-12)
+    assert math.isclose(run(cfg).summary["fitted_constant"], BCZ_FIT_EPS02_N100,
+                        rel_tol=1e-12)
 
 
 def test_fit_constant_is_the_infimum():
     # with C = fit every row holds; shaving 1e-6 creates a violation
-    fit = fit_constant(run(SweepConfig(
-        kind=SweepKind.BCZ, parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 60})), 0.5)
+    fit = run(SweepConfig(kind=SweepKind.BCZ, parameters={
+        "a": 2, "b": 3, "eps": 0.5, "n_max": 60})).summary["fitted_constant"]
     at_fit = run(SweepConfig(kind=SweepKind.BCZ,
                              parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 60,
                                          "C": fit}))
@@ -369,8 +368,7 @@ def test_pn_fit_weights_the_counting_term():
     params = {"polys": ["X1-X0", "X2-X0", "X3-X0"], "primes": [2], "bound": 3,
               "eps": 0.4, "delta": 20.0, "codim_r": 3}
     res = run(SweepConfig(kind=SweepKind.PN_CHECK, parameters=params))
-    fit = fit_constant(res, 0.4)
-    assert fit == res.summary["fitted_constant"]
+    fit = res.summary["fitted_constant"]
     weight = 3 - 1 + 20.0 * 0.4
     assert fit == max(r["lhs"] - 0.4 * r["hA"] - r["hcount"] / weight
                       for r in res.records)
@@ -383,7 +381,7 @@ def test_pn_fit_weights_the_counting_term():
 
 def test_fit_constant_excludes_predicted_directions():
     res = run(EDSGCD_37A1)
-    fit = fit_constant(res, 0.2)
+    fit = res.summary["fitted_constant"]
     worst_plain = max(r["lhs"] - 0.2 * r["hA"] for r in res.records)
     worst_off_diagonal = max(r["lhs"] - 0.2 * r["hA"]
                              for r in res.records if not r["exceptional"])
@@ -392,34 +390,32 @@ def test_fit_constant_excludes_predicted_directions():
 
 
 def test_fit_constant_kind_and_emptiness_errors():
-    sg = run(SweepConfig(kind=SweepKind.SIEGEL,
-                         parameters={"curve": [0, 0, 1, -1, 0], "point": [0, 0],
-                                     "n_max": 5}))
-    with pytest.raises(ValueError, match="cannot fit"):
-        fit_constant(sg, 0.5)
+    # the kinds with an hA column get the fit keys, and no other kind does
+    fitted = {kind for kind in SweepKind
+              if "fitted_constant" in run(SweepConfig(kind, TINY[kind])).summary}
+    assert fitted == {SweepKind.BCZ, SweepKind.EDS_GCD, SweepKind.PN_CHECK,
+                      SweepKind.MIXED_CHECK, SweepKind.ABELIAN_GROWTH}
     only_diag = run(SweepConfig(kind=SweepKind.EDS_GCD,
                                 parameters={"curve": [0, 0, 1, -1, 0], "p": [0, 0],
                                             "m_max": 1, "n_max": 1, "eps": 0.2}))
+    assert only_diag.records[0]["exceptional"]
     assert only_diag.summary["fitted_constant"] is None
-    with pytest.raises(ValueError, match="exceptional"):
-        fit_constant(only_diag, 0.2)
 
 
 def test_detect_exceptional_flags_the_diagonal():
     res = run(EDSGCD_37A1)
     assert res.summary["violations"] == EDSGCD_37A1_EPS02_VIOLATIONS
-    groups = detect_exceptional(res)
-    assert len(groups) == 1
-    g = groups[0]
-    assert g["subgroup"] == [1, 1] and g["predicted"] is True
-    assert g["count"] == EDSGCD_37A1_EPS02_VIOLATIONS
-    assert all(m == n for m, n in g["indices"])
+    viol = [r for r in res.records if r["holds"] is False]
+    assert len(viol) == EDSGCD_37A1_EPS02_VIOLATIONS
+    # every violating (m, n) has the reduced direction (1, 1), which is predicted
+    assert all(r["m"] == r["n"] and r["exceptional"] for r in viol)
+    assert res.summary["max_violating_index"] == [viol[-1]["m"], viol[-1]["n"]]
 
 
 def test_detect_exceptional_independent_points_stay_clean():
     res = run(EDSGCD_389A1)
     assert res.summary["violations"] == 0
-    assert detect_exceptional(res) == []
+    assert res.summary["max_violating_index"] is None
     assert math.isclose(res.summary["fitted_constant"], EDSGCD_389A1_FITTED,
                         rel_tol=1e-12)
 
@@ -429,14 +425,9 @@ def test_detect_exceptional_lists_pn_points():
                       parameters={"polys": ["X1-X0", "X2-X0"], "primes": [2, 3],
                                   "bound": 6, "eps": 0.4})
     res = run(cfg)
-    listed = detect_exceptional(res)
-    assert listed == [{"point": r["point"], "lhs": r["lhs"], "rhs": r["rhs"]}
-                      for r in res.records if r["holds"] is False]
-
-
-def test_detect_exceptional_rejects_other_kinds():
-    with pytest.raises(ValueError, match="expects"):
-        detect_exceptional(run(BCZ300))
+    viol = [r["point"] for r in res.records if r["holds"] is False]
+    assert viol and res.summary["violations"] == len(viol)
+    assert res.summary["max_violating_index"] == [viol[-1]]
 
 
 # ----------------------------------------------------------------------------
