@@ -24,8 +24,10 @@ from .experiments import (
     SweepConfig,
     SweepKind,
     _curve,
+    _format_int,
     _int,
     _ints,
+    _json_with_list,
     _on_curve,
     _point,
     format_real,
@@ -318,19 +320,19 @@ def _cmd_eds(args) -> str:
     S = PrimeSet(ignore)
     terms = _eds_op(c, p, _int("n_max", params["n_max"]))
     report = divisibility_check([prime_to_S_part(t, S) for t in terms])
+    texts = [_format_int(d) for d in terms]
     fmt = args.format or "csv"
     if fmt == "csv":
-        lines = [",".join(_EDS_COLUMNS)] + [f"{i+1},{d}" for i, d in enumerate(terms)]
+        lines = [",".join(_EDS_COLUMNS)] + [f"{i+1},{d}" for i, d in enumerate(texts)]
         return "\n".join(lines) + "\n"
     doc = {
         "version": __version__,
         "config": {"kind": "EDS", "parameters": params, "seed": 0},
-        "terms": list(terms),
         "divisibility_ok": report.ok,
         "counterexample": list(report.counterexample) if report.counterexample else None,
         "ignored_primes": ignore,
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json_with_list(doc, "terms", ["    " + t for t in texts])
 
 
 def _cmd_sweep(args) -> str:

@@ -8,10 +8,12 @@ produces byte-identical CSV no matter the job count.  Per-cell failures
 become tagged error rows instead of aborting the run; a configurable error
 budget (default 0) turns unexpected ones into a failure at the end.
 
-Each kind is one ``KindSpec`` record in ``SPECS``.  Row schemas are fixed per
-kind: index columns first, then exact integer witnesses as decimal strings,
-then the log-space lhs/rhs pair and the holds flag.  Reals are rendered with
-12 significant digits.
+Each kind is one ``KindSpec`` record in ``SPECS``.  A row is a tuple of the
+kind's ``Row`` type in ``columns`` order: index columns first, then exact
+integer witnesses, then the log-space lhs/rhs pair and the holds flag, then
+``error`` (None but on an error row, which has only its index values).
+Rendering encodes each value by its type: integers with all their digits,
+reals with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ import csv
 import io
 import json
 import random
+from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice, product
-from math import gcd, inf, isinf, isnan, log, prod
+from math import exp, gcd, inf, isfinite, isinf, isnan, log, prod
+from operator import itemgetter
 from statistics import median
 from sys import float_info
 
@@ -89,7 +93,7 @@ class SweepConfig:
 @dataclass
 class SweepResult:
     config: SweepConfig
-    records: list[dict]
+    records: list[tuple]
     summary: dict
 
 
@@ -97,24 +101,31 @@ class SweepResult:
 class KindSpec:
     """Everything the runner knows about one sweep kind.
 
-    ``params`` has one entry per config key, ``(key, check)`` if required and
+    ``Row`` is the namedtuple of its ``columns``.  ``params`` has one entry
+    per config key, ``(key, check)`` if required and
     ``(key, check, default)`` if not; ``check(key, value)`` returns the plain
     value or raises ValueError naming the key.  ``prepare(p, seed)`` takes
     those values (see ``_checked``) and returns ``(ctx, axes)``: the inputs
     all cells share, and one or two sequences of ``index`` values whose
     row-major grid is the cells.  ``row(ctx, *key)`` evaluates one cell,
-    possibly in a pool worker; its row, like an error row, carries ``key`` as
-    its ``index`` columns.  ``summary(good, p)`` gives the kind's own summary
-    keys from its error-free rows; ``summarize`` adds the fit keys to every
-    kind whose ``columns`` include ``hA``.
+    possibly in a pool worker; its ``Row``, like an error row, carries ``key``
+    as its ``index`` columns.  ``summary(good, p)`` gives the kind's own
+    summary keys from its error-free rows; ``summarize`` adds the fit keys to
+    every kind whose ``columns`` include ``hA``, mapping the log-scale fit to
+    the config's ``C`` by ``C_of_fit``.
     """
 
-    columns: tuple[str, ...]
+    Row: type
     index: tuple[str, ...]
     params: tuple[tuple, ...]
     prepare: Callable[[dict, int], tuple[tuple, tuple[Sequence, ...]]]
-    row: Callable[..., dict]
-    summary: Callable[[list[dict], dict], dict] = lambda good, p: {}
+    row: Callable[..., tuple]
+    summary: Callable[[list[tuple], dict], dict] = lambda good, p: {}
+    C_of_fit: Callable[[float], float] = lambda fit: fit
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return self.Row._fields
 
 
 # ----------------------------------------------------------------------------
@@ -242,10 +253,10 @@ def _prepare_bcz(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (p["a"], p["b"], p["eps"], p["C"]), (range(1, p["n_max"] + 1),)
 
 
-def _row_bcz(ctx: tuple, n: int) -> dict:
+def _row_bcz(ctx: tuple, n: int) -> tuple:
     a, b, eps, C = ctx
     g = gcd_pair(a, b, n)
-    return {"n": n, "gcd": g, **vojta_bound(log(g), n * LN2, eps, C)}
+    return _BCZRow(n, g, **vojta_bound(log(g), n * LN2, eps, C))
 
 
 def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
@@ -254,22 +265,19 @@ def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (S, p["eps"]), (units, units)
 
 
-def _row_cz(ctx: tuple, a: int, b: int) -> dict:
+def _row_cz(ctx: tuple, a: int, b: int) -> tuple:
     S, eps = ctx
     v = cz_classify(a, b, S, eps)
-    return {
-        "alpha": a, "beta": b, "verdict": v.kind, "m": v.m, "n": v.n,
-        "gcd": v.gcd, "lhs": v.lhs, "rhs": v.rhs, "holds": v.holds,
-    }
+    return _CZRow(a, b, v.kind, v.m, v.n, v.gcd, v.lhs, v.rhs, v.holds)
 
 
-def _summary_cz(good: list[dict], p: dict) -> dict:
+def _summary_cz(good: list[tuple], p: dict) -> dict:
     counts = {POWER_RELATION: 0, INEQUALITY_HOLDS: 0, EXCEPTIONAL: 0}
     for r in good:
-        counts[r["verdict"]] += 1
+        counts[r.verdict] += 1
     # power-relation pairs may fail the raw inequality legitimately; the
     # trichotomy's genuine violations are the EXCEPTIONAL rows
-    pairs = [[r["alpha"], r["beta"]] for r in good if r["verdict"] == EXCEPTIONAL]
+    pairs = [[r.alpha, r.beta] for r in good if r.verdict == EXCEPTIONAL]
     return {"violations": len(pairs),
             "max_violating_index": pairs[-1] if pairs else None,
             "verdicts": counts, "exceptional_pairs": pairs}
@@ -281,14 +289,14 @@ def _prepare_ar(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (a, b, gcd_pair(a, b, 1)), (range(1, p["n_max"] + 1),)
 
 
-def _row_ar(ctx: tuple, n: int) -> dict:
+def _row_ar(ctx: tuple, n: int) -> tuple:
     a, b, base = ctx
     g = gcd_pair(a, b, n)
-    return {"n": n, "gcd": g, "base_gcd": base, "is_return": g == base}
+    return _ARRow(n, g, base, g == base)
 
 
-def _summary_ar(good: list[dict], p: dict) -> dict:
-    idx = [r["n"] for r in good if r.get("is_return")]
+def _summary_ar(good: list[tuple], p: dict) -> dict:
+    idx = [r.n for r in good if r.is_return]
     return {"returns": len(idx), "density": len(idx) / len(good) if good else 0.0,
             "return_indices": idx}
 
@@ -305,15 +313,12 @@ def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
             (range(1, m_max + 1), range(1, n_max + 1)))
 
 
-def _row_eds_gcd(ctx: tuple, m: int, n: int) -> dict:
+def _row_eds_gcd(ctx: tuple, m: int, n: int) -> tuple:
     mp, nq, predicted, eps, C = ctx
     (d_m, h_m), (d_n, h_n) = mp[m - 1], nq[n - 1]
     g = gcd(m, n)
-    return {
-        "m": m, "n": n, "d_m": d_m, "d_n": d_n,
-        **check_e2(d_m, d_n, h_m + h_n, eps, C),
-        "exceptional": (m // g, n // g) in predicted,
-    }
+    return _EDSGCDRow(m, n, d_m, d_n, **check_e2(d_m, d_n, h_m + h_n, eps, C),
+                      exceptional=(m // g, n // g) in predicted)
 
 
 def _box_point(bound: int, nvars: int, i: int) -> tuple[int, ...]:
@@ -367,10 +372,10 @@ def _prepare_pn(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (system, S, vp), ([":".join(map(str, t)) for t in sorted(pts)],)
 
 
-def _row_pn(ctx: tuple, point: str) -> dict:
+def _row_pn(ctx: tuple, point: str) -> tuple:
     system, S, vp = ctx
     coords = tuple(int(t) for t in point.split(":"))
-    return {"point": point, **check_pn(PnPoint(coords), system, S, vp)}
+    return _PNRow(point, **check_pn(PnPoint(coords), system, S, vp))
 
 
 def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
@@ -382,9 +387,9 @@ def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (dq, S, p["eps"], p["C"]), (range(1, n_max + 1), units)
 
 
-def _row_mixed(ctx: tuple, n: int, b: int) -> dict:
+def _row_mixed(ctx: tuple, n: int, b: int) -> tuple:
     dq, S, eps, C = ctx
-    return {"n": n, "b": b, "d_q": dq[n - 1], **check_mixed(dq[n - 1], b, S, eps, C)}
+    return _MixedRow(n, b, dq[n - 1], **check_mixed(dq[n - 1], b, S, eps, C))
 
 
 def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
@@ -397,15 +402,15 @@ def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (n_min, dn), (range(n_min, n_max + 1),)
 
 
-def _row_siegel(ctx: tuple, n: int) -> dict:
+def _row_siegel(ctx: tuple, n: int) -> tuple:
     n_min, dn = ctx
     d, naive = dn[n - n_min]
     ratio = 0.0 if d == 1 else 2.0 * log(d) / naive
-    return {"n": n, "d": d, "naive": naive, "ratio": ratio}
+    return _SiegelRow(n, d, naive, ratio)
 
 
-def _summary_siegel(good: list[dict], p: dict) -> dict:
-    ratios = [r["ratio"] for r in good]
+def _summary_siegel(good: list[tuple], p: dict) -> dict:
+    ratios = [r.ratio for r in good]
     return {"median_abs_dev": median(abs(x - 1.0) for x in ratios) if ratios else None,
             "max_ratio": max(ratios) if ratios else None}
 
@@ -419,87 +424,91 @@ def _prepare_abelian(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (dp, dq, p["eps"], p["C"]), (range(1, n_max + 1),)
 
 
-def _row_abelian(ctx: tuple, n: int) -> dict:
+def _row_abelian(ctx: tuple, n: int) -> tuple:
     dp, dq, eps, C = ctx
-    return {
-        "n": n, "d_p": dp[n - 1], "d_q": dq[n - 1],
-        **check_e2(dp[n - 1], dq[n - 1], float(n ** 2), eps, C),
-    }
+    return _AbelianRow(n, dp[n - 1], dq[n - 1],
+                       **check_e2(dp[n - 1], dq[n - 1], float(n ** 2), eps, C))
 
+
+def _row_type(name: str, columns: str) -> type:
+    return namedtuple(name, columns + " error", defaults=(None,))
+
+
+# One row type per kind: index columns first, error last.  Each is a module
+# attribute of its own name, so pool workers can pickle rows.
+_BCZRow = _row_type("_BCZRow", "n gcd lhs hA rhs holds")
+_CZRow = _row_type("_CZRow", "alpha beta verdict m n gcd lhs rhs holds")
+_ARRow = _row_type("_ARRow", "n gcd base_gcd is_return")
+_EDSGCDRow = _row_type("_EDSGCDRow", "m n d_m d_n gcd lhs hA rhs holds exceptional")
+_PNRow = _row_type("_PNRow", "point gcd lhs hA hcount rhs holds")
+_MixedRow = _row_type("_MixedRow", "n b d_q gcd lhs hA rhs holds")
+_SiegelRow = _row_type("_SiegelRow", "n d naive ratio")
+_AbelianRow = _row_type("_AbelianRow", "n d_p d_q gcd lhs hA rhs holds")
 
 _A_B_N = (("a", _int), ("b", _int), ("n_max", _int))
 _EPS_C = (_EPS, ("C", _finite, 0.0))
 
 SPECS: dict[SweepKind, KindSpec] = {
     SweepKind.BCZ: KindSpec(
-        columns=("n", "gcd", "lhs", "hA", "rhs", "holds", "error"),
         index=("n",), params=(*_A_B_N, *_EPS_C),
-        prepare=_prepare_bcz, row=_row_bcz,
+        prepare=_prepare_bcz, row=_row_bcz, Row=_BCZRow,
     ),
     SweepKind.CZ_TRICHOTOMY: KindSpec(
-        columns=("alpha", "beta", "verdict", "m", "n", "gcd", "lhs", "rhs",
-                 "holds", "error"),
         index=("alpha", "beta"), params=(("primes", _ints), ("bound", _int), _EPS),
-        prepare=_prepare_cz, row=_row_cz, summary=_summary_cz,
+        prepare=_prepare_cz, row=_row_cz, Row=_CZRow, summary=_summary_cz,
     ),
     SweepKind.AR_RETURNS: KindSpec(
-        columns=("n", "gcd", "base_gcd", "is_return", "error"),
         index=("n",), params=_A_B_N,
-        prepare=_prepare_ar, row=_row_ar, summary=_summary_ar,
+        prepare=_prepare_ar, row=_row_ar, Row=_ARRow, summary=_summary_ar,
     ),
     SweepKind.EDS_GCD: KindSpec(
-        columns=("m", "n", "d_m", "d_n", "gcd", "lhs", "hA", "rhs", "holds",
-                 "exceptional", "error"),
         index=("m", "n"), params=(("curve", _curve), ("p", _point), ("q", _point, None),
                                   ("m_max", _int), ("n_max", _int), *_EPS_C),
-        prepare=_prepare_eds_gcd, row=_row_eds_gcd,
+        prepare=_prepare_eds_gcd, row=_row_eds_gcd, Row=_EDSGCDRow,
     ),
     SweepKind.PN_CHECK: KindSpec(
-        columns=("point", "gcd", "lhs", "hA", "hcount", "rhs", "holds", "error"),
         index=("point",), params=(("polys", _polys), ("codim_r", _int, 2),
                                   ("primes", _ints), ("bound", _int), *_EPS_C,
                                   ("delta", _real, 1.0),
                                   ("sample", _at_least(1, "positive"), None)),
-        prepare=_prepare_pn, row=_row_pn,
+        prepare=_prepare_pn, row=_row_pn, Row=_PNRow,
         summary=lambda good, p: {"points": len(good)},
     ),
     SweepKind.MIXED_CHECK: KindSpec(
-        columns=("n", "b", "d_q", "gcd", "lhs", "hA", "rhs", "holds", "error"),
         index=("n", "b"), params=(("curve", _curve), ("point", _point),
                                   ("primes", _ints), _EPS, ("n_max", _int),
                                   ("C", _positive(" (it multiplies the bound)"), 1.0),
                                   ("b_bound", _int, 100)),
-        prepare=_prepare_mixed, row=_row_mixed,
+        prepare=_prepare_mixed, row=_row_mixed, Row=_MixedRow, C_of_fit=exp,
     ),
     SweepKind.SIEGEL: KindSpec(
-        columns=("n", "d", "naive", "ratio", "error"),
         index=("n",), params=(("curve", _curve), ("point", _point),
                               ("n_min", _int, 1), ("n_max", _int)),
-        prepare=_prepare_siegel, row=_row_siegel, summary=_summary_siegel,
+        prepare=_prepare_siegel, row=_row_siegel, Row=_SiegelRow,
+        summary=_summary_siegel,
     ),
     SweepKind.ABELIAN_GROWTH: KindSpec(
-        columns=("n", "d_p", "d_q", "gcd", "lhs", "hA", "rhs", "holds", "error"),
         index=("n",), params=(("independence_asserted", _vouched, False),
                               ("curve", _curve), ("p", _point), ("q", _point),
                               ("n_max", _int), *_EPS_C),
-        prepare=_prepare_abelian, row=_row_abelian,
+        prepare=_prepare_abelian, row=_row_abelian, Row=_AbelianRow,
     ),
 }
 
 
-def _eval_range(kind: SweepKind, ctx: tuple, axes: tuple, idx: range) -> list[dict]:
+def _eval_range(kind: SweepKind, ctx: tuple, axes: tuple, idx: range) -> list[tuple]:
     """Rows of the cells ``idx`` of the row-major grid over ``axes``.
 
     Failures become tagged rows of the cell's index, never exceptions.
     """
     spec = SPECS[kind]
+    blank = (None,) * (len(spec.columns) - len(spec.index) - 1)
     rows = []
     for key in islice(product(*axes), idx.start, idx.stop):
         try:
             rows.append(spec.row(ctx, *key))
         except Exception as exc:  # per-record capture is the contract here
-            rows.append(dict(zip(spec.index, key),
-                             error=f"{type(exc).__name__}: {exc}"))
+            rows.append(spec.Row(*key, *blank, f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -513,7 +522,7 @@ def _init_worker(kind: SweepKind, ctx: tuple, axes: tuple) -> None:
     _WORKER = (kind, ctx, axes)
 
 
-def _eval_chunk(idx: range) -> list[dict]:
+def _eval_chunk(idx: range) -> list[tuple]:
     return _eval_range(*_WORKER, idx)
 
 
@@ -537,39 +546,40 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(kind, ctx, axes)) as pool:
             records = [r for rows in pool.map(_eval_chunk, chunks) for r in rows]
-    errors = [r for r in records if r.get("error")]
+    errors = [r.error for r in records if r.error is not None]
     if len(errors) > p["error_budget"]:
         raise ValueError(
             f"error budget exceeded: {len(errors)} error rows "
-            f"(budget {p['error_budget']}); first: {errors[0]['error']}"
+            f"(budget {p['error_budget']}); first: {errors[0]}"
         )
     summary = summarize(kind, records, config)
     return SweepResult(config=config, records=records, summary=summary)
 
 
-def summarize(kind: SweepKind, records: list[dict], config: SweepConfig) -> dict:
+def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig) -> dict:
     """Recompute the summary block from the records and the checked parameters.
 
     A kind with an ``hA`` column also gets ``violations`` (its rows that fail
     the bound), the index of the last of them, and ``fitted_constant``: the
     least C with lhs <= eps*hA [+ hcount/(codim_r - 1 + delta*eps)] + C on
     every error-free row not flagged ``exceptional`` (the asserted
-    exceptional set), or None when no such row is left.
+    exceptional set), or None when no such row is left; a kind whose config
+    ``C`` multiplies the bound reports exp of that C, which it can take back.
     """
     spec = SPECS[kind]
     p = _checked(kind, config.parameters)
-    good = [r for r in records if not r.get("error")]
+    good = [r for r in records if r.error is None]
     s: dict = {"kind": kind.value, "cells": len(records),
                "error_rows": len(records) - len(good)}
     if "hA" in spec.columns:
-        viol = [r for r in good if r["holds"] is False]
+        viol = [r for r in good if r.holds is False]
         s["violations"] = len(viol)
-        s["max_violating_index"] = [viol[-1][k] for k in spec.index] if viol else None
+        s["max_violating_index"] = list(viol[-1][:len(spec.index)]) if viol else None
         eps = p["eps"]
         weight = p.get("codim_r", 2) - 1 + p.get("delta", 1.0) * eps
-        s["fitted_constant"] = max(
-            (r["lhs"] - eps * r["hA"] - r.get("hcount", 0.0) / weight
-             for r in good if not r.get("exceptional")), default=None)
+        fit = max((r.lhs - eps * r.hA - getattr(r, "hcount", 0.0) / weight
+                   for r in good if not getattr(r, "exceptional", False)), default=None)
+        s["fitted_constant"] = None if fit is None else spec.C_of_fit(fit)
     return {**s, **spec.summary(good, p)}
 
 
@@ -582,26 +592,36 @@ def format_real(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
+def _format_int(v: int) -> str:
+    """All the digits of ``v``, also past str()'s 4300-digit limit."""
+    try:
         return str(v)
-    if isinstance(v, float):
-        return format_real(v)
-    return str(v)
+    except ValueError:
+        from decimal import Decimal  # exact, and imported only for huge witnesses
+        return str(Decimal(v))
+
+
+def _json_real(x: float) -> str:
+    if not isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return repr(float(format_real(x)))
+
+
+_bool_text = ("false", "true").__getitem__
+
+# One encoder per exact value type: the text of a value in each format.
+_CSV = {int: _format_int, float: format_real, bool: _bool_text, str: str,
+        type(None): lambda v: ""}
+_JSON = {int: _format_int, float: _json_real, bool: _bool_text,
+         str: json.encoder.encode_basestring_ascii, type(None): lambda v: "null"}
 
 
 def render_csv(result: SweepResult) -> str:
     """One row per record in index order, fixed header per kind."""
-    cols = SPECS[result.config.kind].columns
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    for rec in result.records:
-        w.writerow([_format_value(rec.get(c)) for c in cols])
+    w.writerow(SPECS[result.config.kind].columns)
+    w.writerows([_CSV[type(v)](v) for v in r] for r in result.records)
     return buf.getvalue()
 
 
@@ -615,6 +635,19 @@ def _round_floats(obj):
     return obj
 
 
+def _json_with_list(doc: dict, key: str, items: list[str]) -> str:
+    """``doc`` as ``json.dumps(sort_keys=True, indent=2)`` writes it, plus a
+    newline, with its top-level ``key`` holding ``items``, the encoded list
+    elements indented for depth 2.  Only top-level keys are indented by two
+    spaces, and a JSON string holds no raw newline, so the splice is exact.
+    """
+    text = json.dumps({**doc, key: []}, sort_keys=True, indent=2, allow_nan=False)
+    if items:
+        text = text.replace(f'\n  "{key}": []',
+                            f'\n  "{key}": [\n' + ",\n".join(items) + "\n  ]", 1)
+    return text + "\n"
+
+
 def render_json(result: SweepResult, version: str | None = None) -> str:
     """Full result: effective config, summary, records; reals at 12 digits.
 
@@ -624,6 +657,18 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
     """
     if version is None:
         from . import __version__ as version
+    spec = SPECS[result.config.kind]
+    cols = spec.columns
+    # a fixed template of sorted keys each for error rows (the index and
+    # error) and for the other rows (every column but error)
+    forms = []
+    for keys in (sorted((*spec.index, "error")), sorted(cols[:-1])):
+        body = ",\n".join(f"      {json.dumps(k)}: %s" for k in keys)
+        forms.append(("    {\n" + body + "\n    }", itemgetter(*map(cols.index, keys))))
+    records = []
+    for r in result.records:
+        template, pick = forms[r.error is None]
+        records.append(template % pick([_JSON[type(v)](v) for v in r]))
     doc = {
         "version": version,
         "config": {
@@ -632,11 +677,5 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
             "seed": result.config.seed,
         },
         "summary": _round_floats(result.summary),
-        # records are flat rows of scalars: one pass over their values
-        "records": [
-            {k: float(format_real(v)) if isinstance(v, float) else v
-             for k, v in rec.items()}
-            for rec in result.records
-        ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json_with_list(doc, "records", records)

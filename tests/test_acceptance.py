@@ -101,7 +101,7 @@ def test_05_power_gcd_scan_golden(data_dir):
     res = run(cfg)
     got = render_csv(res)
     dt = perf_counter() - t0
-    violations = tuple(r["n"] for r in res.records if r["holds"] is False)
+    violations = tuple(r.n for r in res.records if r.holds is False)
     assert violations == BCZ_VIOLATIONS
     assert res.summary["max_violating_index"] == [max(violations)]
     assert max(violations) < 300          # all below a finite index
@@ -115,7 +115,7 @@ def test_05_power_gcd_scan_golden(data_dir):
 def test_06_denominator_growth_tracks_height():
     res = run(SweepConfig(kind=SweepKind.SIEGEL, parameters={
         "curve": [0, 0, 1, -1, 0], "point": [0, 0], "n_min": 5, "n_max": 40}))
-    ratios = {r["n"]: r["ratio"] for r in res.records}
+    ratios = {r.n: r.ratio for r in res.records}
     assert all(r <= 1 + 1e-9 for r in ratios.values())
     tail = max(abs(ratios[n] - 1.0) for n in range(20, 41))
     assert tail <= 0.25

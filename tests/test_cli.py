@@ -13,10 +13,12 @@ import io
 import json
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from gcdheights import SweepConfig, SweepKind, render_csv, render_json, run
+from gcdheights import Curve, Point, SweepConfig, SweepKind, eds, render_csv, render_json, run
 from gcdheights.cli import _SUBCOMMANDS, main
 from gcdheights.experiments import SPECS
 
@@ -233,6 +235,19 @@ def test_eds_json_reports_divisibility(capsys):
     assert doc["divisibility_ok"] is True
     assert doc["counterexample"] is None
     assert doc["ignored_primes"] == [2]
+
+
+def test_eds_renders_terms_past_the_int_str_limit(capsys):
+    # D_200P on 5077a1 has over 19,000 digits, beyond str()'s 4300-digit limit
+    terms = eds(Curve(0, 0, 1, -7, 6), Point(Fraction(0), Fraction(2)), 200)
+    argv = ["eds", "--curve", "0,0,1,-7,6", "--point", "0,2", "--nmax", "200"]
+    assert main(argv) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert [int(Decimal(d)) for _, d in rows] == list(terms)
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_int=Decimal)
+    assert [int(d) for d in doc["terms"]] == list(terms)
+    assert len(rows[-1][1]) > 4300
 
 
 @pytest.mark.parametrize("bad", ["1", "0", "-1"])

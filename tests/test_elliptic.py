@@ -56,7 +56,7 @@ def _rows(kind: SweepKind, **params) -> dict:
     """Records of a sweep, keyed by their index columns."""
     index = SPECS[kind].index
     res = run(SweepConfig(kind=kind, parameters=params))
-    return {tuple(r[k] for k in index): r for r in res.records}
+    return {tuple(getattr(r, k) for k in index): r for r in res.records}
 
 
 # ----------------------------------------------------------------------------
@@ -328,9 +328,9 @@ def test_gcd_D_and_hgcd_e2():
     rows = _rows(SweepKind.EDS_GCD, curve=CURVE_37A1, p=POINT_37A1,
                  m_max=8, n_max=16, eps=0.5)
     r = rows[8, 16]
-    assert (r["d_m"], r["d_n"], r["gcd"], r["lhs"]) == (5, 65, 5, log(5))
+    assert (r.d_m, r.d_n, r.gcd, r.lhs) == (5, 65, 5, log(5))
     r = rows[8, 10]
-    assert (r["d_m"], r["d_n"], r["gcd"], r["lhs"]) == (5, 4, 1, 0.0)
+    assert (r.d_m, r.d_n, r.gcd, r.lhs) == (5, 4, 1, 0.0)
 
 
 def _local_sum_gcd(p: Point, q: Point) -> int:
@@ -356,7 +356,7 @@ def test_local_sum_route_agrees_with_direct_gcd(c37, p37, cm2, pm2):
         assert len(rows) == 144
         pts = [scalar_mul(c, n, p) for n in range(1, 13)]
         for (m, n), r in rows.items():
-            assert r["gcd"] == _local_sum_gcd(pts[m - 1], pts[n - 1])
+            assert r.gcd == _local_sum_gcd(pts[m - 1], pts[n - 1])
 
 
 # ----------------------------------------------------------------------------
@@ -366,10 +366,10 @@ def test_local_sum_route_agrees_with_direct_gcd(c37, p37, cm2, pm2):
 def test_siegel_ratio_values():
     rows = _rows(SweepKind.SIEGEL, curve=CURVE_37A1, point=POINT_37A1,
                  n_min=6, n_max=11)
-    assert rows[6,]["ratio"] == 0.0                  # D_6 = 1
-    r10 = rows[10,]["ratio"]                         # x(10P) = A/16, |A| > 16
+    assert rows[6,].ratio == 0.0                  # D_6 = 1
+    r10 = rows[10,].ratio                         # x(10P) = A/16, |A| > 16
     assert isclose(r10, 0.545634341039, rel_tol=1e-9)
-    assert rows[11,]["ratio"] == 1.0                 # |A| <= D^2 exactly
+    assert rows[11,].ratio == 1.0                 # |A| <= D^2 exactly
     with pytest.raises(ValueError, match="finite order"):
         _rows(SweepKind.SIEGEL, curve=[0, 0, 0, 0, 1], point=[2, 3], n_max=6)
 

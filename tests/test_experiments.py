@@ -10,6 +10,7 @@ import math
 import multiprocessing
 import random
 import time
+from decimal import Decimal
 
 import pytest
 
@@ -35,7 +36,7 @@ BCZ300_FITTED = 4.489464501830993
 BCZ_FIT_EPS02_N100 = 11.975454051878401
 EDSGCD_37A1_EPS02_VIOLATIONS = 13
 EDSGCD_389A1_FITTED = -0.27465307216702745
-MIXED_37A1_FITTED = 0.25370226509270133
+MIXED_37A1_FITTED = 1.2887880299545085  # exp of the log-scale fit 0.25370226509270133
 ABELIAN_389A1_FITTED = -0.3
 
 BCZ300 = SweepConfig(kind=SweepKind.BCZ,
@@ -109,7 +110,7 @@ def test_pn_sampling_is_seed_deterministic():
             "eps": 0.4, "sample": 40}
     r1 = run(SweepConfig(kind=SweepKind.PN_CHECK, parameters=base, seed=5))
     r2 = run(SweepConfig(kind=SweepKind.PN_CHECK, parameters=base, seed=5))
-    assert [r["point"] for r in r1.records] == [r["point"] for r in r2.records]
+    assert [r.point for r in r1.records] == [r.point for r in r2.records]
     assert len(r1.records) == 40
 
 
@@ -137,8 +138,8 @@ def _pn_grid_oracle(texts: list[str], bound: int) -> list[str]:
 def _pn_points(texts, bound, sample=None, seed=0) -> list[str]:
     params = {"polys": texts, "primes": [2, 3], "bound": bound, "eps": 0.4,
               "codim_r": max(2, len(texts)), "sample": sample}
-    return [r["point"] for r in run(SweepConfig(kind=SweepKind.PN_CHECK,
-                                                parameters=params, seed=seed)).records]
+    return [r.point for r in run(SweepConfig(kind=SweepKind.PN_CHECK,
+                                              parameters=params, seed=seed)).records]
 
 
 PN_SYSTEMS = [
@@ -275,9 +276,9 @@ def test_cz_summary_counts_match_direct_classification():
     res = run(cfg)
     S = PrimeSet((2, 3))
     for rec in res.records:
-        v = cz_classify(rec["alpha"], rec["beta"], S, 0.25)
-        assert v.kind == rec["verdict"]
-    exc = [[r["alpha"], r["beta"]] for r in res.records if r["verdict"] == EXCEPTIONAL]
+        v = cz_classify(rec.alpha, rec.beta, S, 0.25)
+        assert v.kind == rec.verdict
+    exc = [[r.alpha, r.beta] for r in res.records if r.verdict == EXCEPTIONAL]
     assert res.summary["exceptional_pairs"] == exc
     assert res.summary["violations"] == len(exc)
 
@@ -326,7 +327,7 @@ def _bound_of(kind: SweepKind, row: dict, params: dict) -> float:
 @pytest.mark.parametrize("kind", list(BOUNDED))
 def test_bounded_rows_agree_with_their_columns(kind):
     params = BOUNDED[kind]
-    rows = run(SweepConfig(kind=kind, parameters=params)).records
+    rows = [r._asdict() for r in run(SweepConfig(kind=kind, parameters=params)).records]
     for row in rows:
         assert row["lhs"] == math.log(row["gcd"])
         assert row["rhs"] == _bound_of(kind, row, params)
@@ -370,8 +371,7 @@ def test_pn_fit_weights_the_counting_term():
     res = run(SweepConfig(kind=SweepKind.PN_CHECK, parameters=params))
     fit = res.summary["fitted_constant"]
     weight = 3 - 1 + 20.0 * 0.4
-    assert fit == max(r["lhs"] - 0.4 * r["hA"] - r["hcount"] / weight
-                      for r in res.records)
+    assert fit == max(r.lhs - 0.4 * r.hA - r.hcount / weight for r in res.records)
     at_fit = run(SweepConfig(kind=SweepKind.PN_CHECK, parameters={**params, "C": fit}))
     assert at_fit.summary["violations"] == 0
     below = run(SweepConfig(kind=SweepKind.PN_CHECK,
@@ -382,9 +382,9 @@ def test_pn_fit_weights_the_counting_term():
 def test_fit_constant_excludes_predicted_directions():
     res = run(EDSGCD_37A1)
     fit = res.summary["fitted_constant"]
-    worst_plain = max(r["lhs"] - 0.2 * r["hA"] for r in res.records)
-    worst_off_diagonal = max(r["lhs"] - 0.2 * r["hA"]
-                             for r in res.records if not r["exceptional"])
+    worst_plain = max(r.lhs - 0.2 * r.hA for r in res.records)
+    worst_off_diagonal = max(r.lhs - 0.2 * r.hA
+                             for r in res.records if not r.exceptional)
     assert math.isclose(fit, worst_off_diagonal, rel_tol=1e-12)
     assert fit < worst_plain     # the diagonal really does dominate
 
@@ -398,18 +398,18 @@ def test_fit_constant_kind_and_emptiness_errors():
     only_diag = run(SweepConfig(kind=SweepKind.EDS_GCD,
                                 parameters={"curve": [0, 0, 1, -1, 0], "p": [0, 0],
                                             "m_max": 1, "n_max": 1, "eps": 0.2}))
-    assert only_diag.records[0]["exceptional"]
+    assert only_diag.records[0].exceptional
     assert only_diag.summary["fitted_constant"] is None
 
 
 def test_detect_exceptional_flags_the_diagonal():
     res = run(EDSGCD_37A1)
     assert res.summary["violations"] == EDSGCD_37A1_EPS02_VIOLATIONS
-    viol = [r for r in res.records if r["holds"] is False]
+    viol = [r for r in res.records if r.holds is False]
     assert len(viol) == EDSGCD_37A1_EPS02_VIOLATIONS
     # every violating (m, n) has the reduced direction (1, 1), which is predicted
-    assert all(r["m"] == r["n"] and r["exceptional"] for r in viol)
-    assert res.summary["max_violating_index"] == [viol[-1]["m"], viol[-1]["n"]]
+    assert all(r.m == r.n and r.exceptional for r in viol)
+    assert res.summary["max_violating_index"] == [viol[-1].m, viol[-1].n]
 
 
 def test_detect_exceptional_independent_points_stay_clean():
@@ -425,7 +425,7 @@ def test_detect_exceptional_lists_pn_points():
                       parameters={"polys": ["X1-X0", "X2-X0"], "primes": [2, 3],
                                   "bound": 6, "eps": 0.4})
     res = run(cfg)
-    viol = [r["point"] for r in res.records if r["holds"] is False]
+    viol = [r.point for r in res.records if r.holds is False]
     assert viol and res.summary["violations"] == len(viol)
     assert res.summary["max_violating_index"] == [viol[-1]]
 
@@ -443,6 +443,20 @@ def test_mixed_sweep_frozen():
     assert s["cells"] == 132
     assert s["violations"] == 2
     assert math.isclose(s["fitted_constant"], MIXED_37A1_FITTED, rel_tol=1e-12)
+
+
+def test_mixed_fit_feeds_back_as_C():
+    # the rendered fit is a C that every row meets, and a hair below it is not
+    params = {"curve": [0, 0, 1, -1, 0], "point": [0, 0], "primes": [2, 3],
+              "eps": 0.4, "n_max": 6, "b_bound": 30}
+    res = run(SweepConfig(kind=SweepKind.MIXED_CHECK, parameters=params))
+    fit = json.loads(render_json(res))["summary"]["fitted_constant"]
+    assert fit == float(format_real(MIXED_37A1_FITTED))
+    at_fit = run(SweepConfig(kind=SweepKind.MIXED_CHECK, parameters={**params, "C": fit}))
+    assert at_fit.summary["violations"] == 0
+    below = run(SweepConfig(kind=SweepKind.MIXED_CHECK,
+                            parameters={**params, "C": fit * (1 - 1e-6)}))
+    assert below.summary["violations"] >= 1
 
 
 def test_abelian_sweep_frozen():
@@ -464,14 +478,14 @@ def test_eval_cell_tags_failures_with_index():
     rows = experiments._eval_range(SweepKind.BCZ, (2, 3, "bad", 0.0),
                                    (range(1, 5),), range(2, 3))
     assert len(rows) == 1
-    assert rows[0]["n"] == 3
-    assert rows[0]["error"].startswith("TypeError")
+    assert rows[0].n == 3
+    assert rows[0].error.startswith("TypeError")
     # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20)
     ctx = ([1, 1, 1], None, 0.5, 1.0)  # S = None fails every row
     rows = experiments._eval_range(SweepKind.MIXED_CHECK, ctx,
                                    (range(1, 4), [10, 20, 30, 40]), range(5, 6))
-    assert list(rows[0]) == ["n", "b", "error"]
-    assert (rows[0]["n"], rows[0]["b"]) == (2, 20)
+    assert [k for k, v in rows[0]._asdict().items() if v is not None] == ["n", "b", "error"]
+    assert (rows[0].n, rows[0].b) == (2, 20)
 
 
 TINY = {
@@ -500,7 +514,8 @@ def test_cells_carry_their_row_index(kind):
     assert keys and len(axes) == len(spec.index)
     for key in keys:
         row = spec.row(ctx, *key)
-        assert dict(zip(spec.index, key)) == {k: row[k] for k in spec.index}
+        assert type(row) is spec.Row and row.error is None
+        assert dict(zip(spec.index, key)) == {k: getattr(row, k) for k in spec.index}
 
 
 def test_error_budget_zero_raises(monkeypatch):
@@ -522,8 +537,8 @@ def test_error_budget_zero_raises(monkeypatch):
                                        "error_budget": 1})
     res = run(budgeted)
     assert res.summary["error_rows"] == 1
-    bad = [r for r in res.records if r.get("error")]
-    assert bad == [{"n": 3, "error": "RuntimeError: injected"}]
+    bad = [r for r in res.records if r.error]
+    assert bad == [(3, None, None, None, None, None, "RuntimeError: injected")]
     # the error column renders, the missing columns render empty
     line = render_csv(res).splitlines()[3]
     assert line == "3,,,,,,RuntimeError: injected"
@@ -545,9 +560,10 @@ def test_pool_error_rows_match_serial(monkeypatch):
                       parameters={"primes": [2, 3], "bound": 30, "eps": 0.25,
                                   "error_budget": 1})
     serial, pooled = run(cfg), run(cfg, jobs=2)
-    bad = [r for r in pooled.records if r.get("error")]
-    assert bad == [{"alpha": 6, "beta": -4, "error": "RuntimeError: injected"}]
+    bad = [r for r in pooled.records if r.error]
+    assert bad == [spec.Row(6, -4, *[None] * 7, "RuntimeError: injected")]
     assert pooled.records == serial.records
+    assert {type(r) for r in serial.records} == {type(r) for r in pooled.records} == {spec.Row}
     assert render_json(pooled) == render_json(serial)
 
 
@@ -584,7 +600,137 @@ def test_render_json_records_match_csv_reals():
         for col in ("lhs", "rhs"):
             assert rec[col] == float(row[col])
     # some raw reals carry more than 12 digits, so the rounding is exercised
-    assert any(raw["lhs"] != rec["lhs"] for raw, rec in zip(res.records, recs))
+    assert any(raw.lhs != rec["lhs"] for raw, rec in zip(res.records, recs))
+
+
+# ----------------------------------------------------------------------------
+# the renderers against the dict rows and json.dumps they replaced
+# ----------------------------------------------------------------------------
+
+def _dict_rows(result: SweepResult) -> list[dict]:
+    """An error row as its index and error keys, any other row as every column
+    but error: the rows the runner built before rows were tuples."""
+    spec = experiments.SPECS[result.config.kind]
+    rows = []
+    for r in result.records:
+        d = r._asdict()
+        keys = (*spec.index, "error") if r.error is not None else spec.columns[:-1]
+        rows.append({k: d[k] for k in keys})
+    return rows
+
+
+def _format_value_oracle(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, float):
+        return format_real(v)
+    return str(v)
+
+
+def _csv_oracle(result: SweepResult) -> str:
+    cols = experiments.SPECS[result.config.kind].columns
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(cols)
+    for rec in _dict_rows(result):
+        w.writerow([_format_value_oracle(rec.get(c)) for c in cols])
+    return buf.getvalue()
+
+
+def _rounded(obj):
+    if isinstance(obj, float):
+        return float(format_real(obj))
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
+def _json_oracle(result: SweepResult) -> str:
+    doc = {
+        "version": "oracle",
+        "config": {"kind": result.config.kind.value,
+                   "parameters": _rounded(dict(result.config.parameters)),
+                   "seed": result.config.seed},
+        "summary": _rounded(result.summary),
+        "records": [_rounded(rec) for rec in _dict_rows(result)],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _assert_renders_like_oracles(result: SweepResult) -> None:
+    assert render_csv(result) == _csv_oracle(result)
+    assert render_json(result, version="oracle") == _json_oracle(result)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("kind", list(SweepKind))
+def test_renderers_match_oracles_on_every_kind(kind, jobs):
+    params = {**TINY[kind], **BOUNDED.get(kind, {})}
+    res = run(SweepConfig(kind=kind, parameters=params, seed=3), jobs=jobs)
+    assert res.records and {type(r) for r in res.records} == {experiments.SPECS[kind].Row}
+    _assert_renders_like_oracles(res)
+
+
+def test_renderers_match_oracles_on_none_columns():
+    # CZ leaves m and n None off the power-relation rows
+    res = run(SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
+                          parameters={"primes": [2, 3], "bound": 40, "eps": 0.25}))
+    assert {r.m is None for r in res.records} == {True, False}
+    _assert_renders_like_oracles(res)
+
+
+def test_renderers_match_oracles_on_an_empty_result():
+    cfg = SweepConfig(kind=SweepKind.PN_CHECK,
+                      parameters={"polys": ["X1-X0"], "primes": [2], "bound": 0,
+                                  "eps": 0.5})
+    res = run(cfg)
+    assert res.records == []
+    _assert_renders_like_oracles(res)
+    assert json.loads(render_json(res))["records"] == []
+
+
+def test_renderers_match_oracles_on_error_rows():
+    spec = experiments.SPECS[SweepKind.EDS_GCD]
+    cfg = SweepConfig(kind=SweepKind.EDS_GCD, parameters=TINY[SweepKind.EDS_GCD])
+    records = run(cfg).records
+    blank = [None] * (len(spec.columns) - 3)
+    for i, message in ((0, 'ValueError: a}b,c"d\ne \u00fc'), (3, "E: },\n{")):
+        records[i] = spec.Row(*records[i][:2], *blank, message)
+    res = SweepResult(cfg, records, summarize(SweepKind.EDS_GCD, records, cfg))
+    assert res.summary["error_rows"] == 2
+    _assert_renders_like_oracles(res)
+    assert [r.get("error") for r in json.loads(render_json(res))["records"]] == \
+        [r.error for r in records]
+
+
+def test_render_json_rejects_an_infinite_real():
+    res = run(BCZ300)
+    records = [res.records[0]._replace(lhs=math.inf), *res.records[1:]]
+    bad = SweepResult(res.config, records, res.summary)
+    with pytest.raises(ValueError):
+        render_json(bad)
+    with pytest.raises(ValueError):
+        _json_oracle(bad)
+
+
+def test_witnesses_past_the_int_str_limit_render_exactly():
+    # D_200P on 5077a1 has over 19,000 digits, beyond str()'s 4300-digit limit
+    res = run(SweepConfig(kind=SweepKind.SIEGEL,
+                          parameters={"curve": [0, 0, 1, -7, 6], "point": [0, 2],
+                                      "n_max": 200}))
+    d = res.records[-1].d
+    assert d > 10 ** 4300
+    last = list(csv.reader(io.StringIO(render_csv(res))))[-1]
+    assert int(Decimal(last[1])) == d
+    recs = json.loads(render_json(res), parse_int=Decimal)["records"]
+    assert int(recs[-1]["d"]) == d
+    assert [int(r["d"]) for r in recs] == [r.d for r in res.records]
 
 
 def test_render_csv_header_matches_kind():

@@ -82,7 +82,7 @@ def _ar(a: int, b: int, n_max: int):
 
 
 def _violations(res) -> tuple[int, ...]:
-    return tuple(r["n"] for r in res.records if r["holds"] is False)
+    return tuple(r.n for r in res.records if r.holds is False)
 
 
 def test_bcz_scan_frozen_violations():
