@@ -186,7 +186,9 @@ def _add_common(sp: argparse.ArgumentParser, jobs: bool = True) -> None:
                     help="seed for any randomized sampling")
     if jobs:
         sp.add_argument("--jobs", type=_jobs, default=1,
-                        help="parallel worker count (output is identical)")
+                        help="most worker processes, also capped by the usable "
+                             "CPUs; a sweep cheaper than starting a pool runs "
+                             "serially (output is identical)")
 
 
 def _build_parser() -> _Parser:

@@ -2,11 +2,20 @@
 
 A sweep is described by a ``SweepConfig`` (kind + parameter map + seed),
 validated and prepared once into shared inputs and index axes, evaluated
-over the grid of those axes serially or on a process pool (each worker gets
-the shared inputs once), and merged in index order — so a given config
+over the grid of those axes, and merged in index order — so a given config
 produces byte-identical CSV no matter the job count.  Per-cell failures
 become tagged error rows instead of aborting the run; a configurable error
 budget (default 0) turns unexpected ones into a failure at the end.
+
+Past one job, the parent evaluates cells in index order, in doubling steps,
+until it is done or has spent ``_POOL_START_S`` (the cost of starting and
+stopping a pool) and its mean rate puts the rest above twice that; so a
+sweep cheaper than a pool never starts one.  The rest goes to at most
+min(jobs, usable CPUs, chunks) worker processes, each sent the shared inputs
+once, in about 8 contiguous chunks per worker, highest indices first: BCZ
+and AR cells get dearer with n, so the dearest chunks start first instead of
+finishing on one worker alone.  Workers return plain tuples, which pickle
+several times faster than rows.
 
 Each kind is one ``KindSpec`` record in ``SPECS``.  A row is a tuple of the
 kind's ``Row`` type in ``columns`` order: index columns first, then exact
@@ -21,6 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
@@ -33,6 +43,7 @@ from math import exp, gcd, inf, isfinite, isinf, isnan, log, prod
 from operator import itemgetter
 from statistics import median
 from sys import float_info
+from time import perf_counter
 
 from .arith import PrimeSet, mult_independent
 from .elliptic import (
@@ -496,15 +507,15 @@ SPECS: dict[SweepKind, KindSpec] = {
 }
 
 
-def _eval_range(kind: SweepKind, ctx: tuple, axes: tuple, idx: range) -> list[tuple]:
-    """Rows of the cells ``idx`` of the row-major grid over ``axes``.
+def _eval(kind: SweepKind, ctx: tuple, keys: Iterator[tuple]) -> list[tuple]:
+    """Rows of the cells ``keys``, index tuples of the grid, in order.
 
     Failures become tagged rows of the cell's index, never exceptions.
     """
     spec = SPECS[kind]
     blank = (None,) * (len(spec.columns) - len(spec.index) - 1)
     rows = []
-    for key in islice(product(*axes), idx.start, idx.stop):
+    for key in keys:
         try:
             rows.append(spec.row(ctx, *key))
         except Exception as exc:  # per-record capture is the contract here
@@ -523,7 +534,12 @@ def _init_worker(kind: SweepKind, ctx: tuple, axes: tuple) -> None:
 
 
 def _eval_chunk(idx: range) -> list[tuple]:
-    return _eval_range(*_WORKER, idx)
+    kind, ctx, axes = _WORKER
+    return list(map(tuple, _eval(kind, ctx, islice(product(*axes), idx.start, idx.stop))))
+
+
+# Seconds to start and stop a pool of two forked workers (2 cores, Python 3.11)
+_POOL_START_S = 0.012
 
 
 # ----------------------------------------------------------------------------
@@ -537,15 +553,25 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     kind = config.kind
     p = _checked(kind, config.parameters)
     ctx, axes = SPECS[kind].prepare(p, config.seed)
-    cells = range(prod(len(axis) for axis in axes))
-    if jobs == 1 or len(cells) < 2:
-        records = _eval_range(kind, ctx, axes, cells)
-    else:
-        chunk = max(1, len(cells) // (4 * jobs))
-        chunks = [cells[lo:lo + chunk] for lo in cells[::chunk]]
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+    total, keys = prod(len(axis) for axis in axes), product(*axes)
+    workers = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+    records = _eval(kind, ctx, keys) if workers == 1 else []
+    step, start = 1, perf_counter()
+    while len(records) < total:  # the serial head goes on along ``keys``
+        records += _eval(kind, ctx, islice(keys, step))
+        spent, step = perf_counter() - start, min(2 * step, 64)
+        if (spent > _POOL_START_S
+                and spent * (total - len(records)) > 2 * _POOL_START_S * len(records)):
+            break
+    if rest := range(len(records), total):
+        size = -(-len(rest) // (8 * workers))
+        chunks = [rest[i:i + size] for i in range(0, len(rest), size)]
+        with ProcessPoolExecutor(min(workers, len(chunks)), initializer=_init_worker,
                                  initargs=(kind, ctx, axes)) as pool:
-            records = [r for rows in pool.map(_eval_chunk, chunks) for r in rows]
+            done = list(pool.map(_eval_chunk, reversed(chunks)))  # dearest first
+        Row = SPECS[kind].Row
+        records += [tuple.__new__(Row, t) for rows in reversed(done) for t in rows]
     errors = [r.error for r in records if r.error is not None]
     if len(errors) > p["error_budget"]:
         raise ValueError(
@@ -625,23 +651,28 @@ def render_csv(result: SweepResult) -> str:
     return buf.getvalue()
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(format_real(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _json_text(v, pad: str = "\n") -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it after the
+    line break and indent ``pad``, but with reals at 12 significant digits
+    and ints of any length, past the 4300-digit limit json.dumps obeys."""
+    inner = pad + "  "
+    if isinstance(v, dict):
+        ends, items = "{}", [f"{_JSON[str](k)}: {_json_text(x, inner)}"
+                             for k, x in sorted(v.items())]
+    elif isinstance(v, (list, tuple)):
+        ends, items = "[]", [_json_text(x, inner) for x in v]
+    else:
+        return _JSON[type(v)](v)
+    return ends[0] + inner + f",{inner}".join(items) + pad + ends[1] if items else ends
 
 
 def _json_with_list(doc: dict, key: str, items: list[str]) -> str:
-    """``doc`` as ``json.dumps(sort_keys=True, indent=2)`` writes it, plus a
-    newline, with its top-level ``key`` holding ``items``, the encoded list
-    elements indented for depth 2.  Only top-level keys are indented by two
-    spaces, and a JSON string holds no raw newline, so the splice is exact.
+    """``doc`` as ``_json_text`` writes it, plus a newline, with its
+    top-level ``key`` holding ``items``, the encoded list elements indented
+    for depth 2.  Only top-level keys are indented by two spaces, and a JSON
+    string holds no raw newline, so the splice is exact.
     """
-    text = json.dumps({**doc, key: []}, sort_keys=True, indent=2, allow_nan=False)
+    text = _json_text({**doc, key: []})
     if items:
         text = text.replace(f'\n  "{key}": []',
                             f'\n  "{key}": [\n' + ",\n".join(items) + "\n  ]", 1)
@@ -673,9 +704,9 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
         "version": version,
         "config": {
             "kind": result.config.kind.value,
-            "parameters": _round_floats(dict(result.config.parameters)),
+            "parameters": result.config.parameters,
             "seed": result.config.seed,
         },
-        "summary": _round_floats(result.summary),
+        "summary": result.summary,
     }
     return _json_with_list(doc, "records", records)

@@ -1,12 +1,17 @@
-"""Shared fixtures: the three workhorse curves and the golden-data directory."""
+"""Shared fixtures: the three workhorse curves, the golden-data directory and
+a record of the process pools that sweeps build."""
 from __future__ import annotations
 
+import os
 import pathlib
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from gcdheights import Curve, Point
+from gcdheights import experiments
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -52,3 +57,32 @@ def cm2() -> Curve:
 @pytest.fixture
 def pm2() -> Point:
     return Point(Fraction(3), Fraction(5))
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list[SimpleNamespace]:
+    """Each process pool a sweep builds in the test, as its ``max_workers``
+    and the cell ranges mapped onto it in submission order.  The process may
+    use two CPUs, whatever the machine has, so ``jobs=2`` can pool."""
+    built = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            built.append(SimpleNamespace(max_workers=max_workers, chunks=[]))
+            super().__init__(max_workers, **kwargs)
+
+        def map(self, fn, chunks):
+            built[-1].chunks = list(chunks)
+            return super().map(fn, built[-1].chunks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return built
+
+
+@pytest.fixture
+def forced_pool(pools, monkeypatch) -> list[SimpleNamespace]:
+    """``pools``, with no pool start-up cost: a sweep at ``jobs > 1`` sends
+    every cell after its first to a pool, however cheap the sweep."""
+    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    return pools

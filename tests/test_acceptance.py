@@ -185,7 +185,7 @@ def test_09_blowup_height_equals_plain_gcd_height():
           "(subvariety and coordinate-point routes)")
 
 
-def test_10_sweeps_are_deterministic_and_parallel_safe():
+def test_10_sweeps_are_deterministic_and_parallel_safe(forced_pool):
     configs = [
         SweepConfig(
             kind=SweepKind.BCZ,
@@ -230,5 +230,6 @@ def test_10_sweeps_are_deterministic_and_parallel_safe():
         first = render_csv(run(cfg))
         assert render_csv(run(cfg)) == first
         assert render_csv(run(cfg, jobs=8)) == first
+    assert len(forced_pool) == len(configs)
     print("criterion 10 PASS: run-twice and jobs 1 vs 8 byte-identical "
           f"for {len(configs)} sweep kinds")

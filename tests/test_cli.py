@@ -184,12 +184,13 @@ def test_gcdpow_matches_library_output(capsys):
     assert got == render_csv(run(cfg))
 
 
-def test_jobs_flag_does_not_change_output(capsys):
+def test_jobs_flag_does_not_change_output(capsys, forced_pool):
     assert main(["gcdpow", "--a", "2", "--b", "3", "--nmax", "40"]) == 0
     serial = capsys.readouterr().out
     rc = main(["gcdpow", "--a", "2", "--b", "3", "--nmax", "40", "--jobs", "3"])
     assert rc == 0
     assert capsys.readouterr().out == serial
+    assert [pool.max_workers for pool in forced_pool] == [2]
 
 
 # ----------------------------------------------------------------------------

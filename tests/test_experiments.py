@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import random
 import time
 from decimal import Decimal
@@ -98,11 +99,13 @@ def test_run_twice_is_byte_identical():
     assert a == b
 
 
-def test_parallel_jobs_are_byte_identical():
+def test_parallel_jobs_are_byte_identical(forced_pool):
     a = render_csv(run(EDSGCD_37A1, jobs=1))
     b = render_csv(run(EDSGCD_37A1, jobs=8))
     assert a == b
     assert render_json(run(BCZ300, jobs=1)) == render_json(run(BCZ300, jobs=8))
+    # jobs=8 is capped at the two usable CPUs
+    assert [pool.max_workers for pool in forced_pool] == [2, 2]
 
 
 def test_pn_sampling_is_seed_deterministic():
@@ -475,15 +478,15 @@ def test_abelian_sweep_frozen():
 
 def test_eval_cell_tags_failures_with_index():
     # a context whose eps breaks every row: cell 2 of the grid is n = 3
-    rows = experiments._eval_range(SweepKind.BCZ, (2, 3, "bad", 0.0),
-                                   (range(1, 5),), range(2, 3))
+    rows = experiments._eval(SweepKind.BCZ, (2, 3, "bad", 0.0),
+                             itertools.islice(itertools.product(range(1, 5)), 2, 3))
     assert len(rows) == 1
     assert rows[0].n == 3
     assert rows[0].error.startswith("TypeError")
     # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20)
     ctx = ([1, 1, 1], None, 0.5, 1.0)  # S = None fails every row
-    rows = experiments._eval_range(SweepKind.MIXED_CHECK, ctx,
-                                   (range(1, 4), [10, 20, 30, 40]), range(5, 6))
+    keys = itertools.product(range(1, 4), [10, 20, 30, 40])
+    rows = experiments._eval(SweepKind.MIXED_CHECK, ctx, itertools.islice(keys, 5, 6))
     assert [k for k, v in rows[0]._asdict().items() if v is not None] == ["n", "b", "error"]
     assert (rows[0].n, rows[0].b) == (2, 20)
 
@@ -546,7 +549,7 @@ def test_error_budget_zero_raises(monkeypatch):
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="pool workers must inherit the patched row")
-def test_pool_error_rows_match_serial(monkeypatch):
+def test_pool_error_rows_match_serial(monkeypatch, forced_pool):
     spec = experiments.SPECS[SweepKind.CZ_TRICHOTOMY]
 
     def flaky(ctx, a, b):
@@ -560,11 +563,86 @@ def test_pool_error_rows_match_serial(monkeypatch):
                       parameters={"primes": [2, 3], "bound": 30, "eps": 0.25,
                                   "error_budget": 1})
     serial, pooled = run(cfg), run(cfg, jobs=2)
+    assert len(forced_pool) == 1
     bad = [r for r in pooled.records if r.error]
     assert bad == [spec.Row(6, -4, *[None] * 7, "RuntimeError: injected")]
+    assert type(bad[0]) is spec.Row and bad[0].error == "RuntimeError: injected"
     assert pooled.records == serial.records
     assert {type(r) for r in serial.records} == {type(r) for r in pooled.records} == {spec.Row}
     assert render_json(pooled) == render_json(serial)
+
+
+def test_cheap_sweep_builds_no_pool(pools):
+    # far below the cost of starting a pool, so the parent runs every cell
+    cfg = SweepConfig(kind=SweepKind.BCZ, parameters={**TINY[SweepKind.BCZ], "n_max": 40})
+    assert render_json(run(cfg, jobs=2)) == render_json(run(cfg))
+    assert pools == []
+
+
+CZ30 = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
+                   parameters={"primes": [2, 3], "bound": 30, "eps": 0.25})
+
+
+@pytest.mark.parametrize("cfg", [BCZ300, CZ30], ids=["BCZ", "CZ"])
+def test_pool_after_a_serial_head_is_byte_identical(cfg, pools, monkeypatch):
+    # a clock that ticks once per reading and a pool start-up of 3 ticks: the
+    # parent runs a head of several cells, then the pool takes the rest
+    monkeypatch.setattr(experiments, "perf_counter", itertools.count().__next__)
+    monkeypatch.setattr(experiments, "_POOL_START_S", 3)
+    grids = []
+    monkeypatch.setattr(experiments, "product",
+                        lambda *axes: grids.append(axes) or itertools.product(*axes))
+    pooled = run(cfg, jobs=2)
+    assert len(grids) == 1  # the head walks one iterator, never restarting it
+    assert render_csv(pooled) == render_csv(run(cfg))
+    assert render_json(pooled) == render_json(run(cfg))
+    [pool] = pools
+    head, total = pool.chunks[-1].start, len(pooled.records)
+    assert 1 < head < total
+    # 8 contiguous chunks per worker over the rest, highest indices first
+    assert pool.max_workers == 2 and len(pool.chunks) == 16
+    assert [i for c in reversed(pool.chunks) for i in c] == list(range(head, total))
+
+
+@pytest.mark.parametrize("affinity, jobs, n_max, workers", [
+    (4, 500, 300, 4),  # capped by the usable CPUs
+    (1000, 3, 300, 3),  # by jobs
+    (1000, 500, 10, 9),  # by the chunks: one per cell after a head of one
+    (None, 500, 300, 6),  # no affinity mask: by os.cpu_count(), here 6
+    (1, 8, 300, None),  # one usable CPU: no pool at all
+])
+def test_pool_workers_are_capped(affinity, jobs, n_max, workers, monkeypatch):
+    seen = []
+
+    class InlinePool:
+        """Records ``max_workers`` and runs the chunks in this process, so no
+        worker process is ever started."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            seen.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    monkeypatch.setattr(experiments, "_WORKER", ())
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
+    cfg = SweepConfig(kind=SweepKind.BCZ, parameters={**TINY[SweepKind.BCZ], "n_max": n_max})
+    assert render_csv(run(cfg, jobs=jobs)) == render_csv(run(cfg))
+    assert seen == ([] if workers is None else [workers])
 
 
 # ----------------------------------------------------------------------------
@@ -670,9 +748,10 @@ def _assert_renders_like_oracles(result: SweepResult) -> None:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("kind", list(SweepKind))
-def test_renderers_match_oracles_on_every_kind(kind, jobs):
+def test_renderers_match_oracles_on_every_kind(kind, jobs, forced_pool):
     params = {**TINY[kind], **BOUNDED.get(kind, {})}
     res = run(SweepConfig(kind=kind, parameters=params, seed=3), jobs=jobs)
+    assert len(forced_pool) == (jobs > 1)
     assert res.records and {type(r) for r in res.records} == {experiments.SPECS[kind].Row}
     _assert_renders_like_oracles(res)
 
@@ -731,6 +810,18 @@ def test_witnesses_past_the_int_str_limit_render_exactly():
     recs = json.loads(render_json(res), parse_int=Decimal)["records"]
     assert int(recs[-1]["d"]) == d
     assert [int(r["d"]) for r in recs] == [r.d for r in res.records]
+
+
+def test_parameters_past_the_int_str_limit_render_exactly():
+    # json.dumps refuses ints past 4300 digits; the config header must not
+    a = int("7" * 400) ** 11 + 2
+    res = run(SweepConfig(kind=SweepKind.AR_RETURNS,
+                          parameters={"a": a, "b": 3, "n_max": 2}))
+    text = render_json(res)
+    assert json.loads(text, parse_int=Decimal)["config"]["parameters"]["a"] == a
+    small = dataclasses.replace(res.config, parameters={**res.config.parameters, "a": 5})
+    assert text.replace(str(Decimal(a)), "5") == render_json(
+        SweepResult(small, res.records, res.summary))
 
 
 def test_render_csv_header_matches_kind():
