@@ -1,16 +1,17 @@
-"""Exact arithmetic over Q: valuations, heights, gcd heights, budgeted factoring.
+"""Exact arithmetic over Q: heights, gcd heights, budgeted factoring.
 
 Conventions used throughout the package:
 
 * Rationals are ``fractions.Fraction`` (always reduced, denominator > 0).
-* The valuation at a finite prime p is ``v_p(x) = ord_p(x) * ln(p)`` and the
-  archimedean valuation is ``v_arch(x) = -ln|x|``, so that the product formula
-  reads ``sum_v v(x) = 0`` and the height identity
+* A height is a sum of local terms over the places of Q.  At a prime p the
+  term of x is v+(x) = max(ord_p(x), 0) * ln(p); at the archimedean place it
+  is max(-ln|x|, 0).  Summed over all places these give
 
-      sum over all places of max(v(x), 0) = ln max(|numerator|, denominator)
+      ln max(|numerator|, denominator),
 
-  holds exactly.  Everything is over Q: the place set is {2, 3, 5, ...} plus
-  one archimedean place, represented by the module constant ``ARCH``.
+  the Weil height, and ``hgcd`` sums the smaller of the two arguments' terms.
+  Both read their sums off numerators and denominators, without visiting
+  the places one by one.
 * Logs are double precision floats.  Whenever a quantity is the log of a known
   integer the integer is carried alongside as an exact witness (``LogReal``);
   equality-style tests compare witnesses, inequality experiments compare
@@ -24,14 +25,11 @@ from fractions import Fraction
 from math import gcd, isqrt, log
 
 __all__ = [
-    "ARCH",
     "EPS_SLACK",
     "LogReal",
     "PrimeSet",
     "FactorBudget",
     "Factorization",
-    "ord_p",
-    "v_plus",
     "weil_height",
     "hgcd",
     "prime_to_S_part",
@@ -39,9 +37,6 @@ __all__ = [
     "factor",
     "mult_independent",
 ]
-
-#: Sentinel for the archimedean place of Q.
-ARCH = "arch"
 
 #: Absolute slack used by every inequality-type comparison on doubles.
 EPS_SLACK = 1e-9
@@ -129,54 +124,11 @@ class Factorization:
 
 
 # ----------------------------------------------------------------------------
-# valuations and heights
+# heights
 # ----------------------------------------------------------------------------
 
 def _as_fraction(x: Fraction | int) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def ord_p(x: Fraction | int, p: int) -> int:
-    """Exponent of p in x.  ord_p(5/12, 2) = -2, ord_p(5/12, 3) = -1."""
-    if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
-    x = _as_fraction(x)
-    if x == 0:
-        raise ValueError("valuation of zero")
-    e = 0
-    n = abs(x.numerator)
-    while n % p == 0:
-        n //= p
-        e += 1
-    if e:
-        return e
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        e -= 1
-    return e
-
-
-def v_plus(x: Fraction | int, place: int | str) -> LogReal:
-    """max(v(x), 0) at one place, with v as in the module docstring."""
-    x = _as_fraction(x)
-    if x == 0:
-        raise ValueError("valuation of zero")
-    if place == ARCH:
-        val = -_ln_abs(x)
-        if val <= 0.0:
-            return LogReal(0.0, 1)
-        # -ln|x| = ln(den/|num|); only a known integer when |num| == 1
-        if abs(x.numerator) == 1:
-            return LogReal.of_integer(x.denominator)
-        return LogReal(val)
-    e = max(ord_p(x, place), 0)
-    return LogReal.of_integer(place**e)
-
-
-def _ln_abs(x: Fraction) -> float:
-    """ln|x| for a nonzero Fraction, safe for huge numerators/denominators."""
-    return log(abs(x.numerator)) - log(x.denominator)
 
 
 def weil_height(x: Fraction | int) -> LogReal:
@@ -211,7 +163,7 @@ def hgcd(a: Fraction | int, b: Fraction | int) -> LogReal:
 def _arch_plus_or_inf(x: Fraction) -> float:
     if x == 0:
         return float("inf")
-    return max(-_ln_abs(x), 0.0)
+    return max(log(x.denominator) - log(abs(x.numerator)), 0.0)
 
 
 def prime_to_S_part(x: int, S: PrimeSet) -> int:

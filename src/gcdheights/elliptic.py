@@ -354,7 +354,9 @@ def exceptional_subgroups(eps: float) -> list[tuple[int, int]]:
     All (m, n) with m, n >= 0, not both zero, gcd(m, n) = 1 and
     m^2 + n^2 <= 1/(2*eps), ordered by (m^2 + n^2, m, n).  Empty once
     eps > 1/2; the axes (0,1) and (1,0) survive up to eps = 1/2; the
-    diagonal (1,1) first appears at eps <= 1/4.
+    diagonal (1,1) first appears at eps <= 1/4.  The list holds about
+    3/(4*pi*eps) pairs (the coprime 6/pi^2 of the pi/(8*eps) lattice points
+    in the quarter disc), so a sweep tests each cell against the disc instead.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

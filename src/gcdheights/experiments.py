@@ -49,7 +49,6 @@ from .arith import PrimeSet, mult_independent
 from .elliptic import (
     Curve,
     Point,
-    exceptional_subgroups,
     multiples,
     naive_height,
     on_curve,
@@ -319,17 +318,18 @@ def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
     # denominator and naive height once per multiple, not once per cell
     mp = [(x[1], naive_height(x).value) for x in multiples(c, P, m_max)]
     nq = [(x[1], naive_height(x).value) for x in multiples(c, Q, n_max)]
-    predicted = set(exceptional_subgroups(p["eps"]))
-    return ((mp, nq, predicted, p["eps"], p["C"]),
+    # (m/g, n/g) is one of exceptional_subgroups(eps) iff it is in this disc
+    bound = 1.0 / (2.0 * p["eps"])
+    return ((mp, nq, bound, p["eps"], p["C"]),
             (range(1, m_max + 1), range(1, n_max + 1)))
 
 
 def _row_eds_gcd(ctx: tuple, m: int, n: int) -> tuple:
-    mp, nq, predicted, eps, C = ctx
+    mp, nq, bound, eps, C = ctx
     (d_m, h_m), (d_n, h_n) = mp[m - 1], nq[n - 1]
     g = gcd(m, n)
     return _EDSGCDRow(m, n, d_m, d_n, **check_e2(d_m, d_n, h_m + h_n, eps, C),
-                      exceptional=(m // g, n // g) in predicted)
+                      exceptional=(m // g) ** 2 + (n // g) ** 2 <= bound)
 
 
 def _box_point(bound: int, nvars: int, i: int) -> tuple[int, ...]:

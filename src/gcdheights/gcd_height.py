@@ -1,10 +1,10 @@
 """Generalized gcd heights on explicit blowups, and the conjectural RHS evaluator.
 
 Three concrete geometries are covered exactly: projective space with a
-blown-up coordinate point or subvariety cut out by homogeneous forms, a
-product of two elliptic curves via denominator gcds, and the mixed case of an
-elliptic curve against the multiplicative group.  The right-hand sides all
-share one shape,
+blown-up subvariety cut out by homogeneous forms (a coordinate point is the
+subvariety of the forms X1, ..., Xn), a product of two elliptic curves via
+denominator gcds, and the mixed case of an elliptic curve against the
+multiplicative group.  The right-hand sides all share one shape,
 
     eps * (ample height)  +  (counting term) / (r - 1 + delta*eps)  +  C,
 
@@ -27,8 +27,6 @@ __all__ = [
     "PolySystem",
     "VojtaParams",
     "parse_poly",
-    "normalize_pn",
-    "hgcd_pn_coordpoint",
     "hgcd_pn_subvariety",
     "counting_function_pn",
     "vojta_bound",
@@ -63,22 +61,6 @@ class PnPoint:
                 break
 
 
-def normalize_pn(raw: list[int] | tuple[int, ...]) -> PnPoint:
-    """Divide out the gcd and fix the sign of the first nonzero coordinate."""
-    if not any(raw):
-        raise ValueError("zero vector")
-    g = 0
-    for c in raw:
-        g = gcd(g, c)
-    scaled = [c // g for c in raw]
-    for c in scaled:
-        if c:
-            if c < 0:
-                scaled = [-v for v in scaled]
-            break
-    return PnPoint(tuple(scaled))
-
-
 # ----------------------------------------------------------------------------
 # homogeneous forms
 # ----------------------------------------------------------------------------
@@ -92,11 +74,6 @@ class HomPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("degree of zero polynomial")
-        return sum(e for _, e in self.terms[0][1])
 
     def is_homogeneous(self) -> bool:
         if self.is_zero:
@@ -195,21 +172,6 @@ class PolySystem:
 # ----------------------------------------------------------------------------
 # blowup gcd heights on P^n
 # ----------------------------------------------------------------------------
-
-def hgcd_pn_coordpoint(x: PnPoint) -> LogReal:
-    """gcd height against the blown-up coordinate point [1:0:...:0].
-
-    Equals ln gcd(|x_1|, ..., |x_n|) exactly; the blown-up point itself is
-    the one place the height degenerates.
-    """
-    tail = x.coords[1:]
-    g = 0
-    for c in tail:
-        g = gcd(g, c)
-    if g == 0:
-        raise ValueError("point on blown-up locus")
-    return LogReal.of_integer(g)
-
 
 def hgcd_pn_subvariety(x: PnPoint, sys: PolySystem) -> LogReal:
     """gcd height against the blowup of V = {f_1 = ... = f_t = 0}.

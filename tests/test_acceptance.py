@@ -19,6 +19,7 @@ from gcdheights import (
     EXCEPTIONAL,
     INEQUALITY_HOLDS,
     POWER_RELATION,
+    PnPoint,
     PolySystem,
     PrimeSet,
     SweepConfig,
@@ -28,9 +29,7 @@ from gcdheights import (
     denominator_D,
     eds,
     hgcd,
-    hgcd_pn_coordpoint,
     hgcd_pn_subvariety,
-    normalize_pn,
     render_csv,
     run,
     s_unit_enumerate,
@@ -166,6 +165,7 @@ def test_08_s_unit_trichotomy_totality():
 
 def test_09_blowup_height_equals_plain_gcd_height():
     system = PolySystem.of("X1-X0", "X2-X0")
+    coord = PolySystem.of("X1", "X2")  # the coordinate point [1:0:0]
     rng = random.Random(2024)
     checked = 0
     while checked < 500:
@@ -173,16 +173,16 @@ def test_09_blowup_height_equals_plain_gcd_height():
         b = rng.randint(-10**6, 10**6)
         if a == 1 and b == 1:
             continue
-        x = normalize_pn([1, a, b])
-        # values of the cutting forms at [1:a:b] are (a-1, b-1)
+        x = PnPoint((1, a, b))
+        # values of the cutting forms at [1:a:b] are (a-1, b-1) and (a, b)
         assert (hgcd_pn_subvariety(x, system).exact_arg
                 == hgcd(F(a - 1), F(b - 1)).exact_arg)
         if not (a == 0 and b == 0):
-            assert (hgcd_pn_coordpoint(x).exact_arg
+            assert (hgcd_pn_subvariety(x, coord).exact_arg
                     == hgcd(F(a), F(b)).exact_arg)
         checked += 1
     print(f"criterion 9 PASS: witness equality on {checked} pairs "
-          "(subvariety and coordinate-point routes)")
+          "(the diagonal and the coordinate point)")
 
 
 def test_10_sweeps_are_deterministic_and_parallel_safe(forced_pool):

@@ -1,4 +1,4 @@
-"""Valuations, heights, gcd heights, and budgeted factoring."""
+"""Heights, gcd heights, primality, and budgeted factoring."""
 from __future__ import annotations
 
 import random
@@ -8,7 +8,6 @@ from math import gcd, isclose, isqrt, log
 import pytest
 
 from gcdheights import (
-    ARCH,
     EPS_SLACK,
     FactorBudget,
     Factorization,
@@ -18,9 +17,7 @@ from gcdheights import (
     hgcd,
     is_prime,
     mult_independent,
-    ord_p,
     prime_to_S_part,
-    v_plus,
     weil_height,
 )
 from gcdheights.arith import _least_power_relation, _strong_lucas
@@ -76,54 +73,43 @@ def test_factorization_reconstructs_value():
 
 
 # ----------------------------------------------------------------------------
-# valuations
+# heights as sums of local terms
 # ----------------------------------------------------------------------------
 
-def test_ord_p_docstring_oracle():
-    assert ord_p(F(5, 12), 2) == -2
-    assert ord_p(F(5, 12), 3) == -1
-    assert ord_p(F(5, 12), 5) == 1
-    assert ord_p(F(5, 12), 7) == 0
-
-
-def test_ord_p_integers():
-    assert ord_p(48, 2) == 4
-    assert ord_p(48, 3) == 1
-    assert ord_p(-48, 2) == 4
-
-
-def test_ord_p_rejects_zero_and_composite_place():
-    with pytest.raises(ValueError, match="valuation of zero"):
-        ord_p(0, 2)
-    with pytest.raises(ValueError, match="not a prime"):
-        ord_p(F(1, 2), 6)
-
-
-def test_v_plus_finite_place_witness_is_prime_power():
-    assert v_plus(8, 2).exact_arg == 8
-    assert v_plus(F(5, 12), 2).exact_arg == 1  # negative ord clamps to 0
-    assert v_plus(F(9, 4), 3).exact_arg == 9
-
-
-def test_v_plus_archimedean():
-    assert v_plus(5, ARCH).exact_arg == 1  # |5| >= 1: no proximity to 0
-    assert v_plus(F(1, 3), ARCH).exact_arg == 3
-    r = v_plus(F(2, 3), ARCH)  # ln(3/2) is not the log of an integer
-    assert r.exact_arg is None
-    assert isclose(r.value, log(F(3, 2)), rel_tol=1e-12)
+def _v_plus(x: F, place: int | None) -> float:
+    """max(v(x), 0) at a prime place, or at the archimedean one (None), with v
+    as in the arith module docstring; a float oracle, one place at a time."""
+    if place is None:
+        return max(-log(abs(x)), 0.0)
+    e, n = 0, x.numerator  # a reduced x has ord_p > 0 only in its numerator
+    while n % place == 0:
+        n //= place
+        e += 1
+    return e * log(place)
 
 
 def test_height_identity_sum_of_local_terms():
-    # sum over all places of v+(x) = ln max(|num|, den), checked on smooth
-    # rationals where the support is known a priori
+    # sum over all places of v+(x) = ln max(|num|, den), and of
+    # min(v+(a), v+(b)) = hgcd(a, b), checked on smooth rationals where the
+    # support is known a priori
     rng = random.Random(20240901)
     primes = (2, 3, 5, 7)
-    for _ in range(200):
+    places = (*primes, None)
+
+    def smooth() -> F:
         x = F(rng.choice((1, -1)), 1)
         for p in primes:
             x *= F(p) ** rng.randint(-4, 4)
-        total = sum(v_plus(x, p).value for p in primes) + v_plus(x, ARCH).value
+        return x
+
+    for _ in range(200):
+        x = smooth()
+        total = sum(_v_plus(x, v) for v in places)
         assert isclose(total, weil_height(x).value, rel_tol=0, abs_tol=1e-9)
+    for _ in range(200):
+        a, b = smooth(), smooth()
+        total = sum(min(_v_plus(a, v), _v_plus(b, v)) for v in places)
+        assert isclose(total, hgcd(a, b).value, rel_tol=0, abs_tol=1e-9)
 
 
 def test_weil_height_conventions():

@@ -585,7 +585,7 @@ def test_fuzzed_parameters_end_in_an_exit_code(kind, tmp_path, capsys):
     big = rng.randrange(10**399, 10**400)
     values = [None, rng.random() < 0.5, 2.5, math.nan, math.inf, -math.inf,
               rng.choice(["0.5", "2", "x", ""]), [rng.randint(-3, 3) for _ in range(2)],
-              {"x": rng.randint(-3, 3)}, -1, 0, big]
+              {"x": rng.randint(-3, 3)}, -1, 0, big, 1e-12, 5e-324]
     keys = [entry[0] for entry in SPECS[SweepKind(kind)].params] + ["error_budget"]
     for key in keys:
         for value in values:

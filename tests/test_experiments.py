@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -21,6 +22,7 @@ from gcdheights import (
     SweepKind,
     SweepResult,
     cz_classify,
+    exceptional_subgroups,
     format_real,
     gcd_pair,
     render_csv,
@@ -423,6 +425,19 @@ def test_detect_exceptional_independent_points_stay_clean():
                         rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.3, 0.25, 0.2, 0.1, 0.05, 0.013, 0.005])
+def test_eds_gcd_flags_match_the_listed_subgroups(eps):
+    # each cell tests its reduced index against the disc, and the list is the
+    # oracle: eps = 1/4 puts (1, 1) on its boundary and eps = 0.1 puts (1, 2)
+    listed = set(exceptional_subgroups(eps))
+    res = run(SweepConfig(kind=SweepKind.EDS_GCD,
+                          parameters={"curve": [0, 0, 1, -1, 0], "p": [0, 0],
+                                      "m_max": 12, "n_max": 12, "eps": eps}))
+    grid = itertools.product(range(1, 13), repeat=2)
+    assert [(r.m, r.n, r.exceptional) for r in res.records] == [
+        (m, n, (m // math.gcd(m, n), n // math.gcd(m, n)) in listed) for m, n in grid]
+
+
 def test_detect_exceptional_lists_pn_points():
     cfg = SweepConfig(kind=SweepKind.PN_CHECK,
                       parameters={"polys": ["X1-X0", "X2-X0"], "primes": [2, 3],
@@ -602,6 +617,22 @@ def test_pool_after_a_serial_head_is_byte_identical(cfg, pools, monkeypatch):
     # 8 contiguous chunks per worker over the rest, highest indices first
     assert pool.max_workers == 2 and len(pool.chunks) == 16
     assert [i for c in reversed(pool.chunks) for i in c] == list(range(head, total))
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_is_byte_identical_under_fresh_interpreters(method, forced_pool,
+                                                         monkeypatch):
+    # workers that start from a fresh interpreter must rebuild the kind, its
+    # context and its Row type from what the pool sends them
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
+        experiments.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+    for cfg in (BCZ300, CZ30):
+        pooled, serial = run(cfg, jobs=2), run(cfg)
+        assert render_csv(pooled) == render_csv(serial)
+        assert render_json(pooled) == render_json(serial)
+    assert [pool.max_workers for pool in forced_pool] == [2, 2]
 
 
 @pytest.mark.parametrize("affinity, jobs, n_max, workers", [

@@ -20,10 +20,8 @@ from gcdheights import (
     counting_function_pn,
     denominator_D,
     hgcd,
-    hgcd_pn_coordpoint,
     hgcd_pn_subvariety,
     naive_height,
-    normalize_pn,
     parse_poly,
     scalar_mul,
     vojta_bound,
@@ -31,19 +29,12 @@ from gcdheights import (
 from gcdheights.arith import EPS_SLACK
 
 DIAG = PolySystem.of("X1-X0", "X2-X0")
+COORD = PolySystem.of("X1", "X2")  # the coordinate point [1:0:0]
 
 
 # ----------------------------------------------------------------------------
 # projective points
 # ----------------------------------------------------------------------------
-
-def test_normalize_pn():
-    assert normalize_pn([2, 4, 6]).coords == (1, 2, 3)
-    assert normalize_pn([0, -2, 4]).coords == (0, 1, -2)
-    assert normalize_pn([-1, 5, -9]).coords == (1, -5, 9)
-    with pytest.raises(ValueError, match="zero vector"):
-        normalize_pn([0, 0, 0])
-
 
 def test_pnpoint_validation():
     PnPoint((1, 2, 3))
@@ -61,10 +52,9 @@ def test_pnpoint_validation():
 
 def test_parse_poly_basic():
     f = parse_poly("X1-X0")
-    assert f.degree() == 1 and f.is_homogeneous()
+    assert f.is_homogeneous()
     assert f((1, 5, 9)) == 4
     g = parse_poly("X0*X2-X1^2")
-    assert g.degree() == 2
     assert g((1, 5, 9)) == 9 - 25
 
 
@@ -101,10 +91,10 @@ def test_polysystem_validation():
 # ----------------------------------------------------------------------------
 
 def test_coordpoint_height_witness():
-    assert hgcd_pn_coordpoint(PnPoint((1, 6, 10))).exact_arg == 2
-    assert hgcd_pn_coordpoint(PnPoint((3, 5, 0))).exact_arg == 5
-    with pytest.raises(ValueError, match="blown-up locus"):
-        hgcd_pn_coordpoint(PnPoint((1, 0, 0)))
+    assert hgcd_pn_subvariety(PnPoint((1, 6, 10)), COORD).exact_arg == 2
+    assert hgcd_pn_subvariety(PnPoint((3, 5, 0)), COORD).exact_arg == 5
+    with pytest.raises(ValueError, match="point on V"):
+        hgcd_pn_subvariety(PnPoint((1, 0, 0)), COORD)
 
 
 def test_subvariety_height_witness():
@@ -116,19 +106,19 @@ def test_subvariety_height_witness():
 
 def test_subvariety_height_matches_plain_gcd_height():
     # the blowup route through values of (X1-X0, X2-X0) at [1:a:b] must agree
-    # witness-for-witness with the direct gcd height of (a-1, b-1), and the
-    # coordinate-point route with the gcd height of (a, b)
+    # witness-for-witness with the direct gcd height of (a-1, b-1), and
+    # through (X1, X2), the coordinate point, with the gcd height of (a, b)
     rng = random.Random(31337)
     for _ in range(300):
         a = rng.randint(-500, 500)
         b = rng.randint(-500, 500)
         if a == 1 and b == 1:
             continue
-        x = normalize_pn([1, a, b])
+        x = PnPoint((1, a, b))
         assert hgcd_pn_subvariety(x, DIAG).exact_arg == hgcd(F(a - 1), F(b - 1)).exact_arg
         if a == 0 and b == 0:
             continue
-        assert hgcd_pn_coordpoint(x).exact_arg == hgcd(F(a), F(b)).exact_arg
+        assert hgcd_pn_subvariety(x, COORD).exact_arg == hgcd(F(a), F(b)).exact_arg
 
 
 def test_counting_function():
