@@ -374,22 +374,3 @@ def mult_independent(a: int, b: int) -> bool:
         if r:
             return True
     return False
-
-
-def _least_power_relation(
-    da: dict[int, int], db: dict[int, int]
-) -> tuple[int, int] | None:
-    """Least (m, n) with m*da = n*db, or None when the vectors are not proportional.
-
-    da and db are nonempty exponent vectors {prime: exponent > 0}; for the
-    positive integers they describe this decides |a|^m = |b|^n.  Every
-    solution is a multiple of the least one, which the first prime fixes.
-    """
-    if da.keys() != db.keys():
-        return None
-    p0 = min(da)
-    e0, f0 = da[p0], db[p0]
-    if any(da[p] * f0 != db[p] * e0 for p in da):
-        return None
-    g = gcd(e0, f0)
-    return f0 // g, e0 // g

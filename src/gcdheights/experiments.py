@@ -7,9 +7,11 @@ produces byte-identical CSV no matter the job count.  Per-cell failures
 become tagged error rows instead of aborting the run; a configurable error
 budget (default 0) turns unexpected ones into a failure at the end.
 
-Past one job, the parent evaluates cells in index order, in doubling steps,
-until it is done or has spent ``_POOL_START_S`` (the cost of starting and
-stopping a pool) and its mean rate puts the rest above twice that; so a
+Cells are evaluated in contiguous runs of the row-major grid, by flat
+index: the whole grid at one job.  Past one job, the parent evaluates runs in
+index order, in doubling steps, until it is done or has spent the cost of
+starting and stopping a pool under the start method it would use
+(``_POOL_START_S``) and its mean rate puts the rest above twice that; so a
 sweep cheaper than a pool never starts one.  The rest goes to at most
 min(jobs, usable CPUs, chunks) worker processes, each sent the shared inputs
 once, in about 8 contiguous chunks per worker, highest indices first: BCZ
@@ -17,10 +19,15 @@ and AR cells get dearer with n, so the dearest chunks start first instead of
 finishing on one worker alone.  Workers return plain tuples, which pickle
 several times faster than rows.
 
-Each kind is one ``KindSpec`` record in ``SPECS``.  A row is a tuple of the
-kind's ``Row`` type in ``columns`` order: index columns first, then exact
-integer witnesses, then the log-space lhs/rhs pair and the holds flag, then
-``error`` (None but on an error row, which has only its index values).
+Each kind is one ``KindSpec`` record in ``SPECS``.  A kind may have a range
+kernel, which evaluates a whole run and hoists the work that depends on one
+axis only (BCZ and AR multiply a^n and b^n up along the run, CZ strips each
+unit once); its ``row`` stays the per-cell oracle, and a run whose kernel
+raises is evaluated again cell by cell, so each failing cell becomes an
+error row as without a kernel.  A row is a tuple of the kind's ``Row`` type
+in ``columns`` order: index columns first, then exact integer witnesses,
+then the log-space lhs/rhs pair and the holds flag, then ``error`` (None but
+on an error row, which has only its index values).
 Rendering encodes each value by its type: integers with all their digits,
 reals with 12 significant digits.
 """
@@ -40,6 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import islice, product
 from math import exp, gcd, inf, isfinite, isinf, isnan, log, prod
+from multiprocessing import get_context
 from operator import itemgetter
 from statistics import median
 from sys import float_info
@@ -60,6 +68,8 @@ from .mulgrp import (
     INEQUALITY_HOLDS,
     LN2,
     POWER_RELATION,
+    _trichotomy,
+    _unit,
     cz_classify,
     gcd_pair,
     s_unit_enumerate,
@@ -119,10 +129,14 @@ class KindSpec:
     all cells share, and one or two sequences of ``index`` values whose
     row-major grid is the cells.  ``row(ctx, *key)`` evaluates one cell,
     possibly in a pool worker; its ``Row``, like an error row, carries ``key``
-    as its ``index`` columns.  ``summary(good, p)`` gives the kind's own
-    summary keys from its error-free rows; ``summarize`` adds the fit keys to
-    every kind whose ``columns`` include ``hA``, mapping the log-scale fit to
-    the config's ``C`` by ``C_of_fit``.
+    as its ``index`` columns.  ``rows(ctx, axes, cells)``, the optional range
+    kernel, returns the ``Row``s of ``cells``, a contiguous range of flat
+    indices into the grid, equal to those of ``row`` on each cell; it may
+    raise, and then each cell of the run goes through ``row``.  Without a
+    kernel, a run is the map of ``row``.  ``summary(good, p)`` gives the
+    kind's own summary keys from its error-free rows; ``summarize`` adds the
+    fit keys to every kind whose ``columns`` include ``hA``, mapping the
+    log-scale fit to the config's ``C`` by ``C_of_fit``.
     """
 
     Row: type
@@ -130,6 +144,7 @@ class KindSpec:
     params: tuple[tuple, ...]
     prepare: Callable[[dict, int], tuple[tuple, tuple[Sequence, ...]]]
     row: Callable[..., tuple]
+    rows: Callable[[tuple, tuple, range], list[tuple]] | None = None
     summary: Callable[[list[tuple], dict], dict] = lambda good, p: {}
     C_of_fit: Callable[[float], float] = lambda fit: fit
 
@@ -269,16 +284,44 @@ def _row_bcz(ctx: tuple, n: int) -> tuple:
     return _BCZRow(n, g, **vojta_bound(log(g), n * LN2, eps, C))
 
 
+def _powers(a: int, b: int, axes: tuple, cells: range) -> Iterator[tuple[int, int, int]]:
+    """(n, a**n, b**n) for each cell of a run on the BCZ and AR axis of
+    consecutive n: the powers are taken at the run's first n and multiplied
+    up from there."""
+    ns = axes[0][cells.start:cells.stop]
+    if ns:
+        x, y = a ** ns[0], b ** ns[0]
+        for n in ns:
+            yield n, x, y
+            x, y = x * a, y * b
+
+
+def _rows_bcz(ctx: tuple, axes: tuple, cells: range) -> list[tuple]:
+    a, b, eps, C = ctx
+    rows = []
+    for n, x, y in _powers(a, b, axes, cells):
+        g = gcd(x - 1, y - 1)
+        rows.append(_BCZRow(n, g, **vojta_bound(log(g), n * LN2, eps, C)))
+    return rows
+
+
 def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
     S = PrimeSet(p["primes"])
     units = s_unit_enumerate(S, p["bound"])
-    return (S, p["eps"]), (units, units)
+    # each unit stripped once, not once per pair
+    return (S, p["eps"], {x: _unit(x, S) for x in units}), (units, units)
 
 
 def _row_cz(ctx: tuple, a: int, b: int) -> tuple:
-    S, eps = ctx
+    S, eps, _ = ctx
     v = cz_classify(a, b, S, eps)
     return _CZRow(a, b, v.kind, v.m, v.n, v.gcd, v.lhs, v.rhs, v.holds)
+
+
+def _rows_cz(ctx: tuple, axes: tuple, cells: range) -> list[tuple]:
+    _, eps, unit = ctx
+    return [_CZRow(a, b, *_trichotomy(unit[a], unit[b], eps))
+            for a, b in _keys(axes, cells)]
 
 
 def _summary_cz(good: list[tuple], p: dict) -> dict:
@@ -303,6 +346,15 @@ def _row_ar(ctx: tuple, n: int) -> tuple:
     a, b, base = ctx
     g = gcd_pair(a, b, n)
     return _ARRow(n, g, base, g == base)
+
+
+def _rows_ar(ctx: tuple, axes: tuple, cells: range) -> list[tuple]:
+    a, b, base = ctx
+    rows = []
+    for n, x, y in _powers(a, b, axes, cells):
+        g = gcd(x - 1, y - 1)
+        rows.append(_ARRow(n, g, base, g == base))
+    return rows
 
 
 def _summary_ar(good: list[tuple], p: dict) -> dict:
@@ -462,15 +514,17 @@ _EPS_C = (_EPS, ("C", _finite, 0.0))
 SPECS: dict[SweepKind, KindSpec] = {
     SweepKind.BCZ: KindSpec(
         index=("n",), params=(*_A_B_N, *_EPS_C),
-        prepare=_prepare_bcz, row=_row_bcz, Row=_BCZRow,
+        prepare=_prepare_bcz, row=_row_bcz, rows=_rows_bcz, Row=_BCZRow,
     ),
     SweepKind.CZ_TRICHOTOMY: KindSpec(
         index=("alpha", "beta"), params=(("primes", _ints), ("bound", _int), _EPS),
-        prepare=_prepare_cz, row=_row_cz, Row=_CZRow, summary=_summary_cz,
+        prepare=_prepare_cz, row=_row_cz, rows=_rows_cz, Row=_CZRow,
+        summary=_summary_cz,
     ),
     SweepKind.AR_RETURNS: KindSpec(
         index=("n",), params=_A_B_N,
-        prepare=_prepare_ar, row=_row_ar, Row=_ARRow, summary=_summary_ar,
+        prepare=_prepare_ar, row=_row_ar, rows=_rows_ar, Row=_ARRow,
+        summary=_summary_ar,
     ),
     SweepKind.EDS_GCD: KindSpec(
         index=("m", "n"), params=(("curve", _curve), ("p", _point), ("q", _point, None),
@@ -507,15 +561,33 @@ SPECS: dict[SweepKind, KindSpec] = {
 }
 
 
-def _eval(kind: SweepKind, ctx: tuple, keys: Iterator[tuple]) -> list[tuple]:
-    """Rows of the cells ``keys``, index tuples of the grid, in order.
+def _keys(axes: tuple, cells: range) -> Iterator[tuple]:
+    """The index tuples of ``cells``, a range of flat indices into the
+    row-major grid of one or two ``axes``: ``(A[i],)`` or
+    ``(A[i // len(B)], B[i % len(B)])`` for each i."""
+    if len(axes) == 1:
+        return zip(axes[0][cells.start:cells.stop])
+    A, B = axes
+    i, j = divmod(cells.start, len(B) or 1)
+    return islice(product(A[i:], B), j, j + len(cells))
 
-    Failures become tagged rows of the cell's index, never exceptions.
+
+def _eval(kind: SweepKind, ctx: tuple, axes: tuple, cells: range) -> list[tuple]:
+    """Rows of ``cells``, a range of flat indices into the grid of ``axes``, in order.
+
+    The kind's kernel evaluates the run when it has one and does not raise;
+    otherwise each cell goes through ``row``, and failures become tagged rows
+    of the cell's index, never exceptions.
     """
     spec = SPECS[kind]
+    if spec.rows is not None:
+        try:
+            return spec.rows(ctx, axes, cells)
+        except Exception:  # the cells below tag the failures
+            pass
     blank = (None,) * (len(spec.columns) - len(spec.index) - 1)
     rows = []
-    for key in keys:
+    for key in _keys(axes, cells):
         try:
             rows.append(spec.row(ctx, *key))
         except Exception as exc:  # per-record capture is the contract here
@@ -533,13 +605,14 @@ def _init_worker(kind: SweepKind, ctx: tuple, axes: tuple) -> None:
     _WORKER = (kind, ctx, axes)
 
 
-def _eval_chunk(idx: range) -> list[tuple]:
+def _eval_chunk(cells: range) -> list[tuple]:
     kind, ctx, axes = _WORKER
-    return list(map(tuple, _eval(kind, ctx, islice(product(*axes), idx.start, idx.stop))))
+    return list(map(tuple, _eval(kind, ctx, axes, cells)))
 
 
-# Seconds to start and stop a pool of two forked workers (2 cores, Python 3.11)
-_POOL_START_S = 0.012
+# Seconds to start and stop a pool of two workers, by start method (2 cores,
+# Python 3.11): a forked worker inherits the parent, the others start afresh
+_POOL_START_S = {"fork": 0.012, "forkserver": 0.15, "spawn": 0.15}
 
 
 # ----------------------------------------------------------------------------
@@ -553,21 +626,25 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     kind = config.kind
     p = _checked(kind, config.parameters)
     ctx, axes = SPECS[kind].prepare(p, config.seed)
-    total, keys = prod(len(axis) for axis in axes), product(*axes)
+    total = prod(len(axis) for axis in axes)
     workers = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
-    records = _eval(kind, ctx, keys) if workers == 1 else []
+    if workers == 1:
+        records = _eval(kind, ctx, axes, range(total))
+    else:  # reading the start method fixes it, so only a run that may pool reads it
+        records, mp = [], get_context()
+        pool_s = _POOL_START_S[mp.get_start_method()]
     step, start = 1, perf_counter()
-    while len(records) < total:  # the serial head goes on along ``keys``
-        records += _eval(kind, ctx, islice(keys, step))
+    while (done := len(records)) < total:  # the serial head
+        records += _eval(kind, ctx, axes, range(done, min(done + step, total)))
         spent, step = perf_counter() - start, min(2 * step, 64)
-        if (spent > _POOL_START_S
-                and spent * (total - len(records)) > 2 * _POOL_START_S * len(records)):
+        if spent > pool_s and spent * (total - len(records)) > 2 * pool_s * len(records):
             break
     if rest := range(len(records), total):
         size = -(-len(rest) // (8 * workers))
         chunks = [rest[i:i + size] for i in range(0, len(rest), size)]
-        with ProcessPoolExecutor(min(workers, len(chunks)), initializer=_init_worker,
+        with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=mp,
+                                 initializer=_init_worker,
                                  initargs=(kind, ctx, axes)) as pool:
             done = list(pool.map(_eval_chunk, reversed(chunks)))  # dearest first
         Row = SPECS[kind].Row
@@ -635,8 +712,19 @@ def _json_real(x: float) -> str:
 
 _bool_text = ("false", "true").__getitem__
 
+
+def _csv_text(v: str) -> str:
+    """``v`` as csv.writer writes a field: a text with a comma, a quote or a
+    line break goes through the csv module, which decides its quoting."""
+    if "," in v or '"' in v or "\n" in v or "\r" in v:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((v,))
+        return buf.getvalue()[:-1]
+    return v
+
+
 # One encoder per exact value type: the text of a value in each format.
-_CSV = {int: _format_int, float: format_real, bool: _bool_text, str: str,
+_CSV = {int: _format_int, float: format_real, bool: _bool_text, str: _csv_text,
         type(None): lambda v: ""}
 _JSON = {int: _format_int, float: _json_real, bool: _bool_text,
          str: json.encoder.encode_basestring_ascii, type(None): lambda v: "null"}
@@ -644,11 +732,9 @@ _JSON = {int: _format_int, float: _json_real, bool: _bool_text,
 
 def render_csv(result: SweepResult) -> str:
     """One row per record in index order, fixed header per kind."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SPECS[result.config.kind].columns)
-    w.writerows([_CSV[type(v)](v) for v in r] for r in result.records)
-    return buf.getvalue()
+    lines = [",".join(SPECS[result.config.kind].columns)]
+    lines += [",".join([_CSV[type(v)](v) for v in r]) for r in result.records]
+    return "\n".join(lines) + "\n"
 
 
 def _json_text(v, pad: str = "\n") -> str:

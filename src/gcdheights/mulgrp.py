@@ -9,10 +9,11 @@ integer sequence.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd, log
 
-from .arith import PrimeSet, _least_power_relation
+from .arith import PrimeSet
 from .gcd_height import vojta_bound
 
 __all__ = [
@@ -98,42 +99,40 @@ def s_unit_enumerate(S: PrimeSet, bound: int) -> list[int]:
     return vals
 
 
-def _s_exponents(x: int, S: PrimeSet) -> dict[int, int]:
-    """Exponent vector {p: ord_p(x) > 0} of an S-unit x over S.primes."""
-    n = abs(x)
-    vec = {}
+# An S-unit x stripped once over S.primes: its exponent tuple is ``mult``
+# times the primitive tuple ``root``; and |x - 1| and ln|x| for the bound
+_Unit = namedtuple("_Unit", "x root mult shifted log_size")
+
+
+def _unit(x: int, S: PrimeSet) -> _Unit:
+    """``x`` stripped over ``S``; |x| >= 2, and ValueError unless x is an S-unit."""
+    n, exps = abs(x), []
     for p in S.primes:
         e = 0
         while n % p == 0:
             n //= p
             e += 1
-        if e:
-            vec[p] = e
+        exps.append(e)
     if n != 1:
         raise ValueError("inputs must be S-units")
-    return vec
+    g = gcd(*exps)
+    return _Unit(x, tuple(e // g for e in exps), g, abs(x - 1), log(abs(x)))
 
 
-def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
-    """Trichotomy for a pair of S-units with |alpha|, |beta| >= 2.
+def _trichotomy(ua: _Unit, ub: _Unit, eps: float) -> tuple:
+    """The ``CzVerdict`` fields of a pair of stripped units; see ``cz_classify``.
 
-    POWER_RELATION(m, n) when alpha^m = beta^n for the least such (m, n) and
-    max(m, n) <= ceil(1/eps); decided exactly from the exponent vectors over
-    S and the signs, in O(|S|).  Otherwise INEQUALITY_HOLDS when
-    gcd(alpha - 1, beta - 1) <= max(|alpha|, |beta|)^eps with 1e-9 log
-    slack, else EXCEPTIONAL.  The verdict carries that gcd and bound in
-    every case.
+    alpha^m = beta^n in absolute value iff the roots agree, and then the
+    least (m, n) is (g_b/h, g_a/h) with h = gcd(g_a, g_b).
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if abs(alpha) < 2 or abs(beta) < 2:
-        raise ValueError("inputs must have absolute value >= 2")
-    rel = _least_power_relation(_s_exponents(alpha, S), _s_exponents(beta, S))
-    g = gcd(abs(alpha - 1), abs(beta - 1))
-    b = vojta_bound(log(g), log(max(abs(alpha), abs(beta))), eps, 0.0)
+    alpha, root_a, g_a, shifted_a, log_a = ua
+    beta, root_b, g_b, shifted_b, log_b = ub
+    g = gcd(shifted_a, shifted_b)
+    b = vojta_bound(log(g), log_a if abs(alpha) >= abs(beta) else log_b, eps, 0.0)
     witness = (g, b["lhs"], b["rhs"], b["holds"])
-    if rel is not None:
-        m, n = rel
+    if root_a == root_b:
+        h = gcd(g_a, g_b)
+        m, n = g_b // h, g_a // h
         # every |alpha|^m = |beta|^n is a multiple of (m, n); the signs agree
         # on all multiples or, when (alpha<0 and m odd) != (beta<0 and n odd),
         # on the even ones only
@@ -141,9 +140,26 @@ def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
             m, n = 2 * m, 2 * n
         # max(m, n) <= ceil(1/eps), and no OverflowError when 1/eps is inf
         if max(m, n) - 1 < 1 / eps:
-            return CzVerdict(POWER_RELATION, m, n, *witness)
-    kind = INEQUALITY_HOLDS if b["holds"] else EXCEPTIONAL
-    return CzVerdict(kind, None, None, *witness)
+            return (POWER_RELATION, m, n, *witness)
+    return (INEQUALITY_HOLDS if b["holds"] else EXCEPTIONAL, None, None, *witness)
+
+
+def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
+    """Trichotomy for a pair of S-units with |alpha|, |beta| >= 2.
+
+    POWER_RELATION(m, n) when alpha^m = beta^n for the least such (m, n) and
+    max(m, n) <= ceil(1/eps); decided exactly from the primitive exponent
+    tuples over S and the signs, in O(|S|).  Otherwise INEQUALITY_HOLDS when
+    gcd(alpha - 1, beta - 1) <= max(|alpha|, |beta|)^eps with 1e-9 log
+    slack, else EXCEPTIONAL.  The verdict carries that gcd and bound in
+    every case.  This strips both units and calls the core that the
+    CZ_TRICHOTOMY sweep calls on units it strips once each.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if abs(alpha) < 2 or abs(beta) < 2:
+        raise ValueError("inputs must have absolute value >= 2")
+    return CzVerdict(*_trichotomy(_unit(alpha, S), _unit(beta, S), eps))
 
 
 def divisibility_check(terms: list[int] | tuple[int, ...]) -> DivisibilityReport:

@@ -61,14 +61,17 @@ def pm2() -> Point:
 
 @pytest.fixture
 def pools(monkeypatch) -> list[SimpleNamespace]:
-    """Each process pool a sweep builds in the test, as its ``max_workers``
-    and the cell ranges mapped onto it in submission order.  The process may
-    use two CPUs, whatever the machine has, so ``jobs=2`` can pool."""
+    """Each process pool a sweep builds in the test, as its ``max_workers``,
+    the start ``method`` of its context and the cell ranges mapped onto it in
+    submission order.  The process may use two CPUs, whatever the machine
+    has, so ``jobs=2`` can pool."""
     built = []
 
     class Recording(ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
-            built.append(SimpleNamespace(max_workers=max_workers, chunks=[]))
+            method = kwargs["mp_context"].get_start_method()
+            built.append(SimpleNamespace(max_workers=max_workers, method=method,
+                                         chunks=[]))
             super().__init__(max_workers, **kwargs)
 
         def map(self, fn, chunks):
@@ -83,6 +86,8 @@ def pools(monkeypatch) -> list[SimpleNamespace]:
 @pytest.fixture
 def forced_pool(pools, monkeypatch) -> list[SimpleNamespace]:
     """``pools``, with no pool start-up cost: a sweep at ``jobs > 1`` sends
-    every cell after its first to a pool, however cheap the sweep."""
-    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    every cell after its first to a pool, however cheap the sweep, under
+    any start method."""
+    monkeypatch.setattr(experiments, "_POOL_START_S",
+                        dict.fromkeys(experiments._POOL_START_S, 0.0))
     return pools

@@ -20,7 +20,7 @@ from gcdheights import (
     prime_to_S_part,
     weil_height,
 )
-from gcdheights.arith import _least_power_relation, _strong_lucas
+from gcdheights.arith import _strong_lucas
 
 # Two Mersenne primes whose product no tiny budget can split.
 M61 = 2**61 - 1
@@ -255,6 +255,26 @@ def test_mult_independent_basic():
     assert not mult_independent(2, 2)
     assert not mult_independent(27, 9)
     assert not mult_independent(8, 32)        # 8^5 = 32^3
+
+
+def _least_power_relation(
+    da: dict[int, int], db: dict[int, int]
+) -> tuple[int, int] | None:
+    """Least (m, n) with m*da = n*db, or None when the vectors are not proportional;
+    the oracle of mult_independent.
+
+    da and db are nonempty exponent vectors {prime: exponent > 0}; for the
+    positive integers they describe this decides |a|^m = |b|^n.  Every
+    solution is a multiple of the least one, which the first prime fixes.
+    """
+    if da.keys() != db.keys():
+        return None
+    p0 = min(da)
+    e0, f0 = da[p0], db[p0]
+    if any(da[p] * f0 != db[p] * e0 for p in da):
+        return None
+    g = gcd(e0, f0)
+    return f0 // g, e0 // g
 
 
 def test_least_power_relation():

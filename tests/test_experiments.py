@@ -31,8 +31,9 @@ from gcdheights import (
     summarize,
 )
 from gcdheights.arith import EPS_SLACK, PrimeSet
-from gcdheights.gcd_height import PolySystem
-from gcdheights import experiments
+from gcdheights.gcd_height import PolySystem, vojta_bound
+from gcdheights.mulgrp import LN2
+from gcdheights import experiments, mulgrp
 
 # Frozen from the first verified run of this suite.
 BCZ300_FITTED = 4.489464501830993
@@ -493,15 +494,14 @@ def test_abelian_sweep_frozen():
 
 def test_eval_cell_tags_failures_with_index():
     # a context whose eps breaks every row: cell 2 of the grid is n = 3
-    rows = experiments._eval(SweepKind.BCZ, (2, 3, "bad", 0.0),
-                             itertools.islice(itertools.product(range(1, 5)), 2, 3))
+    rows = experiments._eval(SweepKind.BCZ, (2, 3, "bad", 0.0), (range(1, 5),), range(2, 3))
     assert len(rows) == 1
     assert rows[0].n == 3
     assert rows[0].error.startswith("TypeError")
     # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20)
     ctx = ([1, 1, 1], None, 0.5, 1.0)  # S = None fails every row
-    keys = itertools.product(range(1, 4), [10, 20, 30, 40])
-    rows = experiments._eval(SweepKind.MIXED_CHECK, ctx, itertools.islice(keys, 5, 6))
+    axes = (range(1, 4), [10, 20, 30, 40])
+    rows = experiments._eval(SweepKind.MIXED_CHECK, ctx, axes, range(5, 6))
     assert [k for k, v in rows[0]._asdict().items() if v is not None] == ["n", "b", "error"]
     assert (rows[0].n, rows[0].b) == (2, 20)
 
@@ -536,20 +536,94 @@ def test_cells_carry_their_row_index(kind):
         assert dict(zip(spec.index, key)) == {k: getattr(row, k) for k in spec.index}
 
 
+def _kernel_failures(monkeypatch, kind: SweepKind) -> list[range]:
+    """The runs on which ``kind``'s kernel raises, in the order it is called."""
+    spec = experiments.SPECS[kind]
+    failed = []
+
+    def kernel(ctx, axes, cells):
+        try:
+            return spec.rows(ctx, axes, cells)
+        except Exception:
+            failed.append(cells)
+            raise
+
+    monkeypatch.setitem(experiments.SPECS, kind, dataclasses.replace(spec, rows=kernel))
+    return failed
+
+
+# grids of the kinds with a range kernel, each long enough for the head to
+# reach its 64-cell steps; CZ's rows are 34 units long
+KERNEL_GRIDS = {
+    SweepKind.BCZ: {"a": 3, "b": 7, "eps": 0.3, "n_max": 320, "C": 0.5},
+    SweepKind.AR_RETURNS: {"a": 2, "b": 3, "n_max": 320},
+    SweepKind.CZ_TRICHOTOMY: {"primes": [2, 3, 5], "bound": 30, "eps": 0.05},
+}
+# the context entry that breaks every cell, through the kernel and row, when
+# set to a string
+BREAK_CTX = {SweepKind.BCZ: 2, SweepKind.AR_RETURNS: 0, SweepKind.CZ_TRICHOTOMY: 1}
+
+
+def _runs(total: int, width: int) -> list[range]:
+    """Runs as the runner makes them: the head's doubling steps from n = 1, a
+    rest in 16 chunks, the whole grid, runs across a row end of ``width``
+    cells, and empty runs."""
+    head, start, step = [], 0, 1
+    while start < total:
+        head.append(range(start, min(start + step, total)))
+        start, step = head[-1].stop, min(2 * step, 64)
+    rest = range(7, total)
+    size = -(-len(rest) // 16)
+    chunks = [rest[i:i + size] for i in range(0, len(rest), size)]
+    across = [r for r in (range(width - 3, width + 5), range(2 * width - 1, 3 * width + 1))
+              if r.stop <= total]
+    return [*head, *chunks, range(total), *across, range(5, 5), range(total, total)]
+
+
+@pytest.mark.parametrize("kind", list(KERNEL_GRIDS))
+def test_kernel_rows_match_the_map_of_row(kind):
+    spec = experiments.SPECS[kind]
+    ctx, axes = spec.prepare(experiments._checked(kind, KERNEL_GRIDS[kind]), 0)
+    keys = list(itertools.product(*axes))
+    runs = _runs(len(keys), len(axes[-1]))
+    assert len(keys) > 300 and max(map(len, runs)) == len(keys)
+    for cells in runs:
+        want = [spec.row(ctx, *key) for key in keys[cells.start:cells.stop]]
+        got = spec.rows(ctx, axes, cells)
+        assert got == want and experiments._eval(kind, ctx, axes, cells) == want
+        assert {type(r) for r in got} <= {spec.Row}
+    # a context that breaks every cell: the kernel raises on each run, and
+    # _eval tags each cell of it as the map of row does
+    broken = list(ctx)
+    broken[BREAK_CTX[kind]] = "bad"
+    blank = (None,) * (len(spec.columns) - len(spec.index) - 1)
+    for cells in runs:
+        want = []
+        for key in keys[cells.start:cells.stop]:
+            with pytest.raises(TypeError) as exc:
+                spec.row(tuple(broken), *key)
+            want.append(spec.Row(*key, *blank, f"TypeError: {exc.value}"))
+        if cells:
+            with pytest.raises(TypeError):
+                spec.rows(tuple(broken), axes, cells)
+        assert experiments._eval(kind, tuple(broken), axes, cells) == want
+
+
 def test_error_budget_zero_raises(monkeypatch):
-    spec = experiments.SPECS[SweepKind.BCZ]
-
-    def flaky(ctx, n):
-        if n == 3:
+    # a fault at n = 3 in the bound that the kernel and row both call: the
+    # kernel's run raises, and row tags that cell alone
+    def flaky(lhs, hA, eps, C):
+        if hA == 3 * LN2:
             raise RuntimeError("injected")
-        return spec.row(ctx, n)
+        return vojta_bound(lhs, hA, eps, C)
 
-    monkeypatch.setitem(experiments.SPECS, SweepKind.BCZ,
-                        dataclasses.replace(spec, row=flaky))
+    monkeypatch.setattr(experiments, "vojta_bound", flaky)
+    failed = _kernel_failures(monkeypatch, SweepKind.BCZ)
     cfg = SweepConfig(kind=SweepKind.BCZ,
                       parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 5})
     with pytest.raises(ValueError, match="error budget exceeded"):
         run(cfg)
+    assert failed == [range(5)]
     budgeted = SweepConfig(kind=SweepKind.BCZ,
                            parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 5,
                                        "error_budget": 1})
@@ -566,18 +640,23 @@ def test_error_budget_zero_raises(monkeypatch):
                     reason="pool workers must inherit the patched row")
 def test_pool_error_rows_match_serial(monkeypatch, forced_pool):
     spec = experiments.SPECS[SweepKind.CZ_TRICHOTOMY]
+    core = mulgrp._trichotomy
 
-    def flaky(ctx, a, b):
-        if (a, b) == (6, -4):
+    def flaky(ua, ub, eps):
+        if (ua.x, ub.x) == (6, -4):
             raise RuntimeError("injected")
-        return spec.row(ctx, a, b)
+        return core(ua, ub, eps)
 
-    monkeypatch.setitem(experiments.SPECS, SweepKind.CZ_TRICHOTOMY,
-                        dataclasses.replace(spec, row=flaky))
+    # the core of the kernel and of cz_classify, which row calls
+    monkeypatch.setattr(experiments, "_trichotomy", flaky)
+    monkeypatch.setattr(mulgrp, "_trichotomy", flaky)
+    failed = _kernel_failures(monkeypatch, SweepKind.CZ_TRICHOTOMY)
     cfg = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
                       parameters={"primes": [2, 3], "bound": 30, "eps": 0.25,
                                   "error_budget": 1})
-    serial, pooled = run(cfg), run(cfg, jobs=2)
+    serial = run(cfg)
+    assert failed == [range(len(serial.records))]
+    pooled = run(cfg, jobs=2)
     assert len(forced_pool) == 1
     bad = [r for r in pooled.records if r.error]
     assert bad == [spec.Row(6, -4, *[None] * 7, "RuntimeError: injected")]
@@ -603,17 +682,21 @@ def test_pool_after_a_serial_head_is_byte_identical(cfg, pools, monkeypatch):
     # a clock that ticks once per reading and a pool start-up of 3 ticks: the
     # parent runs a head of several cells, then the pool takes the rest
     monkeypatch.setattr(experiments, "perf_counter", itertools.count().__next__)
-    monkeypatch.setattr(experiments, "_POOL_START_S", 3)
-    grids = []
-    monkeypatch.setattr(experiments, "product",
-                        lambda *axes: grids.append(axes) or itertools.product(*axes))
+    monkeypatch.setattr(experiments, "_POOL_START_S",
+                        dict.fromkeys(experiments._POOL_START_S, 3))
+    runs, evaluate = [], experiments._eval
+    monkeypatch.setattr(experiments, "_eval", lambda kind, ctx, axes, cells:
+                        runs.append(cells) or evaluate(kind, ctx, axes, cells))
     pooled = run(cfg, jobs=2)
-    assert len(grids) == 1  # the head walks one iterator, never restarting it
+    head_runs = list(runs)
     assert render_csv(pooled) == render_csv(run(cfg))
     assert render_json(pooled) == render_json(run(cfg))
     [pool] = pools
     head, total = pool.chunks[-1].start, len(pooled.records)
     assert 1 < head < total
+    # the head's runs are contiguous and cover [0, head) in order
+    assert len(head_runs) > 1
+    assert [i for cells in head_runs for i in cells] == list(range(head))
     # 8 contiguous chunks per worker over the rest, highest indices first
     assert pool.max_workers == 2 and len(pool.chunks) == 16
     assert [i for c in reversed(pool.chunks) for i in c] == list(range(head, total))
@@ -626,13 +709,41 @@ def test_pool_is_byte_identical_under_fresh_interpreters(method, forced_pool,
     # context and its Row type from what the pool sends them
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(
-        experiments.ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+    monkeypatch.setattr(experiments, "get_context",
+                        functools.partial(multiprocessing.get_context, method))
     for cfg in (BCZ300, CZ30):
         pooled, serial = run(cfg, jobs=2), run(cfg)
         assert render_csv(pooled) == render_csv(serial)
         assert render_json(pooled) == render_json(serial)
-    assert [pool.max_workers for pool in forced_pool] == [2, 2]
+    assert [(pool.max_workers, pool.method) for pool in forced_pool] == [(2, method)] * 2
+
+
+@pytest.mark.skipif("spawn" not in multiprocessing.get_all_start_methods(),
+                    reason="no spawn start method on this platform")
+def test_spawn_start_cost_keeps_a_100ms_sweep_serial(pools, monkeypatch):
+    # about 100 ms of cells at jobs 1 here, less than a spawned pool costs to
+    # start and stop
+    monkeypatch.setattr(experiments, "get_context",
+                        functools.partial(multiprocessing.get_context, "spawn"))
+    cfg = SweepConfig(kind=SweepKind.BCZ, parameters={**TINY[SweepKind.BCZ], "n_max": 3800})
+    assert render_csv(run(cfg, jobs=2)) == render_csv(run(cfg))
+    assert pools == []
+
+
+@pytest.mark.parametrize("method, pooled", [("fork", True), ("forkserver", False),
+                                            ("spawn", False)])
+def test_pool_cut_off_follows_the_start_method(method, pooled, pools, monkeypatch):
+    # a clock that ticks 10 ms per reading: past 12 ms the head's mean rate
+    # puts BCZ300's rest above twice a forked pool's cost, but a head that
+    # has spent a spawned or forkserver pool's cost has nearly finished
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    monkeypatch.setattr(experiments, "perf_counter",
+                        map(lambda tick: tick / 100, itertools.count()).__next__)
+    monkeypatch.setattr(experiments, "get_context",
+                        functools.partial(multiprocessing.get_context, method))
+    assert render_csv(run(BCZ300, jobs=2)) == render_csv(run(BCZ300))
+    assert [pool.method for pool in pools] == [method] * pooled
 
 
 @pytest.mark.parametrize("affinity, jobs, n_max, workers", [
@@ -649,7 +760,7 @@ def test_pool_workers_are_capped(affinity, jobs, n_max, workers, monkeypatch):
         """Records ``max_workers`` and runs the chunks in this process, so no
         worker process is ever started."""
 
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             seen.append(max_workers)
             initializer(*initargs)
 
@@ -663,7 +774,8 @@ def test_pool_workers_are_capped(affinity, jobs, n_max, workers, monkeypatch):
             return map(fn, chunks)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(experiments, "_POOL_START_S", 0.0)
+    monkeypatch.setattr(experiments, "_POOL_START_S",
+                        dict.fromkeys(experiments._POOL_START_S, 0.0))
     monkeypatch.setattr(experiments, "_WORKER", ())
     if affinity is None:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -817,6 +929,21 @@ def test_renderers_match_oracles_on_error_rows():
     _assert_renders_like_oracles(res)
     assert [r.get("error") for r in json.loads(render_json(res))["records"]] == \
         [r.error for r in records]
+
+
+def test_renderers_match_oracles_on_csv_special_characters():
+    # an error text with a comma, a quote, a carriage return or a line feed
+    # is quoted as csv.writer quotes it
+    cfg = SweepConfig(kind=SweepKind.BCZ, parameters={**TINY[SweepKind.BCZ], "n_max": 8})
+    records = run(cfg).records
+    messages = ["E: a,b", 'E: say "x"', "E: a\rb", "E: a\nb", '"', "E: ,\"\r\n", "E: plain"]
+    for i, message in enumerate(messages):
+        records[i] = experiments._BCZRow(records[i].n, *[None] * 5, message)
+    res = SweepResult(cfg, records, summarize(SweepKind.BCZ, records, cfg))
+    assert res.summary["error_rows"] == len(messages)
+    _assert_renders_like_oracles(res)
+    lines = render_csv(res).split("\n")
+    assert lines[1:3] == ['1,,,,,,"E: a,b"', '2,,,,,,"E: say ""x"""']
 
 
 def test_render_json_rejects_an_infinite_real():

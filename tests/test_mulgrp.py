@@ -24,6 +24,7 @@ from gcdheights import (
     run,
     s_unit_enumerate,
 )
+from gcdheights import mulgrp
 from gcdheights.arith import EPS_SLACK
 
 # Frozen from the first verified run of this suite.
@@ -181,6 +182,40 @@ def test_cz_classify_matches_scan_oracle(primes, bound, eps):
             v = cz_classify(a, b, S, eps)
             assert (v.kind, v.m, v.n) == _cz_scan(a, b, eps), (a, b)
             assert v.gcd == gcd(abs(a - 1), abs(b - 1))
+
+
+def _least_relation_scan(alpha: int, beta: int, top: int = 12) -> tuple | None:
+    """The (m, n) with m, n <= top and alpha^m = beta^n of least m, by trying
+    every pair of exponents."""
+    for m in range(1, top + 1):
+        for n in range(1, top + 1):
+            if alpha**m == beta**n:
+                return m, n
+    return None
+
+
+def test_trichotomy_core_relation_matches_a_brute_force_scan():
+    # seeded pairs of signed powers of one unit, and of unrelated units; at
+    # eps = 1/25 the core reports every relation up to 25, so those up to 12
+    # must be the scan's
+    S = PrimeSet((2, 3, 5))
+    rng = random.Random(5)
+    roots = [x for x in s_unit_enumerate(S, 30) if x > 0]
+    units = s_unit_enumerate(S, 10**4)
+    found = 0
+    for _ in range(600):
+        if rng.random() < 0.7:
+            r = rng.choice(roots)
+            alpha = rng.choice((-1, 1)) * r ** rng.randint(1, 6)
+            beta = rng.choice((-1, 1)) * r ** rng.randint(1, 6)
+        else:
+            alpha, beta = rng.choice(units), rng.choice(units)
+        kind, m, n, *_ = mulgrp._trichotomy(mulgrp._unit(alpha, S),
+                                            mulgrp._unit(beta, S), 1 / 25)
+        got = (m, n) if kind == POWER_RELATION and max(m, n) <= 12 else None
+        assert got == _least_relation_scan(alpha, beta), (alpha, beta)
+        found += got is not None
+    assert found > 200
 
 
 def test_cz_classify_signs_force_even_exponents():
