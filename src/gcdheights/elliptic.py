@@ -22,7 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log
+from math import gcd, inf, isqrt, log
 
 from .arith import LogReal
 
@@ -217,34 +217,153 @@ def _division_values(c: Curve, p: Point, n_max: int) -> list[int]:
     return w
 
 
+#: Trial division splits gcd(W_2, W_3) by divisors up to this bound; a
+#: cofactor it cannot certify prime sends ``multiples`` to one gcd per term.
+_TRIAL_BOUND = 1 << 10
+
+#: Bits of p-adic precision a tracked unit of W_k starts with (odd p).
+_UNIT_BITS = 64
+
+
+def _trial_primes(g: int) -> list[int] | None:
+    """The primes of g >= 1, or None if a cofactor is left that has no
+    divisor up to _TRIAL_BOUND and is not certified prime by that."""
+    primes, q = [], 2
+    while q * q <= g:
+        if q > _TRIAL_BOUND:
+            return None
+        if g % q == 0:
+            primes.append(q)
+            while g % q == 0:
+                g //= q
+        q += 1 + (q > 2)
+    return primes + [g] if g > 1 else primes
+
+
+def _v2(x: int) -> int | float:
+    """2-adic valuation of x, read off the bits; inf for 0."""
+    return (x & -x).bit_length() - 1 if x else inf
+
+
+def _odd_valuations(p: int, w: list[int]) -> list[int | float] | None:
+    """[v_p(W_k) for W_k in w] for an odd prime p (inf for 0), or None when
+    a tracked unit runs out of precision.
+
+    W_1..W_4 are read exactly.  Past them each W_k is carried as a triple
+    (v, u, r), W_k = p^v U with U = u mod p^r and p not dividing u, through
+    Ward's recurrence: the odd step is a difference of two products, the
+    even step also adds v(W_m) - v(W_2) and multiplies by the unit of W_2
+    inverted.  A difference of equal valuations loses the digits its units
+    share, so each value keeps its own precision r; none of the big W_k is
+    divided.
+    """
+    top = -(-_UNIT_BITS // (p.bit_length() - 1))
+
+    def exact(x):
+        if x == 0:
+            return inf, 0, top
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v, x % p**top, top
+
+    def prod(*xs):
+        r = min(x[2] for x in xs)
+        mod, u = p**r, 1
+        for x in xs:
+            u = u * x[1] % mod
+        return sum(x[0] for x in xs), u, r
+
+    def diff(s, t):
+        if s[0] > t[0]:
+            v, u, r = diff(t, s)
+            return v, -u % p**r, r
+        shift = t[0] - s[0]
+        r = min(s[2], t[2] + shift)
+        u = (s[1] - t[1] * p**shift) % p**r if shift < r else s[1]
+        v = s[0]
+        if u == 0:
+            return None
+        while u % p == 0:
+            u //= p
+            v += 1
+            r -= 1
+        return v, u, r
+
+    t = [exact(x) for x in w[:5]]
+    inv2 = (-t[2][0], pow(t[2][1], -1, p**top), top)
+    for k in range(5, len(w)):
+        m = k >> 1
+        if w[k] == 0:
+            x = exact(0)
+        elif k & 1:
+            x = diff(prod(t[m + 2], t[m], t[m], t[m]),
+                     prod(t[m - 1], t[m + 1], t[m + 1], t[m + 1]))
+        else:
+            x = diff(prod(t[m + 2], t[m - 1], t[m - 1]),
+                     prod(t[m - 2], t[m + 1], t[m + 1]))
+            x = x and prod(x, t[m], inv2)
+        if x is None:
+            return None
+        t.append(x)
+    return [x[0] for x in t[:len(w)]]
+
+
 def multiples(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
     """[(A_n, D_n) for n = 1..n_max] with x(nP) = A_n / D_n^2 in lowest terms.
 
     x(nP) = (a W_n^2 - W_{n-1} W_{n+1}) / (d^2 W_n^2) from the division values
-    of _division_values, reduced by one gcd per term.  The gcd is skipped
-    when P is integral with gcd(W_2, W_3) = 1: then P reduces to a
-    nonsingular point at every prime, the fraction is already in lowest
-    terms and D_n = |W_n| (Ayad 1992).
+    of _division_values.  Its common factor lies only over the primes of
+    G = gcd(W_2, W_3), where P reduces to a singular point (Ayad 1992); a
+    prime dividing d cannot divide G, since there W_2 = 2y and W_3 = 3a^4
+    mod p.  So with G = 1 the pair (num, d |W_n|) is already in lowest
+    terms.  Otherwise the valuations v(W_k) at each prime q of G are read
+    off the bits for q = 2 and from _odd_valuations for odd q, the q-parts
+    are divided out of every W_k, and each term is rebuilt without the
+    shared q^e, 2e = min(v(W_{n-1} W_{n+1}), 2 v(W_n)) = min(v(num), 2 v(W_n)).
+    When trial division cannot split G or a tracked unit runs out of
+    precision, each term is reduced by one full-size gcd instead.
     Hitting the identity means the base point has finite order, which no
     caller can absorb; it is reported rather than skipped.
     """
     if p.is_identity:
         raise ValueError("point has finite order 1")
-    w = _division_values(c, p, n_max + 1)
-    a, dd = p.x.numerator, p.x.denominator
-    d = isqrt(dd)
-    lowest = d == 1 and gcd(w[2], w[3]) == 1
+    w = _division_values(c, p, n_max + 1)[:n_max + 2]
+    if 0 in w[1:-1]:
+        raise ValueError(f"point has finite order {w.index(0, 1)}")
+    a, d = p.x.numerator, isqrt(p.x.denominator)
+    primes = _trial_primes(gcd(w[2], w[3])) if n_max > 1 else []
+    vals = [_odd_valuations(q, w) if q & 1 else [_v2(x) for x in w]
+            for q in primes or ()]
+    if not vals or None in vals:
+        # G = 1: in lowest terms already; otherwise the full-gcd route
+        out = [(a * (w[n] * w[n]) - w[n - 1] * w[n + 1], d * abs(w[n]))
+               for n in range(1, n_max + 1)]
+        return out if primes == [] else _reduce_by_gcd(out)
+    u = w  # the W_k with the primes of G divided out
+    for q, v in zip(primes, vals):
+        u = [x and (x >> e if q == 2 else x // q**e) for x, e in zip(u, v)]
     out = []
     for n in range(1, n_max + 1):
-        wn = w[n]
-        if wn == 0:
-            raise ValueError(f"point has finite order {n}")
-        num = a * wn * wn - w[n - 1] * w[n + 1]
-        if lowest:
-            out.append((num, abs(wn)))
-        else:
-            g = gcd(num, dd * wn * wn)
-            out.append((num // g, d * abs(wn) // isqrt(g)))
+        lo = hi = 1  # what stays of the q-parts of W_n and of W_{n-1} W_{n+1}
+        for q, v in zip(primes, vals):
+            s, t = v[n - 1] + v[n + 1], 2 * v[n]
+            if s < t:
+                lo *= q ** ((t - s) // 2)
+            elif t < s < inf:
+                hi *= q ** (s - t)
+        un = u[n] * lo
+        out.append((a * (un * un) - u[n - 1] * u[n + 1] * hi, d * abs(un)))
+    return out
+
+
+def _reduce_by_gcd(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """(num, D) pairs for x = num / D^2, put in lowest terms by one gcd each."""
+    out = []
+    for num, dn in pairs:
+        g = gcd(num, dn * dn)
+        out.append((num // g, dn // isqrt(g)))
     return out
 
 
@@ -330,9 +449,12 @@ def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
         # x(2Q) = (x^4 - b4 x^2 - 2 b6 x - b8) / (4 x^3 + b2 x^2 + 2 b4 x + b6);
         # for coprime (a, z) the common factor of the new pair divides the
         # resultant of the two forms, which is disc^2
-        a2, z2 = a * a, z * z
-        na = a2 * a2 - b4 * a2 * z2 - 2 * b6 * a * z2 * z - b8 * z2 * z2
-        nz = z * (4 * a2 * a + b2 * a2 * z + 2 * b4 * a * z2 + b6 * z2 * z)
+        # u = a^2, v = z^2, w = az: three products at the input size and
+        # four at twice it (one a square), the same integers as the
+        # expanded forms
+        u, v, w = a * a, z * z, a * z
+        na = u * u - v * (b4 * u + 2 * b6 * w + b8 * v)
+        nz = u * (4 * w + b2 * v) + v * (2 * b4 * w + b6 * v)
         if nz == 0:
             warnings.warn("possibly torsion: doubling reached the identity")
             return 0.0

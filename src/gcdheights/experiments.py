@@ -34,8 +34,6 @@ reals with 12 significant digits.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import random
@@ -366,10 +364,13 @@ def _summary_ar(good: list[tuple], p: dict) -> dict:
 def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
     c, m_max, n_max = p["curve"], p["m_max"], p["n_max"]
     P = _on_curve(c, p["p"], "p")
-    Q = P if p["q"] is None else _on_curve(c, p["q"], "q")
-    # denominator and naive height once per multiple, not once per cell
-    mp = [(x[1], naive_height(x).value) for x in multiples(c, P, m_max)]
-    nq = [(x[1], naive_height(x).value) for x in multiples(c, Q, n_max)]
+    Q = None if p["q"] is None else _on_curve(c, p["q"], "q")
+    # denominator and naive height once per multiple, not once per cell, and
+    # one list for both axes when they share the base point
+    mp = [(x[1], naive_height(x).value)
+          for x in multiples(c, P, max(m_max, n_max) if Q is None else m_max)]
+    nq = mp if Q is None else [(x[1], naive_height(x).value)
+                               for x in multiples(c, Q, n_max)]
     # (m/g, n/g) is one of exceptional_subgroups(eps) iff it is in this disc
     bound = 1.0 / (2.0 * p["eps"])
     return ((mp, nq, bound, p["eps"], p["C"]),
@@ -714,12 +715,11 @@ _bool_text = ("false", "true").__getitem__
 
 
 def _csv_text(v: str) -> str:
-    """``v`` as csv.writer writes a field: a text with a comma, a quote or a
-    line break goes through the csv module, which decides its quoting."""
+    """``v`` as a CSV field: a text with a comma, a quote, a line feed or a
+    carriage return is quoted, its quotes doubled, so csv.reader reads it
+    back whole."""
     if "," in v or '"' in v or "\n" in v or "\r" in v:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow((v,))
-        return buf.getvalue()[:-1]
+        return '"' + v.replace('"', '""') + '"'
     return v
 
 

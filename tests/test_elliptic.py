@@ -1,6 +1,7 @@
 """Weierstrass group law, denominator sequences, and height machinery."""
 from __future__ import annotations
 
+import random
 import warnings
 from fractions import Fraction as F
 from math import gcd, isclose, isqrt, log
@@ -26,6 +27,7 @@ from gcdheights import (
     run,
     scalar_mul,
 )
+from gcdheights import elliptic
 from gcdheights.elliptic import DOUBLING_CAP, _division_values, _naive_vs_limit_bound
 
 # Frozen from the first verified run of this suite (tol = 1e-4).
@@ -169,24 +171,23 @@ CM2 = Curve(0, 0, 0, 0, -2)
 C17 = Curve(0, 0, 0, 0, 17)
 
 # (curve, base point, gcd(W_2, W_3)) for the integer multiples route; a
-# common factor of W_2 and W_3 (or a non-integral base point) takes the
-# branch that reduces each term by a gcd.
+# common factor of W_2 and W_3 takes the branch that divides its primes out
+# of every W_k, and the non-integral base point has gcd(W_2, W_3) = 1.
 MULTIPLES_CASES = {
     "37a1 (0,0)": (Curve(0, 0, 1, -1, 0), Point(F(0), F(0)), 1),
     "389a1 (0,0)": (Curve(0, 1, 1, -2, 0), Point(F(0), F(0)), 1),
     "389a1 (1,0)": (Curve(0, 1, 1, -2, 0), Point(F(1), F(0)), 1),
     "x3-2 (3,5)": (CM2, Point(F(3), F(5)), 1),
     "x3+17 (-2,3) singular mod 2, 3": (C17, Point(F(-2), F(3)), 6),
-    "x3-2 2(3,5) non-integral": (CM2, Point(F(129, 100), F(-383, 1000)), None),
+    "x3-2 2(3,5) non-integral": (CM2, Point(F(129, 100), F(-383, 1000)), 1),
 }
 
 
 @pytest.mark.parametrize("name", list(MULTIPLES_CASES))
 def test_multiples_match_chord_tangent_to_60(name):
     c, p, w_gcd = MULTIPLES_CASES[name]
-    if w_gcd is not None:
-        w = _division_values(c, p, 3)
-        assert gcd(w[2], w[3]) == w_gcd
+    w = _division_values(c, p, 3)
+    assert gcd(w[2], w[3]) == w_gcd
     got = multiples(c, p, 60)
     for n in (1, 2, 7, 32, 60):
         assert got[n - 1] == _x_pairs([scalar_mul(c, n, p)])[0]
@@ -209,6 +210,114 @@ def test_multiples_of_torsion_points():
         multiples(TORSION_CURVE, TORSION_P6, 6)
     with pytest.raises(ValueError, match="finite order 6"):
         multiples(TORSION_CURVE, TORSION_P6, 60)
+
+
+def _multiples_by_gcd(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
+    """The full-gcd route: every x(nP) from the division values, reduced by
+    one gcd with its whole denominator."""
+    w = _division_values(c, p, n_max + 1)
+    a, dd = p.x.numerator, p.x.denominator
+    out = []
+    for n in range(1, n_max + 1):
+        if w[n] == 0:
+            raise ValueError(f"point has finite order {n}")
+        num = a * w[n] ** 2 - w[n - 1] * w[n + 1]
+        g = gcd(num, dd * w[n] ** 2)
+        out.append((num // g, isqrt(dd * w[n] ** 2 // g)))
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def _singular_at(rng: random.Random, q: int) -> tuple[Curve, Point]:
+    """A random curve with an integral point P that reduces mod q to a
+    singular point: q divides both partial derivatives at P."""
+    while True:
+        a1, a2 = rng.randint(-3, 3), rng.randint(-3, 3)
+        x0, y0 = rng.randint(-20, 20), rng.randint(-20, 20)
+        a3 = -2 * y0 - a1 * x0 + q * rng.randint(-2, 2)
+        a4 = a1 * y0 - 3 * x0 * x0 - 2 * a2 * x0 + q * rng.randint(-3, 3)
+        a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0
+        try:
+            return Curve(a1, a2, a3, a4, a6), Point(F(x0), F(y0))
+        except ValueError:  # singular curve
+            continue
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+def test_multiples_property_against_gcd_route_and_chord_tangent(q):
+    rng = random.Random(q)
+    at_q = non_integral = 0
+    for _ in range(40):
+        c, p = _singular_at(rng, q)
+        k = rng.choice([1, 1, 2, 3])  # 2P and 3P are mostly non-integral
+        base = p
+        for _ in range(k - 1):
+            base = add(c, base, p)
+        if base.is_identity:
+            continue
+        n_max = rng.randint(1, 36)
+        got = _outcome(multiples, c, base, n_max)
+        assert got == _outcome(_multiples_by_gcd, c, base, n_max)
+        if isinstance(got, str):
+            assert "finite order" in got
+            continue
+        acc, want = IDENTITY, []
+        for _ in range(min(n_max, 10)):
+            acc = add(c, acc, base)
+            want.append(acc)
+        assert got[:10] == _x_pairs(want)
+        w = _division_values(c, base, 3)
+        at_q += gcd(w[2], w[3]) % q == 0
+        non_integral += base.x.denominator > 1
+    # the cases really reach the correction at q, also off integral points
+    assert at_q > 15 and non_integral > 5
+
+
+def test_multiples_falls_back_to_the_gcd_route(monkeypatch):
+    calls = []
+    gcd_route = elliptic._reduce_by_gcd
+    monkeypatch.setattr(elliptic, "_reduce_by_gcd",
+                        lambda pairs: calls.append(len(pairs)) or gcd_route(pairs))
+    for xy in ((-2, 3), (4, 9)):
+        p = Point(F(xy[0]), F(xy[1]))
+        want = multiples(C17, p, 60)
+        assert calls == [] and want == _multiples_by_gcd(C17, p, 60)
+        # a tracked unit of W_k at 3 runs out of precision
+        with monkeypatch.context() as m:
+            m.setattr(elliptic, "_UNIT_BITS", 1)
+            assert multiples(C17, p, 60) == want
+        assert calls == [60]
+        calls.clear()
+    # gcd(W_2, W_3) = 18 = 2 * 3^2 leaves a 9 that divisors up to 2 cannot split
+    with monkeypatch.context() as m:
+        m.setattr(elliptic, "_TRIAL_BOUND", 2)
+        assert multiples(C17, Point(F(4), F(9)), 60) == want
+    assert calls == [60]
+
+
+def test_trial_primes():
+    assert elliptic._trial_primes(1) == []
+    assert elliptic._trial_primes(2 * 3**4 * 1009) == [2, 3, 1009]
+    assert elliptic._trial_primes(1031) == [1031]
+    assert elliptic._trial_primes(1009 * 1013) == [1009, 1013]
+    assert elliptic._trial_primes(1031 * 1033) is None  # both past 2^10
+
+
+def test_multiples_of_a_point_with_gcd_w2_w3_one_take_no_gcd_per_term(monkeypatch):
+    # 2(3,5) on y^2 = x^3 - 2 has d = 10 and gcd(W_2, W_3) = 1; the only gcd
+    # is that one, however many terms are asked for
+    p = MULTIPLES_CASES["x3-2 2(3,5) non-integral"][1]
+    calls = []
+    monkeypatch.setattr(elliptic, "gcd", lambda *xs: calls.append(xs) or gcd(*xs))
+    got = multiples(CM2, p, 40)
+    assert len(calls) == 1 and calls[0][0] != 0
+    assert got == _multiples_by_gcd(CM2, p, 40)
 
 
 def test_eds_37a1_frozen(c37, p37):
@@ -273,6 +382,7 @@ def _chord_tangent_height(c: Curve, p: Point, tol: float) -> float:
     ((0, 1, 1, -2, 0), (1, 0)),
     ((0, 0, 0, 0, 17), (-2, 3)),
     ((0, 0, 0, 0, 17), (4, 9)),
+    ((1, 2, 3, 4, -2), (1, 1)),  # every a_i, so every b_i, nonzero
 ])
 def test_canonical_height_matches_chord_tangent_doubling(coeffs, xy):
     c, p = Curve(*coeffs), Point(F(xy[0]), F(xy[1]))

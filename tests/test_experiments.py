@@ -439,6 +439,21 @@ def test_eds_gcd_flags_match_the_listed_subgroups(eps):
         (m, n, (m // math.gcd(m, n), n // math.gcd(m, n)) in listed) for m, n in grid]
 
 
+@pytest.mark.parametrize("m_max, n_max", [(7, 12), (12, 7)])
+def test_eds_gcd_without_q_computes_the_multiples_once(monkeypatch, m_max, n_max):
+    calls = []
+    real = experiments.multiples
+    monkeypatch.setattr(experiments, "multiples",
+                        lambda c, p, n: calls.append(n) or real(c, p, n))
+    params = {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": m_max,
+              "n_max": n_max, "eps": 0.2}
+    res = run(SweepConfig(kind=SweepKind.EDS_GCD, parameters=params))
+    assert calls == [12]
+    both = run(SweepConfig(kind=SweepKind.EDS_GCD, parameters={**params, "q": [0, 0]}))
+    assert calls == [12, m_max, n_max]
+    assert res.records == both.records
+
+
 def test_detect_exceptional_lists_pn_points():
     cfg = SweepConfig(kind=SweepKind.PN_CHECK,
                       parameters={"polys": ["X1-X0", "X2-X0"], "primes": [2, 3],
@@ -853,13 +868,20 @@ def _format_value_oracle(v) -> str:
 
 
 def _csv_oracle(result: SweepResult) -> str:
+    # csv.writer quotes a field holding a character of its line terminator;
+    # the default "\r\n" makes it quote both, and each row is then cut back
+    # to end in "\n"
     cols = experiments.SPECS[result.config.kind].columns
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    for rec in _dict_rows(result):
-        w.writerow([_format_value_oracle(rec.get(c)) for c in cols])
-    return buf.getvalue()
+    w = csv.writer(buf)
+    lines = []
+    for row in [cols, *([_format_value_oracle(rec.get(c)) for c in cols]
+                        for rec in _dict_rows(result))]:
+        buf.seek(0)
+        buf.truncate()
+        w.writerow(row)
+        lines.append(buf.getvalue()[:-2])
+    return "\n".join(lines) + "\n"
 
 
 def _rounded(obj):
@@ -942,8 +964,11 @@ def test_renderers_match_oracles_on_csv_special_characters():
     res = SweepResult(cfg, records, summarize(SweepKind.BCZ, records, cfg))
     assert res.summary["error_rows"] == len(messages)
     _assert_renders_like_oracles(res)
-    lines = render_csv(res).split("\n")
-    assert lines[1:3] == ['1,,,,,,"E: a,b"', '2,,,,,,"E: say ""x"""']
+    text = render_csv(res)
+    assert text.split("\n")[1:3] == ['1,,,,,,"E: a,b"', '2,,,,,,"E: say ""x"""']
+    back = list(csv.DictReader(io.StringIO(text, newline="")))
+    assert [r["error"] for r in back[:len(messages)]] == messages
+    assert [r["n"] for r in back] == [str(r.n) for r in records]
 
 
 def test_render_json_rejects_an_infinite_real():
