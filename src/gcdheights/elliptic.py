@@ -10,11 +10,13 @@ is D^3); D is the quantity the gcd experiments are built on.  Heights follow
 the bookkeeping naive = ln max(|A|, D^2), half of which is the normalized
 Weil height the canonical height refines.
 
-The two hot paths use integers only.  ``multiples`` gets x(nP) from the
-scaled division values W_n = d^(n^2-1) psi_n(P) of Ward's recurrence, and
-``canonical_height`` doubles x = A/Z as an integer pair whose common factor
-divides the discriminant squared.  Chord-tangent ``add`` and ``scalar_mul``
-on Fractions stay as the independent route the tests check both against.
+``multiples`` gets x(nP) from the scaled division values W_n =
+d^(n^2-1) psi_n(P) of Ward's recurrence, in integers only; chord-tangent
+``add`` and ``scalar_mul`` on Fractions stay as the independent route the
+tests check it against.  ``canonical_height`` sums local heights at the least
+multiple mP with nonsingular reduction at every prime: 2 ln D_mP for the
+primes, and Silverman's series in double precision, with its error bound,
+for the real place.  The tests check it against doubling the point.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, isqrt, log
+from math import ceil, gcd, inf, isqrt, log, log10
 
 from .arith import LogReal
 
@@ -41,11 +43,6 @@ __all__ = [
     "canonical_height",
     "exceptional_subgroups",
 ]
-
-#: Doubling cap for the canonical height iteration; 2^8 P already has
-#: coordinates in the thousands of digits on desk-scale inputs.
-DOUBLING_CAP = 8
-
 
 # ----------------------------------------------------------------------------
 # curve and points
@@ -179,6 +176,12 @@ def denominator_D(p: Point) -> int:
     return d
 
 
+def _w3(b: tuple[int, int, int, int], a: int, e: int) -> int:
+    """W_3 at x = a/e, e = d^2: 3a^4 + b2 a^3 e + 3 b4 a^2 e^2 + 3 b6 a e^3 + b8 e^4."""
+    b2, b4, b6, b8 = b
+    return (((3 * a + b2 * e) * a + 3 * b4 * e * e) * a + 3 * b6 * e**3) * a + b8 * e**4
+
+
 def _division_values(c: Curve, p: Point, n_max: int) -> list[int]:
     """[W_0, ..., W_N], N = max(n_max, 4), W_n = d^(n^2-1) psi_n(P), x_P = a/d^2.
 
@@ -190,7 +193,7 @@ def _division_values(c: Curve, p: Point, n_max: int) -> list[int]:
     whose division is exact.  W_n = 0 exactly when nP is the identity; the
     even step divides by W_2, so W_2 = 0 is reported before it is needed.
     """
-    b2, b4, b6, b8 = c.b_invariants()
+    b = b2, b4, b6, b8 = c.b_invariants()
     a, d = p.x.numerator, isqrt(p.x.denominator)
     d2 = d * d
     d4 = d2 * d2
@@ -199,7 +202,7 @@ def _division_values(c: Curve, p: Point, n_max: int) -> list[int]:
     w2 = 2 * p.y.numerator + c.a1 * a * d + c.a3 * d2 * d
     if w2 == 0 and n_max > 2:
         raise ValueError("point has finite order 2")
-    w3 = 3 * a**4 + b2 * a**3 * d2 + 3 * b4 * a * a * d4 + 3 * b6 * a * d6 + b8 * d8
+    w3 = _w3(b, a, d2)
     w4 = w2 * (
         2 * a**6 + b2 * a**5 * d2 + 5 * b4 * a**4 * d4 + 10 * b6 * a**3 * d6
         + 10 * b8 * a * a * d8 + (b2 * b8 - b4 * b6) * a * d8 * d2
@@ -388,82 +391,106 @@ def naive_height(p: Point | tuple[int, int]) -> LogReal:
     if isinstance(p, Point):
         if p.is_identity:
             return LogReal(0.0, 1)
-        return _naive(p.x.numerator, p.x.denominator)
+        return LogReal.of_integer(max(abs(p.x.numerator), p.x.denominator))
     a, d = p
-    return _naive(a, d * d)
+    return LogReal.of_integer(max(abs(a), d * d))
 
 
-def _naive(a: int, z: int) -> LogReal:
-    """ln max(|a|, z) for x = a/z in lowest terms."""
-    return LogReal.of_integer(max(abs(a), z))
+#: The multiples nP searched for one with nonsingular reduction at every
+#: prime, and for the identity: by Mazur's theorem a point of finite order
+#: over Q has order at most 12.
+_CAP = 12
+
+#: Rounding allowance of the float series in _archimedean, relative to the
+#: size of the logarithms it adds up.
+_ROUNDING = 2.0**-40
 
 
-def _naive_vs_limit_bound(c: Curve) -> float:
-    """Uniform bound B with |naive_height(Q)/2 - limit| <= B on this model.
+def _archimedean(c: Curve, a: int, d: int) -> tuple[float, float]:
+    """(mu, err): the archimedean local height at x = a/d^2 and its error bound.
 
-    The gap between half the naive height and its doubling limit is bounded,
-    uniformly over all rational points, by an expression in the heights of
-    the j-invariant and the discriminant of the integral model.  Uniformity
-    is the point: it turns B into an a-priori error bound B / 4^k for the
-    k-fold doubling estimate, independent of which point is being measured.
+    mu(Q) = ln|x(Q)| + o(1) as Q -> O and mu(2Q) = 4 mu(Q) - ln|psi(x)|,
+    psi = 4x^3 + b2 x^2 + 2 b4 x + b6; at a point of nonsingular reduction
+    everywhere, mu + 2 ln D is twice the canonical height.  Silverman's series
+    (Math. Comp. 51, 1988) in t = 1/x:
+
+        mu = -ln|t| + sum_n 4^-(n+1) ln|z(t_n)|,   t_(n+1) = w(t_n) / z(t_n),
+        z = 1 - b4 t^2 - 2 b6 t^3 - b8 t^4,   w = 4t + b2 t^2 + 2 b4 t^3 + b6 t^4.
+
+    Where |x| < 1/2 the series runs on t = 1/(x+1), the model shifted by
+    x -> x - 1, and a step whose |w| > 2|z| crosses to the other model with
+    z + w or z - w, so |t| <= 2 throughout.  The first t and ln|x| are taken
+    from the integers, so a huge multiple cannot overflow a float.  Rounding
+    is allowed _ROUNDING times the size of the logarithms, and the series
+    runs to the D digits that leaves: with H = max(4, |b2|, 2|b4|, 2|b6|,
+    |b8|), N >= 5D/3 + 1/2 + 3/4 ln(7 + 4/3 ln H) terms bound the tail by
+    10^-D (Silverman 1988).  err is the sum of both allowances.
     """
-    b2, b4, _, _ = c.b_invariants()
-    c4 = b2 * b2 - 24 * b4
-    j = Fraction(c4**3, c.discriminant())
-    hj = log(max(abs(j.numerator), j.denominator))
-    hd = log(abs(c.discriminant()))
-    return max(hj / 8 + hd / 12 + 0.973, hj / 12 + hd / 12 + 1.07)
+    b2, b4, b6, b8 = c.b_invariants()
+    h = max(4, abs(b2), 2 * abs(b4), 2 * abs(b6), abs(b8))
+    models = [tuple(map(float, m)) for m in (  # indexed by on_x
+        (b2 - 12, b4 - b2 + 6, b6 - 2 * b4 + b2 - 4, b8 - 3 * b6 + 3 * b4 - b2 + 3),
+        (b2, b4, b6, b8))]
+    e = d * d
+    on_x = 2 * abs(a) >= e  # else the model in x + 1
+    num = a if on_x else a + e
+    ln_num, ln_e = log(abs(num)), 2 * log(d)
+    rounding = _ROUNDING * (ln_num + ln_e + log(h))
+    digits = -log10(rounding)
+    terms = ceil(5 * digits / 3 + 0.5 + 0.75 * log(7 + 4 / 3 * log(h)))
+    mu, t, f = ln_num - ln_e, e / num, 1.0
+    for _ in range(terms):
+        f /= 4
+        c2, c4, c6, c8 = models[on_x]
+        tt = t * t
+        w = 4 * t + tt * (c2 + t * (2 * c4 + t * c6))
+        z = 1 - tt * (c4 + t * (2 * c6 + t * c8))
+        if abs(w) > 2 * abs(z):  # |x(2Q)| < 1/2: cross to the other model
+            z = z + w if on_x else z - w
+            on_x = not on_x
+        mu += f * log(abs(z))
+        t = w / z
+    return mu, 2 * rounding
 
 
 def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
-    """Doubling-limit estimate of the canonical height, accurate to tol.
+    """Canonical height of P from its local heights at a multiple, to tol.
 
-    Returns naive_height(2^k P) / (2 * 4^k) at a depth k fixed up front so
-    that the curve's uniform error bound B / 4^k falls below tol.  Agreement
-    of successive estimates is deliberately not used as a stop rule: the
-    increments are not monotone, and consecutive estimates can coincide to
-    many digits while still far from the limit (integral multiples of a
-    small point all report naive height contributions late).  If certifying
-    tol would need more than DOUBLING_CAP doublings the iteration stops at
-    the cap and warns.  Points of finite order surface either as an exact
-    identity hit or as an estimate below tol; both warn "possibly torsion".
-    The doublings act on x alone, as a coprime integer pair; the result is
-    bit-identical to doubling the point by chord-tangent ``add``.
+    The normalization is half of h(x), the limit of naive_height(2^k P) /
+    (2 * 4^k).  Let m be the least n <= _CAP for which nP = (A/D^2, .) has
+    nonsingular reduction at every prime, that is gcd(W2^2, W3) = 1 for the
+    homogenised forms W2^2 = 4A^3 + b2 A^2 D^2 + 2 b4 A D^4 + b6 D^6 and
+    W3 = 3A^4 + b2 A^3 D^2 + 3 b4 A^2 D^4 + 3 b6 A D^6 + b8 D^8 (Ayad 1992).
+    There each non-archimedean local height is max(0, ln|x|_p), and they sum
+    to 2 ln D, so h(P) = (mu(mP) + 2 ln D) / (2 m^2) with mu from
+    _archimedean.  W_n = 0 for some n <= 12 decides finite order exactly
+    (Mazur); such a point returns 0.0 and warns "possibly torsion".  A tol
+    below the error bound of the float series, or a point with no such
+    m <= _CAP, warns "not certified".
     """
     if p.is_identity:
         raise ValueError("height of the identity")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    bound = _naive_vs_limit_bound(c)
-    depth = 1
-    while bound / 4.0**depth > tol and depth < DOUBLING_CAP:
-        depth += 1
-    if bound / 4.0**depth > tol:
-        warnings.warn(
-            f"tolerance {tol} not certified within {DOUBLING_CAP} doublings"
-        )
-    b2, b4, b6, b8 = c.b_invariants()
-    disc2 = c.discriminant() ** 2
-    a, z = p.x.numerator, p.x.denominator
-    for _ in range(depth):
-        # x(2Q) = (x^4 - b4 x^2 - 2 b6 x - b8) / (4 x^3 + b2 x^2 + 2 b4 x + b6);
-        # for coprime (a, z) the common factor of the new pair divides the
-        # resultant of the two forms, which is disc^2
-        # u = a^2, v = z^2, w = az: three products at the input size and
-        # four at twice it (one a square), the same integers as the
-        # expanded forms
-        u, v, w = a * a, z * z, a * z
-        na = u * u - v * (b4 * u + 2 * b6 * w + b8 * v)
-        nz = u * (4 * w + b2 * v) + v * (2 * b4 * w + b6 * v)
-        if nz == 0:
-            warnings.warn("possibly torsion: doubling reached the identity")
-            return 0.0
-        g = gcd(gcd(na, disc2), nz)
-        a, z = na // g, nz // g
-    est = _naive(a, z).value / (2.0 * 4.0**depth)
-    if est < tol:
-        warnings.warn("possibly torsion: height estimate below tolerance")
-    return est
+    try:
+        pairs = multiples(c, p, _CAP)
+    except ValueError as e:  # W_n = 0 for some n <= _CAP
+        warnings.warn(f"possibly torsion: {e}")
+        return 0.0
+    b = b2, b4, b6, _ = c.b_invariants()
+    for m, (a, d) in enumerate(pairs, 1):
+        e = d * d
+        w2sq = ((4 * a + b2 * e) * a + 2 * b4 * e * e) * a + b6 * e**3
+        if gcd(w2sq, _w3(b, a, e)) == 1:
+            break
+    else:
+        warnings.warn(f"tolerance {tol} not certified: no multiple up to {_CAP}P "
+                      "has nonsingular reduction at every prime")
+    mu, err = _archimedean(c, a, d)
+    if err > 2 * m * m * tol:
+        warnings.warn(f"tolerance {tol} not certified: the float series is "
+                      f"only good to {err / (2 * m * m):.1e}")
+    return (mu + 2 * log(d)) / (2 * m * m)
 
 
 # ----------------------------------------------------------------------------

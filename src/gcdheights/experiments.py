@@ -56,7 +56,6 @@ from .elliptic import (
     Curve,
     Point,
     multiples,
-    naive_height,
     on_curve,
 )
 from .gcd_height import PnPoint, PolySystem, VojtaParams
@@ -367,10 +366,10 @@ def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
     Q = None if p["q"] is None else _on_curve(c, p["q"], "q")
     # denominator and naive height once per multiple, not once per cell, and
     # one list for both axes when they share the base point
-    mp = [(x[1], naive_height(x).value)
-          for x in multiples(c, P, max(m_max, n_max) if Q is None else m_max)]
-    nq = mp if Q is None else [(x[1], naive_height(x).value)
-                               for x in multiples(c, Q, n_max)]
+    mp = [(d, log(max(abs(a), d * d)))
+          for a, d in multiples(c, P, max(m_max, n_max) if Q is None else m_max)]
+    nq = mp if Q is None else [(d, log(max(abs(a), d * d)))
+                               for a, d in multiples(c, Q, n_max)]
     # (m/g, n/g) is one of exceptional_subgroups(eps) iff it is in this disc
     bound = 1.0 / (2.0 * p["eps"])
     return ((mp, nq, bound, p["eps"], p["C"]),
@@ -462,7 +461,7 @@ def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
     # (D, naive height) of n*P for n_min <= n <= n_max
-    dn = [(x[1], naive_height(x).value) for x in multiples(c, P, n_max)[n_min - 1:]]
+    dn = [(d, log(max(abs(a), d * d))) for a, d in multiples(c, P, n_max)[n_min - 1:]]
     return (n_min, dn), (range(n_min, n_max + 1),)
 
 

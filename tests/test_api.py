@@ -17,7 +17,8 @@ MODULES = ("arith", "elliptic", "gcd_height", "mulgrp", "experiments")
 DELETED = {
     "arith": ("ord_p", "v_plus", "ARCH"),
     "mulgrp": ("MulPoint", "MulDivSeq", "power", "mul_D", "mul_seq"),
-    "elliptic": ("EDS", "gcd_D", "hgcd_e2", "hgcd_e2_local_sum", "siegel_ratio"),
+    "elliptic": ("EDS", "gcd_D", "hgcd_e2", "hgcd_e2_local_sum", "siegel_ratio",
+                 "DOUBLING_CAP"),
     "gcd_height": ("BoundRecord", "vojta_rhs", "normalize_pn", "hgcd_pn_coordpoint"),
     "experiments": ("fit_constant", "fit_constant_records", "detect_exceptional"),
 }

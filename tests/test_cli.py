@@ -311,7 +311,7 @@ def test_heights_of_a_curve_point(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["naive_height"] == {"value": 0.0, "witness": 1}
-    assert doc["canonical_height"] == pytest.approx(0.0255553246, abs=1e-9)
+    assert doc["canonical_height"] == pytest.approx(0.0255557041199844, abs=1e-11)
     assert doc["tol"] == 1e-4
 
 

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import random
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from math import gcd, isclose, isqrt, log
+from statistics import median
+from time import perf_counter
 
 import pytest
 
@@ -28,12 +31,11 @@ from gcdheights import (
     scalar_mul,
 )
 from gcdheights import elliptic
-from gcdheights.elliptic import DOUBLING_CAP, _division_values, _naive_vs_limit_bound
+from gcdheights.elliptic import _division_values
 
-# Frozen from the first verified run of this suite (tol = 1e-4).
-HHAT_37A1_GEN = 0.025555324645323545
-HHAT_M2_35 = 0.6747858454770832
-HHAT_389A1_GEN = 0.16349832673084586
+# Half the regulator of 37a1, 0.0511114082399688 (Cremona's tables, LMFDB
+# 37.a1): the canonical height of (0,0) in the h(x)/2 normalization.
+HHAT_37A1_GEN = 0.0255557041199844
 
 # D_{nP} for the generator (0,0) of y^2 + y = x^3 - x, n = 1..20.
 EDS_37A1_20 = (1, 1, 1, 1, 2, 1, 3, 5, 7, 4, 23, 29, 59, 129, 314, 65,
@@ -358,22 +360,77 @@ def test_naive_height_witness(c37, p37):
     assert naive_height(IDENTITY).exact_arg == 1
 
 
-def test_canonical_height_frozen_values(c37, p37, c389, p389, cm2, pm2):
-    assert abs(canonical_height(c37, p37) - HHAT_37A1_GEN) < 1e-12
-    assert abs(canonical_height(cm2, pm2) - HHAT_M2_35) < 1e-12
-    assert abs(canonical_height(c389, p389) - HHAT_389A1_GEN) < 1e-12
+#: Deepest doubling the seeded property test runs its oracle to; 2^8 P
+#: already has coordinates in the thousands of digits on desk-scale inputs.
+DOUBLING_CAP = 8
 
 
-def _chord_tangent_height(c: Curve, p: Point, tol: float) -> float:
-    """canonical_height's estimate, doubling P by chord-tangent add."""
-    bound = _naive_vs_limit_bound(c)
-    depth = 1
-    while bound / 4.0**depth > tol and depth < DOUBLING_CAP:
+def _naive_vs_limit_bound(c: Curve) -> float:
+    """Uniform bound B with |naive_height(Q)/2 - limit| <= B on this model.
+
+    The gap between half the naive height and its doubling limit is bounded,
+    uniformly over all rational points, by an expression in the heights of
+    the j-invariant and the discriminant of the integral model (Silverman,
+    Math. Comp. 55, 1990).  Uniformity makes B / 4^k an a-priori error bound
+    for the k-fold doubling estimate, whichever point is measured.
+    """
+    b2, b4, _, _ = c.b_invariants()
+    c4 = b2 * b2 - 24 * b4
+    j = F(c4**3, c.discriminant())
+    hj = log(max(abs(j.numerator), j.denominator))
+    hd = log(abs(c.discriminant()))
+    return max(hj / 8 + hd / 12 + 0.973, hj / 12 + hd / 12 + 1.07)
+
+
+def _certifying_depth(c: Curve, tol: float) -> int:
+    """The least number k >= 1 of doublings with B / 4^k <= tol."""
+    bound, depth = _naive_vs_limit_bound(c), 1
+    while bound / 4.0**depth > tol:
         depth += 1
+    return depth
+
+
+def _doubling_height(c: Curve, p: Point, depth: int) -> float:
+    """naive_height(2^depth P) / (2 * 4^depth), within B / 4^depth of the height.
+
+    Doubles x = A/Z as a coprime integer pair with
+    x(2Q) = (x^4 - b4 x^2 - 2 b6 x - b8) / (4 x^3 + b2 x^2 + 2 b4 x + b6);
+    the common factor of the new pair divides the resultant of the two
+    forms, which is disc^2, so one small gcd puts it in lowest terms.
+    """
+    b2, b4, b6, b8 = c.b_invariants()
+    disc2 = c.discriminant() ** 2
+    a, z = p.x.numerator, p.x.denominator
+    for _ in range(depth):
+        u, v, w = a * a, z * z, a * z
+        na = u * u - v * (b4 * u + 2 * b6 * w + b8 * v)
+        nz = u * (4 * w + b2 * v) + v * (2 * b4 * w + b6 * v)
+        g = gcd(gcd(na, disc2), nz)
+        a, z = na // g, nz // g
+    return log(max(abs(a), abs(z))) / (2.0 * 4.0**depth)
+
+
+def _chord_tangent_height(c: Curve, p: Point, depth: int) -> float:
+    """The same estimate, doubling P by chord-tangent add."""
     q = p
     for _ in range(depth):
         q = add(c, q, q)
     return naive_height(q).value / (2.0 * 4.0**depth)
+
+
+def _certified(f, *args):
+    """f(*args), failing on any warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f(*args)
+
+
+def test_canonical_height_frozen_values(c37, p37, c389, p389, cm2, pm2):
+    assert abs(canonical_height(c37, p37) - HHAT_37A1_GEN) < 1e-11
+    for c, p in ((cm2, pm2), (c389, p389)):
+        h = _certified(canonical_height, c, p, 1e-10)
+        oracle = _doubling_height(c, p, 10)
+        assert abs(h - oracle) <= 1e-10 + _naive_vs_limit_bound(c) / 4.0**10
 
 
 @pytest.mark.parametrize("coeffs, xy", [
@@ -387,14 +444,151 @@ def _chord_tangent_height(c: Curve, p: Point, tol: float) -> float:
 def test_canonical_height_matches_chord_tangent_doubling(coeffs, xy):
     c, p = Curve(*coeffs), Point(F(xy[0]), F(xy[1]))
     for tol in (1e-2, 1e-4):
-        assert canonical_height(c, p, tol) == _chord_tangent_height(c, p, tol)
+        depth = _certifying_depth(c, tol)
+        oracle = _chord_tangent_height(c, p, depth)
+        assert _doubling_height(c, p, depth) == oracle
+        h = _certified(canonical_height, c, p, tol)
+        assert abs(h - oracle) <= tol + _naive_vs_limit_bound(c) / 4.0**depth
 
 
-def test_canonical_height_uncertified_matches_chord_tangent_doubling():
+def test_canonical_height_certified_on_large_coefficients():
+    # y^2 = x^3 + 1000x + 1: the doubling route needs 9 doublings for 1e-4
     c, p = Curve(0, 0, 0, 1000, 1), Point(F(0), F(1))
-    with pytest.warns(UserWarning, match="not certified"):
-        h = canonical_height(c, p, 1e-4)
-    assert h == _chord_tangent_height(c, p, 1e-4)
+    h = _certified(canonical_height, c, p, 1e-4)
+    depth = _certifying_depth(c, 1e-4)
+    assert depth == 9
+    assert abs(h - _doubling_height(c, p, depth)) <= (
+        1e-4 + _naive_vs_limit_bound(c) / 4.0**depth)
+    # y^2 = x^3 + 10^6 x + 1 at 1e-8, past any doubling depth a test can run
+    c6 = Curve(0, 0, 0, 10**6, 1)
+    times = []
+    for _ in range(5):
+        t0 = perf_counter()
+        h6 = _certified(canonical_height, c6, p, 1e-8)
+        times.append(perf_counter() - t0)
+    assert median(times) < 0.05
+    assert abs(h6 - _doubling_height(c6, p, 6)) <= (
+        1e-8 + _naive_vs_limit_bound(c6) / 4.0**6)
+
+
+# Non-integral and multiple base points for the property test below.
+HEIGHT_CASES = [
+    (CM2, Point(F(129, 100), F(-383, 1000))),      # 2(3,5), d = 10
+    (Curve(0, 0, 1, -1, 0), Point(F(1, 4), F(-5, 8))),  # 5(0,0) on 37a1
+    (C17, Point(F(4), F(9))),                      # gcd(W_2, W_3) = 18
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+def test_canonical_height_property_against_doubling(q):
+    rng = random.Random(q)
+    cases, at_q = list(HEIGHT_CASES) if q == 2 else [], 0
+    while len(cases) < 12:
+        c, p = _singular_at(rng, q)
+        if rng.random() < 0.3:
+            p = add(c, p, p)  # mostly non-integral
+        if p.is_identity or 0 in _division_values(c, p, 2)[2:]:
+            continue  # finite order, covered by the torsion test
+        w = _division_values(c, p, 3)
+        at_q += gcd(w[2], w[3]) % q == 0
+        cases.append((c, p))
+    for c, p in cases:
+        h = _certified(canonical_height, c, p, 1e-4)
+        depth = min(_certifying_depth(c, 1e-4), DOUBLING_CAP)
+        oracle = _doubling_height(c, p, depth)
+        assert abs(h - oracle) <= 1e-4 + _naive_vs_limit_bound(c) / 4.0**depth
+        # on nP the height scales by n^2
+        h3 = _certified(canonical_height, c, scalar_mul(c, 3, p), 1e-4)
+        assert abs(h3 - 9 * h) <= 10 * 1e-4
+    # the cases really take a multiple m > 1 at q
+    assert at_q >= 3
+
+
+def _mu_decimal(c: Curve, a: int, d: int) -> Decimal:
+    """Silverman's series for the archimedean local height at x = a/d^2, to
+    90 terms in 50-digit decimals: the oracle of the float series."""
+    b2, b4, b6, b8 = c.b_invariants()
+    models = {True: (b2, b4, b6, b8),
+              False: (b2 - 12, b4 - b2 + 6, b6 - 2 * b4 + b2 - 4,
+                      b8 - 3 * b6 + 3 * b4 - b2 + 3)}
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(a) / Decimal(d * d)
+        on_x = abs(x) >= Decimal("0.5")
+        t = 1 / (x if on_x else x + 1)
+        mu, f = -abs(t).ln(), Decimal(1)
+        for _ in range(90):
+            f /= 4
+            c2, c4, c6, c8 = models[on_x]
+            w = 4 * t + c2 * t**2 + 2 * c4 * t**3 + c6 * t**4
+            z = 1 - c4 * t**2 - 2 * c6 * t**3 - c8 * t**4
+            if abs(w) > 2 * abs(z):
+                z = z + w if on_x else z - w
+                on_x = not on_x
+            mu += f * abs(z).ln()
+            t = w / z
+        return +mu
+
+
+def test_archimedean_series_matches_decimal_oracle():
+    rng = random.Random(19)
+    c37, c1000 = Curve(0, 0, 1, -1, 0), Curve(0, 0, 0, 1000, 1)
+    pairs = [(c37, multiples(c37, Point(F(0), F(0)), 120)[-1]),
+             (c1000, multiples(c1000, Point(F(0), F(1)), 20)[-1])]
+    # 120(0,0) on 37a1 and 20(0,1) on x^3 + 1000x + 1: A and D^2 past any float
+    assert all(abs(a) > 1e308 and d * d > 1e308 for _, (a, d) in pairs)
+    while len(pairs) < 60:
+        size = rng.choice([3, 30, 1000, 10**6, 10**9])
+        a1, a2, a3 = rng.randint(-1, 1), rng.randint(-3, 3), rng.randint(-1, 1)
+        a4 = rng.randint(-size, size)
+        x0, y0 = rng.randint(-3, 3), rng.randint(-20, 20)
+        a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0**3 - a2 * x0 * x0 - a4 * x0
+        try:
+            c = Curve(a1, a2, a3, a4, a6)
+            pairs.append((c, multiples(c, Point(F(x0), F(y0)), rng.choice([1, 2, 3]))[-1]))
+        except ValueError:  # singular curve or a point of finite order
+            continue
+    branches = set()
+    for c, (a, d) in pairs:
+        mu, err = elliptic._archimedean(c, a, d)
+        assert abs(mu - float(_mu_decimal(c, a, d))) <= err
+        assert err < 1e-8
+        branches.add(2 * abs(a) < d * d)
+    assert branches == {True, False}  # both |x| < 1/2 and the rest
+
+
+# (curve, point, order); orders 7-12 on Tate's normal form
+# y^2 + (1 - c)xy - by = x^3 - bx^2 at (0,0)
+TORSION_CASES = [
+    (TORSION_CURVE, TORSION_P2, 2),
+    (TORSION_CURVE, Point(F(0), F(1)), 3),
+    (Curve(0, 0, 0, 4, 0), Point(F(2), F(4)), 4),
+    (Curve(0, -1, 1, 0, 0), Point(F(0), F(0)), 5),  # 11a3
+    (TORSION_CURVE, TORSION_P6, 6),
+    (Curve(-1, -4, -4, 0, 0), Point(F(0), F(0)), 7),  # b, c = 4, 2
+    (Curve(7, -6, -6, 0, 0), Point(F(0), F(0)), 8),  # b, c = 6, -6
+    (Curve(-3, -12, -12, 0, 0), Point(F(0), F(0)), 9),  # b, c = 12, 4
+    (Curve(-5, -24, -24, 0, 0), Point(F(0), F(0)), 10),  # b, c = 24, 6
+    (Curve(43, -210, -210, 0, 0), Point(F(0), F(0)), 12),  # b, c = 210, -42
+]
+
+
+def test_canonical_height_tol_below_the_float_floor(c37, p37):
+    for tol in (1e-15, 5e-324):
+        with pytest.warns(UserWarning, match="not certified"):
+            h = canonical_height(c37, p37, tol)
+        assert abs(h - HHAT_37A1_GEN) < 1e-11
+
+
+def test_canonical_height_no_multiple_with_nonsingular_reduction(monkeypatch):
+    # (2,5) on y^2 = x^3 + 17 has nonsingular reduction everywhere first at 3P
+    p = Point(F(2), F(5))
+    h = _certified(canonical_height, C17, p, 1e-6)
+    monkeypatch.setattr(elliptic, "_CAP", 2)
+    with pytest.warns(UserWarning, match="not certified: no multiple up to 2P"):
+        canonical_height(C17, p, 1e-6)
+    monkeypatch.setattr(elliptic, "_CAP", 3)
+    assert _certified(canonical_height, C17, p, 1e-6) == h
 
 
 def test_canonical_height_quadraticity(c37, p37):
@@ -413,11 +607,11 @@ def test_canonical_height_no_spurious_torsion_warning(c37, p37):
 
 
 def test_canonical_height_warns_on_torsion():
-    with pytest.warns(UserWarning, match="possibly torsion"):
-        h = canonical_height(TORSION_CURVE, TORSION_P6, 1e-4)
-    assert h < 1e-4
-    with pytest.warns(UserWarning, match="possibly torsion"):
-        assert canonical_height(TORSION_CURVE, TORSION_P2, 1e-4) == 0.0
+    for c, p, order in TORSION_CASES:
+        assert scalar_mul(c, order, p).is_identity
+        assert not any(scalar_mul(c, n, p).is_identity for n in range(1, order))
+        with pytest.warns(UserWarning, match=f"possibly torsion: .* order {order}$"):
+            assert canonical_height(c, p, 1e-4) == 0.0
 
 
 def test_canonical_height_domain(c37, p37):

@@ -18,6 +18,8 @@ import pytest
 
 from gcdheights import (
     EXCEPTIONAL,
+    Curve,
+    Point,
     SweepConfig,
     SweepKind,
     SweepResult,
@@ -25,6 +27,8 @@ from gcdheights import (
     exceptional_subgroups,
     format_real,
     gcd_pair,
+    multiples,
+    naive_height,
     render_csv,
     render_json,
     run,
@@ -536,6 +540,25 @@ TINY = {
                                "n_max": 2, "eps": 0.3,
                                "independence_asserted": True},
 }
+
+
+def test_prepares_read_the_naive_height_bit_for_bit():
+    # EDS_GCD and SIEGEL take ln max(|A|, D^2) of each multiple directly; it
+    # is the float naive_height((A, D)) returns, without building a LogReal
+    c389, c2 = Curve(0, 1, 1, -2, 0), Curve(0, 0, 0, 0, -2)
+    params = {"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0],
+              "m_max": 30, "n_max": 25, "eps": 0.3}
+    (mp, nq, *_), _ = experiments.SPECS[SweepKind.EDS_GCD].prepare(
+        experiments._checked(SweepKind.EDS_GCD, params), 0)
+    assert mp == [(d, naive_height((a, d)).value)
+                  for a, d in multiples(c389, Point(0, 0), 30)]
+    assert nq == [(d, naive_height((a, d)).value)
+                  for a, d in multiples(c389, Point(1, 0), 25)]
+    params = {"curve": [0, 0, 0, 0, -2], "point": [3, 5], "n_min": 3, "n_max": 60}
+    (_, dn), _ = experiments.SPECS[SweepKind.SIEGEL].prepare(
+        experiments._checked(SweepKind.SIEGEL, params), 0)
+    assert dn == [(d, naive_height((a, d)).value)
+                  for a, d in multiples(c2, Point(3, 5), 60)[2:]]
 
 
 @pytest.mark.parametrize("kind", list(SweepKind))
