@@ -75,6 +75,52 @@ def gcd_pair(a: int, b: int, n: int) -> int:
     return gcd(a**n - 1, b**n - 1)
 
 
+# Below this many bits _gcd_mersenne is plain math.gcd: folding and splitting
+# cost more Python steps than the division they skip.  Timed per cell on
+# CPython 3.11, a (2, 3) cell breaks even at 1024 bits and a (2, 7) cell runs
+# 14% faster there; whole (2, 3), (2, 5) and (2, 7) scans ran no faster with
+# a cut-off of 768 and slower with 1536 or 2048.
+_E0 = 1024
+
+
+def _fold_minus(e: int, y: int) -> int:
+    """y mod 2^e - 1 for y >= 0: as 2^e = 1 there, add up the e-bit limbs."""
+    m = (1 << e) - 1
+    while y >> e:
+        y = (y & m) + (y >> e)
+    return 0 if y == m else y
+
+
+def _fold_plus(h: int, y: int) -> int:
+    """y mod 2^h + 1 for y >= 0: as 2^h = -1 there, the alternating sum of
+    the h-bit limbs; ``y`` is congruent to ``sign * y`` throughout."""
+    m, sign = (1 << h) - 1, 1
+    while y >> h:
+        y = (y & m) - (y >> h)
+        if y < 0:
+            y, sign = -y, -sign
+    return y if sign > 0 or y == 0 else m + 2 - y
+
+
+def _gcd_mersenne(e: int, y: int) -> int:
+    """gcd(2^e - 1, y) for e >= 1 and y >= 0.
+
+    Below _E0 bits this is math.gcd.  From there on ``y`` is first folded
+    below 2^e - 1, in passes linear in its size, which skips the quadratic
+    division that math.gcd would start with; and at an even e = 2h the
+    coprime factors 2^h - 1 and 2^h + 1 of 2^e - 1 give two gcds of half
+    the size, of which the first recurses.
+    """
+    m = (1 << e) - 1
+    if e < _E0:
+        return gcd(m, y)
+    y = _fold_minus(e, y)
+    if e & 1:
+        return gcd(m, y)
+    h = e >> 1
+    return _gcd_mersenne(h, _fold_minus(h, y)) * gcd((1 << h) + 1, _fold_plus(h, y))
+
+
 def s_unit_enumerate(S: PrimeSet, bound: int) -> list[int]:
     """All integers x with 2 <= |x| <= bound supported on S, ascending by |x|.
 

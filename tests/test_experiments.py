@@ -647,6 +647,41 @@ def test_kernel_rows_match_the_map_of_row(kind):
         assert experiments._eval(kind, tuple(broken), axes, cells) == want
 
 
+# BCZ and AR grids whose power of two 2**k, k in 1..3, is a or b; the route
+# through mulgrp._gcd_mersenne is taken when 2**k is the smaller base
+MERSENNE_GRIDS = [
+    (SweepKind.BCZ, {"a": 3, "b": 2, "eps": 0.3, "n_max": 200, "C": 0.5}, True),
+    (SweepKind.AR_RETURNS, {"a": 4, "b": 3, "n_max": 200}, False),
+    (SweepKind.AR_RETURNS, {"a": 2, "b": 3, "n_max": 200}, True),
+    (SweepKind.AR_RETURNS, {"a": 2, "b": 7, "n_max": 200}, True),
+    (SweepKind.AR_RETURNS, {"a": 4, "b": 7, "n_max": 200}, True),
+    (SweepKind.BCZ, {"a": 11, "b": 8, "eps": 0.3, "n_max": 200}, True),
+]
+
+
+@pytest.mark.parametrize("e0", [64, None], ids=["E0=64", "E0"])
+@pytest.mark.parametrize("kind, params, routed", MERSENNE_GRIDS,
+                         ids=[f"{k.value}-{p['a']}-{p['b']}" for k, p, _ in MERSENNE_GRIDS])
+def test_mersenne_kernels_match_the_map_of_row(kind, params, routed, e0, monkeypatch):
+    spec = experiments.SPECS[kind]
+    if e0 is None:
+        # the real cut-off, on a grid that reaches 64 bits past it
+        e0 = mulgrp._E0
+        k = min(params["a"], params["b"]).bit_length() - 1
+        params = {**params, "n_max": (e0 + 64) // k}
+    monkeypatch.setattr(mulgrp, "_E0", e0)
+    es, helper = [], experiments._gcd_mersenne
+    monkeypatch.setattr(experiments, "_gcd_mersenne",
+                        lambda e, y: es.append(e) or helper(e, y))
+    ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
+    keys = list(itertools.product(*axes))
+    for cells in _runs(len(keys), len(axes[-1])):
+        want = [spec.row(ctx, *key) for key in keys[cells.start:cells.stop]]
+        assert spec.rows(ctx, axes, cells) == want
+    # the routed grids cross the cut-off; the others never take the route
+    assert (min(es) < e0 <= max(es)) if routed else es == []
+
+
 def test_error_budget_zero_raises(monkeypatch):
     # a fault at n = 3 in the bound that the kernel and row both call: the
     # kernel's run raises, and row tags that cell alone

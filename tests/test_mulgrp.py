@@ -72,6 +72,54 @@ def test_gcd_pair_oracles():
         gcd_pair(2, 3, 0)
 
 
+# e with a deep 2-adic valuation (4096, 6144, 8192), odd e, and e = 2 (h = 1)
+MERSENNE_E = [1, 2, 3, 12, 96, 333, 1000, 4096, 6144, 8192]
+
+
+def _mersenne_inputs(e: int) -> list[int]:
+    """0, 2^e - 1, 2^e, 2^2e + 1, 3^e - 1, multiples of 2^h +- 1 for e = 2h,
+    and random y of 1 to 3e bits."""
+    rng = random.Random(e)
+    h = e // 2 or 1
+    ys = [0, (1 << e) - 1, 1 << e, (1 << 2 * e) + 1, 3**e - 1,
+          ((1 << h) + 1) * rng.getrandbits(e), ((1 << h) - 1) * rng.getrandbits(2 * e)]
+    return ys + [rng.getrandbits(rng.randint(1, 3 * e)) for _ in range(6)]
+
+
+@pytest.mark.parametrize("e", MERSENNE_E)
+def test_mersenne_folds_are_residues(e):
+    for y in _mersenne_inputs(e):
+        assert mulgrp._fold_minus(e, y) == y % ((1 << e) - 1)
+        assert mulgrp._fold_plus(e, y) == y % ((1 << e) + 1)
+
+
+@pytest.mark.parametrize("e0", [1, 2, 16])
+@pytest.mark.parametrize("e", MERSENNE_E)
+def test_gcd_mersenne_matches_math_gcd(e, e0, monkeypatch):
+    # a cut-off patched low, so that the split recursion runs down to small e
+    monkeypatch.setattr(mulgrp, "_E0", e0)
+    halves, fold_plus = [], mulgrp._fold_plus
+    monkeypatch.setattr(mulgrp, "_fold_plus",
+                        lambda h, y: halves.append(h) or fold_plus(h, y))
+    for y in _mersenne_inputs(e):
+        halves.clear()
+        assert mulgrp._gcd_mersenne(e, y) == gcd((1 << e) - 1, y)
+        # one split per level, from e down to the first odd e or e < e0
+        want, f = [], e
+        while f >= e0 and f % 2 == 0:
+            f //= 2
+            want.append(f)
+        assert sorted(halves, reverse=True) == want
+
+
+def test_gcd_mersenne_at_the_real_cut_off():
+    e = 8192
+    assert mulgrp._E0 <= e
+    for y in _mersenne_inputs(e):
+        assert mulgrp._gcd_mersenne(e, y) == gcd((1 << e) - 1, y)
+    assert mulgrp._gcd_mersenne(e, 3**e - 1) == gcd_pair(2, 3, e)
+
+
 def _bcz(a: int, b: int, eps: float, n_max: int):
     return run(SweepConfig(kind=SweepKind.BCZ,
                            parameters={"a": a, "b": b, "eps": eps, "n_max": n_max}))
