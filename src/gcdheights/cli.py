@@ -23,6 +23,7 @@ from .experiments import (
     SPECS,
     SweepConfig,
     SweepKind,
+    _checked,
     _curve,
     _format_int,
     _int,
@@ -103,72 +104,65 @@ def _jobs(text: str) -> int:
 # per-kind subcommands: one table builds the parser, the merge and the check
 # ----------------------------------------------------------------------------
 
-# cmd -> (sweep kind, help, flags, flags it cannot run without).  A flag is
-# (flag, parameter key, type, default, help): a tuple key sets each parameter
-# it names, type ``list`` makes a repeatable string flag, and the default
-# fills a parameter that neither the flag nor the config file sets.
-_CURVE = ("--curve", "curve", _curve_arg, None, None)
-_PRIMES = ("--primes", "primes", _int_csv, None, None)
-_EPS = ("--eps", "eps", float, None, None)
+# cmd -> (sweep kind, help, flags).  A flag is (flag, key[, help[, default]]):
+# a tuple key sets each parameter it names, and a default is one only the CLI
+# gives.  The rest comes from the key's entry in the kind's ``params``
+# (``_EDS_PARAMS`` for eds): the argparse type from its check's return
+# annotation, the default, and, where it has none, that a run needs the flag.
+_CURVE, _PRIMES, _EPS = ("--curve", "curve"), ("--primes", "primes"), ("--eps", "eps")
+_C, _A_B_N = ("--C", "C"), [("--a", "a"), ("--b", "b"), ("--nmax", "n_max")]
 _SUBCOMMANDS = {
-    "gcdpow": (SweepKind.BCZ, "gcd(a^n-1, b^n-1) against 2^(eps*n)", [
-        ("--a", "a", int, None, None),
-        ("--b", "b", int, None, None),
-        ("--nmax", "n_max", int, None, None),
-        ("--eps", "eps", float, 0.5, None),
-        ("--C", "C", float, 0.0, None),
-    ], ["--a", "--b", "--nmax"]),
+    "gcdpow": (SweepKind.BCZ, "gcd(a^n-1, b^n-1) against 2^(eps*n)",
+               [*_A_B_N, ("--eps", "eps", None, 0.5), _C]),
     "trichotomy": (SweepKind.CZ_TRICHOTOMY,
-                   "classify S-unit pairs up to --nmax in magnitude", [
-        _PRIMES,
-        ("--nmax", "bound", int, None, "bound on |alpha|, |beta|"),
-        _EPS,
-    ], ["--primes", "--nmax", "--eps"]),
+                   "classify S-unit pairs up to --nmax in magnitude",
+                   [_PRIMES, ("--nmax", "bound", "bound on |alpha|, |beta|"), _EPS]),
     "returns": (SweepKind.AR_RETURNS,
-                "indices where gcd(a^n-1,b^n-1) returns to its n=1 value", [
-        ("--a", "a", int, None, None),
-        ("--b", "b", int, None, None),
-        ("--nmax", "n_max", int, None, None),
-    ], ["--a", "--b", "--nmax"]),
+                "indices where gcd(a^n-1,b^n-1) returns to its n=1 value", _A_B_N),
     "eds": (None, "denominator sequence D_nP for n = 1..nmax", [
-        _CURVE,
-        ("--point", "point", _point_arg, None, None),
-        ("--nmax", "n_max", int, None, None),
-        ("--ignore-primes", "ignore_primes", _int_csv, [],
-         "strip these primes before the divisibility report"),
-    ], ["--curve", "--point", "--nmax"]),
+        _CURVE, ("--point", "point"), ("--nmax", "n_max"),
+        ("--ignore-primes", "ignore_primes",
+         "strip these primes before the divisibility report")]),
     "edsgcd": (SweepKind.EDS_GCD, "gcd(D_mP, D_nQ) grid with bound verdicts", [
-        _CURVE,
-        ("--point", "p", _point_arg, None, "base point P"),
-        ("--point2", "q", _point_arg, None, "base point Q (default: P)"),
-        ("--nmax", ("m_max", "n_max"), int, None, "grid bound for both m and n"),
-        _EPS,
-        ("--C", "C", float, 0.0, None),
-    ], ["--curve", "--point", "--nmax", "--eps"]),
+        _CURVE, ("--point", "p", "base point P"),
+        ("--point2", "q", "base point Q (default: P)"),
+        ("--nmax", ("m_max", "n_max"), "grid bound for both m and n"), _EPS, _C]),
     "mixed": (SweepKind.MIXED_CHECK,
               "gcd(D_nP, b-1) against C*max(D,b)^eps over S-units b", [
-        _CURVE,
-        ("--point", "point", _point_arg, None, None),
-        _PRIMES,
-        ("--nmax", "n_max", int, None, "largest multiple of the point"),
-        ("--bbound", "b_bound", int, 100, "S-unit magnitude bound (default 100)"),
-        _EPS,
-        ("--C", "C", float, 1.0, None),
-    ], ["--curve", "--point", "--primes", "--nmax", "--eps"]),
+        _CURVE, ("--point", "point"), _PRIMES,
+        ("--nmax", "n_max", "largest multiple of the point"),
+        ("--bbound", "b_bound", "S-unit magnitude bound (default 100)"), _EPS, _C]),
     "pncheck": (SweepKind.PN_CHECK, "projective blowup bound over primitive points", [
-        ("--poly", "polys", list, ["X1-X0", "X2-X0"],
-         "homogeneous form like 'X1-X0' (repeatable; default: X1-X0 and X2-X0)"),
-        ("--codim", "codim_r", int, 2, "asserted codimension r (default 2)"),
-        _PRIMES,
-        ("--nmax", "bound", int, None, "coordinate magnitude bound"),
-        _EPS,
-        ("--delta", "delta", float, 1.0, None),
-        ("--C", "C", float, 0.0, None),
-        ("--sample", "sample", int, None,
-         "randomly subsample to this many points (uses --seed)"),
-    ], ["--primes", "--nmax", "--eps"]),
+        ("--poly", "polys",
+         "homogeneous form like 'X1-X0' (repeatable; default: X1-X0 and X2-X0)",
+         ["X1-X0", "X2-X0"]),
+        ("--codim", "codim_r", "asserted codimension r (default 2)"), _PRIMES,
+        ("--nmax", "bound", "coordinate magnitude bound"), _EPS, ("--delta", "delta"),
+        _C, ("--sample", "sample",
+             "randomly subsample to this many points (uses --seed)")]),
 }
+# eds is not a sweep kind: this table checks its config, in this order
+_EDS_PARAMS = (("curve", _curve), ("point", _point), ("ignore_primes", _ints, []),
+               ("n_max", _int))
 _EDS_COLUMNS = ("n", "d")
+# argparse type by check return annotation, which experiments keeps as source
+# text (it postpones annotations); ``list`` makes a repeatable string flag
+_ARG_TYPES = {"int": int, "float": float, "tuple[int, ...]": _int_csv,
+              "Curve": _curve_arg, "Point": _point_arg, "PolySystem": list}
+
+
+def _flag(table: tuple, flag: str, key, help_: str | None = None, *default) -> tuple:
+    """A flag as (flag, keys, argparse type, help, default): the default is a
+    list of one value, or of none when a run needs the flag."""
+    keys = key if isinstance(key, tuple) else (key,)
+    check, *table_default = next(e[1:] for e in table if e[0] == keys[0])
+    typ = _ARG_TYPES[check.__annotations__["return"]]
+    return flag, keys, typ, help_, [*default] or table_default
+
+
+# cmd -> its flags, derived once
+_FLAGS = {cmd: [_flag(SPECS[kind].params if kind else _EDS_PARAMS, *f) for f in flags]
+          for cmd, (kind, _, flags) in _SUBCOMMANDS.items()}
 
 
 # ----------------------------------------------------------------------------
@@ -198,11 +192,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    for cmd, (kind, help_, flags, _) in _SUBCOMMANDS.items():
+    for cmd, (kind, help_, _) in _SUBCOMMANDS.items():
         columns = SPECS[kind].columns if kind else _EDS_COLUMNS
         sp = sub.add_parser(cmd, help=help_,
                             epilog="CSV columns: " + ",".join(columns))
-        for flag, _, typ, _, flag_help in flags:
+        for flag, _, typ, flag_help, _ in _FLAGS[cmd]:
             if typ is list:
                 sp.add_argument(flag, action="append", help=flag_help)
             else:
@@ -258,7 +252,10 @@ def _load_config_file(path: str, kind: str | None = None) -> tuple[str, dict, in
     ``kind`` None (the sweep subcommand) the file must name its kind.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise _Usage(f"config file {path} is not valid JSON: {e}") from None
     if isinstance(doc, dict) and isinstance(doc.get("config"), dict):
         doc = doc["config"]  # re-ingest an emitted result
     if not isinstance(doc, dict):
@@ -277,26 +274,22 @@ def _load_config_file(path: str, kind: str | None = None) -> tuple[str, dict, in
 
 
 def _effective(args) -> tuple[dict, int]:
-    """Merge config-file parameters with explicit flags (flags win), fill the
-    table defaults, and reject a run that lacks a required parameter."""
-    kind, _, flags, needs = _SUBCOMMANDS[args.cmd]
-    params: dict = {}
-    seed = 0
-    if args.config:
-        _, params, seed = _load_config_file(args.config, kind.value if kind else "EDS")
-    keys = {}
-    for flag, key, _, default, _ in flags:
-        keys[flag] = key if isinstance(key, tuple) else (key,)
+    """The file's parameters merged with the flags (flags win), defaults
+    filled, a missing required one rejected; and the file's seed."""
+    kind, flags = _SUBCOMMANDS[args.cmd][0], _FLAGS[args.cmd]
+    _, params, seed = (_load_config_file(args.config, kind.value if kind else "EDS")
+                       if args.config else (None, {}, 0))
+    for flag, keys, _, _, default in flags:
         v = getattr(args, flag.lstrip("-").replace("-", "_"))
-        for k in keys[flag]:
+        for k in keys:
             if v is not None:
                 params[k] = v
-            elif k not in params and default is not None:
-                params[k] = default
-    if any(params.get(k) is None for flag in needs for k in keys[flag]):
-        raise _Usage(f"{args.cmd} needs {', '.join(needs[:-1])} and {needs[-1]}")
-    if args.seed is not None:
-        seed = args.seed
+            elif k not in params and default and default[0] is not None:
+                params[k] = default[0]
+    needs = [(flag, keys) for flag, keys, *_, default in flags if not default]
+    if any(params.get(k) is None for _, keys in needs for k in keys):
+        *most, last = (flag for flag, _ in needs)
+        raise _Usage(f"{args.cmd} needs {', '.join(most)} and {last}")
     return params, seed
 
 
@@ -305,6 +298,9 @@ def _effective(args) -> tuple[dict, int]:
 # ----------------------------------------------------------------------------
 
 def _run_sweep(kind: SweepKind, params: dict, seed: int, args) -> str:
+    """Run a sweep, the ``--seed`` flag overriding ``seed``, and render it."""
+    if args.seed is not None:
+        seed = args.seed
     cfg = SweepConfig(kind=kind, parameters=params, seed=seed)
     result = run(cfg, jobs=args.jobs)
     fmt = args.format or "csv"
@@ -318,11 +314,10 @@ def _cmd_kind(args) -> str:
 
 def _cmd_eds(args) -> str:
     params, _ = _effective(args)
-    c = _curve("curve", params["curve"])
-    p = _on_curve(c, _point("point", params["point"]), "point")
-    ignore = _ints("ignore_primes", params["ignore_primes"])
-    S = PrimeSet(ignore)
-    terms = _eds_op(c, p, _int("n_max", params["n_max"]))
+    cfg = _checked("EDS", params, _EDS_PARAMS)
+    p = _on_curve(cfg["curve"], cfg["point"], "point")
+    S = PrimeSet(cfg["ignore_primes"])
+    terms = _eds_op(cfg["curve"], p, cfg["n_max"])
     report = divisibility_check([prime_to_S_part(t, S) for t in terms])
     texts = [_format_int(d) for d in terms]
     fmt = args.format or "csv"
@@ -334,7 +329,7 @@ def _cmd_eds(args) -> str:
         "config": {"kind": "EDS", "parameters": params, "seed": 0},
         "divisibility_ok": report.ok,
         "counterexample": list(report.counterexample) if report.counterexample else None,
-        "ignored_primes": ignore,
+        "ignored_primes": cfg["ignore_primes"],
     }
     return _json_with_list(doc, "terms", ["    " + t for t in texts])
 
@@ -345,8 +340,6 @@ def _cmd_sweep(args) -> str:
         sweep_kind = SweepKind(kind)
     except ValueError:
         raise _Usage(f"config file {args.config} has unknown kind {kind!r}") from None
-    if args.seed is not None:
-        seed = args.seed
     return _run_sweep(sweep_kind, params, seed, args)
 
 

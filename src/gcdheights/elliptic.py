@@ -506,6 +506,9 @@ def exceptional_subgroups(eps: float) -> list[tuple[int, int]]:
     diagonal (1,1) first appears at eps <= 1/4.  The list holds about
     3/(4*pi*eps) pairs (the coprime 6/pi^2 of the pi/(8*eps) lattice points
     in the quarter disc), so a sweep tests each cell against the disc instead.
+    With Q = P, gcd(D_mP, D_nP) = D_gP for g = gcd(m, n), ln D_kP ~ k^2 h(P) and
+    hA ~ 2(m^2 + n^2) h(P) (h canonical), so lhs/hA -> 1/(2((m/g)^2 + (n/g)^2)):
+    along (m/g, n/g) the bound eps*hA + C fails exactly on this disc.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

@@ -246,19 +246,20 @@ _EPS = ("eps", _positive())
 _BUDGET = ("error_budget", _at_least(0, "non-negative"), 0)
 
 
-def _checked(kind: SweepKind, params: dict) -> dict:
-    """Each key of ``kind``'s table and ``error_budget``, checked, defaults filled.
-
-    A null counts as absent only where the default is None, and stays None."""
-    table = (*SPECS[kind].params, _BUDGET)
+def _checked(kind: SweepKind | str, params: dict, table: tuple | None = None) -> dict:
+    """Each key of ``table`` (by default ``kind``'s and ``error_budget``),
+    checked, defaults filled.  A null counts as absent only where the default
+    is None, and stays None."""
+    if table is None:
+        table, kind = (*SPECS[kind].params, _BUDGET), kind.value
     known = {entry[0] for entry in table}
     for key in params:
         if key not in known:
-            raise ValueError(f"{kind.value} config has unknown key {key!r}")
+            raise ValueError(f"{kind} config has unknown key {key!r}")
     p = {}
     for key, check, *default in table:
         if key not in params and not default:
-            raise ValueError(f"{kind.value} config missing required key {key!r}")
+            raise ValueError(f"{kind} config missing required key {key!r}")
         v = params.get(key, *default)
         p[key] = None if v is None and default == [None] else check(key, v)
     return p
@@ -366,6 +367,8 @@ def _summary_ar(good: list[tuple], p: dict) -> dict:
 
 
 def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
+    """With Q = P, lhs/hA tends to 1/(2((m/g)^2 + (n/g)^2)), g = gcd(m, n), so
+    the bound fails on the disc of ``exceptional_subgroups`` (see there)."""
     c, m_max, n_max = p["curve"], p["m_max"], p["n_max"]
     P = _on_curve(c, p["p"], "p")
     Q = None if p["q"] is None else _on_curve(c, p["q"], "q")

@@ -1,7 +1,10 @@
 """Shared fixtures: the three workhorse curves, the golden-data directory and
-a record of the process pools that sweeps build."""
+a record of the process pools that sweeps build.  ``--start-method`` runs the
+whole session under one multiprocessing start method, say
+``python -m pytest -q --start-method spawn``."""
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pathlib
 from concurrent.futures import ProcessPoolExecutor
@@ -14,6 +17,18 @@ from gcdheights import Curve, Point
 from gcdheights import experiments
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+def pytest_addoption(parser) -> None:
+    parser.addoption("--start-method", choices=("fork", "forkserver", "spawn"),
+                     help="default multiprocessing start method for the session")
+
+
+def pytest_configure(config) -> None:
+    # before collection, so skipif marks that read the method see this one
+    method = config.getoption("--start-method")
+    if method:
+        multiprocessing.set_start_method(method, force=True)
 
 
 @pytest.fixture

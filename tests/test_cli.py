@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from gcdheights import Curve, Point, SweepConfig, SweepKind, eds, render_csv, render_json, run
-from gcdheights.cli import _SUBCOMMANDS, main
+from gcdheights.cli import _EDS_PARAMS, _SUBCOMMANDS, main
 from gcdheights.experiments import SPECS
 
 C37 = "0,0,1,-1,0"
@@ -396,6 +396,23 @@ def test_config_that_is_not_an_object_is_usage_error(cmd, tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [b"{\n'a': 2}", b"\xff\xfe{"], ids=["json", "utf-8"])
+@pytest.mark.parametrize("cmd", ["gcdpow", "eds", "sweep"])
+def test_config_that_is_not_valid_json_is_usage_error(cmd, text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert main([cmd, "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: config file {path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("cmd", ["gcdpow", "eds", "sweep"])
+def test_config_file_that_cannot_be_read_is_computation_error(cmd, tmp_path, capsys):
+    assert main([cmd, "--config", str(tmp_path / "missing.json")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 BCZ5 = {"a": 2, "b": 3, "n_max": 5, "eps": 0.5}
 
 
@@ -492,6 +509,17 @@ def test_eds_config_keeps_file_ignore_primes(tmp_path, capsys):
     assert main(["eds", "--config", str(path), "--format", "json",
                  "--ignore-primes", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["ignored_primes"] == [3]
+
+
+@pytest.mark.parametrize("key", ["nmax", "ignore_prime", "error_budget"])
+def test_eds_config_rejects_unknown_keys(key, tmp_path, capsys):
+    # a misspelled ignore list used to be dropped, and the run went unstripped
+    params = {"curve": [0, 0, 1, -1, 0], "point": [0, 0], "n_max": 4, key: 2}
+    path = tmp_path / "eds.json"
+    path.write_text(json.dumps({"parameters": params}))
+    assert main(["eds", "--config", str(path), "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: EDS config has unknown key {key!r}\n"
 
 
 @pytest.mark.parametrize("curve", [[0, 0, 1, -1], [0, 0, 1, -1, 0, 0]])
@@ -633,19 +661,53 @@ def test_integral_float_runs_as_its_integer(tmp_path, capsys):
     assert as_float["records"] == as_int["records"] and len(as_int["records"]) == 4
 
 
-def test_cli_defaults_are_the_table_defaults():
-    checked, cli_only = set(), set()
-    for cmd, (kind, _, flags, _) in _SUBCOMMANDS.items():
-        table = {} if kind is None else {
-            entry[0]: entry[2] for entry in SPECS[kind].params if len(entry) == 3}
-        for flag, key, _, default, _ in flags:
-            for k in key if isinstance(key, tuple) else (key,):
-                if k in table:
-                    assert default == table[k], (cmd, flag)
-                    checked.add(k)
-                elif default is not None:
-                    cli_only.add((cmd, flag))
-    assert {"C", "b_bound", "codim_r", "delta"} <= checked
-    # eps and polys are required in the table; eds is not a sweep kind
-    assert cli_only == {("gcdpow", "--eps"), ("pncheck", "--poly"),
-                        ("eds", "--ignore-primes")}
+def _table(kind: SweepKind | None) -> dict:
+    """A subcommand's parameter table as key -> its default entries (0 or 1)."""
+    return {key: default for key, _, *default in
+            (SPECS[kind].params if kind else _EDS_PARAMS)}
+
+
+def _flags(cmd: str):
+    """Each flag of ``cmd`` as (flag, keys, help, its CLI-only default entries)."""
+    for flag, key, *rest in _SUBCOMMANDS[cmd][2]:
+        yield flag, key if isinstance(key, tuple) else (key,), [*rest, None][0], rest[1:]
+
+
+def test_flags_name_keys_of_their_table_and_two_cli_only_defaults():
+    cli_only, helps = set(), {}
+    for cmd, (kind, _, _) in _SUBCOMMANDS.items():
+        table = _table(kind)
+        for flag, keys, helps[cmd, flag], default in _flags(cmd):
+            for k in keys:
+                assert k in table, (cmd, flag)
+                if default:
+                    # the table requires the key, so the default is the CLI's own
+                    assert not table[k], (cmd, flag)
+                    cli_only.add((cmd, k))
+    assert cli_only == {("gcdpow", "eps"), ("pncheck", "polys")}
+    bbound = _table(SweepKind.MIXED_CHECK)["b_bound"][0]
+    codim = _table(SweepKind.PN_CHECK)["codim_r"][0]
+    assert helps["mixed", "--bbound"].endswith(f"(default {bbound})")
+    assert helps["pncheck", "--codim"].endswith(f"(default {codim})")
+
+
+NEEDS = {
+    "gcdpow": "--a, --b and --nmax",
+    "trichotomy": "--primes, --nmax and --eps",
+    "returns": "--a, --b and --nmax",
+    "eds": "--curve, --point and --nmax",
+    "edsgcd": "--curve, --point, --nmax and --eps",
+    "mixed": "--curve, --point, --primes, --nmax and --eps",
+    "pncheck": "--primes, --nmax and --eps",
+}
+
+
+@pytest.mark.parametrize("cmd", list(_SUBCOMMANDS))
+def test_subcommand_needs_the_flags_whose_keys_have_no_default(cmd, capsys):
+    table = _table(_SUBCOMMANDS[cmd][0])
+    needed = [flag for flag, keys, _, default in _flags(cmd)
+              if not default and any(not table[k] for k in keys)]
+    *most, last = needed
+    assert f"{', '.join(most)} and {last}" == NEEDS[cmd]
+    assert main([cmd]) == 1
+    assert capsys.readouterr() == ("", f"error: {cmd} needs {NEEDS[cmd]}\n")

@@ -281,6 +281,51 @@ def test_multiples_property_against_gcd_route_and_chord_tangent(q):
     assert at_q > 15 and non_integral > 5
 
 
+# (curve, base point, gcd(W_2, W_3)): bad reduction at the primes of the gcd,
+# a non-integral base point, and a curve with a large coefficient
+STRONG_DIVISIBILITY_CASES = {
+    **{name: MULTIPLES_CASES[name] for name in (
+        "37a1 (0,0)", "x3-2 (3,5)", "x3-2 2(3,5) non-integral",
+        "x3+17 (-2,3) singular mod 2, 3")},
+    "x3+17 (4,9) singular mod 2, 3": (C17, Point(F(4), F(9)), 18),
+    "x3+17 (2,5) singular mod 2": (C17, Point(F(2), F(5)), 2),
+    "x3+1000x+1 (0,1)": (Curve(0, 0, 0, 1000, 1), Point(F(0), F(1)), 2),
+}
+
+
+def _assert_strong_divisibility(ds: list[int]) -> None:
+    """gcd(D_m, D_n) = D_gcd(m, n) for all m, n up to len(ds).  For each prime
+    p and r >= 1, {k : p^r | D_kP} is a subgroup of Z (the formal-group
+    filtration E_r, Silverman AEC VII.2.2), so it holds m and n exactly when
+    it holds gcd(m, n); the D_k of ``multiples`` must show it on every pair."""
+    for m in range(1, len(ds) + 1):
+        for n in range(m, len(ds) + 1):
+            assert gcd(ds[m - 1], ds[n - 1]) == ds[gcd(m, n) - 1], (m, n)
+
+
+@pytest.mark.parametrize("name", list(STRONG_DIVISIBILITY_CASES))
+def test_multiples_denominators_are_a_strong_divisibility_sequence(name):
+    c, p, w_gcd = STRONG_DIVISIBILITY_CASES[name]
+    w = _division_values(c, p, 3)
+    assert gcd(w[2], w[3]) == w_gcd
+    _assert_strong_divisibility([d for _, d in multiples(c, p, 30)])
+
+
+def test_multiples_denominators_of_random_points_divide_strongly():
+    rng = random.Random(2004)
+    checked = 0
+    while checked < 150:
+        # q = 1 puts no condition on the point; the others give it bad
+        # reduction at q, so multiples divides q out of every W_k
+        c, p = _singular_at(rng, rng.choice([1, 1, 1, 2, 3, 5, 7, 13]))
+        try:
+            ds = [d for _, d in multiples(c, p, 20)]
+        except ValueError:  # a torsion point
+            continue
+        _assert_strong_divisibility(ds)
+        checked += 1
+
+
 def test_multiples_falls_back_to_the_gcd_route(monkeypatch):
     calls = []
     gcd_route = elliptic._reduce_by_gcd
