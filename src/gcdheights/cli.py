@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .arith import PrimeSet, hgcd, prime_to_S_part, weil_height
@@ -185,6 +186,7 @@ def _add_common(sp: argparse.ArgumentParser, jobs: bool = True) -> None:
                              "serially (output is identical)")
 
 
+@cache  # one parser per process; parsing keeps no state in it
 def _build_parser() -> _Parser:
     p = _Parser(prog="gcdheights",
                 description="gcd heights, divisibility sequences, and "

@@ -23,14 +23,15 @@ Each kind is one ``KindSpec`` record in ``SPECS``.  A kind may have a range
 kernel, which evaluates a whole run and hoists the work that depends on one
 axis only (BCZ and AR multiply a^n and b^n up along the run, and when the
 smaller base is 2^k fold the other power minus one modulo 2^(kn) - 1; CZ
-strips each unit once); its ``row`` stays the per-cell oracle, and a run
-whose kernel raises is evaluated again cell by cell, so each failing cell
-becomes an error row as without a kernel.  A row is a tuple of the kind's
-``Row`` type in ``columns`` order: index columns first, then exact integer
-witnesses, then the log-space lhs/rhs pair and the holds flag, then
-``error`` (None but on an error row, which has only its index values).
-Rendering encodes each value by its type: integers with all their digits,
-reals with 12 significant digits.
+strips each unit once, and copies the row of (b, a) from that of (a, b) when
+both are in the run); its ``row`` stays the per-cell oracle, and a run whose
+kernel raises is evaluated again cell by cell, so each failing cell becomes an
+error row as without a kernel.  A row is a tuple of the kind's ``Row`` type in
+``columns`` order: index columns first, then exact integer witnesses, then
+the log-space lhs/rhs pair and the holds flag, then ``error`` (None but on an
+error row, which has only its index values).  Rendering encodes each value by
+its type: integers with all their digits, reals with 12 significant digits,
+and ``render_json`` memoizes the texts of the ints and reals of its records.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .elliptic import (
     Curve,
     Point,
     multiples,
+    neg,
     on_curve,
 )
 from .gcd_height import PnPoint, PolySystem, VojtaParams
@@ -325,9 +327,19 @@ def _row_cz(ctx: tuple, a: int, b: int) -> tuple:
 
 
 def _rows_cz(ctx: tuple, axes: tuple, cells: range) -> list[tuple]:
+    """The map of ``_row_cz`` over a run.  ``_trichotomy`` is symmetric, so a
+    cell (i, j), j < i, copies the row of (j, i) in the run with m, n swapped."""
     _, eps, unit = ctx
-    return [_CZRow(a, b, *_trichotomy(unit[a], unit[b], eps))
-            for a, b in _keys(axes, cells)]
+    units, L, s, out, new = axes[1], len(axes[1]), cells.start, [], tuple.__new__
+    for i in range(s // L, -(-cells.stop // L)) if cells else ():
+        a, ua, lo = units[i], unit[units[i]], max(s - i * L, 0)
+        for j, b in enumerate(units[lo:min(cells.stop - i * L, L)], lo):
+            if j < i and (k := j * L + i - s) >= 0:
+                r = out[k]
+                out.append(new(_CZRow, (a, b, r[2], r[4], r[3], r[5], r[6], r[7], r[8], None)))
+            else:
+                out.append(new(_CZRow, (a, b, *_trichotomy(ua, unit[b], eps), None)))
+    return out
 
 
 def _summary_cz(good: list[tuple], p: dict) -> dict:
@@ -490,6 +502,8 @@ def _prepare_abelian(p: dict, seed: int) -> tuple[tuple, tuple]:
     c, n_max = p["curve"], p["n_max"]
     P = _on_curve(c, p["p"], "p")
     Q = _on_curve(c, p["q"], "q")
+    if Q in (P, neg(c, P)):  # then (nP, nQ) lies on a curve in E x E
+        raise ValueError("q must not be p or -p: the points are dependent")
     dp = [d for _, d in multiples(c, P, n_max)]
     dq = [d for _, d in multiples(c, Q, n_max)]
     return (dp, dq, p["eps"], p["C"]), (range(1, n_max + 1),)
@@ -712,10 +726,23 @@ def _format_int(v: int) -> str:
         return str(Decimal(v))
 
 
-def _json_real(x: float) -> str:
-    if not isfinite(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return repr(float(format_real(x)))
+class _Texts(dict):
+    """One render's memo of the JSON texts of its ints or reals, by value.  A
+    real's is repr(float(t)) of its 12-digit text t; where t is fixed point, so
+    is that, with t's digits (12 name one double) and ".0" after an integer."""
+
+    def __missing__(self, v) -> str:
+        if type(v) is int:
+            try:
+                text = self[v] = str(v)
+            except ValueError:  # past str()'s digit limit
+                text = self[v] = _format_int(v)
+            return text
+        if not isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        text = f"{v:.12g}"
+        text = repr(float(text)) if "e" in text else text if "." in text else text + ".0"
+        return self.setdefault(v, text) if v else text  # 0.0, -0.0: one key, two texts
 
 
 _bool_text = ("false", "true").__getitem__
@@ -733,8 +760,8 @@ def _csv_text(v: str) -> str:
 # One encoder per exact value type: the text of a value in each format.
 _CSV = {int: _format_int, float: format_real, bool: _bool_text, str: _csv_text,
         type(None): lambda v: ""}
-_JSON = {int: _format_int, float: _json_real, bool: _bool_text,
-         str: json.encoder.encode_basestring_ascii, type(None): lambda v: "null"}
+_JSON = {int: _format_int, float: lambda x: _Texts()[x], bool: _bool_text,
+         str: json.encoder.encode_basestring_ascii, type(None): {None: "null"}.__getitem__}
 
 
 def render_csv(result: SweepResult) -> str:
@@ -789,10 +816,11 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
     for keys in (sorted((*spec.index, "error")), sorted(cols[:-1])):
         body = ",\n".join(f"      {json.dumps(k)}: %s" for k in keys)
         forms.append(("    {\n" + body + "\n    }", itemgetter(*map(cols.index, keys))))
-    records = []
-    for r in result.records:
+    enc = {**_JSON, int: _Texts().__getitem__, float: _Texts().__getitem__}
+    texts, records, w = [enc[type(v)](v) for r in result.records for v in r], [], len(cols)
+    for i, r in zip(range(0, len(texts), w), result.records):
         template, pick = forms[r.error is None]
-        records.append(template % pick([_JSON[type(v)](v) for v in r]))
+        records.append(template % pick(texts[i:i + w]))
     doc = {
         "version": version,
         "config": {

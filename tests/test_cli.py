@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from gcdheights import Curve, Point, SweepConfig, SweepKind, eds, render_csv, render_json, run
+from gcdheights import cli
 from gcdheights.cli import _EDS_PARAMS, _SUBCOMMANDS, main
 from gcdheights.experiments import SPECS
 
@@ -369,6 +370,30 @@ def test_sweep_runs_a_config_file(tmp_path, capsys):
     got = capsys.readouterr().out
     assert main(["gcdpow", "--a", "2", "--b", "3", "--nmax", "10"]) == 0
     assert got == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q", [[0, 0], [0, -1]], ids=["P", "-P"])
+def test_abelian_rejects_q_equal_to_plus_or_minus_p(q, tmp_path, capsys):
+    # (nP, nQ) then lies on a curve in E x E, whatever the config vouches
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "ABELIAN_GROWTH", "parameters": {
+        "curve": [0, 0, 1, -1, 0], "p": [0, 0], "q": q, "n_max": 5, "eps": 0.3,
+        "independence_asserted": True}}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: q must not be p or -p: the points are dependent\n")
+
+
+def test_main_builds_one_parser_and_keeps_its_results(capsys):
+    calls = [["gcdpow", "--a", "2", "--b", "3", "--nmax", "6"], ["--help"],
+             ["gcdpow", "--help"], ["gcdpow", "--a", "2"], ["gcdpow", "--bogus"],
+             ["gcdpow", "--a", "4", "--b", "8", "--nmax", "5"], ["--version"]]
+    cli._build_parser.cache_clear()
+    first = [(main(argv), *capsys.readouterr()) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 1, 1, 2, 0]
+    assert [(main(argv), *capsys.readouterr()) for argv in calls] == first
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser().format_help() == cli._build_parser.__wrapped__().format_help()
 
 
 def test_sweep_reingests_emitted_json(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -11,6 +12,7 @@ import math
 import multiprocessing
 import os
 import random
+import sys
 import time
 from decimal import Decimal
 
@@ -85,6 +87,28 @@ def test_abelian_requires_explicit_independence_voucher():
                       parameters={"curve": [0, 1, 1, -2, 0], "p": [0, 0],
                                   "q": [1, 0], "n_max": 5, "eps": 0.3})
     with pytest.raises(ValueError, match="independence_asserted"):
+        run(cfg)
+
+
+def test_abelian_389a1_output_is_pinned():
+    # independent points: the check against q = +-p leaves the output as it was
+    cfg = SweepConfig(kind=SweepKind.ABELIAN_GROWTH,
+                      parameters={"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0],
+                                  "n_max": 4, "eps": 0.3, "independence_asserted": True})
+    res = run(cfg)
+    assert render_csv(res) == ("n,d_p,d_q,gcd,lhs,hA,rhs,holds,error\n"
+                               "1,1,1,1,0,1,0.3,true,\n2,1,1,1,0,4,1.2,true,\n"
+                               "3,3,5,1,0,9,2.7,true,\n4,11,31,1,0,16,4.8,true,\n")
+    assert hashlib.sha256(render_json(res).encode()).hexdigest() == \
+        "edc15c0048f71dc5b97fc6e8c8766864f76909aef8d17dc5646a79306f4fd962"
+
+
+@pytest.mark.parametrize("q", [[0, 0], [0, -1]], ids=["P", "-P"])
+def test_abelian_rejects_q_equal_to_plus_or_minus_p(q):
+    cfg = SweepConfig(kind=SweepKind.ABELIAN_GROWTH,
+                      parameters={"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": q,
+                                  "n_max": 5, "eps": 0.3, "independence_asserted": True})
+    with pytest.raises(ValueError, match="q must not be p or -p"):
         run(cfg)
 
 
@@ -682,6 +706,44 @@ def test_mersenne_kernels_match_the_map_of_row(kind, params, routed, e0, monkeyp
     assert (min(es) < e0 <= max(es)) if routed else es == []
 
 
+# CZ grids whose runs the mirror kernel builds: a cell (i, j) below the
+# diagonal copies the row of (j, i) when that row is in the same run
+MIRROR_GRIDS = [{"primes": primes, "bound": bound, "eps": eps}
+                for primes, bound in (([2, 3], 40), ([2, 5], 130), ([2, 3, 5], 30))
+                for eps in (0.25, 0.05)]
+
+
+@pytest.mark.parametrize("params", MIRROR_GRIDS,
+                         ids=[f"{p['primes']}-{p['eps']}" for p in MIRROR_GRIDS])
+def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
+    kind = SweepKind.CZ_TRICHOTOMY
+    spec = experiments.SPECS[kind]
+    ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
+    keys = list(itertools.product(*axes))
+    rows = [spec.row(ctx, *key) for key in keys]
+    # the grid holds pairs with alpha = -beta and pairs whose power relation
+    # the sign rule doubles, e.g. (-2)^6 = 8^2 where (-2)^3 = -(8^1)
+    assert any(r.alpha == -r.beta for r in rows)
+    assert any(r.verdict == mulgrp.POWER_RELATION and r.m % 2 == r.n % 2 == 0
+               and r.alpha ** (r.m // 2) == -r.beta ** (r.n // 2) for r in rows)
+    calls, core = [], experiments._trichotomy
+    monkeypatch.setattr(experiments, "_trichotomy",
+                        lambda ua, ub, eps: calls.append(1) or core(ua, ub, eps))
+    L = len(axes[1])
+    for cells in _runs(len(keys), L):
+        calls.clear()
+        got = spec.rows(ctx, axes, cells)
+        assert got == rows[cells.start:cells.stop]
+        assert {type(r) for r in got} <= {spec.Row}
+        # a cell (i, j) calls the core unless j < i and (j, i) is in the run
+        own = [k for k in cells if k % L >= k // L or (k % L) * L + k // L < cells.start]
+        assert len(calls) == len(own)
+    # on the whole grid, once per unordered pair
+    calls.clear()
+    spec.rows(ctx, axes, range(len(keys)))
+    assert len(calls) == L * (L + 1) // 2
+
+
 def test_error_budget_zero_raises(monkeypatch):
     # a fault at n = 3 in the bound that the kernel and row both call: the
     # kernel's run raises, and row tags that cell alone
@@ -716,24 +778,28 @@ def test_pool_error_rows_match_serial(monkeypatch, forced_pool):
     core = mulgrp._trichotomy
 
     def flaky(ua, ub, eps):
-        if (ua.x, ub.x) == (6, -4):
+        if {ua.x, ub.x} == {6, -4}:
             raise RuntimeError("injected")
         return core(ua, ub, eps)
 
-    # the core of the kernel and of cz_classify, which row calls
+    # the core of the kernel and of cz_classify, which row calls; the fault is
+    # symmetric, as any fault of the symmetric core is, since the kernel
+    # evaluates only one cell of each mirrored pair in a run
     monkeypatch.setattr(experiments, "_trichotomy", flaky)
     monkeypatch.setattr(mulgrp, "_trichotomy", flaky)
     failed = _kernel_failures(monkeypatch, SweepKind.CZ_TRICHOTOMY)
     cfg = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
                       parameters={"primes": [2, 3], "bound": 30, "eps": 0.25,
-                                  "error_budget": 1})
+                                  "error_budget": 2})
     serial = run(cfg)
     assert failed == [range(len(serial.records))]
     pooled = run(cfg, jobs=2)
     assert len(forced_pool) == 1
     bad = [r for r in pooled.records if r.error]
-    assert bad == [spec.Row(6, -4, *[None] * 7, "RuntimeError: injected")]
-    assert type(bad[0]) is spec.Row and bad[0].error == "RuntimeError: injected"
+    assert bad == [spec.Row(-4, 6, *[None] * 7, "RuntimeError: injected"),
+                   spec.Row(6, -4, *[None] * 7, "RuntimeError: injected")]
+    assert {type(r) for r in bad} == {spec.Row}
+    assert {r.error for r in bad} == {"RuntimeError: injected"}
     assert pooled.records == serial.records
     assert {type(r) for r in serial.records} == {type(r) for r in pooled.records} == {spec.Row}
     assert render_json(pooled) == render_json(serial)
@@ -1037,6 +1103,69 @@ def test_render_json_rejects_an_infinite_real():
         render_json(bad)
     with pytest.raises(ValueError):
         _json_oracle(bad)
+
+
+# ----------------------------------------------------------------------------
+# render_json's per-render memo of int and real texts, against the oracles
+# ----------------------------------------------------------------------------
+
+def _bcz_result(values: list[dict]) -> SweepResult:
+    """A BCZ result whose first rows take the column values in ``values``."""
+    cfg = SweepConfig(kind=SweepKind.BCZ,
+                      parameters={**TINY[SweepKind.BCZ], "n_max": len(values) + 2})
+    records = run(cfg).records
+    records[:len(values)] = [r._replace(**v) for r, v in zip(records, values)]
+    return SweepResult(cfg, records, summarize(SweepKind.BCZ, records, cfg))
+
+
+def test_render_json_memo_keeps_signed_zeros_apart():
+    # 0.0 and -0.0 are one dict key but two texts, in either order
+    zeros = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0]
+    res = _bcz_result([{"lhs": z, "rhs": -z, "hA": 1.5} for z in zeros])
+    _assert_renders_like_oracles(res)
+    recs = json.loads(render_json(res))["records"]
+    assert [math.copysign(1, r["lhs"]) for r in recs[:6]] == \
+        [math.copysign(1, z) for z in zeros]
+    assert [math.copysign(1, r["rhs"]) for r in recs[:6]] == \
+        [-math.copysign(1, z) for z in zeros]
+
+
+def test_render_json_memo_keeps_bools_apart_from_ints():
+    # True == 1 and hash(True) == hash(1): each must keep its own text
+    res = _bcz_result([{"gcd": 1, "holds": True}, {"gcd": True, "holds": 1},
+                       {"gcd": 1, "holds": True}, {"gcd": 0, "holds": False},
+                       {"gcd": False, "holds": 0}])
+    _assert_renders_like_oracles(res)
+    recs = json.loads(render_json(res))["records"]
+    assert [(type(r["gcd"]), type(r["holds"])) for r in recs[:5]] == \
+        [(int, bool), (bool, int), (int, bool), (int, bool), (bool, int)]
+
+
+def test_render_json_memo_renders_repeated_huge_ints_exactly(monkeypatch):
+    big = 7 ** 6000  # 5071 digits, past str()'s 4300-digit limit
+    res = _bcz_result([{"gcd": g} for g in (big, 3, big, -big, 3, big)])
+    text = render_json(res, version="oracle")
+    recs = json.loads(text, parse_int=Decimal)["records"]
+    assert [int(r["gcd"]) for r in recs] == [r.gcd for r in res.records]
+    # the oracle's json.dumps needs the digit limit lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert text == _json_oracle(res)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_render_json_rejects_nan_and_inf_in_any_row(bad):
+    # first, after a repeat of a good value, and repeated: the memo stores none
+    for at in ([0], [3], [1, 2]):
+        res = _bcz_result([{"lhs": bad if i in at else 0.5} for i in range(4)])
+        with pytest.raises(ValueError, match="Out of range float values are "
+                                             "not JSON compliant: " + repr(bad)):
+            render_json(res)
+        with pytest.raises(ValueError):
+            _json_oracle(res)
 
 
 def test_witnesses_past_the_int_str_limit_render_exactly():
