@@ -25,14 +25,13 @@ from .experiments import (
     SweepConfig,
     SweepKind,
     _checked,
+    _csv_table,
     _curve,
-    _format_int,
     _int,
     _ints,
-    _json_with_list,
+    _json_text,
     _on_curve,
     _point,
-    format_real,
     render_csv,
     render_json,
     run,
@@ -305,8 +304,7 @@ def _run_sweep(kind: SweepKind, params: dict, seed: int, args) -> str:
         seed = args.seed
     cfg = SweepConfig(kind=kind, parameters=params, seed=seed)
     result = run(cfg, jobs=args.jobs)
-    fmt = args.format or "csv"
-    return render_csv(result) if fmt == "csv" else render_json(result)
+    return render_json(result) if args.format == "json" else render_csv(result)
 
 
 def _cmd_kind(args) -> str:
@@ -321,19 +319,17 @@ def _cmd_eds(args) -> str:
     S = PrimeSet(cfg["ignore_primes"])
     terms = _eds_op(cfg["curve"], p, cfg["n_max"])
     report = divisibility_check([prime_to_S_part(t, S) for t in terms])
-    texts = [_format_int(d) for d in terms]
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        lines = [",".join(_EDS_COLUMNS)] + [f"{i+1},{d}" for i, d in enumerate(texts)]
-        return "\n".join(lines) + "\n"
+    if args.format != "json":
+        return _csv_table(_EDS_COLUMNS, enumerate(terms, 1))
     doc = {
         "version": __version__,
         "config": {"kind": "EDS", "parameters": params, "seed": 0},
         "divisibility_ok": report.ok,
-        "counterexample": list(report.counterexample) if report.counterexample else None,
+        "counterexample": report.counterexample,
         "ignored_primes": cfg["ignore_primes"],
+        "terms": terms,
     }
-    return _json_with_list(doc, "terms", ["    " + t for t in texts])
+    return _json_text(doc) + "\n"
 
 
 def _cmd_sweep(args) -> str:
@@ -355,25 +351,22 @@ def _cmd_heights(args) -> str:
         x = Fraction(args.x)
         w = weil_height(x)
         doc["x"] = str(x)
-        doc["weil"] = {"value": float(format_real(w.value)), "witness": w.exact_arg}
+        doc["weil"] = {"value": w.value, "witness": w.exact_arg}
         if args.y is not None:
             y = Fraction(args.y)
             g = hgcd(x, y)
             doc["y"] = str(y)
-            doc["hgcd"] = {"value": float(format_real(g.value)), "witness": g.exact_arg}
+            doc["hgcd"] = {"value": g.value, "witness": g.exact_arg}
     if args.point is not None:
         if args.curve is None:
             raise _Usage("--point needs --curve")
         c = Curve(*args.curve)
         p = _on_curve(c, _point("point", args.point), "point")
         nh = naive_height(p)
-        doc["naive_height"] = {
-            "value": float(format_real(nh.value)),
-            "witness": nh.exact_arg,
-        }
-        doc["canonical_height"] = float(format_real(canonical_height(c, p, args.tol)))
+        doc["naive_height"] = {"value": nh.value, "witness": nh.exact_arg}
+        doc["canonical_height"] = canonical_height(c, p, args.tol)
         doc["tol"] = args.tol
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def _cmd_vojta_check(args) -> str:
@@ -381,17 +374,14 @@ def _cmd_vojta_check(args) -> str:
     bound = vojta_bound(args.lhs, args.ha, p.epsilon, p.C, args.hcount, p.weight)
     doc = {
         "version": __version__,
-        "lhs": float(format_real(args.lhs)),
-        "rhs": float(format_real(bound["rhs"])),
+        "lhs": args.lhs,
+        "rhs": bound["rhs"],
         "holds": bound["holds"],
-        "components": {
-            "height_term": float(format_real(p.epsilon * args.ha)),
-            "counting_term": float(format_real(args.hcount / p.weight)),
-            "constant": float(format_real(p.C)),
-        },
+        "components": {"height_term": p.epsilon * args.ha, "constant": p.C,
+                       "counting_term": args.hcount / p.weight},
         "params": {"epsilon": p.epsilon, "delta": p.delta, "C": p.C, "r": p.r},
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return _json_text(doc) + "\n"
 
 
 class _Usage(Exception):

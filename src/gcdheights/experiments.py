@@ -30,8 +30,8 @@ error row as without a kernel.  A row is a tuple of the kind's ``Row`` type in
 ``columns`` order: index columns first, then exact integer witnesses, then
 the log-space lhs/rhs pair and the holds flag, then ``error`` (None but on an
 error row, which has only its index values).  Rendering encodes each value by
-its type: integers with all their digits, reals with 12 significant digits,
-and ``render_json`` memoizes the texts of the ints and reals of its records.
+its type: integers with all their digits, reals with 12 significant digits
+(a JSON config's exactly); ``render_json`` memoizes its records' int and real texts.
 """
 
 from __future__ import annotations
@@ -701,7 +701,8 @@ def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig) -> dic
         s["violations"] = len(viol)
         s["max_violating_index"] = list(viol[-1][:len(spec.index)]) if viol else None
         eps = p["eps"]
-        weight = p.get("codim_r", 2) - 1 + p.get("delta", 1.0) * eps
+        weight = (VojtaParams(eps, p["delta"], p["C"], p["codim_r"]).weight
+                  if "hcount" in spec.columns else 1.0)
         fit = max((r.lhs - eps * r.hA - getattr(r, "hcount", 0.0) / weight
                    for r in good if not getattr(r, "exceptional", False)), default=None)
         s["fitted_constant"] = None if fit is None else spec.C_of_fit(fit)
@@ -738,11 +739,13 @@ class _Texts(dict):
             except ValueError:  # past str()'s digit limit
                 text = self[v] = _format_int(v)
             return text
+        if not v:  # 0.0 and -0.0 are one key with two texts: never stored
+            return repr(v)
         if not isfinite(v):
             raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
         text = f"{v:.12g}"
         text = repr(float(text)) if "e" in text else text if "." in text else text + ".0"
-        return self.setdefault(v, text) if v else text  # 0.0, -0.0: one key, two texts
+        return self.setdefault(v, text)
 
 
 _bool_text = ("false", "true").__getitem__
@@ -757,54 +760,59 @@ def _csv_text(v: str) -> str:
     return v
 
 
-# One encoder per exact value type: the text of a value in each format.
+# One encoder per exact value type: the text of a value in each format.  JSON
+# writes computed reals at 12 significant digits, and the reals a document
+# echoes from its inputs (under the top-level keys of ``_ECHOED``) exactly, by
+# repr; for both, ``_Texts`` raises on NaN and inf.
 _CSV = {int: _format_int, float: format_real, bool: _bool_text, str: _csv_text,
         type(None): lambda v: ""}
 _JSON = {int: _format_int, float: lambda x: _Texts()[x], bool: _bool_text,
          str: json.encoder.encode_basestring_ascii, type(None): {None: "null"}.__getitem__}
+_ECHO = {**_JSON, float: lambda x: repr(x) if isfinite(x) else _Texts()[x]}
+_ECHOED = dict.fromkeys(("config", "tol", "params"), _ECHO)
+
+
+def _csv_table(columns: Sequence[str], rows) -> str:
+    """A header of ``columns``, then a line per row of values encoded by type."""
+    lines = [",".join(columns)]
+    lines += [",".join([_CSV[type(v)](v) for v in r]) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def render_csv(result: SweepResult) -> str:
     """One row per record in index order, fixed header per kind."""
-    lines = [",".join(SPECS[result.config.kind].columns)]
-    lines += [",".join([_CSV[type(v)](v) for v in r]) for r in result.records]
-    return "\n".join(lines) + "\n"
+    return _csv_table(SPECS[result.config.kind].columns, result.records)
 
 
-def _json_text(v, pad: str = "\n") -> str:
+class _Encoded(list):
+    """A JSON list of texts, each already encoded for its place in the document."""
+
+
+def _json_text(v, pad: str = "\n", enc: dict = _JSON) -> str:
     """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it after the
-    line break and indent ``pad``, but with reals at 12 significant digits
-    and ints of any length, past the 4300-digit limit json.dumps obeys."""
+    line break and indent ``pad``, but by ``enc`` (reals at 12 digits, ints of
+    any length), or by the encoder ``_ECHOED`` gives a top-level key (inputs,
+    exactly); an ``_Encoded`` list's texts are placed as they are."""
     inner = pad + "  "
     if isinstance(v, dict):
-        ends, items = "{}", [f"{_JSON[str](k)}: {_json_text(x, inner)}"
+        top = _ECHOED if pad == "\n" else {}
+        ends, items = "{}", [f"{_JSON[str](k)}: {_json_text(x, inner, top.get(k, enc))}"
                              for k, x in sorted(v.items())]
     elif isinstance(v, (list, tuple)):
-        ends, items = "[]", [_json_text(x, inner) for x in v]
+        ends = "[]"
+        items = v if type(v) is _Encoded else [_json_text(x, inner, enc) for x in v]
     else:
-        return _JSON[type(v)](v)
-    return ends[0] + inner + f",{inner}".join(items) + pad + ends[1] if items else ends
-
-
-def _json_with_list(doc: dict, key: str, items: list[str]) -> str:
-    """``doc`` as ``_json_text`` writes it, plus a newline, with its
-    top-level ``key`` holding ``items``, the encoded list elements indented
-    for depth 2.  Only top-level keys are indented by two spaces, and a JSON
-    string holds no raw newline, so the splice is exact.
-    """
-    text = _json_text({**doc, key: []})
-    if items:
-        text = text.replace(f'\n  "{key}": []',
-                            f'\n  "{key}": [\n' + ",\n".join(items) + "\n  ]", 1)
-    return text + "\n"
+        return enc[type(v)](v)
+    sep = "," + inner  # one f-string copies a long list's text once, not per +
+    return f"{ends[0]}{inner}{sep.join(items)}{pad}{ends[1]}" if items else ends
 
 
 def render_json(result: SweepResult, version: str | None = None) -> str:
-    """Full result: effective config, summary, records; reals at 12 digits.
+    """Full result: effective config, summary, records; results at 12 digits.
 
-    The embedded config block re-ingests as a SweepConfig that reproduces
-    this output exactly.  A NaN or infinite real raises ValueError, since
-    strict JSON has no token for it.
+    The embedded config block, its reals exact, re-ingests as a SweepConfig
+    that reproduces this output exactly.  A NaN or infinite real raises
+    ValueError, since strict JSON has no token for it.
     """
     if version is None:
         from . import __version__ as version
@@ -815,7 +823,7 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
     forms = []
     for keys in (sorted((*spec.index, "error")), sorted(cols[:-1])):
         body = ",\n".join(f"      {json.dumps(k)}: %s" for k in keys)
-        forms.append(("    {\n" + body + "\n    }", itemgetter(*map(cols.index, keys))))
+        forms.append(("{\n" + body + "\n    }", itemgetter(*map(cols.index, keys))))
     enc = {**_JSON, int: _Texts().__getitem__, float: _Texts().__getitem__}
     texts, records, w = [enc[type(v)](v) for r in result.records for v in r], [], len(cols)
     for i, r in zip(range(0, len(texts), w), result.records):
@@ -829,5 +837,6 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
             "seed": result.config.seed,
         },
         "summary": result.summary,
+        "records": _Encoded(records),
     }
-    return _json_with_list(doc, "records", records)
+    return _json_text(doc) + "\n"

@@ -12,7 +12,9 @@ import csv
 import io
 import json
 import math
+import pathlib
 import random
+import shlex
 from decimal import Decimal
 from fractions import Fraction
 
@@ -148,11 +150,12 @@ def test_infinite_bound_or_bad_sample_is_one_computation_error(argv, message, ca
     ["heights", "--curve", C37, "--point", "0,0", "--tol", "inf"],
 ], ids=lambda argv: argv[0])
 def test_non_finite_json_is_computation_error(argv, capsys):
-    # strict JSON has no NaN or Infinity: nothing is printed
+    # strict JSON has no NaN or Infinity: nothing is printed, whether the value
+    # is a result (rhs, lhs) or an echoed input (tol)
     assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "not JSON compliant" in err
+    bad = "nan" if "nan" in argv else "inf"
+    assert capsys.readouterr() == (
+        "", f"error: Out of range float values are not JSON compliant: {bad}\n")
 
 
 def test_point_off_curve_is_computation_error(capsys):
@@ -333,6 +336,109 @@ def test_vojta_check_verdict(capsys):
     assert json.loads(capsys.readouterr().out)["holds"] is False
 
 
+# The exact stdout of each JSON document the CLI builds outside a sweep (eds
+# CSV: test_eds_csv): results at 12 significant digits, the echoed inputs
+# (tol, params) exactly.
+PINNED = {
+    "heights --x 3/4 --y 9/8": """{
+  "hgcd": {
+    "value": 1.09861228867,
+    "witness": 3
+  },
+  "version": "0.1.0",
+  "weil": {
+    "value": 1.38629436112,
+    "witness": 4
+  },
+  "x": "3/4",
+  "y": "9/8"
+}
+""",
+    f"heights --curve {C37} --point 0,0": """{
+  "canonical_height": 0.02555570412,
+  "naive_height": {
+    "value": 0.0,
+    "witness": 1
+  },
+  "tol": 0.0001,
+  "version": "0.1.0"
+}
+""",
+    f"heights --curve {C37} --point 0,0 --tol 0.000123456789012345": """{
+  "canonical_height": 0.02555570412,
+  "naive_height": {
+    "value": 0.0,
+    "witness": 1
+  },
+  "tol": 0.000123456789012345,
+  "version": "0.1.0"
+}
+""",
+    "vojta-check --lhs 1.23456789012345 --ha 2.0 --eps 0.123456789012345 "
+    "--C 0.987654321098765": """{
+  "components": {
+    "constant": 0.987654321099,
+    "counting_term": 0.0,
+    "height_term": 0.246913578025
+  },
+  "holds": true,
+  "lhs": 1.23456789012,
+  "params": {
+    "C": 0.987654321098765,
+    "delta": 1.0,
+    "epsilon": 0.123456789012345,
+    "r": 2
+  },
+  "rhs": 1.23456789912,
+  "version": "0.1.0"
+}
+""",
+    f"eds --curve {C37} --point 0,0 --nmax 5 --format json --ignore-primes 2": """{
+  "config": {
+    "kind": "EDS",
+    "parameters": {
+      "curve": [
+        0,
+        0,
+        1,
+        -1,
+        0
+      ],
+      "ignore_primes": [
+        2
+      ],
+      "n_max": 5,
+      "point": [
+        "0",
+        "0"
+      ]
+    },
+    "seed": 0
+  },
+  "counterexample": null,
+  "divisibility_ok": true,
+  "ignored_primes": [
+    2
+  ],
+  "terms": [
+    1,
+    1,
+    1,
+    1,
+    2
+  ],
+  "version": "0.1.0"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("cmd", PINNED, ids=lambda cmd: cmd.split(" --")[0])
+def test_pinned_documents_are_exact(cmd, capsys):
+    assert main(cmd.split()) == 0
+    assert capsys.readouterr() == (PINNED[cmd], "")
+
+
 # ----------------------------------------------------------------------------
 # --out, --baseline, --config, sweep
 # ----------------------------------------------------------------------------
@@ -404,6 +510,35 @@ def test_sweep_reingests_emitted_json(tmp_path, capsys):
     rc = main(["sweep", "--config", str(first), "--format", "json"])
     assert rc == 0
     assert capsys.readouterr().out == first.read_text()
+
+
+# Each kind with a real parameter, and how to draw its reals at random: a
+# real of 17 significant digits must come back from the result exactly.
+REAL_PARAMS = {
+    "BCZ": {"eps": (0.1, 1.0), "C": (-1.0, 1.0)},
+    "CZ_TRICHOTOMY": {"eps": (0.3, 1.0)},
+    "EDS_GCD": {"eps": (0.05, 0.5), "C": (-1.0, 1.0)},
+    "PN_CHECK": {"eps": (0.1, 0.9), "C": (-1.0, 1.0), "delta": (0.5, 20.0)},
+    "MIXED_CHECK": {"eps": (0.1, 1.0), "C": (0.5, 2.0)},
+    "ABELIAN_GROWTH": {"eps": (0.1, 1.0), "C": (-1.0, 1.0)},
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("kind", REAL_PARAMS)
+def test_emitted_json_echoes_real_inputs_exactly_and_reruns(kind, jobs, tmp_path, capsys):
+    rng = random.Random(f"{kind}:{jobs}")
+    for _ in range(3):
+        params = {**VALID[kind], **{k: rng.uniform(*span)
+                                    for k, span in REAL_PARAMS[kind].items()}}
+        cfg, first = tmp_path / "cfg.json", tmp_path / "first.json"
+        cfg.write_text(json.dumps({"kind": kind, "parameters": params, "seed": 5}))
+        assert main(["sweep", "--config", str(cfg), "--format", "json", "--jobs", jobs,
+                     "--out", str(first)]) == 0
+        assert json.loads(first.read_text())["config"]["parameters"] == params
+        assert main(["sweep", "--config", str(first), "--format", "json", "--jobs", jobs,
+                     "--baseline", str(first)]) == 0
+        assert capsys.readouterr().out == first.read_text()
 
 
 def test_sweep_config_without_kind_is_usage_error(tmp_path, capsys):
@@ -736,3 +871,25 @@ def test_subcommand_needs_the_flags_whose_keys_have_no_default(cmd, capsys):
     assert f"{', '.join(most)} and {last}" == NEEDS[cmd]
     assert main([cmd]) == 1
     assert capsys.readouterr() == ("", f"error: {cmd} needs {NEEDS[cmd]}\n")
+
+
+# ----------------------------------------------------------------------------
+# README
+# ----------------------------------------------------------------------------
+
+def _readme_commands() -> list[str]:
+    """The lines of README's "Command line" block, without prompt or comment."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("  #")[0].strip() for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_run(line, tmp_path, monkeypatch, capsys):
+    prog, *argv = shlex.split(line)
+    assert prog == "gcdheights"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"kind": "BCZ", "parameters": {"a": 2, "b": 3, "n_max": 40, "eps": 0.5}}))
+    assert main(argv) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out

@@ -1021,8 +1021,9 @@ def _rounded(obj):
 def _json_oracle(result: SweepResult) -> str:
     doc = {
         "version": "oracle",
+        # the config echoes the inputs: its reals are exact
         "config": {"kind": result.config.kind.value,
-                   "parameters": _rounded(dict(result.config.parameters)),
+                   "parameters": dict(result.config.parameters),
                    "seed": result.config.seed},
         "summary": _rounded(result.summary),
         "records": [_rounded(rec) for rec in _dict_rows(result)],
@@ -1043,6 +1044,18 @@ def test_renderers_match_oracles_on_every_kind(kind, jobs, forced_pool):
     assert len(forced_pool) == (jobs > 1)
     assert res.records and {type(r) for r in res.records} == {experiments.SPECS[kind].Row}
     _assert_renders_like_oracles(res)
+
+
+def test_render_json_echoes_config_reals_exactly():
+    # results at 12 significant digits, the config's 17-digit reals exactly
+    params = {"a": 2, "b": 3, "n_max": 30, "eps": 0.34030927323372034,
+              "C": 0.8474337369372327}
+    res = run(SweepConfig(kind=SweepKind.BCZ, parameters=params))
+    _assert_renders_like_oracles(res)
+    doc = json.loads(render_json(res))
+    assert doc["config"]["parameters"] == params
+    assert doc["records"][-1]["rhs"] == float(format_real(res.records[-1].rhs))
+    assert doc["records"][-1]["rhs"] != res.records[-1].rhs
 
 
 def test_renderers_match_oracles_on_none_columns():
