@@ -318,9 +318,9 @@ def _cmd_eds(args) -> str:
     p = _on_curve(cfg["curve"], cfg["point"], "point")
     S = PrimeSet(cfg["ignore_primes"])
     terms = _eds_op(cfg["curve"], p, cfg["n_max"])
-    report = divisibility_check([prime_to_S_part(t, S) for t in terms])
-    if args.format != "json":
+    if args.format != "json":  # only the JSON document prints the report
         return _csv_table(_EDS_COLUMNS, enumerate(terms, 1))
+    report = divisibility_check([prime_to_S_part(t, S) for t in terms])
     doc = {
         "version": __version__,
         "config": {"kind": "EDS", "parameters": params, "seed": 0},

@@ -24,14 +24,15 @@ kernel, which evaluates a whole run and hoists the work that depends on one
 axis only (BCZ and AR multiply a^n and b^n up along the run, and when the
 smaller base is 2^k fold the other power minus one modulo 2^(kn) - 1; CZ
 strips each unit once, and copies the row of (b, a) from that of (a, b) when
-both are in the run); its ``row`` stays the per-cell oracle, and a run whose
-kernel raises is evaluated again cell by cell, so each failing cell becomes an
-error row as without a kernel.  A row is a tuple of the kind's ``Row`` type in
-``columns`` order: index columns first, then exact integer witnesses, then
-the log-space lhs/rhs pair and the holds flag, then ``error`` (None but on an
-error row, which has only its index values).  Rendering encodes each value by
-its type: integers with all their digits, reals with 12 significant digits
-(a JSON config's exactly); ``render_json`` memoizes its records' int and real texts.
+the sweep's one record list, which each run appends to, holds it); ``row``
+stays the oracle, and a run whose kernel raises is evaluated again cell by
+cell, so each failing cell becomes an error row as without a kernel.  A row
+is a tuple of the kind's ``Row`` type in ``columns`` order: index columns
+first, then exact integer witnesses, then the log-space lhs/rhs pair and the
+holds flag, then ``error`` (None but on an error row, which has only its
+index values).  Rendering encodes each value by its type: integers with all
+their digits, reals with 12 significant digits (a JSON config's exactly);
+``render_json`` memoizes its records' int and real texts.
 """
 
 from __future__ import annotations
@@ -123,21 +124,23 @@ class KindSpec:
     """Everything the runner knows about one sweep kind.
 
     ``Row`` is the namedtuple of its ``columns``.  ``params`` has one entry
-    per config key, ``(key, check)`` if required and
-    ``(key, check, default)`` if not; ``check(key, value)`` returns the plain
-    value or raises ValueError naming the key.  ``prepare(p, seed)`` takes
-    those values (see ``_checked``) and returns ``(ctx, axes)``: the inputs
-    all cells share, and one or two sequences of ``index`` values whose
-    row-major grid is the cells.  ``row(ctx, *key)`` evaluates one cell,
-    possibly in a pool worker; its ``Row``, like an error row, carries ``key``
-    as its ``index`` columns.  ``rows(ctx, axes, cells)``, the optional range
-    kernel, returns the ``Row``s of ``cells``, a contiguous range of flat
-    indices into the grid, equal to those of ``row`` on each cell; it may
-    raise, and then each cell of the run goes through ``row``.  Without a
-    kernel, a run is the map of ``row``.  ``summary(good, p)`` gives the
-    kind's own summary keys from its error-free rows; ``summarize`` adds the
-    fit keys to every kind whose ``columns`` include ``hA``, mapping the
-    log-scale fit to the config's ``C`` by ``C_of_fit``.
+    per config key, ``(key, check)`` if required and ``(key, check, default)``
+    if not; ``check(key, value)`` returns the plain value or raises
+    ValueError naming the key.  ``prepare(p, seed)`` takes those values (see
+    ``_checked``) and returns ``(ctx, axes)``: the inputs all cells share,
+    and one or two sequences of ``index`` values whose row-major grid is the
+    cells.  ``row(ctx, *key)`` evaluates one cell, possibly in a pool worker;
+    its ``Row``, like an error row, carries ``key`` as its ``index`` columns.
+    ``rows(ctx, axes, cells, out)``, the optional range kernel, appends to
+    ``out`` the ``Row``s of ``cells``, a contiguous range of flat indices into
+    the grid, equal to those of ``row`` on each cell.  ``out`` holds the rows
+    just before ``cells.start``, error rows too: all of them in the parent,
+    none in a pool chunk.  It may raise, and then ``_eval`` drops what it
+    appended and maps ``row`` over the run.  Without a kernel, a run is the
+    map of ``row``.  ``summary(good, p)`` gives the kind's own summary keys
+    from its error-free rows; ``summarize`` adds the fit keys to every kind
+    whose ``columns`` include ``hA``, mapping the log-scale fit to the
+    config's ``C`` by ``C_of_fit``.
     """
 
     Row: type
@@ -145,7 +148,7 @@ class KindSpec:
     params: tuple[tuple, ...]
     prepare: Callable[[dict, int], tuple[tuple, tuple[Sequence, ...]]]
     row: Callable[..., tuple]
-    rows: Callable[[tuple, tuple, range], list[tuple]] | None = None
+    rows: Callable[[tuple, tuple, range, list], None] | None = None
     summary: Callable[[list[tuple], dict], dict] = lambda good, p: {}
     C_of_fit: Callable[[float], float] = lambda fit: fit
 
@@ -306,10 +309,10 @@ def _gcds(a: int, b: int, axes: tuple, cells: range) -> Iterator[tuple[int, int]
             x, y = x * a, y * b
 
 
-def _rows_bcz(ctx: tuple, axes: tuple, cells: range) -> list[tuple]:
+def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
     """The map of ``_row_bcz`` over a run, with its gcds from ``_gcds``."""
     a, b, eps, C = ctx
-    return [_BCZRow(n, g, **vojta_bound(log(g), n * LN2, eps, C))
+    out += [_BCZRow(n, g, **vojta_bound(log(g), n * LN2, eps, C))
             for n, g in _gcds(a, b, axes, cells)]
 
 
@@ -326,20 +329,19 @@ def _row_cz(ctx: tuple, a: int, b: int) -> tuple:
     return _CZRow(a, b, v.kind, v.m, v.n, v.gcd, v.lhs, v.rhs, v.holds)
 
 
-def _rows_cz(ctx: tuple, axes: tuple, cells: range) -> list[tuple]:
+def _rows_cz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
     """The map of ``_row_cz`` over a run.  ``_trichotomy`` is symmetric, so a
-    cell (i, j), j < i, copies the row of (j, i) in the run with m, n swapped."""
+    cell (i, j), j < i, copies the row of (j, i) in ``out``, m, n swapped, if error-free."""
     _, eps, unit = ctx
-    units, L, s, out, new = axes[1], len(axes[1]), cells.start, [], tuple.__new__
+    units, L, s, new = axes[1], len(axes[1]), cells.start, tuple.__new__
+    base = s - len(out)  # the cell of out[0]
     for i in range(s // L, -(-cells.stop // L)) if cells else ():
         a, ua, lo = units[i], unit[units[i]], max(s - i * L, 0)
         for j, b in enumerate(units[lo:min(cells.stop - i * L, L)], lo):
-            if j < i and (k := j * L + i - s) >= 0:
-                r = out[k]
+            if j < i and (k := j * L + i - base) >= 0 and (r := out[k])[9] is None:
                 out.append(new(_CZRow, (a, b, r[2], r[4], r[3], r[5], r[6], r[7], r[8], None)))
             else:
                 out.append(new(_CZRow, (a, b, *_trichotomy(ua, unit[b], eps), None)))
-    return out
 
 
 def _summary_cz(good: list[tuple], p: dict) -> dict:
@@ -366,10 +368,10 @@ def _row_ar(ctx: tuple, n: int) -> tuple:
     return _ARRow(n, g, base, g == base)
 
 
-def _rows_ar(ctx: tuple, axes: tuple, cells: range) -> list[tuple]:
+def _rows_ar(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
     """The map of ``_row_ar`` over a run, with its gcds from ``_gcds``."""
     a, b, base = ctx
-    return [_ARRow(n, g, base, g == base) for n, g in _gcds(a, b, axes, cells)]
+    out += [_ARRow(n, g, base, g == base) for n, g in _gcds(a, b, axes, cells)]
 
 
 def _summary_ar(good: list[tuple], p: dict) -> dict:
@@ -594,27 +596,25 @@ def _keys(axes: tuple, cells: range) -> Iterator[tuple]:
     return islice(product(A[i:], B), j, j + len(cells))
 
 
-def _eval(kind: SweepKind, ctx: tuple, axes: tuple, cells: range) -> list[tuple]:
-    """Rows of ``cells``, a range of flat indices into the grid of ``axes``, in order.
+def _eval(kind: SweepKind, ctx: tuple, axes: tuple, cells: range, out: list) -> None:
+    """Append the rows of ``cells``, a range of flat indices into the grid of
+    ``axes``, to ``out`` in order; ``out`` holds those before (see ``KindSpec``).
 
     The kind's kernel evaluates the run when it has one and does not raise;
-    otherwise each cell goes through ``row``, and failures become tagged rows
-    of the cell's index, never exceptions.
+    otherwise each cell goes through ``row``, and a failing cell becomes an error row.
     """
-    spec = SPECS[kind]
+    spec, start = SPECS[kind], len(out)
     if spec.rows is not None:
         try:
-            return spec.rows(ctx, axes, cells)
+            return spec.rows(ctx, axes, cells, out)
         except Exception:  # the cells below tag the failures
-            pass
+            del out[start:]
     blank = (None,) * (len(spec.columns) - len(spec.index) - 1)
-    rows = []
     for key in _keys(axes, cells):
         try:
-            rows.append(spec.row(ctx, *key))
+            out.append(spec.row(ctx, *key))
         except Exception as exc:  # per-record capture is the contract here
-            rows.append(spec.Row(*key, *blank, f"{type(exc).__name__}: {exc}"))
-    return rows
+            out.append(spec.Row(*key, *blank, f"{type(exc).__name__}: {exc}"))
 
 
 # (kind, ctx, axes) of the sweep a pool worker serves; set once per worker by
@@ -629,7 +629,8 @@ def _init_worker(kind: SweepKind, ctx: tuple, axes: tuple) -> None:
 
 def _eval_chunk(cells: range) -> list[tuple]:
     kind, ctx, axes = _WORKER
-    return list(map(tuple, _eval(kind, ctx, axes, cells)))
+    _eval(kind, ctx, axes, cells, rows := [])
+    return list(map(tuple, rows))
 
 
 # Seconds to start and stop a pool of two workers, by start method (2 cores,
@@ -651,14 +652,13 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     total = prod(len(axis) for axis in axes)
     workers = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
-    if workers == 1:
-        records = _eval(kind, ctx, axes, range(total))
-    else:  # reading the start method fixes it, so only a run that may pool reads it
-        records, mp = [], get_context()
-        pool_s = _POOL_START_S[mp.get_start_method()]
-    step, start = 1, perf_counter()
+    records, step, pool_s = [], total, inf  # one job: the whole grid in one run
+    if workers > 1:  # reading the start method fixes it, so only a run that may pool reads it
+        mp = get_context()
+        step, pool_s = 1, _POOL_START_S[mp.get_start_method()]
+    start = perf_counter()
     while (done := len(records)) < total:  # the serial head
-        records += _eval(kind, ctx, axes, range(done, min(done + step, total)))
+        _eval(kind, ctx, axes, range(done, min(done + step, total)), records)
         spent, step = perf_counter() - start, min(2 * step, 64)
         if spent > pool_s and spent * (total - len(records)) > 2 * pool_s * len(records):
             break

@@ -255,12 +255,23 @@ def test_eds_renders_terms_past_the_int_str_limit(capsys):
     assert len(rows[-1][1]) > 4300
 
 
-@pytest.mark.parametrize("bad", ["1", "0", "-1"])
+def test_eds_reports_divisibility_in_json_only(monkeypatch, capsys):
+    calls, check = [], cli.divisibility_check
+    monkeypatch.setattr(cli, "divisibility_check",
+                        lambda terms: calls.append(1) or check(terms))
+    argv = ["eds", "--curve", C37, "--point", "0,0", "--nmax", "5"]
+    assert main(argv) == 0 and calls == []
+    assert main([*argv, "--format", "json"]) == 0 and calls == [1]
+
+
+@pytest.mark.parametrize("bad", ["1", "0", "-1", "4"])
 def test_eds_ignore_primes_must_be_primes(bad, capsys):
-    rc = main(["eds", "--curve", C37, "--point", "0,0", "--nmax", "10",
-               "--format", "json", "--ignore-primes", bad])
-    assert rc == 2
-    assert f"not a prime: {bad}" in capsys.readouterr().err
+    # in either format, though only JSON prints the report they shape
+    for fmt in ("csv", "json"):
+        rc = main(["eds", "--curve", C37, "--point", "0,0", "--nmax", "10",
+                   "--format", fmt, "--ignore-primes", bad])
+        assert rc == 2
+        assert f"not a prime: {bad}" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------------

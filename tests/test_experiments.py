@@ -535,16 +535,27 @@ def test_abelian_sweep_frozen():
 # error handling
 # ----------------------------------------------------------------------------
 
+def _appended(prefix: list, fn, *args) -> list:
+    """The rows ``fn(*args, out)`` appends to ``out``, a copy of ``prefix``:
+    ``fn`` returns nothing and leaves the prefix as it was."""
+    out = list(prefix)
+    assert fn(*args, out) is None
+    assert out[:len(prefix)] == prefix
+    return out[len(prefix):]
+
+
 def test_eval_cell_tags_failures_with_index():
     # a context whose eps breaks every row: cell 2 of the grid is n = 3
-    rows = experiments._eval(SweepKind.BCZ, (2, 3, "bad", 0.0), (range(1, 5),), range(2, 3))
+    rows = _appended([], experiments._eval, SweepKind.BCZ, (2, 3, "bad", 0.0),
+                     (range(1, 5),), range(2, 3))
     assert len(rows) == 1
     assert rows[0].n == 3
     assert rows[0].error.startswith("TypeError")
     # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20)
     ctx = ([1, 1, 1], None, 0.5, 1.0)  # S = None fails every row
     axes = (range(1, 4), [10, 20, 30, 40])
-    rows = experiments._eval(SweepKind.MIXED_CHECK, ctx, axes, range(5, 6))
+    rows = _appended(["row 4"], experiments._eval, SweepKind.MIXED_CHECK, ctx, axes,
+                     range(5, 6))
     assert [k for k, v in rows[0]._asdict().items() if v is not None] == ["n", "b", "error"]
     assert (rows[0].n, rows[0].b) == (2, 20)
 
@@ -603,9 +614,9 @@ def _kernel_failures(monkeypatch, kind: SweepKind) -> list[range]:
     spec = experiments.SPECS[kind]
     failed = []
 
-    def kernel(ctx, axes, cells):
+    def kernel(ctx, axes, cells, out):
         try:
-            return spec.rows(ctx, axes, cells)
+            return spec.rows(ctx, axes, cells, out)
         except Exception:
             failed.append(cells)
             raise
@@ -644,31 +655,39 @@ def _runs(total: int, width: int) -> list[range]:
 
 @pytest.mark.parametrize("kind", list(KERNEL_GRIDS))
 def test_kernel_rows_match_the_map_of_row(kind):
+    # each run twice: after no rows, as in a pool chunk, and after the rows of
+    # every cell before it, as in the parent
     spec = experiments.SPECS[kind]
     ctx, axes = spec.prepare(experiments._checked(kind, KERNEL_GRIDS[kind]), 0)
     keys = list(itertools.product(*axes))
     runs = _runs(len(keys), len(axes[-1]))
     assert len(keys) > 300 and max(map(len, runs)) == len(keys)
+    rows = [spec.row(ctx, *key) for key in keys]
     for cells in runs:
-        want = [spec.row(ctx, *key) for key in keys[cells.start:cells.stop]]
-        got = spec.rows(ctx, axes, cells)
-        assert got == want and experiments._eval(kind, ctx, axes, cells) == want
-        assert {type(r) for r in got} <= {spec.Row}
-    # a context that breaks every cell: the kernel raises on each run, and
-    # _eval tags each cell of it as the map of row does
+        want = rows[cells.start:cells.stop]
+        for prefix in ([], rows[:cells.start]):
+            got = _appended(prefix, spec.rows, ctx, axes, cells)
+            assert got == want
+            assert _appended(prefix, experiments._eval, kind, ctx, axes, cells) == want
+            assert {type(r) for r in got} <= {spec.Row}
+    # a context that breaks every cell: the kernel raises on each run, also
+    # after error rows it must not copy, and _eval tags each cell of the run
+    # as the map of row does
     broken = list(ctx)
     broken[BREAK_CTX[kind]] = "bad"
     blank = (None,) * (len(spec.columns) - len(spec.index) - 1)
+    errors = []
+    for key in keys:
+        with pytest.raises(TypeError) as exc:
+            spec.row(tuple(broken), *key)
+        errors.append(spec.Row(*key, *blank, f"TypeError: {exc.value}"))
     for cells in runs:
-        want = []
-        for key in keys[cells.start:cells.stop]:
-            with pytest.raises(TypeError) as exc:
-                spec.row(tuple(broken), *key)
-            want.append(spec.Row(*key, *blank, f"TypeError: {exc.value}"))
-        if cells:
-            with pytest.raises(TypeError):
-                spec.rows(tuple(broken), axes, cells)
-        assert experiments._eval(kind, tuple(broken), axes, cells) == want
+        for prefix in ([], errors[:cells.start]):
+            if cells:
+                with pytest.raises(TypeError):
+                    spec.rows(tuple(broken), axes, cells, list(prefix))
+            assert (_appended(prefix, experiments._eval, kind, tuple(broken), axes, cells)
+                    == errors[cells.start:cells.stop])
 
 
 # BCZ and AR grids whose power of two 2**k, k in 1..3, is a or b; the route
@@ -701,13 +720,13 @@ def test_mersenne_kernels_match_the_map_of_row(kind, params, routed, e0, monkeyp
     keys = list(itertools.product(*axes))
     for cells in _runs(len(keys), len(axes[-1])):
         want = [spec.row(ctx, *key) for key in keys[cells.start:cells.stop]]
-        assert spec.rows(ctx, axes, cells) == want
+        assert _appended([], spec.rows, ctx, axes, cells) == want
     # the routed grids cross the cut-off; the others never take the route
     assert (min(es) < e0 <= max(es)) if routed else es == []
 
 
 # CZ grids whose runs the mirror kernel builds: a cell (i, j) below the
-# diagonal copies the row of (j, i) when that row is in the same run
+# diagonal copies the row of (j, i) when that row is already written
 MIRROR_GRIDS = [{"primes": primes, "bound": bound, "eps": eps}
                 for primes, bound in (([2, 3], 40), ([2, 5], 130), ([2, 3, 5], 30))
                 for eps in (0.25, 0.05)]
@@ -731,16 +750,22 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
                         lambda ua, ub, eps: calls.append(1) or core(ua, ub, eps))
     L = len(axes[1])
     for cells in _runs(len(keys), L):
-        calls.clear()
-        got = spec.rows(ctx, axes, cells)
-        assert got == rows[cells.start:cells.stop]
-        assert {type(r) for r in got} <= {spec.Row}
-        # a cell (i, j) calls the core unless j < i and (j, i) is in the run
-        own = [k for k in cells if k % L >= k // L or (k % L) * L + k // L < cells.start]
-        assert len(calls) == len(own)
+        # after no rows, as in a pool chunk, and after all those before the
+        # run, as in the parent
+        for prefix in ([], rows[:cells.start]):
+            calls.clear()
+            got = _appended(prefix, spec.rows, ctx, axes, cells)
+            assert got == rows[cells.start:cells.stop]
+            assert {type(r) for r in got} <= {spec.Row}
+            # a cell (i, j) calls the core unless j < i and (j, i) is written
+            first = cells.start - len(prefix)
+            own = [k for k in cells if k % L >= k // L or (k % L) * L + k // L < first]
+            assert len(calls) == len(own)
+        # after all rows before it, only the cells on or above the diagonal
+        assert len(own) == sum(k % L >= k // L for k in cells)
     # on the whole grid, once per unordered pair
     calls.clear()
-    spec.rows(ctx, axes, range(len(keys)))
+    _appended([], spec.rows, ctx, axes, range(len(keys)))
     assert len(calls) == L * (L + 1) // 2
 
 
@@ -771,10 +796,18 @@ def test_error_budget_zero_raises(monkeypatch):
     assert line == "3,,,,,,RuntimeError: injected"
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="pool workers must inherit the patched row")
-def test_pool_error_rows_match_serial(monkeypatch, forced_pool):
-    spec = experiments.SPECS[SweepKind.CZ_TRICHOTOMY]
+# a CZ sweep of 22 units whose cells (-4, 6) and (6, -4), 95 and 158, fail
+CZ30_FAULTY = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
+                          parameters={"primes": [2, 3], "bound": 30, "eps": 0.25,
+                                      "error_budget": 2})
+CZ30_ERRORS = [experiments._CZRow(-4, 6, *[None] * 7, "RuntimeError: injected"),
+               experiments._CZRow(6, -4, *[None] * 7, "RuntimeError: injected")]
+
+
+def _inject_cz_fault(monkeypatch) -> None:
+    """A fault of the core of the CZ kernel and of cz_classify, which row
+    calls, on the pair {6, -4}; it is symmetric, as any fault of the
+    symmetric core is."""
     core = mulgrp._trichotomy
 
     def flaky(ua, ub, eps):
@@ -782,27 +815,69 @@ def test_pool_error_rows_match_serial(monkeypatch, forced_pool):
             raise RuntimeError("injected")
         return core(ua, ub, eps)
 
-    # the core of the kernel and of cz_classify, which row calls; the fault is
-    # symmetric, as any fault of the symmetric core is, since the kernel
-    # evaluates only one cell of each mirrored pair in a run
     monkeypatch.setattr(experiments, "_trichotomy", flaky)
     monkeypatch.setattr(mulgrp, "_trichotomy", flaky)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers must inherit the patched row")
+def test_pool_error_rows_match_serial(monkeypatch, forced_pool):
+    spec = experiments.SPECS[SweepKind.CZ_TRICHOTOMY]
+    _inject_cz_fault(monkeypatch)
     failed = _kernel_failures(monkeypatch, SweepKind.CZ_TRICHOTOMY)
-    cfg = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
-                      parameters={"primes": [2, 3], "bound": 30, "eps": 0.25,
-                                  "error_budget": 2})
-    serial = run(cfg)
+    serial = run(CZ30_FAULTY)
     assert failed == [range(len(serial.records))]
-    pooled = run(cfg, jobs=2)
+    pooled = run(CZ30_FAULTY, jobs=2)
     assert len(forced_pool) == 1
     bad = [r for r in pooled.records if r.error]
-    assert bad == [spec.Row(-4, 6, *[None] * 7, "RuntimeError: injected"),
-                   spec.Row(6, -4, *[None] * 7, "RuntimeError: injected")]
+    assert bad == CZ30_ERRORS
     assert {type(r) for r in bad} == {spec.Row}
     assert {r.error for r in bad} == {"RuntimeError: injected"}
     assert pooled.records == serial.records
     assert {type(r) for r in serial.records} == {type(r) for r in pooled.records} == {spec.Row}
     assert render_json(pooled) == render_json(serial)
+
+
+def test_head_never_copies_an_error_row(monkeypatch, pools):
+    # a clock that ticks once per reading and a pool start-up far above the
+    # sweep's cost: the parent runs every cell in its doubling runs, and the
+    # run of (6, -4) finds the error row of (-4, 6) written by an earlier one
+    monkeypatch.setattr(experiments, "perf_counter", itertools.count().__next__)
+    monkeypatch.setattr(experiments, "_POOL_START_S",
+                        dict.fromkeys(experiments._POOL_START_S, 10 ** 6))
+    _inject_cz_fault(monkeypatch)
+    serial = run(CZ30_FAULTY)
+    failed = _kernel_failures(monkeypatch, SweepKind.CZ_TRICHOTOMY)
+    head = run(CZ30_FAULTY, jobs=2)
+    assert pools == []
+    # the kernel raises on both runs: (6, -4) is evaluated, not copied
+    assert [(95 in cells, 158 in cells) for cells in failed] == [(True, False),
+                                                                 (False, True)]
+    assert [r for r in head.records if r.error] == CZ30_ERRORS
+    assert head.summary == serial.summary
+    assert head.records == serial.records
+    assert render_json(head) == render_json(serial)
+
+
+def test_cz_head_makes_the_core_calls_of_one_job(monkeypatch, pools):
+    # a clock that stands still, so that the sweep is too cheap to pool: the
+    # parent's doubling runs make L(L+1)/2 calls on L units, as one run does
+    monkeypatch.setattr(experiments, "perf_counter", lambda: 0.0)
+    calls, core = [], experiments._trichotomy
+    monkeypatch.setattr(experiments, "_trichotomy",
+                        lambda ua, ub, eps: calls.append(1) or core(ua, ub, eps))
+    cfg = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
+                      parameters={"primes": [2, 3], "bound": 110, "eps": 0.25})
+    counts, results = [], []
+    for jobs in (1, 2):
+        calls.clear()
+        results.append(run(cfg, jobs=jobs))
+        counts.append(len(calls))
+    assert pools == []
+    L = 40
+    assert len(results[0].records) == L * L
+    assert counts == [L * (L + 1) // 2] * 2
+    assert render_json(results[1]) == render_json(results[0])
 
 
 def test_cheap_sweep_builds_no_pool(pools):
@@ -824,8 +899,8 @@ def test_pool_after_a_serial_head_is_byte_identical(cfg, pools, monkeypatch):
     monkeypatch.setattr(experiments, "_POOL_START_S",
                         dict.fromkeys(experiments._POOL_START_S, 3))
     runs, evaluate = [], experiments._eval
-    monkeypatch.setattr(experiments, "_eval", lambda kind, ctx, axes, cells:
-                        runs.append(cells) or evaluate(kind, ctx, axes, cells))
+    monkeypatch.setattr(experiments, "_eval", lambda kind, ctx, axes, cells, out:
+                        runs.append(cells) or evaluate(kind, ctx, axes, cells, out))
     pooled = run(cfg, jobs=2)
     head_runs = list(runs)
     assert render_csv(pooled) == render_csv(run(cfg))
