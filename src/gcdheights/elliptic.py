@@ -11,12 +11,15 @@ the bookkeeping naive = ln max(|A|, D^2), half of which is the normalized
 Weil height the canonical height refines.
 
 ``multiples`` gets x(nP) from the scaled division values W_n =
-d^(n^2-1) psi_n(P) of Ward's recurrence, in integers only; chord-tangent
-``add`` and ``scalar_mul`` on Fractions stay as the independent route the
-tests check it against.  ``canonical_height`` sums local heights at the least
-multiple mP with nonsingular reduction at every prime: 2 ln D_mP for the
-primes, and Silverman's series in double precision, with its error bound,
-for the real place.  The tests check it against doubling the point.
+d^(n^2-1) psi_n(P) of Ward's recurrence, in integers only, with the primes of
+gcd(W_2, W_3) (where P has singular reduction) stripped and their exact
+valuations kept beside; the sweeps read D_nP and the naive height, off the
+top bits, from the same values.  Chord-tangent ``add`` and ``scalar_mul`` on
+Fractions stay as the independent route the tests check them against.
+``canonical_height`` sums local heights at the least multiple mP with
+nonsingular reduction at every prime: 2 ln D_mP for the primes, and
+Silverman's series in double precision, with its error bound, for the real
+place.  The tests check it against doubling the point.
 """
 
 from __future__ import annotations
@@ -182,16 +185,23 @@ def _w3(b: tuple[int, int, int, int], a: int, e: int) -> int:
     return (((3 * a + b2 * e) * a + 3 * b4 * e * e) * a + 3 * b6 * e**3) * a + b8 * e**4
 
 
-def _division_values(c: Curve, p: Point, n_max: int) -> list[int]:
-    """[W_0, ..., W_N], N = max(n_max, 4), W_n = d^(n^2-1) psi_n(P), x_P = a/d^2.
+def _division_values(c: Curve, p: Point, n_max: int, strip: bool = False
+                     ) -> tuple[list[int], list[int] | None, list[list]]:
+    """(u, primes, vals): W_0..W_N, N = max(n_max, 4), W_n = d^(n^2-1) psi_n(P).
 
     W_1..W_4 come from the b-invariants; the rest from Ward's recurrence
 
         W_{2m+1} = W_{m+2} W_m^3 - W_{m-1} W_{m+1}^3
         W_{2m}   = (W_{m+2} W_{m-1}^2 - W_{m-2} W_{m+1}^2) W_m / W_2,
 
-    whose division is exact.  W_n = 0 exactly when nP is the identity; the
-    even step divides by W_2, so W_2 = 0 is reported before it is needed.
+    whose division is exact.  W_k = 0 exactly when kP is the identity; one
+    with k < n_max is reported.  With strip, W_k = u_k prod q^vals[i][k] over
+    the primes q = primes[i] of G = gcd(W_2, W_3), u_k prime to G: a step
+    scales each product of u's by the power of q their valuations leave
+    between them, divides q out of the difference while q divides it, and the
+    even step divides by u_2.  So the valuations are exact, and no u_k carries
+    the powers of q that make up most of W_k at a point of singular reduction.
+    Without strip, or if _trial_primes cannot split G (primes None), u = W.
     """
     b = b2, b4, b6, b8 = c.b_invariants()
     a, d = p.x.numerator, isqrt(p.x.denominator)
@@ -200,8 +210,6 @@ def _division_values(c: Curve, p: Point, n_max: int) -> list[int]:
     d6 = d4 * d2
     d8 = d4 * d4
     w2 = 2 * p.y.numerator + c.a1 * a * d + c.a3 * d2 * d
-    if w2 == 0 and n_max > 2:
-        raise ValueError("point has finite order 2")
     w3 = _w3(b, a, d2)
     w4 = w2 * (
         2 * a**6 + b2 * a**5 * d2 + 5 * b4 * a**4 * d4 + 10 * b6 * a**3 * d6
@@ -209,23 +217,44 @@ def _division_values(c: Curve, p: Point, n_max: int) -> list[int]:
         + (b4 * b8 - b6 * b6) * d8 * d4
     )
     w = [0, 1, w2, w3, w4]
-    for k in range(5, n_max + 1):
+    primes = _trial_primes(gcd(w2, w3)) if strip and n_max > 2 else []
+    qs, vals = primes or [], []
+    for q in qs:
+        v, w = map(list, zip(*[_split(q, x) for x in w]))
+        vals.append(v)
+    for k in range(5, n_max + 1 if all(w[1:5]) else 5):  # a zero is reported below
         m = k >> 1
-        if k & 1:
+        if qs:  # the two products, each scaled by the power of q between them
+            i, j, g, h, e = ((m + 2, m, m - 1, m + 1, 3) if k & 1
+                             else (m + 2, m - 1, m - 2, m + 1, 2))
+            x, y = w[i] * w[j] ** e, w[g] * w[h] ** e
+            for q, v in zip(qs, vals):
+                s, t = v[i] + e * v[j], v[g] + e * v[h]
+                if s > t:
+                    x *= q ** (s - t)
+                elif t > s:
+                    y *= q ** (t - s)
+                v.append(min(s, t) if k & 1 else min(s, t) + v[m] - v[2])
+            x -= y
+            for q, v in zip(qs, vals):  # q divides x only if s = t
+                if x % q == 0:
+                    r, x = _split(q, x)
+                    v[-1] += r
+            w.append(x if k & 1 else x * w[m] // w[2])
+            if not x:
+                break
+        elif k & 1:
             w.append(w[m + 2] * w[m] ** 3 - w[m - 1] * w[m + 1] ** 3)
         else:
-            w.append(
-                (w[m + 2] * w[m - 1] ** 2 - w[m - 2] * w[m + 1] ** 2) * w[m] // w2
-            )
-    return w
+            w.append((w[m + 2] * w[m - 1] ** 2 - w[m - 2] * w[m + 1] ** 2) * w[m] // w[2])
+    if 0 in w[1:n_max]:
+        raise ValueError(f"point has finite order {w.index(0, 1)}")
+    return w, primes, vals
 
 
 #: Trial division splits gcd(W_2, W_3) by divisors up to this bound; a
 #: cofactor it cannot certify prime sends ``multiples`` to one gcd per term.
 _TRIAL_BOUND = 1 << 10
-
-#: Bits of p-adic precision a tracked unit of W_k starts with (odd p).
-_UNIT_BITS = 64
 
 
 def _trial_primes(g: int) -> list[int] | None:
@@ -243,122 +272,58 @@ def _trial_primes(g: int) -> list[int] | None:
     return primes + [g] if g > 1 else primes
 
 
-def _v2(x: int) -> int | float:
-    """2-adic valuation of x, read off the bits; inf for 0."""
-    return (x & -x).bit_length() - 1 if x else inf
+def _split(q: int, x: int) -> tuple[int | float, int]:
+    """(v_q(x), x / q^v_q(x)) for a prime q, off the low bits for q = 2."""
+    if not x:
+        return inf, 0
+    if q == 2:
+        e = (x & -x).bit_length() - 1
+        return e, x >> e
+    e = 0
+    while x % q == 0:
+        x //= q
+        e += 1
+    return e, x
 
 
-def _odd_valuations(p: int, w: list[int]) -> list[int | float] | None:
-    """[v_p(W_k) for W_k in w] for an odd prime p (inf for 0), or None when
-    a tracked unit runs out of precision.
+def _terms(c: Curve, p: Point, n_max: int) -> tuple[int, int, zip | list]:
+    """(a, d, (x_n, y_n, z_n) for n = 1..n_max, read once), x_P = a/d^2, with
+    x(nP) = (a x_n^2 - y_n z_n) / (d x_n)^2 in lowest terms.
 
-    W_1..W_4 are read exactly.  Past them each W_k is carried as a triple
-    (v, u, r), W_k = p^v U with U = u mod p^r and p not dividing u, through
-    Ward's recurrence: the odd step is a difference of two products, the
-    even step also adds v(W_m) - v(W_2) and multiplies by the unit of W_2
-    inverted.  A difference of equal valuations loses the digits its units
-    share, so each value keeps its own precision r; none of the big W_k is
-    divided.
-    """
-    top = -(-_UNIT_BITS // (p.bit_length() - 1))
-
-    def exact(x):
-        if x == 0:
-            return inf, 0, top
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v, x % p**top, top
-
-    def prod(*xs):
-        r = min(x[2] for x in xs)
-        mod, u = p**r, 1
-        for x in xs:
-            u = u * x[1] % mod
-        return sum(x[0] for x in xs), u, r
-
-    def diff(s, t):
-        if s[0] > t[0]:
-            v, u, r = diff(t, s)
-            return v, -u % p**r, r
-        shift = t[0] - s[0]
-        r = min(s[2], t[2] + shift)
-        u = (s[1] - t[1] * p**shift) % p**r if shift < r else s[1]
-        v = s[0]
-        if u == 0:
-            return None
-        while u % p == 0:
-            u //= p
-            v += 1
-            r -= 1
-        return v, u, r
-
-    t = [exact(x) for x in w[:5]]
-    inv2 = (-t[2][0], pow(t[2][1], -1, p**top), top)
-    for k in range(5, len(w)):
-        m = k >> 1
-        if w[k] == 0:
-            x = exact(0)
-        elif k & 1:
-            x = diff(prod(t[m + 2], t[m], t[m], t[m]),
-                     prod(t[m - 1], t[m + 1], t[m + 1], t[m + 1]))
-        else:
-            x = diff(prod(t[m + 2], t[m - 1], t[m - 1]),
-                     prod(t[m - 2], t[m + 1], t[m + 1]))
-            x = x and prod(x, t[m], inv2)
-        if x is None:
-            return None
-        t.append(x)
-    return [x[0] for x in t[:len(w)]]
-
-
-def multiples(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
-    """[(A_n, D_n) for n = 1..n_max] with x(nP) = A_n / D_n^2 in lowest terms.
-
-    x(nP) = (a W_n^2 - W_{n-1} W_{n+1}) / (d^2 W_n^2) from the division values
-    of _division_values.  Its common factor lies only over the primes of
-    G = gcd(W_2, W_3), where P reduces to a singular point (Ayad 1992); a
-    prime dividing d cannot divide G, since there W_2 = 2y and W_3 = 3a^4
-    mod p.  So with G = 1 the pair (num, d |W_n|) is already in lowest
-    terms.  Otherwise the valuations v(W_k) at each prime q of G are read
-    off the bits for q = 2 and from _odd_valuations for odd q, the q-parts
-    are divided out of every W_k, and each term is rebuilt without the
-    shared q^e, 2e = min(v(W_{n-1} W_{n+1}), 2 v(W_n)) = min(v(num), 2 v(W_n)).
-    When trial division cannot split G or a tracked unit runs out of
-    precision, each term is reduced by one full-size gcd instead.
-    Hitting the identity means the base point has finite order, which no
-    caller can absorb; it is reported rather than skipped.
+    x(nP) = (a W_n^2 - W_{n-1} W_{n+1}) / (d W_n)^2 has its common factor only
+    over the primes of G = gcd(W_2, W_3), where P reduces to a singular point
+    (Ayad 1992); no prime of d divides G, as W_2 = 2y, W_3 = 3a^4 modulo it.
+    So the terms are the u_k of _division_values, with the shared q^e of each
+    prime q of G left out, 2e = min(v(W_{n-1} W_{n+1}), 2 v(W_n)).  When trial
+    division cannot split G, one gcd per term gives a = 0, d = 1, (D_n, -1, A_n).
     """
     if p.is_identity:
         raise ValueError("point has finite order 1")
-    w = _division_values(c, p, n_max + 1)[:n_max + 2]
-    if 0 in w[1:-1]:
-        raise ValueError(f"point has finite order {w.index(0, 1)}")
+    u, primes, vals = _division_values(c, p, n_max + 1, strip=True)
     a, d = p.x.numerator, isqrt(p.x.denominator)
-    primes = _trial_primes(gcd(w[2], w[3])) if n_max > 1 else []
-    vals = [_odd_valuations(q, w) if q & 1 else [_v2(x) for x in w]
-            for q in primes or ()]
-    if not vals or None in vals:
-        # G = 1: in lowest terms already; otherwise the full-gcd route
-        out = [(a * (w[n] * w[n]) - w[n - 1] * w[n + 1], d * abs(w[n]))
-               for n in range(1, n_max + 1)]
-        return out if primes == [] else _reduce_by_gcd(out)
-    u = w  # the W_k with the primes of G divided out
-    for q, v in zip(primes, vals):
-        u = [x and (x >> e if q == 2 else x // q**e) for x, e in zip(u, v)]
-    out = []
-    for n in range(1, n_max + 1):
-        lo = hi = 1  # what stays of the q-parts of W_n and of W_{n-1} W_{n+1}
+    xs, zs = u[1:n_max + 1], u[2:n_max + 2]
+    for n in range(1, n_max + 1) if vals else ():
         for q, v in zip(primes, vals):
             s, t = v[n - 1] + v[n + 1], 2 * v[n]
             if s < t:
-                lo *= q ** ((t - s) // 2)
+                xs[n - 1] *= q ** ((t - s) // 2)
             elif t < s < inf:
-                hi *= q ** (s - t)
-        un = u[n] * lo
-        out.append((a * (un * un) - u[n - 1] * u[n + 1] * hi, d * abs(un)))
-    return out
+                zs[n - 1] *= q ** (s - t)
+    terms = zip(xs, u[:n_max], zs)
+    if primes is None:
+        pairs = _reduce_by_gcd([(a * (x * x) - y * z, d * abs(x)) for x, y, z in terms])
+        return 0, 1, [(dn, -1, an) for an, dn in pairs]
+    return a, d, terms
+
+
+def multiples(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
+    """[(A_n, D_n) for n = 1..n_max] with x(nP) = A_n / D_n^2 in lowest terms,
+    from Ward's recurrence with the primes of gcd(W_2, W_3) stripped (see
+    _terms).  Hitting the identity means the base point has finite order,
+    which no caller can absorb; it is reported rather than skipped.
+    """
+    a, d, terms = _terms(c, p, n_max)
+    return [(a * (x * x) - y * z, d * abs(x)) for x, y, z in terms]
 
 
 def _reduce_by_gcd(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -370,13 +335,59 @@ def _reduce_by_gcd(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
+#: Top bits of x_n, y_n, z_n that bound |A_n| and D_n^2 in _log_naive, and the
+#: size of x_n up to which _denominators forms them in full instead.
+_TOP_BITS = 128
+_EXACT_BITS = 1024
+
+
+def _log_naive(a: int, d: int, x: int, y: int, z: int) -> float:
+    """ln max(|a x^2 - y z|, (d x)^2), bit for bit math.log of that integer.
+
+    The top _TOP_BITS bits of x, y and z bound both integers at one scale
+    2^k, so their max lies between lo 2^k and hi 2^k, the greater lower and
+    the greater upper bound.  If lo and hi round to the same float, so does
+    every integer between: CPython's int-to-float conversion (PyLong_AsDouble,
+    _PyLong_Frexp) rounds correctly, hence monotonically, 2^k moves only the
+    exponent, and math.log of an int reads nothing but that rounded value (as
+    mantissa and exponent past the float range).  So log(lo << k) is exact to
+    the last bit; otherwise the integers are formed in full.
+    """
+    sx, sy, sz = (max(t.bit_length() - _TOP_BITS, 0) for t in (x, y, z))
+    k = min(2 * sx, sy + sz)
+    xl, yl, zl = abs(x) >> sx, abs(y) >> sy, abs(z) >> sz
+    x2l, x2h = xl * xl << 2 * sx - k, (xl + (sx > 0)) ** 2 << 2 * sx - k
+    yzl = yl * zl << sy + sz - k
+    yzh = (yl + (sy > 0)) * (zl + (sz > 0)) << sy + sz - k
+    al, ah = abs(a) * x2l, abs(a) * x2h
+    if (a < 0) == ((y < 0) != (z < 0)):  # a x^2 and y z have one sign
+        lo, hi = max(al - yzh, yzl - ah, 0), max(ah - yzl, yzh - al)
+    else:
+        lo, hi = al + yzl, ah + yzh
+    lo, hi = max(lo, d * d * x2l), max(hi, d * d * x2h)
+    if hi.bit_length() < 1000 and float(lo) == float(hi):  # float() cannot overflow
+        return log(lo << k)
+    return log(max(abs(a * (x * x) - y * z), (d * x) ** 2))
+
+
+def _denominators(c: Curve, p: Point, n_max: int, naive: bool = False) -> list:
+    """[D_n], or with naive [(D_n, ln max(|A_n|, D_n^2))], n = 1..n_max, from
+    _terms and _log_naive: the values of ``multiples`` and ``naive_height``."""
+    a, d, terms = _terms(c, p, n_max)
+    if not naive:
+        return [d * abs(x) for x, _, _ in terms]
+    return [(dn, log(max(abs(a * (x * x) - y * z), dn * dn))
+             if x.bit_length() <= _EXACT_BITS else _log_naive(a, d, x, y, z))
+            for x, y, z in terms for dn in (d * abs(x),)]
+
+
 def eds(c: Curve, p: Point, n_max: int) -> tuple[int, ...]:
     """Denominator sequence (D_P, D_2P, ..., D_NP) of the multiples of P."""
     if p.is_identity:
         raise ValueError("base point is the identity")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return tuple(d for _, d in multiples(c, p, n_max))
+    return tuple(_denominators(c, p, n_max))
 
 
 # ----------------------------------------------------------------------------

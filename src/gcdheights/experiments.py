@@ -58,7 +58,7 @@ from .arith import PrimeSet, mult_independent
 from .elliptic import (
     Curve,
     Point,
-    multiples,
+    _denominators,
     neg,
     on_curve,
 )
@@ -388,10 +388,8 @@ def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
     Q = None if p["q"] is None else _on_curve(c, p["q"], "q")
     # denominator and naive height once per multiple, not once per cell, and
     # one list for both axes when they share the base point
-    mp = [(d, log(max(abs(a), d * d)))
-          for a, d in multiples(c, P, max(m_max, n_max) if Q is None else m_max)]
-    nq = mp if Q is None else [(d, log(max(abs(a), d * d)))
-                               for a, d in multiples(c, Q, n_max)]
+    mp = _denominators(c, P, max(m_max, n_max) if Q is None else m_max, True)
+    nq = mp if Q is None else _denominators(c, Q, n_max, True)
     # (m/g, n/g) is one of exceptional_subgroups(eps) iff it is in this disc
     bound = 1.0 / (2.0 * p["eps"])
     return ((mp, nq, bound, p["eps"], p["C"]),
@@ -468,7 +466,7 @@ def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
     P = _on_curve(c, p["point"], "point")
     S = PrimeSet(p["primes"])
     units = s_unit_enumerate(S, p["b_bound"])
-    dq = [d for _, d in multiples(c, P, n_max)]
+    dq = _denominators(c, P, n_max)
     return (dq, S, p["eps"], p["C"]), (range(1, n_max + 1), units)
 
 
@@ -483,7 +481,7 @@ def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
     # (D, naive height) of n*P for n_min <= n <= n_max
-    dn = [(d, log(max(abs(a), d * d))) for a, d in multiples(c, P, n_max)[n_min - 1:]]
+    dn = _denominators(c, P, n_max, True)[n_min - 1:]
     return (n_min, dn), (range(n_min, n_max + 1),)
 
 
@@ -506,8 +504,7 @@ def _prepare_abelian(p: dict, seed: int) -> tuple[tuple, tuple]:
     Q = _on_curve(c, p["q"], "q")
     if Q in (P, neg(c, P)):  # then (nP, nQ) lies on a curve in E x E
         raise ValueError("q must not be p or -p: the points are dependent")
-    dp = [d for _, d in multiples(c, P, n_max)]
-    dq = [d for _, d in multiples(c, Q, n_max)]
+    dp, dq = _denominators(c, P, n_max), _denominators(c, Q, n_max)
     return (dp, dq, p["eps"], p["C"]), (range(1, n_max + 1),)
 
 

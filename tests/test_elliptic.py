@@ -5,7 +5,7 @@ import random
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
-from math import gcd, isclose, isqrt, log
+from math import gcd, isclose, isqrt, log, prod
 from statistics import median
 from time import perf_counter
 
@@ -31,7 +31,7 @@ from gcdheights import (
     scalar_mul,
 )
 from gcdheights import elliptic
-from gcdheights.elliptic import _division_values
+from gcdheights.elliptic import _denominators, _division_values
 
 # Half the regulator of 37a1, 0.0511114082399688 (Cremona's tables, LMFDB
 # 37.a1): the canonical height of (0,0) in the h(x)/2 normalization.
@@ -188,7 +188,7 @@ MULTIPLES_CASES = {
 @pytest.mark.parametrize("name", list(MULTIPLES_CASES))
 def test_multiples_match_chord_tangent_to_60(name):
     c, p, w_gcd = MULTIPLES_CASES[name]
-    w = _division_values(c, p, 3)
+    w = _division_values(c, p, 3)[0]
     assert gcd(w[2], w[3]) == w_gcd
     got = multiples(c, p, 60)
     for n in (1, 2, 7, 32, 60):
@@ -217,7 +217,7 @@ def test_multiples_of_torsion_points():
 def _multiples_by_gcd(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
     """The full-gcd route: every x(nP) from the division values, reduced by
     one gcd with its whole denominator."""
-    w = _division_values(c, p, n_max + 1)
+    w = _division_values(c, p, n_max + 1)[0]
     a, dd = p.x.numerator, p.x.denominator
     out = []
     for n in range(1, n_max + 1):
@@ -274,7 +274,7 @@ def test_multiples_property_against_gcd_route_and_chord_tangent(q):
             acc = add(c, acc, base)
             want.append(acc)
         assert got[:10] == _x_pairs(want)
-        w = _division_values(c, base, 3)
+        w = _division_values(c, base, 3)[0]
         at_q += gcd(w[2], w[3]) % q == 0
         non_integral += base.x.denominator > 1
     # the cases really reach the correction at q, also off integral points
@@ -306,7 +306,7 @@ def _assert_strong_divisibility(ds: list[int]) -> None:
 @pytest.mark.parametrize("name", list(STRONG_DIVISIBILITY_CASES))
 def test_multiples_denominators_are_a_strong_divisibility_sequence(name):
     c, p, w_gcd = STRONG_DIVISIBILITY_CASES[name]
-    w = _division_values(c, p, 3)
+    w = _division_values(c, p, 3)[0]
     assert gcd(w[2], w[3]) == w_gcd
     _assert_strong_divisibility([d for _, d in multiples(c, p, 30)])
 
@@ -327,20 +327,20 @@ def test_multiples_denominators_of_random_points_divide_strongly():
 
 
 def test_multiples_falls_back_to_the_gcd_route(monkeypatch):
-    calls = []
+    calls, gcds = [], []
     gcd_route = elliptic._reduce_by_gcd
     monkeypatch.setattr(elliptic, "_reduce_by_gcd",
                         lambda pairs: calls.append(len(pairs)) or gcd_route(pairs))
     for xy in ((-2, 3), (4, 9)):
         p = Point(F(xy[0]), F(xy[1]))
-        want = multiples(C17, p, 60)
-        assert calls == [] and want == _multiples_by_gcd(C17, p, 60)
-        # a tracked unit of W_k at 3 runs out of precision
+        # the valuations at the primes of gcd(W_2, W_3) are exact: the only
+        # gcd is that one, however many terms are asked for
         with monkeypatch.context() as m:
-            m.setattr(elliptic, "_UNIT_BITS", 1)
-            assert multiples(C17, p, 60) == want
-        assert calls == [60]
-        calls.clear()
+            m.setattr(elliptic, "gcd", lambda *xs: gcds.append(xs) or gcd(*xs))
+            want = multiples(C17, p, 60)
+        assert len(gcds) == 1 and calls == []
+        assert want == _multiples_by_gcd(C17, p, 60)
+        gcds.clear()
     # gcd(W_2, W_3) = 18 = 2 * 3^2 leaves a 9 that divisors up to 2 cannot split
     with monkeypatch.context() as m:
         m.setattr(elliptic, "_TRIAL_BOUND", 2)
@@ -365,6 +365,99 @@ def test_multiples_of_a_point_with_gcd_w2_w3_one_take_no_gcd_per_term(monkeypatc
     got = multiples(CM2, p, 40)
     assert len(calls) == 1 and calls[0][0] != 0
     assert got == _multiples_by_gcd(CM2, p, 40)
+
+
+# gcd(W_2, W_3) = 2018 = 2 * 1009: the recurrence strips a multi-digit prime
+C1009, P1009 = Curve(-2, 1, -2042, -728, 248), Point(F(-16), F(-4))
+
+
+def _valuation(q: int, x: int) -> int:
+    v = 0
+    while x % q == 0:
+        x //= q
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("c, p", [(C17, Point(F(-2), F(3))), (C17, Point(F(4), F(9))),
+                                  (C17, Point(F(2), F(5))), (C1009, P1009)])
+def test_stripped_recurrence_matches_the_plain_one(c, p):
+    u, primes, vals = _division_values(c, p, 61, strip=True)
+    w = _division_values(c, p, 61)[0]
+    assert primes == elliptic._trial_primes(gcd(w[2], w[3])) != [] and vals
+    for k in range(1, 62):
+        assert all(u[k] % q for q in primes)
+        assert [v[k] for v in vals] == [_valuation(q, w[k]) for q in primes]
+        assert u[k] * prod(q ** v[k] for q, v in zip(primes, vals)) == w[k]
+    # the powers of the primes of G, left out of u_k, grow with k
+    assert max(v[61] for v in vals) > 100
+    assert u[61].bit_length() < w[61].bit_length() - 100
+    assert multiples(c, p, 60) == _multiples_by_gcd(c, p, 60)
+
+
+def test_plain_recurrence_keeps_the_division_values():
+    w, primes, vals = _division_values(C17, Point(F(-2), F(3)), 30)
+    assert primes == [] and vals == [] and gcd(w[2], w[3]) == 6
+    assert w[30] % 6**20 == 0
+
+
+# 5077a1, rank 3: two more base points with gcd(W_2, W_3) = 1
+C5077 = Curve(0, 0, 1, -7, 6)
+NAIVE_CASES = [(c, p, 80) for c, p, _ in
+               [*MULTIPLES_CASES.values(), *STRONG_DIVISIBILITY_CASES.values()]]
+NAIVE_CASES += [(C5077, Point(F(1), F(0)), 100), (C5077, Point(F(2), F(0)), 100)]
+# 30(3,5) on y^2 = x^3 - 2 has a 1746-bit d: the bounds pass the float range
+NAIVE_CASES += [(CM2, scalar_mul(CM2, 30, Point(F(3), F(5))), 12)]
+
+
+def _naive_oracle(c: Curve, p: Point, n_max: int) -> list[tuple[int, float]]:
+    return [(d, naive_height((a, d)).value) for a, d in multiples(c, p, n_max)]
+
+
+def _top_bits_decisions(monkeypatch) -> list[bool]:
+    """One entry per logarithm _log_naive tries to settle off the top bits:
+    whether the two ends of its interval round to the same float."""
+    floats, out = [], []
+
+    def spy(x):
+        floats.append(float(x))
+        if len(floats) % 2 == 0:
+            out.append(floats[-2] == floats[-1])
+        return floats[-1]
+    monkeypatch.setattr(elliptic, "float", spy, raising=False)
+    return out
+
+
+@pytest.mark.parametrize("top_bits", [None, 128, 8])
+def test_naive_heights_from_top_bits_match_the_exact_route(monkeypatch, top_bits):
+    # None keeps the defaults; otherwise every term of more than 0 bits goes
+    # through _log_naive, at 8 bits mostly to the exact fallback
+    rng = random.Random(2025)
+    cases = list(NAIVE_CASES)
+    while len(cases) < len(NAIVE_CASES) + 150:
+        c, p = _singular_at(rng, rng.choice([1, 2, 3, 5, 7, 13]))
+        if not isinstance(_outcome(multiples, c, p, 40), str):
+            cases.append((c, p, 40))
+    want = [_naive_oracle(c, p, n) for c, p, n in cases]
+    decided = _top_bits_decisions(monkeypatch)
+    if top_bits is not None:
+        monkeypatch.setattr(elliptic, "_EXACT_BITS", 0)
+        monkeypatch.setattr(elliptic, "_TOP_BITS", top_bits)
+    assert [_denominators(c, p, n, naive=True) for c, p, n in cases] == want
+    assert [list(_denominators(c, p, n)) for c, p, n in cases] == [
+        [d for d, _ in pairs] for pairs in want]
+    if top_bits == 8:
+        assert decided.count(False) > 0.9 * len(decided)
+    else:  # 915 terms past 1024 bits, 7240 past 0 bits
+        assert len(decided) > (7000 if top_bits else 900) and all(decided)
+
+
+def test_naive_height_where_the_two_intervals_overlap():
+    # |A| = x^2 + 1 or x^2 - 2x - 1 against D^2 = x^2: both intervals hold both
+    x = random.Random(7).getrandbits(3000) | 1 << 2999
+    for y, z, big in [(x + 1, x - 1, x * x + 1), (x + 1, x + 1, x * x)]:
+        assert elliptic._log_naive(2, 1, x, y, z) == log(big)
+        assert elliptic._log_naive(-2, 1, -x, -y, z) == log(big)
 
 
 def test_eds_37a1_frozen(c37, p37):
@@ -532,9 +625,9 @@ def test_canonical_height_property_against_doubling(q):
         c, p = _singular_at(rng, q)
         if rng.random() < 0.3:
             p = add(c, p, p)  # mostly non-integral
-        if p.is_identity or 0 in _division_values(c, p, 2)[2:]:
+        if p.is_identity or 0 in _division_values(c, p, 2)[0][2:]:
             continue  # finite order, covered by the torsion test
-        w = _division_values(c, p, 3)
+        w = _division_values(c, p, 3)[0]
         at_q += gcd(w[2], w[3]) % q == 0
         cases.append((c, p))
     for c, p in cases:

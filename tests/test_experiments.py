@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,7 @@ from gcdheights import (
     SweepKind,
     SweepResult,
     cz_classify,
+    eds,
     exceptional_subgroups,
     format_real,
     gcd_pair,
@@ -295,6 +297,16 @@ def test_siegel_golden_csv(data_dir):
     assert s["median_abs_dev"] == 0.0 and s["max_ratio"] == 1.0
 
 
+def test_siegel_bad_reduction_golden_csv(data_dir):
+    # x^3 + 17 at (-2, 3) reduces to a singular point mod 2 and 3, and D_80 has
+    # 632 digits: the stripped recurrence and the top-bits logarithm
+    cfg = SweepConfig(kind=SweepKind.SIEGEL,
+                      parameters={"curve": [0, 0, 0, 0, 17], "point": [-2, 3],
+                                  "n_max": 80})
+    want = (data_dir / "siegel_x3p17_m2_3_n80.csv").read_text()
+    assert render_csv(run(cfg)) == render_csv(run(cfg, jobs=2)) == want
+
+
 # ----------------------------------------------------------------------------
 # summaries recompute from records
 # ----------------------------------------------------------------------------
@@ -470,9 +482,9 @@ def test_eds_gcd_flags_match_the_listed_subgroups(eps):
 @pytest.mark.parametrize("m_max, n_max", [(7, 12), (12, 7)])
 def test_eds_gcd_without_q_computes_the_multiples_once(monkeypatch, m_max, n_max):
     calls = []
-    real = experiments.multiples
-    monkeypatch.setattr(experiments, "multiples",
-                        lambda c, p, n: calls.append(n) or real(c, p, n))
+    real = experiments._denominators
+    monkeypatch.setattr(experiments, "_denominators",
+                        lambda c, p, n, naive=False: calls.append(n) or real(c, p, n, naive))
     params = {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": m_max,
               "n_max": n_max, "eps": 0.2}
     res = run(SweepConfig(kind=SweepKind.EDS_GCD, parameters=params))
@@ -589,11 +601,27 @@ def test_prepares_read_the_naive_height_bit_for_bit():
                   for a, d in multiples(c389, Point(0, 0), 30)]
     assert nq == [(d, naive_height((a, d)).value)
                   for a, d in multiples(c389, Point(1, 0), 25)]
-    params = {"curve": [0, 0, 0, 0, -2], "point": [3, 5], "n_min": 3, "n_max": 60}
-    (_, dn), _ = experiments.SPECS[SweepKind.SIEGEL].prepare(
-        experiments._checked(SweepKind.SIEGEL, params), 0)
-    assert dn == [(d, naive_height((a, d)).value)
-                  for a, d in multiples(c2, Point(3, 5), 60)[2:]]
+    # SIEGEL also at bad reduction (x^3 + 17 at (-2, 3), gcd(W_2, W_3) = 6) and
+    # at a non-integral point, 2(3, 5) = (129/100, -383/1000)
+    for c, point, n_min, n_max in [(c2, (3, 5), 3, 60), (Curve(0, 0, 0, 0, 17), (-2, 3), 1, 80),
+                                   (c2, ("129/100", "-383/1000"), 1, 40)]:
+        params = {"curve": [0, 0, 0, c.a4, c.a6], "point": list(point),
+                  "n_min": n_min, "n_max": n_max}
+        (_, dn), _ = experiments.SPECS[SweepKind.SIEGEL].prepare(
+            experiments._checked(SweepKind.SIEGEL, params), 0)
+        assert dn == [(d, naive_height((a, d)).value)
+                      for a, d in multiples(c, Point(*map(Fraction, point)), n_max)[n_min - 1:]]
+    # MIXED_CHECK and ABELIAN_GROWTH read the denominators eds() gives
+    params = {"curve": [0, 0, 0, 0, 17], "point": [-2, 3], "primes": [2, 3],
+              "eps": 0.5, "n_max": 40, "b_bound": 10}
+    (dq, *_), _ = experiments.SPECS[SweepKind.MIXED_CHECK].prepare(
+        experiments._checked(SweepKind.MIXED_CHECK, params), 0)
+    assert tuple(dq) == eds(Curve(0, 0, 0, 0, 17), Point(-2, 3), 40)
+    params = {"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0], "n_max": 30,
+              "eps": 0.3, "independence_asserted": True}
+    (dp, dq, *_), _ = experiments.SPECS[SweepKind.ABELIAN_GROWTH].prepare(
+        experiments._checked(SweepKind.ABELIAN_GROWTH, params), 0)
+    assert (tuple(dp), tuple(dq)) == (eds(c389, Point(0, 0), 30), eds(c389, Point(1, 0), 30))
 
 
 @pytest.mark.parametrize("kind", list(SweepKind))
