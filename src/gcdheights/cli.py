@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 from functools import cache
 
@@ -403,7 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        output = _HANDLERS.get(args.cmd, _cmd_kind)(args)
+        with warnings.catch_warnings():  # each library warning as one line
+            warnings.showwarning = lambda msg, *_: sys.stderr.write(f"warning: {msg}\n")
+            output = _HANDLERS.get(args.cmd, _cmd_kind)(args)
     except _Usage as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

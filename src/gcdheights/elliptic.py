@@ -44,7 +44,6 @@ __all__ = [
     "eds",
     "naive_height",
     "canonical_height",
-    "exceptional_subgroups",
 ]
 
 # ----------------------------------------------------------------------------
@@ -475,7 +474,7 @@ def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
     There each non-archimedean local height is max(0, ln|x|_p), and they sum
     to 2 ln D, so h(P) = (mu(mP) + 2 ln D) / (2 m^2) with mu from
     _archimedean.  W_n = 0 for some n <= 12 decides finite order exactly
-    (Mazur); such a point returns 0.0 and warns "possibly torsion".  A tol
+    (Mazur); such a point returns 0.0 and warns "torsion".  A tol
     below the error bound of the float series, or a point with no such
     m <= _CAP, warns "not certified".
     """
@@ -486,7 +485,7 @@ def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
     try:
         pairs = multiples(c, p, _CAP)
     except ValueError as e:  # W_n = 0 for some n <= _CAP
-        warnings.warn(f"possibly torsion: {e}")
+        warnings.warn(f"torsion: {e}")
         return 0.0
     b = b2, b4, b6, _ = c.b_invariants()
     for m, (a, d) in enumerate(pairs, 1):
@@ -502,36 +501,3 @@ def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
         warnings.warn(f"tolerance {tol} not certified: the float series is "
                       f"only good to {err / (2 * m * m):.1e}")
     return (mu + 2 * log(d)) / (2 * m * m)
-
-
-# ----------------------------------------------------------------------------
-# predicted index directions
-# ----------------------------------------------------------------------------
-
-def exceptional_subgroups(eps: float) -> list[tuple[int, int]]:
-    """Index pairs (m, n) of the subgroups that may carry gcd violations.
-
-    All (m, n) with m, n >= 0, not both zero, gcd(m, n) = 1 and
-    m^2 + n^2 <= 1/(2*eps), ordered by (m^2 + n^2, m, n).  Empty once
-    eps > 1/2; the axes (0,1) and (1,0) survive up to eps = 1/2; the
-    diagonal (1,1) first appears at eps <= 1/4.  The list holds about
-    3/(4*pi*eps) pairs (the coprime 6/pi^2 of the pi/(8*eps) lattice points
-    in the quarter disc), so a sweep tests each cell against the disc instead.
-    With Q = P, gcd(D_mP, D_nP) = D_gP for g = gcd(m, n), ln D_kP ~ k^2 h(P) and
-    hA ~ 2(m^2 + n^2) h(P) (h canonical), so lhs/hA -> 1/(2((m/g)^2 + (n/g)^2)):
-    along (m/g, n/g) the bound eps*hA + C fails exactly on this disc.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    bound = 1.0 / (2.0 * eps)
-    out = []
-    m = 0
-    while m * m <= bound:
-        n = 0
-        while m * m + n * n <= bound:
-            if (m or n) and gcd(m, n) == 1:
-                out.append((m, n))
-            n += 1
-        m += 1
-    out.sort(key=lambda mn: (mn[0] ** 2 + mn[1] ** 2, mn[0], mn[1]))
-    return out

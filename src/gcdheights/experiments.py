@@ -31,8 +31,10 @@ is a tuple of the kind's ``Row`` type in ``columns`` order: index columns
 first, then exact integer witnesses, then the log-space lhs/rhs pair and the
 holds flag, then ``error`` (None but on an error row, which has only its
 index values).  Rendering encodes each value by its type: integers with all
-their digits, reals with 12 significant digits (a JSON config's exactly);
-``render_json`` memoizes its records' int and real texts.
+their digits, reals with 12 significant digits (a JSON config's exactly).  It
+goes by column (``_texts``), through a memo of a column's distinct values
+where they repeat, and ``render_json`` lays its records out in one list of
+parts, a slice assignment per column, which it joins once.
 """
 
 from __future__ import annotations
@@ -41,15 +43,15 @@ import json
 import os
 import random
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, product
-from math import exp, gcd, inf, isfinite, isinf, isnan, log, prod
+from itertools import chain, compress, count, islice, product, repeat
+from math import copysign, exp, gcd, inf, isfinite, isinf, isnan, log, prod
 from multiprocessing import get_context
-from operator import itemgetter
+from operator import attrgetter, is_not, mul, sub
 from statistics import median
 from sys import float_info
 from time import perf_counter
@@ -63,7 +65,7 @@ from .elliptic import (
     on_curve,
 )
 from .gcd_height import PnPoint, PolySystem, VojtaParams
-from .gcd_height import check_e2, check_mixed, check_pn, vojta_bound
+from .gcd_height import _bound, check_e2, check_mixed, check_pn
 from .mulgrp import (
     EXCEPTIONAL,
     INEQUALITY_HOLDS,
@@ -286,7 +288,7 @@ def _prepare_bcz(p: dict, seed: int) -> tuple[tuple, tuple]:
 def _row_bcz(ctx: tuple, n: int) -> tuple:
     a, b, eps, C = ctx
     g = gcd_pair(a, b, n)
-    return _BCZRow(n, g, **vojta_bound(log(g), n * LN2, eps, C))
+    return _BCZRow(n, g, *_bound(log(g), n * LN2, eps, C))
 
 
 def _gcds(a: int, b: int, axes: tuple, cells: range) -> Iterator[tuple[int, int]]:
@@ -311,8 +313,8 @@ def _gcds(a: int, b: int, axes: tuple, cells: range) -> Iterator[tuple[int, int]
 
 def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
     """The map of ``_row_bcz`` over a run, with its gcds from ``_gcds``."""
-    a, b, eps, C = ctx
-    out += [_BCZRow(n, g, **vojta_bound(log(g), n * LN2, eps, C))
+    (a, b, eps, C), new = ctx, tuple.__new__
+    out += [new(_BCZRow, (n, g, *_bound(log(g), n * LN2, eps, C), None))
             for n, g in _gcds(a, b, axes, cells)]
 
 
@@ -345,9 +347,8 @@ def _rows_cz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
 
 
 def _summary_cz(good: list[tuple], p: dict) -> dict:
-    counts = {POWER_RELATION: 0, INEQUALITY_HOLDS: 0, EXCEPTIONAL: 0}
-    for r in good:
-        counts[r.verdict] += 1
+    verdicts = list(map(attrgetter("verdict"), good))
+    counts = {v: verdicts.count(v) for v in (POWER_RELATION, INEQUALITY_HOLDS, EXCEPTIONAL)}
     # power-relation pairs may fail the raw inequality legitimately; the
     # trichotomy's genuine violations are the EXCEPTIONAL rows
     pairs = [[r.alpha, r.beta] for r in good if r.verdict == EXCEPTIONAL]
@@ -381,8 +382,12 @@ def _summary_ar(good: list[tuple], p: dict) -> dict:
 
 
 def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
-    """With Q = P, lhs/hA tends to 1/(2((m/g)^2 + (n/g)^2)), g = gcd(m, n), so
-    the bound fails on the disc of ``exceptional_subgroups`` (see there)."""
+    """With Q = P, gcd(D_mP, D_nP) = D_gP for g = gcd(m, n), ln D_kP ~ k^2 h(P)
+    and hA ~ 2(m^2 + n^2) h(P) (h canonical), so lhs/hA tends to
+    1/(2((m/g)^2 + (n/g)^2)): along (m/g, n/g) the bound eps*hA + C fails
+    exactly on the disc (m/g)^2 + (n/g)^2 <= 1/(2 eps), which a cell flags
+    ``exceptional``.  A list of the disc's directions would grow as 1/eps, so
+    each cell tests its own."""
     c, m_max, n_max = p["curve"], p["m_max"], p["n_max"]
     P = _on_curve(c, p["p"], "p")
     Q = None if p["q"] is None else _on_curve(c, p["q"], "q")
@@ -390,8 +395,7 @@ def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
     # one list for both axes when they share the base point
     mp = _denominators(c, P, max(m_max, n_max) if Q is None else m_max, True)
     nq = mp if Q is None else _denominators(c, Q, n_max, True)
-    # (m/g, n/g) is one of exceptional_subgroups(eps) iff it is in this disc
-    bound = 1.0 / (2.0 * p["eps"])
+    bound = 1.0 / (2.0 * p["eps"])  # the disc's radius squared
     return ((mp, nq, bound, p["eps"], p["C"]),
             (range(1, m_max + 1), range(1, n_max + 1)))
 
@@ -688,20 +692,24 @@ def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig) -> dic
     exceptional set), or None when no such row is left; a kind whose config
     ``C`` multiplies the bound reports exp of that C, which it can take back.
     """
-    spec = SPECS[kind]
-    p = _checked(kind, config.parameters)
+    spec, p = SPECS[kind], _checked(kind, config.parameters)
+    cols = spec.columns
     good = [r for r in records if r.error is None]
     s: dict = {"kind": kind.value, "cells": len(records),
                "error_rows": len(records) - len(good)}
-    if "hA" in spec.columns:
+    if "hA" in cols:
         viol = [r for r in good if r.holds is False]
         s["violations"] = len(viol)
         s["max_violating_index"] = list(viol[-1][:len(spec.index)]) if viol else None
         eps = p["eps"]
-        weight = (VojtaParams(eps, p["delta"], p["C"], p["codim_r"]).weight
-                  if "hcount" in spec.columns else 1.0)
-        fit = max((r.lhs - eps * r.hA - getattr(r, "hcount", 0.0) / weight
-                   for r in good if not getattr(r, "exceptional", False)), default=None)
+        if "hcount" in cols:  # the counting term on P^n
+            weight = VojtaParams(eps, p["delta"], p["C"], p["codim_r"]).weight
+            gaps = (r.lhs - eps * r.hA - r.hcount / weight for r in good)
+        else:  # by column, from the rows not flagged exceptional
+            rows = [r for r in good if not r.exceptional] if "exceptional" in cols else good
+            lhs, hA = map(attrgetter("lhs"), rows), map(attrgetter("hA"), rows)
+            gaps = map(sub, lhs, map(mul, repeat(eps), hA))
+        fit = max(gaps, default=None)
         s["fitted_constant"] = None if fit is None else spec.C_of_fit(fit)
     return {**s, **spec.summary(good, p)}
 
@@ -724,25 +732,13 @@ def _format_int(v: int) -> str:
         return str(Decimal(v))
 
 
-class _Texts(dict):
-    """One render's memo of the JSON texts of its ints or reals, by value.  A
-    real's is repr(float(t)) of its 12-digit text t; where t is fixed point, so
+def _json_real(v: float) -> str:
+    """repr(float(t)) of the 12-digit text t of ``v``; where t is fixed point, so
     is that, with t's digits (12 name one double) and ".0" after an integer."""
-
-    def __missing__(self, v) -> str:
-        if type(v) is int:
-            try:
-                text = self[v] = str(v)
-            except ValueError:  # past str()'s digit limit
-                text = self[v] = _format_int(v)
-            return text
-        if not v:  # 0.0 and -0.0 are one key with two texts: never stored
-            return repr(v)
-        if not isfinite(v):
-            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-        text = f"{v:.12g}"
-        text = repr(float(text)) if "e" in text else text if "." in text else text + ".0"
-        return self.setdefault(v, text)
+    if not isfinite(v):  # strict JSON has no token for it
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    text = f"{v:.12g}"
+    return repr(float(text)) if "e" in text else text if "." in text else text + ".0"
 
 
 _bool_text = ("false", "true").__getitem__
@@ -757,23 +753,40 @@ def _csv_text(v: str) -> str:
     return v
 
 
-# One encoder per exact value type: the text of a value in each format.  JSON
-# writes computed reals at 12 significant digits, and the reals a document
-# echoes from its inputs (under the top-level keys of ``_ECHOED``) exactly, by
-# repr; for both, ``_Texts`` raises on NaN and inf.
-_CSV = {int: _format_int, float: format_real, bool: _bool_text, str: _csv_text,
+# One encoder per exact value type: the text of a value in each format (CSV
+# reals are format_real's text, by a method in C).  JSON writes computed reals
+# at 12 significant digits, and the reals a document echoes from its inputs
+# (under the top-level keys of ``_ECHOED``) exactly, by repr.
+_CSV = {int: _format_int, float: "{:.12g}".format, bool: _bool_text, str: _csv_text,
         type(None): lambda v: ""}
-_JSON = {int: _format_int, float: lambda x: _Texts()[x], bool: _bool_text,
+_JSON = {int: _format_int, float: _json_real, bool: _bool_text,
          str: json.encoder.encode_basestring_ascii, type(None): {None: "null"}.__getitem__}
-_ECHO = {**_JSON, float: lambda x: repr(x) if isfinite(x) else _Texts()[x]}
+_ECHO = {**_JSON, float: lambda x: repr(x) if isfinite(x) else _json_real(x)}
 _ECHOED = dict.fromkeys(("config", "tol", "params"), _ECHO)
 
 
+def _texts(col: Sequence, enc: dict) -> Iterable[str]:
+    """The texts by ``enc`` of a column's values, the loops in C: through a memo
+    of its distinct values where they repeat and a set keeps their texts apart
+    (not True, 1 and 1.0, nor 0.0 and -0.0), else by str() or value by value."""
+    if len(col) < 64:  # too short for the passes below to pay
+        return [enc[type(v)](v) for v in col]
+    types, values = set(map(type, col)), col
+    if types == {float} or float not in types and len(types & {bool, int}) < 2:
+        values = set(col)
+        if types == {float} and 0.0 in values and min(map(copysign, repeat(1.0), col)) < 0:
+            values = col  # its zeros may have two signs
+    if 2 * len(values) <= len(col):
+        return map({v: enc[type(v)](v) for v in values}.__getitem__, col)
+    if types == {int} and max(map(int.bit_length, col)) < 2000:  # below any str() limit
+        return map(str, col)
+    return map(enc[types.pop()], col) if len(types) == 1 else [enc[type(v)](v) for v in col]
+
+
 def _csv_table(columns: Sequence[str], rows) -> str:
-    """A header of ``columns``, then a line per row of values encoded by type."""
-    lines = [",".join(columns)]
-    lines += [",".join([_CSV[type(v)](v) for v in r]) for r in rows]
-    return "\n".join(lines) + "\n"
+    """A header of ``columns``, then a line per row, encoded by column."""
+    texts = [_texts(col, _CSV) for col in zip(*rows)]
+    return "\n".join([",".join(columns), *map(",".join, zip(*texts)), ""])
 
 
 def render_csv(result: SweepResult) -> str:
@@ -781,27 +794,28 @@ def render_csv(result: SweepResult) -> str:
     return _csv_table(SPECS[result.config.kind].columns, result.records)
 
 
-class _Encoded(list):
-    """A JSON list of texts, each already encoded for its place in the document."""
-
-
 def _json_text(v, pad: str = "\n", enc: dict = _JSON) -> str:
     """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it after the
     line break and indent ``pad``, but by ``enc`` (reals at 12 digits, ints of
     any length), or by the encoder ``_ECHOED`` gives a top-level key (inputs,
-    exactly); an ``_Encoded`` list's texts are placed as they are."""
+    exactly); a list of scalars, or of lists of as many scalars, by column."""
     inner = pad + "  "
     if isinstance(v, dict):
         top = _ECHOED if pad == "\n" else {}
         ends, items = "{}", [f"{_JSON[str](k)}: {_json_text(x, inner, top.get(k, enc))}"
                              for k, x in sorted(v.items())]
-    elif isinstance(v, (list, tuple)):
-        ends = "[]"
-        items = v if type(v) is _Encoded else [_json_text(x, inner, enc) for x in v]
-    else:
+    elif not isinstance(v, (list, tuple)):
         return enc[type(v)](v)
+    elif (types := set(map(type, v))) <= enc.keys():
+        ends, items = "[]", _texts(v, enc)
+    elif (types <= {list, tuple} and len(set(map(len, v))) == 1 and v[0]
+          and set(map(type, chain.from_iterable(v))) <= enc.keys()):
+        row = f"[{inner}  " + f",{inner}  ".join(["%s"] * len(v[0])) + f"{inner}]"
+        ends, items = "[]", map(row.__mod__, zip(*[_texts(c, enc) for c in zip(*v)]))
+    else:
+        ends, items = "[]", [_json_text(x, inner, enc) for x in v]
     sep = "," + inner  # one f-string copies a long list's text once, not per +
-    return f"{ends[0]}{inner}{sep.join(items)}{pad}{ends[1]}" if items else ends
+    return f"{ends[0]}{inner}{sep.join(items)}{pad}{ends[1]}" if v else ends
 
 
 def render_json(result: SweepResult, version: str | None = None) -> str:
@@ -813,27 +827,24 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
     """
     if version is None:
         from . import __version__ as version
-    spec = SPECS[result.config.kind]
-    cols = spec.columns
-    # a fixed template of sorted keys each for error rows (the index and
-    # error) and for the other rows (every column but error)
-    forms = []
-    for keys in (sorted((*spec.index, "error")), sorted(cols[:-1])):
-        body = ",\n".join(f"      {json.dumps(k)}: %s" for k in keys)
-        forms.append(("{\n" + body + "\n    }", itemgetter(*map(cols.index, keys))))
-    enc = {**_JSON, int: _Texts().__getitem__, float: _Texts().__getitem__}
-    texts, records, w = [enc[type(v)](v) for r in result.records for v in r], [], len(cols)
-    for i, r in zip(range(0, len(texts), w), result.records):
-        template, pick = forms[r.error is None]
-        records.append(template % pick(texts[i:i + w]))
-    doc = {
-        "version": version,
-        "config": {
-            "kind": result.config.kind.value,
-            "parameters": result.config.parameters,
-            "seed": result.config.seed,
-        },
-        "summary": result.summary,
-        "records": _Encoded(records),
-    }
-    return _json_text(doc) + "\n"
+    records, spec, cfg = result.records, SPECS[result.config.kind], result.config
+    cols, keys, errs = spec.columns, sorted(spec.columns[:-1]), (*spec.index, "error")
+    columns, width, n = [*zip(*records)] or [()] * len(cols), 2 * len(keys) + 1, len(records)
+    # a record is an object of sorted keys: every column but error, laid out in
+    # one list of parts by a slice assignment per key and per column, or on an
+    # error row its index and error
+    parts = [f",\n    {{\n      {json.dumps(keys[0])}: "] * (n * width)
+    after = [*(f",\n      {json.dumps(k)}: " for k in keys[1:]), "\n    }"]
+    for j, (k, piece) in enumerate(zip(keys, after)):
+        parts[2 * j + 1::width] = _texts(columns[cols.index(k)], _JSON)
+        parts[2 * j + 2::width] = [piece] * n
+    for i in compress(count(), map(is_not, columns[-1], repeat(None))):
+        text = _json_text({k: getattr(records[i], k) for k in errs}, "\n    ")
+        parts[i * width:(i + 1) * width] = [",\n    " + text, *[""] * (width - 1)]
+    parts[:1] = [p[1:] for p in parts[:1]]  # no comma before the first record
+    # the document's keys in sorted order, joined once
+    block = {"kind": cfg.kind.value, "parameters": cfg.parameters, "seed": cfg.seed}
+    return "".join(['{\n  "config": ', _json_text(block, "\n  ", _ECHO), ',\n  "records": [',
+                    *parts, "\n  ]" if n else "]", ',\n  "summary": ',
+                    _json_text(result.summary, "\n  "), ',\n  "version": ',
+                    _JSON[str](version), "\n}\n"])

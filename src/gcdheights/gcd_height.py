@@ -8,9 +8,9 @@ multiplicative group.  The right-hand sides all share one shape,
 
     eps * (ample height)  +  (counting term) / (r - 1 + delta*eps)  +  C,
 
-and ``vojta_bound`` is the one place that sums it and decides whether a gcd
-height stays under it.  Every constant is explicit: no asymptotic O(1) is
-ever hidden (they are all fixed to 0 unless the caller passes C).
+and ``_bound`` (``vojta_bound`` as a dict) is the one place that sums it and
+decides whether a gcd height stays under it.  Every constant is explicit: no
+asymptotic O(1) is ever hidden (they are all fixed to 0 unless C is passed).
 """
 
 from __future__ import annotations
@@ -233,17 +233,21 @@ class VojtaParams:
         return self.r - 1 + self.delta * self.epsilon
 
 
-def vojta_bound(
-    lhs: float, hA: float, eps: float, C: float,
-    hcount: float = 0.0, weight: float = 1.0,
-) -> dict:
-    """The row fields lhs, hA, rhs, holds of lhs <= eps*hA + hcount/weight + C.
+def _bound(lhs: float, hA: float, eps: float, C: float,
+           hcount: float = 0.0, weight: float = 1.0) -> tuple:
+    """(lhs, hA, rhs, holds) of lhs <= eps*hA + hcount/weight + C.
 
     Every gcd inequality here is this one bound: the counting term is absent
     (0) off P^n, and ``holds`` allows ``EPS_SLACK`` of log rounding.
     """
     rhs = eps * hA + hcount / weight + C
-    return {"lhs": lhs, "hA": hA, "rhs": rhs, "holds": lhs <= rhs + EPS_SLACK}
+    return lhs, hA, rhs, lhs <= rhs + EPS_SLACK
+
+
+def vojta_bound(lhs: float, hA: float, eps: float, C: float,
+                hcount: float = 0.0, weight: float = 1.0) -> dict:
+    """The fields lhs, hA, rhs, holds of ``_bound`` as a dict."""
+    return dict(zip(("lhs", "hA", "rhs", "holds"), _bound(lhs, hA, eps, C, hcount, weight)))
 
 
 def check_pn(x: PnPoint, sys: PolySystem, S: PrimeSet, p: VojtaParams) -> dict:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, log
 
 from .arith import PrimeSet
-from .gcd_height import vojta_bound
+from .gcd_height import _bound
 
 __all__ = [
     "CzVerdict",
@@ -174,8 +174,8 @@ def _trichotomy(ua: _Unit, ub: _Unit, eps: float) -> tuple:
     alpha, root_a, g_a, shifted_a, log_a = ua
     beta, root_b, g_b, shifted_b, log_b = ub
     g = gcd(shifted_a, shifted_b)
-    b = vojta_bound(log(g), log_a if abs(alpha) >= abs(beta) else log_b, eps, 0.0)
-    witness = (g, b["lhs"], b["rhs"], b["holds"])
+    lhs, _, rhs, holds = _bound(log(g), log_a if abs(alpha) >= abs(beta) else log_b, eps, 0.0)
+    witness = (g, lhs, rhs, holds)
     if root_a == root_b:
         h = gcd(g_a, g_b)
         m, n = g_b // h, g_a // h
@@ -187,7 +187,7 @@ def _trichotomy(ua: _Unit, ub: _Unit, eps: float) -> tuple:
         # max(m, n) <= ceil(1/eps), and no OverflowError when 1/eps is inf
         if max(m, n) - 1 < 1 / eps:
             return (POWER_RELATION, m, n, *witness)
-    return (INEQUALITY_HOLDS if b["holds"] else EXCEPTIONAL, None, None, *witness)
+    return (INEQUALITY_HOLDS if holds else EXCEPTIONAL, None, None, *witness)
 
 
 def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:

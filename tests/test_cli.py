@@ -15,6 +15,7 @@ import math
 import pathlib
 import random
 import shlex
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -141,7 +142,7 @@ def test_infinite_bound_or_bad_sample_is_one_computation_error(argv, message, ca
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.filterwarnings("ignore:possibly torsion")
+@pytest.mark.filterwarnings("ignore:torsion")
 @pytest.mark.parametrize("argv", [
     # a finite eps whose bound overflows to inf at n = 2
     ["gcdpow", "--a", "2", "--b", "3", "--nmax", "2", "--eps", "1.7e308",
@@ -156,6 +157,23 @@ def test_non_finite_json_is_computation_error(argv, capsys):
     bad = "nan" if "nan" in argv else "inf"
     assert capsys.readouterr() == (
         "", f"error: Out of range float values are not JSON compliant: {bad}\n")
+
+
+@pytest.mark.parametrize("argv, value, err", [
+    ("heights --curve 0,0,0,0,1 --point 2,3", 0.0,
+     "warning: torsion: point has finite order 6\n"),
+    ("heights --curve 0,0,0,1000,1 --point 0,1 --tol 1e-14", 1.4958969849,
+     "warning: tolerance 1e-14 not certified: the float series is only good to 6.1e-12\n"),
+], ids=["torsion", "uncertified"])
+def test_library_warnings_print_one_line_each(argv, value, err, capsys):
+    # the hook lives in main only: stdout and the exit code are as without it,
+    # and the warnings module is left as it was
+    shown = warnings.showwarning
+    assert main(argv.split()) == 0
+    out, got = capsys.readouterr()
+    assert got == err
+    assert json.loads(out)["canonical_height"] == value
+    assert warnings.showwarning is shown
 
 
 def test_point_off_curve_is_computation_error(capsys):

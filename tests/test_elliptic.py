@@ -22,7 +22,6 @@ from gcdheights import (
     canonical_height,
     denominator_D,
     eds,
-    exceptional_subgroups,
     multiples,
     naive_height,
     neg,
@@ -748,7 +747,7 @@ def test_canonical_height_warns_on_torsion():
     for c, p, order in TORSION_CASES:
         assert scalar_mul(c, order, p).is_identity
         assert not any(scalar_mul(c, n, p).is_identity for n in range(1, order))
-        with pytest.warns(UserWarning, match=f"possibly torsion: .* order {order}$"):
+        with pytest.warns(UserWarning, match=f"^torsion: .* order {order}$"):
             assert canonical_height(c, p, 1e-4) == 0.0
 
 
@@ -814,6 +813,34 @@ def test_siegel_ratio_values():
     assert rows[11,].ratio == 1.0                 # |A| <= D^2 exactly
     with pytest.raises(ValueError, match="finite order"):
         _rows(SweepKind.SIEGEL, curve=[0, 0, 0, 0, 1], point=[2, 3], n_max=6)
+
+
+def exceptional_subgroups(eps: float) -> list[tuple[int, int]]:
+    """The oracle of EDS_GCD's per-cell ``exceptional`` flag: the index pairs
+    (m, n) of the subgroups that may carry gcd violations.
+
+    All (m, n) with m, n >= 0, not both zero, gcd(m, n) = 1 and
+    m^2 + n^2 <= 1/(2*eps), ordered by (m^2 + n^2, m, n).  Empty once
+    eps > 1/2; the axes (0,1) and (1,0) survive up to eps = 1/2; the
+    diagonal (1,1) first appears at eps <= 1/4.  The list holds about
+    3/(4*pi*eps) pairs (the coprime 6/pi^2 of the pi/(8*eps) lattice points
+    in the quarter disc), which is why the sweep tests each cell against the
+    disc instead.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    bound = 1.0 / (2.0 * eps)
+    out = []
+    m = 0
+    while m * m <= bound:
+        n = 0
+        while m * m + n * n <= bound:
+            if (m or n) and gcd(m, n) == 1:
+                out.append((m, n))
+            n += 1
+        m += 1
+    out.sort(key=lambda mn: (mn[0] ** 2 + mn[1] ** 2, mn[0], mn[1]))
+    return out
 
 
 def test_exceptional_subgroups_thresholds():

@@ -12,6 +12,7 @@ import math
 import multiprocessing
 import os
 import random
+import statistics
 import sys
 import time
 from decimal import Decimal
@@ -28,7 +29,6 @@ from gcdheights import (
     SweepResult,
     cz_classify,
     eds,
-    exceptional_subgroups,
     format_real,
     gcd_pair,
     multiples,
@@ -39,9 +39,10 @@ from gcdheights import (
     summarize,
 )
 from gcdheights.arith import EPS_SLACK, PrimeSet
-from gcdheights.gcd_height import PolySystem, vojta_bound
+from gcdheights.gcd_height import PolySystem, VojtaParams, _bound
 from gcdheights.mulgrp import LN2
 from gcdheights import experiments, mulgrp
+from test_elliptic import exceptional_subgroups
 
 # Frozen from the first verified run of this suite.
 BCZ300_FITTED = 4.489464501830993
@@ -314,6 +315,61 @@ def test_siegel_bad_reduction_golden_csv(data_dir):
 def test_summary_is_function_of_records():
     res = run(EDSGCD_37A1)
     assert summarize(SweepKind.EDS_GCD, res.records, res.config) == res.summary
+
+
+def _summary_oracle(kind: SweepKind, records: list, config: SweepConfig) -> dict:
+    """The row-wise summary that ``summarize`` and the kinds' summaries computed
+    before they read columns."""
+    spec, p = experiments.SPECS[kind], experiments._checked(kind, config.parameters)
+    good = [r for r in records if r.error is None]
+    s = {"kind": kind.value, "cells": len(records), "error_rows": len(records) - len(good)}
+    if "hA" in spec.columns:
+        viol = [r for r in good if r.holds is False]
+        s["violations"] = len(viol)
+        s["max_violating_index"] = list(viol[-1][:len(spec.index)]) if viol else None
+        eps = p["eps"]
+        weight = (VojtaParams(eps, p["delta"], p["C"], p["codim_r"]).weight
+                  if "hcount" in spec.columns else 1.0)
+        fit = max((r.lhs - eps * r.hA - getattr(r, "hcount", 0.0) / weight
+                   for r in good if not getattr(r, "exceptional", False)), default=None)
+        s["fitted_constant"] = None if fit is None else spec.C_of_fit(fit)
+    if kind == SweepKind.CZ_TRICHOTOMY:
+        counts = {mulgrp.POWER_RELATION: 0, mulgrp.INEQUALITY_HOLDS: 0, EXCEPTIONAL: 0}
+        for r in good:
+            counts[r.verdict] += 1
+        pairs = [[r.alpha, r.beta] for r in good if r.verdict == EXCEPTIONAL]
+        s.update(violations=len(pairs), max_violating_index=pairs[-1] if pairs else None,
+                 verdicts=counts, exceptional_pairs=pairs)
+    elif kind == SweepKind.AR_RETURNS:
+        idx = [r.n for r in good if r.is_return]
+        s.update(returns=len(idx), density=len(idx) / len(good) if good else 0.0,
+                 return_indices=idx)
+    elif kind == SweepKind.SIEGEL:
+        ratios = [r.ratio for r in good]
+        s.update(median_abs_dev=statistics.median(abs(x - 1.0) for x in ratios)
+                 if ratios else None, max_ratio=max(ratios) if ratios else None)
+    elif kind == SweepKind.PN_CHECK:
+        s["points"] = len(good)
+    return s
+
+
+LONGER = {SweepKind.AR_RETURNS: {"a": 2, "b": 3, "n_max": 90},
+          SweepKind.SIEGEL: {"curve": [0, 0, 0, 0, 17], "point": [-2, 3], "n_max": 30}}
+
+
+@pytest.mark.parametrize("kind", list(SweepKind))
+def test_summarize_by_column_is_the_row_wise_summary(kind):
+    # on every kind: whole, with every third row an error row, and empty
+    params = LONGER.get(kind) or {**TINY[kind], **BOUNDED.get(kind, {})}
+    cfg = SweepConfig(kind=kind, parameters=params)
+    records = run(cfg).records
+    spec = experiments.SPECS[kind]
+    blank = [None] * (len(spec.columns) - len(spec.index) - 1)
+    broken = [spec.Row(*r[:len(spec.index)], *blank, "E: x") if i % 3 == 0 else r
+              for i, r in enumerate(records)]
+    for rows in (records, broken, broken[:1], []):
+        assert summarize(kind, rows, cfg) == _summary_oracle(kind, rows, cfg)
+    assert summarize(kind, records, cfg)["cells"] > 1
 
 
 def test_cz_summary_counts_match_direct_classification():
@@ -803,9 +859,9 @@ def test_error_budget_zero_raises(monkeypatch):
     def flaky(lhs, hA, eps, C):
         if hA == 3 * LN2:
             raise RuntimeError("injected")
-        return vojta_bound(lhs, hA, eps, C)
+        return _bound(lhs, hA, eps, C)
 
-    monkeypatch.setattr(experiments, "vojta_bound", flaky)
+    monkeypatch.setattr(experiments, "_bound", flaky)
     failed = _kernel_failures(monkeypatch, SweepKind.BCZ)
     cfg = SweepConfig(kind=SweepKind.BCZ,
                       parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 5})
@@ -1282,6 +1338,84 @@ def test_render_json_rejects_nan_and_inf_in_any_row(bad):
             render_json(res)
         with pytest.raises(ValueError):
             _json_oracle(res)
+
+
+# ----------------------------------------------------------------------------
+# the column encoders (memos, str() and value by value) against the oracles
+# ----------------------------------------------------------------------------
+
+def _bcz_columns(count: int = 128, **cycles) -> SweepResult:
+    """A BCZ result of ``count`` rows whose named columns cycle through the
+    given values: long and repetitive enough for the encoders' memos."""
+    cfg = SweepConfig(kind=SweepKind.BCZ, parameters={**TINY[SweepKind.BCZ], "n_max": count})
+    records = [r._replace(**{k: v[i % len(v)] for k, v in cycles.items()})
+               for i, r in enumerate(run(cfg).records)]
+    return SweepResult(cfg, records, summarize(SweepKind.BCZ, records, cfg))
+
+
+def _assert_renders_like_oracles_unlimited(result: SweepResult) -> None:
+    limit = sys.get_int_max_str_digits()  # the oracles' str() and json.dumps
+    sys.set_int_max_str_digits(0)
+    try:
+        csv_text, json_text = _csv_oracle(result), _json_oracle(result)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert render_csv(result) == csv_text
+    assert render_json(result, version="oracle") == json_text
+
+
+def test_column_encoders_keep_int_one_apart_from_real_one():
+    # ints and reals in columns of their own, and mixed in one column
+    res = _bcz_columns(gcd=[1, 1, 2], hA=[1.0, 1.0, 2.5], lhs=[1, 1.0, 0.5, 1.0])
+    _assert_renders_like_oracles(res)
+    recs = json.loads(render_json(res))["records"]
+    assert [(type(r["gcd"]), type(r["hA"])) for r in recs[:3]] == [(int, float)] * 3
+    assert [type(r["lhs"]) for r in recs[:4]] == [int, float, float, float]
+    assert render_csv(res).splitlines()[1].split(",")[1:4] == ["1", "1", "1"]
+
+
+def test_column_encoders_keep_true_apart_from_one():
+    res = _bcz_columns(gcd=[1, True, 1, 0, False], holds=[True, 1, True, 0, False, 1])
+    _assert_renders_like_oracles(res)
+    recs = json.loads(render_json(res))["records"]
+    assert [type(r["gcd"]) for r in recs[:5]] == [int, bool, int, int, bool]
+    assert [type(r["holds"]) for r in recs[:6]] == [bool, int, bool, int, bool, int]
+
+
+@pytest.mark.parametrize("zeros", [[0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, -0.0, 1.5],
+                                   [0.0, 0.0, 2.5, 2.5], [-0.0, -0.0, 2.5, 2.5],
+                                   [0.0, -2.5, 0.0, -2.5]])
+def test_column_encoders_keep_signed_zeros_apart(zeros):
+    res = _bcz_columns(lhs=zeros, rhs=[-z for z in zeros], hA=[0.0, 0.0, 1.5])
+    _assert_renders_like_oracles(res)
+    signs = [math.copysign(1, z) for z in zeros]
+    recs = json.loads(render_json(res))["records"]
+    assert [math.copysign(1, r["lhs"]) for r in recs[:4]] == signs
+    rows = list(csv.DictReader(io.StringIO(render_csv(res))))
+    assert [math.copysign(1, float(r["lhs"])) for r in rows[:4]] == signs
+    assert [math.copysign(1, float(r["rhs"])) for r in rows[:4]] == [-x for x in signs]
+
+
+def test_column_encoders_render_a_huge_int_among_small_ones():
+    big = 7 ** 6000  # 5071 digits, past str()'s 4300-digit limit
+    # a repeating column (memo) and a column of distinct ints (str() or not)
+    res = _bcz_columns(gcd=[1, 2, big, 1, 2], n=[*range(1, 100), -big])
+    _assert_renders_like_oracles_unlimited(res)
+    rows = list(csv.reader(io.StringIO(render_csv(res))))
+    assert [int(Decimal(r[1])) for r in rows[1:6]] == [1, 2, big, 1, 2]
+    assert int(Decimal(rows[100][0])) == -big
+
+
+def test_column_encoders_place_error_rows_between_good_rows():
+    cfg = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
+                      parameters={"primes": [2, 3], "bound": 40, "eps": 0.25})
+    records = run(cfg).records
+    spec = experiments.SPECS[SweepKind.CZ_TRICHOTOMY]
+    for i in (0, 1, 57, 58, 200, len(records) - 1):
+        records[i] = spec.Row(*records[i][:2], *[None] * 7, f'E: {i},"\n')
+    res = SweepResult(cfg, records, summarize(SweepKind.CZ_TRICHOTOMY, records, cfg))
+    assert res.summary["error_rows"] == 6 and len(records) >= 64
+    _assert_renders_like_oracles(res)
 
 
 def test_witnesses_past_the_int_str_limit_render_exactly():

@@ -27,6 +27,7 @@ from gcdheights import (
     vojta_bound,
 )
 from gcdheights.arith import EPS_SLACK
+from gcdheights.gcd_height import _bound
 
 DIAG = PolySystem.of("X1-X0", "X2-X0")
 COORD = PolySystem.of("X1", "X2")  # the coordinate point [1:0:0]
@@ -169,6 +170,21 @@ def test_vojta_rhs_oracle():
     assert not got["holds"]
     # no counting term by default: eps*hA + C, and + 0.0/1.0 is exact
     assert vojta_bound(0.0, 3.7, 0.3, -1.2)["rhs"] == 0.3 * 3.7 + -1.2
+
+
+def test_vojta_bound_is_the_dict_of_bound():
+    # the sweep rows take _bound's tuple; the library and vojta-check its dict
+    rng = random.Random(26)
+    for _ in range(2000):
+        args = [rng.uniform(-20, 20), rng.uniform(0, 50), rng.uniform(1e-3, 2),
+                rng.choice([0.0, -0.0, rng.uniform(-5, 5)])]
+        if rng.random() < 0.5:
+            args += [rng.uniform(0, 30), rng.uniform(1, 5)]
+        lhs, hA, rhs, holds = _bound(*args)
+        assert vojta_bound(*args) == {"lhs": lhs, "hA": hA, "rhs": rhs, "holds": holds}
+        hcount, weight = (args[4:] or [0.0, 1.0])
+        assert rhs == args[2] * args[1] + hcount / weight + args[3]
+        assert (lhs, hA, holds) == (args[0], args[1], lhs <= rhs + EPS_SLACK)
 
 
 def test_check_pn_oracle():
