@@ -25,6 +25,7 @@ place.  The tests check it against doubling the point.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, inf, isqrt, log, log10
@@ -193,14 +194,18 @@ def _division_values(c: Curve, p: Point, n_max: int, strip: bool = False
         W_{2m+1} = W_{m+2} W_m^3 - W_{m-1} W_{m+1}^3
         W_{2m}   = (W_{m+2} W_{m-1}^2 - W_{m-2} W_{m+1}^2) W_m / W_2,
 
-    whose division is exact.  W_k = 0 exactly when kP is the identity; one
-    with k < n_max is reported.  With strip, W_k = u_k prod q^vals[i][k] over
-    the primes q = primes[i] of G = gcd(W_2, W_3), u_k prime to G: a step
-    scales each product of u's by the power of q their valuations leave
-    between them, divides q out of the difference while q divides it, and the
-    even step divides by u_2.  So the valuations are exact, and no u_k carries
-    the powers of q that make up most of W_k at a point of singular reduction.
-    Without strip, or if _trial_primes cannot split G (primes None), u = W.
+    whose division is exact.  The odd steps cube each W_j twice and the even
+    steps square it twice, so each W_j^2 and W_j^3 = W_j^2 W_j is formed once,
+    when first needed.  W_k = 0 exactly when kP is the identity; one with
+    k < n_max is reported.  With strip, W_k = u_k prod q^vals[i][k] over the
+    primes q = primes[i] of G = gcd(W_2, W_3), u_k prime to G: a step scales
+    each product of u's by the power of q their valuations leave between
+    them, divides q out of the difference while q divides it, and the even
+    step divides by u_2.  So the valuations are exact, and no u_k carries the
+    powers of q that make up most of W_k at a point of singular reduction.
+    Without strip, or if _trial_primes cannot split G, or for G > 1 and
+    n_max <= _CAP + 1, where the per-prime bookkeeping costs more than one
+    gcd per term of ``multiples`` (primes None), u = W.
     """
     b = b2, b4, b6, b8 = c.b_invariants()
     a, d = p.x.numerator, isqrt(p.x.denominator)
@@ -216,36 +221,43 @@ def _division_values(c: Curve, p: Point, n_max: int, strip: bool = False
         + (b4 * b8 - b6 * b6) * d8 * d4
     )
     w = [0, 1, w2, w3, w4]
-    primes = _trial_primes(gcd(w2, w3)) if strip and n_max > 2 else []
+    G = gcd(w2, w3) if strip and n_max > 2 else 1
+    primes = _trial_primes(G) if G == 1 or n_max > _CAP + 1 else None
     qs, vals = primes or [], []
     for q in qs:
         v, w = map(list, zip(*[_split(q, x) for x in w]))
         vals.append(v)
+    x, y = w[2], w[3]  # W_j^2 and W_j^3 (or of u_j), j = 0, 1, ...
+    sq = [0, 1, x * x, y * y]
+    cu = [0, 1, sq[2] * x, sq[3] * y]
     for k in range(5, n_max + 1 if all(w[1:5]) else 5):  # a zero is reported below
         m = k >> 1
-        if qs:  # the two products, each scaled by the power of q between them
-            i, j, g, h, e = ((m + 2, m, m - 1, m + 1, 3) if k & 1
-                             else (m + 2, m - 1, m - 2, m + 1, 2))
-            x, y = w[i] * w[j] ** e, w[g] * w[h] ** e
-            for q, v in zip(qs, vals):
-                s, t = v[i] + e * v[j], v[g] + e * v[h]
-                if s > t:
-                    x *= q ** (s - t)
-                elif t > s:
-                    y *= q ** (t - s)
-                v.append(min(s, t) if k & 1 else min(s, t) + v[m] - v[2])
-            x -= y
-            for q, v in zip(qs, vals):  # q divides x only if s = t
-                if x % q == 0:
-                    r, x = _split(q, x)
-                    v[-1] += r
-            w.append(x if k & 1 else x * w[m] // w[2])
-            if not x:
-                break
-        elif k & 1:
-            w.append(w[m + 2] * w[m] ** 3 - w[m - 1] * w[m + 1] ** 3)
-        else:
-            w.append((w[m + 2] * w[m - 1] ** 2 - w[m - 2] * w[m + 1] ** 2) * w[m] // w[2])
+        if not k & 1:  # W_{m+1}^2 is first needed here, and its cube next
+            x = w[m + 1]
+            sq.append(x * x)
+            cu.append(sq[-1] * x)
+        if not qs:
+            w.append(w[m + 2] * cu[m] - w[m - 1] * cu[m + 1] if k & 1 else
+                     (w[m + 2] * sq[m - 1] - w[m - 2] * sq[m + 1]) * w[m] // w[2])
+            continue
+        i, j, g, h, e, pw = ((m + 2, m, m - 1, m + 1, 3, cu) if k & 1
+                             else (m + 2, m - 1, m - 2, m + 1, 2, sq))
+        x, y = w[i] * pw[j], w[g] * pw[h]
+        for q, v in zip(qs, vals):  # each product scaled by the power of q between them
+            s, t = v[i] + e * v[j], v[g] + e * v[h]
+            if s > t:
+                x *= q ** (s - t)
+            elif t > s:
+                y *= q ** (t - s)
+            v.append(min(s, t) if k & 1 else min(s, t) + v[m] - v[2])
+        x -= y
+        for q, v in zip(qs, vals):  # q divides x only if s = t
+            if x % q == 0:
+                r, x = _split(q, x)
+                v[-1] += r
+        w.append(x if k & 1 else x * w[m] // w[2])
+        if not x:
+            break
     if 0 in w[1:n_max]:
         raise ValueError(f"point has finite order {w.index(0, 1)}")
     return w, primes, vals
@@ -285,7 +297,7 @@ def _split(q: int, x: int) -> tuple[int | float, int]:
     return e, x
 
 
-def _terms(c: Curve, p: Point, n_max: int) -> tuple[int, int, zip | list]:
+def _terms(c: Curve, p: Point, n_max: int) -> tuple[int, int, Iterator]:
     """(a, d, (x_n, y_n, z_n) for n = 1..n_max, read once), x_P = a/d^2, with
     x(nP) = (a x_n^2 - y_n z_n) / (d x_n)^2 in lowest terms.
 
@@ -293,8 +305,8 @@ def _terms(c: Curve, p: Point, n_max: int) -> tuple[int, int, zip | list]:
     over the primes of G = gcd(W_2, W_3), where P reduces to a singular point
     (Ayad 1992); no prime of d divides G, as W_2 = 2y, W_3 = 3a^4 modulo it.
     So the terms are the u_k of _division_values, with the shared q^e of each
-    prime q of G left out, 2e = min(v(W_{n-1} W_{n+1}), 2 v(W_n)).  When trial
-    division cannot split G, one gcd per term gives a = 0, d = 1, (D_n, -1, A_n).
+    prime q of G left out, 2e = min(v(W_{n-1} W_{n+1}), 2 v(W_n)).  When G is
+    not stripped (primes None), one gcd per term gives a = 0, d = 1, (D_n, -1, A_n).
     """
     if p.is_identity:
         raise ValueError("point has finite order 1")
@@ -311,7 +323,7 @@ def _terms(c: Curve, p: Point, n_max: int) -> tuple[int, int, zip | list]:
     terms = zip(xs, u[:n_max], zs)
     if primes is None:
         pairs = _reduce_by_gcd([(a * (x * x) - y * z, d * abs(x)) for x, y, z in terms])
-        return 0, 1, [(dn, -1, an) for an, dn in pairs]
+        return 0, 1, ((dn, -1, an) for an, dn in pairs)
     return a, d, terms
 
 
@@ -325,13 +337,12 @@ def multiples(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
     return [(a * (x * x) - y * z, d * abs(x)) for x, y, z in terms]
 
 
-def _reduce_by_gcd(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """(num, D) pairs for x = num / D^2, put in lowest terms by one gcd each."""
-    out = []
+def _reduce_by_gcd(pairs: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """(num, D) pairs for x = num / D^2, put in lowest terms by one gcd each,
+    as they are read."""
     for num, dn in pairs:
         g = gcd(num, dn * dn)
-        out.append((num // g, dn // isqrt(g)))
-    return out
+        yield num // g, dn // isqrt(g)
 
 
 #: Top bits of x_n, y_n, z_n that bound |A_n| and D_n^2 in _log_naive, and the
@@ -483,12 +494,13 @@ def canonical_height(c: Curve, p: Point, tol: float = 1e-4) -> float:
     if not tol > 0:
         raise ValueError("tol must be positive")
     try:
-        pairs = multiples(c, p, _CAP)
+        a0, d0, terms = _terms(c, p, _CAP)
     except ValueError as e:  # W_n = 0 for some n <= _CAP
         warnings.warn(f"torsion: {e}")
         return 0.0
     b = b2, b4, b6, _ = c.b_invariants()
-    for m, (a, d) in enumerate(pairs, 1):
+    for m, (x, y, z) in enumerate(terms, 1):  # multiples(c, p, _CAP), as far as needed
+        a, d = a0 * (x * x) - y * z, d0 * abs(x)
         e = d * d
         w2sq = ((4 * a + b2 * e) * a + 2 * b4 * e * e) * a + b6 * e**3
         if gcd(w2sq, _w3(b, a, e)) == 1:

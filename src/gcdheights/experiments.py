@@ -19,22 +19,25 @@ and AR cells get dearer with n, so the dearest chunks start first instead of
 finishing on one worker alone.  Workers return plain tuples, which pickle
 several times faster than rows.
 
-Each kind is one ``KindSpec`` record in ``SPECS``.  A kind may have a range
-kernel, which evaluates a whole run and hoists the work that depends on one
-axis only (BCZ and AR multiply a^n and b^n up along the run, and when the
-smaller base is 2^k fold the other power minus one modulo 2^(kn) - 1; CZ
-strips each unit once, and copies the row of (b, a) from that of (a, b) when
-the sweep's one record list, which each run appends to, holds it); ``row``
-stays the oracle, and a run whose kernel raises is evaluated again cell by
-cell, so each failing cell becomes an error row as without a kernel.  A row
-is a tuple of the kind's ``Row`` type in ``columns`` order: index columns
-first, then exact integer witnesses, then the log-space lhs/rhs pair and the
-holds flag, then ``error`` (None but on an error row, which has only its
-index values).  Rendering encodes each value by its type: integers with all
-their digits, reals with 12 significant digits (a JSON config's exactly).  It
-goes by column (``_texts``), through a memo of a column's distinct values
-where they repeat, and ``render_json`` lays its records out in one list of
-parts, a slice assignment per column, which it joins once.
+Each kind is one ``KindSpec`` record in ``SPECS``.  Every kind but PN_CHECK
+has a range kernel, which evaluates a whole run, builds its rows
+positionally, and hoists the work that depends on one axis only (BCZ and AR
+multiply a^n and b^n up along the run, and when the smaller base is 2^k fold
+the other power minus one modulo 2^(kn) - 1; CZ strips each unit once, and
+copies the row of (b, a) from that of (a, b) when the sweep's one record
+list, which each run appends to, holds it; EDS_GCD without q reads
+gcd(D_m, D_n) off strong divisibility as D_gcd(m, n); MIXED_CHECK checks each
+b once and takes ln D_n and ln|b| once each); ``row`` stays the oracle, and a
+run whose kernel raises is evaluated again cell by cell, so each failing cell
+becomes an error row as without a kernel.  A row is a tuple of the kind's
+``Row`` type in ``columns`` order: index columns first, then exact integer
+witnesses, then the log-space lhs/rhs pair and the holds flag, then
+``error`` (None but on an error row, which has only its index values).
+Rendering encodes each value by its type: integers with all their digits,
+reals with 12 significant digits (a JSON config's exactly).  It goes by
+column (``_texts``), through a memo of a column's distinct values where they
+repeat, and ``render_json`` lays its records out in one list of parts, a
+slice assignment per column, which it joins once.
 """
 
 from __future__ import annotations
@@ -382,12 +385,16 @@ def _summary_ar(good: list[tuple], p: dict) -> dict:
 
 
 def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
-    """With Q = P, gcd(D_mP, D_nP) = D_gP for g = gcd(m, n), ln D_kP ~ k^2 h(P)
-    and hA ~ 2(m^2 + n^2) h(P) (h canonical), so lhs/hA tends to
-    1/(2((m/g)^2 + (n/g)^2)): along (m/g, n/g) the bound eps*hA + C fails
-    exactly on the disc (m/g)^2 + (n/g)^2 <= 1/(2 eps), which a cell flags
-    ``exceptional``.  A list of the disc's directions would grow as 1/eps, so
-    each cell tests its own."""
+    """With Q = P, gcd(D_mP, D_nP) = D_gP for g = gcd(m, n): for each prime p
+    and r >= 1, E_r(Q_p) = {O} u {R : v_p(x_R) <= -2r} is a subgroup (the
+    formal-group filtration, Silverman AEC VII.2.2), so {k : p^r | D_kP} is a
+    subgroup of Z and holds m and n exactly when it holds g; the kernel reads
+    each such gcd off the list.  As ln D_kP ~ k^2 h(P) and hA ~ 2(m^2 + n^2)
+    h(P) (h canonical), lhs/hA tends to 1/(2((m/g)^2 + (n/g)^2)): along
+    (m/g, n/g) the bound eps*hA + C fails exactly on the disc
+    (m/g)^2 + (n/g)^2 <= 1/(2 eps), which a cell flags ``exceptional``.  A
+    list of the disc's directions would grow as 1/eps, so each cell tests its
+    own."""
     c, m_max, n_max = p["curve"], p["m_max"], p["n_max"]
     P = _on_curve(c, p["p"], "p")
     Q = None if p["q"] is None else _on_curve(c, p["q"], "q")
@@ -406,6 +413,21 @@ def _row_eds_gcd(ctx: tuple, m: int, n: int) -> tuple:
     g = gcd(m, n)
     return _EDSGCDRow(m, n, d_m, d_n, **check_e2(d_m, d_n, h_m + h_n, eps, C),
                       exceptional=(m // g) ** 2 + (n // g) ** 2 <= bound)
+
+
+def _rows_eds_gcd(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
+    """The map of ``_row_eds_gcd`` over a run.  Without q, gcd(D_m, D_n) is
+    D_g, g = gcd(m, n) (see ``_prepare_eds_gcd``), read off the list with
+    ln D_g taken once per g; with q, one gcd per cell."""
+    mp, nq, bound, eps, C = ctx
+    ln = [log(d) for d, _ in mp[:len(axes[0])]] if mp is nq else None
+    new = tuple.__new__
+    for m, n in _keys(axes, cells):
+        (d_m, h_m), (d_n, h_n), g = mp[m - 1], nq[n - 1], gcd(m, n)
+        k = gcd(d_m, d_n) if ln is None else mp[g - 1][0]
+        out.append(new(_EDSGCDRow, (m, n, d_m, d_n, k, *_bound(
+            log(k) if ln is None else ln[g - 1], h_m + h_n, eps, C),
+            (m // g) ** 2 + (n // g) ** 2 <= bound, None)))
 
 
 def _box_point(bound: int, nvars: int, i: int) -> tuple[int, ...]:
@@ -479,6 +501,21 @@ def _row_mixed(ctx: tuple, n: int, b: int) -> tuple:
     return _MixedRow(n, b, dq[n - 1], **check_mixed(dq[n - 1], b, S, eps, C))
 
 
+def _rows_mixed(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
+    """The map of ``_row_mixed`` over a run: ``check_mixed``'s checks once per
+    b, and ln max(D_n, |b|) as ln D_n or ln|b|, whichever integer is larger."""
+    dq, S, eps, C = ctx
+    ln_d, ln_C, new, unit = [log(d) for d in dq], log(C), tuple.__new__, {}
+    for n, b in _keys(axes, cells):
+        if b not in unit:
+            check_mixed(1, b, S, eps, C)
+            unit[b] = abs(b), abs(b - 1), log(abs(b))
+        d, (size, shifted, ln_b) = dq[n - 1], unit[b]
+        g = gcd(d, shifted)
+        out.append(new(_MixedRow, (n, b, d, g, *_bound(
+            log(g), ln_d[n - 1] if d >= size else ln_b, eps, ln_C), None)))
+
+
 def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
     c, n_min, n_max = p["curve"], p["n_min"], p["n_max"]
     P = _on_curve(c, p["point"], "point")
@@ -494,6 +531,14 @@ def _row_siegel(ctx: tuple, n: int) -> tuple:
     d, naive = dn[n - n_min]
     ratio = 0.0 if d == 1 else 2.0 * log(d) / naive
     return _SiegelRow(n, d, naive, ratio)
+
+
+def _rows_siegel(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
+    """The map of ``_row_siegel`` over a run."""
+    n_min, dn = ctx
+    for n in axes[0][cells.start:cells.stop]:
+        d, h = dn[n - n_min]
+        out.append(tuple.__new__(_SiegelRow, (n, d, h, 0.0 if d == 1 else 2.0 * log(d) / h, None)))
 
 
 def _summary_siegel(good: list[tuple], p: dict) -> dict:
@@ -516,6 +561,16 @@ def _row_abelian(ctx: tuple, n: int) -> tuple:
     dp, dq, eps, C = ctx
     return _AbelianRow(n, dp[n - 1], dq[n - 1],
                        **check_e2(dp[n - 1], dq[n - 1], float(n ** 2), eps, C))
+
+
+def _rows_abelian(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
+    """The map of ``_row_abelian`` over a run."""
+    dp, dq, eps, C = ctx
+    for n in axes[0][cells.start:cells.stop]:
+        a, b = dp[n - 1], dq[n - 1]
+        g = gcd(a, b)
+        out.append(tuple.__new__(_AbelianRow, (n, a, b, g, *_bound(
+            log(g), float(n ** 2), eps, C), None)))
 
 
 def _row_type(name: str, columns: str) -> type:
@@ -554,7 +609,7 @@ SPECS: dict[SweepKind, KindSpec] = {
     SweepKind.EDS_GCD: KindSpec(
         index=("m", "n"), params=(("curve", _curve), ("p", _point), ("q", _point, None),
                                   ("m_max", _int), ("n_max", _int), *_EPS_C),
-        prepare=_prepare_eds_gcd, row=_row_eds_gcd, Row=_EDSGCDRow,
+        prepare=_prepare_eds_gcd, row=_row_eds_gcd, rows=_rows_eds_gcd, Row=_EDSGCDRow,
     ),
     SweepKind.PN_CHECK: KindSpec(
         index=("point",), params=(("polys", _polys), ("codim_r", _int, 2),
@@ -569,19 +624,20 @@ SPECS: dict[SweepKind, KindSpec] = {
                                   ("primes", _ints), _EPS, ("n_max", _int),
                                   ("C", _positive(" (it multiplies the bound)"), 1.0),
                                   ("b_bound", _int, 100)),
-        prepare=_prepare_mixed, row=_row_mixed, Row=_MixedRow, C_of_fit=exp,
+        prepare=_prepare_mixed, row=_row_mixed, rows=_rows_mixed, Row=_MixedRow,
+        C_of_fit=exp,
     ),
     SweepKind.SIEGEL: KindSpec(
         index=("n",), params=(("curve", _curve), ("point", _point),
                               ("n_min", _int, 1), ("n_max", _int)),
-        prepare=_prepare_siegel, row=_row_siegel, Row=_SiegelRow,
+        prepare=_prepare_siegel, row=_row_siegel, rows=_rows_siegel, Row=_SiegelRow,
         summary=_summary_siegel,
     ),
     SweepKind.ABELIAN_GROWTH: KindSpec(
         index=("n",), params=(("independence_asserted", _vouched, False),
                               ("curve", _curve), ("p", _point), ("q", _point),
                               ("n_max", _int), *_EPS_C),
-        prepare=_prepare_abelian, row=_row_abelian, Row=_AbelianRow,
+        prepare=_prepare_abelian, row=_row_abelian, rows=_rows_abelian, Row=_AbelianRow,
     ),
 }
 
@@ -678,12 +734,16 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
             f"error budget exceeded: {len(errors)} error rows "
             f"(budget {p['error_budget']}); first: {errors[0]}"
         )
-    summary = summarize(kind, records, config)
-    return SweepResult(config=config, records=records, summary=summary)
+    return SweepResult(config=config, records=records, summary=_summarize(kind, records, p))
 
 
 def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig) -> dict:
-    """Recompute the summary block from the records and the checked parameters.
+    """Recompute the summary block from the records and the config."""
+    return _summarize(kind, records, _checked(kind, config.parameters))
+
+
+def _summarize(kind: SweepKind, records: list[tuple], p: dict) -> dict:
+    """The summary block of ``records``, given the checked parameters ``p``.
 
     A kind with an ``hA`` column also gets ``violations`` (its rows that fail
     the bound), the index of the last of them, and ``fitted_constant``: the
@@ -692,7 +752,7 @@ def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig) -> dic
     exceptional set), or None when no such row is left; a kind whose config
     ``C`` multiplies the bound reports exp of that C, which it can take back.
     """
-    spec, p = SPECS[kind], _checked(kind, config.parameters)
+    spec = SPECS[kind]
     cols = spec.columns
     good = [r for r in records if r.error is None]
     s: dict = {"kind": kind.value, "cells": len(records),

@@ -310,6 +310,18 @@ def test_multiples_denominators_are_a_strong_divisibility_sequence(name):
     _assert_strong_divisibility([d for _, d in multiples(c, p, 30)])
 
 
+@pytest.mark.parametrize("name", [name for name, (_, p, g) in STRONG_DIVISIBILITY_CASES.items()
+                                  if g > 1 or p.x.denominator > 1])
+def test_denominators_at_bad_reduction_divide_strongly_to_40(name):
+    # what the EDS_GCD kernel reads its gcds off: gcd(D_m, D_n) = D_gcd(m, n),
+    # here for the D_n the sweeps take from _denominators, also at 2P
+    c, p, _ = STRONG_DIVISIBILITY_CASES[name]
+    for base in (p, add(c, p, p)):
+        ds = _denominators(c, base, 40)
+        assert ds == [d for _, d in multiples(c, base, 40)]
+        _assert_strong_divisibility(ds)
+
+
 def test_multiples_denominators_of_random_points_divide_strongly():
     rng = random.Random(2004)
     checked = 0
@@ -392,6 +404,32 @@ def test_stripped_recurrence_matches_the_plain_one(c, p):
     assert max(v[61] for v in vals) > 100
     assert u[61].bit_length() < w[61].bit_length() - 100
     assert multiples(c, p, 60) == _multiples_by_gcd(c, p, 60)
+
+
+def _ward(c: Curve, p: Point, n_max: int) -> list[int]:
+    """W_0..W_n_max by Ward's recurrence, each power formed where it is used."""
+    w = _division_values(c, p, 4)[0]
+    for k in range(5, n_max + 1):
+        m = k >> 1
+        if k & 1:
+            w.append(w[m + 2] * w[m] ** 3 - w[m - 1] * w[m + 1] ** 3)
+        else:
+            w.append((w[m + 2] * w[m - 1] ** 2 - w[m - 2] * w[m + 1] ** 2) * w[m] // w[2])
+    return w
+
+
+@pytest.mark.parametrize("n_max", [5, 6, 13, 14, 61])
+@pytest.mark.parametrize("name", list(MULTIPLES_CASES))
+def test_cached_powers_keep_wards_recurrence(name, n_max):
+    # the plain path is the recurrence; the stripped one (past 13 terms when
+    # gcd(W_2, W_3) > 1, below it u = W) multiplies back to it
+    c, p, w_gcd = MULTIPLES_CASES[name]
+    want = _ward(c, p, n_max)
+    assert _division_values(c, p, n_max)[0] == want
+    u, primes, vals = _division_values(c, p, n_max, strip=True)
+    assert primes == ([] if w_gcd == 1 else None if n_max <= 13 else [2, 3])
+    assert u[0] == 0 and [x * prod(q ** v[k] for q, v in zip(primes or (), vals))
+                          for k, x in enumerate(u) if k] == want[1:]
 
 
 def test_plain_recurrence_keeps_the_division_values():

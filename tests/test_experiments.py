@@ -287,6 +287,19 @@ def test_bound_kind_goldens(data_dir, name, kind, params):
     assert got == (data_dir / name).read_text()
 
 
+def test_eds_gcd_with_q_golden_json(data_dir):
+    # EDS_GCD of two independent points of 389a1 runs from the golden's own
+    # config block; its 12 exceptional cells are those of P = Q, and the fit
+    # leaves them out
+    text = (data_dir / "edsgcd_389a1_pq_eps02_n12.json").read_text()
+    cfg = SweepConfig(**json.loads(text)["config"])
+    res = run(cfg)
+    assert render_json(res, version="0.0.0") == text
+    assert render_json(run(cfg, jobs=2), version="0.0.0") == text
+    assert len(res.records) == 144 and sum(r.exceptional for r in res.records) == 12
+    assert format_real(res.summary["fitted_constant"]) == "-0.219722457734"
+
+
 def test_siegel_golden_csv(data_dir):
     cfg = SweepConfig(kind=SweepKind.SIEGEL,
                       parameters={"curve": [0, 0, 1, -1, 0], "point": [0, 0],
@@ -710,15 +723,33 @@ def _kernel_failures(monkeypatch, kind: SweepKind) -> list[range]:
 
 
 # grids of the kinds with a range kernel, each long enough for the head to
-# reach its 64-cell steps; CZ's rows are 34 units long
+# reach its 64-cell steps; CZ's rows are 34 units long.  EDS_GCD without q
+# reads its gcds off strong divisibility, also at bad reduction (x^3 + 17 at
+# (-2, 3), where gcd(W_2, W_3) = 6); with q it takes one gcd per cell
+C37, C389, C17 = [0, 0, 1, -1, 0], [0, 1, 1, -2, 0], [0, 0, 0, 0, 17]
 KERNEL_GRIDS = {
-    SweepKind.BCZ: {"a": 3, "b": 7, "eps": 0.3, "n_max": 320, "C": 0.5},
-    SweepKind.AR_RETURNS: {"a": 2, "b": 3, "n_max": 320},
-    SweepKind.CZ_TRICHOTOMY: {"primes": [2, 3, 5], "bound": 30, "eps": 0.05},
+    "BCZ": (SweepKind.BCZ, {"a": 3, "b": 7, "eps": 0.3, "n_max": 320, "C": 0.5}),
+    "AR_RETURNS": (SweepKind.AR_RETURNS, {"a": 2, "b": 3, "n_max": 320}),
+    "CZ_TRICHOTOMY": (SweepKind.CZ_TRICHOTOMY,
+                      {"primes": [2, 3, 5], "bound": 30, "eps": 0.05}),
+    **{f"EDS_GCD-{name}": (SweepKind.EDS_GCD, {"curve": c, "m_max": 18, "n_max": 20,
+                                               "eps": 0.15, "C": 0.25, **pq})
+       for name, c, pq in [("37a1", C37, {"p": [0, 0]}), ("389a1", C389, {"p": [1, 0]}),
+                           ("389a1-q", C389, {"p": [0, 0], "q": [1, 0]}),
+                           ("x3+17", C17, {"p": [-2, 3]}),
+                           ("x3+17-q", C17, {"p": [-2, 3], "q": [4, 9]})]},
+    "SIEGEL": (SweepKind.SIEGEL, {"curve": C37, "point": [0, 0], "n_min": 3, "n_max": 310}),
+    "MIXED_CHECK": (SweepKind.MIXED_CHECK, {"curve": C389, "point": [0, 0], "primes": [2, 3],
+                                            "eps": 0.3, "n_max": 16, "b_bound": 32}),
+    "ABELIAN_GROWTH": (SweepKind.ABELIAN_GROWTH,
+                       {"curve": C37, "p": [0, 0], "q": [1, 0], "n_max": 310, "eps": 0.3,
+                        "independence_asserted": True}),
 }
 # the context entry that breaks every cell, through the kernel and row, when
 # set to a string
-BREAK_CTX = {SweepKind.BCZ: 2, SweepKind.AR_RETURNS: 0, SweepKind.CZ_TRICHOTOMY: 1}
+BREAK_CTX = {SweepKind.BCZ: 2, SweepKind.AR_RETURNS: 0, SweepKind.CZ_TRICHOTOMY: 1,
+             SweepKind.EDS_GCD: 3, SweepKind.SIEGEL: 0, SweepKind.MIXED_CHECK: 2,
+             SweepKind.ABELIAN_GROWTH: 2}
 
 
 def _runs(total: int, width: int) -> list[range]:
@@ -737,12 +768,13 @@ def _runs(total: int, width: int) -> list[range]:
     return [*head, *chunks, range(total), *across, range(5, 5), range(total, total)]
 
 
-@pytest.mark.parametrize("kind", list(KERNEL_GRIDS))
-def test_kernel_rows_match_the_map_of_row(kind):
+@pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+def test_kernel_rows_match_the_map_of_row(name):
     # each run twice: after no rows, as in a pool chunk, and after the rows of
     # every cell before it, as in the parent
+    kind, params = KERNEL_GRIDS[name]
     spec = experiments.SPECS[kind]
-    ctx, axes = spec.prepare(experiments._checked(kind, KERNEL_GRIDS[kind]), 0)
+    ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
     keys = list(itertools.product(*axes))
     runs = _runs(len(keys), len(axes[-1]))
     assert len(keys) > 300 and max(map(len, runs)) == len(keys)
