@@ -20,7 +20,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, isqrt, log
 
@@ -46,24 +47,23 @@ EPS_SLACK = 1e-9
 # value types
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogReal:
+class LogReal(namedtuple("LogReal", "value exact_arg")):
     """A nonnegative real that is morally ln(integer).
 
     ``value`` is the double; ``exact_arg`` is the integer n with
     value = ln(n) when that integer is known exactly, else None.
     """
 
-    value: float
-    exact_arg: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.exact_arg is not None:
-            if self.exact_arg < 1:
+    def __new__(cls, value: float, exact_arg: int | None = None) -> "LogReal":
+        if exact_arg is not None:
+            if exact_arg < 1:
                 raise ValueError("exact_arg must be a positive integer")
-            ref = log(self.exact_arg)
-            if abs(self.value - ref) > 1e-12 * max(1.0, abs(ref)):
+            ref = log(exact_arg)
+            if abs(value - ref) > 1e-12 * max(1.0, abs(ref)):
                 raise ValueError("value disagrees with ln(exact_arg)")
+        return tuple.__new__(cls, (value, exact_arg))
 
     @classmethod
     def of_integer(cls, n: int) -> "LogReal":
@@ -73,34 +73,54 @@ class LogReal:
         return cls(value=log(n), exact_arg=n)
 
 
-@dataclass(frozen=True)
 class PrimeSet:
     """A finite set S of rational primes, the finite places of an S-unit group.
 
     Primes are stored sorted ascending in ``primes`` and are checked for
-    primality on construction.  The empty set is allowed.
+    primality on construction.  The empty set is allowed.  Immutable, equal
+    and hashed by ``primes``.  The checks run in ``__init__``, which is what
+    a profiler that wraps the constructor times.
     """
 
-    primes: tuple[int, ...] = ()
+    __slots__ = ("primes",)
 
-    def __post_init__(self) -> None:
-        ps = tuple(sorted(set(self.primes)))
+    def __init__(self, primes: Iterable[int] = ()) -> None:
+        ps = tuple(sorted(set(primes)))
         for p in ps:
             if not is_prime(p):
                 raise ValueError(f"not a prime: {p}")
         object.__setattr__(self, "primes", ps)
 
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True)
-class FactorBudget:
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.primes == other.primes
+
+    def __hash__(self) -> int:
+        return hash((self.primes,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(primes={self.primes!r})"
+
+    def __reduce__(self):  # by the constructor, as the slot refuses assignment
+        return type(self), (self.primes,)
+
+
+class FactorBudget(namedtuple("FactorBudget", "trial_bound rho_iterations",
+                              defaults=(10**6, 10**6))):
     """Effort cap for ``factor``: trial division bound and rho iteration count."""
 
-    trial_bound: int = 10**6
-    rho_iterations: int = 10**6
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "factors sign complete cofactor",
+                               defaults=(1,))):
     """sign * prod(p^e) * cofactor reconstructs the input exactly.
 
     ``complete`` is False when the effort budget ran out; the unfactored
@@ -108,10 +128,7 @@ class Factorization:
     Callers must not treat an incomplete cofactor as prime.
     """
 
-    factors: tuple[tuple[int, int], ...]
-    sign: int
-    complete: bool
-    cofactor: int = 1
+    __slots__ = ()
 
     def value(self) -> int:
         n = self.sign

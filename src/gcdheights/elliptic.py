@@ -25,8 +25,8 @@ place.  The tests check it against doubling the point.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd, inf, isqrt, log, log10
 
@@ -51,17 +51,15 @@ __all__ = [
 # curve and points
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Curve:
-    a1: int = 0
-    a2: int = 0
-    a3: int = 0
-    a4: int = 0
-    a6: int = 0
+class Curve(namedtuple("Curve", "a1 a2 a3 a4 a6")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, a1: int = 0, a2: int = 0, a3: int = 0, a4: int = 0,
+                a6: int = 0) -> "Curve":
+        self = tuple.__new__(cls, (a1, a2, a3, a4, a6))
         if self.discriminant() == 0:
             raise ValueError("singular curve: discriminant is zero")
+        return self
 
     def b_invariants(self) -> tuple[int, int, int, int]:
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
@@ -76,29 +74,25 @@ class Curve:
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(namedtuple("Point", "x y")):
     """IDENTITY (x = y = None) or an affine point with exact coordinates.
 
     Affine denominators must have the (D^2, D^3) shape; anything else cannot
     lie on an integer-coefficient model and is rejected at construction.
     """
 
-    x: Fraction | None = None
-    y: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.x is None) != (self.y is None):
+    def __new__(cls, x: Fraction | None = None, y: Fraction | None = None) -> "Point":
+        if (x is None) != (y is None):
             raise ValueError("affine point needs both coordinates")
-        if self.x is None:
-            return
-        x = self.x if isinstance(self.x, Fraction) else Fraction(self.x)
-        y = self.y if isinstance(self.y, Fraction) else Fraction(self.y)
-        d = isqrt(x.denominator)
-        if d * d != x.denominator or y.denominator != d**3:
-            raise ValueError("non-integral model pathology")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        if x is not None:
+            x = x if isinstance(x, Fraction) else Fraction(x)
+            y = y if isinstance(y, Fraction) else Fraction(y)
+            d = isqrt(x.denominator)
+            if d * d != x.denominator or y.denominator != d**3:
+                raise ValueError("non-integral model pathology")
+        return tuple.__new__(cls, (x, y))
 
     @property
     def is_identity(self) -> bool:

@@ -17,7 +17,9 @@ min(jobs, usable CPUs, chunks) worker processes, each sent the shared inputs
 once, in about 8 contiguous chunks per worker, highest indices first: BCZ
 and AR cells get dearer with n, so the dearest chunks start first instead of
 finishing on one worker alone.  Workers return plain tuples, which pickle
-several times faster than rows.
+several times faster than rows.  multiprocessing is imported when a run
+first may pool (``jobs`` > 1 on more than one usable CPU) and
+concurrent.futures when one first does, so a run at one job loads neither.
 
 Each kind is one ``KindSpec`` record in ``SPECS``.  Every kind but PN_CHECK
 has a range kernel, which evaluates a whole run, builds its rows
@@ -47,16 +49,13 @@ import os
 import random
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, count, islice, product, repeat
 from math import copysign, exp, gcd, inf, isfinite, isinf, isnan, log, prod
-from multiprocessing import get_context
 from operator import attrgetter, is_not, mul, sub
 from statistics import median
-from sys import float_info
+from sys import float_info, modules
 from time import perf_counter
 
 from .arith import PrimeSet, mult_independent
@@ -107,25 +106,19 @@ class SweepKind(str, Enum):
     ABELIAN_GROWTH = "ABELIAN_GROWTH"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    kind: SweepKind
-    parameters: dict
-    seed: int = 0
+class SweepConfig(namedtuple("SweepConfig", "kind parameters seed")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", SweepKind(self.kind))
+    def __new__(cls, kind: SweepKind | str, parameters: dict, seed: int = 0) -> "SweepConfig":
+        return tuple.__new__(cls, (SweepKind(kind), parameters, seed))
 
 
-@dataclass
-class SweepResult:
-    config: SweepConfig
-    records: list[tuple]
-    summary: dict
+class SweepResult(namedtuple("SweepResult", "config records summary")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class KindSpec:
+class KindSpec(namedtuple("KindSpec", "Row index params prepare row rows summary C_of_fit",
+                          defaults=(None, lambda good, p: {}, lambda fit: fit))):
     """Everything the runner knows about one sweep kind.
 
     ``Row`` is the namedtuple of its ``columns``.  ``params`` has one entry
@@ -148,14 +141,7 @@ class KindSpec:
     config's ``C`` by ``C_of_fit``.
     """
 
-    Row: type
-    index: tuple[str, ...]
-    params: tuple[tuple, ...]
-    prepare: Callable[[dict, int], tuple[tuple, tuple[Sequence, ...]]]
-    row: Callable[..., tuple]
-    rows: Callable[[tuple, tuple, range, list], None] | None = None
-    summary: Callable[[list[tuple], dict], dict] = lambda good, p: {}
-    C_of_fit: Callable[[float], float] = lambda fit: fit
+    __slots__ = ()
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -690,6 +676,23 @@ def _eval_chunk(cells: range) -> list[tuple]:
     return list(map(tuple, rows))
 
 
+def __getattr__(name: str):
+    """``get_context`` and ``ProcessPoolExecutor``, imported at first use: a
+    run at one job never loads multiprocessing or concurrent.futures.  ``run``
+    reads both as attributes of this module (``_this``), where a test may
+    set others."""
+    if name == "get_context":
+        from multiprocessing import get_context as value
+    elif name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+_this = modules[__name__]
+
 # Seconds to start and stop a pool of two workers, by start method (2 cores,
 # Python 3.11): a forked worker inherits the parent, the others start afresh
 _POOL_START_S = {"fork": 0.012, "forkserver": 0.15, "spawn": 0.15}
@@ -711,7 +714,7 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
                   else os.cpu_count() or 1)
     records, step, pool_s = [], total, inf  # one job: the whole grid in one run
     if workers > 1:  # reading the start method fixes it, so only a run that may pool reads it
-        mp = get_context()
+        mp = _this.get_context()
         step, pool_s = 1, _POOL_START_S[mp.get_start_method()]
     start = perf_counter()
     while (done := len(records)) < total:  # the serial head
@@ -722,9 +725,9 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     if rest := range(len(records), total):
         size = -(-len(rest) // (8 * workers))
         chunks = [rest[i:i + size] for i in range(0, len(rest), size)]
-        with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=mp,
-                                 initializer=_init_worker,
-                                 initargs=(kind, ctx, axes)) as pool:
+        with _this.ProcessPoolExecutor(min(workers, len(chunks)), mp_context=mp,
+                                       initializer=_init_worker,
+                                       initargs=(kind, ctx, axes)) as pool:
             done = list(pool.map(_eval_chunk, reversed(chunks)))  # dearest first
         Row = SPECS[kind].Row
         records += [tuple.__new__(Row, t) for rows in reversed(done) for t in rows]
@@ -734,16 +737,15 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
             f"error budget exceeded: {len(errors)} error rows "
             f"(budget {p['error_budget']}); first: {errors[0]}"
         )
-    return SweepResult(config=config, records=records, summary=_summarize(kind, records, p))
+    # through the module's name, so that a profiler wrapping summarize sees it
+    return SweepResult(config, records, summarize(kind, records, config, p))
 
 
-def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig) -> dict:
-    """Recompute the summary block from the records and the config."""
-    return _summarize(kind, records, _checked(kind, config.parameters))
-
-
-def _summarize(kind: SweepKind, records: list[tuple], p: dict) -> dict:
-    """The summary block of ``records``, given the checked parameters ``p``.
+def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig,
+              p: dict | None = None) -> dict:
+    """Recompute the summary block from the records and the config; ``p``,
+    if given, is the config's parameters as ``_checked`` gives them, which
+    ``run`` passes on instead of checking them twice.
 
     A kind with an ``hA`` column also gets ``violations`` (its rows that fail
     the bound), the index of the last of them, and ``fitted_constant``: the
@@ -752,6 +754,8 @@ def _summarize(kind: SweepKind, records: list[tuple], p: dict) -> dict:
     exceptional set), or None when no such row is left; a kind whose config
     ``C`` multiplies the bound reports exp of that C, which it can take back.
     """
+    if p is None:
+        p = _checked(kind, config.parameters)
     spec = SPECS[kind]
     cols = spec.columns
     good = [r for r in records if r.error is None]

@@ -16,7 +16,7 @@ asymptotic O(1) is ever hidden (they are all fixed to 0 unless C is passed).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, inf, isinf, isnan, log
 
 from .arith import EPS_SLACK, LogReal, PrimeSet, prime_to_S_part
@@ -40,36 +40,35 @@ __all__ = [
 # projective points
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PnPoint:
+class PnPoint(namedtuple("PnPoint", "coords")):
     """Primitive integer coordinates: gcd 1, first nonzero coordinate positive."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.coords or not any(self.coords):
+    def __new__(cls, coords: tuple[int, ...]) -> "PnPoint":
+        if not coords or not any(coords):
             raise ValueError("zero vector")
         g = 0
-        for c in self.coords:
+        for c in coords:
             g = gcd(g, c)
         if g != 1:
             raise ValueError("coordinates not primitive")
-        for c in self.coords:
+        for c in coords:
             if c:
                 if c < 0:
                     raise ValueError("sign not normalized")
                 break
+        return tuple.__new__(cls, (coords,))
 
 
 # ----------------------------------------------------------------------------
 # homogeneous forms
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomPoly:
+class HomPoly(namedtuple("HomPoly", "terms")):
     """Integer polynomial as ((coeff, ((var, exp), ...)), ...), like terms merged."""
 
-    terms: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -149,20 +148,20 @@ def parse_poly(text: str) -> HomPoly:
     return HomPoly(terms=terms)
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(namedtuple("PolySystem", "polys")):
     """Homogeneous forms f_1..f_t, the equations of V."""
 
-    polys: tuple[HomPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.polys:
+    def __new__(cls, polys: tuple[HomPoly, ...]) -> "PolySystem":
+        if not polys:
             raise ValueError("system needs at least one polynomial")
-        for f in self.polys:
+        for f in polys:
             if f.is_zero:
                 raise ValueError("zero polynomial in system")
             if not f.is_homogeneous():
                 raise ValueError(f"not homogeneous: {f}")
+        return tuple.__new__(cls, (polys,))
 
     @classmethod
     def of(cls, *texts: str) -> "PolySystem":
@@ -201,31 +200,30 @@ def counting_function_pn(x: PnPoint, S: PrimeSet) -> LogReal:
 # the bound evaluator
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VojtaParams:
-    epsilon: float
-    delta: float = 1.0
-    C: float = 0.0
-    r: int = 2
+class VojtaParams(namedtuple("VojtaParams", "epsilon delta C r")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:
+    def __new__(cls, epsilon: float, delta: float = 1.0, C: float = 0.0,
+                r: int = 2) -> "VojtaParams":
+        if not epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not 0 < self.delta < inf:
+        if not 0 < delta < inf:
             raise ValueError("delta must be positive and finite")
-        if isnan(self.C):
+        if isnan(C):
             raise ValueError("C must not be NaN")
-        if isinf(self.C):
+        if isinf(C):
             raise ValueError("C must be finite")
-        if self.r < 2:
+        if r < 2:
             raise ValueError("r must be an integer >= 2")
-        if not self.epsilon < self.r - 1:
+        if not epsilon < r - 1:
             raise ValueError("epsilon must be < r - 1")
+        self = tuple.__new__(cls, (epsilon, delta, C, r))
         try:
             self.weight
         except OverflowError:
             raise ValueError(
                 "r is too large: r - 1 + delta*eps overflows a float") from None
+        return self
 
     @property
     def weight(self) -> float:

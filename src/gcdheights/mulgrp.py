@@ -10,7 +10,6 @@ integer sequence.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from math import gcd, log
 
 from .arith import PrimeSet
@@ -39,27 +38,21 @@ EXCEPTIONAL = "EXCEPTIONAL"
 # types
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CzVerdict:
+class CzVerdict(namedtuple("CzVerdict", "kind m n gcd lhs rhs holds")):
     """One of POWER_RELATION (with exponents), INEQUALITY_HOLDS, EXCEPTIONAL.
 
-    ``gcd`` is the witness gcd(alpha - 1, beta - 1) of the classified pair,
-    and ``lhs``, ``rhs``, ``holds`` its ``vojta_bound`` fields.
+    ``m`` and ``n`` are those exponents, else None; ``gcd`` is the witness
+    gcd(alpha - 1, beta - 1) of the classified pair, and ``lhs``, ``rhs``,
+    ``holds`` its ``vojta_bound`` fields.
     """
 
-    kind: str
-    m: int | None
-    n: int | None
-    gcd: int
-    lhs: float
-    rhs: float
-    holds: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
-    ok: bool
-    counterexample: tuple[int, int] | None  # (m, n) with m | n but term_m not | term_n
+class DivisibilityReport(namedtuple("DivisibilityReport", "ok counterexample")):
+    """``counterexample`` is (m, n) with m | n but term_m not | term_n, or None."""
+
+    __slots__ = ()
 
 
 # ----------------------------------------------------------------------------

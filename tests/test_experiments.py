@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import hashlib
 import io
@@ -11,8 +10,10 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
 import random
 import statistics
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -718,7 +719,7 @@ def _kernel_failures(monkeypatch, kind: SweepKind) -> list[range]:
             failed.append(cells)
             raise
 
-    monkeypatch.setitem(experiments.SPECS, kind, dataclasses.replace(spec, rows=kernel))
+    monkeypatch.setitem(experiments.SPECS, kind, spec._replace(rows=kernel))
     return failed
 
 
@@ -1041,11 +1042,13 @@ def test_pool_is_byte_identical_under_fresh_interpreters(method, forced_pool,
         pytest.skip(f"no {method} start method on this platform")
     monkeypatch.setattr(experiments, "get_context",
                         functools.partial(multiprocessing.get_context, method))
-    for cfg in (BCZ300, CZ30):
+    # PN_CHECK's workers unpickle a PolySystem, a PrimeSet and VojtaParams
+    pn = SweepConfig(kind=SweepKind.PN_CHECK, parameters=TINY[SweepKind.PN_CHECK])
+    for cfg in (BCZ300, CZ30, pn):
         pooled, serial = run(cfg, jobs=2), run(cfg)
         assert render_csv(pooled) == render_csv(serial)
         assert render_json(pooled) == render_json(serial)
-    assert [(pool.max_workers, pool.method) for pool in forced_pool] == [(2, method)] * 2
+    assert [(pool.max_workers, pool.method) for pool in forced_pool] == [(2, method)] * 3
 
 
 @pytest.mark.skipif("spawn" not in multiprocessing.get_all_start_methods(),
@@ -1116,6 +1119,39 @@ def test_pool_workers_are_capped(affinity, jobs, n_max, workers, monkeypatch):
     cfg = SweepConfig(kind=SweepKind.BCZ, parameters={**TINY[SweepKind.BCZ], "n_max": n_max})
     assert render_csv(run(cfg, jobs=jobs)) == render_csv(run(cfg))
     assert seen == ([] if workers is None else [workers])
+
+
+def test_run_summarizes_once_through_the_public_summarize(forced_pool, monkeypatch):
+    # a profiler wraps experiments.summarize by name; run() must call it
+    calls = []
+
+    def spy(*args):
+        calls.append(args[:3])
+        return summarize(*args)
+
+    monkeypatch.setattr(experiments, "summarize", spy)
+    for jobs in (1, 2):
+        res = run(CZ30, jobs=jobs)
+        assert calls == [(SweepKind.CZ_TRICHOTOMY, res.records, CZ30)]
+        assert res.summary == summarize(*calls.pop())
+    assert len(forced_pool) == 1
+
+
+def test_cold_start_loads_no_pool_or_dataclass_machinery(forced_pool):
+    # a fresh interpreter (no site hooks) that imports the CLI and runs a
+    # sweep at one job imports none of these; a pool imports them when it starts
+    code = ("import sys, gcdheights.cli\n"
+            "from gcdheights import SweepConfig, run\n"
+            "run(SweepConfig('CZ_TRICHOTOMY', {'primes': [2, 3], 'bound': 30, 'eps': 0.25}))\n"
+            "print(*sorted(m for m in ('concurrent.futures', 'multiprocessing',\n"
+            "                          'dataclasses', 'inspect') if m in sys.modules))\n")
+    src = str(pathlib.Path(experiments.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "\n"
+    assert render_csv(run(CZ30, jobs=2)) == render_csv(run(CZ30))
+    assert [pool.max_workers for pool in forced_pool] == [2]
 
 
 # ----------------------------------------------------------------------------
@@ -1471,7 +1507,7 @@ def test_parameters_past_the_int_str_limit_render_exactly():
                           parameters={"a": a, "b": 3, "n_max": 2}))
     text = render_json(res)
     assert json.loads(text, parse_int=Decimal)["config"]["parameters"]["a"] == a
-    small = dataclasses.replace(res.config, parameters={**res.config.parameters, "a": 5})
+    small = res.config._replace(parameters={**res.config.parameters, "a": 5})
     assert text.replace(str(Decimal(a)), "5") == render_json(
         SweepResult(small, res.records, res.summary))
 
