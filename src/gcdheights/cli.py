@@ -26,15 +26,14 @@ from .experiments import (
     SweepConfig,
     SweepKind,
     _checked,
-    _csv_table,
+    _csv_blocks,
     _curve,
     _int,
     _ints,
+    _json_blocks,
     _json_text,
     _on_curve,
     _point,
-    render_csv,
-    render_json,
     run,
 )
 from .gcd_height import VojtaParams, vojta_bound
@@ -296,31 +295,34 @@ def _effective(args) -> tuple[dict, int]:
 
 
 # ----------------------------------------------------------------------------
-# subcommand handlers (each returns the output text)
+# subcommand handlers (each returns the output text as a list of blocks, all
+# of them rendered before any is written)
 # ----------------------------------------------------------------------------
 
-def _run_sweep(kind: SweepKind, params: dict, seed: int, args) -> str:
+def _run_sweep(kind: SweepKind, params: dict, seed: int, args) -> list[str]:
     """Run a sweep, the ``--seed`` flag overriding ``seed``, and render it."""
     if args.seed is not None:
         seed = args.seed
     cfg = SweepConfig(kind=kind, parameters=params, seed=seed)
     result = run(cfg, jobs=args.jobs)
-    return render_json(result) if args.format == "json" else render_csv(result)
+    if args.format == "json":
+        return _json_blocks(result)
+    return _csv_blocks(SPECS[kind].columns, result.records)
 
 
-def _cmd_kind(args) -> str:
+def _cmd_kind(args) -> list[str]:
     params, seed = _effective(args)
     return _run_sweep(_SUBCOMMANDS[args.cmd][0], params, seed, args)
 
 
-def _cmd_eds(args) -> str:
+def _cmd_eds(args) -> list[str]:
     params, _ = _effective(args)
     cfg = _checked("EDS", params, _EDS_PARAMS)
     p = _on_curve(cfg["curve"], cfg["point"], "point")
     S = PrimeSet(cfg["ignore_primes"])
     terms = _eds_op(cfg["curve"], p, cfg["n_max"])
     if args.format != "json":  # only the JSON document prints the report
-        return _csv_table(_EDS_COLUMNS, enumerate(terms, 1))
+        return _csv_blocks(_EDS_COLUMNS, [*enumerate(terms, 1)])
     report = divisibility_check([prime_to_S_part(t, S) for t in terms])
     doc = {
         "version": __version__,
@@ -330,10 +332,10 @@ def _cmd_eds(args) -> str:
         "ignored_primes": cfg["ignore_primes"],
         "terms": terms,
     }
-    return _json_text(doc) + "\n"
+    return [_json_text(doc) + "\n"]
 
 
-def _cmd_sweep(args) -> str:
+def _cmd_sweep(args) -> list[str]:
     kind, params, seed = _load_config_file(args.config)
     try:
         sweep_kind = SweepKind(kind)
@@ -342,7 +344,7 @@ def _cmd_sweep(args) -> str:
     return _run_sweep(sweep_kind, params, seed, args)
 
 
-def _cmd_heights(args) -> str:
+def _cmd_heights(args) -> list[str]:
     doc: dict = {"version": __version__}
     if args.x is None and args.point is None:
         raise _Usage("heights needs --x (and optionally --y), or --curve with --point")
@@ -367,10 +369,10 @@ def _cmd_heights(args) -> str:
         doc["naive_height"] = {"value": nh.value, "witness": nh.exact_arg}
         doc["canonical_height"] = canonical_height(c, p, args.tol)
         doc["tol"] = args.tol
-    return _json_text(doc) + "\n"
+    return [_json_text(doc) + "\n"]
 
 
-def _cmd_vojta_check(args) -> str:
+def _cmd_vojta_check(args) -> list[str]:
     p = VojtaParams(epsilon=args.eps, delta=args.delta, C=args.C, r=args.r)
     bound = vojta_bound(args.lhs, args.ha, p.epsilon, p.C, args.hcount, p.weight)
     doc = {
@@ -382,7 +384,7 @@ def _cmd_vojta_check(args) -> str:
                        "counting_term": args.hcount / p.weight},
         "params": {"epsilon": p.epsilon, "delta": p.delta, "C": p.C, "r": p.r},
     }
-    return _json_text(doc) + "\n"
+    return [_json_text(doc) + "\n"]
 
 
 class _Usage(Exception):
@@ -413,21 +415,29 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, OSError, OverflowError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    # block by block, so that neither the whole document nor its encoded copy
+    # is ever formed
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(output)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(output)
+        except OSError as e:
+            sys.stderr.write(f"error: {e}\n")
+            return 2
     else:
-        sys.stdout.write(output)
+        sys.stdout.writelines(output)
     baseline = getattr(args, "baseline", None)
     if baseline:
         try:
             with open(baseline, "r", encoding="utf-8", newline="") as fh:
-                expected = fh.read()
+                same = all(fh.read(len(block)) == block for block in output) and not fh.read(1)
         except OSError as e:
             sys.stderr.write(f"error: {e}\n")
             return 2
-        if expected != output:
+        except UnicodeDecodeError:  # the output is UTF-8, so the bytes differ
+            same = False
+        if not same:
             sys.stderr.write(f"baseline mismatch against {baseline}\n")
             return 3
     return 0

@@ -9,10 +9,11 @@ budget (default 0) turns unexpected ones into a failure at the end.
 
 Cells are evaluated in contiguous runs of the row-major grid, by flat
 index: the whole grid at one job.  Past one job, the parent evaluates runs in
-index order, in doubling steps, until it is done or has spent the cost of
-starting and stopping a pool under the start method it would use
-(``_POOL_START_S``) and its mean rate puts the rest above twice that; so a
-sweep cheaper than a pool never starts one.  The rest goes to at most
+index order until it is done or has spent the cost of starting and stopping a
+pool under the start method it would use (``_POOL_START_S``) and its mean
+rate puts the rest above twice that; so a sweep cheaper than a pool never
+starts one.  A run doubles the next while it takes under 1/32 of that cost,
+and halves it past 1/16.  The rest goes to at most
 min(jobs, usable CPUs, chunks) worker processes, each sent the shared inputs
 once, in about 8 contiguous chunks per worker, highest indices first: BCZ
 and AR cells get dearer with n, so the dearest chunks start first instead of
@@ -37,9 +38,11 @@ witnesses, then the log-space lhs/rhs pair and the holds flag, then
 ``error`` (None but on an error row, which has only its index values).
 Rendering encodes each value by its type: integers with all their digits,
 reals with 12 significant digits (a JSON config's exactly).  It goes by
-column (``_texts``), through a memo of a column's distinct values where they
-repeat, and ``render_json`` lays its records out in one list of parts, a
-slice assignment per column, which it joins once.
+block of at most ``_BLOCK`` records, and within a block by column
+(``_texts``), through a memo of a column's distinct values where they
+repeat; ``render_json`` lays a block's records out in one list of parts, a
+slice assignment per column, and joins each block into one text.  The
+renderers return the blocks joined; the CLI writes them one by one.
 """
 
 from __future__ import annotations
@@ -716,10 +719,18 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     if workers > 1:  # reading the start method fixes it, so only a run that may pool reads it
         mp = _this.get_context()
         step, pool_s = 1, _POOL_START_S[mp.get_start_method()]
-    start = perf_counter()
+    start = last = perf_counter()
     while (done := len(records)) < total:  # the serial head
         _eval(kind, ctx, axes, range(done, min(done + step, total)), records)
-        spent, step = perf_counter() - start, min(2 * step, 64)
+        now = perf_counter()
+        # a run under 1/32 of a pool's start-up doubles the next, one past
+        # 1/16 halves it: as cells get dearer the runs shorten, so the head
+        # stops within a short run of its cut-off
+        if now - last < pool_s / 32:
+            step *= 2
+        elif now - last > pool_s / 16:
+            step = -(-step // 2)
+        spent, last = now - start, now
         if spent > pool_s and spent * (total - len(records)) > 2 * pool_s * len(records):
             break
     if rest := range(len(records), total):
@@ -730,7 +741,8 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
                                        initargs=(kind, ctx, axes)) as pool:
             done = list(pool.map(_eval_chunk, reversed(chunks)))  # dearest first
         Row = SPECS[kind].Row
-        records += [tuple.__new__(Row, t) for rows in reversed(done) for t in rows]
+        while done:  # lowest indices last; each chunk is freed once it is rows
+            records += map(tuple.__new__, repeat(Row), done.pop())
     errors = [r.error for r in records if r.error is not None]
     if len(errors) > p["error_budget"]:
         raise ValueError(
@@ -847,15 +859,30 @@ def _texts(col: Sequence, enc: dict) -> Iterable[str]:
     return map(enc[types.pop()], col) if len(types) == 1 else [enc[type(v)](v) for v in col]
 
 
-def _csv_table(columns: Sequence[str], rows) -> str:
-    """A header of ``columns``, then a line per row, encoded by column."""
-    texts = [_texts(col, _CSV) for col in zip(*rows)]
-    return "\n".join([",".join(columns), *map(",".join, zip(*texts)), ""])
+# Records per rendered block: a render lays out the texts of one block at a
+# time, so the memory it holds above the records stays near its own output
+_BLOCK = 2048
+
+
+def _csv_lines(head: list[str], block: Sequence) -> str:
+    """The lines of ``head``, then a line per row of ``block``, encoded by
+    column, each ended by a line feed."""
+    texts = [_texts(col, _CSV) for col in zip(*block)]
+    return "\n".join([*head, *map(",".join, zip(*texts)), ""])
+
+
+def _csv_blocks(columns: Sequence[str], rows: Sequence) -> list[str]:
+    """The table as a text per block of rows, the first led by a header line
+    of ``columns``: a table of one block is one text, which a join returns
+    as it is."""
+    head = [",".join(columns)]
+    return [_csv_lines([] if start else head, rows[start:start + _BLOCK])
+            for start in range(0, len(rows), _BLOCK)] or [_csv_lines(head, ())]
 
 
 def render_csv(result: SweepResult) -> str:
     """One row per record in index order, fixed header per kind."""
-    return _csv_table(SPECS[result.config.kind].columns, result.records)
+    return "".join(_csv_blocks(SPECS[result.config.kind].columns, result.records))
 
 
 def _json_text(v, pad: str = "\n", enc: dict = _JSON) -> str:
@@ -882,6 +909,43 @@ def _json_text(v, pad: str = "\n", enc: dict = _JSON) -> str:
     return f"{ends[0]}{inner}{sep.join(items)}{pad}{ends[1]}" if v else ends
 
 
+def _json_blocks(result: SweepResult, version: str | None = None) -> list[str]:
+    """``render_json``'s document as a text per block of records, the first
+    led by the config and the last followed by the summary: a document of
+    one block is one text, which a join returns as it is."""
+    if version is None:
+        from . import __version__ as version
+    records, spec, cfg = result.records, SPECS[result.config.kind], result.config
+    cols, keys, errs = spec.columns, sorted(spec.columns[:-1]), (*spec.index, "error")
+    width, at = 2 * len(keys) + 1, [cols.index(k) for k in keys]
+    config = {"kind": cfg.kind.value, "parameters": cfg.parameters, "seed": cfg.seed}
+    head = '{\n  "config": ' + _json_text(config, "\n  ", _ECHO) + ',\n  "records": ['
+    tail = ("\n  ]" if records else "]") + ',\n  "summary": ' + _json_text(
+        result.summary, "\n  ") + ',\n  "version": ' + _JSON[str](version) + "\n}\n"
+    # a record is an object of sorted keys: every column but error, laid out in
+    # one list of parts per block by a slice assignment per key and per column,
+    # or on an error row its index and error
+    first = f",\n    {{\n      {json.dumps(keys[0])}: "
+    after = [*(f",\n      {json.dumps(k)}: " for k in keys[1:]), "\n    }"]
+    out = []
+    for start in range(0, len(records), _BLOCK):
+        block = records[start:start + _BLOCK]
+        columns, n = [*zip(*block)], len(block)
+        parts = [first] * (n * width)
+        for j, (c, piece) in enumerate(zip(at, after)):
+            parts[2 * j + 1::width] = _texts(columns[c], _JSON)
+            parts[2 * j + 2::width] = [piece] * n
+        for i in compress(count(), map(is_not, columns[-1], repeat(None))):
+            text = _json_text({k: getattr(block[i], k) for k in errs}, "\n    ")
+            parts[i * width:(i + 1) * width] = [",\n    " + text, *[""] * (width - 1)]
+        if not out:  # no comma before the first record
+            parts[0] = head + parts[0][1:]
+        if start + n == len(records):
+            parts.append(tail)
+        out.append("".join(parts))
+    return out or [head + tail]
+
+
 def render_json(result: SweepResult, version: str | None = None) -> str:
     """Full result: effective config, summary, records; results at 12 digits.
 
@@ -889,26 +953,4 @@ def render_json(result: SweepResult, version: str | None = None) -> str:
     that reproduces this output exactly.  A NaN or infinite real raises
     ValueError, since strict JSON has no token for it.
     """
-    if version is None:
-        from . import __version__ as version
-    records, spec, cfg = result.records, SPECS[result.config.kind], result.config
-    cols, keys, errs = spec.columns, sorted(spec.columns[:-1]), (*spec.index, "error")
-    columns, width, n = [*zip(*records)] or [()] * len(cols), 2 * len(keys) + 1, len(records)
-    # a record is an object of sorted keys: every column but error, laid out in
-    # one list of parts by a slice assignment per key and per column, or on an
-    # error row its index and error
-    parts = [f",\n    {{\n      {json.dumps(keys[0])}: "] * (n * width)
-    after = [*(f",\n      {json.dumps(k)}: " for k in keys[1:]), "\n    }"]
-    for j, (k, piece) in enumerate(zip(keys, after)):
-        parts[2 * j + 1::width] = _texts(columns[cols.index(k)], _JSON)
-        parts[2 * j + 2::width] = [piece] * n
-    for i in compress(count(), map(is_not, columns[-1], repeat(None))):
-        text = _json_text({k: getattr(records[i], k) for k in errs}, "\n    ")
-        parts[i * width:(i + 1) * width] = [",\n    " + text, *[""] * (width - 1)]
-    parts[:1] = [p[1:] for p in parts[:1]]  # no comma before the first record
-    # the document's keys in sorted order, joined once
-    block = {"kind": cfg.kind.value, "parameters": cfg.parameters, "seed": cfg.seed}
-    return "".join(['{\n  "config": ', _json_text(block, "\n  ", _ECHO), ',\n  "records": [',
-                    *parts, "\n  ]" if n else "]", ',\n  "summary": ',
-                    _json_text(result.summary, "\n  "), ',\n  "version": ',
-                    _JSON[str](version), "\n}\n"])
+    return "".join(_json_blocks(result, version))

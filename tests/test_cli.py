@@ -15,6 +15,7 @@ import math
 import pathlib
 import random
 import shlex
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -22,9 +23,10 @@ from fractions import Fraction
 import pytest
 
 from gcdheights import Curve, Point, SweepConfig, SweepKind, eds, render_csv, render_json, run
-from gcdheights import cli
+from gcdheights import cli, experiments
 from gcdheights.cli import _EDS_PARAMS, _SUBCOMMANDS, main
 from gcdheights.experiments import SPECS
+from test_experiments import _one_join_csv
 
 C37 = "0,0,1,-1,0"
 
@@ -493,6 +495,80 @@ def test_baseline_match_and_mismatch(tmp_path, capsys):
     assert "baseline mismatch" in capsys.readouterr().err
 
     assert main(argv + ["--baseline", str(tmp_path / "absent.csv")]) == 2
+
+
+def test_out_that_cannot_be_written_is_computation_error(tmp_path, capsys):
+    # a missing directory: one error line and exit 2, as an unreadable
+    # --baseline gives, and no traceback
+    path = tmp_path / "missing" / "o.csv"
+    assert main(["gcdpow", "--a", "2", "--b", "3", "--nmax", "6", "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not path.parent.exists()
+
+
+def test_render_error_in_a_later_block_writes_no_file(tmp_path, monkeypatch, capsys):
+    # the bound overflows at n = 2, in the second block of one record: every
+    # block is rendered before any is written
+    monkeypatch.setattr(experiments, "_BLOCK", 1)
+    path = tmp_path / "r.json"
+    assert main(["gcdpow", "--a", "2", "--b", "3", "--nmax", "2", "--eps", "1.7e308",
+                 "--format", "json", "--out", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: Out of range float values are not JSON compliant: inf\n")
+    assert not path.exists()
+
+
+def test_baseline_is_compared_block_by_block(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "_BLOCK", 3)
+    argv = ["gcdpow", "--a", "2", "--b", "3", "--nmax", "10"]
+    good = tmp_path / "good.csv"
+    assert main(argv + ["--out", str(good)]) == 0
+    text = good.read_bytes()
+    assert main(argv + ["--baseline", str(good)]) == 0
+    # a prefix, an extra byte, a change in the last block, a CRLF ending and
+    # bytes that are not UTF-8 each differ
+    for bad in (text[:-1], text + b"\n", text[:-3] + b"9\n", text.replace(b"\n", b"\r\n"),
+                text[:40] + b"\xff" + text[41:]):
+        (tmp_path / "bad.csv").write_bytes(bad)
+        assert main(argv + ["--baseline", str(tmp_path / "bad.csv")]) == 3
+    assert capsys.readouterr().err == f"baseline mismatch against {tmp_path / 'bad.csv'}\n" * 5
+
+
+def test_eds_csv_in_blocks_is_one_table(monkeypatch, capsys):
+    # eds renders its terms, not a sweep's records, through the same blocks
+    assert main(["eds", "--curve", C37, "--point", "0,0", "--nmax", "10"]) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(experiments, "_BLOCK", 3)
+    assert main(["eds", "--curve", C37, "--point", "0,0", "--nmax", "10"]) == 0
+    terms = eds(Curve(0, 0, 1, -1, 0), Point(Fraction(0), Fraction(0)), 10)
+    assert capsys.readouterr().out == whole == _one_join_csv(("n", "d"), enumerate(terms, 1))
+
+
+def test_large_sweep_is_written_in_blocks_near_its_own_size(tmp_path, monkeypatch, capsys):
+    # 45,796 CZ cells as 9.6 MB of JSON: above the run's records, main holds
+    # the blocks and one block's encoding, render_json the blocks and their join
+    params = {"primes": [2, 3, 5], "bound": 2000, "eps": 0.25}
+    result = run(SweepConfig(kind=SweepKind.CZ_TRICHOTOMY, parameters=params))
+    assert len(result.records) == 45796
+    monkeypatch.setattr(cli, "run", lambda config, jobs: result)
+    config, path = tmp_path / "cz.json", tmp_path / "out.json"
+    config.write_text(json.dumps({"kind": "CZ_TRICHOTOMY", "parameters": params}))
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--config", str(config), "--format", "json",
+                     "--out", str(path)]) == 0
+        main_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        text = render_json(result)
+        render_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert path.read_text() == text and size == len(text) > 9 * 10 ** 6
+    assert main_peak <= 1.3 * size
+    assert render_peak <= 2.2 * size
 
 
 def test_sweep_runs_a_config_file(tmp_path, capsys):

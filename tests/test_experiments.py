@@ -723,8 +723,8 @@ def _kernel_failures(monkeypatch, kind: SweepKind) -> list[range]:
     return failed
 
 
-# grids of the kinds with a range kernel, each long enough for the head to
-# reach its 64-cell steps; CZ's rows are 34 units long.  EDS_GCD without q
+# grids of the kinds with a range kernel, each long enough for head runs of
+# 64 cells; CZ's rows are 34 units long.  EDS_GCD without q
 # reads its gcds off strong divisibility, also at bad reduction (x^3 + 17 at
 # (-2, 3), where gcd(W_2, W_3) = 6); with q it takes one gcd per cell
 C37, C389, C17 = [0, 0, 1, -1, 0], [0, 1, 1, -2, 0], [0, 0, 0, 0, 17]
@@ -754,9 +754,10 @@ BREAK_CTX = {SweepKind.BCZ: 2, SweepKind.AR_RETURNS: 0, SweepKind.CZ_TRICHOTOMY:
 
 
 def _runs(total: int, width: int) -> list[range]:
-    """Runs as the runner makes them: the head's doubling steps from n = 1, a
-    rest in 16 chunks, the whole grid, runs across a row end of ``width``
-    cells, and empty runs."""
+    """Runs as the runner makes them: the head's doubling steps from n = 1,
+    held at 64 cells as runs of dear cells are held, a rest in 16 chunks,
+    the whole grid, runs across a row end of ``width`` cells, and empty
+    runs."""
     head, start, step = [], 0, 1
     while start < total:
         head.append(range(start, min(start + step, total)))
@@ -997,6 +998,49 @@ def test_cz_head_makes_the_core_calls_of_one_job(monkeypatch, pools):
     assert render_json(results[1]) == render_json(results[0])
 
 
+def test_cz_head_too_cheap_to_pool_doubles_its_runs(monkeypatch, pools):
+    # a clock that stands still: every run is cheap next to a pool, so each
+    # doubles the next, and the 1600 cells take 11 runs (1, 2, ..., 1024),
+    # not the 31 of runs capped at 64 cells
+    monkeypatch.setattr(experiments, "perf_counter", lambda: 0.0)
+    runs, evaluate = [], experiments._eval
+    monkeypatch.setattr(experiments, "_eval", lambda kind, ctx, axes, cells, out:
+                        runs.append(cells) or evaluate(kind, ctx, axes, cells, out))
+    cfg = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
+                      parameters={"primes": [2, 3], "bound": 110, "eps": 0.25})
+    res = run(cfg, jobs=2)
+    assert pools == [] and len(res.records) == 1600
+    assert [len(cells) for cells in runs] == [2 ** k for k in range(10)] + [577]
+    assert render_json(res) == render_json(run(cfg))
+
+
+def test_head_runs_follow_the_time_of_the_last_run(monkeypatch, pools):
+    # a clock that advances by the cost of the cells evaluated: 1/256 of the
+    # pool's start-up per cell up to n = 40, 1/32 beyond.  A run under 1/32
+    # of the start-up doubles the next, one past 1/16 halves it, and the head
+    # pools the rest once it has spent the start-up
+    clock, runs, evaluate, serial = [0.0], [], experiments._eval, render_csv(run(BCZ300))
+
+    def timed(kind, ctx, axes, cells, out):
+        runs.append((cells, sum(1 / 256 if i < 40 else 1 / 32 for i in cells)))
+        clock[0] += runs[-1][1]
+        return evaluate(kind, ctx, axes, cells, out)
+
+    monkeypatch.setattr(experiments, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(experiments, "_eval", timed)
+    monkeypatch.setattr(experiments, "_POOL_START_S", dict.fromkeys(experiments._POOL_START_S, 1))
+    assert render_csv(run(BCZ300, jobs=2)) == serial
+    [pool] = pools
+    assert pool.chunks[-1].start == runs[-1][0].stop
+    assert sum(t for _, t in runs) > 1 >= sum(t for _, t in runs[:-1])
+    moves = []
+    for (cells, t), (after, _) in zip(runs, runs[1:]):
+        want = 2 * len(cells) if t < 1 / 32 else -(-len(cells) // 2) if t > 1 / 16 else len(cells)
+        assert len(after) == want
+        moves.append(len(after) / len(cells))
+    assert {2.0, 1.0, 0.5} <= set(moves)
+
+
 def test_cheap_sweep_builds_no_pool(pools):
     # far below the cost of starting a pool, so the parent runs every cell
     cfg = SweepConfig(kind=SweepKind.BCZ, parameters={**TINY[SweepKind.BCZ], "n_max": 40})
@@ -1066,13 +1110,15 @@ def test_spawn_start_cost_keeps_a_100ms_sweep_serial(pools, monkeypatch):
 @pytest.mark.parametrize("method, pooled", [("fork", True), ("forkserver", False),
                                             ("spawn", False)])
 def test_pool_cut_off_follows_the_start_method(method, pooled, pools, monkeypatch):
-    # a clock that ticks 10 ms per reading: past 12 ms the head's mean rate
-    # puts BCZ300's rest above twice a forked pool's cost, but a head that
-    # has spent a spawned or forkserver pool's cost has nearly finished
+    # a clock that ticks 1 ms per reading: a run that long is dear next to a
+    # forked pool's 12 ms, so the head stays at one cell a run, and past 12 ms
+    # its mean rate puts BCZ300's rest above twice that cost; next to a
+    # spawned or forkserver pool's 0.15 s it is cheap, so the runs double and
+    # the head finishes the sweep first
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     monkeypatch.setattr(experiments, "perf_counter",
-                        map(lambda tick: tick / 100, itertools.count()).__next__)
+                        map(lambda tick: tick / 1000, itertools.count()).__next__)
     monkeypatch.setattr(experiments, "get_context",
                         functools.partial(multiprocessing.get_context, method))
     assert render_csv(run(BCZ300, jobs=2)) == render_csv(run(BCZ300))
@@ -1517,3 +1563,133 @@ def test_render_csv_header_matches_kind():
                           parameters={"a": 2, "b": 3, "n_max": 4}))
     head = render_csv(res).splitlines()[0]
     assert head == "n,gcd,base_gcd,is_return,error"
+
+
+# ----------------------------------------------------------------------------
+# rendering in blocks, against the renderers that joined one document
+# ----------------------------------------------------------------------------
+
+def _one_join_csv(columns, rows) -> str:
+    """The CSV table as one text: every row encoded by column, joined once."""
+    texts = [experiments._texts(col, experiments._CSV) for col in zip(*rows)]
+    return "\n".join([",".join(columns), *map(",".join, zip(*texts)), ""])
+
+
+def _one_join_json(result: SweepResult, version: str = "oracle") -> str:
+    """The JSON document as one list of parts over all records, joined once."""
+    _texts, _JSON, _json_text = experiments._texts, experiments._JSON, experiments._json_text
+    records, spec, cfg = result.records, experiments.SPECS[result.config.kind], result.config
+    cols, keys, errs = spec.columns, sorted(spec.columns[:-1]), (*spec.index, "error")
+    columns, width, n = [*zip(*records)] or [()] * len(cols), 2 * len(keys) + 1, len(records)
+    parts = [f",\n    {{\n      {json.dumps(keys[0])}: "] * (n * width)
+    after = [*(f",\n      {json.dumps(k)}: " for k in keys[1:]), "\n    }"]
+    for j, (k, piece) in enumerate(zip(keys, after)):
+        parts[2 * j + 1::width] = _texts(columns[cols.index(k)], _JSON)
+        parts[2 * j + 2::width] = [piece] * n
+    for i in itertools.compress(itertools.count(), [e is not None for e in columns[-1]]):
+        text = _json_text({k: getattr(records[i], k) for k in errs}, "\n    ")
+        parts[i * width:(i + 1) * width] = [",\n    " + text, *[""] * (width - 1)]
+    parts[:1] = [p[1:] for p in parts[:1]]
+    block = {"kind": cfg.kind.value, "parameters": cfg.parameters, "seed": cfg.seed}
+    return "".join(['{\n  "config": ', _json_text(block, "\n  ", experiments._ECHO),
+                    ',\n  "records": [', *parts, "\n  ]" if n else "]", ',\n  "summary": ',
+                    _json_text(result.summary, "\n  "), ',\n  "version": ',
+                    _JSON[str](version), "\n}\n"])
+
+
+def _assert_blocks_like_one_join(result: SweepResult, sizes, monkeypatch) -> None:
+    """At each block size, both renderers give the one-join texts, in the
+    number of blocks that size makes (one for no records)."""
+    columns = experiments.SPECS[result.config.kind].columns
+    want_csv, want_json = _one_join_csv(columns, result.records), _one_join_json(result)
+    for size in sizes:
+        monkeypatch.setattr(experiments, "_BLOCK", size)
+        blocks = max(-(-len(result.records) // size), 1)
+        assert len(experiments._csv_blocks(columns, result.records)) == blocks
+        assert len(experiments._json_blocks(result, "oracle")) == blocks
+        assert render_csv(result) == want_csv
+        assert render_json(result, version="oracle") == want_json
+
+
+RENDER_GOLDENS = [
+    *BOUND_GOLDENS,
+    ("bcz_a2_b3_eps05_n300.csv", BCZ300.kind, BCZ300.parameters),
+    ("siegel_37a1_n5_40.csv", SweepKind.SIEGEL,
+     {"curve": [0, 0, 1, -1, 0], "point": [0, 0], "n_min": 5, "n_max": 40}),
+    ("siegel_x3p17_m2_3_n80.csv", SweepKind.SIEGEL,
+     {"curve": [0, 0, 0, 0, 17], "point": [-2, 3], "n_max": 80}),
+    ("edsgcd_389a1_pq_eps02_n12.json", None, None),  # its own config block
+]
+
+
+@pytest.mark.parametrize("size", [1, 3, 64])
+@pytest.mark.parametrize("name, kind, params", RENDER_GOLDENS,
+                         ids=[g[0] for g in RENDER_GOLDENS])
+def test_goldens_render_byte_identical_in_small_blocks(data_dir, name, kind, params,
+                                                       size, monkeypatch):
+    want = (data_dir / name).read_text()
+    cfg = (SweepConfig(**json.loads(want)["config"]) if kind is None
+           else SweepConfig(kind=kind, parameters=params))
+    res = run(cfg)
+    monkeypatch.setattr(experiments, "_BLOCK", size)
+    got = render_json(res, version="0.0.0") if name.endswith(".json") else render_csv(res)
+    assert got == want
+    assert len(res.records) > 2 * 3  # three blocks or more at sizes 1 and 3
+
+
+@pytest.mark.parametrize("size", [1, 94, 95, 96, 158, 159])
+def test_error_rows_of_a_budgeted_run_split_across_blocks(size, monkeypatch):
+    # the error rows at 95 and 158 fall first, last and alone in a block, and
+    # the first record of a block keeps its leading comma
+    _inject_cz_fault(monkeypatch)
+    res = run(CZ30_FAULTY)
+    assert [r for r in res.records if r.error] == CZ30_ERRORS
+    assert [i for i, r in enumerate(res.records) if r.error] == [95, 158]
+    _assert_blocks_like_one_join(res, [size], monkeypatch)
+    recs = json.loads(render_json(res))["records"]
+    assert [recs[i] for i in (95, 158)] == [
+        {"alpha": -4, "beta": 6, "error": "RuntimeError: injected"},
+        {"alpha": 6, "beta": -4, "error": "RuntimeError: injected"}]
+
+
+def test_signed_zeros_in_different_blocks_keep_their_signs(monkeypatch):
+    # a block of zeros goes through the memo, a block of negative zeros value
+    # by value; a block across the change holds both
+    res = _bcz_columns(128, lhs=[0.0] * 64 + [-0.0] * 64, rhs=[-0.0] * 64 + [0.0] * 64)
+    _assert_blocks_like_one_join(res, [64, 100, 2048], monkeypatch)
+    monkeypatch.setattr(experiments, "_BLOCK", 64)
+    recs = json.loads(render_json(res))["records"]
+    assert [math.copysign(1, r["lhs"]) for r in recs] == [1.0] * 64 + [-1.0] * 64
+    assert [math.copysign(1, r["rhs"]) for r in recs] == [-1.0] * 64 + [1.0] * 64
+    rows = list(csv.DictReader(io.StringIO(render_csv(res))))
+    assert {r["lhs"] for r in rows[:64]} == {"0"} and {r["lhs"] for r in rows[64:]} == {"-0"}
+
+
+def test_ints_past_the_str_limit_render_exactly_in_any_block(monkeypatch):
+    big = 7 ** 6000  # 5071 digits, past str()'s 4300-digit limit
+    # in a repeating column, and alone in a column of distinct ints, so that
+    # one block may go through str() and the next may not
+    res = _bcz_columns(130, gcd=[1, 2, big, 1, 2], n=[*range(1, 100), -big, *range(101, 131)])
+    _assert_blocks_like_one_join(res, [64, 99, 100], monkeypatch)
+    monkeypatch.setattr(experiments, "_BLOCK", 64)
+    rows = list(csv.reader(io.StringIO(render_csv(res))))
+    assert int(Decimal(rows[100][0])) == -big
+    assert [int(Decimal(r[1])) for r in rows[1:]] == [r.gcd for r in res.records]
+
+
+def test_an_empty_sweep_renders_as_one_block(monkeypatch):
+    cfg = SweepConfig(kind=SweepKind.PN_CHECK,
+                      parameters={"polys": ["X1-X0"], "primes": [2], "bound": 0, "eps": 0.5})
+    res = run(cfg)
+    assert res.records == []
+    _assert_blocks_like_one_join(res, [1, 2048], monkeypatch)
+    assert experiments._csv_blocks(experiments.SPECS[cfg.kind].columns, []) == [
+        "point,gcd,lhs,hA,hcount,rhs,holds,error\n"]
+
+
+def test_pooled_chunks_become_rows_in_index_order(forced_pool):
+    # each chunk a worker returns becomes rows as it is taken off the list
+    pooled, serial = run(BCZ300, jobs=2), run(BCZ300)
+    assert len(forced_pool) == 1 and len(forced_pool[0].chunks) == 16
+    assert pooled.records == serial.records
+    assert {type(r) for r in pooled.records} == {experiments.SPECS[SweepKind.BCZ].Row}
