@@ -179,7 +179,7 @@ def _w3(b: tuple[int, int, int, int], a: int, e: int) -> int:
     return (((3 * a + b2 * e) * a + 3 * b4 * e * e) * a + 3 * b6 * e**3) * a + b8 * e**4
 
 
-def _division_values(c: Curve, p: Point, n_max: int, strip: bool = False
+def _division_values(c: Curve, p: Point, n_max: int
                      ) -> tuple[list[int], list[int] | None, list[list]]:
     """(u, primes, vals): W_0..W_N, N = max(n_max, 4), W_n = d^(n^2-1) psi_n(P).
 
@@ -191,15 +191,15 @@ def _division_values(c: Curve, p: Point, n_max: int, strip: bool = False
     whose division is exact.  The odd steps cube each W_j twice and the even
     steps square it twice, so each W_j^2 and W_j^3 = W_j^2 W_j is formed once,
     when first needed.  W_k = 0 exactly when kP is the identity; one with
-    k < n_max is reported.  With strip, W_k = u_k prod q^vals[i][k] over the
-    primes q = primes[i] of G = gcd(W_2, W_3), u_k prime to G: a step scales
-    each product of u's by the power of q their valuations leave between
-    them, divides q out of the difference while q divides it, and the even
-    step divides by u_2.  So the valuations are exact, and no u_k carries the
+    k < n_max is reported.  W_k = u_k prod q^vals[i][k] over the primes
+    q = primes[i] of G = gcd(W_2, W_3), u_k prime to G: a step scales each
+    product of u's by the power of q their valuations leave between them,
+    divides q out of the difference while q divides it, and the even step
+    divides by u_2.  So the valuations are exact, and no u_k carries the
     powers of q that make up most of W_k at a point of singular reduction.
-    Without strip, or if _trial_primes cannot split G, or for G > 1 and
-    n_max <= _CAP + 1, where the per-prime bookkeeping costs more than one
-    gcd per term of ``multiples`` (primes None), u = W.
+    If _trial_primes cannot split G, or for G > 1 and n_max <= _CAP + 1,
+    where the per-prime bookkeeping costs more than one gcd per term of
+    ``multiples`` (primes None), u = W.
     """
     b = b2, b4, b6, b8 = c.b_invariants()
     a, d = p.x.numerator, isqrt(p.x.denominator)
@@ -215,7 +215,7 @@ def _division_values(c: Curve, p: Point, n_max: int, strip: bool = False
         + (b4 * b8 - b6 * b6) * d8 * d4
     )
     w = [0, 1, w2, w3, w4]
-    G = gcd(w2, w3) if strip and n_max > 2 else 1
+    G = gcd(w2, w3) if n_max > 2 else 1
     primes = _trial_primes(G) if G == 1 or n_max > _CAP + 1 else None
     qs, vals = primes or [], []
     for q in qs:
@@ -304,7 +304,7 @@ def _terms(c: Curve, p: Point, n_max: int) -> tuple[int, int, Iterator]:
     """
     if p.is_identity:
         raise ValueError("point has finite order 1")
-    u, primes, vals = _division_values(c, p, n_max + 1, strip=True)
+    u, primes, vals = _division_values(c, p, n_max + 1)
     a, d = p.x.numerator, isqrt(p.x.denominator)
     xs, zs = u[1:n_max + 1], u[2:n_max + 2]
     for n in range(1, n_max + 1) if vals else ():

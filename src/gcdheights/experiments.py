@@ -22,20 +22,20 @@ several times faster than rows.  multiprocessing is imported when a run
 first may pool (``jobs`` > 1 on more than one usable CPU) and
 concurrent.futures when one first does, so a run at one job loads neither.
 
-Each kind is one ``KindSpec`` record in ``SPECS``.  Every kind but PN_CHECK
-has a range kernel, which evaluates a whole run, builds its rows
-positionally, and hoists the work that depends on one axis only (BCZ and AR
-multiply a^n and b^n up along the run, and when the smaller base is 2^k fold
-the other power minus one modulo 2^(kn) - 1; CZ strips each unit once, and
-copies the row of (b, a) from that of (a, b) when the sweep's one record
-list, which each run appends to, holds it; EDS_GCD without q reads
-gcd(D_m, D_n) off strong divisibility as D_gcd(m, n); MIXED_CHECK checks each
-b once and takes ln D_n and ln|b| once each); ``row`` stays the oracle, and a
-run whose kernel raises is evaluated again cell by cell, so each failing cell
-becomes an error row as without a kernel.  A row is a tuple of the kind's
-``Row`` type in ``columns`` order: index columns first, then exact integer
-witnesses, then the log-space lhs/rhs pair and the holds flag, then
-``error`` (None but on an error row, which has only its index values).
+Each kind is one ``KindSpec`` record in ``SPECS``.  A kind has a range
+kernel, which evaluates a whole run and builds its rows positionally, only
+where it hoists work out of the cells: BCZ and AR multiply a^n and b^n up
+along the run, and when the smaller base is 2^k fold the other power minus
+one modulo 2^(kn) - 1; CZ strips each unit once, and copies the row of
+(b, a) from that of (a, b) when the sweep's one record list, which each run
+appends to, holds it; EDS_GCD without q reads gcd(D_m, D_n) off strong
+divisibility as D_gcd(m, n) and takes ln D_g once per g; MIXED_CHECK checks
+each b once and takes ln D_n and ln|b| once each.  There ``row`` is the
+oracle and the fallback (see ``_eval``); PN_CHECK, SIEGEL and ABELIAN_GROWTH
+run as its map.  A row is a tuple of the kind's ``Row`` type in ``columns``
+order: index columns first, then exact integer witnesses, then the
+log-space lhs/rhs pair and the holds flag, then ``error`` (None but on an
+error row, which has only its index values).
 Rendering encodes each value by its type: integers with all their digits,
 reals with 12 significant digits (a JSON config's exactly).  It goes by
 block of at most ``_BLOCK`` records, and within a block by column
@@ -132,16 +132,16 @@ class KindSpec(namedtuple("KindSpec", "Row index params prepare row rows summary
     and one or two sequences of ``index`` values whose row-major grid is the
     cells.  ``row(ctx, *key)`` evaluates one cell, possibly in a pool worker;
     its ``Row``, like an error row, carries ``key`` as its ``index`` columns.
-    ``rows(ctx, axes, cells, out)``, the optional range kernel, appends to
-    ``out`` the ``Row``s of ``cells``, a contiguous range of flat indices into
-    the grid, equal to those of ``row`` on each cell.  ``out`` holds the rows
-    just before ``cells.start``, error rows too: all of them in the parent,
-    none in a pool chunk.  It may raise, and then ``_eval`` drops what it
-    appended and maps ``row`` over the run.  Without a kernel, a run is the
-    map of ``row``.  ``summary(good, p)`` gives the kind's own summary keys
-    from its error-free rows; ``summarize`` adds the fit keys to every kind
-    whose ``columns`` include ``hA``, mapping the log-scale fit to the
-    config's ``C`` by ``C_of_fit``.
+    ``rows(ctx, axes, cells, out)``, the range kernel of a kind that hoists
+    work out of its cells, appends to ``out`` the ``Row``s of ``cells``, a
+    contiguous range of flat indices into the grid, equal to those of ``row``
+    on each cell.  ``out`` holds the rows just before ``cells.start``, error
+    rows too: all of them in the parent, none in a pool chunk.  It may raise,
+    and then ``_eval`` drops what it appended and maps ``row`` over the run.
+    Without a kernel, a run is the map of ``row``.  ``summary(good, p)``
+    gives the kind's own summary keys from its error-free rows;
+    ``summarize`` adds the fit keys to every kind whose ``columns`` include
+    ``hA``, mapping the log-scale fit to the config's ``C`` by ``C_of_fit``.
     """
 
     __slots__ = ()
@@ -517,17 +517,8 @@ def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
 
 def _row_siegel(ctx: tuple, n: int) -> tuple:
     n_min, dn = ctx
-    d, naive = dn[n - n_min]
-    ratio = 0.0 if d == 1 else 2.0 * log(d) / naive
-    return _SiegelRow(n, d, naive, ratio)
-
-
-def _rows_siegel(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The map of ``_row_siegel`` over a run."""
-    n_min, dn = ctx
-    for n in axes[0][cells.start:cells.stop]:
-        d, h = dn[n - n_min]
-        out.append(tuple.__new__(_SiegelRow, (n, d, h, 0.0 if d == 1 else 2.0 * log(d) / h, None)))
+    d, h = dn[n - n_min]
+    return tuple.__new__(_SiegelRow, (n, d, h, 0.0 if d == 1 else 2.0 * log(d) / h, None))
 
 
 def _summary_siegel(good: list[tuple], p: dict) -> dict:
@@ -538,8 +529,7 @@ def _summary_siegel(good: list[tuple], p: dict) -> dict:
 
 def _prepare_abelian(p: dict, seed: int) -> tuple[tuple, tuple]:
     c, n_max = p["curve"], p["n_max"]
-    P = _on_curve(c, p["p"], "p")
-    Q = _on_curve(c, p["q"], "q")
+    P, Q = _on_curve(c, p["p"], "p"), _on_curve(c, p["q"], "q")
     if Q in (P, neg(c, P)):  # then (nP, nQ) lies on a curve in E x E
         raise ValueError("q must not be p or -p: the points are dependent")
     dp, dq = _denominators(c, P, n_max), _denominators(c, Q, n_max)
@@ -548,18 +538,9 @@ def _prepare_abelian(p: dict, seed: int) -> tuple[tuple, tuple]:
 
 def _row_abelian(ctx: tuple, n: int) -> tuple:
     dp, dq, eps, C = ctx
-    return _AbelianRow(n, dp[n - 1], dq[n - 1],
-                       **check_e2(dp[n - 1], dq[n - 1], float(n ** 2), eps, C))
-
-
-def _rows_abelian(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The map of ``_row_abelian`` over a run."""
-    dp, dq, eps, C = ctx
-    for n in axes[0][cells.start:cells.stop]:
-        a, b = dp[n - 1], dq[n - 1]
-        g = gcd(a, b)
-        out.append(tuple.__new__(_AbelianRow, (n, a, b, g, *_bound(
-            log(g), float(n ** 2), eps, C), None)))
+    a, b = dp[n - 1], dq[n - 1]
+    g = gcd(a, b)
+    return tuple.__new__(_AbelianRow, (n, a, b, g, *_bound(log(g), float(n ** 2), eps, C), None))
 
 
 def _row_type(name: str, columns: str) -> type:
@@ -619,14 +600,13 @@ SPECS: dict[SweepKind, KindSpec] = {
     SweepKind.SIEGEL: KindSpec(
         index=("n",), params=(("curve", _curve), ("point", _point),
                               ("n_min", _int, 1), ("n_max", _int)),
-        prepare=_prepare_siegel, row=_row_siegel, rows=_rows_siegel, Row=_SiegelRow,
-        summary=_summary_siegel,
+        prepare=_prepare_siegel, row=_row_siegel, Row=_SiegelRow, summary=_summary_siegel,
     ),
     SweepKind.ABELIAN_GROWTH: KindSpec(
         index=("n",), params=(("independence_asserted", _vouched, False),
                               ("curve", _curve), ("p", _point), ("q", _point),
                               ("n_max", _int), *_EPS_C),
-        prepare=_prepare_abelian, row=_row_abelian, rows=_rows_abelian, Row=_AbelianRow,
+        prepare=_prepare_abelian, row=_row_abelian, Row=_AbelianRow,
     ),
 }
 

@@ -214,9 +214,9 @@ def test_multiples_of_torsion_points():
 
 
 def _multiples_by_gcd(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
-    """The full-gcd route: every x(nP) from the division values, reduced by
-    one gcd with its whole denominator."""
-    w = _division_values(c, p, n_max + 1)[0]
+    """The full-gcd route: every x(nP) from the division values of ``_ward``,
+    reduced by one gcd with its whole denominator."""
+    w = _ward(c, p, n_max + 1)
     a, dd = p.x.numerator, p.x.denominator
     out = []
     for n in range(1, n_max + 1):
@@ -393,8 +393,8 @@ def _valuation(q: int, x: int) -> int:
 @pytest.mark.parametrize("c, p", [(C17, Point(F(-2), F(3))), (C17, Point(F(4), F(9))),
                                   (C17, Point(F(2), F(5))), (C1009, P1009)])
 def test_stripped_recurrence_matches_the_plain_one(c, p):
-    u, primes, vals = _division_values(c, p, 61, strip=True)
-    w = _division_values(c, p, 61)[0]
+    u, primes, vals = _division_values(c, p, 61)
+    w = _ward(c, p, 61)
     assert primes == elliptic._trial_primes(gcd(w[2], w[3])) != [] and vals
     for k in range(1, 62):
         assert all(u[k] % q for q in primes)
@@ -421,21 +421,19 @@ def _ward(c: Curve, p: Point, n_max: int) -> list[int]:
 @pytest.mark.parametrize("n_max", [5, 6, 13, 14, 61])
 @pytest.mark.parametrize("name", list(MULTIPLES_CASES))
 def test_cached_powers_keep_wards_recurrence(name, n_max):
-    # the plain path is the recurrence; the stripped one (past 13 terms when
-    # gcd(W_2, W_3) > 1, below it u = W) multiplies back to it
+    # the stripped recurrence (past 13 terms when gcd(W_2, W_3) > 1, below it
+    # u = W) multiplies back to the plain one
     c, p, w_gcd = MULTIPLES_CASES[name]
     want = _ward(c, p, n_max)
-    assert _division_values(c, p, n_max)[0] == want
-    u, primes, vals = _division_values(c, p, n_max, strip=True)
+    u, primes, vals = _division_values(c, p, n_max)
     assert primes == ([] if w_gcd == 1 else None if n_max <= 13 else [2, 3])
     assert u[0] == 0 and [x * prod(q ** v[k] for q, v in zip(primes or (), vals))
                           for k, x in enumerate(u) if k] == want[1:]
 
 
 def test_plain_recurrence_keeps_the_division_values():
-    w, primes, vals = _division_values(C17, Point(F(-2), F(3)), 30)
-    assert primes == [] and vals == [] and gcd(w[2], w[3]) == 6
-    assert w[30] % 6**20 == 0
+    w = _ward(C17, Point(F(-2), F(3)), 30)
+    assert gcd(w[2], w[3]) == 6 and w[30] % 6**20 == 0
 
 
 # 5077a1, rank 3: two more base points with gcd(W_2, W_3) = 1

@@ -277,6 +277,9 @@ BOUND_GOLDENS = [
     ("pn_x123_s2_b3_eps04_d20_r3.json", SweepKind.PN_CHECK,
      {"polys": ["X1-X0", "X2-X0", "X3-X0"], "codim_r": 3, "primes": [2],
       "bound": 3, "eps": 0.4, "delta": 20.0}),
+    ("abelian_389a1_pq_eps02_n40.json", SweepKind.ABELIAN_GROWTH,
+     {"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0], "n_max": 40, "eps": 0.2,
+      "C": 0.25, "independence_asserted": True}),
 ]
 
 
@@ -299,6 +302,18 @@ def test_eds_gcd_with_q_golden_json(data_dir):
     assert render_json(run(cfg, jobs=2), version="0.0.0") == text
     assert len(res.records) == 144 and sum(r.exceptional for r in res.records) == 12
     assert format_real(res.summary["fitted_constant"]) == "-0.219722457734"
+
+
+def test_abelian_golden_json_at_two_jobs(data_dir, forced_pool):
+    # BOUND_GOLDENS checks it at one job.  24 of its 40 cells have
+    # gcd(D_nP, D_nQ) > 1, up to 55115 at n = 27; every cell after the first
+    # goes to a pool worker
+    text = (data_dir / "abelian_389a1_pq_eps02_n40.json").read_text()
+    pooled = run(SweepConfig(**json.loads(text)["config"]), jobs=2)
+    assert render_json(pooled, version="0.0.0") == text
+    assert [pool.max_workers for pool in forced_pool] == [2]
+    gcds = [r.gcd for r in pooled.records]
+    assert sum(g > 1 for g in gcds) == 24 and max(gcds) == gcds[26] == 55115
 
 
 def test_siegel_golden_csv(data_dir):
@@ -723,10 +738,11 @@ def _kernel_failures(monkeypatch, kind: SweepKind) -> list[range]:
     return failed
 
 
-# grids of the kinds with a range kernel, each long enough for head runs of
-# 64 cells; CZ's rows are 34 units long.  EDS_GCD without q
-# reads its gcds off strong divisibility, also at bad reduction (x^3 + 17 at
-# (-2, 3), where gcd(W_2, W_3) = 6); with q it takes one gcd per cell
+# grids of the kinds with a range kernel, and of SIEGEL and ABELIAN_GROWTH,
+# which have none, each long enough for head runs of 64 cells; CZ's rows are
+# 34 units long.  EDS_GCD without q reads its gcds off strong divisibility,
+# also at bad reduction (x^3 + 17 at (-2, 3), where gcd(W_2, W_3) = 6); with
+# q it takes one gcd per cell
 C37, C389, C17 = [0, 0, 1, -1, 0], [0, 1, 1, -2, 0], [0, 0, 0, 0, 17]
 KERNEL_GRIDS = {
     "BCZ": (SweepKind.BCZ, {"a": 3, "b": 7, "eps": 0.3, "n_max": 320, "C": 0.5}),
@@ -770,10 +786,15 @@ def _runs(total: int, width: int) -> list[range]:
     return [*head, *chunks, range(total), *across, range(5, 5), range(total, total)]
 
 
+def test_a_kind_has_a_kernel_only_where_it_hoists_work():
+    assert {kind for kind, spec in experiments.SPECS.items() if spec.rows is None} == {
+        SweepKind.PN_CHECK, SweepKind.SIEGEL, SweepKind.ABELIAN_GROWTH}
+
+
 @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
 def test_kernel_rows_match_the_map_of_row(name):
     # each run twice: after no rows, as in a pool chunk, and after the rows of
-    # every cell before it, as in the parent
+    # every cell before it, as in the parent; _eval, and the kernel if any
     kind, params = KERNEL_GRIDS[name]
     spec = experiments.SPECS[kind]
     ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
@@ -784,10 +805,11 @@ def test_kernel_rows_match_the_map_of_row(name):
     for cells in runs:
         want = rows[cells.start:cells.stop]
         for prefix in ([], rows[:cells.start]):
-            got = _appended(prefix, spec.rows, ctx, axes, cells)
-            assert got == want
-            assert _appended(prefix, experiments._eval, kind, ctx, axes, cells) == want
-            assert {type(r) for r in got} <= {spec.Row}
+            got = _appended(prefix, experiments._eval, kind, ctx, axes, cells)
+            assert got == want and {type(r) for r in got} <= {spec.Row}
+            if spec.rows is not None:
+                got = _appended(prefix, spec.rows, ctx, axes, cells)
+                assert got == want and {type(r) for r in got} <= {spec.Row}
     # a context that breaks every cell: the kernel raises on each run, also
     # after error rows it must not copy, and _eval tags each cell of the run
     # as the map of row does
@@ -801,7 +823,7 @@ def test_kernel_rows_match_the_map_of_row(name):
         errors.append(spec.Row(*key, *blank, f"TypeError: {exc.value}"))
     for cells in runs:
         for prefix in ([], errors[:cells.start]):
-            if cells:
+            if cells and spec.rows is not None:
                 with pytest.raises(TypeError):
                     spec.rows(tuple(broken), axes, cells, list(prefix))
             assert (_appended(prefix, experiments._eval, kind, tuple(broken), axes, cells)
