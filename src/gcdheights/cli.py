@@ -36,7 +36,7 @@ from .experiments import (
     _point,
     run,
 )
-from .gcd_height import VojtaParams, vojta_bound
+from .gcd_height import VojtaParams, bound
 from .mulgrp import divisibility_check
 
 __all__ = ["main"]
@@ -374,12 +374,12 @@ def _cmd_heights(args) -> list[str]:
 
 def _cmd_vojta_check(args) -> list[str]:
     p = VojtaParams(epsilon=args.eps, delta=args.delta, C=args.C, r=args.r)
-    bound = vojta_bound(args.lhs, args.ha, p.epsilon, p.C, args.hcount, p.weight)
+    _, _, rhs, holds = bound(args.lhs, args.ha, p.epsilon, p.C, args.hcount, p.weight)
     doc = {
         "version": __version__,
         "lhs": args.lhs,
-        "rhs": bound["rhs"],
-        "holds": bound["holds"],
+        "rhs": rhs,
+        "holds": holds,
         "components": {"height_term": p.epsilon * args.ha, "constant": p.C,
                        "counting_term": args.hcount / p.weight},
         "params": {"epsilon": p.epsilon, "delta": p.delta, "C": p.C, "r": p.r},

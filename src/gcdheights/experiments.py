@@ -29,8 +29,8 @@ along the run, and when the smaller base is 2^k fold the other power minus
 one modulo 2^(kn) - 1; CZ strips each unit once, and copies the row of
 (b, a) from that of (a, b) when the sweep's one record list, which each run
 appends to, holds it; EDS_GCD without q reads gcd(D_m, D_n) off strong
-divisibility as D_gcd(m, n) and takes ln D_g once per g; MIXED_CHECK checks
-each b once and takes ln D_n and ln|b| once each.  There ``row`` is the
+divisibility as D_gcd(m, n) and takes ln D_g once per g; MIXED_CHECK takes
+|b - 1| and ln|b| once per b and ln D_n once.  There ``row`` is the
 oracle and the fallback (see ``_eval``); PN_CHECK, SIEGEL and ABELIAN_GROWTH
 run as its map.  A row is a tuple of the kind's ``Row`` type in ``columns``
 order: index columns first, then exact integer witnesses, then the
@@ -58,19 +58,19 @@ from itertools import chain, compress, count, islice, product, repeat
 from math import copysign, exp, gcd, inf, isfinite, isinf, isnan, log, prod
 from operator import attrgetter, is_not, mul, sub
 from statistics import median
-from sys import float_info, modules
+from sys import float_info
 from time import perf_counter
 
 from .arith import PrimeSet, mult_independent
 from .elliptic import (
+    _CAP,
     Curve,
     Point,
     _denominators,
     neg,
     on_curve,
 )
-from .gcd_height import PnPoint, PolySystem, VojtaParams
-from .gcd_height import _bound, check_e2, check_mixed, check_pn
+from .gcd_height import PnPoint, PolySystem, VojtaParams, bound, check_mixed, check_pn
 from .mulgrp import (
     EXCEPTIONAL,
     INEQUALITY_HOLDS,
@@ -228,6 +228,13 @@ def _on_curve(c: Curve, p: Point, what: str) -> Point:
     return p
 
 
+def _nontorsion_denominators(c: Curve, p: Point, n: int, naive: bool = False) -> list:
+    """``_denominators`` of p up to n, from the multiples up to at least
+    ``_CAP``: by Mazur a point of finite order has order at most 12, so the
+    elliptic sweeps refuse one at any n."""
+    return _denominators(c, p, max(n, _CAP), naive)[:n]
+
+
 def _polys(key: str, v) -> PolySystem:
     if not (isinstance(v, (list, tuple)) and v and all(isinstance(t, str) for t in v)):
         raise ValueError(f"{key} must be a nonempty list of polynomial strings")
@@ -280,7 +287,7 @@ def _prepare_bcz(p: dict, seed: int) -> tuple[tuple, tuple]:
 def _row_bcz(ctx: tuple, n: int) -> tuple:
     a, b, eps, C = ctx
     g = gcd_pair(a, b, n)
-    return _BCZRow(n, g, *_bound(log(g), n * LN2, eps, C))
+    return _BCZRow(n, g, *bound(log(g), n * LN2, eps, C))
 
 
 def _gcds(a: int, b: int, axes: tuple, cells: range) -> Iterator[tuple[int, int]]:
@@ -306,7 +313,7 @@ def _gcds(a: int, b: int, axes: tuple, cells: range) -> Iterator[tuple[int, int]
 def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
     """The map of ``_row_bcz`` over a run, with its gcds from ``_gcds``."""
     (a, b, eps, C), new = ctx, tuple.__new__
-    out += [new(_BCZRow, (n, g, *_bound(log(g), n * LN2, eps, C), None))
+    out += [new(_BCZRow, (n, g, *bound(log(g), n * LN2, eps, C), None))
             for n, g in _gcds(a, b, axes, cells)]
 
 
@@ -389,34 +396,34 @@ def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
     Q = None if p["q"] is None else _on_curve(c, p["q"], "q")
     # denominator and naive height once per multiple, not once per cell, and
     # one list for both axes when they share the base point
-    mp = _denominators(c, P, max(m_max, n_max) if Q is None else m_max, True)
-    nq = mp if Q is None else _denominators(c, Q, n_max, True)
-    bound = 1.0 / (2.0 * p["eps"])  # the disc's radius squared
-    return ((mp, nq, bound, p["eps"], p["C"]),
+    mp = _nontorsion_denominators(c, P, max(m_max, n_max) if Q is None else m_max, True)
+    nq = mp if Q is None else _nontorsion_denominators(c, Q, n_max, True)
+    disc = 1.0 / (2.0 * p["eps"])  # the disc's radius squared
+    return ((mp, nq, disc, p["eps"], p["C"]),
             (range(1, m_max + 1), range(1, n_max + 1)))
 
 
 def _row_eds_gcd(ctx: tuple, m: int, n: int) -> tuple:
-    mp, nq, bound, eps, C = ctx
+    mp, nq, disc, eps, C = ctx
     (d_m, h_m), (d_n, h_n) = mp[m - 1], nq[n - 1]
-    g = gcd(m, n)
-    return _EDSGCDRow(m, n, d_m, d_n, **check_e2(d_m, d_n, h_m + h_n, eps, C),
-                      exceptional=(m // g) ** 2 + (n // g) ** 2 <= bound)
+    g, k = gcd(m, n), gcd(d_m, d_n)
+    return tuple.__new__(_EDSGCDRow, (m, n, d_m, d_n, k, *bound(log(k), h_m + h_n, eps, C),
+                                      (m // g) ** 2 + (n // g) ** 2 <= disc, None))
 
 
 def _rows_eds_gcd(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
     """The map of ``_row_eds_gcd`` over a run.  Without q, gcd(D_m, D_n) is
     D_g, g = gcd(m, n) (see ``_prepare_eds_gcd``), read off the list with
     ln D_g taken once per g; with q, one gcd per cell."""
-    mp, nq, bound, eps, C = ctx
+    mp, nq, disc, eps, C = ctx
     ln = [log(d) for d, _ in mp[:len(axes[0])]] if mp is nq else None
     new = tuple.__new__
     for m, n in _keys(axes, cells):
         (d_m, h_m), (d_n, h_n), g = mp[m - 1], nq[n - 1], gcd(m, n)
         k = gcd(d_m, d_n) if ln is None else mp[g - 1][0]
-        out.append(new(_EDSGCDRow, (m, n, d_m, d_n, k, *_bound(
+        out.append(new(_EDSGCDRow, (m, n, d_m, d_n, k, *bound(
             log(k) if ln is None else ln[g - 1], h_m + h_n, eps, C),
-            (m // g) ** 2 + (n // g) ** 2 <= bound, None)))
+            (m // g) ** 2 + (n // g) ** 2 <= disc, None)))
 
 
 def _box_point(bound: int, nvars: int, i: int) -> tuple[int, ...]:
@@ -473,7 +480,7 @@ def _prepare_pn(p: dict, seed: int) -> tuple[tuple, tuple]:
 def _row_pn(ctx: tuple, point: str) -> tuple:
     system, S, vp = ctx
     coords = tuple(int(t) for t in point.split(":"))
-    return _PNRow(point, **check_pn(PnPoint(coords), system, S, vp))
+    return tuple.__new__(_PNRow, (point, *check_pn(PnPoint(coords), system, S, vp), None))
 
 
 def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
@@ -481,27 +488,29 @@ def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
     P = _on_curve(c, p["point"], "point")
     S = PrimeSet(p["primes"])
     units = s_unit_enumerate(S, p["b_bound"])
-    dq = _denominators(c, P, n_max)
+    dq = _nontorsion_denominators(c, P, n_max)
     return (dq, S, p["eps"], p["C"]), (range(1, n_max + 1), units)
 
 
 def _row_mixed(ctx: tuple, n: int, b: int) -> tuple:
     dq, S, eps, C = ctx
-    return _MixedRow(n, b, dq[n - 1], **check_mixed(dq[n - 1], b, S, eps, C))
+    d = dq[n - 1]
+    return tuple.__new__(_MixedRow, (n, b, d, *check_mixed(d, b, S, eps, C), None))
 
 
 def _rows_mixed(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The map of ``_row_mixed`` over a run: ``check_mixed``'s checks once per
-    b, and ln max(D_n, |b|) as ln D_n or ln|b|, whichever integer is larger."""
-    dq, S, eps, C = ctx
+    """The map of ``_row_mixed`` over a run: |b|, |b - 1| and ln|b| once per
+    b, and ln max(D_n, |b|) as ln D_n or ln|b|, whichever integer is larger.
+    ``check_mixed``'s checks cannot fail here: each b of ``s_unit_enumerate``
+    is an S-unit with |b| >= 2, and ``_checked`` gives a positive eps and C."""
+    dq, _, eps, C = ctx
     ln_d, ln_C, new, unit = [log(d) for d in dq], log(C), tuple.__new__, {}
     for n, b in _keys(axes, cells):
         if b not in unit:
-            check_mixed(1, b, S, eps, C)
             unit[b] = abs(b), abs(b - 1), log(abs(b))
         d, (size, shifted, ln_b) = dq[n - 1], unit[b]
         g = gcd(d, shifted)
-        out.append(new(_MixedRow, (n, b, d, g, *_bound(
+        out.append(new(_MixedRow, (n, b, d, g, *bound(
             log(g), ln_d[n - 1] if d >= size else ln_b, eps, ln_C), None)))
 
 
@@ -511,7 +520,7 @@ def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
     # (D, naive height) of n*P for n_min <= n <= n_max
-    dn = _denominators(c, P, n_max, True)[n_min - 1:]
+    dn = _nontorsion_denominators(c, P, n_max, True)[n_min - 1:]
     return (n_min, dn), (range(n_min, n_max + 1),)
 
 
@@ -532,7 +541,7 @@ def _prepare_abelian(p: dict, seed: int) -> tuple[tuple, tuple]:
     P, Q = _on_curve(c, p["p"], "p"), _on_curve(c, p["q"], "q")
     if Q in (P, neg(c, P)):  # then (nP, nQ) lies on a curve in E x E
         raise ValueError("q must not be p or -p: the points are dependent")
-    dp, dq = _denominators(c, P, n_max), _denominators(c, Q, n_max)
+    dp, dq = _nontorsion_denominators(c, P, n_max), _nontorsion_denominators(c, Q, n_max)
     return (dp, dq, p["eps"], p["C"]), (range(1, n_max + 1),)
 
 
@@ -540,7 +549,7 @@ def _row_abelian(ctx: tuple, n: int) -> tuple:
     dp, dq, eps, C = ctx
     a, b = dp[n - 1], dq[n - 1]
     g = gcd(a, b)
-    return tuple.__new__(_AbelianRow, (n, a, b, g, *_bound(log(g), float(n ** 2), eps, C), None))
+    return tuple.__new__(_AbelianRow, (n, a, b, g, *bound(log(g), float(n ** 2), eps, C), None))
 
 
 def _row_type(name: str, columns: str) -> type:
@@ -659,23 +668,6 @@ def _eval_chunk(cells: range) -> list[tuple]:
     return list(map(tuple, rows))
 
 
-def __getattr__(name: str):
-    """``get_context`` and ``ProcessPoolExecutor``, imported at first use: a
-    run at one job never loads multiprocessing or concurrent.futures.  ``run``
-    reads both as attributes of this module (``_this``), where a test may
-    set others."""
-    if name == "get_context":
-        from multiprocessing import get_context as value
-    elif name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor as value
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
-
-
-_this = modules[__name__]
-
 # Seconds to start and stop a pool of two workers, by start method (2 cores,
 # Python 3.11): a forked worker inherits the parent, the others start afresh
 _POOL_START_S = {"fork": 0.012, "forkserver": 0.15, "spawn": 0.15}
@@ -697,7 +689,8 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
                   else os.cpu_count() or 1)
     records, step, pool_s = [], total, inf  # one job: the whole grid in one run
     if workers > 1:  # reading the start method fixes it, so only a run that may pool reads it
-        mp = _this.get_context()
+        from multiprocessing import get_context  # not loaded by a run at one job
+        mp = get_context()
         step, pool_s = 1, _POOL_START_S[mp.get_start_method()]
     start = last = perf_counter()
     while (done := len(records)) < total:  # the serial head
@@ -716,9 +709,9 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     if rest := range(len(records), total):
         size = -(-len(rest) // (8 * workers))
         chunks = [rest[i:i + size] for i in range(0, len(rest), size)]
-        with _this.ProcessPoolExecutor(min(workers, len(chunks)), mp_context=mp,
-                                       initializer=_init_worker,
-                                       initargs=(kind, ctx, axes)) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=mp,
+                                 initializer=_init_worker, initargs=(kind, ctx, axes)) as pool:
             done = list(pool.map(_eval_chunk, reversed(chunks)))  # dearest first
         Row = SPECS[kind].Row
         while done:  # lowest indices last; each chunk is freed once it is rows

@@ -3,14 +3,15 @@
 Three concrete geometries are covered exactly: projective space with a
 blown-up subvariety cut out by homogeneous forms (a coordinate point is the
 subvariety of the forms X1, ..., Xn), a product of two elliptic curves via
-denominator gcds, and the mixed case of an elliptic curve against the
-multiplicative group.  The right-hand sides all share one shape,
+denominator gcds (the EDS_GCD and ABELIAN_GROWTH rows of ``experiments``),
+and the mixed case of an elliptic curve against the multiplicative group.
+The right-hand sides all share one shape,
 
     eps * (ample height)  +  (counting term) / (r - 1 + delta*eps)  +  C,
 
-and ``_bound`` (``vojta_bound`` as a dict) is the one place that sums it and
-decides whether a gcd height stays under it.  Every constant is explicit: no
-asymptotic O(1) is ever hidden (they are all fixed to 0 unless C is passed).
+and ``bound`` is the one place that sums it and decides whether a gcd height
+stays under it.  Every constant is explicit: no asymptotic O(1) is ever
+hidden (they are all fixed to 0 unless C is passed).
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ __all__ = [
     "parse_poly",
     "hgcd_pn_subvariety",
     "counting_function_pn",
-    "vojta_bound",
+    "bound",
     "check_pn",
-    "check_e2",
     "check_mixed",
 ]
 
@@ -231,8 +231,8 @@ class VojtaParams(namedtuple("VojtaParams", "epsilon delta C r")):
         return self.r - 1 + self.delta * self.epsilon
 
 
-def _bound(lhs: float, hA: float, eps: float, C: float,
-           hcount: float = 0.0, weight: float = 1.0) -> tuple:
+def bound(lhs: float, hA: float, eps: float, C: float,
+          hcount: float = 0.0, weight: float = 1.0) -> tuple:
     """(lhs, hA, rhs, holds) of lhs <= eps*hA + hcount/weight + C.
 
     Every gcd inequality here is this one bound: the counting term is absent
@@ -242,50 +242,30 @@ def _bound(lhs: float, hA: float, eps: float, C: float,
     return lhs, hA, rhs, lhs <= rhs + EPS_SLACK
 
 
-def vojta_bound(lhs: float, hA: float, eps: float, C: float,
-                hcount: float = 0.0, weight: float = 1.0) -> dict:
-    """The fields lhs, hA, rhs, holds of ``_bound`` as a dict."""
-    return dict(zip(("lhs", "hA", "rhs", "holds"), _bound(lhs, hA, eps, C, hcount, weight)))
-
-
-def check_pn(x: PnPoint, sys: PolySystem, S: PrimeSet, p: VojtaParams) -> dict:
+def check_pn(x: PnPoint, sys: PolySystem, S: PrimeSet, p: VojtaParams) -> tuple:
     """Blowup gcd height of x against V versus the conjectural bound.
 
-    Returns the gcd witness, ``hcount`` and the ``vojta_bound`` fields: lhs
-    is the exact subvariety gcd height, the ample height is ln max|x_i| and
-    the counting term is the prime-to-S coordinate product.  Smoothness of V
-    and its codimension ``p.r`` are assumptions, never verified here.
+    Returns (gcd, lhs, hA, hcount, rhs, holds), the columns of a PN_CHECK
+    row: lhs is the exact subvariety gcd height, the ample height hA is
+    ln max|x_i| and the counting term hcount is the prime-to-S coordinate
+    product.  Smoothness of V and its codimension ``p.r`` are assumptions,
+    never verified here.
     """
-    lhs = hgcd_pn_subvariety(x, sys)
-    hA = log(max(abs(c) for c in x.coords))
+    g = hgcd_pn_subvariety(x, sys)
     hcount = counting_function_pn(x, S).value
-    return {
-        "gcd": lhs.exact_arg, "hcount": hcount,
-        **vojta_bound(lhs.value, hA, p.epsilon, p.C, hcount, p.weight),
-    }
+    lhs, hA, rhs, holds = bound(g.value, log(max(abs(c) for c in x.coords)),
+                                p.epsilon, p.C, hcount, p.weight)
+    return g.exact_arg, lhs, hA, hcount, rhs, holds
 
 
-def check_e2(d_p: int, d_q: int, hA: float, eps: float, C: float = 0.0) -> dict:
-    """ln gcd(D_P, D_Q) versus eps*hA + C, as the gcd and ``vojta_bound`` fields.
-
-    Takes the denominators D of the two points and the ample height hA of
-    the pair (the sum of their naive heights, say), so a sweep computes
-    them once per point.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    g = gcd(d_p, d_q)
-    return {"gcd": g, **vojta_bound(log(g), hA, eps, C)}
-
-
-def check_mixed(d_q: int, b: int, S: PrimeSet, eps: float, C: float = 1.0) -> dict:
+def check_mixed(d_q: int, b: int, S: PrimeSet, eps: float, C: float = 1.0) -> tuple:
     """ln gcd(D_Q, |b - 1|) versus ln C + eps*ln max(D_Q, |b|), given D_Q.
 
-    Returns the gcd and the ``vojta_bound`` fields.  Here C sits on the
-    multiplicative side of the inequality gcd <= C * max^eps, so it enters
-    the log-space rhs as ln C (unlike check_e2, whose C is already additive
-    in logs).  b must be an S-unit with |b| >= 2; otherwise the counting
-    term would not vanish.
+    Returns (gcd, lhs, hA, rhs, holds), the columns of a MIXED_CHECK row
+    after its index and D_Q.  Here C sits on the multiplicative side of the
+    inequality gcd <= C * max^eps, so it enters the log-space rhs as ln C
+    (unlike ``bound``'s C, which is already additive in logs).  b must be an
+    S-unit with |b| >= 2; otherwise the counting term would not vanish.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -296,4 +276,4 @@ def check_mixed(d_q: int, b: int, S: PrimeSet, eps: float, C: float = 1.0) -> di
     if prime_to_S_part(b, S) != 1:
         raise ValueError("b is not an S-unit")
     g = gcd(d_q, abs(b - 1))
-    return {"gcd": g, **vojta_bound(log(g), log(max(d_q, abs(b))), eps, log(C))}
+    return (g, *bound(log(g), log(max(d_q, abs(b))), eps, log(C)))

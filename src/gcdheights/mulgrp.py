@@ -13,7 +13,7 @@ from collections import namedtuple
 from math import gcd, log
 
 from .arith import PrimeSet
-from .gcd_height import _bound
+from .gcd_height import bound
 
 __all__ = [
     "CzVerdict",
@@ -43,7 +43,7 @@ class CzVerdict(namedtuple("CzVerdict", "kind m n gcd lhs rhs holds")):
 
     ``m`` and ``n`` are those exponents, else None; ``gcd`` is the witness
     gcd(alpha - 1, beta - 1) of the classified pair, and ``lhs``, ``rhs``,
-    ``holds`` its ``vojta_bound`` fields.
+    ``holds`` those of its ``gcd_height.bound``.
     """
 
     __slots__ = ()
@@ -167,7 +167,7 @@ def _trichotomy(ua: _Unit, ub: _Unit, eps: float) -> tuple:
     alpha, root_a, g_a, shifted_a, log_a = ua
     beta, root_b, g_b, shifted_b, log_b = ub
     g = gcd(shifted_a, shifted_b)
-    lhs, _, rhs, holds = _bound(log(g), log_a if abs(alpha) >= abs(beta) else log_b, eps, 0.0)
+    lhs, _, rhs, holds = bound(log(g), log_a if abs(alpha) >= abs(beta) else log_b, eps, 0.0)
     witness = (g, lhs, rhs, holds)
     if root_a == root_b:
         h = gcd(g_a, g_b)

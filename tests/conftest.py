@@ -4,6 +4,7 @@ whole session under one multiprocessing start method, say
 ``python -m pytest -q --start-method spawn``."""
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import os
 import pathlib
@@ -93,7 +94,8 @@ def pools(monkeypatch) -> list[SimpleNamespace]:
             built[-1].chunks = list(chunks)
             return super().map(fn, built[-1].chunks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+    # run() imports the pool from concurrent.futures each time it pools
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return built
 

@@ -18,7 +18,8 @@ DELETED = {
     "mulgrp": ("MulPoint", "MulDivSeq", "power", "mul_D", "mul_seq"),
     "elliptic": ("EDS", "gcd_D", "hgcd_e2", "hgcd_e2_local_sum", "siegel_ratio",
                  "DOUBLING_CAP", "exceptional_subgroups"),
-    "gcd_height": ("BoundRecord", "vojta_rhs", "normalize_pn", "hgcd_pn_coordpoint"),
+    "gcd_height": ("BoundRecord", "vojta_rhs", "normalize_pn", "hgcd_pn_coordpoint",
+                   "vojta_bound", "check_e2", "_bound"),
     "experiments": ("fit_constant", "fit_constant_records", "detect_exceptional"),
 }
 

@@ -595,6 +595,21 @@ def test_abelian_rejects_q_equal_to_plus_or_minus_p(q, tmp_path, capsys):
         "", "error: q must not be p or -p: the points are dependent\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["edsgcd", "--curve", "0,0,0,0,1", "--point", "2,3", "--nmax", "5", "--eps", "0.2"],
+    ["mixed", "--curve", "0,0,0,0,1", "--point", "2,3", "--primes", "2,3", "--nmax", "5",
+     "--eps", "0.4"],
+    ["sweep", "--config"],
+], ids=["edsgcd", "mixed", "siegel"])
+def test_torsion_point_is_one_computation_error(argv, tmp_path, capsys):
+    # (2, 3) on y^2 = x^3 + 1 has order 6, past every n_max here
+    path = tmp_path / "siegel.json"
+    path.write_text(json.dumps({"kind": "SIEGEL", "parameters": {
+        "curve": [0, 0, 0, 0, 1], "point": [2, 3], "n_max": 5}}))
+    assert main(argv + [str(path)] * (argv[0] == "sweep")) == 2
+    assert capsys.readouterr() == ("", "error: point has finite order 6\n")
+
+
 def test_main_builds_one_parser_and_keeps_its_results(capsys):
     calls = [["gcdpow", "--a", "2", "--b", "3", "--nmax", "6"], ["--help"],
              ["gcdpow", "--help"], ["gcdpow", "--a", "2"], ["gcdpow", "--bogus"],

@@ -1,6 +1,7 @@
 """The sweep runner: determinism, summaries and fits, goldens, error budget."""
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import functools
 import hashlib
@@ -40,7 +41,7 @@ from gcdheights import (
     summarize,
 )
 from gcdheights.arith import EPS_SLACK, PrimeSet
-from gcdheights.gcd_height import PolySystem, VojtaParams, _bound
+from gcdheights.gcd_height import PolySystem, VojtaParams, bound
 from gcdheights.mulgrp import LN2
 from gcdheights import experiments, mulgrp
 from test_elliptic import exceptional_subgroups
@@ -116,12 +117,30 @@ def test_abelian_rejects_q_equal_to_plus_or_minus_p(q):
         run(cfg)
 
 
-def test_torsion_point_is_reported_not_swept():
-    cfg = SweepConfig(kind=SweepKind.SIEGEL,
-                      parameters={"curve": [0, 0, 0, 0, 1], "point": [2, 3],
-                                  "n_max": 10})
-    with pytest.raises(ValueError, match="finite order 6"):
-        run(cfg)
+# y^2 = x^3 + 1, where (2, 3) has order 6 and (0, 1) order 3; and
+# y^2 = x^3 - 2x, where (-1, 1) has infinite order and (0, 0) order 2
+X3P1, X3M2X = [0, 0, 0, 0, 1], [0, 0, 0, -2, 0]
+
+
+@pytest.mark.parametrize("kind, params, order", [
+    (SweepKind.SIEGEL, {"curve": X3P1, "point": [2, 3], "n_max": 10}, 6),
+    (SweepKind.SIEGEL, {"curve": X3P1, "point": [2, 3], "n_max": 5}, 6),
+    (SweepKind.EDS_GCD, {"curve": X3P1, "p": [2, 3], "m_max": 5, "n_max": 5, "eps": 0.2}, 6),
+    (SweepKind.EDS_GCD, {"curve": X3M2X, "p": [-1, 1], "q": [0, 0], "m_max": 1,
+                         "n_max": 1, "eps": 0.2}, 2),
+    (SweepKind.MIXED_CHECK, {"curve": X3P1, "point": [2, 3], "primes": [2, 3],
+                             "eps": 0.4, "n_max": 5}, 6),
+    (SweepKind.ABELIAN_GROWTH, {"curve": X3P1, "p": [2, 3], "q": [0, 1], "n_max": 2,
+                                "eps": 0.3, "independence_asserted": True}, 6),
+    (SweepKind.ABELIAN_GROWTH, {"curve": X3M2X, "p": [-1, 1], "q": [0, 0], "n_max": 1,
+                                "eps": 0.3, "independence_asserted": True}, 2),
+], ids=["siegel", "siegel-below", "edsgcd-below", "edsgcd-q-below", "mixed-below",
+        "abelian-below", "abelian-q-below"])
+def test_torsion_point_is_reported_not_swept(kind, params, order):
+    # the multiples are read to at least 12, the largest order of a torsion
+    # point over Q (Mazur), so an n_max below the order refuses it too
+    with pytest.raises(ValueError, match=f"finite order {order}"):
+        run(SweepConfig(kind=kind, parameters=params))
 
 
 # ----------------------------------------------------------------------------
@@ -574,8 +593,10 @@ def test_eds_gcd_without_q_computes_the_multiples_once(monkeypatch, m_max, n_max
               "n_max": n_max, "eps": 0.2}
     res = run(SweepConfig(kind=SweepKind.EDS_GCD, parameters=params))
     assert calls == [12]
+    # each list is read to at least 12 multiples, so that a point of finite
+    # order (at most 12, by Mazur) is refused below its order
     both = run(SweepConfig(kind=SweepKind.EDS_GCD, parameters={**params, "q": [0, 0]}))
-    assert calls == [12, m_max, n_max]
+    assert calls == [12, max(m_max, 12), max(n_max, 12)]
     assert res.records == both.records
 
 
@@ -648,13 +669,15 @@ def test_eval_cell_tags_failures_with_index():
     assert len(rows) == 1
     assert rows[0].n == 3
     assert rows[0].error.startswith("TypeError")
-    # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20)
-    ctx = ([1, 1, 1], None, 0.5, 1.0)  # S = None fails every row
+    # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20); C = -1
+    # fails every row, in the kernel's log(C) and in check_mixed's check of C
+    ctx = ([1, 1, 1], PrimeSet((2, 3, 5)), 0.5, -1.0)
     axes = (range(1, 4), [10, 20, 30, 40])
     rows = _appended(["row 4"], experiments._eval, SweepKind.MIXED_CHECK, ctx, axes,
                      range(5, 6))
     assert [k for k, v in rows[0]._asdict().items() if v is not None] == ["n", "b", "error"]
     assert (rows[0].n, rows[0].b) == (2, 20)
+    assert rows[0].error == "ValueError: C must be positive (it multiplies the bound)"
 
 
 TINY = {
@@ -915,9 +938,9 @@ def test_error_budget_zero_raises(monkeypatch):
     def flaky(lhs, hA, eps, C):
         if hA == 3 * LN2:
             raise RuntimeError("injected")
-        return _bound(lhs, hA, eps, C)
+        return bound(lhs, hA, eps, C)
 
-    monkeypatch.setattr(experiments, "_bound", flaky)
+    monkeypatch.setattr(experiments, "bound", flaky)
     failed = _kernel_failures(monkeypatch, SweepKind.BCZ)
     cfg = SweepConfig(kind=SweepKind.BCZ,
                       parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 5})
@@ -1106,7 +1129,7 @@ def test_pool_is_byte_identical_under_fresh_interpreters(method, forced_pool,
     # context and its Row type from what the pool sends them
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
-    monkeypatch.setattr(experiments, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         functools.partial(multiprocessing.get_context, method))
     # PN_CHECK's workers unpickle a PolySystem, a PrimeSet and VojtaParams
     pn = SweepConfig(kind=SweepKind.PN_CHECK, parameters=TINY[SweepKind.PN_CHECK])
@@ -1122,7 +1145,7 @@ def test_pool_is_byte_identical_under_fresh_interpreters(method, forced_pool,
 def test_spawn_start_cost_keeps_a_100ms_sweep_serial(pools, monkeypatch):
     # about 100 ms of cells at jobs 1 here, less than a spawned pool costs to
     # start and stop
-    monkeypatch.setattr(experiments, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         functools.partial(multiprocessing.get_context, "spawn"))
     cfg = SweepConfig(kind=SweepKind.BCZ, parameters={**TINY[SweepKind.BCZ], "n_max": 3800})
     assert render_csv(run(cfg, jobs=2)) == render_csv(run(cfg))
@@ -1141,7 +1164,7 @@ def test_pool_cut_off_follows_the_start_method(method, pooled, pools, monkeypatc
         pytest.skip(f"no {method} start method on this platform")
     monkeypatch.setattr(experiments, "perf_counter",
                         map(lambda tick: tick / 1000, itertools.count()).__next__)
-    monkeypatch.setattr(experiments, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         functools.partial(multiprocessing.get_context, method))
     assert render_csv(run(BCZ300, jobs=2)) == render_csv(run(BCZ300))
     assert [pool.method for pool in pools] == [method] * pooled
@@ -1174,7 +1197,7 @@ def test_pool_workers_are_capped(affinity, jobs, n_max, workers, monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiments, "_POOL_START_S",
                         dict.fromkeys(experiments._POOL_START_S, 0.0))
     monkeypatch.setattr(experiments, "_WORKER", ())

@@ -13,8 +13,9 @@ from gcdheights import (
     PnPoint,
     PolySystem,
     PrimeSet,
+    SweepKind,
     VojtaParams,
-    check_e2,
+    bound,
     check_mixed,
     check_pn,
     counting_function_pn,
@@ -24,10 +25,9 @@ from gcdheights import (
     naive_height,
     parse_poly,
     scalar_mul,
-    vojta_bound,
 )
 from gcdheights.arith import EPS_SLACK
-from gcdheights.gcd_height import _bound
+from gcdheights.experiments import SPECS, _checked
 
 DIAG = PolySystem.of("X1-X0", "X2-X0")
 COORD = PolySystem.of("X1", "X2")  # the coordinate point [1:0:0]
@@ -160,72 +160,82 @@ def test_vojta_params_validation():
 
 def test_vojta_rhs_oracle():
     p = VojtaParams(epsilon=0.1, delta=1.0, C=0.0, r=2)
-    got = vojta_bound(0.5, 10.0, p.epsilon, p.C, 0.0, p.weight)
-    assert isclose(got["rhs"], 1.0, rel_tol=1e-12)
-    assert got == {"lhs": 0.5, "hA": 10.0, "rhs": got["rhs"], "holds": True}
+    lhs, hA, rhs, holds = bound(0.5, 10.0, p.epsilon, p.C, 0.0, p.weight)
+    assert isclose(rhs, 1.0, rel_tol=1e-12)
+    assert (lhs, hA, holds) == (0.5, 10.0, True)
     p2 = VojtaParams(epsilon=0.5, delta=2.0, C=3.0, r=3)
     assert p2.weight == 3.0
-    got = vojta_bound(7.0, 2.0, p2.epsilon, p2.C, 6.0, p2.weight)
-    assert isclose(got["rhs"], 0.5 * 2 + 6 / 3.0 + 3.0, rel_tol=1e-12)
-    assert not got["holds"]
+    _, _, rhs, holds = bound(7.0, 2.0, p2.epsilon, p2.C, 6.0, p2.weight)
+    assert isclose(rhs, 0.5 * 2 + 6 / 3.0 + 3.0, rel_tol=1e-12)
+    assert not holds
     # no counting term by default: eps*hA + C, and + 0.0/1.0 is exact
-    assert vojta_bound(0.0, 3.7, 0.3, -1.2)["rhs"] == 0.3 * 3.7 + -1.2
+    assert bound(0.0, 3.7, 0.3, -1.2)[2] == 0.3 * 3.7 + -1.2
 
 
-def test_vojta_bound_is_the_dict_of_bound():
-    # the sweep rows take _bound's tuple; the library and vojta-check its dict
+def test_bound_is_the_one_inequality():
+    # every row, check_pn, check_mixed and vojta-check take this tuple
     rng = random.Random(26)
     for _ in range(2000):
         args = [rng.uniform(-20, 20), rng.uniform(0, 50), rng.uniform(1e-3, 2),
                 rng.choice([0.0, -0.0, rng.uniform(-5, 5)])]
         if rng.random() < 0.5:
             args += [rng.uniform(0, 30), rng.uniform(1, 5)]
-        lhs, hA, rhs, holds = _bound(*args)
-        assert vojta_bound(*args) == {"lhs": lhs, "hA": hA, "rhs": rhs, "holds": holds}
+        lhs, hA, rhs, holds = bound(*args)
         hcount, weight = (args[4:] or [0.0, 1.0])
         assert rhs == args[2] * args[1] + hcount / weight + args[3]
         assert (lhs, hA, holds) == (args[0], args[1], lhs <= rhs + EPS_SLACK)
 
 
 def test_check_pn_oracle():
-    rec = check_pn(PnPoint((1, 5, 9)), DIAG, PrimeSet((2, 3)), VojtaParams(epsilon=0.5))
-    assert set(rec) == {"gcd", "lhs", "hA", "hcount", "rhs", "holds"}
-    assert isclose(rec["lhs"], log(4), rel_tol=1e-12)
-    assert rec["gcd"] == 4
-    assert isclose(rec["hcount"], log(5), rel_tol=1e-12)   # 1*5*9 without 3s
-    assert isclose(rec["hA"], log(9), rel_tol=1e-12)
+    S, p = PrimeSet((2, 3)), VojtaParams(epsilon=0.5)
+    rec = check_pn(PnPoint((1, 5, 9)), DIAG, S, p)
+    g, lhs, hA, hcount, rhs, holds = rec
+    assert isclose(lhs, log(4), rel_tol=1e-12)
+    assert g == 4
+    assert isclose(hcount, log(5), rel_tol=1e-12)   # 1*5*9 without 3s
+    assert isclose(hA, log(9), rel_tol=1e-12)
     want_rhs = 0.5 * log(9) + log(5) / 1.5
-    assert isclose(rec["rhs"], want_rhs, rel_tol=1e-12)
-    assert rec["holds"]
+    assert isclose(rhs, want_rhs, rel_tol=1e-12)
+    assert holds is True
+    # in the column order of the PN_CHECK row, which holds it between its
+    # index and its error
+    row = SPECS[SweepKind.PN_CHECK].row((DIAG, S, p), "1:5:9")
+    assert row._fields[1:-1] == ("gcd", "lhs", "hA", "hcount", "rhs", "holds")
+    assert row == ("1:5:9", *rec, None)
 
 
-def test_check_e2_oracle(c37, p37):
+def test_eds_gcd_row_oracle(c37, p37):
     p8 = scalar_mul(c37, 8, p37)       # D = 5
     p16 = scalar_mul(c37, 16, p37)     # D = 65
     hA = naive_height(p8).value + naive_height(p16).value
-    args = (denominator_D(p8), denominator_D(p16), hA)
-    assert args[:2] == (5, 65)
-    rec = check_e2(*args, eps=0.3, C=0.0)
-    assert set(rec) == {"gcd", "lhs", "hA", "rhs", "holds"}
-    assert isclose(rec["lhs"], log(5), rel_tol=1e-12)
-    assert rec["gcd"] == 5
-    assert rec["hA"] == hA
-    assert isclose(rec["rhs"], 0.3 * hA, rel_tol=1e-12)
-    with pytest.raises(ValueError, match="eps"):
-        check_e2(*args, eps=0.0)
-    with pytest.raises(ValueError, match="eps must be positive"):
-        check_e2(*args, eps=float("nan"))
+    assert (denominator_D(p8), denominator_D(p16)) == (5, 65)
+    params = {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": 16, "n_max": 16,
+              "eps": 0.3}
+    spec = SPECS[SweepKind.EDS_GCD]
+    ctx, _ = spec.prepare(_checked(SweepKind.EDS_GCD, params), 0)
+    row = spec.row(ctx, 8, 16)
+    assert row[:5] == (8, 16, 5, 65, 5)    # m, n, D_8P, D_16P, their gcd
+    assert isclose(row.lhs, log(5), rel_tol=1e-12)
+    assert row.hA == hA
+    assert isclose(row.rhs, 0.3 * hA, rel_tol=1e-12)
+    assert (row.holds, row.exceptional, row.error) == (True, False, None)
+    # an eps that is not positive never reaches a row: _checked refuses it up
+    # front (test_cli.py::test_nan_eps_is_computation_error, edsgcd)
 
 
 def test_check_mixed_oracle(cm2, pm2):
     d_q = denominator_D(scalar_mul(cm2, 2, pm2))    # D_Q = 10
     rec = check_mixed(d_q, b=9, S=PrimeSet((3,)), eps=0.5, C=1.0)
-    assert set(rec) == {"gcd", "lhs", "hA", "rhs", "holds"}
-    assert isclose(rec["lhs"], log(2), rel_tol=1e-12)   # gcd(10, 8)
-    assert rec["gcd"] == 2
-    assert rec["hA"] == log(10)
-    assert isclose(rec["rhs"], 0.5 * log(10), rel_tol=1e-12)
-    assert rec["holds"]
+    g, lhs, hA, rhs, holds = rec
+    assert isclose(lhs, log(2), rel_tol=1e-12)   # gcd(10, 8)
+    assert g == 2
+    assert hA == log(10)
+    assert isclose(rhs, 0.5 * log(10), rel_tol=1e-12)
+    assert holds is True
+    # in the column order of the MIXED_CHECK row, after its index and D_Q
+    row = SPECS[SweepKind.MIXED_CHECK].row(([1, d_q], PrimeSet((3,)), 0.5, 1.0), 2, 9)
+    assert row._fields[3:-1] == ("gcd", "lhs", "hA", "rhs", "holds")
+    assert row == (2, 9, d_q, *rec, None)
 
 
 def test_check_mixed_domain(cm2, pm2):
@@ -249,7 +259,7 @@ def test_bound_record_slack_is_tight():
     # a record that misses by more than the slack must report a violation
     rec = check_pn(PnPoint((1, 5, 9)), DIAG, PrimeSet((2, 3)),
                    VojtaParams(epsilon=0.5, C=-(0.5 * log(9) + log(5) / 1.5) + log(4) - 1e-6))
-    assert not rec["holds"]
+    assert rec[-1] is False
     # and one that misses by less than the slack holds
-    assert vojta_bound(1.0 + EPS_SLACK / 2, 2.0, 0.5, 0.0)["holds"]
-    assert not vojta_bound(1.0 + 2 * EPS_SLACK, 2.0, 0.5, 0.0)["holds"]
+    assert bound(1.0 + EPS_SLACK / 2, 2.0, 0.5, 0.0)[3]
+    assert not bound(1.0 + 2 * EPS_SLACK, 2.0, 0.5, 0.0)[3]

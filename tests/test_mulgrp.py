@@ -4,6 +4,7 @@ The BCZ and AR_RETURNS scans run as sweeps, so their tests go through run().
 """
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -163,6 +164,29 @@ def test_s_unit_enumerate_small_oracle():
 
 def test_s_unit_enumerate_count_at_1e4():
     assert len(s_unit_enumerate(PrimeSet((2, 3)), 10**4)) == 132
+
+
+def _supported_on(x: int, primes: tuple[int, ...]) -> bool:
+    for p in primes:
+        while x % p == 0:
+            x //= p
+    return x == 1
+
+
+@pytest.mark.parametrize("primes", [S for k in range(5)
+                                    for S in itertools.combinations((2, 3, 5, 7), k)],
+                         ids=lambda S: "S=" + "".join(map(str, S)))
+def test_s_unit_enumerate_is_the_brute_force_scan(primes):
+    # MIXED_CHECK's kernel checks no b, so each b it gets must be an S-unit
+    # with |b| >= 2, which check_mixed would otherwise ask of it
+    S = PrimeSet(primes)
+    for bound in [*range(-1, 40), *range(40, 501, 23), 500]:
+        got = s_unit_enumerate(S, bound)
+        assert got == [x for m in range(2, bound + 1) if _supported_on(m, primes)
+                       for x in (-m, m)]
+        assert all(abs(b) >= 2 and _supported_on(abs(b), primes) for b in got)
+        assert {b for b in got if b < 0} == {-b for b in got if b > 0}
+        assert sorted(got, key=lambda b: (abs(b), b)) == got
 
 
 def test_cz_classify_power_relation():
