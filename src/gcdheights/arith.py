@@ -73,43 +73,23 @@ class LogReal(namedtuple("LogReal", "value exact_arg")):
         return cls(value=log(n), exact_arg=n)
 
 
-class PrimeSet:
+class PrimeSet(namedtuple("PrimeSet", "primes")):
     """A finite set S of rational primes, the finite places of an S-unit group.
 
-    Primes are stored sorted ascending in ``primes`` and are checked for
-    primality on construction.  The empty set is allowed.  Immutable, equal
-    and hashed by ``primes``.  The checks run in ``__init__``, which is what
-    a profiler that wraps the constructor times.
+    Primes are stored sorted ascending in ``primes``; the empty set is
+    allowed.  They are checked for primality in ``__init__``, which is what a
+    profiler that wraps the constructor times.
     """
 
-    __slots__ = ("primes",)
+    __slots__ = ()
+
+    def __new__(cls, primes: Iterable[int] = ()) -> "PrimeSet":
+        return tuple.__new__(cls, (tuple(sorted(set(primes))),))
 
     def __init__(self, primes: Iterable[int] = ()) -> None:
-        ps = tuple(sorted(set(primes)))
-        for p in ps:
+        for p in self.primes:
             if not is_prime(p):
                 raise ValueError(f"not a prime: {p}")
-        object.__setattr__(self, "primes", ps)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.primes == other.primes
-
-    def __hash__(self) -> int:
-        return hash((self.primes,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(primes={self.primes!r})"
-
-    def __reduce__(self):  # by the constructor, as the slot refuses assignment
-        return type(self), (self.primes,)
 
 
 class FactorBudget(namedtuple("FactorBudget", "trial_bound rho_iterations",

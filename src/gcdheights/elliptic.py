@@ -376,17 +376,20 @@ def _log_naive(a: int, d: int, x: int, y: int, z: int) -> float:
 
 def _denominators(c: Curve, p: Point, n_max: int, naive: bool = False) -> list:
     """[D_n], or with naive [(D_n, ln max(|A_n|, D_n^2))], n = 1..n_max, from
-    _terms and _log_naive: the values of ``multiples`` and ``naive_height``."""
-    a, d, terms = _terms(c, p, n_max)
+    _terms and _log_naive: the values of ``multiples`` and ``naive_height``.
+    The multiples are read to at least _CAP: by Mazur a point of finite order
+    has order at most 12, so one is refused at any n_max."""
+    a, d, terms = _terms(c, p, max(n_max, _CAP))
     if not naive:
-        return [d * abs(x) for x, _, _ in terms]
+        return [d * abs(x) for x, _, _ in terms][:n_max]
     return [(dn, log(max(abs(a * (x * x) - y * z), dn * dn))
              if x.bit_length() <= _EXACT_BITS else _log_naive(a, d, x, y, z))
-            for x, y, z in terms for dn in (d * abs(x),)]
+            for x, y, z in terms for dn in (d * abs(x),)][:n_max]
 
 
 def eds(c: Curve, p: Point, n_max: int) -> tuple[int, ...]:
-    """Denominator sequence (D_P, D_2P, ..., D_NP) of the multiples of P."""
+    """Denominator sequence (D_P, D_2P, ..., D_NP) of the multiples of P; a
+    point of finite order is refused at any N (see _denominators)."""
     if p.is_identity:
         raise ValueError("base point is the identity")
     if n_max < 1:

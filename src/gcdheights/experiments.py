@@ -63,7 +63,6 @@ from time import perf_counter
 
 from .arith import PrimeSet, mult_independent
 from .elliptic import (
-    _CAP,
     Curve,
     Point,
     _denominators,
@@ -228,13 +227,6 @@ def _on_curve(c: Curve, p: Point, what: str) -> Point:
     return p
 
 
-def _nontorsion_denominators(c: Curve, p: Point, n: int, naive: bool = False) -> list:
-    """``_denominators`` of p up to n, from the multiples up to at least
-    ``_CAP``: by Mazur a point of finite order has order at most 12, so the
-    elliptic sweeps refuse one at any n."""
-    return _denominators(c, p, max(n, _CAP), naive)[:n]
-
-
 def _polys(key: str, v) -> PolySystem:
     if not (isinstance(v, (list, tuple)) and v and all(isinstance(t, str) for t in v)):
         raise ValueError(f"{key} must be a nonempty list of polynomial strings")
@@ -396,8 +388,8 @@ def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
     Q = None if p["q"] is None else _on_curve(c, p["q"], "q")
     # denominator and naive height once per multiple, not once per cell, and
     # one list for both axes when they share the base point
-    mp = _nontorsion_denominators(c, P, max(m_max, n_max) if Q is None else m_max, True)
-    nq = mp if Q is None else _nontorsion_denominators(c, Q, n_max, True)
+    mp = _denominators(c, P, max(m_max, n_max) if Q is None else m_max, True)
+    nq = mp if Q is None else _denominators(c, Q, n_max, True)
     disc = 1.0 / (2.0 * p["eps"])  # the disc's radius squared
     return ((mp, nq, disc, p["eps"], p["C"]),
             (range(1, m_max + 1), range(1, n_max + 1)))
@@ -488,7 +480,7 @@ def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
     P = _on_curve(c, p["point"], "point")
     S = PrimeSet(p["primes"])
     units = s_unit_enumerate(S, p["b_bound"])
-    dq = _nontorsion_denominators(c, P, n_max)
+    dq = _denominators(c, P, n_max)
     return (dq, S, p["eps"], p["C"]), (range(1, n_max + 1), units)
 
 
@@ -520,7 +512,7 @@ def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
     # (D, naive height) of n*P for n_min <= n <= n_max
-    dn = _nontorsion_denominators(c, P, n_max, True)[n_min - 1:]
+    dn = _denominators(c, P, n_max, True)[n_min - 1:]
     return (n_min, dn), (range(n_min, n_max + 1),)
 
 
@@ -541,7 +533,7 @@ def _prepare_abelian(p: dict, seed: int) -> tuple[tuple, tuple]:
     P, Q = _on_curve(c, p["p"], "p"), _on_curve(c, p["q"], "q")
     if Q in (P, neg(c, P)):  # then (nP, nQ) lies on a curve in E x E
         raise ValueError("q must not be p or -p: the points are dependent")
-    dp, dq = _nontorsion_denominators(c, P, n_max), _nontorsion_denominators(c, Q, n_max)
+    dp, dq = _denominators(c, P, n_max), _denominators(c, Q, n_max)
     return (dp, dq, p["eps"], p["C"]), (range(1, n_max + 1),)
 
 
@@ -636,20 +628,24 @@ def _eval(kind: SweepKind, ctx: tuple, axes: tuple, cells: range, out: list) -> 
     ``axes``, to ``out`` in order; ``out`` holds those before (see ``KindSpec``).
 
     The kind's kernel evaluates the run when it has one and does not raise;
-    otherwise each cell goes through ``row``, and a failing cell becomes an error row.
+    otherwise each cell goes through ``row``, and a failing cell becomes an error
+    row.  If no cell of a nonempty run fails, the kernel's own exception is raised.
     """
-    spec, start = SPECS[kind], len(out)
+    spec, start, fault = SPECS[kind], len(out), None
     if spec.rows is not None:
         try:
             return spec.rows(ctx, axes, cells, out)
-        except Exception:  # the cells below tag the failures
+        except Exception as exc:  # the cells below tag the failures
             del out[start:]
+            fault = exc
     blank = (None,) * (len(spec.columns) - len(spec.index) - 1)
     for key in _keys(axes, cells):
         try:
             out.append(spec.row(ctx, *key))
         except Exception as exc:  # per-record capture is the contract here
             out.append(spec.Row(*key, *blank, f"{type(exc).__name__}: {exc}"))
+    if fault is not None and cells and all(r.error is None for r in out[start:]):
+        raise fault
 
 
 # (kind, ctx, axes) of the sweep a pool worker serves; set once per worker by

@@ -40,7 +40,7 @@ def test_public_names_are_declared_once():
             assert not hasattr(gcdheights, name)
             assert not hasattr(importlib.import_module(f"gcdheights.{mod}"), name)
     assert not hasattr(HomPoly, "degree")
-    assert PrimeSet.__slots__ == ("primes",)
+    assert PrimeSet._fields == ("primes",) and issubclass(PrimeSet, tuple)
     assert "fittable" not in gcdheights.KindSpec._fields
 
 

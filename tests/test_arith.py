@@ -59,6 +59,11 @@ def test_logreal_zero_is_log_of_one():
 def test_primeset_sorts_and_dedups():
     s = PrimeSet((5, 2, 2, 3))
     assert s.primes == (2, 3, 5)
+    # a one-field namedtuple: equal to the plain tuple of its field, and an
+    # iterator is read once, by __new__, before __init__ checks the primes
+    assert PrimeSet(iter([3, 2, 3])) == ((2, 3),)
+    with pytest.raises(ValueError, match="not a prime: 9"):
+        PrimeSet(p for p in (2, 9))
 
 
 def test_primeset_rejects_composites():

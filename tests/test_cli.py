@@ -599,8 +599,9 @@ def test_abelian_rejects_q_equal_to_plus_or_minus_p(q, tmp_path, capsys):
     ["edsgcd", "--curve", "0,0,0,0,1", "--point", "2,3", "--nmax", "5", "--eps", "0.2"],
     ["mixed", "--curve", "0,0,0,0,1", "--point", "2,3", "--primes", "2,3", "--nmax", "5",
      "--eps", "0.4"],
+    ["eds", "--curve", "0,0,0,0,1", "--point", "2,3", "--nmax", "5"],
     ["sweep", "--config"],
-], ids=["edsgcd", "mixed", "siegel"])
+], ids=["edsgcd", "mixed", "eds", "siegel"])
 def test_torsion_point_is_one_computation_error(argv, tmp_path, capsys):
     # (2, 3) on y^2 = x^3 + 1 has order 6, past every n_max here
     path = tmp_path / "siegel.json"

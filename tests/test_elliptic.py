@@ -509,6 +509,16 @@ def test_eds_reports_finite_order():
         eds(TORSION_CURVE, TORSION_P6, 10)
     with pytest.raises(ValueError, match="finite order 2"):
         eds(TORSION_CURVE, TORSION_P2, 5)
+    # below the order too: the multiples are read to at least 12, the largest
+    # order of a torsion point over Q (Mazur); ``multiples`` stays the raw route
+    with pytest.raises(ValueError, match="finite order 6"):
+        eds(TORSION_CURVE, TORSION_P6, 5)
+    with pytest.raises(ValueError, match="finite order 2"):
+        eds(TORSION_CURVE, TORSION_P2, 1)
+    for c, p, order in TORSION_CASES:
+        for naive in (False, True):
+            with pytest.raises(ValueError, match=f"finite order {order}$"):
+                _denominators(c, p, 1, naive)
 
 
 def test_eds_rejects_identity_base(c37):

@@ -593,10 +593,8 @@ def test_eds_gcd_without_q_computes_the_multiples_once(monkeypatch, m_max, n_max
               "n_max": n_max, "eps": 0.2}
     res = run(SweepConfig(kind=SweepKind.EDS_GCD, parameters=params))
     assert calls == [12]
-    # each list is read to at least 12 multiples, so that a point of finite
-    # order (at most 12, by Mazur) is refused below its order
     both = run(SweepConfig(kind=SweepKind.EDS_GCD, parameters={**params, "q": [0, 0]}))
-    assert calls == [12, max(m_max, 12), max(n_max, 12)]
+    assert calls == [12, m_max, n_max]
     assert res.records == both.records
 
 
@@ -1020,6 +1018,27 @@ def test_head_never_copies_an_error_row(monkeypatch, pools):
     assert head.summary == serial.summary
     assert head.records == serial.records
     assert render_json(head) == render_json(serial)
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched kernel"))])
+def test_a_kernel_fault_raises_out_of_run(monkeypatch, forced_pool, jobs):
+    # a kernel that raises on a run where no cell fails is at fault itself,
+    # and its exception leaves run() instead of hiding behind the rows of
+    # row; at two jobs the head's first cell passes and the pool's chunks raise
+    spec = experiments.SPECS[SweepKind.BCZ]
+
+    def stale(ctx, axes, cells, out):
+        if cells.start >= jobs - 1:
+            raise NameError("name '_stale' is not defined")
+        return spec.rows(ctx, axes, cells, out)
+
+    monkeypatch.setitem(experiments.SPECS, SweepKind.BCZ, spec._replace(rows=stale))
+    cfg = SweepConfig(kind=SweepKind.BCZ, parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 40})
+    with pytest.raises(NameError, match="'_stale' is not defined"):
+        run(cfg, jobs)
+    assert len(forced_pool) == jobs - 1
 
 
 def test_cz_head_makes_the_core_calls_of_one_job(monkeypatch, pools):
