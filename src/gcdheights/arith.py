@@ -110,15 +110,6 @@ class Factorization(namedtuple("Factorization", "factors sign complete cofactor"
 
     __slots__ = ()
 
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n * self.cofactor
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
 
 # ----------------------------------------------------------------------------
 # heights

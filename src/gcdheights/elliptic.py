@@ -30,7 +30,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import ceil, gcd, inf, isqrt, log, log10
 
-from .arith import LogReal
+from .arith import LogReal, weil_height
 
 __all__ = [
     "Curve",
@@ -316,8 +316,9 @@ def _terms(c: Curve, p: Point, n_max: int) -> tuple[int, int, Iterator]:
                 zs[n - 1] *= q ** (s - t)
     terms = zip(xs, u[:n_max], zs)
     if primes is None:
-        pairs = _reduce_by_gcd([(a * (x * x) - y * z, d * abs(x)) for x, y, z in terms])
-        return 0, 1, ((dn, -1, an) for an, dn in pairs)
+        pairs = [(a * (x * x) - y * z, d * abs(x)) for x, y, z in terms]
+        return 0, 1, ((dn // isqrt(g), -1, num // g)
+                      for num, dn in pairs for g in (gcd(num, dn * dn),))
     return a, d, terms
 
 
@@ -329,14 +330,6 @@ def multiples(c: Curve, p: Point, n_max: int) -> list[tuple[int, int]]:
     """
     a, d, terms = _terms(c, p, n_max)
     return [(a * (x * x) - y * z, d * abs(x)) for x, y, z in terms]
-
-
-def _reduce_by_gcd(pairs: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """(num, D) pairs for x = num / D^2, put in lowest terms by one gcd each,
-    as they are read."""
-    for num, dn in pairs:
-        g = gcd(num, dn * dn)
-        yield num // g, dn // isqrt(g)
 
 
 #: Top bits of x_n, y_n, z_n that bound |A_n| and D_n^2 in _log_naive, and the
@@ -401,17 +394,10 @@ def eds(c: Curve, p: Point, n_max: int) -> tuple[int, ...]:
 # heights
 # ----------------------------------------------------------------------------
 
-def naive_height(p: Point | tuple[int, int]) -> LogReal:
-    """ln max(|A_P|, D_P^2) where x_P = A_P / D_P^2; identity has height 0.
-
-    Takes a Point or an (A, D) pair as returned by ``multiples``.
-    """
-    if isinstance(p, Point):
-        if p.is_identity:
-            return LogReal(0.0, 1)
-        return LogReal.of_integer(max(abs(p.x.numerator), p.x.denominator))
-    a, d = p
-    return LogReal.of_integer(max(abs(a), d * d))
+def naive_height(p: Point) -> LogReal:
+    """ln max(|A_P|, D_P^2) where x_P = A_P / D_P^2, the Weil height of x_P;
+    the identity has height 0."""
+    return LogReal(0.0, 1) if p.is_identity else weil_height(p.x)
 
 
 #: The multiples nP searched for one with nonsingular reduction at every

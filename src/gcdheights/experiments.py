@@ -446,12 +446,34 @@ def _distinct_draws(rng: random.Random, size: int) -> Iterator[int]:
         swaps[j] = swaps.get(k, k)
 
 
+def _linear_rank(system: PolySystem, nvars: int) -> int | None:
+    """The rank over Q of the coefficient matrix of a system of linear forms,
+    which is the codimension of the linear space V they cut out, by Fraction
+    elimination; None if some form is not linear."""
+    if any(sum(e for _, e in mono) != 1 for f in system.polys for _, mono in f.terms):
+        return None
+    rows, rank = [[Fraction(0)] * nvars for _ in system.polys], 0
+    for row, f in zip(rows, system.polys):
+        for c, ((v, _),) in f.terms:
+            row[v] = Fraction(c)
+    while rows:  # each nonzero row is a pivot, eliminated from the rest
+        row = rows.pop()
+        j = next((j for j, a in enumerate(row) if a), None)
+        if j is not None:
+            rank += 1
+            rows = [[a - r[j] / row[j] * b for a, b in zip(r, row)] for r in rows]
+    return rank
+
+
 def _prepare_pn(p: dict, seed: int) -> tuple[tuple, tuple]:
     system, bound, sample = p["polys"], p["bound"], p["sample"]
     nvars = max(f.max_var() for f in system.polys) + 1
     if nvars < 2:
         raise ValueError("system must involve at least X0 and X1")
     vp = VojtaParams(epsilon=p["eps"], delta=p["delta"], C=p["C"], r=p["codim_r"])
+    rank = _linear_rank(system, nvars)
+    if rank is not None and rank != vp.r:
+        raise ValueError(f"codim_r {vp.r} does not match codimension {rank} of V")
     S = PrimeSet(p["primes"])
 
     # Points of the box (see _box_point) with gcd 1 and off V.  A sampled run
@@ -763,9 +785,9 @@ def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig,
 # emission
 # ----------------------------------------------------------------------------
 
-def format_real(x: float) -> str:
-    """Fixed 12-significant-digit rendering used by all emitted reals."""
-    return f"{x:.12g}"
+#: The 12-significant-digit text of every computed real (the CSV encoder of a
+#: float, read by _json_real); bound, so a CSV real costs no Python call.
+format_real = "{:.12g}".format
 
 
 def _format_int(v: int) -> str:
@@ -782,7 +804,7 @@ def _json_real(v: float) -> str:
     is that, with t's digits (12 name one double) and ".0" after an integer."""
     if not isfinite(v):  # strict JSON has no token for it
         raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-    text = f"{v:.12g}"
+    text = format_real(v)
     return repr(float(text)) if "e" in text else text if "." in text else text + ".0"
 
 
@@ -799,10 +821,10 @@ def _csv_text(v: str) -> str:
 
 
 # One encoder per exact value type: the text of a value in each format (CSV
-# reals are format_real's text, by a method in C).  JSON writes computed reals
+# reals are format_real's text).  JSON writes computed reals
 # at 12 significant digits, and the reals a document echoes from its inputs
 # (under the top-level keys of ``_ECHOED``) exactly, by repr.
-_CSV = {int: _format_int, float: "{:.12g}".format, bool: _bool_text, str: _csv_text,
+_CSV = {int: _format_int, float: format_real, bool: _bool_text, str: _csv_text,
         type(None): lambda v: ""}
 _JSON = {int: _format_int, float: _json_real, bool: _bool_text,
          str: json.encoder.encode_basestring_ascii, type(None): {None: "null"}.__getitem__}

@@ -8,6 +8,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import pathlib
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from types import SimpleNamespace
@@ -30,6 +31,21 @@ def pytest_configure(config) -> None:
     method = config.getoption("--start-method")
     if method:
         multiprocessing.set_start_method(method, force=True)
+
+
+@pytest.fixture(autouse=True)
+def no_fork_beside_a_thread(monkeypatch) -> None:
+    """Fails the test that forks while another thread of the process is alive:
+    a child that inherits a lock such a thread holds can deadlock."""
+    fork = os.fork
+
+    def guarded() -> int:
+        if threading.active_count() > 1:
+            names = [t.name for t in threading.enumerate()
+                     if t is not threading.current_thread()]
+            pytest.fail(f"fork beside live threads: {names}")
+        return fork()
+    monkeypatch.setattr(os, "fork", guarded)
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import importlib.util
 import pathlib
 
 import gcdheights
-from gcdheights import HomPoly, PrimeSet
+from gcdheights import Factorization, HomPoly, PrimeSet
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -17,7 +17,7 @@ DELETED = {
     "arith": ("ord_p", "v_plus", "ARCH"),
     "mulgrp": ("MulPoint", "MulDivSeq", "power", "mul_D", "mul_seq"),
     "elliptic": ("EDS", "gcd_D", "hgcd_e2", "hgcd_e2_local_sum", "siegel_ratio",
-                 "DOUBLING_CAP", "exceptional_subgroups"),
+                 "DOUBLING_CAP", "exceptional_subgroups", "_reduce_by_gcd"),
     "gcd_height": ("BoundRecord", "vojta_rhs", "normalize_pn", "hgcd_pn_coordpoint",
                    "vojta_bound", "check_e2", "_bound"),
     "experiments": ("fit_constant", "fit_constant_records", "detect_exceptional"),
@@ -40,6 +40,7 @@ def test_public_names_are_declared_once():
             assert not hasattr(gcdheights, name)
             assert not hasattr(importlib.import_module(f"gcdheights.{mod}"), name)
     assert not hasattr(HomPoly, "degree")
+    assert not hasattr(Factorization, "value") and not hasattr(Factorization, "as_dict")
     assert PrimeSet._fields == ("primes",) and issubclass(PrimeSet, tuple)
     assert "fittable" not in gcdheights.KindSpec._fields
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import gcd, isclose, isqrt, log
+from math import gcd, isclose, isqrt, log, prod
 
 import pytest
 
@@ -71,10 +71,15 @@ def test_primeset_rejects_composites():
         PrimeSet((4,))
 
 
+def _value(f: Factorization) -> int:
+    """sign * prod(p^e) * cofactor, the integer a Factorization stands for."""
+    return f.sign * prod(p**e for p, e in f.factors) * f.cofactor
+
+
 def test_factorization_reconstructs_value():
     f = Factorization(factors=((2, 3), (7, 1)), sign=-1, complete=True)
-    assert f.value() == -56
-    assert f.as_dict() == {2: 3, 7: 1}
+    assert _value(f) == -56
+    assert dict(f.factors) == {2: 3, 7: 1}
 
 
 # ----------------------------------------------------------------------------
@@ -220,22 +225,22 @@ def test_strong_lucas_pseudoprimes_are_the_known_ones():
 def test_factor_splits_a_strong_pseudoprime():
     f = factor(PSI13)
     assert f.complete and f.cofactor == 1
-    assert f.as_dict() == {1287836182261: 1, 2575672364521: 1}
+    assert dict(f.factors) == {1287836182261: 1, 2575672364521: 1}
 
 
 def test_factor_smooth_number():
     f = factor(-(2**10) * 3**5 * 7)
     assert f.sign == -1
     assert f.complete and f.cofactor == 1
-    assert f.as_dict() == {2: 10, 3: 5, 7: 1}
-    assert f.value() == -(2**10) * 3**5 * 7
+    assert dict(f.factors) == {2: 10, 3: 5, 7: 1}
+    assert _value(f) == -(2**10) * 3**5 * 7
 
 
 def test_factor_semiprime_needs_rho():
     n = 1000003 * 1000033                     # both factors above the trial bound
     f = factor(n, FactorBudget(trial_bound=10**4, rho_iterations=10**6))
     assert f.complete
-    assert f.as_dict() == {1000003: 1, 1000033: 1}
+    assert dict(f.factors) == {1000003: 1, 1000033: 1}
 
 
 def test_factor_budget_exhaustion_is_honest():
@@ -243,12 +248,12 @@ def test_factor_budget_exhaustion_is_honest():
     f = factor(n, FactorBudget(trial_bound=100, rho_iterations=50))
     assert not f.complete
     assert f.cofactor == n                    # nothing split, value still exact
-    assert f.value() == n
+    assert _value(f) == n
 
 
 def test_factor_one_and_zero():
     f = factor(1)
-    assert f.factors == () and f.value() == 1
+    assert f.factors == () and _value(f) == 1
     with pytest.raises(ValueError):
         factor(0)
 
@@ -308,5 +313,5 @@ def test_mult_independent_agrees_with_factoring():
             b = c ** rng.randint(1, 9) * rng.choice([1, 1, 2, 3])
         else:
             a, b = rng.randint(2, 10**5), rng.randint(2, 10**5)
-        want = _least_power_relation(factor(a).as_dict(), factor(b).as_dict()) is None
+        want = _least_power_relation(dict(factor(a).factors), dict(factor(b).factors)) is None
         assert mult_independent(a, b) == want, (a, b)

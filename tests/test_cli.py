@@ -328,6 +328,19 @@ def test_pncheck_sampling_is_seed_deterministic(capsys):
     assert len(first.splitlines()) == 11
 
 
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_pncheck_refuses_a_codim_that_contradicts_a_linear_system(r, capsys):
+    # X1 = X2 = X3 = X0 is the point (1:1:1:1) of P^3, of codimension 3
+    argv = ["pncheck", "--poly", "X1-X0", "--poly", "X2-X0", "--poly", "X3-X0",
+            "--codim", str(r), "--primes", "2", "--nmax", "3", "--eps", "0.5"]
+    code, (out, err) = main(argv), capsys.readouterr()
+    if r == 3:
+        assert code == 0 and err == "" and len(out.splitlines()) > 1
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: codim_r {r} does not match codimension 3 of V\n"
+
+
 # ----------------------------------------------------------------------------
 # heights / vojta-check
 # ----------------------------------------------------------------------------

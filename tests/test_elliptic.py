@@ -28,6 +28,7 @@ from gcdheights import (
     on_curve,
     run,
     scalar_mul,
+    weil_height,
 )
 from gcdheights import elliptic
 from gcdheights.elliptic import _denominators, _division_values
@@ -338,25 +339,21 @@ def test_multiples_denominators_of_random_points_divide_strongly():
 
 
 def test_multiples_falls_back_to_the_gcd_route(monkeypatch):
-    calls, gcds = [], []
-    gcd_route = elliptic._reduce_by_gcd
-    monkeypatch.setattr(elliptic, "_reduce_by_gcd",
-                        lambda pairs: calls.append(len(pairs)) or gcd_route(pairs))
+    gcds = []
+    monkeypatch.setattr(elliptic, "gcd", lambda *xs: gcds.append(xs) or gcd(*xs))
     for xy in ((-2, 3), (4, 9)):
         p = Point(F(xy[0]), F(xy[1]))
         # the valuations at the primes of gcd(W_2, W_3) are exact: the only
         # gcd is that one, however many terms are asked for
-        with monkeypatch.context() as m:
-            m.setattr(elliptic, "gcd", lambda *xs: gcds.append(xs) or gcd(*xs))
-            want = multiples(C17, p, 60)
-        assert len(gcds) == 1 and calls == []
+        want = multiples(C17, p, 60)
+        assert len(gcds) == 1
         assert want == _multiples_by_gcd(C17, p, 60)
         gcds.clear()
-    # gcd(W_2, W_3) = 18 = 2 * 3^2 leaves a 9 that divisors up to 2 cannot split
-    with monkeypatch.context() as m:
-        m.setattr(elliptic, "_TRIAL_BOUND", 2)
-        assert multiples(C17, Point(F(4), F(9)), 60) == want
-    assert calls == [60]
+    # gcd(W_2, W_3) = 18 = 2 * 3^2 leaves a 9 that divisors up to 2 cannot
+    # split: one gcd for G, then one per term
+    monkeypatch.setattr(elliptic, "_TRIAL_BOUND", 2)
+    assert multiples(C17, Point(F(4), F(9)), 60) == want
+    assert len(gcds) == 1 + 60
 
 
 def test_trial_primes():
@@ -446,7 +443,7 @@ NAIVE_CASES += [(CM2, scalar_mul(CM2, 30, Point(F(3), F(5))), 12)]
 
 
 def _naive_oracle(c: Curve, p: Point, n_max: int) -> list[tuple[int, float]]:
-    return [(d, naive_height((a, d)).value) for a, d in multiples(c, p, n_max)]
+    return [(d, log(max(abs(a), d * d))) for a, d in multiples(c, p, n_max)]
 
 
 def _top_bits_decisions(monkeypatch) -> list[bool]:
@@ -541,6 +538,14 @@ def test_naive_height_witness(c37, p37):
     assert naive_height(p37).exact_arg == 1
     assert naive_height(scalar_mul(c37, 5, p37)).exact_arg == 4   # x = 1/4
     assert naive_height(IDENTITY).exact_arg == 1
+
+
+def test_naive_height_is_the_weil_height_of_x(c37, p37):
+    assert p37.x == 0
+    for n in range(1, 25):
+        q = scalar_mul(c37, n, p37)
+        assert naive_height(q) == weil_height(q.x)
+    assert naive_height(IDENTITY) == weil_height(0) == (0.0, 1)
 
 
 #: Deepest doubling the seeded property test runs its oracle to; 2^8 P

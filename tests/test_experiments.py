@@ -34,14 +34,13 @@ from gcdheights import (
     format_real,
     gcd_pair,
     multiples,
-    naive_height,
     render_csv,
     render_json,
     run,
     summarize,
 )
 from gcdheights.arith import EPS_SLACK, PrimeSet
-from gcdheights.gcd_height import PolySystem, VojtaParams, bound
+from gcdheights.gcd_height import HomPoly, PolySystem, VojtaParams, bound
 from gcdheights.mulgrp import LN2
 from gcdheights import experiments, mulgrp
 from test_elliptic import exceptional_subgroups
@@ -249,6 +248,55 @@ def test_pn_sample_cost_follows_the_sample_not_the_box():
     _, (points,) = experiments.SPECS[SweepKind.PN_CHECK].prepare(checked, 7)
     assert time.perf_counter() - t0 < 1.0
     assert len(points) == 50
+
+
+def _pn_prepared(texts, codim_r):
+    params = {"polys": texts, "primes": [2], "bound": 2, "eps": 0.5, "codim_r": codim_r}
+    return experiments.SPECS[SweepKind.PN_CHECK].prepare(
+        experiments._checked(SweepKind.PN_CHECK, params), 0)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_pn_dependent_linear_forms_are_refused_at_every_codim(r):
+    # 2*X1-2*X0 is twice X1-X0: the rank is 1, below every admissible r
+    with pytest.raises(ValueError, match=f"codim_r {r} does not match codimension 1 of V"):
+        _pn_prepared(["X1-X0", "2*X1-2*X0"], r)
+
+
+def _rank_by_minors(matrix: list[list[int]]) -> int:
+    """The largest k with a nonzero k x k minor, each determinant by Leibniz."""
+    def det(rows, cols):
+        return sum((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                   * math.prod(matrix[i][j] for i, j in zip(rows, perm))
+                   for perm in itertools.permutations(cols))
+    return max((k for k in range(1, len(matrix) + 1)
+                for rows in itertools.combinations(range(len(matrix)), k)
+                for cols in itertools.combinations(range(len(matrix[0])), k)
+                if det(rows, cols)), default=0)
+
+
+def test_pn_linear_rank_matches_the_minors():
+    rng = random.Random(33)
+    ranks = []
+    while len(ranks) < 300:
+        nvars = rng.randint(2, 5)
+        matrix = [[rng.randint(-3, 3) for _ in range(nvars)]
+                  for _ in range(rng.randint(1, 4))]
+        if not all(any(row) for row in matrix):
+            continue  # a system has no zero form
+        system = PolySystem(tuple(HomPoly(tuple((c, ((j, 1),)) for j, c in enumerate(row) if c))
+                                  for row in matrix))
+        ranks.append(experiments._linear_rank(system, nvars))
+        assert ranks[-1] == _rank_by_minors(matrix), matrix
+    assert set(ranks) == {1, 2, 3, 4}
+
+
+def test_pn_nonlinear_system_keeps_trusting_codim_r():
+    texts = ["X1^2-X0^2", "X2-X0"]
+    assert experiments._linear_rank(PolySystem.of(*texts), 3) is None
+    for r in (2, 3, 5):
+        _, (points,) = _pn_prepared(texts, r)
+        assert points
 
 
 @pytest.mark.parametrize("sample", [0, -1, 2.5, "10", True])
@@ -697,15 +745,15 @@ TINY = {
 
 def test_prepares_read_the_naive_height_bit_for_bit():
     # EDS_GCD and SIEGEL take ln max(|A|, D^2) of each multiple directly; it
-    # is the float naive_height((A, D)) returns, without building a LogReal
+    # is the float math.log of that integer, without building a LogReal
     c389, c2 = Curve(0, 1, 1, -2, 0), Curve(0, 0, 0, 0, -2)
     params = {"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0],
               "m_max": 30, "n_max": 25, "eps": 0.3}
     (mp, nq, *_), _ = experiments.SPECS[SweepKind.EDS_GCD].prepare(
         experiments._checked(SweepKind.EDS_GCD, params), 0)
-    assert mp == [(d, naive_height((a, d)).value)
+    assert mp == [(d, math.log(max(abs(a), d * d)))
                   for a, d in multiples(c389, Point(0, 0), 30)]
-    assert nq == [(d, naive_height((a, d)).value)
+    assert nq == [(d, math.log(max(abs(a), d * d)))
                   for a, d in multiples(c389, Point(1, 0), 25)]
     # SIEGEL also at bad reduction (x^3 + 17 at (-2, 3), gcd(W_2, W_3) = 6) and
     # at a non-integral point, 2(3, 5) = (129/100, -383/1000)
@@ -715,7 +763,7 @@ def test_prepares_read_the_naive_height_bit_for_bit():
                   "n_min": n_min, "n_max": n_max}
         (_, dn), _ = experiments.SPECS[SweepKind.SIEGEL].prepare(
             experiments._checked(SweepKind.SIEGEL, params), 0)
-        assert dn == [(d, naive_height((a, d)).value)
+        assert dn == [(d, math.log(max(abs(a), d * d)))
                       for a, d in multiples(c, Point(*map(Fraction, point)), n_max)[n_min - 1:]]
     # MIXED_CHECK and ABELIAN_GROWTH read the denominators eds() gives
     params = {"curve": [0, 0, 0, 0, 17], "point": [-2, 3], "primes": [2, 3],
@@ -1405,7 +1453,7 @@ def test_renderers_match_oracles_on_none_columns():
 
 def test_renderers_match_oracles_on_an_empty_result():
     cfg = SweepConfig(kind=SweepKind.PN_CHECK,
-                      parameters={"polys": ["X1-X0"], "primes": [2], "bound": 0,
+                      parameters={"polys": ["X1-X0", "X2-X0"], "primes": [2], "bound": 0,
                                   "eps": 0.5})
     res = run(cfg)
     assert res.records == []
@@ -1743,7 +1791,8 @@ def test_ints_past_the_str_limit_render_exactly_in_any_block(monkeypatch):
 
 def test_an_empty_sweep_renders_as_one_block(monkeypatch):
     cfg = SweepConfig(kind=SweepKind.PN_CHECK,
-                      parameters={"polys": ["X1-X0"], "primes": [2], "bound": 0, "eps": 0.5})
+                      parameters={"polys": ["X1-X0", "X2-X0"], "primes": [2], "bound": 0,
+                                  "eps": 0.5})
     res = run(cfg)
     assert res.records == []
     _assert_blocks_like_one_join(res, [1, 2048], monkeypatch)
