@@ -136,8 +136,8 @@ _SUBCOMMANDS = {
         ("--poly", "polys",
          "homogeneous form like 'X1-X0' (repeatable; default: X1-X0 and X2-X0)",
          ["X1-X0", "X2-X0"]),
-        ("--codim", "codim_r", "asserted codimension r (default 2)"), _PRIMES,
-        ("--nmax", "bound", "coordinate magnitude bound"), _EPS, ("--delta", "delta"),
+        ("--codim", "codim_r", "codimension r of V (default: the rank of linear forms)"),
+        _PRIMES, ("--nmax", "bound", "coordinate magnitude bound"), _EPS, ("--delta", "delta"),
         _C, ("--sample", "sample",
              "randomly subsample to this many points (uses --seed)")]),
 }

@@ -56,7 +56,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, count, islice, product, repeat
 from math import copysign, exp, gcd, inf, isfinite, isinf, isnan, log, prod
-from operator import attrgetter, is_not, mul, sub
+from operator import attrgetter, is_not, mul, sub, truediv
 from statistics import median
 from sys import float_info
 from time import perf_counter
@@ -465,15 +465,28 @@ def _linear_rank(system: PolySystem, nvars: int) -> int | None:
     return rank
 
 
-def _prepare_pn(p: dict, seed: int) -> tuple[tuple, tuple]:
-    system, bound, sample = p["polys"], p["bound"], p["sample"]
+def _pn_params(p: dict) -> tuple[int, VojtaParams]:
+    """(nvars, VojtaParams) of a checked PN_CHECK config.  r, the codimension
+    of V, is the rank of linear forms, which a given codim_r must equal and
+    which must leave V neither empty nor a hyperplane; else codim_r itself."""
+    system, r = p["polys"], p["codim_r"]
     nvars = max(f.max_var() for f in system.polys) + 1
     if nvars < 2:
         raise ValueError("system must involve at least X0 and X1")
-    vp = VojtaParams(epsilon=p["eps"], delta=p["delta"], C=p["C"], r=p["codim_r"])
     rank = _linear_rank(system, nvars)
-    if rank is not None and rank != vp.r:
+    if rank is None and r is None:
+        raise ValueError("codim_r is required when a form is not linear")
+    if r in (None, rank) and not 2 <= rank < nvars:  # so rank is not None
+        raise ValueError(f"V is {'empty' if rank == nvars else 'a hyperplane'}: rank {rank}")
+    vp = VojtaParams(p["eps"], p["delta"], p["C"], rank if r is None else r)
+    if rank not in (None, vp.r):
         raise ValueError(f"codim_r {vp.r} does not match codimension {rank} of V")
+    return nvars, vp
+
+
+def _prepare_pn(p: dict, seed: int) -> tuple[tuple, tuple]:
+    system, bound, sample = p["polys"], p["bound"], p["sample"]
+    nvars, vp = _pn_params(p)
     S = PrimeSet(p["primes"])
 
     # Points of the box (see _box_point) with gcd 1 and off V.  A sampled run
@@ -605,7 +618,7 @@ SPECS: dict[SweepKind, KindSpec] = {
         prepare=_prepare_eds_gcd, row=_row_eds_gcd, rows=_rows_eds_gcd, Row=_EDSGCDRow,
     ),
     SweepKind.PN_CHECK: KindSpec(
-        index=("point",), params=(("polys", _polys), ("codim_r", _int, 2),
+        index=("point",), params=(("polys", _polys), ("codim_r", _int, None),
                                   ("primes", _ints), ("bound", _int), *_EPS_C,
                                   ("delta", _real, 1.0),
                                   ("sample", _at_least(1, "positive"), None)),
@@ -752,10 +765,10 @@ def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig,
 
     A kind with an ``hA`` column also gets ``violations`` (its rows that fail
     the bound), the index of the last of them, and ``fitted_constant``: the
-    least C with lhs <= eps*hA [+ hcount/(codim_r - 1 + delta*eps)] + C on
-    every error-free row not flagged ``exceptional`` (the asserted
-    exceptional set), or None when no such row is left; a kind whose config
-    ``C`` multiplies the bound reports exp of that C, which it can take back.
+    least C with lhs <= eps*hA [+ hcount/(r - 1 + delta*eps), r as in the
+    rows] + C on every error-free row not flagged ``exceptional`` (the
+    asserted exceptional set), or None when no such row is left; a kind whose
+    config ``C`` multiplies the bound reports exp of that C, which it can take back.
     """
     if p is None:
         p = _checked(kind, config.parameters)
@@ -768,14 +781,12 @@ def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig,
         viol = [r for r in good if r.holds is False]
         s["violations"] = len(viol)
         s["max_violating_index"] = list(viol[-1][:len(spec.index)]) if viol else None
-        eps = p["eps"]
+        rows = [r for r in good if not r.exceptional] if "exceptional" in cols else good
+        lhs, hA = map(attrgetter("lhs"), rows), map(attrgetter("hA"), rows)
+        gaps = map(sub, lhs, map(mul, repeat(p["eps"]), hA))
         if "hcount" in cols:  # the counting term on P^n
-            weight = VojtaParams(eps, p["delta"], p["C"], p["codim_r"]).weight
-            gaps = (r.lhs - eps * r.hA - r.hcount / weight for r in good)
-        else:  # by column, from the rows not flagged exceptional
-            rows = [r for r in good if not r.exceptional] if "exceptional" in cols else good
-            lhs, hA = map(attrgetter("lhs"), rows), map(attrgetter("hA"), rows)
-            gaps = map(sub, lhs, map(mul, repeat(eps), hA))
+            weights = repeat(_pn_params(p)[1].weight)
+            gaps = map(sub, gaps, map(truediv, map(attrgetter("hcount"), rows), weights))
         fit = max(gaps, default=None)
         s["fitted_constant"] = None if fit is None else spec.C_of_fit(fit)
     return {**s, **spec.summary(good, p)}

@@ -248,8 +248,8 @@ def check_pn(x: PnPoint, sys: PolySystem, S: PrimeSet, p: VojtaParams) -> tuple:
     Returns (gcd, lhs, hA, hcount, rhs, holds), the columns of a PN_CHECK
     row: lhs is the exact subvariety gcd height, the ample height hA is
     ln max|x_i| and the counting term hcount is the prime-to-S coordinate
-    product.  Smoothness of V and its codimension ``p.r`` are assumptions,
-    never verified here.
+    product.  ``p.r`` is taken as the codimension of V and V as smooth, never
+    verified here; the PN_CHECK sweep derives r from linear forms.
     """
     g = hgcd_pn_subvariety(x, sys)
     hcount = counting_function_pn(x, S).value

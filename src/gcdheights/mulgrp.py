@@ -119,23 +119,12 @@ def s_unit_enumerate(S: PrimeSet, bound: int) -> list[int]:
 
     Ties between x and -x list the negative first.  Empty S gives [].
     """
-    vals: list[int] = []
-    mags: set[int] = set()
-
-    def grow(i: int, acc: int) -> None:
-        if i == len(S.primes):
-            if acc >= 2:
-                mags.add(acc)
-            return
-        p = S.primes[i]
-        while acc <= bound:
-            grow(i + 1, acc)
-            acc *= p
-    if S.primes:
-        grow(0, 1)
-    for m in sorted(mags):
-        vals.extend((-m, m))
-    return vals
+    mags = [1]  # the magnitudes on the primes so far, each once
+    for p in S.primes:
+        for m in mags[:]:
+            while (m := m * p) <= bound:
+                mags.append(m)
+    return [x for m in sorted(mags[1:]) for x in (-m, m)]
 
 
 # An S-unit x stripped once over S.primes: its exponent tuple is ``mult``

@@ -336,9 +336,24 @@ def test_pncheck_refuses_a_codim_that_contradicts_a_linear_system(r, capsys):
     code, (out, err) = main(argv), capsys.readouterr()
     if r == 3:
         assert code == 0 and err == "" and len(out.splitlines()) > 1
+        # without --codim the run takes the rank, 3, and prints the same
+        assert main(argv[:7] + argv[9:]) == 0
+        assert capsys.readouterr() == (out, "")
     else:
         assert code == 2 and out == ""
         assert err == f"error: codim_r {r} does not match codimension 3 of V\n"
+
+
+@pytest.mark.parametrize("polys, message", [
+    (["X1-X0", "X1+X0"], "V is empty: rank 2"),
+    (["X1^2-X0^2", "X2-X0"], "codim_r is required when a form is not linear"),
+])
+def test_pncheck_without_a_codimension_is_a_computation_error(polys, message, capsys):
+    # a missing --codim is not a usage error (exit 1): linear forms supply it
+    argv = ["pncheck", *(a for f in polys for a in ("--poly", f)),
+            "--primes", "2", "--nmax", "3", "--eps", "0.5"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # ----------------------------------------------------------------------------
@@ -857,7 +872,7 @@ C37_LIST = [0, 0, 1, -1, 0]
      {"curve": C37_LIST, "point": ["0", "0"], "primes": [3], "n_max": 2,
       "b_bound": 100, "eps": 0.5, "C": 1.0}),
     (["pncheck", "--primes", "2", "--nmax", "2", "--eps", "0.5"], SweepKind.PN_CHECK,
-     {"polys": ["X1-X0", "X2-X0"], "codim_r": 2, "primes": [2], "bound": 2,
+     {"polys": ["X1-X0", "X2-X0"], "primes": [2], "bound": 2,
       "eps": 0.5, "delta": 1.0, "C": 0.0}),
 ])
 def test_flags_map_to_parameters(argv, kind, parameters, monkeypatch, capsys):
@@ -980,9 +995,10 @@ def test_flags_name_keys_of_their_table_and_two_cli_only_defaults():
                     cli_only.add((cmd, k))
     assert cli_only == {("gcdpow", "eps"), ("pncheck", "polys")}
     bbound = _table(SweepKind.MIXED_CHECK)["b_bound"][0]
-    codim = _table(SweepKind.PN_CHECK)["codim_r"][0]
     assert helps["mixed", "--bbound"].endswith(f"(default {bbound})")
-    assert helps["pncheck", "--codim"].endswith(f"(default {codim})")
+    # codim_r has no value to show: by default it is the rank of linear forms
+    assert _table(SweepKind.PN_CHECK)["codim_r"] == [None]
+    assert helps["pncheck", "--codim"].endswith("(default: the rank of linear forms)")
 
 
 NEEDS = {

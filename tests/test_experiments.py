@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import pathlib
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -199,7 +200,7 @@ def _pn_points(texts, bound, sample=None, seed=0) -> list[str]:
 
 
 PN_SYSTEMS = [
-    (["X1-X0", "X1+X0"], 9),
+    (["X1+X0", "X2-2*X0"], 9),
     (["X1-X0", "X2-X0"], 6),
     (["X1-X0", "X2-X0", "X3-X0"], 3),
     (["X1^2-X0^2", "X2-X0"], 5),
@@ -289,6 +290,48 @@ def test_pn_linear_rank_matches_the_minors():
         ranks.append(experiments._linear_rank(system, nvars))
         assert ranks[-1] == _rank_by_minors(matrix), matrix
     assert set(ranks) == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("texts, r, message", [
+    # X1 = X0 = -X1 has no point in P^1: two forms of rank 2 in 2 variables
+    (["X1-X0", "X1+X0"], None, "V is empty: rank 2"),
+    (["X1-X0", "X1+X0"], 2, "V is empty: rank 2"),
+    (["X1-X0", "2*X1-2*X0"], None, "V is a hyperplane: rank 1"),
+    (["X1^2-X0^2", "X2-X0"], None, "codim_r is required when a form is not linear"),
+])
+def test_pn_system_without_a_codimension_is_refused(texts, r, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _pn_prepared(texts, r)
+
+
+# The PN systems the benchmark workloads send with codim_r = len(polys), copied
+# from PN3_SYSTEMS and PN4_SYSTEMS of perfbench/workloads.py, not imported
+WORKLOAD_PN_SYSTEMS = [
+    (["X1-X0", "X2-X0"], 5), (["X1+X0", "X2-X0"], 5), (["X1-X0", "X2+X0"], 5),
+    (["X1-X2", "X0-X2"], 5), (["X1-X0", "X2-X0", "X3-X0"], 3),
+    (["X1+X0", "X2-X0", "X3+X0"], 3),
+]
+
+
+@pytest.mark.parametrize("texts, bound", WORKLOAD_PN_SYSTEMS)
+@pytest.mark.parametrize("sample", [None, 20])
+def test_pn_codim_r_of_linear_forms_is_their_rank(texts, bound, sample):
+    params = {"polys": texts, "primes": [2], "bound": bound, "eps": 0.45,
+              "delta": 2.0, "C": -0.2, "sample": sample}
+    derived = run(SweepConfig(kind=SweepKind.PN_CHECK, parameters=params, seed=9))
+    given = run(SweepConfig(kind=SweepKind.PN_CHECK, seed=9,
+                            parameters={**params, "codim_r": len(texts)}))
+    assert derived.records == given.records and derived.summary == given.summary
+    assert derived.summary["violations"] > 0 and any(r.hcount for r in derived.records)
+
+
+def test_pn_summarize_without_codim_r_is_the_run_summary():
+    cfg = SweepConfig(kind=SweepKind.PN_CHECK,
+                      parameters={"polys": ["X1-X0", "X2-X0", "X3-X0"], "primes": [2],
+                                  "bound": 3, "eps": 0.4, "delta": 2.5, "C": 0.3})
+    res = run(cfg)
+    assert summarize(SweepKind.PN_CHECK, res.records, cfg) == res.summary
+    assert res.summary["fitted_constant"] is not None
 
 
 def test_pn_nonlinear_system_keeps_trusting_codim_r():
