@@ -26,9 +26,11 @@ Each kind is one ``KindSpec`` record in ``SPECS``.  A kind has a range
 kernel, which evaluates a whole run and builds its rows positionally, only
 where it hoists work out of the cells: BCZ and AR multiply a^n and b^n up
 along the run, and when the smaller base is 2^k fold the other power minus
-one modulo 2^(kn) - 1; CZ strips each unit once, and copies the row of
+one modulo 2^(kn) - 1; CZ strips each unit once, copies the row of
 (b, a) from that of (a, b) when the sweep's one record list, which each run
-appends to, holds it; EDS_GCD without q reads gcd(D_m, D_n) off strong
+appends to, holds it, and evaluates the rest a unit's row at a time, a map
+per column, with only the pairs of units on one root through the
+per-pair core; EDS_GCD without q reads gcd(D_m, D_n) off strong
 divisibility as D_gcd(m, n) and takes ln D_g once per g; MIXED_CHECK takes
 |b - 1| and ln|b| once per b and ln D_n once.  There ``row`` is the
 oracle and the fallback (see ``_eval``); PN_CHECK, SIEGEL and ABELIAN_GROWTH
@@ -36,13 +38,14 @@ run as its map.  A row is a tuple of the kind's ``Row`` type in ``columns``
 order: index columns first, then exact integer witnesses, then the
 log-space lhs/rhs pair and the holds flag, then ``error`` (None but on an
 error row, which has only its index values).
-Rendering encodes each value by its type: integers with all their digits,
-reals with 12 significant digits (a JSON config's exactly).  It goes by
-block of at most ``_BLOCK`` records, and within a block by column
-(``_texts``), through a memo of a column's distinct values where they
-repeat; ``render_json`` lays a block's records out in one list of parts, a
-slice assignment per column, and joins each block into one text.  The
-renderers return the blocks joined; the CLI writes them one by one.
+Rendering encodes each value by its type, which the row type declares per
+column: integers with all their digits, reals with 12 significant digits (a
+JSON config's exactly).  It goes by block of at most ``_BLOCK`` records,
+and within a block by column (``_texts``), through a memo of a column's
+distinct values where they repeat; ``render_json`` lays a block's records
+out in one list of parts, a slice assignment per column, and joins each
+block into one text.  The renderers return the blocks joined; the CLI
+writes them one by one.
 """
 
 from __future__ import annotations
@@ -51,17 +54,17 @@ import json
 import os
 import random
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence, Set
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, count, islice, product, repeat
 from math import copysign, exp, gcd, inf, isfinite, isinf, isnan, log, prod
-from operator import attrgetter, is_not, mul, sub, truediv
+from operator import attrgetter, is_not, itemgetter, le, mul, sub, truediv
 from statistics import median
 from sys import float_info
 from time import perf_counter
 
-from .arith import PrimeSet, mult_independent
+from .arith import EPS_SLACK, PrimeSet, mult_independent
 from .elliptic import (
     Curve,
     Point,
@@ -123,7 +126,8 @@ class KindSpec(namedtuple("KindSpec", "Row index params prepare row rows summary
                           defaults=(None, lambda good, p: {}, lambda fit: fit))):
     """Everything the runner knows about one sweep kind.
 
-    ``Row`` is the namedtuple of its ``columns``.  ``params`` has one entry
+    ``Row`` is the namedtuple of its ``columns``, whose ``types`` it declares
+    (see ``_row_type``).  ``params`` has one entry
     per config key, ``(key, check)`` if required and ``(key, check, default)``
     if not; ``check(key, value)`` returns the plain value or raises
     ValueError naming the key.  ``prepare(p, seed)`` takes those values (see
@@ -310,31 +314,71 @@ def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
 
 
 def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
-    S = PrimeSet(p["primes"])
+    """The units, each stripped once, and their columns: |x - 1|, the rhs
+    eps*ln|x| of a pair whose larger unit is x (the units ascend by |x|),
+    that rhs plus the slack of ``holds``, and the indices of the units on
+    the root of x, whose pairs with x alone may have a power relation."""
+    S, eps = PrimeSet(p["primes"]), p["eps"]
     units = s_unit_enumerate(S, p["bound"])
-    # each unit stripped once, not once per pair
-    return (S, p["eps"], {x: _unit(x, S) for x in units}), (units, units)
+    unit = [_unit(x, S) for x in units]
+    rhs = [bound(0.0, u.log_size, eps, 0.0)[2] for u in unit]
+    on_root: dict = {}
+    for j, u in enumerate(unit):
+        on_root.setdefault(u.root, []).append(j)
+    return ((S, eps, units, unit, [u.shifted for u in unit], rhs,
+             [r + EPS_SLACK for r in rhs], [on_root[u.root] for u in unit]),
+            (units, units))
 
 
 def _row_cz(ctx: tuple, a: int, b: int) -> tuple:
-    S, eps, _ = ctx
+    S, eps = ctx[:2]
     v = cz_classify(a, b, S, eps)
     return _CZRow(a, b, v.kind, v.m, v.n, v.gcd, v.lhs, v.rhs, v.holds)
 
 
+_VERDICT = (EXCEPTIONAL, INEQUALITY_HOLDS).__getitem__  # by holds
+_MIRROR = itemgetter(1, 0, 2, 4, 3, 5, 6, 7, 8, 9)  # the row of (b, a) from that of (a, b)
+
+
+def _cz_cells(ctx: tuple, i: int, lo: int, hi: int) -> list[tuple]:
+    """The rows of the CZ cells (i, j), lo <= j < hi, each column one map
+    over the slice of the units' columns: the rhs is that of unit max(i, j).
+    The cells of units on the root of unit i are replaced by the rows of
+    ``_trichotomy``, which finds their power relations."""
+    _, eps, units, unit, shifted, rhs, top, on_root = ctx
+    k, n = max(min(i, hi), lo), hi - lo  # cells lo..k lie below the diagonal
+    g = list(map(gcd, repeat(shifted[i], n), shifted[lo:hi]))
+    lhs = list(map(log, g))
+    holds = list(map(le, lhs, [top[i]] * (k - lo) + top[k:hi]))
+    rows = list(map(tuple.__new__, repeat(_CZRow), zip(
+        repeat(units[i]), units[lo:hi], map(_VERDICT, holds), repeat(None), repeat(None),
+        g, lhs, [rhs[i]] * (k - lo) + rhs[k:hi], holds, repeat(None))))
+    for j in on_root[i]:
+        if lo <= j < hi:
+            rows[j - lo] = tuple.__new__(_CZRow, (
+                units[i], units[j], *_trichotomy(unit[i], unit[j], eps), None))
+    return rows
+
+
 def _rows_cz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The map of ``_row_cz`` over a run.  ``_trichotomy`` is symmetric, so a
-    cell (i, j), j < i, copies the row of (j, i) in ``out``, m, n swapped, if error-free."""
-    _, eps, unit = ctx
-    units, L, s, new = axes[1], len(axes[1]), cells.start, tuple.__new__
+    """The map of ``_row_cz`` over a run, a unit row at a time.  ``_trichotomy``
+    is symmetric, so the cells (i, j), j < i, whose rows of (j, i) in ``out``
+    are all error-free copy them, m and n swapped; ``_cz_cells`` evaluates
+    the rest."""
+    L, s, e = len(axes[1]), cells.start, cells.stop
     base = s - len(out)  # the cell of out[0]
-    for i in range(s // L, -(-cells.stop // L)) if cells else ():
-        a, ua, lo = units[i], unit[units[i]], max(s - i * L, 0)
-        for j, b in enumerate(units[lo:min(cells.stop - i * L, L)], lo):
-            if j < i and (k := j * L + i - base) >= 0 and (r := out[k])[9] is None:
-                out.append(new(_CZRow, (a, b, r[2], r[4], r[3], r[5], r[6], r[7], r[8], None)))
-            else:
-                out.append(new(_CZRow, (a, b, *_trichotomy(ua, unit[b], eps), None)))
+    for i in range(s // L, -(-e // L)) if cells else ():
+        lo, hi = max(s - i * L, 0), min(e - i * L, L)
+        # the rows of (j, i) for c0 <= j < c1 are written: j*L + i >= base
+        c1 = max(min(i, hi), lo)
+        c0 = min(max(lo, -((i - base) // L)), c1)
+        mirrors = out[c0 * L + i - base:c1 * L + i - base:L]
+        if any(map(itemgetter(9), mirrors)):  # an error text is never empty
+            c0, mirrors = c1, ()
+        if lo < c0:
+            out += _cz_cells(ctx, i, lo, c0)
+        out += map(tuple.__new__, repeat(_CZRow), map(_MIRROR, mirrors))
+        out += _cz_cells(ctx, i, c1, hi)
 
 
 def _summary_cz(good: list[tuple], p: dict) -> dict:
@@ -579,20 +623,34 @@ def _row_abelian(ctx: tuple, n: int) -> tuple:
     return tuple.__new__(_AbelianRow, (n, a, b, g, *bound(log(g), float(n ** 2), eps, C), None))
 
 
-def _row_type(name: str, columns: str) -> type:
-    return namedtuple(name, columns + " error", defaults=(None,))
+_INT, _REAL, _BOOL, _STR, _NONE = map(frozenset, ({int}, {float}, {bool}, {str}, {type(None)}))
+
+
+def _row_type(name: str, **types: frozenset) -> type:
+    """The namedtuple of the given columns, then ``error``.  Its ``types`` are
+    those of each column's values on an error-free row, then those of
+    ``error``, which holds a text on an error row; the renderers encode by
+    them (see ``_block_types``)."""
+    Row = namedtuple(name, [*types, "error"], defaults=(None,))
+    Row.types = (*types.values(), _STR | _NONE)
+    return Row
 
 
 # One row type per kind: index columns first, error last.  Each is a module
 # attribute of its own name, so pool workers can pickle rows.
-_BCZRow = _row_type("_BCZRow", "n gcd lhs hA rhs holds")
-_CZRow = _row_type("_CZRow", "alpha beta verdict m n gcd lhs rhs holds")
-_ARRow = _row_type("_ARRow", "n gcd base_gcd is_return")
-_EDSGCDRow = _row_type("_EDSGCDRow", "m n d_m d_n gcd lhs hA rhs holds exceptional")
-_PNRow = _row_type("_PNRow", "point gcd lhs hA hcount rhs holds")
-_MixedRow = _row_type("_MixedRow", "n b d_q gcd lhs hA rhs holds")
-_SiegelRow = _row_type("_SiegelRow", "n d naive ratio")
-_AbelianRow = _row_type("_AbelianRow", "n d_p d_q gcd lhs hA rhs holds")
+_BCZRow = _row_type("_BCZRow", n=_INT, gcd=_INT, lhs=_REAL, hA=_REAL, rhs=_REAL, holds=_BOOL)
+_CZRow = _row_type("_CZRow", alpha=_INT, beta=_INT, verdict=_STR, m=_INT | _NONE,
+                   n=_INT | _NONE, gcd=_INT, lhs=_REAL, rhs=_REAL, holds=_BOOL)
+_ARRow = _row_type("_ARRow", n=_INT, gcd=_INT, base_gcd=_INT, is_return=_BOOL)
+_EDSGCDRow = _row_type("_EDSGCDRow", m=_INT, n=_INT, d_m=_INT, d_n=_INT, gcd=_INT, lhs=_REAL,
+                       hA=_REAL, rhs=_REAL, holds=_BOOL, exceptional=_BOOL)
+_PNRow = _row_type("_PNRow", point=_STR, gcd=_INT, lhs=_REAL, hA=_REAL, hcount=_REAL,
+                   rhs=_REAL, holds=_BOOL)
+_MixedRow = _row_type("_MixedRow", n=_INT, b=_INT, d_q=_INT, gcd=_INT, lhs=_REAL, hA=_REAL,
+                      rhs=_REAL, holds=_BOOL)
+_SiegelRow = _row_type("_SiegelRow", n=_INT, d=_INT, naive=_REAL, ratio=_REAL)
+_AbelianRow = _row_type("_AbelianRow", n=_INT, d_p=_INT, d_q=_INT, gcd=_INT, lhs=_REAL,
+                        hA=_REAL, rhs=_REAL, holds=_BOOL)
 
 _A_B_N = (("a", _int), ("b", _int), ("n_max", _int))
 _EPS_C = (_EPS, ("C", _finite, 0.0))
@@ -843,13 +901,14 @@ _ECHO = {**_JSON, float: lambda x: repr(x) if isfinite(x) else _json_real(x)}
 _ECHOED = dict.fromkeys(("config", "tol", "params"), _ECHO)
 
 
-def _texts(col: Sequence, enc: dict) -> Iterable[str]:
-    """The texts by ``enc`` of a column's values, the loops in C: through a memo
-    of its distinct values where they repeat and a set keeps their texts apart
-    (not True, 1 and 1.0, nor 0.0 and -0.0), else by str() or value by value."""
+def _texts(col: Sequence, enc: dict, types: Set[type]) -> Iterable[str]:
+    """The texts by ``enc`` of a column's values, each of a type in ``types``,
+    the loops in C: through a memo of its distinct values where they repeat
+    and a set keeps their texts apart (not True, 1 and 1.0, nor 0.0 and
+    -0.0), else by str() or value by value."""
     if len(col) < 64:  # too short for the passes below to pay
         return [enc[type(v)](v) for v in col]
-    types, values = set(map(type, col)), col
+    values = col
     if types == {float} or float not in types and len(types & {bool, int}) < 2:
         values = set(col)
         if types == {float} and 0.0 in values and min(map(copysign, repeat(1.0), col)) < 0:
@@ -858,7 +917,9 @@ def _texts(col: Sequence, enc: dict) -> Iterable[str]:
         return map({v: enc[type(v)](v) for v in values}.__getitem__, col)
     if types == {int} and max(map(int.bit_length, col)) < 2000:  # below any str() limit
         return map(str, col)
-    return map(enc[types.pop()], col) if len(types) == 1 else [enc[type(v)](v) for v in col]
+    if len(types) == 1:
+        return map(enc[next(iter(types))], col)
+    return [enc[type(v)](v) for v in col]
 
 
 # Records per rendered block: a render lays out the texts of one block at a
@@ -866,25 +927,37 @@ def _texts(col: Sequence, enc: dict) -> Iterable[str]:
 _BLOCK = 2048
 
 
-def _csv_lines(head: list[str], block: Sequence) -> str:
+def _block_types(types: tuple, index: int, errors: Sequence) -> tuple:
+    """The ``types`` of the columns of a block of rows whose last column is
+    ``errors``: where that holds an error, those of the columns past the
+    first ``index`` (a sweep's index columns) also take None."""
+    if errors.count(None) == len(errors):
+        return types
+    return (*types[:index], *(t | _NONE for t in types[index:]))
+
+
+def _csv_lines(head: list[str], block: Sequence, types: tuple, index: int) -> str:
     """The lines of ``head``, then a line per row of ``block``, encoded by
-    column, each ended by a line feed."""
-    texts = [_texts(col, _CSV) for col in zip(*block)]
+    column (see ``_csv_blocks``), each ended by a line feed."""
+    cols = [*zip(*block)]
+    types = _block_types(types, index, cols[-1]) if cols else types
+    texts = [*map(_texts, cols, repeat(_CSV), types)]
     return "\n".join([*head, *map(",".join, zip(*texts)), ""])
 
 
-def _csv_blocks(columns: Sequence[str], rows: Sequence) -> list[str]:
+def _csv_blocks(columns: Sequence[str], rows: Sequence, types: tuple, index: int) -> list[str]:
     """The table as a text per block of rows, the first led by a header line
     of ``columns``: a table of one block is one text, which a join returns
-    as it is."""
+    as it is.  ``types`` and ``index`` are as ``_block_types`` takes them."""
     head = [",".join(columns)]
-    return [_csv_lines([] if start else head, rows[start:start + _BLOCK])
-            for start in range(0, len(rows), _BLOCK)] or [_csv_lines(head, ())]
+    return [_csv_lines([] if start else head, rows[start:start + _BLOCK], types, index)
+            for start in range(0, len(rows), _BLOCK)] or [_csv_lines(head, (), types, index)]
 
 
 def render_csv(result: SweepResult) -> str:
     """One row per record in index order, fixed header per kind."""
-    return "".join(_csv_blocks(SPECS[result.config.kind].columns, result.records))
+    spec = SPECS[result.config.kind]
+    return "".join(_csv_blocks(spec.columns, result.records, spec.Row.types, len(spec.index)))
 
 
 def _json_text(v, pad: str = "\n", enc: dict = _JSON) -> str:
@@ -900,11 +973,11 @@ def _json_text(v, pad: str = "\n", enc: dict = _JSON) -> str:
     elif not isinstance(v, (list, tuple)):
         return enc[type(v)](v)
     elif (types := set(map(type, v))) <= enc.keys():
-        ends, items = "[]", _texts(v, enc)
+        ends, items = "[]", _texts(v, enc, types)
     elif (types <= {list, tuple} and len(set(map(len, v))) == 1 and v[0]
-          and set(map(type, chain.from_iterable(v))) <= enc.keys()):
+          and (types := set(map(type, chain.from_iterable(v)))) <= enc.keys()):
         row = f"[{inner}  " + f",{inner}  ".join(["%s"] * len(v[0])) + f"{inner}]"
-        ends, items = "[]", map(row.__mod__, zip(*[_texts(c, enc) for c in zip(*v)]))
+        ends, items = "[]", map(row.__mod__, zip(*[_texts(c, enc, types) for c in zip(*v)]))
     else:
         ends, items = "[]", [_json_text(x, inner, enc) for x in v]
     sep = "," + inner  # one f-string copies a long list's text once, not per +
@@ -925,18 +998,19 @@ def _json_blocks(result: SweepResult, version: str | None = None) -> list[str]:
     tail = ("\n  ]" if records else "]") + ',\n  "summary": ' + _json_text(
         result.summary, "\n  ") + ',\n  "version": ' + _JSON[str](version) + "\n}\n"
     # a record is an object of sorted keys: every column but error, laid out in
-    # one list of parts per block by a slice assignment per key and per column,
-    # or on an error row its index and error
-    first = f",\n    {{\n      {json.dumps(keys[0])}: "
+    # one list of parts per block, the keys' texts repeated and the values by
+    # a slice assignment per column, or on an error row its index and error
     after = [*(f",\n      {json.dumps(k)}: " for k in keys[1:]), "\n    }"]
+    record = [f",\n    {{\n      {json.dumps(keys[0])}: ",
+              *chain.from_iterable(zip(repeat(None), after))]
     out = []
     for start in range(0, len(records), _BLOCK):
         block = records[start:start + _BLOCK]
         columns, n = [*zip(*block)], len(block)
-        parts = [first] * (n * width)
-        for j, (c, piece) in enumerate(zip(at, after)):
-            parts[2 * j + 1::width] = _texts(columns[c], _JSON)
-            parts[2 * j + 2::width] = [piece] * n
+        types = _block_types(spec.Row.types, len(spec.index), columns[-1])
+        parts = record * n
+        for j, c in enumerate(at):
+            parts[2 * j + 1::width] = _texts(columns[c], _JSON, types[c])
         for i in compress(count(), map(is_not, columns[-1], repeat(None))):
             text = _json_text({k: getattr(block[i], k) for k in errs}, "\n    ")
             parts[i * width:(i + 1) * width] = [",\n    " + text, *[""] * (width - 1)]

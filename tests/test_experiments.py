@@ -380,6 +380,9 @@ BOUND_GOLDENS = [
     # JSON prints every key of a row, so it also pins the row schema
     ("cz_s23_b12_eps025.json", SweepKind.CZ_TRICHOTOMY,
      {"primes": [2, 3], "bound": 12, "eps": 0.25}),
+    # 40 units, the shape of the CZ sweeps the benchmark renders
+    ("cz_s27_b450_eps025.csv", SweepKind.CZ_TRICHOTOMY,
+     {"primes": [2, 7], "bound": 450, "eps": 0.25}),
     # the fit keys are in the JSON summary only: this fit leaves out the
     # diagonal, which has violations, and the PN one depends on the weight
     ("edsgcd_37a1_eps02_n12.json", SweepKind.EDS_GCD,
@@ -977,6 +980,14 @@ def test_mersenne_kernels_match_the_map_of_row(kind, params, routed, e0, monkeyp
     assert (min(es) < e0 <= max(es)) if routed else es == []
 
 
+def _count_cz_cells(monkeypatch) -> list[int]:
+    """The number of cells of each call of the CZ kernel's column core."""
+    calls, core = [], experiments._cz_cells
+    monkeypatch.setattr(experiments, "_cz_cells", lambda ctx, i, lo, hi:
+                        calls.append(hi - lo) or core(ctx, i, lo, hi))
+    return calls
+
+
 # CZ grids whose runs the mirror kernel builds: a cell (i, j) below the
 # diagonal copies the row of (j, i) when that row is already written
 MIRROR_GRIDS = [{"primes": primes, "bound": bound, "eps": eps}
@@ -997,28 +1008,33 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
     assert any(r.alpha == -r.beta for r in rows)
     assert any(r.verdict == mulgrp.POWER_RELATION and r.m % 2 == r.n % 2 == 0
                and r.alpha ** (r.m // 2) == -r.beta ** (r.n // 2) for r in rows)
-    calls, core = [], experiments._trichotomy
+    calls = _count_cz_cells(monkeypatch)
+    pairs, core = [], experiments._trichotomy
     monkeypatch.setattr(experiments, "_trichotomy",
-                        lambda ua, ub, eps: calls.append(1) or core(ua, ub, eps))
-    L = len(axes[1])
+                        lambda ua, ub, eps: pairs.append((ua.x, ub.x)) or core(ua, ub, eps))
+    L, unit = len(axes[1]), {x: mulgrp._unit(x, ctx[0]) for x in axes[1]}
     for cells in _runs(len(keys), L):
         # after no rows, as in a pool chunk, and after all those before the
         # run, as in the parent
         for prefix in ([], rows[:cells.start]):
             calls.clear()
+            pairs.clear()
             got = _appended(prefix, spec.rows, ctx, axes, cells)
             assert got == rows[cells.start:cells.stop]
             assert {type(r) for r in got} <= {spec.Row}
-            # a cell (i, j) calls the core unless j < i and (j, i) is written
+            # the column core evaluates a cell (i, j) unless j < i and (j, i)
+            # is written, and hands _trichotomy those of units on one root
             first = cells.start - len(prefix)
             own = [k for k in cells if k % L >= k // L or (k % L) * L + k // L < first]
-            assert len(calls) == len(own)
+            assert sum(calls) == len(own)
+            assert pairs == [keys[k] for k in own
+                             if unit[keys[k][0]].root == unit[keys[k][1]].root]
         # after all rows before it, only the cells on or above the diagonal
         assert len(own) == sum(k % L >= k // L for k in cells)
     # on the whole grid, once per unordered pair
     calls.clear()
     _appended([], spec.rows, ctx, axes, range(len(keys)))
-    assert len(calls) == L * (L + 1) // 2
+    assert sum(calls) == L * (L + 1) // 2
 
 
 def test_error_budget_zero_raises(monkeypatch):
@@ -1057,17 +1073,23 @@ CZ30_ERRORS = [experiments._CZRow(-4, 6, *[None] * 7, "RuntimeError: injected"),
 
 
 def _inject_cz_fault(monkeypatch) -> None:
-    """A fault of the core of the CZ kernel and of cz_classify, which row
-    calls, on the pair {6, -4}; it is symmetric, as any fault of the
-    symmetric core is."""
-    core = mulgrp._trichotomy
+    """A fault on the pair {6, -4} of the CZ kernel's column core, in any call
+    whose cells hold it, and of the core of cz_classify, which row calls; it
+    is symmetric, as any fault of the symmetric core is."""
+    cells, core = experiments._cz_cells, mulgrp._trichotomy
+
+    def flaky_cells(ctx, i, lo, hi):
+        units = ctx[2]
+        if any({units[i], b} == {6, -4} for b in units[lo:hi]):
+            raise RuntimeError("injected")
+        return cells(ctx, i, lo, hi)
 
     def flaky(ua, ub, eps):
         if {ua.x, ub.x} == {6, -4}:
             raise RuntimeError("injected")
         return core(ua, ub, eps)
 
-    monkeypatch.setattr(experiments, "_trichotomy", flaky)
+    monkeypatch.setattr(experiments, "_cz_cells", flaky_cells)
     monkeypatch.setattr(mulgrp, "_trichotomy", flaky)
 
 
@@ -1134,18 +1156,17 @@ def test_a_kernel_fault_raises_out_of_run(monkeypatch, forced_pool, jobs):
 
 def test_cz_head_makes_the_core_calls_of_one_job(monkeypatch, pools):
     # a clock that stands still, so that the sweep is too cheap to pool: the
-    # parent's doubling runs make L(L+1)/2 calls on L units, as one run does
+    # parent's doubling runs evaluate L(L+1)/2 cells on L units by column, as
+    # one run does, and copy the rest
     monkeypatch.setattr(experiments, "perf_counter", lambda: 0.0)
-    calls, core = [], experiments._trichotomy
-    monkeypatch.setattr(experiments, "_trichotomy",
-                        lambda ua, ub, eps: calls.append(1) or core(ua, ub, eps))
+    calls = _count_cz_cells(monkeypatch)
     cfg = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
                       parameters={"primes": [2, 3], "bound": 110, "eps": 0.25})
     counts, results = [], []
     for jobs in (1, 2):
         calls.clear()
         results.append(run(cfg, jobs=jobs))
-        counts.append(len(calls))
+        counts.append(sum(calls))
     assert pools == []
     L = 40
     assert len(results[0].records) == L * L
@@ -1633,22 +1654,36 @@ def _assert_renders_like_oracles_unlimited(result: SweepResult) -> None:
     assert render_json(result, version="oracle") == json_text
 
 
+def _mixed_texts(col: list) -> tuple[list[str], list]:
+    """The CSV texts and the JSON values of a list of mixed types, which a
+    summary may hold and a row's declared column may not: ``_texts`` by the
+    types ``_json_text`` finds matches the texts value by value, and
+    ``_json_text`` matches json.dumps."""
+    csv_texts = list(experiments._texts(col, experiments._CSV, set(map(type, col))))
+    assert csv_texts == [experiments._CSV[type(v)](v) for v in col]
+    text = experiments._json_text(col)
+    assert text == json.dumps(col, indent=2)
+    return csv_texts, json.loads(text)
+
+
 def test_column_encoders_keep_int_one_apart_from_real_one():
-    # ints and reals in columns of their own, and mixed in one column
-    res = _bcz_columns(gcd=[1, 1, 2], hA=[1.0, 1.0, 2.5], lhs=[1, 1.0, 0.5, 1.0])
+    # ints and reals in columns of their own, and mixed in one list
+    res = _bcz_columns(gcd=[1, 1, 2], hA=[1.0, 1.0, 2.5])
     _assert_renders_like_oracles(res)
     recs = json.loads(render_json(res))["records"]
     assert [(type(r["gcd"]), type(r["hA"])) for r in recs[:3]] == [(int, float)] * 3
-    assert [type(r["lhs"]) for r in recs[:4]] == [int, float, float, float]
-    assert render_csv(res).splitlines()[1].split(",")[1:4] == ["1", "1", "1"]
+    texts, values = _mixed_texts([1, 1.0, 0.5, 1.0] * 32)
+    assert [type(v) for v in values[:4]] == [int, float, float, float]
+    assert texts[:4] == ["1", "1", "0.5", "1"]
 
 
 def test_column_encoders_keep_true_apart_from_one():
-    res = _bcz_columns(gcd=[1, True, 1, 0, False], holds=[True, 1, True, 0, False, 1])
+    res = _bcz_columns(gcd=[1, 1, 0], holds=[True, True, False])
     _assert_renders_like_oracles(res)
-    recs = json.loads(render_json(res))["records"]
-    assert [type(r["gcd"]) for r in recs[:5]] == [int, bool, int, int, bool]
-    assert [type(r["holds"]) for r in recs[:6]] == [bool, int, bool, int, bool, int]
+    _, values = _mixed_texts([1, True, 1, 0, False] * 26)
+    assert [type(v) for v in values[:5]] == [int, bool, int, int, bool]
+    _, values = _mixed_texts([True, 1, True, 0, False, 1] * 22)
+    assert [type(v) for v in values[:6]] == [bool, int, bool, int, bool, int]
 
 
 @pytest.mark.parametrize("zeros", [[0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, -0.0, 1.5],
@@ -1724,15 +1759,20 @@ def test_render_csv_header_matches_kind():
 # rendering in blocks, against the renderers that joined one document
 # ----------------------------------------------------------------------------
 
+def _scanned_texts(col, enc) -> list[str]:
+    """``_texts`` of a column by the types a scan of its values finds."""
+    return list(experiments._texts(col, enc, set(map(type, col))))
+
+
 def _one_join_csv(columns, rows) -> str:
     """The CSV table as one text: every row encoded by column, joined once."""
-    texts = [experiments._texts(col, experiments._CSV) for col in zip(*rows)]
+    texts = [_scanned_texts(col, experiments._CSV) for col in zip(*rows)]
     return "\n".join([",".join(columns), *map(",".join, zip(*texts)), ""])
 
 
 def _one_join_json(result: SweepResult, version: str = "oracle") -> str:
     """The JSON document as one list of parts over all records, joined once."""
-    _texts, _JSON, _json_text = experiments._texts, experiments._JSON, experiments._json_text
+    _texts, _JSON, _json_text = _scanned_texts, experiments._JSON, experiments._json_text
     records, spec, cfg = result.records, experiments.SPECS[result.config.kind], result.config
     cols, keys, errs = spec.columns, sorted(spec.columns[:-1]), (*spec.index, "error")
     columns, width, n = [*zip(*records)] or [()] * len(cols), 2 * len(keys) + 1, len(records)
@@ -1755,12 +1795,13 @@ def _one_join_json(result: SweepResult, version: str = "oracle") -> str:
 def _assert_blocks_like_one_join(result: SweepResult, sizes, monkeypatch) -> None:
     """At each block size, both renderers give the one-join texts, in the
     number of blocks that size makes (one for no records)."""
-    columns = experiments.SPECS[result.config.kind].columns
+    spec = experiments.SPECS[result.config.kind]
+    columns, types, index = spec.columns, spec.Row.types, len(spec.index)
     want_csv, want_json = _one_join_csv(columns, result.records), _one_join_json(result)
     for size in sizes:
         monkeypatch.setattr(experiments, "_BLOCK", size)
         blocks = max(-(-len(result.records) // size), 1)
-        assert len(experiments._csv_blocks(columns, result.records)) == blocks
+        assert len(experiments._csv_blocks(columns, result.records, types, index)) == blocks
         assert len(experiments._json_blocks(result, "oracle")) == blocks
         assert render_csv(result) == want_csv
         assert render_json(result, version="oracle") == want_json
@@ -1839,7 +1880,8 @@ def test_an_empty_sweep_renders_as_one_block(monkeypatch):
     res = run(cfg)
     assert res.records == []
     _assert_blocks_like_one_join(res, [1, 2048], monkeypatch)
-    assert experiments._csv_blocks(experiments.SPECS[cfg.kind].columns, []) == [
+    spec = experiments.SPECS[cfg.kind]
+    assert experiments._csv_blocks(spec.columns, [], spec.Row.types, len(spec.index)) == [
         "point,gcd,lhs,hA,hcount,rhs,holds,error\n"]
 
 
@@ -1849,3 +1891,77 @@ def test_pooled_chunks_become_rows_in_index_order(forced_pool):
     assert len(forced_pool) == 1 and len(forced_pool[0].chunks) == 16
     assert pooled.records == serial.records
     assert {type(r) for r in pooled.records} == {experiments.SPECS[SweepKind.BCZ].Row}
+
+
+# ----------------------------------------------------------------------------
+# the column types each row type declares, against a scan of the rows
+# ----------------------------------------------------------------------------
+
+# configs of the size of the benchmark's integer sweeps: CZ of 40 units at
+# eps 0.25 and of 24 units at eps 0.05, BCZ and AR of (2, 3) to n = 1800, and
+# PN_CHECK sampled in P^2
+WORKLOAD_SIZED = [
+    (SweepKind.CZ_TRICHOTOMY, {"primes": [2, 5], "bound": 400, "eps": 0.25}),
+    (SweepKind.CZ_TRICHOTOMY, {"primes": [2, 3], "bound": 30, "eps": 0.05}),
+    (SweepKind.BCZ, {"a": 2, "b": 3, "n_max": 1800, "eps": 0.5, "C": 0.5}),
+    (SweepKind.AR_RETURNS, {"a": 3, "b": 2, "n_max": 1800}),
+    (SweepKind.PN_CHECK, {"polys": ["X1+X0", "X2-X0"], "primes": [2, 5], "bound": 28,
+                          "eps": 0.4, "sample": 50}),
+]
+TYPED_CONFIGS = {
+    **{f"golden-{name}": (kind, params) for name, kind, params in RENDER_GOLDENS},
+    **{f"every-{kind.value}": (kind, {**TINY[kind], **BOUNDED.get(kind, {})})
+       for kind in SweepKind},
+    **{f"workload-{i}-{kind.value}": (kind, params)
+       for i, (kind, params) in enumerate(WORKLOAD_SIZED)},
+}
+
+
+def _assert_rows_hold_declared_types(result: SweepResult) -> None:
+    """Each row holds its ``Row``'s declared types, an error row None past its
+    index and a text in error; and in blocks of 64 rows and of ``_BLOCK``,
+    ``_texts`` by the block's declared types of each column (see
+    ``_block_types``) equals ``_texts`` by the types a scan finds, in CSV and
+    in JSON."""
+    spec = experiments.SPECS[result.config.kind]
+    Row, k = spec.Row, len(spec.index)
+    on_error = (*Row.types[:k], *[{type(None)}] * (len(Row.types) - k - 1), {str})
+    for r in result.records:
+        assert type(r) is Row
+        assert all(type(v) in t for v, t in zip(r, Row.types if r.error is None else on_error))
+    for size in (64, experiments._BLOCK):
+        for start in range(0, len(result.records), size):
+            columns = [*zip(*result.records[start:start + size])]
+            types = experiments._block_types(Row.types, k, columns[-1])
+            for col, declared in zip(columns, types):
+                for enc in (experiments._CSV, experiments._JSON):
+                    assert list(experiments._texts(col, enc, declared)) == _scanned_texts(col, enc)
+
+
+@pytest.mark.parametrize("name", list(TYPED_CONFIGS))
+def test_rows_hold_their_declared_types(data_dir, name):
+    kind, params = TYPED_CONFIGS[name]
+    cfg = (SweepConfig(**json.loads((data_dir / name[len("golden-"):]).read_text())["config"])
+           if kind is None else SweepConfig(kind=kind, parameters=params))
+    result = run(cfg)
+    assert result.records and result.summary["error_rows"] == 0
+    _assert_rows_hold_declared_types(result)
+
+
+def test_error_rows_hold_their_declared_types(monkeypatch):
+    # the CZ fault tags cells 95 and 158; a fault of the bound tags BCZ's n = 3
+    _inject_cz_fault(monkeypatch)
+    faulty = run(CZ30_FAULTY)
+    assert faulty.summary["error_rows"] == 2
+    _assert_rows_hold_declared_types(faulty)
+
+    def flaky(lhs, hA, eps, C):
+        if hA == 3 * LN2:
+            raise RuntimeError("injected")
+        return bound(lhs, hA, eps, C)
+
+    monkeypatch.setattr(experiments, "bound", flaky)
+    faulty = run(SweepConfig(kind=SweepKind.BCZ, parameters={
+        "a": 2, "b": 3, "eps": 0.5, "n_max": 200, "error_budget": 1}))
+    assert [r.n for r in faulty.records if r.error] == [3]
+    _assert_rows_hold_declared_types(faulty)
