@@ -28,12 +28,12 @@ from .experiments import (
     _checked,
     _csv_blocks,
     _curve,
-    _int,
     _ints,
     _json_blocks,
     _json_text,
     _on_curve,
     _point,
+    _size,
     run,
 )
 from .gcd_height import VojtaParams, bound
@@ -143,7 +143,7 @@ _SUBCOMMANDS = {
 }
 # eds is not a sweep kind: this table checks its config, in this order
 _EDS_PARAMS = (("curve", _curve), ("point", _point), ("ignore_primes", _ints, []),
-               ("n_max", _int))
+               ("n_max", _size))
 _EDS_COLUMNS = ("n", "d")
 # argparse type by check return annotation, which experiments keeps as source
 # text (it postpones annotations); ``list`` makes a repeatable string flag

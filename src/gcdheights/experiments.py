@@ -3,9 +3,10 @@
 A sweep is described by a ``SweepConfig`` (kind + parameter map + seed),
 validated and prepared once into shared inputs and index axes, evaluated
 over the grid of those axes, and merged in index order — so a given config
-produces byte-identical CSV no matter the job count.  Per-cell failures
-become tagged error rows instead of aborting the run; a configurable error
-budget (default 0) turns unexpected ones into a failure at the end.
+produces byte-identical CSV no matter the job count.  A cell whose
+computation fails (ArithmeticError or ValueError) becomes a tagged error
+row, and more than the error budget (default 0) fail the run at the end;
+any other exception is a fault of the program and leaves the run at once.
 
 Cells are evaluated in contiguous runs of the row-major grid, by flat
 index: the whole grid at one job.  Past one job, the parent evaluates runs in
@@ -22,30 +23,28 @@ several times faster than rows.  multiprocessing is imported when a run
 first may pool (``jobs`` > 1 on more than one usable CPU) and
 concurrent.futures when one first does, so a run at one job loads neither.
 
-Each kind is one ``KindSpec`` record in ``SPECS``.  A kind has a range
-kernel, which evaluates a whole run and builds its rows positionally, only
-where it hoists work out of the cells: BCZ and AR multiply a^n and b^n up
-along the run, and when the smaller base is 2^k fold the other power minus
-one modulo 2^(kn) - 1; CZ strips each unit once, copies the row of
-(b, a) from that of (a, b) when the sweep's one record list, which each run
-appends to, holds it, and evaluates the rest a unit's row at a time, a map
-per column, with only the pairs of units on one root through the
-per-pair core; EDS_GCD without q reads gcd(D_m, D_n) off strong
-divisibility as D_gcd(m, n) and takes ln D_g once per g; MIXED_CHECK takes
-|b - 1| and ln|b| once per b and ln D_n once.  There ``row`` is the
-oracle and the fallback (see ``_eval``); PN_CHECK, SIEGEL and ABELIAN_GROWTH
-run as its map.  A row is a tuple of the kind's ``Row`` type in ``columns``
-order: index columns first, then exact integer witnesses, then the
-log-space lhs/rhs pair and the holds flag, then ``error`` (None but on an
-error row, which has only its index values).
-Rendering encodes each value by its type, which the row type declares per
-column: integers with all their digits, reals with 12 significant digits (a
-JSON config's exactly).  It goes by block of at most ``_BLOCK`` records,
-and within a block by column (``_texts``), through a memo of a column's
-distinct values where they repeat; ``render_json`` lays a block's records
-out in one list of parts, a slice assignment per column, and joins each
-block into one text.  The renderers return the blocks joined; the CLI
-writes them one by one.
+Each kind is one ``KindSpec`` record in ``SPECS``, and its range kernel
+``rows`` is the one route that evaluates its cells, a run at a time.  Where
+it hoists work out of the cells: BCZ and AR multiply a^n and b^n up along
+the run, and when the smaller base is 2^k fold the other power minus one
+modulo 2^(kn) - 1; CZ strips each unit once, copies the row of (b, a) from
+that of (a, b) when the sweep's one record list, which each run appends to,
+holds it, and evaluates the rest a unit's row at a time, a map per column,
+with only the pairs of units on one root through the per-pair core; EDS_GCD
+without q reads gcd(D_m, D_n) off strong divisibility as D_gcd(m, n) and
+takes ln D_g once per g; MIXED_CHECK takes |b - 1| and ln|b| once per b and
+ln D_n once.  PN_CHECK, SIEGEL and ABELIAN_GROWTH map a per-cell function.
+A row is a tuple of the kind's ``Row`` type in ``columns`` order: index
+columns first, then exact integer witnesses, then the log-space lhs/rhs pair
+and the holds flag, then ``error`` (None but on an error row, which has only
+its index values).  Rendering encodes each value by its type, which the row
+type declares per column: integers with all their digits, reals with 12
+significant digits (a JSON config's exactly).  It goes by block of at most
+``_BLOCK`` records, and within a block by column (``_texts``), through a memo
+of a column's distinct values where they repeat; ``render_json`` lays a
+block's records out in one list of parts, a slice assignment per column, and
+joins each block into one text.  The renderers return the blocks joined; the
+CLI writes them one by one.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from itertools import chain, compress, count, islice, product, repeat
 from math import copysign, exp, gcd, inf, isfinite, isinf, isnan, log, prod
 from operator import attrgetter, is_not, itemgetter, le, mul, sub, truediv
 from statistics import median
-from sys import float_info
+from sys import float_info, maxsize
 from time import perf_counter
 
 from .arith import EPS_SLACK, PrimeSet, mult_independent
@@ -72,7 +71,7 @@ from .elliptic import (
     neg,
     on_curve,
 )
-from .gcd_height import PnPoint, PolySystem, VojtaParams, bound, check_mixed, check_pn
+from .gcd_height import PnPoint, PolySystem, VojtaParams, bound, check_pn
 from .mulgrp import (
     EXCEPTIONAL,
     INEQUALITY_HOLDS,
@@ -81,7 +80,6 @@ from .mulgrp import (
     _gcd_mersenne,
     _trichotomy,
     _unit,
-    cz_classify,
     gcd_pair,
     s_unit_enumerate,
 )
@@ -122,8 +120,8 @@ class SweepResult(namedtuple("SweepResult", "config records summary")):
     __slots__ = ()
 
 
-class KindSpec(namedtuple("KindSpec", "Row index params prepare row rows summary C_of_fit",
-                          defaults=(None, lambda good, p: {}, lambda fit: fit))):
+class KindSpec(namedtuple("KindSpec", "Row index params prepare rows summary C_of_fit",
+                          defaults=(lambda good, p: {}, lambda fit: fit))):
     """Everything the runner knows about one sweep kind.
 
     ``Row`` is the namedtuple of its ``columns``, whose ``types`` it declares
@@ -133,15 +131,14 @@ class KindSpec(namedtuple("KindSpec", "Row index params prepare row rows summary
     ValueError naming the key.  ``prepare(p, seed)`` takes those values (see
     ``_checked``) and returns ``(ctx, axes)``: the inputs all cells share,
     and one or two sequences of ``index`` values whose row-major grid is the
-    cells.  ``row(ctx, *key)`` evaluates one cell, possibly in a pool worker;
-    its ``Row``, like an error row, carries ``key`` as its ``index`` columns.
-    ``rows(ctx, axes, cells, out)``, the range kernel of a kind that hoists
-    work out of its cells, appends to ``out`` the ``Row``s of ``cells``, a
-    contiguous range of flat indices into the grid, equal to those of ``row``
-    on each cell.  ``out`` holds the rows just before ``cells.start``, error
-    rows too: all of them in the parent, none in a pool chunk.  It may raise,
-    and then ``_eval`` drops what it appended and maps ``row`` over the run.
-    Without a kernel, a run is the map of ``row``.  ``summary(good, p)``
+    cells.  ``rows(ctx, axes, cells, out)``, the kind's range kernel and its
+    one evaluator, possibly in a pool worker, appends to ``out`` the ``Row``s
+    of ``cells``, a contiguous range of flat indices into the grid; each
+    carries its key as its ``index`` columns, as an error row does.  ``out``
+    holds the rows just before ``cells.start``, error rows too: all of them
+    in the parent, none in a pool chunk.  A kernel that raises ArithmeticError
+    or ValueError has failed a cell, and ``_eval`` runs it again cell by
+    cell; any other exception leaves ``run``.  ``summary(good, p)``
     gives the kind's own summary keys from its error-free rows;
     ``summarize`` adds the fit keys to every kind whose ``columns`` include
     ``hA``, mapping the log-scale fit to the config's ``C`` by ``C_of_fit``.
@@ -167,6 +164,12 @@ def _is_int(v) -> bool:
 def _int(key: str, v) -> int:
     if not _is_int(v):
         raise ValueError(f"{key} must be an integer")
+    return int(v)
+
+
+def _size(key: str, v) -> int:
+    if _int(key, v) > maxsize:  # a grid axis past it has no len()
+        raise ValueError(f"{key} must be an integer <= {maxsize}")
     return int(v)
 
 
@@ -280,12 +283,6 @@ def _prepare_bcz(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (p["a"], p["b"], p["eps"], p["C"]), (range(1, p["n_max"] + 1),)
 
 
-def _row_bcz(ctx: tuple, n: int) -> tuple:
-    a, b, eps, C = ctx
-    g = gcd_pair(a, b, n)
-    return _BCZRow(n, g, *bound(log(g), n * LN2, eps, C))
-
-
 def _gcds(a: int, b: int, axes: tuple, cells: range) -> Iterator[tuple[int, int]]:
     """(n, gcd(a**n - 1, b**n - 1)) for each cell of a run on the BCZ and AR
     axis of consecutive n: the powers are taken at the run's first n and
@@ -307,7 +304,7 @@ def _gcds(a: int, b: int, axes: tuple, cells: range) -> Iterator[tuple[int, int]
 
 
 def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The map of ``_row_bcz`` over a run, with its gcds from ``_gcds``."""
+    """n, gcd(a**n - 1, b**n - 1) from ``_gcds`` and its bound eps*n*ln 2 + C."""
     (a, b, eps, C), new = ctx, tuple.__new__
     out += [new(_BCZRow, (n, g, *bound(log(g), n * LN2, eps, C), None))
             for n, g in _gcds(a, b, axes, cells)]
@@ -328,12 +325,6 @@ def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
     return ((S, eps, units, unit, [u.shifted for u in unit], rhs,
              [r + EPS_SLACK for r in rhs], [on_root[u.root] for u in unit]),
             (units, units))
-
-
-def _row_cz(ctx: tuple, a: int, b: int) -> tuple:
-    S, eps = ctx[:2]
-    v = cz_classify(a, b, S, eps)
-    return _CZRow(a, b, v.kind, v.m, v.n, v.gcd, v.lhs, v.rhs, v.holds)
 
 
 _VERDICT = (EXCEPTIONAL, INEQUALITY_HOLDS).__getitem__  # by holds
@@ -361,10 +352,10 @@ def _cz_cells(ctx: tuple, i: int, lo: int, hi: int) -> list[tuple]:
 
 
 def _rows_cz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The map of ``_row_cz`` over a run, a unit row at a time.  ``_trichotomy``
-    is symmetric, so the cells (i, j), j < i, whose rows of (j, i) in ``out``
-    are all error-free copy them, m and n swapped; ``_cz_cells`` evaluates
-    the rest."""
+    """The ``cz_classify`` verdict of each pair of a run, a unit row at a
+    time.  ``_trichotomy`` is symmetric, so the cells (i, j), j < i, whose
+    rows of (j, i) in ``out`` are all error-free copy them, m and n swapped;
+    ``_cz_cells`` evaluates the rest."""
     L, s, e = len(axes[1]), cells.start, cells.stop
     base = s - len(out)  # the cell of out[0]
     for i in range(s // L, -(-e // L)) if cells else ():
@@ -382,13 +373,12 @@ def _rows_cz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
 
 
 def _summary_cz(good: list[tuple], p: dict) -> dict:
-    verdicts = list(map(attrgetter("verdict"), good))
+    verdicts = list(map(itemgetter(2), good))
     counts = {v: verdicts.count(v) for v in (POWER_RELATION, INEQUALITY_HOLDS, EXCEPTIONAL)}
     # power-relation pairs may fail the raw inequality legitimately; the
     # trichotomy's genuine violations are the EXCEPTIONAL rows
-    pairs = [[r.alpha, r.beta] for r in good if r.verdict == EXCEPTIONAL]
-    return {"violations": len(pairs),
-            "max_violating_index": pairs[-1] if pairs else None,
+    pairs = [[r[0], r[1]] for r, v in zip(good, verdicts) if v == EXCEPTIONAL]
+    return {"violations": len(pairs), "max_violating_index": pairs[-1] if pairs else None,
             "verdicts": counts, "exceptional_pairs": pairs}
 
 
@@ -398,14 +388,8 @@ def _prepare_ar(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (a, b, gcd_pair(a, b, 1)), (range(1, p["n_max"] + 1),)
 
 
-def _row_ar(ctx: tuple, n: int) -> tuple:
-    a, b, base = ctx
-    g = gcd_pair(a, b, n)
-    return _ARRow(n, g, base, g == base)
-
-
 def _rows_ar(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The map of ``_row_ar`` over a run, with its gcds from ``_gcds``."""
+    """Each n of a run, its gcd from ``_gcds``, and whether it is that of n = 1."""
     a, b, base = ctx
     out += [_ARRow(n, g, base, g == base) for n, g in _gcds(a, b, axes, cells)]
 
@@ -439,18 +423,10 @@ def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
             (range(1, m_max + 1), range(1, n_max + 1)))
 
 
-def _row_eds_gcd(ctx: tuple, m: int, n: int) -> tuple:
-    mp, nq, disc, eps, C = ctx
-    (d_m, h_m), (d_n, h_n) = mp[m - 1], nq[n - 1]
-    g, k = gcd(m, n), gcd(d_m, d_n)
-    return tuple.__new__(_EDSGCDRow, (m, n, d_m, d_n, k, *bound(log(k), h_m + h_n, eps, C),
-                                      (m // g) ** 2 + (n // g) ** 2 <= disc, None))
-
-
 def _rows_eds_gcd(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The map of ``_row_eds_gcd`` over a run.  Without q, gcd(D_m, D_n) is
-    D_g, g = gcd(m, n) (see ``_prepare_eds_gcd``), read off the list with
-    ln D_g taken once per g; with q, one gcd per cell."""
+    """m, n, gcd(D_m, D_n) and its bound on h(mP) + h(nQ).  Without q, that
+    gcd is D_g, g = gcd(m, n) (see ``_prepare_eds_gcd``), read off the list
+    with ln D_g taken once per g; with q, one gcd per cell."""
     mp, nq, disc, eps, C = ctx
     ln = [log(d) for d, _ in mp[:len(axes[0])]] if mp is nq else None
     new = tuple.__new__
@@ -563,17 +539,11 @@ def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (dq, S, p["eps"], p["C"]), (range(1, n_max + 1), units)
 
 
-def _row_mixed(ctx: tuple, n: int, b: int) -> tuple:
-    dq, S, eps, C = ctx
-    d = dq[n - 1]
-    return tuple.__new__(_MixedRow, (n, b, d, *check_mixed(d, b, S, eps, C), None))
-
-
 def _rows_mixed(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The map of ``_row_mixed`` over a run: |b|, |b - 1| and ln|b| once per
-    b, and ln max(D_n, |b|) as ln D_n or ln|b|, whichever integer is larger.
-    ``check_mixed``'s checks cannot fail here: each b of ``s_unit_enumerate``
-    is an S-unit with |b| >= 2, and ``_checked`` gives a positive eps and C."""
+    """n, b, D_n and the ``check_mixed`` tuple, whose checks hold here: each b
+    of ``s_unit_enumerate`` is an S-unit with |b| >= 2, and ``_checked`` gives
+    a positive eps and C.  |b|, |b - 1| and ln|b| are taken once per b, and
+    ln max(D_n, |b|) as ln D_n or ln|b|, whichever integer is larger."""
     dq, _, eps, C = ctx
     ln_d, ln_C, new, unit = [log(d) for d in dq], log(C), tuple.__new__, {}
     for n, b in _keys(axes, cells):
@@ -627,11 +597,11 @@ _INT, _REAL, _BOOL, _STR, _NONE = map(frozenset, ({int}, {float}, {bool}, {str},
 
 
 def _row_type(name: str, **types: frozenset) -> type:
-    """The namedtuple of the given columns, then ``error``.  Its ``types`` are
-    those of each column's values on an error-free row, then those of
-    ``error``, which holds a text on an error row; the renderers encode by
-    them (see ``_block_types``)."""
-    Row = namedtuple(name, [*types, "error"], defaults=(None,))
+    """The namedtuple of the given columns, then ``error``, all None by
+    default.  Its ``types`` are those of each column's values on an
+    error-free row, then those of ``error``, which holds a text on an error
+    row; the renderers encode by them (see ``_block_types``)."""
+    Row = namedtuple(name, [*types, "error"], defaults=(None,) * (len(types) + 1))
     Row.types = (*types.values(), _STR | _NONE)
     return Row
 
@@ -652,55 +622,61 @@ _SiegelRow = _row_type("_SiegelRow", n=_INT, d=_INT, naive=_REAL, ratio=_REAL)
 _AbelianRow = _row_type("_AbelianRow", n=_INT, d_p=_INT, d_q=_INT, gcd=_INT, lhs=_REAL,
                         hA=_REAL, rhs=_REAL, holds=_BOOL)
 
-_A_B_N = (("a", _int), ("b", _int), ("n_max", _int))
+
+def _map(cell: Callable[..., tuple]) -> Callable[..., None]:
+    """The range kernel that maps ``cell(ctx, *key)`` over the keys of a run."""
+    return lambda ctx, axes, cells, out: out.extend(cell(ctx, *k) for k in _keys(axes, cells))
+
+
+_A_B_N = (("a", _int), ("b", _int), ("n_max", _size))
 _EPS_C = (_EPS, ("C", _finite, 0.0))
 
 SPECS: dict[SweepKind, KindSpec] = {
     SweepKind.BCZ: KindSpec(
         index=("n",), params=(*_A_B_N, *_EPS_C),
-        prepare=_prepare_bcz, row=_row_bcz, rows=_rows_bcz, Row=_BCZRow,
+        prepare=_prepare_bcz, rows=_rows_bcz, Row=_BCZRow,
     ),
     SweepKind.CZ_TRICHOTOMY: KindSpec(
         index=("alpha", "beta"), params=(("primes", _ints), ("bound", _int), _EPS),
-        prepare=_prepare_cz, row=_row_cz, rows=_rows_cz, Row=_CZRow,
+        prepare=_prepare_cz, rows=_rows_cz, Row=_CZRow,
         summary=_summary_cz,
     ),
     SweepKind.AR_RETURNS: KindSpec(
         index=("n",), params=_A_B_N,
-        prepare=_prepare_ar, row=_row_ar, rows=_rows_ar, Row=_ARRow,
+        prepare=_prepare_ar, rows=_rows_ar, Row=_ARRow,
         summary=_summary_ar,
     ),
     SweepKind.EDS_GCD: KindSpec(
         index=("m", "n"), params=(("curve", _curve), ("p", _point), ("q", _point, None),
-                                  ("m_max", _int), ("n_max", _int), *_EPS_C),
-        prepare=_prepare_eds_gcd, row=_row_eds_gcd, rows=_rows_eds_gcd, Row=_EDSGCDRow,
+                                  ("m_max", _size), ("n_max", _size), *_EPS_C),
+        prepare=_prepare_eds_gcd, rows=_rows_eds_gcd, Row=_EDSGCDRow,
     ),
     SweepKind.PN_CHECK: KindSpec(
         index=("point",), params=(("polys", _polys), ("codim_r", _int, None),
                                   ("primes", _ints), ("bound", _int), *_EPS_C,
                                   ("delta", _real, 1.0),
                                   ("sample", _at_least(1, "positive"), None)),
-        prepare=_prepare_pn, row=_row_pn, Row=_PNRow,
+        prepare=_prepare_pn, rows=_map(_row_pn), Row=_PNRow,
         summary=lambda good, p: {"points": len(good)},
     ),
     SweepKind.MIXED_CHECK: KindSpec(
         index=("n", "b"), params=(("curve", _curve), ("point", _point),
-                                  ("primes", _ints), _EPS, ("n_max", _int),
+                                  ("primes", _ints), _EPS, ("n_max", _size),
                                   ("C", _positive(" (it multiplies the bound)"), 1.0),
                                   ("b_bound", _int, 100)),
-        prepare=_prepare_mixed, row=_row_mixed, rows=_rows_mixed, Row=_MixedRow,
+        prepare=_prepare_mixed, rows=_rows_mixed, Row=_MixedRow,
         C_of_fit=exp,
     ),
     SweepKind.SIEGEL: KindSpec(
         index=("n",), params=(("curve", _curve), ("point", _point),
-                              ("n_min", _int, 1), ("n_max", _int)),
-        prepare=_prepare_siegel, row=_row_siegel, Row=_SiegelRow, summary=_summary_siegel,
+                              ("n_min", _size, 1), ("n_max", _size)),
+        prepare=_prepare_siegel, rows=_map(_row_siegel), Row=_SiegelRow, summary=_summary_siegel,
     ),
     SweepKind.ABELIAN_GROWTH: KindSpec(
         index=("n",), params=(("independence_asserted", _vouched, False),
                               ("curve", _curve), ("p", _point), ("q", _point),
-                              ("n_max", _int), *_EPS_C),
-        prepare=_prepare_abelian, row=_row_abelian, Row=_AbelianRow,
+                              ("n_max", _size), *_EPS_C),
+        prepare=_prepare_abelian, rows=_map(_row_abelian), Row=_AbelianRow,
     ),
 }
 
@@ -720,25 +696,20 @@ def _eval(kind: SweepKind, ctx: tuple, axes: tuple, cells: range, out: list) -> 
     """Append the rows of ``cells``, a range of flat indices into the grid of
     ``axes``, to ``out`` in order; ``out`` holds those before (see ``KindSpec``).
 
-    The kind's kernel evaluates the run when it has one and does not raise;
-    otherwise each cell goes through ``row``, and a failing cell becomes an error
-    row.  If no cell of a nonempty run fails, the kernel's own exception is raised.
+    A kernel that raises ArithmeticError or ValueError failed a cell: what it
+    appended is dropped and it runs on each cell alone, a failing cell giving
+    an error row.  Any other exception is the kernel's own fault and leaves.
     """
-    spec, start, fault = SPECS[kind], len(out), None
-    if spec.rows is not None:
+    spec, start = SPECS[kind], len(out)
+    try:
+        return spec.rows(ctx, axes, cells, out)
+    except (ArithmeticError, ValueError):  # the cells below tag the failures
+        del out[start:]
+    for i, key in zip(cells, _keys(axes, cells)):
         try:
-            return spec.rows(ctx, axes, cells, out)
-        except Exception as exc:  # the cells below tag the failures
-            del out[start:]
-            fault = exc
-    blank = (None,) * (len(spec.columns) - len(spec.index) - 1)
-    for key in _keys(axes, cells):
-        try:
-            out.append(spec.row(ctx, *key))
-        except Exception as exc:  # per-record capture is the contract here
-            out.append(spec.Row(*key, *blank, f"{type(exc).__name__}: {exc}"))
-    if fault is not None and cells and all(r.error is None for r in out[start:]):
-        raise fault
+            spec.rows(ctx, axes, range(i, i + 1), out)
+        except (ArithmeticError, ValueError) as exc:
+            out[start + i - cells.start:] = [spec.Row(*key, error=f"{type(exc).__name__}: {exc}")]
 
 
 # (kind, ctx, axes) of the sweep a pool worker serves; set once per worker by

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from math import gcd, inf, isinf, isnan, log
+from math import gcd, inf, isfinite, isinf, isnan, log
 
 from .arith import EPS_SLACK, LogReal, PrimeSet, prime_to_S_part
 
@@ -236,9 +236,12 @@ def bound(lhs: float, hA: float, eps: float, C: float,
     """(lhs, hA, rhs, holds) of lhs <= eps*hA + hcount/weight + C.
 
     Every gcd inequality here is this one bound: the counting term is absent
-    (0) off P^n, and ``holds`` allows ``EPS_SLACK`` of log rounding.
+    (0) off P^n, and ``holds`` allows ``EPS_SLACK`` of log rounding.  A rhs
+    that overflows a float raises OverflowError: no verdict holds against it.
     """
     rhs = eps * hA + hcount / weight + C
+    if not isfinite(rhs):
+        raise OverflowError(f"the bound overflows a float: rhs = {rhs}")
     return lhs, hA, rhs, lhs <= rhs + EPS_SLACK
 
 

@@ -15,6 +15,7 @@ import math
 import pathlib
 import random
 import shlex
+import sys
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -133,32 +134,62 @@ def test_nan_C_or_delta_is_computation_error(argv, message, capsys):
      "delta must be positive and finite"),
     (["vojta-check", "--lhs", "1", "--ha", "1", "--eps", "0.5", "--C", "inf"],
      "C must be finite"),
+    # sizes past sys.maxsize, which no grid axis can count: edsgcd's --nmax
+    # sets m_max first
+    *[([*cmd.split(), "--nmax", str(10**30)], f"{key} must be an integer <= {sys.maxsize}")
+      for cmd, key in [("gcdpow --a 2 --b 3", "n_max"), ("returns --a 2 --b 3", "n_max"),
+                       (f"edsgcd --curve {C37} --point 0,0 --eps 0.5", "m_max"),
+                       (f"eds --curve {C37} --point 0,0", "n_max")]],
 ], ids=["edsgcd-eps", "gcdpow-eps", "gcdpow-C", "trichotomy-eps", "mixed-C",
         "pncheck-sample-neg", "pncheck-sample-0", "pncheck-delta",
-        "vojta-check-delta", "vojta-check-C"])
+        "vojta-check-delta", "vojta-check-C", "gcdpow-nmax", "returns-nmax", "edsgcd-nmax",
+        "eds-nmax"])
 def test_infinite_bound_or_bad_sample_is_one_computation_error(argv, message, capsys):
-    # rejected up front, before any cell: CSV would otherwise print inf/nan rows
+    # rejected up front, before any cell: CSV would otherwise print inf/nan
+    # rows, and a size past sys.maxsize would fail in len() or run for ever
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
 
 
+OVERFLOW = "OverflowError: the bound overflows a float: rhs = inf"
+
+
 @pytest.mark.filterwarnings("ignore:torsion")
-@pytest.mark.parametrize("argv", [
-    # a finite eps whose bound overflows to inf at n = 2
-    ["gcdpow", "--a", "2", "--b", "3", "--nmax", "2", "--eps", "1.7e308",
-     "--format", "json"],
-    ["vojta-check", "--lhs", "nan", "--ha", "1", "--eps", "0.5"],
-    ["heights", "--curve", C37, "--point", "0,0", "--tol", "inf"],
-], ids=lambda argv: argv[0])
-def test_non_finite_json_is_computation_error(argv, capsys):
+@pytest.mark.parametrize("argv, err", [
+    # a finite eps whose bound overflows to inf at n = 2: that cell is an
+    # error row, which the default budget refuses before anything is rendered
+    (["gcdpow", "--a", "2", "--b", "3", "--nmax", "2", "--eps", "1.7e308",
+      "--format", "json"],
+     f"error budget exceeded: 1 error rows (budget 0); first: {OVERFLOW}"),
+    (["vojta-check", "--lhs", "nan", "--ha", "1", "--eps", "0.5"],
+     "Out of range float values are not JSON compliant: nan"),
+    (["heights", "--curve", C37, "--point", "0,0", "--tol", "inf"],
+     "Out of range float values are not JSON compliant: inf"),
+], ids=["gcdpow", "vojta-check", "heights"])
+def test_non_finite_json_is_computation_error(argv, err, capsys):
     # strict JSON has no NaN or Infinity: nothing is printed, whether the value
-    # is a result (rhs, lhs) or an echoed input (tol)
+    # is a result (lhs), an echoed input (tol) or a bound past the floats
     assert main(argv) == 2
-    bad = "nan" if "nan" in argv else "inf"
-    assert capsys.readouterr() == (
-        "", f"error: Out of range float values are not JSON compliant: {bad}\n")
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_an_overflowing_bound_is_one_error_in_csv_and_json(tmp_path, capsys):
+    # eps*n*ln 2 passes the largest float at n = 3, in either format alike
+    argv = ["gcdpow", "--a", "2", "--b", "3", "--nmax", "3", "--eps", "1e308"]
+    got = [(main([*argv, "--format", fmt]), *capsys.readouterr()) for fmt in ("csv", "json")]
+    want = (2, "", f"error: error budget exceeded: 1 error rows (budget 0); first: {OVERFLOW}\n")
+    assert got == [want, want]
+    # under a budget the row stands, empty past its index, in both formats
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "BCZ", "parameters": {
+        "a": 2, "b": 3, "n_max": 3, "eps": 1e308, "error_budget": 1}}))
+    assert main(["sweep", "--config", str(path)]) == 0
+    assert _rows(capsys.readouterr().out)[2] == {
+        "n": "3", "gcd": "", "lhs": "", "hA": "", "rhs": "", "holds": "", "error": OVERFLOW}
+    assert main(["sweep", "--config", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["records"][2] == {"n": 3, "error": OVERFLOW}
 
 
 @pytest.mark.parametrize("argv, value, err", [
@@ -537,9 +568,12 @@ def test_out_that_cannot_be_written_is_computation_error(tmp_path, capsys):
 
 
 def test_render_error_in_a_later_block_writes_no_file(tmp_path, monkeypatch, capsys):
-    # the bound overflows at n = 2, in the second block of one record: every
-    # block is rendered before any is written
+    # a bound that lets its overflow through as an infinite rhs at n = 2, in
+    # the second block of one record: every block is rendered before any is
+    # written
     monkeypatch.setattr(experiments, "_BLOCK", 1)
+    monkeypatch.setattr(experiments, "bound", lambda lhs, hA, eps, C: (lhs, hA, eps * hA + C,
+                                                                        True))
     path = tmp_path / "r.json"
     assert main(["gcdpow", "--a", "2", "--b", "3", "--nmax", "2", "--eps", "1.7e308",
                  "--format", "json", "--out", str(path)]) == 2
@@ -902,10 +936,12 @@ VALID = {
     "ABELIAN_GROWTH": {"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0],
                        "n_max": 2, "eps": 0.3, "independence_asserted": True},
 }
-# Keys where the fuzz skips its 400-digit int, because that is a legal
-# request which runs for a long time rather than fails: on these keys it asks
-# for a grid of about 10^400 cells.
-BIG_IS_SLOW = {"n_max", "m_max", "n_min", "bound", "b_bound"}
+# Keys where the fuzz skips its 400-digit int and 1e308, because each is a
+# legal request which runs for a long time rather than fails: on these keys,
+# the magnitude bounds of CZ_TRICHOTOMY, PN_CHECK and MIXED_CHECK, it asks for
+# a grid of some 10^300 cells or more.  The size keys refuse both (see below),
+# and 1e308 as eps or C overflows the bound of some cell.
+BIG_IS_SLOW = {"bound", "b_bound"}
 
 
 def _sweep_json(tmp_path, kind: str, params: dict) -> int:
@@ -922,11 +958,11 @@ def test_fuzzed_parameters_end_in_an_exit_code(kind, tmp_path, capsys):
     big = rng.randrange(10**399, 10**400)
     values = [None, rng.random() < 0.5, 2.5, math.nan, math.inf, -math.inf,
               rng.choice(["0.5", "2", "x", ""]), [rng.randint(-3, 3) for _ in range(2)],
-              {"x": rng.randint(-3, 3)}, -1, 0, big, 1e-12, 5e-324]
+              {"x": rng.randint(-3, 3)}, -1, 0, big, 1e308, 1e-12, 5e-324]
     keys = [entry[0] for entry in SPECS[SweepKind(kind)].params] + ["error_budget"]
     for key in keys:
         for value in values:
-            if key in BIG_IS_SLOW and value is big:
+            if key in BIG_IS_SLOW and value in (big, 1e308):
                 continue
             code = _sweep_json(tmp_path, kind, {**VALID[kind], key: value})
             out, err = capsys.readouterr()
@@ -960,6 +996,30 @@ def test_bad_parameter_is_one_error_naming_the_key(kind, change, message,
     assert _sweep_json(tmp_path, kind, {**VALID[kind], **change}) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
+
+
+# (kind, key) of each size key: the bound of a grid axis, which len() must count
+SIZE_KEYS = [(kind.value, key) for kind in SweepKind
+             for key, check, *_ in SPECS[kind].params if check is experiments._size]
+
+
+def test_size_keys_are_the_index_bounds_of_six_kinds():
+    assert {key for _, key in SIZE_KEYS} == {"n_max", "m_max", "n_min"}
+    assert {kind for kind, _ in SIZE_KEYS} == {k.value for k in SweepKind} - {
+        "CZ_TRICHOTOMY", "PN_CHECK"}
+    assert {key: check for key, check, *_ in _EDS_PARAMS}["n_max"] is experiments._size
+
+
+@pytest.mark.parametrize("value", [10**30, 1e30, sys.maxsize + 1])
+@pytest.mark.parametrize("kind, key", SIZE_KEYS, ids=[f"{k}-{key}" for k, key in SIZE_KEYS])
+def test_a_size_past_sys_maxsize_is_one_error_in_csv_and_json(kind, key, value,
+                                                              tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": kind, "parameters": {**VALID[kind], key: value}}))
+    for fmt in ("csv", "json"):
+        assert main(["sweep", "--config", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", f"error: {key} must be an integer <= {sys.maxsize}\n")
+    assert experiments._size(key, sys.maxsize) == sys.maxsize
 
 
 def test_integral_float_runs_as_its_integer(tmp_path, capsys):

@@ -41,7 +41,8 @@ from gcdheights import (
     summarize,
 )
 from gcdheights.arith import EPS_SLACK, PrimeSet
-from gcdheights.gcd_height import HomPoly, PolySystem, VojtaParams, bound
+from gcdheights.gcd_height import (HomPoly, PnPoint, PolySystem, VojtaParams, bound,
+                                   check_mixed, check_pn)
 from gcdheights.mulgrp import LN2
 from gcdheights import experiments, mulgrp
 from test_elliptic import exceptional_subgroups
@@ -754,22 +755,87 @@ def _appended(prefix: list, fn, *args) -> list:
     return out[len(prefix):]
 
 
+# Each kind's row of one cell by the library's per-cell routes, as
+# ``oracle(ctx, *key)`` on the context its ``prepare`` gives: the slow routes
+# the range kernels are checked against
+
+def _oracle_bcz(ctx: tuple, n: int) -> tuple:
+    a, b, eps, C = ctx
+    g = gcd_pair(a, b, n)
+    return experiments._BCZRow(n, g, *bound(math.log(g), n * LN2, eps, C))
+
+
+def _oracle_cz(ctx: tuple, a: int, b: int) -> tuple:
+    v = cz_classify(a, b, *ctx[:2])
+    return experiments._CZRow(a, b, v.kind, v.m, v.n, v.gcd, v.lhs, v.rhs, v.holds)
+
+
+def _oracle_ar(ctx: tuple, n: int) -> tuple:
+    a, b, base = ctx
+    g = gcd_pair(a, b, n)
+    return experiments._ARRow(n, g, base, g == base)
+
+
+def _oracle_eds_gcd(ctx: tuple, m: int, n: int) -> tuple:
+    mp, nq, disc, eps, C = ctx
+    (d_m, h_m), (d_n, h_n) = mp[m - 1], nq[n - 1]
+    g, k = math.gcd(m, n), math.gcd(d_m, d_n)
+    return experiments._EDSGCDRow(m, n, d_m, d_n, k, *bound(math.log(k), h_m + h_n, eps, C),
+                                  (m // g) ** 2 + (n // g) ** 2 <= disc)
+
+
+def _oracle_pn(ctx: tuple, point: str) -> tuple:
+    system, S, vp = ctx
+    coords = PnPoint(tuple(int(t) for t in point.split(":")))
+    return experiments._PNRow(point, *check_pn(coords, system, S, vp))
+
+
+def _oracle_mixed(ctx: tuple, n: int, b: int) -> tuple:
+    dq, S, eps, C = ctx
+    return experiments._MixedRow(n, b, dq[n - 1], *check_mixed(dq[n - 1], b, S, eps, C))
+
+
+def _oracle_siegel(ctx: tuple, n: int) -> tuple:
+    n_min, dn = ctx
+    d, h = dn[n - n_min]
+    return experiments._SiegelRow(n, d, h, 0.0 if d == 1 else 2.0 * math.log(d) / h)
+
+
+def _oracle_abelian(ctx: tuple, n: int) -> tuple:
+    dp, dq, eps, C = ctx
+    g = math.gcd(dp[n - 1], dq[n - 1])
+    return experiments._AbelianRow(n, dp[n - 1], dq[n - 1], g,
+                                   *bound(math.log(g), float(n ** 2), eps, C))
+
+
+ORACLES = {SweepKind.BCZ: _oracle_bcz, SweepKind.CZ_TRICHOTOMY: _oracle_cz,
+           SweepKind.AR_RETURNS: _oracle_ar, SweepKind.EDS_GCD: _oracle_eds_gcd,
+           SweepKind.PN_CHECK: _oracle_pn, SweepKind.MIXED_CHECK: _oracle_mixed,
+           SweepKind.SIEGEL: _oracle_siegel, SweepKind.ABELIAN_GROWTH: _oracle_abelian}
+
+
 def test_eval_cell_tags_failures_with_index():
-    # a context whose eps breaks every row: cell 2 of the grid is n = 3
-    rows = _appended([], experiments._eval, SweepKind.BCZ, (2, 3, "bad", 0.0),
-                     (range(1, 5),), range(2, 3))
+    # a context whose bound overflows a float from n = 2 on: cell 2 of the
+    # grid is n = 3, and of the whole grid only n = 1 holds a row
+    ctx, axes = (2, 3, sys.float_info.max, 0.0), (range(1, 5),)
+    rows = _appended([], experiments._eval, SweepKind.BCZ, ctx, axes, range(2, 3))
     assert len(rows) == 1
     assert rows[0].n == 3
-    assert rows[0].error.startswith("TypeError")
+    assert rows[0].error == "OverflowError: the bound overflows a float: rhs = inf"
+    rows = _appended([], experiments._eval, SweepKind.BCZ, ctx, axes, range(4))
+    assert [r.error is None for r in rows] == [True, False, False, False]
+    # a context that breaks the kernel with a TypeError is a fault, not a row
+    with pytest.raises(TypeError):
+        experiments._eval(SweepKind.BCZ, (2, 3, "bad", 0.0), axes, range(2, 3), [])
     # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20); C = -1
-    # fails every row, in the kernel's log(C) and in check_mixed's check of C
+    # fails every row, in the kernel's log(C)
     ctx = ([1, 1, 1], PrimeSet((2, 3, 5)), 0.5, -1.0)
     axes = (range(1, 4), [10, 20, 30, 40])
     rows = _appended(["row 4"], experiments._eval, SweepKind.MIXED_CHECK, ctx, axes,
                      range(5, 6))
     assert [k for k, v in rows[0]._asdict().items() if v is not None] == ["n", "b", "error"]
     assert (rows[0].n, rows[0].b) == (2, 20)
-    assert rows[0].error == "ValueError: C must be positive (it multiplies the bound)"
+    assert rows[0].error == "ValueError: math domain error"
 
 
 TINY = {
@@ -826,13 +892,14 @@ def test_prepares_read_the_naive_height_bit_for_bit():
 
 @pytest.mark.parametrize("kind", list(SweepKind))
 def test_cells_carry_their_row_index(kind):
-    # error rows are tagged from the grid key, so each row's index must be it
+    # error rows are tagged from the grid key, so each row's index must be it,
+    # also on the one-cell runs that _eval retries a failed run by
     spec = experiments.SPECS[kind]
     ctx, axes = spec.prepare(experiments._checked(kind, TINY[kind]), 0)
     keys = list(itertools.product(*axes))
     assert keys and len(axes) == len(spec.index)
-    for key in keys:
-        row = spec.row(ctx, *key)
+    for i, key in enumerate(keys):
+        [row] = _appended([], spec.rows, ctx, axes, range(i, i + 1))
         assert type(row) is spec.Row and row.error is None
         assert dict(zip(spec.index, key)) == {k: getattr(row, k) for k in spec.index}
 
@@ -876,12 +943,18 @@ KERNEL_GRIDS = {
     "ABELIAN_GROWTH": (SweepKind.ABELIAN_GROWTH,
                        {"curve": C37, "p": [0, 0], "q": [1, 0], "n_max": 310, "eps": 0.3,
                         "independence_asserted": True}),
+    "PN_CHECK": (SweepKind.PN_CHECK, {"polys": ["X1-X0", "X2-X0"], "primes": [2, 3],
+                                      "bound": 5, "eps": 0.5}),
 }
-# the context entry that breaks every cell, through the kernel and row, when
-# set to a string
-BREAK_CTX = {SweepKind.BCZ: 2, SweepKind.AR_RETURNS: 0, SweepKind.CZ_TRICHOTOMY: 1,
-             SweepKind.EDS_GCD: 3, SweepKind.SIEGEL: 0, SweepKind.MIXED_CHECK: 2,
-             SweepKind.ABELIAN_GROWTH: 2}
+# (index, value) of the context entry that breaks every cell of a kernel with
+# an ArithmeticError or a ValueError: an infinite C overflows the bound, a
+# zero a (AR) a negative shift, zero |x - 1|s (CZ) and zero denominators
+# (SIEGEL) log 0, and a negative C (MIXED_CHECK) its log
+BREAK_CTX = {SweepKind.BCZ: (3, math.inf), SweepKind.AR_RETURNS: (0, 0),
+             SweepKind.CZ_TRICHOTOMY: (4, [0] * 2000), SweepKind.EDS_GCD: (4, math.inf),
+             SweepKind.PN_CHECK: (2, VojtaParams(0.5)._replace(C=math.inf)),
+             SweepKind.SIEGEL: (1, [(0, 1.0)] * 2000), SweepKind.MIXED_CHECK: (3, -1.0),
+             SweepKind.ABELIAN_GROWTH: (3, math.inf)}
 
 
 def _runs(total: int, width: int) -> list[range]:
@@ -901,48 +974,65 @@ def _runs(total: int, width: int) -> list[range]:
     return [*head, *chunks, range(total), *across, range(5, 5), range(total, total)]
 
 
-def test_a_kind_has_a_kernel_only_where_it_hoists_work():
-    assert {kind for kind, spec in experiments.SPECS.items() if spec.rows is None} == {
-        SweepKind.PN_CHECK, SweepKind.SIEGEL, SweepKind.ABELIAN_GROWTH}
+def test_a_kind_maps_a_per_cell_function_only_where_no_work_hoists():
+    mapped = {kind for kind, spec in experiments.SPECS.items()
+              if spec.rows.__qualname__.startswith("_map.")}
+    assert mapped == {SweepKind.PN_CHECK, SweepKind.SIEGEL, SweepKind.ABELIAN_GROWTH}
+
+
+def _broken(kind: SweepKind, ctx: tuple) -> tuple:
+    """``ctx`` with its ``BREAK_CTX`` entry set."""
+    at, value = BREAK_CTX[kind]
+    return (*ctx[:at], value, *ctx[at + 1:])
 
 
 @pytest.mark.parametrize("name", list(KERNEL_GRIDS))
 def test_kernel_rows_match_the_map_of_row(name):
     # each run twice: after no rows, as in a pool chunk, and after the rows of
-    # every cell before it, as in the parent; _eval, and the kernel if any
+    # every cell before it, as in the parent; _eval, and the kernel, against
+    # the map of the kind's oracle
     kind, params = KERNEL_GRIDS[name]
     spec = experiments.SPECS[kind]
     ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
     keys = list(itertools.product(*axes))
     runs = _runs(len(keys), len(axes[-1]))
     assert len(keys) > 300 and max(map(len, runs)) == len(keys)
-    rows = [spec.row(ctx, *key) for key in keys]
+    rows = [ORACLES[kind](ctx, *key) for key in keys]
     for cells in runs:
         want = rows[cells.start:cells.stop]
         for prefix in ([], rows[:cells.start]):
-            got = _appended(prefix, experiments._eval, kind, ctx, axes, cells)
-            assert got == want and {type(r) for r in got} <= {spec.Row}
-            if spec.rows is not None:
-                got = _appended(prefix, spec.rows, ctx, axes, cells)
+            for fn, *args in ((experiments._eval, kind), (spec.rows,)):
+                got = _appended(prefix, fn, *args, ctx, axes, cells)
                 assert got == want and {type(r) for r in got} <= {spec.Row}
     # a context that breaks every cell: the kernel raises on each run, also
     # after error rows it must not copy, and _eval tags each cell of the run
-    # as the map of row does
-    broken = list(ctx)
-    broken[BREAK_CTX[kind]] = "bad"
-    blank = (None,) * (len(spec.columns) - len(spec.index) - 1)
+    # as the kernel's one-cell run fails on it
+    broken = _broken(kind, ctx)
     errors = []
-    for key in keys:
-        with pytest.raises(TypeError) as exc:
-            spec.row(tuple(broken), *key)
-        errors.append(spec.Row(*key, *blank, f"TypeError: {exc.value}"))
+    for i, key in enumerate(keys):
+        with pytest.raises((ArithmeticError, ValueError)) as exc:
+            spec.rows(broken, axes, range(i, i + 1), [])
+        errors.append(spec.Row(*key, error=f"{type(exc.value).__name__}: {exc.value}"))
     for cells in runs:
         for prefix in ([], errors[:cells.start]):
-            if cells and spec.rows is not None:
-                with pytest.raises(TypeError):
-                    spec.rows(tuple(broken), axes, cells, list(prefix))
-            assert (_appended(prefix, experiments._eval, kind, tuple(broken), axes, cells)
+            if cells:
+                with pytest.raises((ArithmeticError, ValueError)):
+                    spec.rows(broken, axes, cells, list(prefix))
+            assert (_appended(prefix, experiments._eval, kind, broken, axes, cells)
                     == errors[cells.start:cells.stop])
+
+
+@pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+def test_one_cell_kernel_runs_match_the_oracle(name):
+    # the route by which _eval retries a run whose kernel raised: the kernel
+    # on range(i, i + 1), after no rows and after every row before it
+    kind, params = KERNEL_GRIDS[name]
+    spec = experiments.SPECS[kind]
+    ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
+    rows = [ORACLES[kind](ctx, *key) for key in itertools.product(*axes)]
+    for i, want in enumerate(rows):
+        for prefix in ([], rows[:i]):
+            assert _appended(prefix, spec.rows, ctx, axes, range(i, i + 1)) == [want]
 
 
 # BCZ and AR grids whose power of two 2**k, k in 1..3, is a or b; the route
@@ -974,7 +1064,7 @@ def test_mersenne_kernels_match_the_map_of_row(kind, params, routed, e0, monkeyp
     ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
     keys = list(itertools.product(*axes))
     for cells in _runs(len(keys), len(axes[-1])):
-        want = [spec.row(ctx, *key) for key in keys[cells.start:cells.stop]]
+        want = [ORACLES[kind](ctx, *key) for key in keys[cells.start:cells.stop]]
         assert _appended([], spec.rows, ctx, axes, cells) == want
     # the routed grids cross the cut-off; the others never take the route
     assert (min(es) < e0 <= max(es)) if routed else es == []
@@ -1002,7 +1092,7 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
     spec = experiments.SPECS[kind]
     ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
     keys = list(itertools.product(*axes))
-    rows = [spec.row(ctx, *key) for key in keys]
+    rows = [_oracle_cz(ctx, *key) for key in keys]
     # the grid holds pairs with alpha = -beta and pairs whose power relation
     # the sign rule doubles, e.g. (-2)^6 = 8^2 where (-2)^3 = -(8^1)
     assert any(r.alpha == -r.beta for r in rows)
@@ -1038,11 +1128,12 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
 
 
 def test_error_budget_zero_raises(monkeypatch):
-    # a fault at n = 3 in the bound that the kernel and row both call: the
-    # kernel's run raises, and row tags that cell alone
+    # a failure at n = 3 in the bound that the kernel calls: the kernel's run
+    # raises, and so does its retry on that cell alone, which becomes the
+    # error row
     def flaky(lhs, hA, eps, C):
         if hA == 3 * LN2:
-            raise RuntimeError("injected")
+            raise OverflowError("injected")
         return bound(lhs, hA, eps, C)
 
     monkeypatch.setattr(experiments, "bound", flaky)
@@ -1051,62 +1142,57 @@ def test_error_budget_zero_raises(monkeypatch):
                       parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 5})
     with pytest.raises(ValueError, match="error budget exceeded"):
         run(cfg)
-    assert failed == [range(5)]
+    assert failed == [range(5), range(2, 3)]
     budgeted = SweepConfig(kind=SweepKind.BCZ,
                            parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 5,
                                        "error_budget": 1})
     res = run(budgeted)
     assert res.summary["error_rows"] == 1
     bad = [r for r in res.records if r.error]
-    assert bad == [(3, None, None, None, None, None, "RuntimeError: injected")]
+    assert bad == [(3, None, None, None, None, None, "OverflowError: injected")]
     # the error column renders, the missing columns render empty
     line = render_csv(res).splitlines()[3]
-    assert line == "3,,,,,,RuntimeError: injected"
+    assert line == "3,,,,,,OverflowError: injected"
 
 
 # a CZ sweep of 22 units whose cells (-4, 6) and (6, -4), 95 and 158, fail
 CZ30_FAULTY = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
                           parameters={"primes": [2, 3], "bound": 30, "eps": 0.25,
                                       "error_budget": 2})
-CZ30_ERRORS = [experiments._CZRow(-4, 6, *[None] * 7, "RuntimeError: injected"),
-               experiments._CZRow(6, -4, *[None] * 7, "RuntimeError: injected")]
+CZ30_ERRORS = [experiments._CZRow(-4, 6, error="ArithmeticError: injected"),
+               experiments._CZRow(6, -4, error="ArithmeticError: injected")]
 
 
 def _inject_cz_fault(monkeypatch) -> None:
-    """A fault on the pair {6, -4} of the CZ kernel's column core, in any call
-    whose cells hold it, and of the core of cz_classify, which row calls; it
-    is symmetric, as any fault of the symmetric core is."""
-    cells, core = experiments._cz_cells, mulgrp._trichotomy
+    """A failure on the pair {6, -4} of the CZ kernel's column core, in any
+    call whose cells hold it; it is symmetric, as any failure of the
+    symmetric core is."""
+    cells = experiments._cz_cells
 
     def flaky_cells(ctx, i, lo, hi):
         units = ctx[2]
         if any({units[i], b} == {6, -4} for b in units[lo:hi]):
-            raise RuntimeError("injected")
+            raise ArithmeticError("injected")
         return cells(ctx, i, lo, hi)
 
-    def flaky(ua, ub, eps):
-        if {ua.x, ub.x} == {6, -4}:
-            raise RuntimeError("injected")
-        return core(ua, ub, eps)
-
     monkeypatch.setattr(experiments, "_cz_cells", flaky_cells)
-    monkeypatch.setattr(mulgrp, "_trichotomy", flaky)
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="pool workers must inherit the patched row")
+                    reason="pool workers must inherit the patched kernel")
 def test_pool_error_rows_match_serial(monkeypatch, forced_pool):
     spec = experiments.SPECS[SweepKind.CZ_TRICHOTOMY]
     _inject_cz_fault(monkeypatch)
     failed = _kernel_failures(monkeypatch, SweepKind.CZ_TRICHOTOMY)
     serial = run(CZ30_FAULTY)
-    assert failed == [range(len(serial.records))]
+    # the whole grid's run, then the one-cell retries of the two failing cells
+    assert failed == [range(len(serial.records)), range(95, 96), range(158, 159)]
     pooled = run(CZ30_FAULTY, jobs=2)
     assert len(forced_pool) == 1
     bad = [r for r in pooled.records if r.error]
     assert bad == CZ30_ERRORS
     assert {type(r) for r in bad} == {spec.Row}
-    assert {r.error for r in bad} == {"RuntimeError: injected"}
+    assert {r.error for r in bad} == {"ArithmeticError: injected"}
     assert pooled.records == serial.records
     assert {type(r) for r in serial.records} == {type(r) for r in pooled.records} == {spec.Row}
     assert render_json(pooled) == render_json(serial)
@@ -1124,9 +1210,10 @@ def test_head_never_copies_an_error_row(monkeypatch, pools):
     failed = _kernel_failures(monkeypatch, SweepKind.CZ_TRICHOTOMY)
     head = run(CZ30_FAULTY, jobs=2)
     assert pools == []
-    # the kernel raises on both runs: (6, -4) is evaluated, not copied
-    assert [(95 in cells, 158 in cells) for cells in failed] == [(True, False),
-                                                                 (False, True)]
+    # the kernel raises on both runs and on their one-cell retries: (6, -4)
+    # is evaluated, not copied
+    assert [(95 in cells, 158 in cells, len(cells) == 1) for cells in failed] == [
+        (True, False, False), (True, False, True), (False, True, False), (False, True, True)]
     assert [r for r in head.records if r.error] == CZ30_ERRORS
     assert head.summary == serial.summary
     assert head.records == serial.records
@@ -1150,6 +1237,32 @@ def test_a_kernel_fault_raises_out_of_run(monkeypatch, forced_pool, jobs):
     monkeypatch.setitem(experiments.SPECS, SweepKind.BCZ, spec._replace(rows=stale))
     cfg = SweepConfig(kind=SweepKind.BCZ, parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 40})
     with pytest.raises(NameError, match="'_stale' is not defined"):
+        run(cfg, jobs)
+    assert len(forced_pool) == jobs - 1
+
+
+@pytest.mark.parametrize("whole, alone", [(TypeError, None), (ValueError, TypeError)],
+                         ids=["whole-run", "one-cell-retry"])
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched kernel"))])
+def test_a_type_error_fails_run_under_any_error_budget(monkeypatch, forced_pool, jobs,
+                                                      whole, alone):
+    # a TypeError is a fault of the program, not of a cell: raised on a whole
+    # run, it is not retried, not even where one-cell runs would pass, and
+    # raised on the one-cell runs that retry a run that failed a cell, it is
+    # not an error row; it leaves run() under a budget as large as the grid
+    spec = experiments.SPECS[SweepKind.BCZ]
+
+    def typo(ctx, axes, cells, out):
+        if cells.start >= jobs - 1 and (fault := whole if len(cells) > 1 else alone):
+            raise fault("unsupported operand type(s)")
+        return spec.rows(ctx, axes, cells, out)
+
+    monkeypatch.setitem(experiments.SPECS, SweepKind.BCZ, spec._replace(rows=typo))
+    cfg = SweepConfig(kind=SweepKind.BCZ, parameters={"a": 2, "b": 3, "eps": 0.5, "n_max": 40,
+                                                     "error_budget": 40})
+    with pytest.raises(TypeError, match="unsupported operand"):
         run(cfg, jobs)
     assert len(forced_pool) == jobs - 1
 
@@ -1844,8 +1957,8 @@ def test_error_rows_of_a_budgeted_run_split_across_blocks(size, monkeypatch):
     _assert_blocks_like_one_join(res, [size], monkeypatch)
     recs = json.loads(render_json(res))["records"]
     assert [recs[i] for i in (95, 158)] == [
-        {"alpha": -4, "beta": 6, "error": "RuntimeError: injected"},
-        {"alpha": 6, "beta": -4, "error": "RuntimeError: injected"}]
+        {"alpha": -4, "beta": 6, "error": "ArithmeticError: injected"},
+        {"alpha": 6, "beta": -4, "error": "ArithmeticError: injected"}]
 
 
 def test_signed_zeros_in_different_blocks_keep_their_signs(monkeypatch):
@@ -1957,7 +2070,7 @@ def test_error_rows_hold_their_declared_types(monkeypatch):
 
     def flaky(lhs, hA, eps, C):
         if hA == 3 * LN2:
-            raise RuntimeError("injected")
+            raise ZeroDivisionError("injected")
         return bound(lhs, hA, eps, C)
 
     monkeypatch.setattr(experiments, "bound", flaky)

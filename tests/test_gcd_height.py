@@ -198,8 +198,9 @@ def test_check_pn_oracle():
     assert isclose(rhs, want_rhs, rel_tol=1e-12)
     assert holds is True
     # in the column order of the PN_CHECK row, which holds it between its
-    # index and its error
-    row = SPECS[SweepKind.PN_CHECK].row((DIAG, S, p), "1:5:9")
+    # index and its error, as the sweep's kernel builds it
+    SPECS[SweepKind.PN_CHECK].rows((DIAG, S, p), (["1:5:9"],), range(1), rows := [])
+    [row] = rows
     assert row._fields[1:-1] == ("gcd", "lhs", "hA", "hcount", "rhs", "holds")
     assert row == ("1:5:9", *rec, None)
 
@@ -212,8 +213,10 @@ def test_eds_gcd_row_oracle(c37, p37):
     params = {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": 16, "n_max": 16,
               "eps": 0.3}
     spec = SPECS[SweepKind.EDS_GCD]
-    ctx, _ = spec.prepare(_checked(SweepKind.EDS_GCD, params), 0)
-    row = spec.row(ctx, 8, 16)
+    ctx, axes = spec.prepare(_checked(SweepKind.EDS_GCD, params), 0)
+    # the kernel on the one cell (8, 16) of the 16 x 16 grid
+    spec.rows(ctx, axes, range(7 * 16 + 15, 7 * 16 + 16), rows := [])
+    [row] = rows
     assert row[:5] == (8, 16, 5, 65, 5)    # m, n, D_8P, D_16P, their gcd
     assert isclose(row.lhs, log(5), rel_tol=1e-12)
     assert row.hA == hA
@@ -232,8 +235,11 @@ def test_check_mixed_oracle(cm2, pm2):
     assert hA == log(10)
     assert isclose(rhs, 0.5 * log(10), rel_tol=1e-12)
     assert holds is True
-    # in the column order of the MIXED_CHECK row, after its index and D_Q
-    row = SPECS[SweepKind.MIXED_CHECK].row(([1, d_q], PrimeSet((3,)), 0.5, 1.0), 2, 9)
+    # in the column order of the MIXED_CHECK row, after its index and D_Q, as
+    # the sweep's kernel builds it on the cell (2, 9)
+    SPECS[SweepKind.MIXED_CHECK].rows(([1, d_q], PrimeSet((3,)), 0.5, 1.0),
+                                      (range(1, 3), [9]), range(1, 2), rows := [])
+    [row] = rows
     assert row._fields[3:-1] == ("gcd", "lhs", "hA", "rhs", "holds")
     assert row == (2, 9, d_q, *rec, None)
 

@@ -34,7 +34,7 @@ BCZ = SweepConfig("BCZ", {"a": 2, "b": 3, "eps": 0.5, "n_max": 2})
 BCZ_ROWS = [experiments._BCZRow(1, 1, 0.0, 0.69, 0.35, True)]
 # a spec of module-level functions only, so that it pickles
 SPEC = KindSpec(experiments._BCZRow, ("n",), (("a", experiments._int),),
-                experiments._prepare_bcz, experiments._row_bcz, experiments._rows_bcz,
+                experiments._prepare_bcz, experiments._rows_bcz,
                 experiments._summary_ar, math.exp)
 
 # class: (a value, its constructor arguments, another value, a call with only
@@ -105,11 +105,11 @@ CASES = {
                   (lambda: SweepResult(BCZ), TypeError, "missing"),
                   f"SweepResult(config={BCZ!r}, records={BCZ_ROWS!r}, summary={{'cells': 1}})"),
     KindSpec: (SPEC, tuple(SPEC), SPEC._replace(index=("m",)),
-               (lambda: KindSpec(*SPEC[:5]), {"rows": None}),
+               (lambda: KindSpec(*SPEC[:6]), {"C_of_fit": KindSpec._field_defaults["C_of_fit"]}),
                (lambda: KindSpec(*SPEC[:4]), TypeError, "missing"),
                "KindSpec(Row=<class 'gcdheights.experiments._BCZRow'>, index=('n',), "
                f"params=(('a', {experiments._int!r}),), prepare={experiments._prepare_bcz!r}, "
-               f"row={experiments._row_bcz!r}, rows={experiments._rows_bcz!r}, "
+               f"rows={experiments._rows_bcz!r}, "
                f"summary={experiments._summary_ar!r}, C_of_fit={math.exp!r})"),
 }
 IDS = [cls.__name__ for cls in CASES]
