@@ -406,41 +406,30 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    out_path, baseline = getattr(args, "out", None), getattr(args, "baseline", None)
     try:
         with warnings.catch_warnings():  # each library warning as one line
             warnings.showwarning = lambda msg, *_: sys.stderr.write(f"warning: {msg}\n")
             output = _HANDLERS.get(args.cmd, _cmd_kind)(args)
+        # block by block, so that neither the whole document nor its encoded
+        # copy is ever formed
+        if out_path:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(output)
+        else:
+            sys.stdout.writelines(output)
+        if baseline:  # as bytes, so a baseline that is not UTF-8 just differs
+            with open(baseline, "rb") as fh:
+                same = all(fh.read(len(b)) == b for b in map(str.encode, output)) and not fh.read(1)
     except _Usage as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    except (ValueError, ZeroDivisionError, OSError, OverflowError) as e:
+    except (ArithmeticError, ValueError, OSError) as e:  # as ``_eval`` makes error rows
         sys.stderr.write(f"error: {e}\n")
         return 2
-    # block by block, so that neither the whole document nor its encoded copy
-    # is ever formed
-    out_path = getattr(args, "out", None)
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(output)
-        except OSError as e:
-            sys.stderr.write(f"error: {e}\n")
-            return 2
-    else:
-        sys.stdout.writelines(output)
-    baseline = getattr(args, "baseline", None)
-    if baseline:
-        try:
-            with open(baseline, "r", encoding="utf-8", newline="") as fh:
-                same = all(fh.read(len(block)) == block for block in output) and not fh.read(1)
-        except OSError as e:
-            sys.stderr.write(f"error: {e}\n")
-            return 2
-        except UnicodeDecodeError:  # the output is UTF-8, so the bytes differ
-            same = False
-        if not same:
-            sys.stderr.write(f"baseline mismatch against {baseline}\n")
-            return 3
+    if baseline and not same:
+        sys.stderr.write(f"baseline mismatch against {baseline}\n")
+        return 3
     return 0
 
 

@@ -312,17 +312,23 @@ def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
 
 def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
     """The units, each stripped once, and their columns: |x - 1|, the rhs
-    eps*ln|x| of a pair whose larger unit is x (the units ascend by |x|),
-    that rhs plus the slack of ``holds``, and the indices of the units on
-    the root of x, whose pairs with x alone may have a power relation."""
+    eps*ln|x| of a pair whose larger unit is x (the units ascend by |x|, and
+    so does the rhs; inf where ``bound`` refuses it), that rhs plus the
+    slack of ``holds``, and the indices of the units on the root of x, whose
+    pairs with x alone may have a power relation."""
     S, eps = PrimeSet(p["primes"]), p["eps"]
     units = s_unit_enumerate(S, p["bound"])
     unit = [_unit(x, S) for x in units]
-    rhs = [bound(0.0, u.log_size, eps, 0.0)[2] for u in unit]
+    rhs = []
+    for u in unit:
+        try:
+            rhs.append(bound(0.0, u.log_size, eps, 0.0)[2])
+        except OverflowError:  # _cz_cells refuses each cell whose larger unit is u
+            rhs.append(inf)
     on_root: dict = {}
     for j, u in enumerate(unit):
         on_root.setdefault(u.root, []).append(j)
-    return ((S, eps, units, unit, [u.shifted for u in unit], rhs,
+    return ((eps, units, unit, [u.shifted for u in unit], rhs,
              [r + EPS_SLACK for r in rhs], [on_root[u.root] for u in unit]),
             (units, units))
 
@@ -335,9 +341,12 @@ def _cz_cells(ctx: tuple, i: int, lo: int, hi: int) -> list[tuple]:
     """The rows of the CZ cells (i, j), lo <= j < hi, each column one map
     over the slice of the units' columns: the rhs is that of unit max(i, j).
     The cells of units on the root of unit i are replaced by the rows of
-    ``_trichotomy``, which finds their power relations."""
-    _, eps, units, unit, shifted, rhs, top, on_root = ctx
+    ``_trichotomy``, which finds their power relations.  A slice that
+    reaches a unit whose rhs is inf raises ``bound``'s OverflowError."""
+    eps, units, unit, shifted, rhs, top, on_root = ctx
     k, n = max(min(i, hi), lo), hi - lo  # cells lo..k lie below the diagonal
+    if n and rhs[max(i, hi - 1)] == inf:  # the rhs ascends: the slice's last is its largest
+        bound(0.0, unit[max(i, hi - 1)].log_size, eps, 0.0)
     g = list(map(gcd, repeat(shifted[i], n), shifted[lo:hi]))
     lhs = list(map(log, g))
     holds = list(map(le, lhs, [top[i]] * (k - lo) + top[k:hi]))
@@ -536,7 +545,7 @@ def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
     S = PrimeSet(p["primes"])
     units = s_unit_enumerate(S, p["b_bound"])
     dq = _denominators(c, P, n_max)
-    return (dq, S, p["eps"], p["C"]), (range(1, n_max + 1), units)
+    return (dq, p["eps"], p["C"]), (range(1, n_max + 1), units)
 
 
 def _rows_mixed(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
@@ -544,7 +553,7 @@ def _rows_mixed(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
     of ``s_unit_enumerate`` is an S-unit with |b| >= 2, and ``_checked`` gives
     a positive eps and C.  |b|, |b - 1| and ln|b| are taken once per b, and
     ln max(D_n, |b|) as ln D_n or ln|b|, whichever integer is larger."""
-    dq, _, eps, C = ctx
+    dq, eps, C = ctx
     ln_d, ln_C, new, unit = [log(d) for d in dq], log(C), tuple.__new__, {}
     for n, b in _keys(axes, cells):
         if b not in unit:

@@ -251,6 +251,28 @@ def test_factor_budget_exhaustion_is_honest():
     assert _value(f) == n
 
 
+def _trial_division(n: int) -> dict[int, int]:
+    found, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            found[d], n = found.get(d, 0) + 1, n // d
+        d += 1
+    return {**found, n: 1} if n > 1 else found
+
+
+def test_factor_by_rho_backtracks_on_small_semiprimes():
+    # past 2, 3 and 5 only rho splits these; on so small an n the batched
+    # product of |x - y| reaches 0 mod n, so rho backtracks one step at a
+    # time, and where that too ends at n (143, 169, 217, ...) tries the next c
+    primes = [p for p in range(7, 60) if all(p % q for q in range(2, p))]
+    for n in {p * q for p in primes for q in primes}:
+        f = factor(n, FactorBudget(trial_bound=2))
+        assert f.complete and dict(f.factors) == _trial_division(n), n
+    # a budget that runs out while backtracking leaves n whole
+    f = factor(143, FactorBudget(trial_bound=2, rho_iterations=3))
+    assert not f.complete and f.cofactor == 143 and f.factors == ()
+
+
 def test_factor_one_and_zero():
     f = factor(1)
     assert f.factors == () and _value(f) == 1

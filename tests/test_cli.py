@@ -140,10 +140,13 @@ def test_nan_C_or_delta_is_computation_error(argv, message, capsys):
       for cmd, key in [("gcdpow --a 2 --b 3", "n_max"), ("returns --a 2 --b 3", "n_max"),
                        (f"edsgcd --curve {C37} --point 0,0 --eps 0.5", "m_max"),
                        (f"eds --curve {C37} --point 0,0", "n_max")]],
+    (f"eds --curve {C37} --point 0,0 --nmax 0".split(), "n_max must be >= 1"),
+    (["pncheck", "--poly", "X0", "--primes", "2", "--nmax", "3", "--eps", "0.5"],
+     "system must involve at least X0 and X1"),
 ], ids=["edsgcd-eps", "gcdpow-eps", "gcdpow-C", "trichotomy-eps", "mixed-C",
         "pncheck-sample-neg", "pncheck-sample-0", "pncheck-delta",
         "vojta-check-delta", "vojta-check-C", "gcdpow-nmax", "returns-nmax", "edsgcd-nmax",
-        "eds-nmax"])
+        "eds-nmax", "eds-nmax-0", "pncheck-X0"])
 def test_infinite_bound_or_bad_sample_is_one_computation_error(argv, message, capsys):
     # rejected up front, before any cell: CSV would otherwise print inf/nan
     # rows, and a size past sys.maxsize would fail in len() or run for ever
@@ -190,6 +193,23 @@ def test_an_overflowing_bound_is_one_error_in_csv_and_json(tmp_path, capsys):
         "n": "3", "gcd": "", "lhs": "", "hA": "", "rhs": "", "holds": "", "error": OVERFLOW}
     assert main(["sweep", "--config", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["records"][2] == {"n": 3, "error": OVERFLOW}
+    # CZ_TRICHOTOMY refuses cell by cell too: eps*ln|x| passes the largest
+    # float from |x| = 8 on, so of its 22 units the 8 of |x| <= 6 pair freely
+    cz = {"primes": [2, 3], "bound": 30, "eps": 1e308}
+    path.write_text(json.dumps({"kind": "CZ_TRICHOTOMY", "parameters": cz}))
+    got = [(main(["sweep", "--config", str(path), "--format", fmt]), *capsys.readouterr())
+           for fmt in ("csv", "json")]
+    want = (2, "", f"error: error budget exceeded: 420 error rows (budget 0); first: {OVERFLOW}\n")
+    assert got == [want, want]
+    path.write_text(json.dumps({"kind": "CZ_TRICHOTOMY",
+                                "parameters": {**cz, "error_budget": 1000}}))
+    assert main(["sweep", "--config", str(path)]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 484
+    assert [r for r in rows if r["error"]] == [
+        {**dict.fromkeys(r, ""), "alpha": r["alpha"], "beta": r["beta"], "error": OVERFLOW}
+        for r in rows if max(abs(int(r["alpha"])), abs(int(r["beta"]))) >= 8]
+    assert sum(not r["error"] for r in rows) == 64
 
 
 @pytest.mark.parametrize("argv, value, err", [
@@ -409,10 +429,30 @@ def test_heights_of_a_curve_point(capsys):
     assert doc["tol"] == 1e-4
 
 
-def test_heights_usage_errors(capsys):
-    assert main(["heights"]) == 1
-    assert main(["heights", "--y", "1/2"]) == 1
-    assert main(["heights", "--point", "0,0"]) == 1
+HEIGHTS_NEEDS = "heights needs --x (and optionally --y), or --curve with --point"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("heights", HEIGHTS_NEEDS),
+    ("heights --y 1/2", HEIGHTS_NEEDS),
+    ("heights --point 0,0", "--point needs --curve"),
+    (f"heights --curve {C37} --point 0,0 --y 1/2", "--y needs --x"),
+    # a flag value its argparse type refuses
+    ("trichotomy --primes 2,x --nmax 5", "argument --primes: bad integer list '2,x'"),
+    ("eds --curve 0,0,1 --point 0,0 --nmax 3", "argument --curve: curve needs 5 "
+     "comma-separated integers a1,a2,a3,a4,a6, got '0,0,1'"),
+    (f"eds --curve {C37} --point 0 --nmax 3",
+     "argument --point: point needs two comma-separated rationals x,y, got '0'"),
+    ("gcdpow --a 2 --b 3 --nmax 3 --jobs x", "argument --jobs: invalid int value: 'x'"),
+], ids=["heights", "heights-y", "heights-point", "heights-y-point", "primes", "curve",
+        "point", "jobs"])
+def test_usage_error_ends_in_one_error_line(argv, message, capsys):
+    assert main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    *usage, last = err.splitlines()
+    assert out == "" and last == f"error: {message}"
+    # argparse prints its usage first, a handler only the error line
+    assert bool(usage) == message.startswith("argument ")
 
 
 def test_vojta_check_verdict(capsys):
@@ -944,32 +984,40 @@ VALID = {
 BIG_IS_SLOW = {"bound", "b_bound"}
 
 
-def _sweep_json(tmp_path, kind: str, params: dict) -> int:
+def _sweep(tmp_path, kind: str, params: dict, fmt: str = "json") -> int:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"kind": kind, "parameters": params}))
-    return main(["sweep", "--config", str(path), "--format", "json"])
+    return main(["sweep", "--config", str(path), "--format", fmt])
 
 
 @pytest.mark.parametrize("kind", [k.value for k in SweepKind])
 def test_fuzzed_parameters_end_in_an_exit_code(kind, tmp_path, capsys):
-    assert _sweep_json(tmp_path, kind, VALID[kind]) == 0
+    assert _sweep(tmp_path, kind, VALID[kind]) == 0
     assert json.loads(capsys.readouterr().out)["records"]
+    spec = SPECS[SweepKind(kind)]
+    reals = [c for c, types in zip(spec.columns, spec.Row.types) if float in types]
     rng = random.Random(kind)
     big = rng.randrange(10**399, 10**400)
     values = [None, rng.random() < 0.5, 2.5, math.nan, math.inf, -math.inf,
               rng.choice(["0.5", "2", "x", ""]), [rng.randint(-3, 3) for _ in range(2)],
               {"x": rng.randint(-3, 3)}, -1, 0, big, 1e308, 1e-12, 5e-324]
-    keys = [entry[0] for entry in SPECS[SweepKind(kind)].params] + ["error_budget"]
+    keys = [entry[0] for entry in spec.params] + ["error_budget"]
     for key in keys:
         for value in values:
             if key in BIG_IS_SLOW and value in (big, 1e308):
                 continue
-            code = _sweep_json(tmp_path, kind, {**VALID[kind], key: value})
-            out, err = capsys.readouterr()
+            ends = [(_sweep(tmp_path, kind, {**VALID[kind], key: value}, fmt),
+                     *capsys.readouterr()) for fmt in ("csv", "json")]
+            (code, csv_out, err), (_, out, _) = ends
+            # CSV and JSON end alike: the same exit code and stderr
+            assert ends[0][::2] == ends[1][::2], (key, value)
             assert code in (0, 1, 2), (key, value)
             if code:
-                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                assert csv_out == out == "" and err.startswith("error: ") and err.count("\n") == 1
                 continue
+            # every real of the CSV is a finite float
+            for row in _rows(csv_out):
+                assert all(math.isfinite(float(row[c])) for c in reals if row[c]), (key, value)
             # an accepted config re-runs from its own output, byte for byte
             again = tmp_path / "again.json"
             again.write_text(out)
@@ -993,7 +1041,7 @@ def test_fuzzed_parameters_end_in_an_exit_code(kind, tmp_path, capsys):
         "codim_r", "codim_r-huge", "C-huge"])
 def test_bad_parameter_is_one_error_naming_the_key(kind, change, message,
                                                    tmp_path, capsys):
-    assert _sweep_json(tmp_path, kind, {**VALID[kind], **change}) == 2
+    assert _sweep(tmp_path, kind, {**VALID[kind], **change}) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message}\n"
 
@@ -1023,9 +1071,9 @@ def test_a_size_past_sys_maxsize_is_one_error_in_csv_and_json(kind, key, value,
 
 
 def test_integral_float_runs_as_its_integer(tmp_path, capsys):
-    assert _sweep_json(tmp_path, "BCZ", {**VALID["BCZ"], "n_max": 4}) == 0
+    assert _sweep(tmp_path, "BCZ", {**VALID["BCZ"], "n_max": 4}) == 0
     as_int = json.loads(capsys.readouterr().out)
-    assert _sweep_json(tmp_path, "BCZ", {**VALID["BCZ"], "n_max": 4.0}) == 0
+    assert _sweep(tmp_path, "BCZ", {**VALID["BCZ"], "n_max": 4.0}) == 0
     as_float = json.loads(capsys.readouterr().out)
     assert as_float["records"] == as_int["records"] and len(as_int["records"]) == 4
 

@@ -756,27 +756,28 @@ def _appended(prefix: list, fn, *args) -> list:
 
 
 # Each kind's row of one cell by the library's per-cell routes, as
-# ``oracle(ctx, *key)`` on the context its ``prepare`` gives: the slow routes
-# the range kernels are checked against
+# ``oracle(p, ctx, *key)`` on the checked parameters ``p`` and the context
+# ``prepare`` gives of them: the slow routes the range kernels are checked
+# against.  The contexts hold no S; the oracles that need it take it from p
 
-def _oracle_bcz(ctx: tuple, n: int) -> tuple:
+def _oracle_bcz(p: dict, ctx: tuple, n: int) -> tuple:
     a, b, eps, C = ctx
     g = gcd_pair(a, b, n)
     return experiments._BCZRow(n, g, *bound(math.log(g), n * LN2, eps, C))
 
 
-def _oracle_cz(ctx: tuple, a: int, b: int) -> tuple:
-    v = cz_classify(a, b, *ctx[:2])
+def _oracle_cz(p: dict, ctx: tuple, a: int, b: int) -> tuple:
+    v = cz_classify(a, b, PrimeSet(p["primes"]), p["eps"])
     return experiments._CZRow(a, b, v.kind, v.m, v.n, v.gcd, v.lhs, v.rhs, v.holds)
 
 
-def _oracle_ar(ctx: tuple, n: int) -> tuple:
+def _oracle_ar(p: dict, ctx: tuple, n: int) -> tuple:
     a, b, base = ctx
     g = gcd_pair(a, b, n)
     return experiments._ARRow(n, g, base, g == base)
 
 
-def _oracle_eds_gcd(ctx: tuple, m: int, n: int) -> tuple:
+def _oracle_eds_gcd(p: dict, ctx: tuple, m: int, n: int) -> tuple:
     mp, nq, disc, eps, C = ctx
     (d_m, h_m), (d_n, h_n) = mp[m - 1], nq[n - 1]
     g, k = math.gcd(m, n), math.gcd(d_m, d_n)
@@ -784,24 +785,24 @@ def _oracle_eds_gcd(ctx: tuple, m: int, n: int) -> tuple:
                                   (m // g) ** 2 + (n // g) ** 2 <= disc)
 
 
-def _oracle_pn(ctx: tuple, point: str) -> tuple:
+def _oracle_pn(p: dict, ctx: tuple, point: str) -> tuple:
     system, S, vp = ctx
     coords = PnPoint(tuple(int(t) for t in point.split(":")))
     return experiments._PNRow(point, *check_pn(coords, system, S, vp))
 
 
-def _oracle_mixed(ctx: tuple, n: int, b: int) -> tuple:
-    dq, S, eps, C = ctx
+def _oracle_mixed(p: dict, ctx: tuple, n: int, b: int) -> tuple:
+    (dq, eps, C), S = ctx, PrimeSet(p["primes"])
     return experiments._MixedRow(n, b, dq[n - 1], *check_mixed(dq[n - 1], b, S, eps, C))
 
 
-def _oracle_siegel(ctx: tuple, n: int) -> tuple:
+def _oracle_siegel(p: dict, ctx: tuple, n: int) -> tuple:
     n_min, dn = ctx
     d, h = dn[n - n_min]
     return experiments._SiegelRow(n, d, h, 0.0 if d == 1 else 2.0 * math.log(d) / h)
 
 
-def _oracle_abelian(ctx: tuple, n: int) -> tuple:
+def _oracle_abelian(p: dict, ctx: tuple, n: int) -> tuple:
     dp, dq, eps, C = ctx
     g = math.gcd(dp[n - 1], dq[n - 1])
     return experiments._AbelianRow(n, dp[n - 1], dq[n - 1], g,
@@ -829,7 +830,7 @@ def test_eval_cell_tags_failures_with_index():
         experiments._eval(SweepKind.BCZ, (2, 3, "bad", 0.0), axes, range(2, 3), [])
     # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20); C = -1
     # fails every row, in the kernel's log(C)
-    ctx = ([1, 1, 1], PrimeSet((2, 3, 5)), 0.5, -1.0)
+    ctx = ([1, 1, 1], 0.5, -1.0)
     axes = (range(1, 4), [10, 20, 30, 40])
     rows = _appended(["row 4"], experiments._eval, SweepKind.MIXED_CHECK, ctx, axes,
                      range(5, 6))
@@ -951,9 +952,9 @@ KERNEL_GRIDS = {
 # zero a (AR) a negative shift, zero |x - 1|s (CZ) and zero denominators
 # (SIEGEL) log 0, and a negative C (MIXED_CHECK) its log
 BREAK_CTX = {SweepKind.BCZ: (3, math.inf), SweepKind.AR_RETURNS: (0, 0),
-             SweepKind.CZ_TRICHOTOMY: (4, [0] * 2000), SweepKind.EDS_GCD: (4, math.inf),
+             SweepKind.CZ_TRICHOTOMY: (3, [0] * 2000), SweepKind.EDS_GCD: (4, math.inf),
              SweepKind.PN_CHECK: (2, VojtaParams(0.5)._replace(C=math.inf)),
-             SweepKind.SIEGEL: (1, [(0, 1.0)] * 2000), SweepKind.MIXED_CHECK: (3, -1.0),
+             SweepKind.SIEGEL: (1, [(0, 1.0)] * 2000), SweepKind.MIXED_CHECK: (2, -1.0),
              SweepKind.ABELIAN_GROWTH: (3, math.inf)}
 
 
@@ -993,11 +994,11 @@ def test_kernel_rows_match_the_map_of_row(name):
     # the map of the kind's oracle
     kind, params = KERNEL_GRIDS[name]
     spec = experiments.SPECS[kind]
-    ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
+    ctx, axes = spec.prepare(p := experiments._checked(kind, params), 0)
     keys = list(itertools.product(*axes))
     runs = _runs(len(keys), len(axes[-1]))
     assert len(keys) > 300 and max(map(len, runs)) == len(keys)
-    rows = [ORACLES[kind](ctx, *key) for key in keys]
+    rows = [ORACLES[kind](p, ctx, *key) for key in keys]
     for cells in runs:
         want = rows[cells.start:cells.stop]
         for prefix in ([], rows[:cells.start]):
@@ -1028,8 +1029,8 @@ def test_one_cell_kernel_runs_match_the_oracle(name):
     # on range(i, i + 1), after no rows and after every row before it
     kind, params = KERNEL_GRIDS[name]
     spec = experiments.SPECS[kind]
-    ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
-    rows = [ORACLES[kind](ctx, *key) for key in itertools.product(*axes)]
+    ctx, axes = spec.prepare(p := experiments._checked(kind, params), 0)
+    rows = [ORACLES[kind](p, ctx, *key) for key in itertools.product(*axes)]
     for i, want in enumerate(rows):
         for prefix in ([], rows[:i]):
             assert _appended(prefix, spec.rows, ctx, axes, range(i, i + 1)) == [want]
@@ -1061,10 +1062,10 @@ def test_mersenne_kernels_match_the_map_of_row(kind, params, routed, e0, monkeyp
     es, helper = [], experiments._gcd_mersenne
     monkeypatch.setattr(experiments, "_gcd_mersenne",
                         lambda e, y: es.append(e) or helper(e, y))
-    ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
+    ctx, axes = spec.prepare(p := experiments._checked(kind, params), 0)
     keys = list(itertools.product(*axes))
     for cells in _runs(len(keys), len(axes[-1])):
-        want = [ORACLES[kind](ctx, *key) for key in keys[cells.start:cells.stop]]
+        want = [ORACLES[kind](p, ctx, *key) for key in keys[cells.start:cells.stop]]
         assert _appended([], spec.rows, ctx, axes, cells) == want
     # the routed grids cross the cut-off; the others never take the route
     assert (min(es) < e0 <= max(es)) if routed else es == []
@@ -1090,9 +1091,9 @@ MIRROR_GRIDS = [{"primes": primes, "bound": bound, "eps": eps}
 def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
     kind = SweepKind.CZ_TRICHOTOMY
     spec = experiments.SPECS[kind]
-    ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
+    ctx, axes = spec.prepare(p := experiments._checked(kind, params), 0)
     keys = list(itertools.product(*axes))
-    rows = [_oracle_cz(ctx, *key) for key in keys]
+    rows = [_oracle_cz(p, ctx, *key) for key in keys]
     # the grid holds pairs with alpha = -beta and pairs whose power relation
     # the sign rule doubles, e.g. (-2)^6 = 8^2 where (-2)^3 = -(8^1)
     assert any(r.alpha == -r.beta for r in rows)
@@ -1102,7 +1103,8 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
     pairs, core = [], experiments._trichotomy
     monkeypatch.setattr(experiments, "_trichotomy",
                         lambda ua, ub, eps: pairs.append((ua.x, ub.x)) or core(ua, ub, eps))
-    L, unit = len(axes[1]), {x: mulgrp._unit(x, ctx[0]) for x in axes[1]}
+    S = PrimeSet(p["primes"])
+    L, unit = len(axes[1]), {x: mulgrp._unit(x, S) for x in axes[1]}
     for cells in _runs(len(keys), L):
         # after no rows, as in a pool chunk, and after all those before the
         # run, as in the parent
@@ -1170,7 +1172,7 @@ def _inject_cz_fault(monkeypatch) -> None:
     cells = experiments._cz_cells
 
     def flaky_cells(ctx, i, lo, hi):
-        units = ctx[2]
+        units = ctx[1]
         if any({units[i], b} == {6, -4} for b in units[lo:hi]):
             raise ArithmeticError("injected")
         return cells(ctx, i, lo, hi)

@@ -237,8 +237,8 @@ def test_check_mixed_oracle(cm2, pm2):
     assert holds is True
     # in the column order of the MIXED_CHECK row, after its index and D_Q, as
     # the sweep's kernel builds it on the cell (2, 9)
-    SPECS[SweepKind.MIXED_CHECK].rows(([1, d_q], PrimeSet((3,)), 0.5, 1.0),
-                                      (range(1, 3), [9]), range(1, 2), rows := [])
+    SPECS[SweepKind.MIXED_CHECK].rows(([1, d_q], 0.5, 1.0), (range(1, 3), [9]),
+                                      range(1, 2), rows := [])
     [row] = rows
     assert row._fields[3:-1] == ("gcd", "lhs", "hA", "rhs", "holds")
     assert row == (2, 9, d_q, *rec, None)
