@@ -308,7 +308,7 @@ def _run_sweep(kind: SweepKind, params: dict, seed: int, args) -> list[str]:
     if args.format == "json":
         return _json_blocks(result)
     spec = SPECS[kind]
-    return _csv_blocks(spec.columns, result.records, spec.Row.types, len(spec.index))
+    return _csv_blocks(spec.columns, result.columns, spec.Row.types, len(spec.index))
 
 
 def _cmd_kind(args) -> list[str]:
@@ -323,7 +323,7 @@ def _cmd_eds(args) -> list[str]:
     S = PrimeSet(cfg["ignore_primes"])
     terms = _eds_op(cfg["curve"], p, cfg["n_max"])
     if args.format != "json":  # only the JSON document prints the report
-        return _csv_blocks(_EDS_COLUMNS, [*enumerate(terms, 1)], ({int}, {int}), 2)
+        return _csv_blocks(_EDS_COLUMNS, (range(1, len(terms) + 1), terms), ({int}, {int}), 2)
     report = divisibility_check([prime_to_S_part(t, S) for t in terms])
     doc = {
         "version": __version__,

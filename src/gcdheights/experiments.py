@@ -18,33 +18,34 @@ and halves it past 1/16.  The rest goes to at most
 min(jobs, usable CPUs, chunks) worker processes, each sent the shared inputs
 once, in about 8 contiguous chunks per worker, highest indices first: BCZ
 and AR cells get dearer with n, so the dearest chunks start first instead of
-finishing on one worker alone.  Workers return plain tuples, which pickle
-several times faster than rows.  multiprocessing is imported when a run
-first may pool (``jobs`` > 1 on more than one usable CPU) and
-concurrent.futures when one first does, so a run at one job loads neither.
+finishing on one worker alone.  Workers return their chunk's columns, which
+pickle smaller than rows.  multiprocessing is imported when a run first may
+pool (``jobs`` > 1 on more than one usable CPU) and concurrent.futures when
+one first does, so a run at one job loads neither.
 
-Each kind is one ``KindSpec`` record in ``SPECS``, and its range kernel
-``rows`` is the one route that evaluates its cells, a run at a time.  Where
-it hoists work out of the cells: BCZ and AR multiply a^n and b^n up along
-the run, and when the smaller base is 2^k fold the other power minus one
-modulo 2^(kn) - 1; CZ strips each unit once, copies the row of (b, a) from
-that of (a, b) when the sweep's one record list, which each run appends to,
-holds it, and evaluates the rest a unit's row at a time, a map per column,
-with only the pairs of units on one root through the per-pair core; EDS_GCD
-without q reads gcd(D_m, D_n) off strong divisibility as D_gcd(m, n) and
-takes ln D_g once per g; MIXED_CHECK takes |b - 1| and ln|b| once per b and
-ln D_n once.  PN_CHECK, SIEGEL and ABELIAN_GROWTH map a per-cell function.
-A row is a tuple of the kind's ``Row`` type in ``columns`` order: index
-columns first, then exact integer witnesses, then the log-space lhs/rhs pair
-and the holds flag, then ``error`` (None but on an error row, which has only
-its index values).  Rendering encodes each value by its type, which the row
-type declares per column: integers with all their digits, reals with 12
-significant digits (a JSON config's exactly).  It goes by block of at most
-``_BLOCK`` records, and within a block by column (``_texts``), through a memo
-of a column's distinct values where they repeat; ``render_json`` lays a
-block's records out in one list of parts, a slice assignment per column, and
-joins each block into one text.  The renderers return the blocks joined; the
-CLI writes them one by one.
+A result holds a list per column of its kind's ``Row`` type, in ``columns``
+order: index columns, exact integer witnesses, the log-space lhs/rhs pair and
+the holds flag, then ``error`` (None but on an error row, which has None past
+its index); ``records`` builds the rows on demand.  Each kind is one
+``KindSpec`` in ``SPECS``, whose range kernel ``rows``, the one route that
+evaluates its cells, extends the columns a run at a time.  Where it hoists
+work out of the cells: BCZ and AR multiply a^n and b^n up along the run, and
+when the smaller base is 2^k fold the other power minus one modulo
+2^(kn) - 1; CZ strips each unit once, copies the cells (b, a) of the cells
+(a, b) in the columns by strided slices, and evaluates the rest a unit's row
+at a time, a map per column, with only the pairs of units on one root through
+the per-pair core; EDS_GCD without q reads gcd(D_m, D_n) off strong
+divisibility as D_gcd(m, n) and takes ln D_g once per g; MIXED_CHECK takes
+|b - 1| and ln|b| once per b and ln D_n once; PN_CHECK, SIEGEL and
+ABELIAN_GROWTH map a per-cell function; all but CZ extend the columns by one
+transpose of the run's rows.  Rendering encodes each value by its type, which
+the row type declares per column: integers with all their digits, reals with
+12 significant digits (a JSON config's exactly).  It goes by block of at most
+``_BLOCK`` cells, a slice of each column, and within a block by column
+(``_texts``), through a memo of a column's distinct values where they repeat;
+``render_json`` lays a block's records out in one list of parts, a slice
+assignment per column, and joins each block into one text.  The renderers
+return the blocks joined; the CLI writes them one by one.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, count, islice, product, repeat
 from math import copysign, exp, gcd, inf, isfinite, isinf, isnan, log, prod
-from operator import attrgetter, is_not, itemgetter, le, mul, sub, truediv
+from operator import is_not, le, mul, not_, sub, truediv
 from statistics import median
 from sys import float_info, maxsize
 from time import perf_counter
@@ -71,7 +72,7 @@ from .elliptic import (
     neg,
     on_curve,
 )
-from .gcd_height import PnPoint, PolySystem, VojtaParams, bound, check_pn
+from .gcd_height import PnPoint, PolySystem, VojtaParams, _linear_rank, bound, check_pn
 from .mulgrp import (
     EXCEPTIONAL,
     INEQUALITY_HOLDS,
@@ -116,8 +117,10 @@ class SweepConfig(namedtuple("SweepConfig", "kind parameters seed")):
         return tuple.__new__(cls, (SweepKind(kind), parameters, seed))
 
 
-class SweepResult(namedtuple("SweepResult", "config records summary")):
-    __slots__ = ()
+class SweepResult(namedtuple("SweepResult", "config columns summary")):
+    __slots__ = ()  # columns: a list per column of the kind's Row
+    records = property(lambda self: [*map(SPECS[self.config.kind].Row._make, zip(*self.columns))],
+                       doc="The cells as ``Row`` tuples, built on each read.")
 
 
 class KindSpec(namedtuple("KindSpec", "Row index params prepare rows summary C_of_fit",
@@ -125,23 +128,23 @@ class KindSpec(namedtuple("KindSpec", "Row index params prepare rows summary C_o
     """Everything the runner knows about one sweep kind.
 
     ``Row`` is the namedtuple of its ``columns``, whose ``types`` it declares
-    (see ``_row_type``).  ``params`` has one entry
-    per config key, ``(key, check)`` if required and ``(key, check, default)``
-    if not; ``check(key, value)`` returns the plain value or raises
-    ValueError naming the key.  ``prepare(p, seed)`` takes those values (see
-    ``_checked``) and returns ``(ctx, axes)``: the inputs all cells share,
-    and one or two sequences of ``index`` values whose row-major grid is the
-    cells.  ``rows(ctx, axes, cells, out)``, the kind's range kernel and its
-    one evaluator, possibly in a pool worker, appends to ``out`` the ``Row``s
-    of ``cells``, a contiguous range of flat indices into the grid; each
-    carries its key as its ``index`` columns, as an error row does.  ``out``
-    holds the rows just before ``cells.start``, error rows too: all of them
-    in the parent, none in a pool chunk.  A kernel that raises ArithmeticError
-    or ValueError has failed a cell, and ``_eval`` runs it again cell by
-    cell; any other exception leaves ``run``.  ``summary(good, p)``
-    gives the kind's own summary keys from its error-free rows;
-    ``summarize`` adds the fit keys to every kind whose ``columns`` include
-    ``hA``, mapping the log-scale fit to the config's ``C`` by ``C_of_fit``.
+    (see ``_row_type``).  ``params`` has one entry per config key,
+    ``(key, check)`` if required and ``(key, check, default)`` if not;
+    ``check(key, value)`` returns the plain value or raises ValueError naming
+    the key.  ``prepare(p, seed)`` takes those values (see ``_checked``) and
+    returns ``(ctx, axes)``: the inputs all cells share, and one or two
+    sequences of ``index`` values whose row-major grid is the cells.
+    ``rows(ctx, axes, cells, out)``, the kind's range kernel and its one
+    evaluator, possibly in a pool worker, extends ``out``, a tuple of one list
+    per column, by ``cells``, a contiguous range of flat indices into the
+    grid, each cell's key in its ``index`` columns, as on an error row.
+    ``out`` holds the cells before ``cells.start``: all of them in the
+    parent, none in a pool chunk.  A kernel that raises ArithmeticError or
+    ValueError has failed a cell, and ``_eval`` runs it again cell by cell;
+    any other exception leaves ``run``.  ``summary(good, p)`` gives the
+    kind's own summary keys from the columns of its error-free cells by name;
+    ``summarize`` adds the fit keys to every kind with an ``hA`` column,
+    mapping the log-scale fit to the config's ``C`` by ``C_of_fit``.
     """
 
     __slots__ = ()
@@ -303,11 +306,16 @@ def _gcds(a: int, b: int, axes: tuple, cells: range) -> Iterator[tuple[int, int]
             x, y = x * a, y * b
 
 
-def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
+def _extend(out: tuple, rows: list[tuple]) -> None:
+    """Extend the columns ``out`` by one transpose of ``rows``, and ``error`` by None."""
+    for col, values in zip(out, [*zip(*rows), [None] * len(rows)]):
+        col += values
+
+
+def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
     """n, gcd(a**n - 1, b**n - 1) from ``_gcds`` and its bound eps*n*ln 2 + C."""
-    (a, b, eps, C), new = ctx, tuple.__new__
-    out += [new(_BCZRow, (n, g, *bound(log(g), n * LN2, eps, C), None))
-            for n, g in _gcds(a, b, axes, cells)]
+    a, b, eps, C = ctx
+    _extend(out, [(n, g, *bound(log(g), n * LN2, eps, C)) for n, g in _gcds(a, b, axes, cells)])
 
 
 def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
@@ -334,15 +342,13 @@ def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
 
 
 _VERDICT = (EXCEPTIONAL, INEQUALITY_HOLDS).__getitem__  # by holds
-_MIRROR = itemgetter(1, 0, 2, 4, 3, 5, 6, 7, 8, 9)  # the row of (b, a) from that of (a, b)
 
 
-def _cz_cells(ctx: tuple, i: int, lo: int, hi: int) -> list[tuple]:
-    """The rows of the CZ cells (i, j), lo <= j < hi, each column one map
-    over the slice of the units' columns: the rhs is that of unit max(i, j).
-    The cells of units on the root of unit i are replaced by the rows of
-    ``_trichotomy``, which finds their power relations.  A slice that
-    reaches a unit whose rhs is inf raises ``bound``'s OverflowError."""
+def _cz_cells(ctx: tuple, i: int, lo: int, hi: int, out: tuple) -> None:
+    """Extend the columns ``out`` by the CZ cells (i, j), lo <= j < hi, a map
+    per column over a slice of the units' columns, the rhs that of unit
+    max(i, j), then set the cells of units on the root of unit i by
+    ``_trichotomy``.  A slice past a unit whose rhs is inf raises OverflowError."""
     eps, units, unit, shifted, rhs, top, on_root = ctx
     k, n = max(min(i, hi), lo), hi - lo  # cells lo..k lie below the diagonal
     if n and rhs[max(i, hi - 1)] == inf:  # the rhs ascends: the slice's last is its largest
@@ -350,43 +356,46 @@ def _cz_cells(ctx: tuple, i: int, lo: int, hi: int) -> list[tuple]:
     g = list(map(gcd, repeat(shifted[i], n), shifted[lo:hi]))
     lhs = list(map(log, g))
     holds = list(map(le, lhs, [top[i]] * (k - lo) + top[k:hi]))
-    rows = list(map(tuple.__new__, repeat(_CZRow), zip(
-        repeat(units[i]), units[lo:hi], map(_VERDICT, holds), repeat(None), repeat(None),
-        g, lhs, [rhs[i]] * (k - lo) + rhs[k:hi], holds, repeat(None))))
+    at, none = len(out[0]) - lo, [None] * n  # the cell (i, j) goes to out's j + at
+    for col, values in zip(out, ([units[i]] * n, units[lo:hi], map(_VERDICT, holds), none, none,
+                                 g, lhs, [rhs[i]] * (k - lo) + rhs[k:hi], holds, none)):
+        col += values
     for j in on_root[i]:
         if lo <= j < hi:
-            rows[j - lo] = tuple.__new__(_CZRow, (
-                units[i], units[j], *_trichotomy(unit[i], unit[j], eps), None))
-    return rows
+            for col, v in zip(out[2:], _trichotomy(unit[i], unit[j], eps)):
+                col[j + at] = v
 
 
-def _rows_cz(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """The ``cz_classify`` verdict of each pair of a run, a unit row at a
-    time.  ``_trichotomy`` is symmetric, so the cells (i, j), j < i, whose
-    rows of (j, i) in ``out`` are all error-free copy them, m and n swapped;
-    ``_cz_cells`` evaluates the rest."""
+def _rows_cz(ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
+    """The ``cz_classify`` verdict of each pair of a run, a unit row at a time.
+    ``_trichotomy`` is symmetric, so the cells (i, j), j < i, copy the cells
+    (j, i) by strided slices, alpha and beta swapped and m and n, where those
+    in ``out`` are all error-free; ``_cz_cells`` evaluates the rest."""
     L, s, e = len(axes[1]), cells.start, cells.stop
-    base = s - len(out)  # the cell of out[0]
+    base = s - len(out[0])  # the cell of out's first values
     for i in range(s // L, -(-e // L)) if cells else ():
         lo, hi = max(s - i * L, 0), min(e - i * L, L)
-        # the rows of (j, i) for c0 <= j < c1 are written: j*L + i >= base
+        # the cells (j, i) for c0 <= j < c1 are written: j*L + i >= base
         c1 = max(min(i, hi), lo)
         c0 = min(max(lo, -((i - base) // L)), c1)
-        mirrors = out[c0 * L + i - base:c1 * L + i - base:L]
-        if any(map(itemgetter(9), mirrors)):  # an error text is never empty
-            c0, mirrors = c1, ()
+        mirrors = [col[c0 * L + i - base:c1 * L + i - base:L] for col in out]
+        if any(mirrors[-1]):  # an error text is never empty
+            c0, mirrors = c1, [()] * len(out)
         if lo < c0:
-            out += _cz_cells(ctx, i, lo, c0)
-        out += map(tuple.__new__, repeat(_CZRow), map(_MIRROR, mirrors))
-        out += _cz_cells(ctx, i, c1, hi)
+            _cz_cells(ctx, i, lo, c0, out)
+        a, b, v, m, n, *rest = mirrors
+        for col, values in zip(out, (b, a, v, n, m, *rest)):
+            col += values
+        _cz_cells(ctx, i, c1, hi, out)
 
 
-def _summary_cz(good: list[tuple], p: dict) -> dict:
-    verdicts = list(map(itemgetter(2), good))
+def _summary_cz(good: dict, p: dict) -> dict:
+    verdicts = good["verdict"]
     counts = {v: verdicts.count(v) for v in (POWER_RELATION, INEQUALITY_HOLDS, EXCEPTIONAL)}
     # power-relation pairs may fail the raw inequality legitimately; the
-    # trichotomy's genuine violations are the EXCEPTIONAL rows
-    pairs = [[r[0], r[1]] for r, v in zip(good, verdicts) if v == EXCEPTIONAL]
+    # trichotomy's genuine violations are the EXCEPTIONAL cells
+    exc = [*map(EXCEPTIONAL.__eq__, verdicts)]
+    pairs = [*map(list, zip(compress(good["alpha"], exc), compress(good["beta"], exc)))]
     return {"violations": len(pairs), "max_violating_index": pairs[-1] if pairs else None,
             "verdicts": counts, "exceptional_pairs": pairs}
 
@@ -397,15 +406,15 @@ def _prepare_ar(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (a, b, gcd_pair(a, b, 1)), (range(1, p["n_max"] + 1),)
 
 
-def _rows_ar(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
+def _rows_ar(ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
     """Each n of a run, its gcd from ``_gcds``, and whether it is that of n = 1."""
     a, b, base = ctx
-    out += [_ARRow(n, g, base, g == base) for n, g in _gcds(a, b, axes, cells)]
+    _extend(out, [(n, g, base, g == base) for n, g in _gcds(a, b, axes, cells)])
 
 
-def _summary_ar(good: list[tuple], p: dict) -> dict:
-    idx = [r.n for r in good if r.is_return]
-    return {"returns": len(idx), "density": len(idx) / len(good) if good else 0.0,
+def _summary_ar(good: dict, p: dict) -> dict:
+    idx, cells = [*compress(good["n"], good["is_return"])], len(good["n"])
+    return {"returns": len(idx), "density": len(idx) / cells if cells else 0.0,
             "return_indices": idx}
 
 
@@ -432,19 +441,19 @@ def _prepare_eds_gcd(p: dict, seed: int) -> tuple[tuple, tuple]:
             (range(1, m_max + 1), range(1, n_max + 1)))
 
 
-def _rows_eds_gcd(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
+def _rows_eds_gcd(ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
     """m, n, gcd(D_m, D_n) and its bound on h(mP) + h(nQ).  Without q, that
     gcd is D_g, g = gcd(m, n) (see ``_prepare_eds_gcd``), read off the list
     with ln D_g taken once per g; with q, one gcd per cell."""
     mp, nq, disc, eps, C = ctx
-    ln = [log(d) for d, _ in mp[:len(axes[0])]] if mp is nq else None
-    new = tuple.__new__
+    ln, rows = [log(d) for d, _ in mp[:len(axes[0])]] if mp is nq else None, []
     for m, n in _keys(axes, cells):
         (d_m, h_m), (d_n, h_n), g = mp[m - 1], nq[n - 1], gcd(m, n)
         k = gcd(d_m, d_n) if ln is None else mp[g - 1][0]
-        out.append(new(_EDSGCDRow, (m, n, d_m, d_n, k, *bound(
+        rows.append((m, n, d_m, d_n, k, *bound(
             log(k) if ln is None else ln[g - 1], h_m + h_n, eps, C),
-            (m // g) ** 2 + (n // g) ** 2 <= disc, None)))
+            (m // g) ** 2 + (n // g) ** 2 <= disc))
+    _extend(out, rows)
 
 
 def _box_point(bound: int, nvars: int, i: int) -> tuple[int, ...]:
@@ -473,25 +482,6 @@ def _distinct_draws(rng: random.Random, size: int) -> Iterator[int]:
         j = rng.randrange(k, size)
         yield swaps.get(j, j)
         swaps[j] = swaps.get(k, k)
-
-
-def _linear_rank(system: PolySystem, nvars: int) -> int | None:
-    """The rank over Q of the coefficient matrix of a system of linear forms,
-    which is the codimension of the linear space V they cut out, by Fraction
-    elimination; None if some form is not linear."""
-    if any(sum(e for _, e in mono) != 1 for f in system.polys for _, mono in f.terms):
-        return None
-    rows, rank = [[Fraction(0)] * nvars for _ in system.polys], 0
-    for row, f in zip(rows, system.polys):
-        for c, ((v, _),) in f.terms:
-            row[v] = Fraction(c)
-    while rows:  # each nonzero row is a pivot, eliminated from the rest
-        row = rows.pop()
-        j = next((j for j, a in enumerate(row) if a), None)
-        if j is not None:
-            rank += 1
-            rows = [[a - r[j] / row[j] * b for a, b in zip(r, row)] for r in rows]
-    return rank
 
 
 def _pn_params(p: dict) -> tuple[int, VojtaParams]:
@@ -536,7 +526,7 @@ def _prepare_pn(p: dict, seed: int) -> tuple[tuple, tuple]:
 def _row_pn(ctx: tuple, point: str) -> tuple:
     system, S, vp = ctx
     coords = tuple(int(t) for t in point.split(":"))
-    return tuple.__new__(_PNRow, (point, *check_pn(PnPoint(coords), system, S, vp), None))
+    return (point, *check_pn(PnPoint(coords), system, S, vp))
 
 
 def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
@@ -548,20 +538,20 @@ def _prepare_mixed(p: dict, seed: int) -> tuple[tuple, tuple]:
     return (dq, p["eps"], p["C"]), (range(1, n_max + 1), units)
 
 
-def _rows_mixed(ctx: tuple, axes: tuple, cells: range, out: list) -> None:
+def _rows_mixed(ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
     """n, b, D_n and the ``check_mixed`` tuple, whose checks hold here: each b
     of ``s_unit_enumerate`` is an S-unit with |b| >= 2, and ``_checked`` gives
     a positive eps and C.  |b|, |b - 1| and ln|b| are taken once per b, and
     ln max(D_n, |b|) as ln D_n or ln|b|, whichever integer is larger."""
     dq, eps, C = ctx
-    ln_d, ln_C, new, unit = [log(d) for d in dq], log(C), tuple.__new__, {}
+    ln_d, ln_C, rows, unit = [log(d) for d in dq], log(C), [], {}
     for n, b in _keys(axes, cells):
         if b not in unit:
             unit[b] = abs(b), abs(b - 1), log(abs(b))
         d, (size, shifted, ln_b) = dq[n - 1], unit[b]
         g = gcd(d, shifted)
-        out.append(new(_MixedRow, (n, b, d, g, *bound(
-            log(g), ln_d[n - 1] if d >= size else ln_b, eps, ln_C), None)))
+        rows.append((n, b, d, g, *bound(log(g), ln_d[n - 1] if d >= size else ln_b, eps, ln_C)))
+    _extend(out, rows)
 
 
 def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
@@ -577,11 +567,11 @@ def _prepare_siegel(p: dict, seed: int) -> tuple[tuple, tuple]:
 def _row_siegel(ctx: tuple, n: int) -> tuple:
     n_min, dn = ctx
     d, h = dn[n - n_min]
-    return tuple.__new__(_SiegelRow, (n, d, h, 0.0 if d == 1 else 2.0 * log(d) / h, None))
+    return n, d, h, 0.0 if d == 1 else 2.0 * log(d) / h
 
 
-def _summary_siegel(good: list[tuple], p: dict) -> dict:
-    ratios = [r.ratio for r in good]
+def _summary_siegel(good: dict, p: dict) -> dict:
+    ratios = good["ratio"]
     return {"median_abs_dev": median(abs(x - 1.0) for x in ratios) if ratios else None,
             "max_ratio": max(ratios) if ratios else None}
 
@@ -599,7 +589,7 @@ def _row_abelian(ctx: tuple, n: int) -> tuple:
     dp, dq, eps, C = ctx
     a, b = dp[n - 1], dq[n - 1]
     g = gcd(a, b)
-    return tuple.__new__(_AbelianRow, (n, a, b, g, *bound(log(g), float(n ** 2), eps, C), None))
+    return (n, a, b, g, *bound(log(g), float(n ** 2), eps, C))
 
 
 _INT, _REAL, _BOOL, _STR, _NONE = map(frozenset, ({int}, {float}, {bool}, {str}, {type(None)}))
@@ -616,7 +606,7 @@ def _row_type(name: str, **types: frozenset) -> type:
 
 
 # One row type per kind: index columns first, error last.  Each is a module
-# attribute of its own name, so pool workers can pickle rows.
+# attribute of its own name, so its rows pickle.
 _BCZRow = _row_type("_BCZRow", n=_INT, gcd=_INT, lhs=_REAL, hA=_REAL, rhs=_REAL, holds=_BOOL)
 _CZRow = _row_type("_CZRow", alpha=_INT, beta=_INT, verdict=_STR, m=_INT | _NONE,
                    n=_INT | _NONE, gcd=_INT, lhs=_REAL, rhs=_REAL, holds=_BOOL)
@@ -633,8 +623,8 @@ _AbelianRow = _row_type("_AbelianRow", n=_INT, d_p=_INT, d_q=_INT, gcd=_INT, lhs
 
 
 def _map(cell: Callable[..., tuple]) -> Callable[..., None]:
-    """The range kernel that maps ``cell(ctx, *key)`` over the keys of a run."""
-    return lambda ctx, axes, cells, out: out.extend(cell(ctx, *k) for k in _keys(axes, cells))
+    """The range kernel that maps ``cell(ctx, *key)``, a row but its error, over a run."""
+    return lambda ctx, axes, cells, out: _extend(out, [cell(ctx, *k) for k in _keys(axes, cells)])
 
 
 _A_B_N = (("a", _int), ("b", _int), ("n_max", _size))
@@ -647,13 +637,11 @@ SPECS: dict[SweepKind, KindSpec] = {
     ),
     SweepKind.CZ_TRICHOTOMY: KindSpec(
         index=("alpha", "beta"), params=(("primes", _ints), ("bound", _int), _EPS),
-        prepare=_prepare_cz, rows=_rows_cz, Row=_CZRow,
-        summary=_summary_cz,
+        prepare=_prepare_cz, rows=_rows_cz, Row=_CZRow, summary=_summary_cz,
     ),
     SweepKind.AR_RETURNS: KindSpec(
         index=("n",), params=_A_B_N,
-        prepare=_prepare_ar, rows=_rows_ar, Row=_ARRow,
-        summary=_summary_ar,
+        prepare=_prepare_ar, rows=_rows_ar, Row=_ARRow, summary=_summary_ar,
     ),
     SweepKind.EDS_GCD: KindSpec(
         index=("m", "n"), params=(("curve", _curve), ("p", _point), ("q", _point, None),
@@ -666,15 +654,14 @@ SPECS: dict[SweepKind, KindSpec] = {
                                   ("delta", _real, 1.0),
                                   ("sample", _at_least(1, "positive"), None)),
         prepare=_prepare_pn, rows=_map(_row_pn), Row=_PNRow,
-        summary=lambda good, p: {"points": len(good)},
+        summary=lambda good, p: {"points": len(good["point"])},
     ),
     SweepKind.MIXED_CHECK: KindSpec(
         index=("n", "b"), params=(("curve", _curve), ("point", _point),
                                   ("primes", _ints), _EPS, ("n_max", _size),
                                   ("C", _positive(" (it multiplies the bound)"), 1.0),
                                   ("b_bound", _int, 100)),
-        prepare=_prepare_mixed, rows=_rows_mixed, Row=_MixedRow,
-        C_of_fit=exp,
+        prepare=_prepare_mixed, rows=_rows_mixed, Row=_MixedRow, C_of_fit=exp,
     ),
     SweepKind.SIEGEL: KindSpec(
         index=("n",), params=(("curve", _curve), ("point", _point),
@@ -701,24 +688,23 @@ def _keys(axes: tuple, cells: range) -> Iterator[tuple]:
     return islice(product(A[i:], B), j, j + len(cells))
 
 
-def _eval(kind: SweepKind, ctx: tuple, axes: tuple, cells: range, out: list) -> None:
-    """Append the rows of ``cells``, a range of flat indices into the grid of
-    ``axes``, to ``out`` in order; ``out`` holds those before (see ``KindSpec``).
-
-    A kernel that raises ArithmeticError or ValueError failed a cell: what it
-    appended is dropped and it runs on each cell alone, a failing cell giving
-    an error row.  Any other exception is the kernel's own fault and leaves.
-    """
-    spec, start = SPECS[kind], len(out)
+def _eval(kind: SweepKind, ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
+    """Extend the columns ``out`` (see ``KindSpec``) by ``cells`` of the grid
+    of ``axes``.  A kernel that raises ArithmeticError or ValueError failed a
+    cell: what it added is dropped and it runs on each cell alone, a failing
+    cell giving an error row.  Any other exception is its own fault and leaves."""
+    spec, start = SPECS[kind], len(out[0])
     try:
         return spec.rows(ctx, axes, cells, out)
     except (ArithmeticError, ValueError):  # the cells below tag the failures
-        del out[start:]
+        for col in out:
+            del col[start:]
     for i, key in zip(cells, _keys(axes, cells)):
         try:
             spec.rows(ctx, axes, range(i, i + 1), out)
         except (ArithmeticError, ValueError) as exc:
-            out[start + i - cells.start:] = [spec.Row(*key, error=f"{type(exc).__name__}: {exc}")]
+            for col, v in zip(out, spec.Row(*key, error=f"{type(exc).__name__}: {exc}")):
+                col[start + i - cells.start:] = [v]
 
 
 # (kind, ctx, axes) of the sweep a pool worker serves; set once per worker by
@@ -731,10 +717,10 @@ def _init_worker(kind: SweepKind, ctx: tuple, axes: tuple) -> None:
     _WORKER = (kind, ctx, axes)
 
 
-def _eval_chunk(cells: range) -> list[tuple]:
+def _eval_chunk(cells: range) -> tuple:
     kind, ctx, axes = _WORKER
-    _eval(kind, ctx, axes, cells, rows := [])
-    return list(map(tuple, rows))
+    _eval(kind, ctx, axes, cells, out := tuple([] for _ in SPECS[kind].columns))
+    return out
 
 
 # Seconds to start and stop a pool of two workers, by start method (2 cores,
@@ -750,20 +736,20 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
     """Execute a sweep; deterministic for a fixed config at any job count."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    kind = config.kind
+    kind, spec = config.kind, SPECS[config.kind]
     p = _checked(kind, config.parameters)
-    ctx, axes = SPECS[kind].prepare(p, config.seed)
+    ctx, axes = spec.prepare(p, config.seed)
     total = prod(len(axis) for axis in axes)
     workers = min(jobs, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
-    records, step, pool_s = [], total, inf  # one job: the whole grid in one run
+    columns, step, pool_s = tuple([] for _ in spec.columns), total, inf  # one job: one run
     if workers > 1:  # reading the start method fixes it, so only a run that may pool reads it
         from multiprocessing import get_context  # not loaded by a run at one job
         mp = get_context()
         step, pool_s = 1, _POOL_START_S[mp.get_start_method()]
     start = last = perf_counter()
-    while (done := len(records)) < total:  # the serial head
-        _eval(kind, ctx, axes, range(done, min(done + step, total)), records)
+    while (done := len(columns[0])) < total:  # the serial head
+        _eval(kind, ctx, axes, range(done, min(done + step, total)), columns)
         now = perf_counter()
         # a run under 1/32 of a pool's start-up doubles the next, one past
         # 1/16 halves it: as cells get dearer the runs shorten, so the head
@@ -773,58 +759,56 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
         elif now - last > pool_s / 16:
             step = -(-step // 2)
         spent, last = now - start, now
-        if spent > pool_s and spent * (total - len(records)) > 2 * pool_s * len(records):
+        if spent > pool_s and spent * (total - len(columns[0])) > 2 * pool_s * len(columns[0]):
             break
-    if rest := range(len(records), total):
+    if rest := range(len(columns[0]), total):
         size = -(-len(rest) // (8 * workers))
         chunks = [rest[i:i + size] for i in range(0, len(rest), size)]
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=mp,
                                  initializer=_init_worker, initargs=(kind, ctx, axes)) as pool:
             done = list(pool.map(_eval_chunk, reversed(chunks)))  # dearest first
-        Row = SPECS[kind].Row
-        while done:  # lowest indices last; each chunk is freed once it is rows
-            records += map(tuple.__new__, repeat(Row), done.pop())
-    errors = [r.error for r in records if r.error is not None]
+        while done:  # lowest indices last; each chunk is freed once it is in the columns
+            for col, part in zip(columns, done.pop()):
+                col += part
+    errors = [*filter(None, columns[-1])]  # an error text is never empty
     if len(errors) > p["error_budget"]:
         raise ValueError(
             f"error budget exceeded: {len(errors)} error rows "
             f"(budget {p['error_budget']}); first: {errors[0]}"
         )
     # through the module's name, so that a profiler wrapping summarize sees it
-    return SweepResult(config, records, summarize(kind, records, config, p))
+    return SweepResult(config, columns, summarize(kind, columns, config, p))
 
 
-def summarize(kind: SweepKind, records: list[tuple], config: SweepConfig,
+def summarize(kind: SweepKind, columns: Sequence[list], config: SweepConfig,
               p: dict | None = None) -> dict:
-    """Recompute the summary block from the records and the config; ``p``,
-    if given, is the config's parameters as ``_checked`` gives them, which
-    ``run`` passes on instead of checking them twice.
+    """Recompute the summary block from a result's columns and the config;
+    ``p``, if given, is the config's parameters as ``_checked`` gives them,
+    which ``run`` passes on instead of checking them twice.
 
-    A kind with an ``hA`` column also gets ``violations`` (its rows that fail
-    the bound), the index of the last of them, and ``fitted_constant``: the
-    least C with lhs <= eps*hA [+ hcount/(r - 1 + delta*eps), r as in the
-    rows] + C on every error-free row not flagged ``exceptional`` (the
-    asserted exceptional set), or None when no such row is left; a kind whose
-    config ``C`` multiplies the bound reports exp of that C, which it can take back.
-    """
+    A kind with an ``hA`` column also gets ``violations`` (its cells that
+    fail the bound), the index of the last of them, and ``fitted_constant``:
+    the least C with lhs <= eps*hA [+ hcount/(r - 1 + delta*eps), r as in the
+    rows] + C on every error-free cell not flagged ``exceptional`` (the
+    asserted exceptional set), or None when no such cell is left; a kind
+    whose config ``C`` multiplies the bound reports exp of that C."""
     if p is None:
         p = _checked(kind, config.parameters)
-    spec = SPECS[kind]
-    cols = spec.columns
-    good = [r for r in records if r.error is None]
-    s: dict = {"kind": kind.value, "cells": len(records),
-               "error_rows": len(records) - len(good)}
-    if "hA" in cols:
-        viol = [r for r in good if r.holds is False]
+    spec, errors = SPECS[kind], columns[-1]
+    if bad := len(errors) - errors.count(None):  # only then filter the columns
+        columns = [[*compress(col, [e is None for e in errors])] for col in columns]
+    good = dict(zip(spec.columns, columns))
+    s: dict = {"kind": kind.value, "cells": len(errors), "error_rows": bad}
+    if "hA" in good:
+        viol = [*compress(zip(*columns[:len(spec.index)]), map(not_, good["holds"]))]
         s["violations"] = len(viol)
-        s["max_violating_index"] = list(viol[-1][:len(spec.index)]) if viol else None
-        rows = [r for r in good if not r.exceptional] if "exceptional" in cols else good
-        lhs, hA = map(attrgetter("lhs"), rows), map(attrgetter("hA"), rows)
+        s["max_violating_index"] = list(viol[-1]) if viol else None
+        keep = [*map(not_, good["exceptional"])] if "exceptional" in good else repeat(True)
+        lhs, hA = compress(good["lhs"], keep), compress(good["hA"], keep)
         gaps = map(sub, lhs, map(mul, repeat(p["eps"]), hA))
-        if "hcount" in cols:  # the counting term on P^n
-            weights = repeat(_pn_params(p)[1].weight)
-            gaps = map(sub, gaps, map(truediv, map(attrgetter("hcount"), rows), weights))
+        if "hcount" in good:  # the counting term on P^n, by its weight
+            gaps = map(sub, gaps, map(truediv, good["hcount"], repeat(_pn_params(p)[1].weight)))
         fit = max(gaps, default=None)
         s["fitted_constant"] = None if fit is None else spec.C_of_fit(fit)
     return {**s, **spec.summary(good, p)}
@@ -902,13 +886,13 @@ def _texts(col: Sequence, enc: dict, types: Set[type]) -> Iterable[str]:
     return [enc[type(v)](v) for v in col]
 
 
-# Records per rendered block: a render lays out the texts of one block at a
-# time, so the memory it holds above the records stays near its own output
+# Cells per rendered block: a render lays out the texts of one block at a
+# time, so the memory it holds above the columns stays near its own output
 _BLOCK = 2048
 
 
 def _block_types(types: tuple, index: int, errors: Sequence) -> tuple:
-    """The ``types`` of the columns of a block of rows whose last column is
+    """The ``types`` of the columns of a block of cells whose last column is
     ``errors``: where that holds an error, those of the columns past the
     first ``index`` (a sweep's index columns) also take None."""
     if errors.count(None) == len(errors):
@@ -917,27 +901,25 @@ def _block_types(types: tuple, index: int, errors: Sequence) -> tuple:
 
 
 def _csv_lines(head: list[str], block: Sequence, types: tuple, index: int) -> str:
-    """The lines of ``head``, then a line per row of ``block``, encoded by
-    column (see ``_csv_blocks``), each ended by a line feed."""
-    cols = [*zip(*block)]
-    types = _block_types(types, index, cols[-1]) if cols else types
-    texts = [*map(_texts, cols, repeat(_CSV), types)]
+    """The lines of ``head`` and of the cells of ``block``, encoded by column, each ended by LF."""
+    types = _block_types(types, index, block[-1])
+    texts = [*map(_texts, block, repeat(_CSV), types)]
     return "\n".join([*head, *map(",".join, zip(*texts)), ""])
 
 
-def _csv_blocks(columns: Sequence[str], rows: Sequence, types: tuple, index: int) -> list[str]:
-    """The table as a text per block of rows, the first led by a header line
-    of ``columns``: a table of one block is one text, which a join returns
-    as it is.  ``types`` and ``index`` are as ``_block_types`` takes them."""
-    head = [",".join(columns)]
-    return [_csv_lines([] if start else head, rows[start:start + _BLOCK], types, index)
-            for start in range(0, len(rows), _BLOCK)] or [_csv_lines(head, (), types, index)]
+def _csv_blocks(names: Sequence[str], columns: Sequence, types: tuple, index: int) -> list[str]:
+    """The table of ``columns`` as a text per block of cells, the first led by
+    a header line of ``names``: a table of one block is one text, which a join
+    returns as it is.  ``types`` and ``index`` are as ``_block_types`` takes."""
+    head = [",".join(names)]
+    return [_csv_lines([] if at else head, [c[at:at + _BLOCK] for c in columns], types, index)
+            for at in range(0, len(columns[0]) or 1, _BLOCK)]
 
 
 def render_csv(result: SweepResult) -> str:
-    """One row per record in index order, fixed header per kind."""
+    """One row per cell in index order, fixed header per kind."""
     spec = SPECS[result.config.kind]
-    return "".join(_csv_blocks(spec.columns, result.records, spec.Row.types, len(spec.index)))
+    return "".join(_csv_blocks(spec.columns, result.columns, spec.Row.types, len(spec.index)))
 
 
 def _json_text(v, pad: str = "\n", enc: dict = _JSON) -> str:
@@ -965,38 +947,36 @@ def _json_text(v, pad: str = "\n", enc: dict = _JSON) -> str:
 
 
 def _json_blocks(result: SweepResult, version: str | None = None) -> list[str]:
-    """``render_json``'s document as a text per block of records, the first
+    """``render_json``'s document as a text per block of cells, the first
     led by the config and the last followed by the summary: a document of
     one block is one text, which a join returns as it is."""
     if version is None:
         from . import __version__ as version
-    records, spec, cfg = result.records, SPECS[result.config.kind], result.config
+    columns, spec, cfg = result.columns, SPECS[result.config.kind], result.config
     cols, keys, errs = spec.columns, sorted(spec.columns[:-1]), (*spec.index, "error")
     width, at = 2 * len(keys) + 1, [cols.index(k) for k in keys]
     config = {"kind": cfg.kind.value, "parameters": cfg.parameters, "seed": cfg.seed}
     head = '{\n  "config": ' + _json_text(config, "\n  ", _ECHO) + ',\n  "records": ['
-    tail = ("\n  ]" if records else "]") + ',\n  "summary": ' + _json_text(
+    tail = ("\n  ]" if columns[0] else "]") + ',\n  "summary": ' + _json_text(
         result.summary, "\n  ") + ',\n  "version": ' + _JSON[str](version) + "\n}\n"
-    # a record is an object of sorted keys: every column but error, laid out in
-    # one list of parts per block, the keys' texts repeated and the values by
-    # a slice assignment per column, or on an error row its index and error
+    # one list of parts per block: a record's sorted keys but error, their texts
+    # repeated, its values by a slice per column; an error row's index and error
     after = [*(f",\n      {json.dumps(k)}: " for k in keys[1:]), "\n    }"]
     record = [f",\n    {{\n      {json.dumps(keys[0])}: ",
               *chain.from_iterable(zip(repeat(None), after))]
     out = []
-    for start in range(0, len(records), _BLOCK):
-        block = records[start:start + _BLOCK]
-        columns, n = [*zip(*block)], len(block)
-        types = _block_types(spec.Row.types, len(spec.index), columns[-1])
-        parts = record * n
+    for start in range(0, len(columns[0]), _BLOCK):
+        block = [c[start:start + _BLOCK] for c in columns]
+        types = _block_types(spec.Row.types, len(spec.index), block[-1])
+        parts = record * len(block[0])
         for j, c in enumerate(at):
-            parts[2 * j + 1::width] = _texts(columns[c], _JSON, types[c])
-        for i in compress(count(), map(is_not, columns[-1], repeat(None))):
-            text = _json_text({k: getattr(block[i], k) for k in errs}, "\n    ")
+            parts[2 * j + 1::width] = _texts(block[c], _JSON, types[c])
+        for i in compress(count(), map(is_not, block[-1], repeat(None))):
+            text = _json_text({k: block[cols.index(k)][i] for k in errs}, "\n    ")
             parts[i * width:(i + 1) * width] = [",\n    " + text, *[""] * (width - 1)]
         if not out:  # no comma before the first record
             parts[0] = head + parts[0][1:]
-        if start + n == len(records):
+        if start + _BLOCK >= len(columns[0]):
             parts.append(tail)
         out.append("".join(parts))
     return out or [head + tail]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from fractions import Fraction
 from math import gcd, inf, isfinite, isinf, isnan, log
 
 from .arith import EPS_SLACK, LogReal, PrimeSet, prime_to_S_part
@@ -166,6 +167,25 @@ class PolySystem(namedtuple("PolySystem", "polys")):
     @classmethod
     def of(cls, *texts: str) -> "PolySystem":
         return cls(polys=tuple(parse_poly(t) for t in texts))
+
+
+def _linear_rank(system: PolySystem, nvars: int) -> int | None:
+    """The rank over Q of the coefficient matrix of a system of linear forms,
+    which is the codimension of the linear space V they cut out, by Fraction
+    elimination; None if some form is not linear."""
+    if any(sum(e for _, e in mono) != 1 for f in system.polys for _, mono in f.terms):
+        return None
+    rows, rank = [[Fraction(0)] * nvars for _ in system.polys], 0
+    for row, f in zip(rows, system.polys):
+        for c, ((v, _),) in f.terms:
+            row[v] = Fraction(c)
+    while rows:  # each nonzero row is a pivot, eliminated from the rest
+        row = rows.pop()
+        j = next((j for j, a in enumerate(row) if a), None)
+        if j is not None:
+            rank += 1
+            rows = [[a - r[j] / row[j] * b for a, b in zip(r, row)] for r in rows]
+    return rank
 
 
 # ----------------------------------------------------------------------------

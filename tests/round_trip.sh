@@ -44,6 +44,9 @@ printf '%s\n' '{"kind": "SIEGEL", "parameters": {"curve": [0, 0, 1, -1, 0],' \
   '"point": [0, 0], "n_min": 5, "n_max": 40}}' > siegel.json
 printf '%s\n' '{"kind": "SIEGEL", "parameters": {"curve": [0, 0, 0, 0, 17],' \
   '"point": [-2, 3], "n_max": 80}}' > siegel17.json
+# 420 of its 484 cells are error rows
+printf '%s\n' '{"kind": "CZ_TRICHOTOMY", "parameters": {"primes": [2, 3], "bound": 30,' \
+  '"eps": 1e308, "error_budget": 1000}}' > czerrors.json
 for jobs in 1 2; do
   cli gcdpow --a 2 --b 3 --eps 0.5 --nmax 300 --jobs $jobs \
     --baseline "$DATA/bcz_a2_b3_eps05_n300.csv" > /dev/null
@@ -59,6 +62,8 @@ for jobs in 1 2; do
     --baseline "$DATA/siegel_37a1_n5_40.csv" > /dev/null
   cli sweep --config siegel17.json --jobs $jobs \
     --baseline "$DATA/siegel_x3p17_m2_3_n80.csv" > /dev/null
+  cli sweep --config czerrors.json --jobs $jobs \
+    --baseline "$DATA/cz_s23_b30_eps1e308_errors.csv" > /dev/null
 done
 
 # 3. every JSON golden through its own config block, at --jobs 1 and 2
@@ -76,6 +81,8 @@ cli trichotomy --primes 2,3,5 --nmax 2000 --eps 0.25 --format json --jobs 2 \
   --baseline cz.json > /dev/null
 cli gcdpow --a 2 --b 3 --nmax 8010 --eps 0.5 --jobs 1 --out bcz.csv
 cli gcdpow --a 2 --b 3 --nmax 8010 --eps 0.5 --jobs 2 --baseline bcz.csv > /dev/null
+cli sweep --config czerrors.json --format json --jobs 1 --out czerrors.out.json
+cli sweep --config czerrors.json --format json --jobs 2 --baseline czerrors.out.json > /dev/null
 
 # 5. an --out that cannot be written is refused
 refuses '.*No such file or directory' gcdpow --a 2 --b 3 --nmax 6 --out missing/o.csv

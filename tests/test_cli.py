@@ -9,6 +9,7 @@ Contract under test: exit 0 success, 1 usage error, 2 computation error,
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -683,6 +684,58 @@ def test_sweep_runs_a_config_file(tmp_path, capsys):
     got = capsys.readouterr().out
     assert main(["gcdpow", "--a", "2", "--b", "3", "--nmax", "10"]) == 0
     assert got == capsys.readouterr().out
+
+
+# A config of each kind whose grid has an empty axis, and the sha256 of its
+# CSV and JSON output, frozen from the renderers that held rows: a header
+# line, or a document with no records.  SIEGEL has no empty axis, since
+# 1 <= n_min <= n_max, and refuses n_max 0
+EMPTY_GRIDS = {
+    SweepKind.BCZ: ({"a": 2, "b": 3, "eps": 0.5, "n_max": 0},
+                    "87a267f7c8067a3f964aa2567caf9f941b440e395b425a51ba601a2029c0a443",
+                    "c82595787bb3b0fdca0d3c0b1c55df44000318f946947ffecdaf8008353e5dd8"),
+    SweepKind.CZ_TRICHOTOMY: ({"primes": [2, 3], "bound": 1, "eps": 0.25},
+                              "fae3ba573843f58c807c6d9cb94e315439d158a71ad92e4ff141a42d58bf06b1",
+                              "66ab942034f63db66e7d8d56697ce9653af001f72aa5a7145f256245a1eb22dd"),
+    SweepKind.AR_RETURNS: ({"a": 2, "b": 3, "n_max": 0},
+                           "517f6735936c4fcdc6c5786e1a8b9662e53336ddd9c79b60c8d929179b08b0e2",
+                           "e47f372972a915b6fdb8c0403cadc75953a8aa85548ce54d71828b4278d6cce6"),
+    SweepKind.EDS_GCD: ({"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": 0, "n_max": 4,
+                         "eps": 0.2},
+                        "22d2bc1a2d2f7b51b8ee756ce79377bc4aac97c4c1704ec558352fb80b4cdb88",
+                        "ecbfadc2de393634577d610def9434195e20b50a8f3c8e47fc58df474df2faac"),
+    SweepKind.PN_CHECK: ({"polys": ["X1-X0", "X2-X0"], "primes": [2], "bound": 0, "eps": 0.5},
+                         "90efe4a7a7e9a6b3e8a2a0b25bff665e02f16c08b5e44f27a1bc66ddb7ddd237",
+                         "711f28f67fe009e2dddc903c5d2d2d8a8d5ca73b6b6f590764a5df6abf82f4bf"),
+    SweepKind.MIXED_CHECK: ({"curve": [0, 0, 1, -1, 0], "point": [0, 0], "primes": [3],
+                             "eps": 0.5, "n_max": 0, "b_bound": 10},
+                            "54990058a572667702b3b4ba460ba0386695cab07080ade1cc9f77b0ca6d33c3",
+                            "dcf96681cfe05bf4900b521a1ad3bc1b700508c28765750d2c7ab2f912ef37c8"),
+    SweepKind.ABELIAN_GROWTH: ({"curve": [0, 1, 1, -2, 0], "p": [0, 0], "q": [1, 0],
+                                "n_max": 0, "eps": 0.3, "independence_asserted": True},
+                               "6c69b22f8717d3c053f5a6cd84af1a0059d9d95363a06ade4c001dba97287638",
+                               "de96bc1944b5ceb6ded75fde5c3ed2f0534219fef690a91b3119b6c2f8a04692"),
+}
+
+
+@pytest.mark.parametrize("kind", list(SweepKind))
+def test_an_empty_grid_keeps_its_output(kind, tmp_path, capsys):
+    siegel = {"curve": [0, 0, 1, -1, 0], "point": [0, 0], "n_max": 0}
+    params, *digests = EMPTY_GRIDS.get(kind, (siegel,))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": kind.value, "parameters": params}))
+    for fmt, digest in zip(("csv", "json"), digests or [None, None]):
+        for jobs in ("1", "2"):
+            code = main(["sweep", "--config", str(path), "--format", fmt, "--jobs", jobs])
+            out, err = capsys.readouterr()
+            if digest is None:
+                assert (code, out, err) == (2, "", "error: need 1 <= n_min <= n_max\n")
+            else:
+                assert (code, err) == (0, "") and hashlib.sha256(out.encode()).hexdigest() == digest
+    if digests:  # one empty list per column
+        columns = run(SweepConfig(kind=kind, parameters=params)).columns
+        assert columns == tuple([] for _ in SPECS[kind].columns)
+        assert len({id(col) for col in columns}) == len(columns)
 
 
 @pytest.mark.parametrize("q", [[0, 0], [0, -1]], ids=["P", "-P"])

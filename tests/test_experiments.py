@@ -66,6 +66,18 @@ EDSGCD_389A1 = SweepConfig(kind=SweepKind.EDS_GCD,
                                        "eps": 0.25})
 
 
+def _columns(kind: SweepKind, rows: list) -> tuple:
+    """``rows`` of ``kind``'s ``Row`` as a result holds them: one list per
+    column, and one empty list per column for no rows."""
+    return tuple(map(list, zip(*rows))) or tuple([] for _ in experiments.SPECS[kind].columns)
+
+
+def _result(config: SweepConfig, rows: list) -> SweepResult:
+    """The result of ``rows``, summarized."""
+    columns = _columns(config.kind, rows)
+    return SweepResult(config, columns, summarize(config.kind, columns, config))
+
+
 # ----------------------------------------------------------------------------
 # configuration plumbing
 # ----------------------------------------------------------------------------
@@ -331,7 +343,7 @@ def test_pn_summarize_without_codim_r_is_the_run_summary():
                       parameters={"polys": ["X1-X0", "X2-X0", "X3-X0"], "primes": [2],
                                   "bound": 3, "eps": 0.4, "delta": 2.5, "C": 0.3})
     res = run(cfg)
-    assert summarize(SweepKind.PN_CHECK, res.records, cfg) == res.summary
+    assert summarize(SweepKind.PN_CHECK, res.columns, cfg) == res.summary
     assert res.summary["fitted_constant"] is not None
 
 
@@ -370,6 +382,7 @@ def test_bcz_summary_frozen():
     assert math.isclose(s["fitted_constant"], BCZ300_FITTED, rel_tol=1e-12)
 
 
+ERRORS_GOLDEN = "cz_s23_b30_eps1e308_errors.csv"
 BOUND_GOLDENS = [
     ("edsgcd_37a1_eps02_n12.csv", SweepKind.EDS_GCD,
      {"curve": [0, 0, 1, -1, 0], "p": [0, 0], "m_max": 12, "n_max": 12, "eps": 0.2}),
@@ -384,6 +397,10 @@ BOUND_GOLDENS = [
     # 40 units, the shape of the CZ sweeps the benchmark renders
     ("cz_s27_b450_eps025.csv", SweepKind.CZ_TRICHOTOMY,
      {"primes": [2, 7], "bound": 450, "eps": 0.25}),
+    # 420 of its 484 cells are error rows, the pairs whose larger unit's bound
+    # overflows a float, (i, j) and (j, i) alike: the error path in bytes
+    (ERRORS_GOLDEN, SweepKind.CZ_TRICHOTOMY,
+     {"primes": [2, 3], "bound": 30, "eps": 1e308, "error_budget": 1000}),
     # the fit keys are in the JSON summary only: this fit leaves out the
     # diagonal, which has violations, and the PN one depends on the weight
     ("edsgcd_37a1_eps02_n12.json", SweepKind.EDS_GCD,
@@ -457,7 +474,7 @@ def test_siegel_bad_reduction_golden_csv(data_dir):
 
 def test_summary_is_function_of_records():
     res = run(EDSGCD_37A1)
-    assert summarize(SweepKind.EDS_GCD, res.records, res.config) == res.summary
+    assert summarize(SweepKind.EDS_GCD, res.columns, res.config) == res.summary
 
 
 def _summary_oracle(kind: SweepKind, records: list, config: SweepConfig) -> dict:
@@ -511,8 +528,8 @@ def test_summarize_by_column_is_the_row_wise_summary(kind):
     broken = [spec.Row(*r[:len(spec.index)], *blank, "E: x") if i % 3 == 0 else r
               for i, r in enumerate(records)]
     for rows in (records, broken, broken[:1], []):
-        assert summarize(kind, rows, cfg) == _summary_oracle(kind, rows, cfg)
-    assert summarize(kind, records, cfg)["cells"] > 1
+        assert summarize(kind, _columns(kind, rows), cfg) == _summary_oracle(kind, rows, cfg)
+    assert summarize(kind, _columns(kind, records), cfg)["cells"] > 1
 
 
 def test_cz_summary_counts_match_direct_classification():
@@ -746,13 +763,17 @@ def test_abelian_sweep_frozen():
 # error handling
 # ----------------------------------------------------------------------------
 
-def _appended(prefix: list, fn, *args) -> list:
-    """The rows ``fn(*args, out)`` appends to ``out``, a copy of ``prefix``:
-    ``fn`` returns nothing and leaves the prefix as it was."""
-    out = list(prefix)
+def _appended(kind: SweepKind, prefix: list, fn, *args) -> list:
+    """The rows by which ``fn(*args, out)`` extends ``out``, the columns of
+    the ``kind`` rows ``prefix``: ``fn`` returns nothing, keeps the columns
+    one list each and as long as each other, and leaves the prefix as it was."""
+    out = _columns(kind, prefix)
     assert fn(*args, out) is None
-    assert out[:len(prefix)] == prefix
-    return out[len(prefix):]
+    assert type(out) is tuple and {type(col) for col in out} == {list}
+    assert len(out) == len(experiments.SPECS[kind].columns) and len(set(map(len, out))) == 1
+    rows = SweepResult(SweepConfig(kind, {}), out, {}).records
+    assert rows[:len(prefix)] == prefix
+    return rows[len(prefix):]
 
 
 # Each kind's row of one cell by the library's per-cell routes, as
@@ -819,21 +840,23 @@ def test_eval_cell_tags_failures_with_index():
     # a context whose bound overflows a float from n = 2 on: cell 2 of the
     # grid is n = 3, and of the whole grid only n = 1 holds a row
     ctx, axes = (2, 3, sys.float_info.max, 0.0), (range(1, 5),)
-    rows = _appended([], experiments._eval, SweepKind.BCZ, ctx, axes, range(2, 3))
+    rows = _appended(SweepKind.BCZ, [], experiments._eval, SweepKind.BCZ, ctx, axes, range(2, 3))
     assert len(rows) == 1
     assert rows[0].n == 3
     assert rows[0].error == "OverflowError: the bound overflows a float: rhs = inf"
-    rows = _appended([], experiments._eval, SweepKind.BCZ, ctx, axes, range(4))
+    rows = _appended(SweepKind.BCZ, [], experiments._eval, SweepKind.BCZ, ctx, axes, range(4))
     assert [r.error is None for r in rows] == [True, False, False, False]
     # a context that breaks the kernel with a TypeError is a fault, not a row
     with pytest.raises(TypeError):
-        experiments._eval(SweepKind.BCZ, (2, 3, "bad", 0.0), axes, range(2, 3), [])
+        experiments._eval(SweepKind.BCZ, (2, 3, "bad", 0.0), axes, range(2, 3),
+                          _columns(SweepKind.BCZ, []))
     # two axes are walked row-major: cell 5 of a 3x4 grid is key (2, 20); C = -1
     # fails every row, in the kernel's log(C)
     ctx = ([1, 1, 1], 0.5, -1.0)
     axes = (range(1, 4), [10, 20, 30, 40])
-    rows = _appended(["row 4"], experiments._eval, SweepKind.MIXED_CHECK, ctx, axes,
-                     range(5, 6))
+    before = [experiments._MixedRow(2, 10, error="E: row 4")]
+    rows = _appended(SweepKind.MIXED_CHECK, before, experiments._eval, SweepKind.MIXED_CHECK,
+                     ctx, axes, range(5, 6))
     assert [k for k, v in rows[0]._asdict().items() if v is not None] == ["n", "b", "error"]
     assert (rows[0].n, rows[0].b) == (2, 20)
     assert rows[0].error == "ValueError: math domain error"
@@ -900,7 +923,7 @@ def test_cells_carry_their_row_index(kind):
     keys = list(itertools.product(*axes))
     assert keys and len(axes) == len(spec.index)
     for i, key in enumerate(keys):
-        [row] = _appended([], spec.rows, ctx, axes, range(i, i + 1))
+        [row] = _appended(kind, [], spec.rows, ctx, axes, range(i, i + 1))
         assert type(row) is spec.Row and row.error is None
         assert dict(zip(spec.index, key)) == {k: getattr(row, k) for k in spec.index}
 
@@ -1003,7 +1026,7 @@ def test_kernel_rows_match_the_map_of_row(name):
         want = rows[cells.start:cells.stop]
         for prefix in ([], rows[:cells.start]):
             for fn, *args in ((experiments._eval, kind), (spec.rows,)):
-                got = _appended(prefix, fn, *args, ctx, axes, cells)
+                got = _appended(kind, prefix, fn, *args, ctx, axes, cells)
                 assert got == want and {type(r) for r in got} <= {spec.Row}
     # a context that breaks every cell: the kernel raises on each run, also
     # after error rows it must not copy, and _eval tags each cell of the run
@@ -1012,14 +1035,14 @@ def test_kernel_rows_match_the_map_of_row(name):
     errors = []
     for i, key in enumerate(keys):
         with pytest.raises((ArithmeticError, ValueError)) as exc:
-            spec.rows(broken, axes, range(i, i + 1), [])
+            spec.rows(broken, axes, range(i, i + 1), _columns(kind, []))
         errors.append(spec.Row(*key, error=f"{type(exc.value).__name__}: {exc.value}"))
     for cells in runs:
         for prefix in ([], errors[:cells.start]):
             if cells:
                 with pytest.raises((ArithmeticError, ValueError)):
-                    spec.rows(broken, axes, cells, list(prefix))
-            assert (_appended(prefix, experiments._eval, kind, broken, axes, cells)
+                    spec.rows(broken, axes, cells, _columns(kind, prefix))
+            assert (_appended(kind, prefix, experiments._eval, kind, broken, axes, cells)
                     == errors[cells.start:cells.stop])
 
 
@@ -1033,7 +1056,119 @@ def test_one_cell_kernel_runs_match_the_oracle(name):
     rows = [ORACLES[kind](p, ctx, *key) for key in itertools.product(*axes)]
     for i, want in enumerate(rows):
         for prefix in ([], rows[:i]):
-            assert _appended(prefix, spec.rows, ctx, axes, range(i, i + 1)) == [want]
+            assert _appended(kind, prefix, spec.rows, ctx, axes, range(i, i + 1)) == [want]
+
+
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="pool workers must inherit the patched kernel")
+
+
+def _oracle_columns(kind: SweepKind, params: dict, bad: set = frozenset()) -> tuple:
+    """The columns of the map of ``kind``'s oracle over the grid of
+    ``params``, but for an error row on each cell of ``bad``, which the
+    kernel fails alone under the ``BREAK_CTX`` context."""
+    spec = experiments.SPECS[kind]
+    ctx, axes = spec.prepare(p := experiments._checked(kind, params), 0)
+    rows = []
+    for i, key in enumerate(itertools.product(*axes)):
+        if i in bad:
+            with pytest.raises((ArithmeticError, ValueError)) as exc:
+                spec.rows(_broken(kind, ctx), axes, range(i, i + 1), _columns(kind, []))
+            rows.append(spec.Row(*key, error=f"{type(exc.value).__name__}: {exc.value}"))
+        else:
+            rows.append(ORACLES[kind](p, ctx, *key))
+    return _columns(kind, rows)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+def test_run_columns_are_the_transposed_oracle_rows(name, jobs, forced_pool):
+    # run() through the head and, at two jobs, 16 pool chunks, each of
+    # which returns its columns
+    kind, params = KERNEL_GRIDS[name]
+    res = run(SweepConfig(kind=kind, parameters=params), jobs=jobs)
+    assert res.columns == _oracle_columns(kind, params)
+    assert [len(pool.chunks) for pool in forced_pool] == [16] * (jobs - 1)
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+@pytest.mark.parametrize("name", list(KERNEL_GRIDS))
+def test_run_columns_with_error_rows_across_chunks(name, jobs, forced_pool, monkeypatch):
+    # the cells (i, j) with i + j = 0 mod 5 (on one axis, n = 0 mod 5) fail
+    # under the BREAK_CTX context, in the head and in every chunk; on CZ the
+    # set is symmetric, so no cell copies an error row
+    kind, params = KERNEL_GRIDS[name]
+    spec = experiments.SPECS[kind]
+    _, axes = spec.prepare(experiments._checked(kind, params), 0)
+    total, L = math.prod(map(len, axes)), len(axes[-1])
+    bad = {k for k in range(total) if (k // L + k % L) % 5 == 0}
+
+    def breaking(ctx, axes, cells, out):
+        return spec.rows(_broken(kind, ctx) if bad.intersection(cells) else ctx, axes, cells, out)
+
+    want = _oracle_columns(kind, params, bad)
+    monkeypatch.setitem(experiments.SPECS, kind, spec._replace(rows=breaking))
+    res = run(SweepConfig(kind=kind, parameters={**params, "error_budget": len(bad)}), jobs=jobs)
+    assert res.columns == want and res.summary["error_rows"] == len(bad)
+    if jobs > 1:
+        [pool] = forced_pool
+        assert all(bad.intersection(chunk) for chunk in pool.chunks)
+
+
+@pytest.mark.parametrize("core", ["_cz_cells", "_trichotomy"])
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_run_columns_with_an_injected_cz_fault(core, jobs, forced_pool, monkeypatch):
+    # a fault of the column core on {6, -4}, at cells 95 and 158, or of the
+    # per-pair core on {4, 8}, at cells 119 and 203: units on the root 2, whose
+    # cells the column core has already added when the per-pair core raises
+    pair, errors = {6, -4}, dict(zip((95, 158), CZ30_ERRORS))
+    if core == "_cz_cells":
+        _inject_cz_fault(monkeypatch)
+    else:
+        pair, errors = {4, 8}, {119: experiments._CZRow(4, 8, error="ArithmeticError: injected"),
+                                203: experiments._CZRow(8, 4, error="ArithmeticError: injected")}
+        trichotomy = experiments._trichotomy
+
+        def flaky(ua, ub, eps):
+            if {ua.x, ub.x} == pair:
+                raise ArithmeticError("injected")
+            return trichotomy(ua, ub, eps)
+
+        monkeypatch.setattr(experiments, "_trichotomy", flaky)
+    want = _oracle_columns(CZ30_FAULTY.kind, {**CZ30_FAULTY.parameters})
+    for i, row in errors.items():
+        assert {want[0][i], want[1][i]} == pair
+        for col, v in zip(want, row):
+            col[i] = v
+    assert run(CZ30_FAULTY, jobs=jobs).columns == want
+    assert len(forced_pool) == jobs - 1
+
+
+def test_cz_head_runs_then_empty_chunks_give_the_whole_grid():
+    # random CZ grids, each cut at random into head runs that extend one set
+    # of columns, as the parent's do, then chunks that each start from no
+    # columns, as a pool worker's do, joined: the columns of one run
+    rng, kind = random.Random(38), SweepKind.CZ_TRICHOTOMY
+    spec = experiments.SPECS[kind]
+    for _ in range(60):
+        params = {"primes": rng.sample([2, 3, 5, 7], rng.randint(1, 3)),
+                  "bound": rng.randint(2, 120), "eps": rng.choice([0.05, 0.25, 0.5, 2.0])}
+        ctx, axes = spec.prepare(experiments._checked(kind, params), 0)
+        total = len(axes[0]) ** 2
+        whole = _columns(kind, [])
+        experiments._eval(kind, ctx, axes, range(total), whole)
+        cuts = sorted(rng.sample(range(1, total), min(max(total - 1, 0), rng.randint(0, 12))))
+        bounds = [0, *cuts, total]
+        runs = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        head = rng.randint(0, len(runs))
+        got = _columns(kind, [])
+        for cells in runs[:head]:
+            spec.rows(ctx, axes, cells, got)
+        for cells in runs[head:]:
+            spec.rows(ctx, axes, cells, chunk := _columns(kind, []))
+            for col, part in zip(got, chunk):
+                col += part
+        assert got == whole, params
 
 
 # BCZ and AR grids whose power of two 2**k, k in 1..3, is a or b; the route
@@ -1066,7 +1201,7 @@ def test_mersenne_kernels_match_the_map_of_row(kind, params, routed, e0, monkeyp
     keys = list(itertools.product(*axes))
     for cells in _runs(len(keys), len(axes[-1])):
         want = [ORACLES[kind](p, ctx, *key) for key in keys[cells.start:cells.stop]]
-        assert _appended([], spec.rows, ctx, axes, cells) == want
+        assert _appended(kind, [], spec.rows, ctx, axes, cells) == want
     # the routed grids cross the cut-off; the others never take the route
     assert (min(es) < e0 <= max(es)) if routed else es == []
 
@@ -1074,8 +1209,8 @@ def test_mersenne_kernels_match_the_map_of_row(kind, params, routed, e0, monkeyp
 def _count_cz_cells(monkeypatch) -> list[int]:
     """The number of cells of each call of the CZ kernel's column core."""
     calls, core = [], experiments._cz_cells
-    monkeypatch.setattr(experiments, "_cz_cells", lambda ctx, i, lo, hi:
-                        calls.append(hi - lo) or core(ctx, i, lo, hi))
+    monkeypatch.setattr(experiments, "_cz_cells", lambda ctx, i, lo, hi, out:
+                        calls.append(hi - lo) or core(ctx, i, lo, hi, out))
     return calls
 
 
@@ -1111,7 +1246,7 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
         for prefix in ([], rows[:cells.start]):
             calls.clear()
             pairs.clear()
-            got = _appended(prefix, spec.rows, ctx, axes, cells)
+            got = _appended(kind, prefix, spec.rows, ctx, axes, cells)
             assert got == rows[cells.start:cells.stop]
             assert {type(r) for r in got} <= {spec.Row}
             # the column core evaluates a cell (i, j) unless j < i and (j, i)
@@ -1125,7 +1260,7 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
         assert len(own) == sum(k % L >= k // L for k in cells)
     # on the whole grid, once per unordered pair
     calls.clear()
-    _appended([], spec.rows, ctx, axes, range(len(keys)))
+    _appended(kind, [], spec.rows, ctx, axes, range(len(keys)))
     assert sum(calls) == L * (L + 1) // 2
 
 
@@ -1171,11 +1306,11 @@ def _inject_cz_fault(monkeypatch) -> None:
     symmetric core is."""
     cells = experiments._cz_cells
 
-    def flaky_cells(ctx, i, lo, hi):
+    def flaky_cells(ctx, i, lo, hi, out):
         units = ctx[1]
         if any({units[i], b} == {6, -4} for b in units[lo:hi]):
             raise ArithmeticError("injected")
-        return cells(ctx, i, lo, hi)
+        return cells(ctx, i, lo, hi, out)
 
     monkeypatch.setattr(experiments, "_cz_cells", flaky_cells)
 
@@ -1469,7 +1604,7 @@ def test_run_summarizes_once_through_the_public_summarize(forced_pool, monkeypat
     monkeypatch.setattr(experiments, "summarize", spy)
     for jobs in (1, 2):
         res = run(CZ30, jobs=jobs)
-        assert calls == [(SweepKind.CZ_TRICHOTOMY, res.records, CZ30)]
+        assert calls == [(SweepKind.CZ_TRICHOTOMY, res.columns, CZ30)]
         assert res.summary == summarize(*calls.pop())
     assert len(forced_pool) == 1
 
@@ -1647,7 +1782,7 @@ def test_renderers_match_oracles_on_error_rows():
     blank = [None] * (len(spec.columns) - 3)
     for i, message in ((0, 'ValueError: a}b,c"d\ne \u00fc'), (3, "E: },\n{")):
         records[i] = spec.Row(*records[i][:2], *blank, message)
-    res = SweepResult(cfg, records, summarize(SweepKind.EDS_GCD, records, cfg))
+    res = _result(cfg, records)
     assert res.summary["error_rows"] == 2
     _assert_renders_like_oracles(res)
     assert [r.get("error") for r in json.loads(render_json(res))["records"]] == \
@@ -1662,7 +1797,7 @@ def test_renderers_match_oracles_on_csv_special_characters():
     messages = ["E: a,b", 'E: say "x"', "E: a\rb", "E: a\nb", '"', "E: ,\"\r\n", "E: plain"]
     for i, message in enumerate(messages):
         records[i] = experiments._BCZRow(records[i].n, *[None] * 5, message)
-    res = SweepResult(cfg, records, summarize(SweepKind.BCZ, records, cfg))
+    res = _result(cfg, records)
     assert res.summary["error_rows"] == len(messages)
     _assert_renders_like_oracles(res)
     text = render_csv(res)
@@ -1675,7 +1810,7 @@ def test_renderers_match_oracles_on_csv_special_characters():
 def test_render_json_rejects_an_infinite_real():
     res = run(BCZ300)
     records = [res.records[0]._replace(lhs=math.inf), *res.records[1:]]
-    bad = SweepResult(res.config, records, res.summary)
+    bad = SweepResult(res.config, _columns(SweepKind.BCZ, records), res.summary)
     with pytest.raises(ValueError):
         render_json(bad)
     with pytest.raises(ValueError):
@@ -1692,7 +1827,7 @@ def _bcz_result(values: list[dict]) -> SweepResult:
                       parameters={**TINY[SweepKind.BCZ], "n_max": len(values) + 2})
     records = run(cfg).records
     records[:len(values)] = [r._replace(**v) for r, v in zip(records, values)]
-    return SweepResult(cfg, records, summarize(SweepKind.BCZ, records, cfg))
+    return _result(cfg, records)
 
 
 def test_render_json_memo_keeps_signed_zeros_apart():
@@ -1755,7 +1890,7 @@ def _bcz_columns(count: int = 128, **cycles) -> SweepResult:
     cfg = SweepConfig(kind=SweepKind.BCZ, parameters={**TINY[SweepKind.BCZ], "n_max": count})
     records = [r._replace(**{k: v[i % len(v)] for k, v in cycles.items()})
                for i, r in enumerate(run(cfg).records)]
-    return SweepResult(cfg, records, summarize(SweepKind.BCZ, records, cfg))
+    return _result(cfg, records)
 
 
 def _assert_renders_like_oracles_unlimited(result: SweepResult) -> None:
@@ -1832,7 +1967,7 @@ def test_column_encoders_place_error_rows_between_good_rows():
     spec = experiments.SPECS[SweepKind.CZ_TRICHOTOMY]
     for i in (0, 1, 57, 58, 200, len(records) - 1):
         records[i] = spec.Row(*records[i][:2], *[None] * 7, f'E: {i},"\n')
-    res = SweepResult(cfg, records, summarize(SweepKind.CZ_TRICHOTOMY, records, cfg))
+    res = _result(cfg, records)
     assert res.summary["error_rows"] == 6 and len(records) >= 64
     _assert_renders_like_oracles(res)
 
@@ -1860,7 +1995,7 @@ def test_parameters_past_the_int_str_limit_render_exactly():
     assert json.loads(text, parse_int=Decimal)["config"]["parameters"]["a"] == a
     small = res.config._replace(parameters={**res.config.parameters, "a": 5})
     assert text.replace(str(Decimal(a)), "5") == render_json(
-        SweepResult(small, res.records, res.summary))
+        SweepResult(small, res.columns, res.summary))
 
 
 def test_render_csv_header_matches_kind():
@@ -1916,7 +2051,7 @@ def _assert_blocks_like_one_join(result: SweepResult, sizes, monkeypatch) -> Non
     for size in sizes:
         monkeypatch.setattr(experiments, "_BLOCK", size)
         blocks = max(-(-len(result.records) // size), 1)
-        assert len(experiments._csv_blocks(columns, result.records, types, index)) == blocks
+        assert len(experiments._csv_blocks(columns, result.columns, types, index)) == blocks
         assert len(experiments._json_blocks(result, "oracle")) == blocks
         assert render_csv(result) == want_csv
         assert render_json(result, version="oracle") == want_json
@@ -1996,8 +2131,9 @@ def test_an_empty_sweep_renders_as_one_block(monkeypatch):
     assert res.records == []
     _assert_blocks_like_one_join(res, [1, 2048], monkeypatch)
     spec = experiments.SPECS[cfg.kind]
-    assert experiments._csv_blocks(spec.columns, [], spec.Row.types, len(spec.index)) == [
-        "point,gcd,lhs,hA,hcount,rhs,holds,error\n"]
+    assert res.columns == _columns(cfg.kind, [])
+    assert experiments._csv_blocks(spec.columns, res.columns, spec.Row.types,
+                                   len(spec.index)) == ["point,gcd,lhs,hA,hcount,rhs,holds,error\n"]
 
 
 def test_pooled_chunks_become_rows_in_index_order(forced_pool):
@@ -2033,22 +2169,27 @@ TYPED_CONFIGS = {
 
 
 def _assert_rows_hold_declared_types(result: SweepResult) -> None:
-    """Each row holds its ``Row``'s declared types, an error row None past its
-    index and a text in error; and in blocks of 64 rows and of ``_BLOCK``,
-    ``_texts`` by the block's declared types of each column (see
+    """The result holds a list per column, all as long, whose cells hold their
+    ``Row``'s declared types, an error row None past its index and a text in
+    error, and ``records`` is their rows; and in blocks of 64 cells and of
+    ``_BLOCK``, ``_texts`` by the block's declared types of each column (see
     ``_block_types``) equals ``_texts`` by the types a scan finds, in CSV and
     in JSON."""
     spec = experiments.SPECS[result.config.kind]
-    Row, k = spec.Row, len(spec.index)
+    Row, k, columns = spec.Row, len(spec.index), result.columns
+    assert type(columns) is tuple and len(columns) == len(Row._fields)
+    assert {type(col) for col in columns} == {list} and len(set(map(len, columns))) == 1
     on_error = (*Row.types[:k], *[{type(None)}] * (len(Row.types) - k - 1), {str})
-    for r in result.records:
-        assert type(r) is Row
-        assert all(type(v) in t for v, t in zip(r, Row.types if r.error is None else on_error))
+    failed = [e is not None for e in columns[-1]]
+    for col, types, if_failed in zip(columns, Row.types, on_error):
+        assert all(type(v) in (if_failed if bad else types) for v, bad in zip(col, failed))
+    assert result.records == [*map(Row._make, zip(*columns))]
+    assert {type(r) for r in result.records} <= {Row}
     for size in (64, experiments._BLOCK):
-        for start in range(0, len(result.records), size):
-            columns = [*zip(*result.records[start:start + size])]
-            types = experiments._block_types(Row.types, k, columns[-1])
-            for col, declared in zip(columns, types):
+        for start in range(0, len(columns[0]), size):
+            block = [col[start:start + size] for col in columns]
+            types = experiments._block_types(Row.types, k, block[-1])
+            for col, declared in zip(block, types):
                 for enc in (experiments._CSV, experiments._JSON):
                     assert list(experiments._texts(col, enc, declared)) == _scanned_texts(col, enc)
 
@@ -2059,7 +2200,8 @@ def test_rows_hold_their_declared_types(data_dir, name):
     cfg = (SweepConfig(**json.loads((data_dir / name[len("golden-"):]).read_text())["config"])
            if kind is None else SweepConfig(kind=kind, parameters=params))
     result = run(cfg)
-    assert result.records and result.summary["error_rows"] == 0
+    assert result.records
+    assert result.summary["error_rows"] == (420 if name.endswith(ERRORS_GOLDEN) else 0)
     _assert_rows_hold_declared_types(result)
 
 

@@ -13,7 +13,9 @@ from gcdheights import (
     PnPoint,
     PolySystem,
     PrimeSet,
+    SweepConfig,
     SweepKind,
+    SweepResult,
     VojtaParams,
     bound,
     check_mixed,
@@ -30,6 +32,14 @@ from gcdheights.arith import EPS_SLACK
 from gcdheights.experiments import SPECS, _checked
 
 DIAG = PolySystem.of("X1-X0", "X2-X0")
+
+
+def _kernel_row(kind: SweepKind, ctx: tuple, axes: tuple, cells: range) -> tuple:
+    """The one row by which ``kind``'s range kernel extends empty columns."""
+    out = tuple([] for _ in SPECS[kind].columns)
+    SPECS[kind].rows(ctx, axes, cells, out)
+    [row] = SweepResult(SweepConfig(kind, {}), out, {}).records
+    return row
 COORD = PolySystem.of("X1", "X2")  # the coordinate point [1:0:0]
 
 
@@ -199,8 +209,7 @@ def test_check_pn_oracle():
     assert holds is True
     # in the column order of the PN_CHECK row, which holds it between its
     # index and its error, as the sweep's kernel builds it
-    SPECS[SweepKind.PN_CHECK].rows((DIAG, S, p), (["1:5:9"],), range(1), rows := [])
-    [row] = rows
+    row = _kernel_row(SweepKind.PN_CHECK, (DIAG, S, p), (["1:5:9"],), range(1))
     assert row._fields[1:-1] == ("gcd", "lhs", "hA", "hcount", "rhs", "holds")
     assert row == ("1:5:9", *rec, None)
 
@@ -215,8 +224,7 @@ def test_eds_gcd_row_oracle(c37, p37):
     spec = SPECS[SweepKind.EDS_GCD]
     ctx, axes = spec.prepare(_checked(SweepKind.EDS_GCD, params), 0)
     # the kernel on the one cell (8, 16) of the 16 x 16 grid
-    spec.rows(ctx, axes, range(7 * 16 + 15, 7 * 16 + 16), rows := [])
-    [row] = rows
+    row = _kernel_row(SweepKind.EDS_GCD, ctx, axes, range(7 * 16 + 15, 7 * 16 + 16))
     assert row[:5] == (8, 16, 5, 65, 5)    # m, n, D_8P, D_16P, their gcd
     assert isclose(row.lhs, log(5), rel_tol=1e-12)
     assert row.hA == hA
@@ -237,9 +245,8 @@ def test_check_mixed_oracle(cm2, pm2):
     assert holds is True
     # in the column order of the MIXED_CHECK row, after its index and D_Q, as
     # the sweep's kernel builds it on the cell (2, 9)
-    SPECS[SweepKind.MIXED_CHECK].rows(([1, d_q], 0.5, 1.0), (range(1, 3), [9]),
-                                      range(1, 2), rows := [])
-    [row] = rows
+    row = _kernel_row(SweepKind.MIXED_CHECK, ([1, d_q], 0.5, 1.0), (range(1, 3), [9]),
+                      range(1, 2))
     assert row._fields[3:-1] == ("gcd", "lhs", "hA", "rhs", "holds")
     assert row == (2, 9, d_q, *rec, None)
 

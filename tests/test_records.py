@@ -31,7 +31,7 @@ from gcdheights import experiments
 
 X1_X0 = parse_poly("X1-X0")
 BCZ = SweepConfig("BCZ", {"a": 2, "b": 3, "eps": 0.5, "n_max": 2})
-BCZ_ROWS = [experiments._BCZRow(1, 1, 0.0, 0.69, 0.35, True)]
+BCZ_COLUMNS = ([1], [1], [0.0], [0.69], [0.35], [True], [None])
 # a spec of module-level functions only, so that it pickles
 SPEC = KindSpec(experiments._BCZRow, ("n",), (("a", experiments._int),),
                 experiments._prepare_bcz, experiments._rows_bcz,
@@ -99,11 +99,11 @@ CASES = {
                   (lambda: SweepConfig("NOPE", {}), ValueError, "'NOPE' is not a valid"),
                   "SweepConfig(kind=<SweepKind.BCZ: 'BCZ'>, parameters={'a': 2, 'b': 3, "
                   "'eps': 0.5, 'n_max': 2}, seed=0)"),
-    SweepResult: (SweepResult(BCZ, BCZ_ROWS, {"cells": 1}), (BCZ, BCZ_ROWS, {"cells": 1}),
-                  SweepResult(BCZ, [], {"cells": 0}),
-                  (lambda: SweepResult(BCZ, [], {}), {}),
+    SweepResult: (SweepResult(BCZ, BCZ_COLUMNS, {"cells": 1}), (BCZ, BCZ_COLUMNS, {"cells": 1}),
+                  SweepResult(BCZ, ([],) * 7, {"cells": 0}),
+                  (lambda: SweepResult(BCZ, ([],) * 7, {}), {}),
                   (lambda: SweepResult(BCZ), TypeError, "missing"),
-                  f"SweepResult(config={BCZ!r}, records={BCZ_ROWS!r}, summary={{'cells': 1}})"),
+                  f"SweepResult(config={BCZ!r}, columns={BCZ_COLUMNS!r}, summary={{'cells': 1}})"),
     KindSpec: (SPEC, tuple(SPEC), SPEC._replace(index=("m",)),
                (lambda: KindSpec(*SPEC[:6]), {"C_of_fit": KindSpec._field_defaults["C_of_fit"]}),
                (lambda: KindSpec(*SPEC[:4]), TypeError, "missing"),
@@ -187,3 +187,14 @@ def test_prime_set_checks_in_a_wrapped_init(monkeypatch):
     with pytest.raises(ValueError, match="not a prime: 9"):
         PrimeSet([9])
     assert calls == [([3, 2],), ([9],)]
+
+
+def test_sweep_result_builds_its_records_from_its_columns():
+    # records is read-only, and each read builds the rows afresh
+    result = CASES[SweepResult][0]
+    assert result.records == [experiments._BCZRow(1, 1, 0.0, 0.69, 0.35, True)]
+    assert type(result.records[0]) is experiments._BCZRow
+    assert result.records is not result.records
+    with pytest.raises(AttributeError):
+        result.records = []
+    assert SweepResult(BCZ, ([],) * 7, {}).records == []
