@@ -31,10 +31,10 @@ its index); ``records`` builds the rows on demand.  Each kind is one
 evaluates its cells, extends the columns a run at a time.  Where it hoists
 work out of the cells: BCZ and AR multiply a^n and b^n up along the run, and
 when the smaller base is 2^k fold the other power minus one modulo
-2^(kn) - 1; CZ strips each unit once, copies the cells (b, a) of the cells
-(a, b) in the columns by strided slices, and evaluates the rest a unit's row
-at a time, a map per column, with only the pairs of units on one root through
-the per-pair core; EDS_GCD without q reads gcd(D_m, D_n) off strong
+2^(kn) - 1; CZ's prepare evaluates each unordered pair of units once, a
+unit's row at a time, a map per column, and decides each power relation
+from the units' roots and multiplicities, so its kernel only gathers a run's
+cells by slices; EDS_GCD without q reads gcd(D_m, D_n) off strong
 divisibility as D_gcd(m, n) and takes ln D_g once per g; MIXED_CHECK takes
 |b - 1| and ln|b| once per b and ln D_n once; PN_CHECK, SIEGEL and
 ABELIAN_GROWTH map a per-cell function; all but CZ extend the columns by one
@@ -79,7 +79,7 @@ from .mulgrp import (
     LN2,
     POWER_RELATION,
     _gcd_mersenne,
-    _trichotomy,
+    _relation,
     _unit,
     gcd_pair,
     s_unit_enumerate,
@@ -132,8 +132,9 @@ class KindSpec(namedtuple("KindSpec", "Row index params prepare rows summary C_o
     ``(key, check)`` if required and ``(key, check, default)`` if not;
     ``check(key, value)`` returns the plain value or raises ValueError naming
     the key.  ``prepare(p, seed)`` takes those values (see ``_checked``) and
-    returns ``(ctx, axes)``: the inputs all cells share, and one or two
-    sequences of ``index`` values whose row-major grid is the cells.
+    returns ``(ctx, axes)``: the inputs all cells share (CZ's evaluates its
+    pairs there), and one or two sequences of ``index`` values whose
+    row-major grid is the cells.
     ``rows(ctx, axes, cells, out)``, the kind's range kernel and its one
     evaluator, possibly in a pool worker, extends ``out``, a tuple of one list
     per column, by ``cells``, a contiguous range of flat indices into the
@@ -319,74 +320,64 @@ def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
 
 
 def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
-    """The units, each stripped once, and their columns: |x - 1|, the rhs
-    eps*ln|x| of a pair whose larger unit is x (the units ascend by |x|, and
-    so does the rhs; inf where ``bound`` refuses it), that rhs plus the
-    slack of ``holds``, and the indices of the units on the root of x, whose
-    pairs with x alone may have a power relation."""
+    """The units and each unordered pair's cells, evaluated once per sweep for
+    ``_rows_cz`` to gather.  Row i of the pairs (i, j), j >= i, is a map per
+    column: gcds of |x - 1|, their lhs from a memo of the distinct gcds' logs,
+    and ``holds`` against unit j's rhs eps*ln|x| (``bound``'s, inf where it
+    refuses; the units ascend by |x|) plus its slack.  ``_relation`` then
+    decides each pair on one root.  The context is the rhs and three flat
+    (L + 1) x L squares of two columns each, the cell (i, j) of one at [i][j]
+    and of the other at [j + 1][i]: verdict and gcd, m and n, lhs and holds."""
     S, eps = PrimeSet(p["primes"]), p["eps"]
     units = s_unit_enumerate(S, p["bound"])
     unit = [_unit(x, S) for x in units]
-    rhs = []
-    for u in unit:
-        try:
-            rhs.append(bound(0.0, u.log_size, eps, 0.0)[2])
-        except OverflowError:  # _cz_cells refuses each cell whose larger unit is u
-            rhs.append(inf)
-    on_root: dict = {}
-    for j, u in enumerate(unit):
-        on_root.setdefault(u.root, []).append(j)
-    return ((eps, units, unit, [u.shifted for u in unit], rhs,
-             [r + EPS_SLACK for r in rhs], [on_root[u.root] for u in unit]),
-            (units, units))
-
-
-_VERDICT = (EXCEPTIONAL, INEQUALITY_HOLDS).__getitem__  # by holds
-
-
-def _cz_cells(ctx: tuple, i: int, lo: int, hi: int, out: tuple) -> None:
-    """Extend the columns ``out`` by the CZ cells (i, j), lo <= j < hi, a map
-    per column over a slice of the units' columns, the rhs that of unit
-    max(i, j), then set the cells of units on the root of unit i by
-    ``_trichotomy``.  A slice past a unit whose rhs is inf raises OverflowError."""
-    eps, units, unit, shifted, rhs, top, on_root = ctx
-    k, n = max(min(i, hi), lo), hi - lo  # cells lo..k lie below the diagonal
-    if n and rhs[max(i, hi - 1)] == inf:  # the rhs ascends: the slice's last is its largest
-        bound(0.0, unit[max(i, hi - 1)].log_size, eps, 0.0)
-    g = list(map(gcd, repeat(shifted[i], n), shifted[lo:hi]))
-    lhs = list(map(log, g))
-    holds = list(map(le, lhs, [top[i]] * (k - lo) + top[k:hi]))
-    at, none = len(out[0]) - lo, [None] * n  # the cell (i, j) goes to out's j + at
-    for col, values in zip(out, ([units[i]] * n, units[lo:hi], map(_VERDICT, holds), none, none,
-                                 g, lhs, [rhs[i]] * (k - lo) + rhs[k:hi], holds, none)):
-        col += values
-    for j in on_root[i]:
-        if lo <= j < hi:
-            for col, v in zip(out[2:], _trichotomy(unit[i], unit[j], eps)):
-                col[j + at] = v
+    rhs = [eps * u.log_size for u in unit]
+    L, shifted, top = len(unit), [u.shifted for u in unit], [r + EPS_SLACK for r in rhs]
+    g = [[*map(gcd, repeat(x), shifted[i:])] for i, x in enumerate(shifted)]
+    ln = {*chain.from_iterable(g)}  # each distinct gcd's log, one float object
+    ln = dict(zip(ln, map(log, ln))).__getitem__
+    vg, mn, lh = squares = tuple([None] * (L * L + L) for _ in "vml")
+    on_root = {}
+    for i, row in enumerate(g):
+        lhs = [*map(ln, row)]
+        holds = [*map(le, lhs, top[i:])]
+        at, below = slice(i * L + i, i * L + L), slice(i * L + L + i, None, L)
+        verdicts = map((EXCEPTIONAL, INEQUALITY_HOLDS).__getitem__, holds)
+        vg[at], vg[below], lh[at], lh[below] = verdicts, row, lhs, holds
+        (group := on_root.setdefault(unit[i].root, [])).append(i)
+        for j in group:  # the pairs (j, i), j <= i, on one root
+            if relation := _relation(unit[j], unit[i], eps):
+                vg[j * L + i], mn[j * L + i], mn[i * L + L + j] = POWER_RELATION, *relation
+    return (rhs, squares), (units, units)
 
 
 def _rows_cz(ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
-    """The ``cz_classify`` verdict of each pair of a run, a unit row at a time.
-    ``_trichotomy`` is symmetric, so the cells (i, j), j < i, copy the cells
-    (j, i) by strided slices, alpha and beta swapped and m and n, where those
-    in ``out`` are all error-free; ``_cz_cells`` evaluates the rest."""
-    L, s, e = len(axes[1]), cells.start, cells.stop
-    base = s - len(out[0])  # the cell of out's first values
-    for i in range(s // L, -(-e // L)) if cells else ():
+    """The cells of a run gathered from ``_prepare_cz``'s squares, a unit row
+    i at a time, each column by two slices: the cells (i, j), j < i, those of
+    (j, i) with m and n swapped, then the cells (i, j), j >= i.  A square
+    gives them as its slices [j][i] and [i + 1][j], j < i, then [i][j] and
+    [j + 1][i], j >= i.  A run whose largest unit's rhs is inf raises
+    OverflowError from ``bound``."""
+    if not cells:
+        return
+    (rhs, squares), units, s, e = ctx, axes[1], cells.start, cells.stop
+    L = len(units)
+    i0, i1 = s // L, (e - 1) // L
+    bound(0.0, 1.0, rhs[L - 1 if i0 < i1 else max(i0, e - 1 - i0 * L)], 0.0)
+    alpha, beta, verdict, m, n, g, lhs, rhs_col, holds, error = out
+    targets = (verdict, g, verdict, g), (n, m, m, n), (lhs, holds, lhs, holds)
+    for i in range(i0, i1 + 1):
         lo, hi = max(s - i * L, 0), min(e - i * L, L)
-        # the cells (j, i) for c0 <= j < c1 are written: j*L + i >= base
-        c1 = max(min(i, hi), lo)
-        c0 = min(max(lo, -((i - base) // L)), c1)
-        mirrors = [col[c0 * L + i - base:c1 * L + i - base:L] for col in out]
-        if any(mirrors[-1]):  # an error text is never empty
-            c0, mirrors = c1, [()] * len(out)
-        if lo < c0:
-            _cz_cells(ctx, i, lo, c0, out)
-        a, b, v, m, n, *rest = mirrors
-        for col, values in zip(out, (b, a, v, n, m, *rest)):
-            col += values
-        _cz_cells(ctx, i, c1, hi, out)
+        k = max(min(i, hi), lo)  # the cells lo..k - 1 lie below the diagonal
+        for (a, b, c, d), sq in zip(targets, squares):
+            a += sq[lo * L + i:k * L + i:L]
+            b += sq[i * L + L + lo:i * L + L + k]
+            c += sq[i * L + k:i * L + hi]
+            d += sq[k * L + L + i:hi * L + L + i:L]
+        alpha += repeat(units[i], hi - lo)
+        beta += units[lo:hi]
+        rhs_col += [rhs[i]] * (k - lo) + rhs[k:hi]
+    error += repeat(None, len(cells))
 
 
 def _summary_cz(good: dict, p: dict) -> dict:
@@ -783,9 +774,10 @@ def run(config: SweepConfig, jobs: int = 1) -> SweepResult:
 
 def summarize(kind: SweepKind, columns: Sequence[list], config: SweepConfig,
               p: dict | None = None) -> dict:
-    """Recompute the summary block from a result's columns and the config;
-    ``p``, if given, is the config's parameters as ``_checked`` gives them,
-    which ``run`` passes on instead of checking them twice.
+    """Recompute the summary block from a result's columns and the config
+    (``kind`` a SweepKind or its name); ``p``, if given, is the config's
+    parameters as ``_checked`` gives them, which ``run`` passes on instead
+    of checking them twice.
 
     A kind with an ``hA`` column also gets ``violations`` (its cells that
     fail the bound), the index of the last of them, and ``fitted_constant``:
@@ -793,6 +785,7 @@ def summarize(kind: SweepKind, columns: Sequence[list], config: SweepConfig,
     rows] + C on every error-free cell not flagged ``exceptional`` (the
     asserted exceptional set), or None when no such cell is left; a kind
     whose config ``C`` multiplies the bound reports exp of that C."""
+    kind = SweepKind(kind)
     if p is None:
         p = _checked(kind, config.parameters)
     spec, errors = SPECS[kind], columns[-1]
@@ -875,8 +868,9 @@ def _texts(col: Sequence, enc: dict, types: Set[type]) -> Iterable[str]:
     values = col
     if types == {float} or float not in types and len(types & {bool, int}) < 2:
         values = set(col)
-        if types == {float} and 0.0 in values and min(map(copysign, repeat(1.0), col)) < 0:
-            values = col  # its zeros may have two signs
+        if types == {float} and 0.0 in values and min(
+                map(copysign, repeat(1.0), filter(not_, col))) < 0:
+            values = col  # its zeros, one set key, may have two signs
     if 2 * len(values) <= len(col):
         return map({v: enc[type(v)](v) for v in values}.__getitem__, col)
     if types == {int} and max(map(int.bit_length, col)) < 2000:  # below any str() limit
@@ -909,11 +903,12 @@ def _csv_lines(head: list[str], block: Sequence, types: tuple, index: int) -> st
 
 def _csv_blocks(names: Sequence[str], columns: Sequence, types: tuple, index: int) -> list[str]:
     """The table of ``columns`` as a text per block of cells, the first led by
-    a header line of ``names``: a table of one block is one text, which a join
-    returns as it is.  ``types`` and ``index`` are as ``_block_types`` takes."""
-    head = [",".join(names)]
-    return [_csv_lines([] if at else head, [c[at:at + _BLOCK] for c in columns], types, index)
-            for at in range(0, len(columns[0]) or 1, _BLOCK)]
+    a header line of ``names``: a table of one block is one text, of the
+    columns as they are, which a join returns as it is.  ``types`` and
+    ``index`` are as ``_block_types`` takes."""
+    head, one = [",".join(names)], len(columns[0]) <= _BLOCK
+    return [_csv_lines([] if at else head, columns if one else [c[at:at + _BLOCK] for c in columns],
+                       types, index) for at in range(0, len(columns[0]) or 1, _BLOCK)]
 
 
 def render_csv(result: SweepResult) -> str:
@@ -949,7 +944,8 @@ def _json_text(v, pad: str = "\n", enc: dict = _JSON) -> str:
 def _json_blocks(result: SweepResult, version: str | None = None) -> list[str]:
     """``render_json``'s document as a text per block of cells, the first
     led by the config and the last followed by the summary: a document of
-    one block is one text, which a join returns as it is."""
+    one block is one text, of the columns as they are, which a join returns
+    as it is."""
     if version is None:
         from . import __version__ as version
     columns, spec, cfg = result.columns, SPECS[result.config.kind], result.config
@@ -966,7 +962,7 @@ def _json_blocks(result: SweepResult, version: str | None = None) -> list[str]:
               *chain.from_iterable(zip(repeat(None), after))]
     out = []
     for start in range(0, len(columns[0]), _BLOCK):
-        block = [c[start:start + _BLOCK] for c in columns]
+        block = [c[start:start + _BLOCK] for c in columns] if len(columns[0]) > _BLOCK else columns
         types = _block_types(spec.Row.types, len(spec.index), block[-1])
         parts = record * len(block[0])
         for j, c in enumerate(at):

@@ -147,29 +147,32 @@ def _unit(x: int, S: PrimeSet) -> _Unit:
     return _Unit(x, tuple(e // g for e in exps), g, abs(x - 1), log(abs(x)))
 
 
-def _trichotomy(ua: _Unit, ub: _Unit, eps: float) -> tuple:
-    """The ``CzVerdict`` fields of a pair of stripped units; see ``cz_classify``.
+def _relation(ua: _Unit, ub: _Unit, eps: float) -> tuple | None:
+    """The least (m, n) with alpha^m = beta^n of two stripped units, if
+    max(m, n) <= ceil(1/eps), else None.
 
-    alpha^m = beta^n in absolute value iff the roots agree, and then the
-    least (m, n) is (g_b/h, g_a/h) with h = gcd(g_a, g_b).
+    |alpha|^m = |beta|^n iff the roots agree, and then the least (m, n) is
+    (g_b/h, g_a/h) with h = gcd(g_a, g_b).  Every such (m, n) is a multiple of
+    that one; the signs agree on all multiples or, when (alpha < 0 and m odd)
+    != (beta < 0 and n odd), on the even ones only.
     """
-    alpha, root_a, g_a, shifted_a, log_a = ua
-    beta, root_b, g_b, shifted_b, log_b = ub
-    g = gcd(shifted_a, shifted_b)
-    lhs, _, rhs, holds = bound(log(g), log_a if abs(alpha) >= abs(beta) else log_b, eps, 0.0)
-    witness = (g, lhs, rhs, holds)
-    if root_a == root_b:
-        h = gcd(g_a, g_b)
-        m, n = g_b // h, g_a // h
-        # every |alpha|^m = |beta|^n is a multiple of (m, n); the signs agree
-        # on all multiples or, when (alpha<0 and m odd) != (beta<0 and n odd),
-        # on the even ones only
-        if (alpha < 0 and m % 2 == 1) != (beta < 0 and n % 2 == 1):
-            m, n = 2 * m, 2 * n
-        # max(m, n) <= ceil(1/eps), and no OverflowError when 1/eps is inf
-        if max(m, n) - 1 < 1 / eps:
-            return (POWER_RELATION, m, n, *witness)
-    return (INEQUALITY_HOLDS if holds else EXCEPTIONAL, None, None, *witness)
+    if ua.root != ub.root:
+        return None
+    h = gcd(ua.mult, ub.mult)
+    m, n = ub.mult // h, ua.mult // h
+    if (ua.x < 0 and m % 2 == 1) != (ub.x < 0 and n % 2 == 1):
+        m, n = 2 * m, 2 * n
+    # max(m, n) <= ceil(1/eps), and no OverflowError when 1/eps is inf
+    return (m, n) if max(m, n) - 1 < 1 / eps else None
+
+
+def _trichotomy(ua: _Unit, ub: _Unit, eps: float) -> tuple:
+    """The ``CzVerdict`` fields of a pair of stripped units; see ``cz_classify``."""
+    g = gcd(ua.shifted, ub.shifted)
+    lhs, _, rhs, holds = bound(log(g), max(ua.log_size, ub.log_size), eps, 0.0)
+    if relation := _relation(ua, ub, eps):
+        return (POWER_RELATION, *relation, g, lhs, rhs, holds)
+    return (INEQUALITY_HOLDS if holds else EXCEPTIONAL, None, None, g, lhs, rhs, holds)
 
 
 def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
@@ -180,8 +183,8 @@ def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
     tuples over S and the signs, in O(|S|).  Otherwise INEQUALITY_HOLDS when
     gcd(alpha - 1, beta - 1) <= max(|alpha|, |beta|)^eps with 1e-9 log
     slack, else EXCEPTIONAL.  The verdict carries that gcd and bound in
-    every case.  This strips both units and calls the core that the
-    CZ_TRICHOTOMY sweep calls on units it strips once each.
+    every case.  This strips both units; ``_relation``, which decides the
+    power relation, is the one the CZ_TRICHOTOMY sweep calls once per pair.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

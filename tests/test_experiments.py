@@ -477,6 +477,17 @@ def test_summary_is_function_of_records():
     assert summarize(SweepKind.EDS_GCD, res.columns, res.config) == res.summary
 
 
+@pytest.mark.parametrize("kind", list(SweepKind))
+def test_summarize_takes_the_kind_by_its_name(kind):
+    # as SweepConfig does: "BCZ" is SweepKind.BCZ, with or without the checked p
+    res = run(SweepConfig(kind=kind.value, parameters=TINY[kind]))
+    p = experiments._checked(kind, res.config.parameters)
+    assert summarize(kind.value, res.columns, res.config) == res.summary
+    assert summarize(kind.value, res.columns, res.config, p) == res.summary
+    with pytest.raises(ValueError, match="is not a valid SweepKind"):
+        summarize("NO_SUCH_KIND", res.columns, res.config)
+
+
 def _summary_oracle(kind: SweepKind, records: list, config: SweepConfig) -> dict:
     """The row-wise summary that ``summarize`` and the kinds' summaries computed
     before they read columns."""
@@ -971,11 +982,12 @@ KERNEL_GRIDS = {
                                       "bound": 5, "eps": 0.5}),
 }
 # (index, value) of the context entry that breaks every cell of a kernel with
-# an ArithmeticError or a ValueError: an infinite C overflows the bound, a
-# zero a (AR) a negative shift, zero |x - 1|s (CZ) and zero denominators
+# an ArithmeticError or a ValueError: an infinite C overflows the bound, as
+# does an infinite rhs of every unit (CZ, whose kernel checks that of its
+# run's largest unit), a zero a (AR) a negative shift, zero denominators
 # (SIEGEL) log 0, and a negative C (MIXED_CHECK) its log
 BREAK_CTX = {SweepKind.BCZ: (3, math.inf), SweepKind.AR_RETURNS: (0, 0),
-             SweepKind.CZ_TRICHOTOMY: (3, [0] * 2000), SweepKind.EDS_GCD: (4, math.inf),
+             SweepKind.CZ_TRICHOTOMY: (0, [math.inf] * 2000), SweepKind.EDS_GCD: (4, math.inf),
              SweepKind.PN_CHECK: (2, VojtaParams(0.5)._replace(C=math.inf)),
              SweepKind.SIEGEL: (1, [(0, 1.0)] * 2000), SweepKind.MIXED_CHECK: (2, -1.0),
              SweepKind.ABELIAN_GROWTH: (3, math.inf)}
@@ -1115,26 +1127,17 @@ def test_run_columns_with_error_rows_across_chunks(name, jobs, forced_pool, monk
         assert all(bad.intersection(chunk) for chunk in pool.chunks)
 
 
-@pytest.mark.parametrize("core", ["_cz_cells", "_trichotomy"])
+@pytest.mark.parametrize("written", [False, True], ids=["unwritten", "written"])
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
-def test_run_columns_with_an_injected_cz_fault(core, jobs, forced_pool, monkeypatch):
-    # a fault of the column core on {6, -4}, at cells 95 and 158, or of the
-    # per-pair core on {4, 8}, at cells 119 and 203: units on the root 2, whose
-    # cells the column core has already added when the per-pair core raises
+def test_run_columns_with_an_injected_cz_fault(written, jobs, forced_pool, monkeypatch):
+    # a fault of the kernel on {6, -4}, at cells 95 and 158, raised before it
+    # extends the columns, or on {4, 8}, units on the root 2 at cells 119 and
+    # 203, raised after it has extended them by the run's cells
     pair, errors = {6, -4}, dict(zip((95, 158), CZ30_ERRORS))
-    if core == "_cz_cells":
-        _inject_cz_fault(monkeypatch)
-    else:
+    if written:
         pair, errors = {4, 8}, {119: experiments._CZRow(4, 8, error="ArithmeticError: injected"),
                                 203: experiments._CZRow(8, 4, error="ArithmeticError: injected")}
-        trichotomy = experiments._trichotomy
-
-        def flaky(ua, ub, eps):
-            if {ua.x, ub.x} == pair:
-                raise ArithmeticError("injected")
-            return trichotomy(ua, ub, eps)
-
-        monkeypatch.setattr(experiments, "_trichotomy", flaky)
+    _inject_cz_fault(monkeypatch, pair, written)
     want = _oracle_columns(CZ30_FAULTY.kind, {**CZ30_FAULTY.parameters})
     for i, row in errors.items():
         assert {want[0][i], want[1][i]} == pair
@@ -1169,6 +1172,52 @@ def test_cz_head_runs_then_empty_chunks_give_the_whole_grid():
             for col, part in zip(got, chunk):
                 col += part
         assert got == whole, params
+
+
+def _cz_classify_columns(p: dict, axes: tuple) -> tuple:
+    """The columns of ``cz_classify`` on each cell of the grid ``axes``, its
+    bound's OverflowError an error row, as ``_eval`` tags one."""
+    rows, S = [], PrimeSet(p["primes"])
+    for a, b in itertools.product(*axes):
+        try:
+            v = cz_classify(a, b, S, p["eps"])
+        except OverflowError as exc:
+            rows.append(experiments._CZRow(a, b, error=f"OverflowError: {exc}"))
+            continue
+        rows.append(experiments._CZRow(a, b, *v))
+    return _columns(SweepKind.CZ_TRICHOTOMY, rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cz_gathered_runs_match_cz_classify(seed, forced_pool):
+    # the fast route against the slow one on random grids: 1 to 3 primes,
+    # units of both signs, eps from 1 (no relation but alpha = beta) to 1e308
+    # (an overflowing bound past |x| = 6); each grid cut at random into head
+    # runs on one set of columns, then chunks that each start from no
+    # columns, and run() at one job and with a pool of chunks
+    rng, kind = random.Random(3900 + seed), SweepKind.CZ_TRICHOTOMY
+    spec = experiments.SPECS[kind]
+    for trial in range(12):
+        params = {"primes": rng.sample([2, 3, 5, 7, 11], rng.randint(1, 3)),
+                  "bound": rng.randint(2, 150), "eps": rng.choice([1, 0.25, 0.05, 1e308])}
+        ctx, axes = spec.prepare(p := experiments._checked(kind, params), 0)
+        want, total = _cz_classify_columns(p, axes), len(axes[0]) ** 2
+        assert {x < 0 for x in axes[0]} == ({True, False} if total else set())
+        cuts = sorted(rng.sample(range(1, total), min(max(total - 1, 0), rng.randint(0, 12))))
+        runs = [range(lo, hi) for lo, hi in zip([0, *cuts], [*cuts, total])]
+        head = rng.randint(0, len(runs))
+        got = _columns(kind, [])
+        for cells in runs[:head]:
+            experiments._eval(kind, ctx, axes, cells, got)
+        for cells in runs[head:]:
+            experiments._eval(kind, ctx, axes, cells, chunk := _columns(kind, []))
+            for col, part in zip(got, chunk):
+                col += part
+        assert got == want, params
+        if trial % 4 == 0:
+            cfg = SweepConfig(kind, {**params, "error_budget": total})
+            assert run(cfg).columns == run(cfg, jobs=2).columns == want, params
+    assert len(forced_pool) == 3
 
 
 # BCZ and AR grids whose power of two 2**k, k in 1..3, is a or b; the route
@@ -1206,16 +1255,18 @@ def test_mersenne_kernels_match_the_map_of_row(kind, params, routed, e0, monkeyp
     assert (min(es) < e0 <= max(es)) if routed else es == []
 
 
-def _count_cz_cells(monkeypatch) -> list[int]:
-    """The number of cells of each call of the CZ kernel's column core."""
-    calls, core = [], experiments._cz_cells
-    monkeypatch.setattr(experiments, "_cz_cells", lambda ctx, i, lo, hi, out:
-                        calls.append(hi - lo) or core(ctx, i, lo, hi, out))
-    return calls
+def _count_cz_core(monkeypatch) -> tuple[list, list]:
+    """The gcds the CZ sweep takes, and the pairs of units whose power
+    relation it decides, in the order it does."""
+    gcds, pairs, relation = [], [], experiments._relation
+    monkeypatch.setattr(experiments, "gcd", lambda a, b: gcds.append((a, b)) or math.gcd(a, b))
+    monkeypatch.setattr(experiments, "_relation", lambda ua, ub, eps:
+                        pairs.append((ua.x, ub.x)) or relation(ua, ub, eps))
+    return gcds, pairs
 
 
-# CZ grids whose runs the mirror kernel builds: a cell (i, j) below the
-# diagonal copies the row of (j, i) when that row is already written
+# CZ grids whose runs the kernel gathers: a cell (i, j) below the diagonal is
+# the cell (j, i) that prepare evaluated, m and n swapped
 MIRROR_GRIDS = [{"primes": primes, "bound": bound, "eps": eps}
                 for primes, bound in (([2, 3], 40), ([2, 5], 130), ([2, 3, 5], 30))
                 for eps in (0.25, 0.05)]
@@ -1226,7 +1277,17 @@ MIRROR_GRIDS = [{"primes": primes, "bound": bound, "eps": eps}
 def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
     kind = SweepKind.CZ_TRICHOTOMY
     spec = experiments.SPECS[kind]
+    gcds, pairs = _count_cz_core(monkeypatch)
     ctx, axes = spec.prepare(p := experiments._checked(kind, params), 0)
+    # prepare takes one gcd per unordered pair of units, and decides the power
+    # relation of each unordered pair of units on one root, once
+    S, units = PrimeSet(p["primes"]), axes[1]
+    L, unit = len(units), {x: mulgrp._unit(x, S) for x in units}
+    assert len(gcds) == L * (L + 1) // 2
+    assert {frozenset(g) for g in gcds} == {frozenset((abs(a - 1), abs(b - 1)))
+                                          for i, a in enumerate(units) for b in units[i:]}
+    assert sorted(pairs) == sorted((a, b) for i, a in enumerate(units) for b in units[i:]
+                                   if unit[a].root == unit[b].root)
     keys = list(itertools.product(*axes))
     rows = [_oracle_cz(p, ctx, *key) for key in keys]
     # the grid holds pairs with alpha = -beta and pairs whose power relation
@@ -1234,34 +1295,17 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
     assert any(r.alpha == -r.beta for r in rows)
     assert any(r.verdict == mulgrp.POWER_RELATION and r.m % 2 == r.n % 2 == 0
                and r.alpha ** (r.m // 2) == -r.beta ** (r.n // 2) for r in rows)
-    calls = _count_cz_cells(monkeypatch)
-    pairs, core = [], experiments._trichotomy
-    monkeypatch.setattr(experiments, "_trichotomy",
-                        lambda ua, ub, eps: pairs.append((ua.x, ub.x)) or core(ua, ub, eps))
-    S = PrimeSet(p["primes"])
-    L, unit = len(axes[1]), {x: mulgrp._unit(x, S) for x in axes[1]}
+    gcds.clear()
+    pairs.clear()
     for cells in _runs(len(keys), L):
         # after no rows, as in a pool chunk, and after all those before the
         # run, as in the parent
         for prefix in ([], rows[:cells.start]):
-            calls.clear()
-            pairs.clear()
             got = _appended(kind, prefix, spec.rows, ctx, axes, cells)
             assert got == rows[cells.start:cells.stop]
             assert {type(r) for r in got} <= {spec.Row}
-            # the column core evaluates a cell (i, j) unless j < i and (j, i)
-            # is written, and hands _trichotomy those of units on one root
-            first = cells.start - len(prefix)
-            own = [k for k in cells if k % L >= k // L or (k % L) * L + k // L < first]
-            assert sum(calls) == len(own)
-            assert pairs == [keys[k] for k in own
-                             if unit[keys[k][0]].root == unit[keys[k][1]].root]
-        # after all rows before it, only the cells on or above the diagonal
-        assert len(own) == sum(k % L >= k // L for k in cells)
-    # on the whole grid, once per unordered pair
-    calls.clear()
-    _appended(kind, [], spec.rows, ctx, axes, range(len(keys)))
-    assert sum(calls) == L * (L + 1) // 2
+    # the kernel gathers: it takes no gcd and decides no relation
+    assert gcds == [] and pairs == []
 
 
 def test_error_budget_zero_raises(monkeypatch):
@@ -1300,19 +1344,22 @@ CZ30_ERRORS = [experiments._CZRow(-4, 6, error="ArithmeticError: injected"),
                experiments._CZRow(6, -4, error="ArithmeticError: injected")]
 
 
-def _inject_cz_fault(monkeypatch) -> None:
-    """A failure on the pair {6, -4} of the CZ kernel's column core, in any
-    call whose cells hold it; it is symmetric, as any failure of the
-    symmetric core is."""
-    cells = experiments._cz_cells
+def _inject_cz_fault(monkeypatch, pair: set = frozenset({6, -4}), written: bool = False) -> None:
+    """A failure of the CZ kernel on any run whose cells hold the pair
+    ``pair``, in either order, as any failure of a pair's cells is: raised
+    before the kernel extends the columns, or after it has if ``written``."""
+    kernel = experiments.SPECS[SweepKind.CZ_TRICHOTOMY].rows
 
-    def flaky_cells(ctx, i, lo, hi, out):
-        units = ctx[1]
-        if any({units[i], b} == {6, -4} for b in units[lo:hi]):
+    def flaky(ctx, axes, cells, out):
+        hit = any({a, b} == pair for a, b in experiments._keys(axes, cells))
+        if hit and not written:
             raise ArithmeticError("injected")
-        return cells(ctx, i, lo, hi, out)
+        kernel(ctx, axes, cells, out)
+        if hit:
+            raise ArithmeticError("injected")
 
-    monkeypatch.setattr(experiments, "_cz_cells", flaky_cells)
+    monkeypatch.setitem(experiments.SPECS, SweepKind.CZ_TRICHOTOMY,
+                        experiments.SPECS[SweepKind.CZ_TRICHOTOMY]._replace(rows=flaky))
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -1338,7 +1385,8 @@ def test_pool_error_rows_match_serial(monkeypatch, forced_pool):
 def test_head_never_copies_an_error_row(monkeypatch, pools):
     # a clock that ticks once per reading and a pool start-up far above the
     # sweep's cost: the parent runs every cell in its doubling runs, and the
-    # run of (6, -4) finds the error row of (-4, 6) written by an earlier one
+    # run of (6, -4) comes after the error row of (-4, 6), which the kernel,
+    # gathering from the context alone, never reads
     monkeypatch.setattr(experiments, "perf_counter", itertools.count().__next__)
     monkeypatch.setattr(experiments, "_POOL_START_S",
                         dict.fromkeys(experiments._POOL_START_S, 10 ** 6))
@@ -1406,21 +1454,22 @@ def test_a_type_error_fails_run_under_any_error_budget(monkeypatch, forced_pool,
 
 def test_cz_head_makes_the_core_calls_of_one_job(monkeypatch, pools):
     # a clock that stands still, so that the sweep is too cheap to pool: the
-    # parent's doubling runs evaluate L(L+1)/2 cells on L units by column, as
-    # one run does, and copy the rest
+    # parent's doubling runs gather the cells that prepare evaluated, L(L+1)/2
+    # gcds on L units, and decide the same relations, as one run does
     monkeypatch.setattr(experiments, "perf_counter", lambda: 0.0)
-    calls = _count_cz_cells(monkeypatch)
+    gcds, pairs = _count_cz_core(monkeypatch)
     cfg = SweepConfig(kind=SweepKind.CZ_TRICHOTOMY,
                       parameters={"primes": [2, 3], "bound": 110, "eps": 0.25})
     counts, results = [], []
     for jobs in (1, 2):
-        calls.clear()
+        gcds.clear()
+        pairs.clear()
         results.append(run(cfg, jobs=jobs))
-        counts.append(sum(calls))
+        counts.append((len(gcds), sorted(pairs)))
     assert pools == []
     L = 40
     assert len(results[0].records) == L * L
-    assert counts == [L * (L + 1) // 2] * 2
+    assert counts[0][0] == L * (L + 1) // 2 and counts[1] == counts[0]
     assert render_json(results[1]) == render_json(results[0])
 
 
@@ -1950,6 +1999,21 @@ def test_column_encoders_keep_signed_zeros_apart(zeros):
     assert [math.copysign(1, float(r["rhs"])) for r in rows[:4]] == [-x for x in signs]
 
 
+def test_column_encoders_keep_one_negative_zero_among_many_zeros():
+    # 0.0 and -0.0 are one set key: in a repeating column of 128 reals, half
+    # of them zeros, the one -0.0 keeps its sign in CSV and JSON
+    col = [0.5 if i % 2 else 0.0 for i in range(128)]
+    col[76] = -0.0
+    res = _bcz_columns(lhs=col)
+    _assert_renders_like_oracles(res)
+    recs = json.loads(render_json(res))["records"]
+    assert [math.copysign(1, r["lhs"]) for r in recs] == [-1.0 if i == 76 else 1.0
+                                                         for i in range(128)]
+    rows = list(csv.DictReader(io.StringIO(render_csv(res))))
+    assert [r["lhs"] for r in rows] == ["-0" if i == 76 else "0.5" if i % 2 else "0"
+                                        for i in range(128)]
+
+
 def test_column_encoders_render_a_huge_int_among_small_ones():
     big = 7 ** 6000  # 5071 digits, past str()'s 4300-digit limit
     # a repeating column (memo) and a column of distinct ints (str() or not)
@@ -2109,6 +2173,23 @@ def test_signed_zeros_in_different_blocks_keep_their_signs(monkeypatch):
     assert [math.copysign(1, r["rhs"]) for r in recs] == [-1.0] * 64 + [1.0] * 64
     rows = list(csv.DictReader(io.StringIO(render_csv(res))))
     assert {r["lhs"] for r in rows[:64]} == {"0"} and {r["lhs"] for r in rows[64:]} == {"-0"}
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_result_of_one_block_renders_its_own_columns(extra, monkeypatch):
+    # at _BLOCK cells both renderers encode the result's columns as they are,
+    # at one more a slice of each; either way, and in blocks of 100, the
+    # texts are the one-join texts
+    res = _bcz_columns(experiments._BLOCK + extra, lhs=[0.5, 1.5, 0.5])
+    read, texts = set(), experiments._texts
+    monkeypatch.setattr(experiments, "_texts",
+                        lambda col, *args: read.add(id(col)) or texts(col, *args))
+    render_csv(res)
+    assert read & set(map(id, res.columns)) == (set() if extra else set(map(id, res.columns)))
+    read.clear()
+    render_json(res)
+    assert read & set(map(id, res.columns)) == (set() if extra else set(map(id, res.columns[:-1])))
+    _assert_blocks_like_one_join(res, [experiments._BLOCK, 100], monkeypatch)
 
 
 def test_ints_past_the_str_limit_render_exactly_in_any_block(monkeypatch):
