@@ -32,20 +32,21 @@ evaluates its cells, extends the columns a run at a time.  Where it hoists
 work out of the cells: BCZ and AR multiply a^n and b^n up along the run, and
 when the smaller base is 2^k fold the other power minus one modulo
 2^(kn) - 1; CZ's prepare evaluates each unordered pair of units once, a
-unit's row at a time, a map per column, and decides each power relation
-from the units' roots and multiplicities, so its kernel only gathers a run's
-cells by slices; EDS_GCD without q reads gcd(D_m, D_n) off strong
-divisibility as D_gcd(m, n) and takes ln D_g once per g; MIXED_CHECK takes
-|b - 1| and ln|b| once per b and ln D_n once; PN_CHECK, SIEGEL and
-ABELIAN_GROWTH map a per-cell function; all but CZ extend the columns by one
-transpose of the run's rows.  Rendering encodes each value by its type, which
-the row type declares per column: integers with all their digits, reals with
-12 significant digits (a JSON config's exactly).  It goes by block of at most
-``_BLOCK`` cells, a slice of each column, and within a block by column
-(``_texts``), through a memo of a column's distinct values where they repeat;
-``render_json`` lays a block's records out in one list of parts, a slice
-assignment per column, and joins each block into one text.  The renderers
-return the blocks joined; the CLI writes them one by one.
+unit's row at a time, a map per column, decides each power relation from the
+units' roots and multiplicities, and writes every cell into row-major
+columns, so its kernel takes a run as one slice of each; EDS_GCD without q
+reads gcd(D_m, D_n) off strong divisibility as D_gcd(m, n) and takes ln D_g
+once per g; MIXED_CHECK takes |b - 1| and ln|b| once per b and ln D_n once;
+PN_CHECK, SIEGEL and ABELIAN_GROWTH map a per-cell function; all but CZ
+extend the columns by one transpose of the run's rows.  Rendering encodes
+each value by its type, which the row type declares per column: integers
+with all their digits, reals with 12 significant digits (a JSON config's
+exactly).  It goes by block of at most ``_BLOCK`` cells, a slice of each
+column, and within a block by column (``_texts``), through a memo of a
+column's distinct values where they repeat; ``render_json`` lays a block's
+records out in one list of parts, a slice assignment per column, and joins
+each block into one text.  The renderers return the blocks joined; the CLI
+writes them one by one.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ class KindSpec(namedtuple("KindSpec", "Row index params prepare rows summary C_o
     ``(key, check)`` if required and ``(key, check, default)`` if not;
     ``check(key, value)`` returns the plain value or raises ValueError naming
     the key.  ``prepare(p, seed)`` takes those values (see ``_checked``) and
-    returns ``(ctx, axes)``: the inputs all cells share (CZ's evaluates its
-    pairs there), and one or two sequences of ``index`` values whose
-    row-major grid is the cells.
+    returns ``(ctx, axes)``: the inputs all cells share (CZ's are its
+    cells' columns, evaluated there), and one or two sequences of ``index``
+    values whose row-major grid is the cells.
     ``rows(ctx, axes, cells, out)``, the kind's range kernel and its one
     evaluator, possibly in a pool worker, extends ``out``, a tuple of one list
     per column, by ``cells``, a contiguous range of flat indices into the
@@ -320,14 +321,14 @@ def _rows_bcz(ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
 
 
 def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
-    """The units and each unordered pair's cells, evaluated once per sweep for
-    ``_rows_cz`` to gather.  Row i of the pairs (i, j), j >= i, is a map per
-    column: gcds of |x - 1|, their lhs from a memo of the distinct gcds' logs,
-    and ``holds`` against unit j's rhs eps*ln|x| (``bound``'s, inf where it
-    refuses; the units ascend by |x|) plus its slack.  ``_relation`` then
-    decides each pair on one root.  The context is the rhs and three flat
-    (L + 1) x L squares of two columns each, the cell (i, j) of one at [i][j]
-    and of the other at [j + 1][i]: verdict and gcd, m and n, lhs and holds."""
+    """The units, and each column but ``error`` of every cell, evaluated once
+    per sweep for ``_rows_cz`` to gather: a row-major list of L*L values per
+    column, the cell (i, j) at i*L + j.  Row i of the pairs (i, j), j >= i, is
+    a map per column: gcds of |x - 1|, their lhs from a memo of the distinct
+    gcds' logs, unit j's rhs eps*ln|x| (the units ascend by |x|) and ``holds``
+    against it plus its slack, each written to the cells (i, j) by one slice
+    and to (j, i) by one strided slice.  ``_relation`` then decides each pair
+    on one root, m and n swapped in the mirrored cell."""
     S, eps = PrimeSet(p["primes"]), p["eps"]
     units = s_unit_enumerate(S, p["bound"])
     unit = [_unit(x, S) for x in units]
@@ -336,48 +337,31 @@ def _prepare_cz(p: dict, seed: int) -> tuple[tuple, tuple]:
     g = [[*map(gcd, repeat(x), shifted[i:])] for i, x in enumerate(shifted)]
     ln = {*chain.from_iterable(g)}  # each distinct gcd's log, one float object
     ln = dict(zip(ln, map(log, ln))).__getitem__
-    vg, mn, lh = squares = tuple([None] * (L * L + L) for _ in "vml")
+    cols = verdict, m, n, gcds, lhs, rhs_col, holds = [[None] * (L * L) for _ in range(7)]
     on_root = {}
     for i, row in enumerate(g):
-        lhs = [*map(ln, row)]
-        holds = [*map(le, lhs, top[i:])]
-        at, below = slice(i * L + i, i * L + L), slice(i * L + L + i, None, L)
-        verdicts = map((EXCEPTIONAL, INEQUALITY_HOLDS).__getitem__, holds)
-        vg[at], vg[below], lh[at], lh[below] = verdicts, row, lhs, holds
+        lhs_row = [*map(ln, row)]
+        holds_row = [*map(le, lhs_row, top[i:])]
+        verdicts = [*map((EXCEPTIONAL, INEQUALITY_HOLDS).__getitem__, holds_row)]
+        for col, values in zip((verdict, gcds, lhs, rhs_col, holds),
+                               (verdicts, row, lhs_row, rhs[i:], holds_row)):
+            col[i * L + i:i * L + L] = col[i * L + i::L] = values
         (group := on_root.setdefault(unit[i].root, [])).append(i)
         for j in group:  # the pairs (j, i), j <= i, on one root
             if relation := _relation(unit[j], unit[i], eps):
-                vg[j * L + i], mn[j * L + i], mn[i * L + L + j] = POWER_RELATION, *relation
-    return (rhs, squares), (units, units)
+                verdict[j * L + i] = verdict[i * L + j] = POWER_RELATION
+                m[j * L + i], n[j * L + i] = n[i * L + j], m[i * L + j] = relation
+    alpha = [*chain.from_iterable(map(repeat, units, repeat(L, L)))]
+    return (alpha, units * L, *cols), (units, units)
 
 
 def _rows_cz(ctx: tuple, axes: tuple, cells: range, out: tuple) -> None:
-    """The cells of a run gathered from ``_prepare_cz``'s squares, a unit row
-    i at a time, each column by two slices: the cells (i, j), j < i, those of
-    (j, i) with m and n swapped, then the cells (i, j), j >= i.  A square
-    gives them as its slices [j][i] and [i + 1][j], j < i, then [i][j] and
-    [j + 1][i], j >= i.  A run whose largest unit's rhs is inf raises
-    OverflowError from ``bound``."""
-    if not cells:
-        return
-    (rhs, squares), units, s, e = ctx, axes[1], cells.start, cells.stop
-    L = len(units)
-    i0, i1 = s // L, (e - 1) // L
-    bound(0.0, 1.0, rhs[L - 1 if i0 < i1 else max(i0, e - 1 - i0 * L)], 0.0)
-    alpha, beta, verdict, m, n, g, lhs, rhs_col, holds, error = out
-    targets = (verdict, g, verdict, g), (n, m, m, n), (lhs, holds, lhs, holds)
-    for i in range(i0, i1 + 1):
-        lo, hi = max(s - i * L, 0), min(e - i * L, L)
-        k = max(min(i, hi), lo)  # the cells lo..k - 1 lie below the diagonal
-        for (a, b, c, d), sq in zip(targets, squares):
-            a += sq[lo * L + i:k * L + i:L]
-            b += sq[i * L + L + lo:i * L + L + k]
-            c += sq[i * L + k:i * L + hi]
-            d += sq[k * L + L + i:hi * L + L + i:L]
-        alpha += repeat(units[i], hi - lo)
-        beta += units[lo:hi]
-        rhs_col += [rhs[i]] * (k - lo) + rhs[k:hi]
-    error += repeat(None, len(cells))
+    """The cells of a run, a slice of each of ``_prepare_cz``'s columns.  A
+    run whose largest rhs is inf raises OverflowError from ``bound``."""
+    bound(0.0, 1.0, max(ctx[7][cells.start:cells.stop], default=0.0), 0.0)
+    for col, values in zip(out, ctx):
+        col += values[cells.start:cells.stop]
+    out[-1].extend(repeat(None, len(cells)))
 
 
 def _summary_cz(good: dict, p: dict) -> dict:

@@ -166,15 +166,6 @@ def _relation(ua: _Unit, ub: _Unit, eps: float) -> tuple | None:
     return (m, n) if max(m, n) - 1 < 1 / eps else None
 
 
-def _trichotomy(ua: _Unit, ub: _Unit, eps: float) -> tuple:
-    """The ``CzVerdict`` fields of a pair of stripped units; see ``cz_classify``."""
-    g = gcd(ua.shifted, ub.shifted)
-    lhs, _, rhs, holds = bound(log(g), max(ua.log_size, ub.log_size), eps, 0.0)
-    if relation := _relation(ua, ub, eps):
-        return (POWER_RELATION, *relation, g, lhs, rhs, holds)
-    return (INEQUALITY_HOLDS if holds else EXCEPTIONAL, None, None, g, lhs, rhs, holds)
-
-
 def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
     """Trichotomy for a pair of S-units with |alpha|, |beta| >= 2.
 
@@ -190,7 +181,12 @@ def cz_classify(alpha: int, beta: int, S: PrimeSet, eps: float) -> CzVerdict:
         raise ValueError("eps must be positive")
     if abs(alpha) < 2 or abs(beta) < 2:
         raise ValueError("inputs must have absolute value >= 2")
-    return CzVerdict(*_trichotomy(_unit(alpha, S), _unit(beta, S), eps))
+    ua, ub = _unit(alpha, S), _unit(beta, S)
+    g = gcd(ua.shifted, ub.shifted)
+    lhs, _, rhs, holds = bound(log(g), max(ua.log_size, ub.log_size), eps, 0.0)
+    if relation := _relation(ua, ub, eps):
+        return CzVerdict(POWER_RELATION, *relation, g, lhs, rhs, holds)
+    return CzVerdict(INEQUALITY_HOLDS if holds else EXCEPTIONAL, None, None, g, lhs, rhs, holds)
 
 
 def divisibility_check(terms: list[int] | tuple[int, ...]) -> DivisibilityReport:

@@ -983,11 +983,11 @@ KERNEL_GRIDS = {
 }
 # (index, value) of the context entry that breaks every cell of a kernel with
 # an ArithmeticError or a ValueError: an infinite C overflows the bound, as
-# does an infinite rhs of every unit (CZ, whose kernel checks that of its
-# run's largest unit), a zero a (AR) a negative shift, zero denominators
+# does an infinite rhs of every cell (CZ, whose kernel checks the largest rhs
+# of its run's cells), a zero a (AR) a negative shift, zero denominators
 # (SIEGEL) log 0, and a negative C (MIXED_CHECK) its log
 BREAK_CTX = {SweepKind.BCZ: (3, math.inf), SweepKind.AR_RETURNS: (0, 0),
-             SweepKind.CZ_TRICHOTOMY: (0, [math.inf] * 2000), SweepKind.EDS_GCD: (4, math.inf),
+             SweepKind.CZ_TRICHOTOMY: (7, [math.inf] * 10**5), SweepKind.EDS_GCD: (4, math.inf),
              SweepKind.PN_CHECK: (2, VojtaParams(0.5)._replace(C=math.inf)),
              SweepKind.SIEGEL: (1, [(0, 1.0)] * 2000), SweepKind.MIXED_CHECK: (2, -1.0),
              SweepKind.ABELIAN_GROWTH: (3, math.inf)}
@@ -1265,8 +1265,9 @@ def _count_cz_core(monkeypatch) -> tuple[list, list]:
     return gcds, pairs
 
 
-# CZ grids whose runs the kernel gathers: a cell (i, j) below the diagonal is
-# the cell (j, i) that prepare evaluated, m and n swapped
+# CZ grids whose cells prepare writes into row-major columns: a cell (i, j)
+# below the diagonal is the cell (j, i) it evaluated, written by a strided
+# slice with m and n swapped; the kernel slices a run out of each column
 MIRROR_GRIDS = [{"primes": primes, "bound": bound, "eps": eps}
                 for primes, bound in (([2, 3], 40), ([2, 5], 130), ([2, 3, 5], 30))
                 for eps in (0.25, 0.05)]
@@ -1290,6 +1291,8 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
                                    if unit[a].root == unit[b].root)
     keys = list(itertools.product(*axes))
     rows = [_oracle_cz(p, ctx, *key) for key in keys]
+    # the context is each column but error of the grid, the cell (i, j) at i*L + j
+    assert ctx == _columns(kind, rows)[:-1]
     # the grid holds pairs with alpha = -beta and pairs whose power relation
     # the sign rule doubles, e.g. (-2)^6 = 8^2 where (-2)^3 = -(8^1)
     assert any(r.alpha == -r.beta for r in rows)
@@ -1304,7 +1307,7 @@ def test_cz_mirror_kernel_matches_the_map_of_row(params, monkeypatch):
             got = _appended(kind, prefix, spec.rows, ctx, axes, cells)
             assert got == rows[cells.start:cells.stop]
             assert {type(r) for r in got} <= {spec.Row}
-    # the kernel gathers: it takes no gcd and decides no relation
+    # the kernel only slices: it takes no gcd and decides no relation
     assert gcds == [] and pairs == []
 
 
@@ -1454,7 +1457,7 @@ def test_a_type_error_fails_run_under_any_error_budget(monkeypatch, forced_pool,
 
 def test_cz_head_makes_the_core_calls_of_one_job(monkeypatch, pools):
     # a clock that stands still, so that the sweep is too cheap to pool: the
-    # parent's doubling runs gather the cells that prepare evaluated, L(L+1)/2
+    # parent's doubling runs slice the columns that prepare evaluated, L(L+1)/2
     # gcds on L units, and decide the same relations, as one run does
     monkeypatch.setattr(experiments, "perf_counter", lambda: 0.0)
     gcds, pairs = _count_cz_core(monkeypatch)

@@ -268,7 +268,7 @@ def _least_relation_scan(alpha: int, beta: int, top: int = 12) -> tuple | None:
 
 def test_trichotomy_core_relation_matches_a_brute_force_scan():
     # seeded pairs of signed powers of one unit, and of unrelated units; at
-    # eps = 1/25 the core reports every relation up to 25, so those up to 12
+    # eps = 1/25 cz_classify reports every relation up to 25, so those up to 12
     # must be the scan's
     S = PrimeSet((2, 3, 5))
     rng = random.Random(5)
@@ -282,8 +282,7 @@ def test_trichotomy_core_relation_matches_a_brute_force_scan():
             beta = rng.choice((-1, 1)) * r ** rng.randint(1, 6)
         else:
             alpha, beta = rng.choice(units), rng.choice(units)
-        kind, m, n, *_ = mulgrp._trichotomy(mulgrp._unit(alpha, S),
-                                            mulgrp._unit(beta, S), 1 / 25)
+        kind, m, n, *_ = cz_classify(alpha, beta, S, 1 / 25)
         got = (m, n) if kind == POWER_RELATION and max(m, n) <= 12 else None
         assert got == _least_relation_scan(alpha, beta), (alpha, beta)
         found += got is not None
